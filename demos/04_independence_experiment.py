@@ -1,9 +1,12 @@
 """The rho = 0 independence experiment on a genus-4 chain.
 
 For each standard 2x2 tableau we build the pair divisors D_j and E_k, check
-that each sum D_j + E_k leaves exactly the tableau's cell empty, and run
-the complete tropical-dependence search on the family {phi_j + psi_k}.
-The expected verdict on a generic chain is independence.
+that each sum D_j + E_k leaves exactly the tableau's cell empty, and prove
+the family {phi_j + psi_k} tropically independent by a certificate: points
+p_i at which the matrix of values M[i][f] = f(p_i) has a unique optimal
+permutation for its min-plus permanent, so that no choice of offsets can
+make the minimum tie at every point.  The expected verdict on a generic
+chain is independence.
 """
 from tropdiv import (default_generic_chain, enumerate_tableaux,
                      gp_rho_zero_experiment)
@@ -12,7 +15,8 @@ from tropdiv import (default_generic_chain, enumerate_tableaux,
 def main():
     g, r, d = 4, 1, 3
     chain = default_generic_chain(g)
-    tableaux = enumerate_tableaux(g - d + r, r + 1)
+    rows = g - d + r
+    tableaux = enumerate_tableaux(rows, r + 1)
     print(f"(g, r, d) = ({g}, {r}, {d}): {len(tableaux)} standard tableaux\n")
 
     for T in tableaux:
@@ -20,11 +24,17 @@ def main():
         print(f"tableau {T.entries}:")
         for (j, k), i in sorted(rep.empty_cell_table.items()):
             print(f"  D_{j} + E_{k} leaves exactly cell gamma_{i} empty")
-        print(f"  verdict: {rep.verdict}  ({rep.elapsed:.2f}s)\n")
+        print(f"  verdict: {rep.verdict}  ({rep.elapsed:.2f}s)")
         assert rep.verdict == "independent"
+        cert = rep.independence_certificate
+        print(f"  certificate ({rep.certificate_draws} draw(s)):")
+        for p, f in zip(cert.points, cert.permutation):
+            j, k = divmod(f, rows)
+            print(f"    point {p} is matched to phi_{j} + psi_{k}")
+        print()
 
-    print("the tropical linear system has no dependence: the family is "
-          "independent for every tableau")
+    print("every matching is the unique optimum of its min-plus permanent: "
+          "the family is independent for every tableau")
 
 
 if __name__ == "__main__":

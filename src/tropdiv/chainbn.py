@@ -3,7 +3,7 @@
 Rectangular standard tableaux classify the relevant divisor classes; each
 tableau yields a lattice path, a divisor D on the chain, its adjoint E,
 and the twisted representatives D_j / E_k with piecewise-linear witnesses.
-The central experiment checks that the family {phi_j + psi_k} admits no
+The central experiment proves that the family {phi_j + psi_k} admits no
 tropical dependence.
 """
 from __future__ import annotations
@@ -16,7 +16,9 @@ from math import factorial
 from .errors import (GenericityError, PreconditionError, TheoremViolation)
 from .graph import (BNParams, ChainOfLoops, Divisor, Point, canonical_divisor,
                     check_genericity, contains_point_in)
-from .independence import DependenceCertificate, find_dependence
+from .independence import (DependenceCertificate, IndependenceCertificate,
+                           IndependenceReport, find_dependence,
+                           find_independence_certificate)
 from .plfunc import PLFunction, in_R
 from .reduce import v_reduce
 
@@ -304,16 +306,27 @@ def chips_on_each_loop_check(chain: ChainOfLoops, D: Divisor,
 class GPReport:
     params: BNParams
     tableau: Tableau
-    verdict: str                      # "independent" | "dependent" | "trivial"
+    # "independent" | "dependent" | "undecided" | "trivial"
+    verdict: str
     certificate: DependenceCertificate | None
     empty_cell_table: dict[tuple[int, int], int]
     elapsed: float
+    independence_certificate: IndependenceCertificate | None = None
+    certificate_draws: int = 0        # point sets the certificate search drew
 
 
 def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
     """Build phi_j and psi_k from the tableau and test the family
-    {phi_j + psi_k} for tropical dependence; the expected verdict on a
-    generic chain is independence."""
+    {phi_j + psi_k} (index j * rows + k) for tropical dependence; the
+    expected verdict on a generic chain is independence.
+
+    The verdict is "independent" with an independence certificate when
+    ``find_independence_certificate`` finds one.  Otherwise
+    ``find_dependence`` runs: "dependent" with its offsets in
+    ``certificate`` if it finds a dependence, else "undecided", since that
+    search is incomplete.  "trivial" marks a family of fewer than two
+    functions.
+    """
     _require_generic(chain)
     params = T.params()
     if params.rho != 0:
@@ -343,6 +356,12 @@ def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
     if len(family) < 2:
         return GPReport(params, T, "trivial", None, table,
                         time.monotonic() - t0)
-    cert = find_dependence(family)
-    verdict = "dependent" if cert is not None else "independent"
-    return GPReport(params, T, verdict, cert, table, time.monotonic() - t0)
+    search = IndependenceReport()
+    proof = find_independence_certificate(family, report=search)
+    if proof is not None:
+        verdict, cert = "independent", None
+    else:
+        cert = find_dependence(family)
+        verdict = "dependent" if cert is not None else "undecided"
+    return GPReport(params, T, verdict, cert, table, time.monotonic() - t0,
+                    proof, search.draws)

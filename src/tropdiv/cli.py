@@ -2,7 +2,10 @@
 
 Subcommands: chain-new, reduce, rr-check, gp0, shape.  Exit codes:
 0 success, 1 a checked mathematical property was falsified, 2 usage or
-parse error, 3 an internal search/iteration cap was exceeded.
+parse error, 3 an internal search/iteration cap was exceeded, or gp0
+left a family undecided (no independence certificate within the draw
+cap and no dependence found; a dependent family elsewhere in the same
+run takes precedence with exit code 1).
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ from .errors import (GenericityError, GraphError, PreconditionError,
                      ReductionCapError, SearchCapError, TheoremViolation)
 from .graph import (ChainOfLoops, MetricGraph, canonical_divisor,
                     check_genericity, default_generic_chain, make_chain)
+from .independence import CERTIFICATE_DRAWS
 from .reduce import riemann_roch_check, v_reduce
 from .sampling import SplitMix64, random_divisor
 from . import serialize as sz
@@ -119,20 +123,27 @@ def cmd_gp0(args) -> int:
     if args.tableau != "all":
         tableaux = [tableaux[int(args.tableau)]]
     reports = []
-    any_dependent = False
     for T in tableaux:
         rep = gp_rho_zero_experiment(T, chain)
-        any_dependent |= (rep.verdict == "dependent")
-        reports.append({
+        entry = {
             "g": args.g, "r": args.r, "d": args.d,
             "tableau": [list(row) for row in T.entries],
             "verdict": rep.verdict,
             "elapsed_seconds": round(rep.elapsed, 3),
             "empty_cells": {f"{j},{k}": i
                             for (j, k), i in sorted(rep.empty_cell_table.items())},
-        })
+            "certificate_draws": rep.certificate_draws,
+            "certificate_draw_cap": CERTIFICATE_DRAWS,
+        }
+        if rep.independence_certificate is not None:
+            entry["certificate"] = sz.independence_certificate_to_json(
+                chain.graph, rep.independence_certificate)
+        reports.append(entry)
     _emit({"reports": reports}, args.out)
-    return EXIT_FALSIFIED if any_dependent else EXIT_OK
+    verdicts = {rep["verdict"] for rep in reports}
+    if "dependent" in verdicts:
+        return EXIT_FALSIFIED
+    return EXIT_CAP if "undecided" in verdicts else EXIT_OK
 
 
 def cmd_shape(args) -> int:
@@ -184,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--d", type=int, required=True)
     pg.add_argument("--lengths", help="JSON chain description file")
     pg.add_argument("--tableau", default="all", help="index or 'all'")
-    pg.add_argument("--seed", type=int, default=0)
     pg.add_argument("--out")
     pg.set_defaults(func=cmd_gp0)
 

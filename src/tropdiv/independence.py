@@ -1,36 +1,55 @@
 """Tropical dependence and independence of piecewise-linear functions.
 
-A family psi_0..psi_r is tropically dependent if there are constants b_j
-such that min_j(psi_j + b_j) is attained at least twice at every point of
-the graph.  Verification works cell-by-cell on the exact lower envelope;
-the search for constants is finite because on any envelope piece two
-coinciding shifted functions pin their offset difference to one of
-finitely many critical values (the values of the constant pieces of the
-pairwise differences).
+A family f_1..f_n is tropically dependent if there are constants b_j, some
+of them possibly +infinity (the function left out), such that
+min_j(f_j + b_j) is attained at least twice at every point of the graph.
+
+- ``verify_dependence`` checks given offsets cell-by-cell on the exact
+  lower envelope.
+- ``find_independence_certificate`` proves independence: it looks for
+  points p_1..p_n at which the matrix M_ij = f_j(p_i) is tropically
+  nonsingular, and ``verify_independence`` re-checks such a certificate.
+- ``find_dependence`` searches for offsets through the critical values of
+  pairwise differences.  The search is not complete: it misses
+  dependences in which coincident pairs of functions meet only at
+  isolated points (a four-function example on one edge is in the tests),
+  so a search that finds nothing proves nothing.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 from .errors import PreconditionError, SearchCapError
-from .graph import Interval, Point, Region
+from .graph import Interval, MetricGraph, Point, Region
 from .plfunc import PLFunction, min_combination
+from .sampling import SplitMix64
 
 MAX_FAMILY = 12
+# point sets tried by find_independence_certificate before it gives up;
+# the rho = 0 tableaux tried, up to genus 9, needed at most 26
+CERTIFICATE_DRAWS = 200
+# a fixed seed keeps certificates, and so reports, reproducible
+CERTIFICATE_SEED = 0x5EED_CE27
 
 
-def _shifted(funcs: Sequence[PLFunction], offsets: Sequence) -> list[PLFunction]:
+def _common_graph(funcs: Sequence[PLFunction]) -> MetricGraph:
     if len(funcs) < 2:
         raise PreconditionError("need at least two functions")
-    if len(funcs) != len(offsets):
-        raise PreconditionError("need one offset per function")
     graph = funcs[0].graph
     for f in funcs:
         if f.graph is not graph:
             raise PreconditionError("functions live on different graphs")
+    return graph
+
+
+def _shifted(funcs: Sequence[PLFunction], offsets: Sequence) -> list[PLFunction]:
+    _common_graph(funcs)
+    if len(funcs) != len(offsets):
+        raise PreconditionError("need one offset per function")
     return [f.add_const(Fraction(b)) for f, b in zip(funcs, offsets)]
 
 
@@ -102,10 +121,14 @@ class DependenceCertificate:
 
 @dataclass
 class IndependenceReport:
-    """One uniqueness witness per candidate offset vector examined."""
+    """What a search did: from ``find_dependence``, one uniqueness witness
+    per fully checked candidate offset vector and the number of candidates
+    tried; from ``find_independence_certificate``, the number of point
+    sets drawn."""
 
     witnesses: list[tuple[tuple[Fraction, ...], Point]] = field(default_factory=list)
     candidates_tried: int = 0
+    draws: int = 0
 
 
 def _critical_values(fj: PLFunction, fk: PLFunction) -> list[Fraction]:
@@ -132,9 +155,12 @@ def find_dependence(funcs: Sequence[PLFunction],
     remaining offsets are propagated through the pairwise critical sets:
     every assignment in which each new function is pinned to an already
     assigned one is generated (all spanning-tree-shaped constraint
-    systems), deduplicated, and verified.  A dependence whose binding
-    structure is connected is always found this way; see the package notes
-    for the completeness discussion.
+    systems), deduplicated, and verified.  Only offsets tied together by
+    a spanning tree of pairs that coincide on a segment are generated, so
+    a dependence in which some functions meet the others only at isolated
+    points can be missed: ``None`` means that no candidate passed, not
+    that the family is independent.  ``find_independence_certificate``
+    proves independence.
     """
     n = len(funcs)
     if n < 2:
@@ -241,3 +267,141 @@ def find_dependence(funcs: Sequence[PLFunction],
                 if cert is not None:
                     return cert
     return None
+
+
+# ---------------------------------------------------------------------------
+# independence certificates
+
+
+@dataclass(frozen=True)
+class IndependenceCertificate:
+    """Points p_0..p_{n-1} and a permutation sigma such that sigma is the
+    only permutation minimising sum_i M[i][sigma[i]], where
+    M[i][j] = funcs[j](points[i]): point i is matched to function
+    sigma[i].  ``verify_independence`` explains why this proves the
+    family independent."""
+
+    points: tuple[Point, ...]
+    permutation: tuple[int, ...]
+
+
+def unique_min_permutation(matrix: Sequence[Sequence]) -> tuple[int, ...] | None:
+    """The permutation sigma minimising sum_i matrix[i][sigma[i]] (the
+    min-plus permanent) if it is the only minimiser, that is if the square
+    matrix is tropically nonsingular; otherwise None.
+
+    A subset DP over columns: for every column set S, the least cost of
+    matching rows 0..|S|-1 onto S and the number of matchings attaining
+    it, capped at 2.  Entries are scaled to integers first, so the DP
+    does exact integer arithmetic in O(2^n * n) steps.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise PreconditionError("matrix must be square")
+    if n > MAX_FAMILY:
+        raise PreconditionError(f"matrix size {n} exceeds {MAX_FAMILY}")
+    rats = [[Fraction(x) for x in row] for row in matrix]
+    den = lcm(*(x.denominator for row in rats for x in row))
+    M = [[x.numerator * (den // x.denominator) for x in row] for row in rats]
+    full = (1 << n) - 1
+    best = [0] * (full + 1)
+    count = [1] + [0] * full
+    last = [0] * (full + 1)     # column matched to the last row of an optimum
+    for mask in range(1, full + 1):
+        row = M[mask.bit_count() - 1]
+        lo = c = arg = None
+        for j in range(n):
+            if not mask >> j & 1:
+                continue
+            prev = mask ^ (1 << j)
+            v = best[prev] + row[j]
+            if lo is None or v < lo:
+                lo, c, arg = v, count[prev], j
+            elif v == lo:
+                c = min(2, c + count[prev])
+        best[mask], count[mask], last[mask] = lo, c, arg
+    if count[full] != 1:
+        return None
+    perm = [0] * n
+    mask = full
+    for i in range(n - 1, -1, -1):
+        perm[i] = last[mask]
+        mask ^= 1 << perm[i]
+    return tuple(perm)
+
+
+def _candidate_points(funcs: Sequence[PLFunction]) -> list[Point]:
+    """The vertices and every interior breakpoint of any function, in a
+    fixed order."""
+    graph = funcs[0].graph
+    pts = {graph.vertex_point(v) for v in graph.vertices}
+    for f in funcs:
+        for ei, data in f.data.items():
+            pts.update(graph.point(ei, o) for (o, _v) in data[1:-1])
+    return sorted(pts, key=Point.sort_key)
+
+
+def find_independence_certificate(funcs: Sequence[PLFunction],
+                                  report: IndependenceReport | None = None
+                                  ) -> IndependenceCertificate | None:
+    """Search for points that prove the family tropically independent.
+
+    Each draw takes n distinct points from the vertices and the interior
+    breakpoints of the family, from a SplitMix64 with a fixed seed, and
+    tests the matrix of values with ``unique_min_permutation``.  Returns
+    the first certificate found, or None after ``CERTIFICATE_DRAWS``
+    draws (or at once when there are fewer than n such points).  None proves nothing:
+    on a dependent family every draw fails.
+    """
+    _common_graph(funcs)
+    n = len(funcs)
+    cands = _candidate_points(funcs)
+    if len(cands) < n:
+        return None
+    rng = SplitMix64(CERTIFICATE_SEED)
+    order = list(range(len(cands)))
+    values: dict[int, list[Fraction]] = {}
+    for _draw in range(CERTIFICATE_DRAWS):
+        if report is not None:
+            report.draws += 1
+        # partial Fisher-Yates: order[:n] becomes a uniform n-subset
+        for i in range(n):
+            k = i + rng.below(len(order) - i)
+            order[i], order[k] = order[k], order[i]
+        picked = order[:n]
+        for i in picked:
+            if i not in values:
+                values[i] = [f(cands[i]) for f in funcs]
+        perm = unique_min_permutation([values[i] for i in picked])
+        if perm is not None:
+            return IndependenceCertificate(tuple(cands[i] for i in picked), perm)
+    return None
+
+
+def verify_independence(funcs: Sequence[PLFunction],
+                        cert: IndependenceCertificate) -> bool:
+    """Whether the certificate proves the family tropically independent:
+    the matrix M[i][j] = funcs[j](cert.points[i]) must have
+    ``cert.permutation`` as its unique min-plus permanent minimiser.
+
+    Soundness.  A square matrix is tropically singular (its permanent is
+    attained at least twice) iff its rows lie on one tropical hyperplane
+    {x : min_j(x_j + b_j) attained at least twice} with finite b
+    (Richter-Gebert, Sturmfels and Theobald, "First steps in tropical
+    geometry", Lemma 5.1).  A dependence with offsets b attains the
+    minimum twice at every point, so in particular at each p_i: the rows
+    of M lie on the hyperplane of b.  If the dependence uses only a subset
+    S of the family (the other offsets infinite), give the columns outside
+    S finite offsets so large that they never attain the minimum at any
+    p_i; the minimum of every row is unchanged, so the rows still lie on a
+    tropical hyperplane.  Either way M is singular.  A nonsingular M thus
+    rules out every dependence, including those on subsets.
+    """
+    graph = _common_graph(funcs)
+    n = len(funcs)
+    if len(cert.points) != n or sorted(cert.permutation) != list(range(n)):
+        return False
+    for p in cert.points:
+        graph.check_point(p)
+    M = [[f(p) for f in funcs] for p in cert.points]
+    return unique_min_permutation(M) == tuple(cert.permutation)

@@ -2,7 +2,8 @@
 
 Rationals travel as strings "p" or "p/q" in lowest terms; points as
 {"edge": id, "offset": "p/q"} (or {"vertex": name} on input); divisors as
-sorted lists of {point, coeff}.  Output is deterministic: keys sorted,
+sorted lists of {point, coeff}; independence certificates as
+{points, permutation}.  Output is deterministic: keys sorted,
 rationals canonical.
 """
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Any
 
 from .errors import GraphError
 from .graph import ChainOfLoops, Divisor, MetricGraph, Point, make_chain
+from .independence import IndependenceCertificate
 from .plfunc import PLFunction
 
 
@@ -122,6 +124,19 @@ def plfunction_from_json(graph: MetricGraph, obj: dict) -> PLFunction:
         for ei, pts in obj["edges"].items()
     }
     return PLFunction(graph, data)
+
+
+def independence_certificate_to_json(graph: MetricGraph,
+                                     cert: IndependenceCertificate) -> dict:
+    return {"points": [point_to_json(graph, p) for p in cert.points],
+            "permutation": list(cert.permutation)}
+
+
+def independence_certificate_from_json(graph: MetricGraph,
+                                       obj: dict) -> IndependenceCertificate:
+    return IndependenceCertificate(
+        tuple(point_from_json(graph, p) for p in obj["points"]),
+        tuple(int(j) for j in obj["permutation"]))
 
 
 def dumps(obj: Any) -> str:

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from tropdiv import MetricGraph, default_generic_chain
+from tropdiv.chainbn import build_Dj, build_Ek
+from tropdiv.plfunc import PLFunction
 from tropdiv.sampling import SplitMix64
 
 
@@ -58,3 +60,21 @@ def random_connected_graph(rng: SplitMix64) -> MetricGraph:
         edges.append((names[i], names[j],
                       Fraction(rng.randint(1, 12), rng.randint(1, 4))))
     return MetricGraph(names, edges)
+
+
+def rho_zero_family(T, chain) -> list:
+    """The family {phi_j + psi_k} of the rho = 0 experiment, in the order
+    gp_rho_zero_experiment uses (index j * rows + k)."""
+    phis = [build_Dj(T, chain, j)[1] for j in range(T.cols)]
+    psis = [build_Ek(T, chain, k)[1] for k in range(T.rows)]
+    return [phi + psi for phi in phis for psi in psis]
+
+
+def point_contact_family() -> list:
+    """Four functions on one edge of length 2, dependent with all offsets
+    0, although the two coincident pairs meet only at a point; the
+    dependence search misses this dependence."""
+    G = MetricGraph(["a", "b"], [("a", "b", 2)])
+    pieces = ([(0, 0), (1, 0), (2, 1)], [(0, 0), (1, 0), (2, 2)],
+              [(0, 1), (1, 0), (2, 0)], [(0, 2), (1, 0), (2, 0)])
+    return [PLFunction(G, {0: p}) for p in pieces]

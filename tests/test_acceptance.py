@@ -2,9 +2,8 @@
 
 Each criterion is one test that prints a single pass line on the real
 terminal (capsys.disabled) when it succeeds.  These tests are slower than
-the unit suite; the whole file takes on the order of half an hour, most of
-it in the subdivision-oracle cross-check and the genus-6 independence
-experiments.
+the unit suite; the whole file takes a few minutes, most of it in the
+subdivision-oracle cross-check of criterion 8.
 """
 from fractions import Fraction
 
@@ -17,6 +16,7 @@ from tropdiv.chainbn import (BNParams, build_Dj, build_Ek,
                              is_wg_reduced_shape, shape_profile,
                              tableau_to_divisor)
 from tropdiv.graph import Interval, Region, canonical_divisor
+from tropdiv.independence import CERTIFICATE_DRAWS, verify_independence
 from tropdiv.plfunc import PLFunction, minchips_holds, obstruction_holds
 from tropdiv.reduce import (rank, rank_subdivision_oracle,
                             riemann_roch_check, v_reduce)
@@ -24,7 +24,7 @@ from tropdiv.sampling import (SplitMix64, random_divisor,
                               random_effective_divisor, random_point,
                               random_R_member)
 
-from .conftest import random_connected_graph
+from .conftest import random_connected_graph, rho_zero_family
 
 
 def test_criterion_1_riemann_roch(capsys):
@@ -236,7 +236,8 @@ def test_criterion_7_minchips_and_obstruction(capsys):
 
 def test_criterion_5_main_independence(capsys):
     """The full independence experiments: every tableau of (4,1,3) and
-    (6,1,4) yields an independent family."""
+    (6,1,4) yields an independent family, with a certificate that
+    re-verifies and was found well within the draw cap."""
     for (g, r, d), shape in (((4, 1, 3), (2, 2)), ((6, 1, 4), (3, 2))):
         chain = default_generic_chain(g)
         tableaux = enumerate_tableaux(*shape)
@@ -244,6 +245,9 @@ def test_criterion_5_main_independence(capsys):
             rep = gp_rho_zero_experiment(T, chain)
             assert rep.verdict == "independent", (g, r, d, T.entries)
             assert rep.elapsed < 600, (g, T.entries, rep.elapsed)
+            assert verify_independence(rho_zero_family(T, chain),
+                                       rep.independence_certificate)
+            assert rep.certificate_draws < CERTIFICATE_DRAWS / 4
     with capsys.disabled():
         print("criterion 5: PASS — all 2 + 5 tableaux give independent "
               "families for (4,1,3) and (6,1,4)")

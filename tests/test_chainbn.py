@@ -175,6 +175,17 @@ class TestGPExperiment:
             # the empty-cell table is a bijection onto the loops
             assert sorted(rep.empty_cell_table.values()) == [1, 2, 3, 4]
 
+    def test_undecided_when_no_certificate_and_no_dependence(
+            self, chain4, monkeypatch):
+        # a failed dependence search is not a proof of independence
+        import tropdiv.chainbn as cb
+        monkeypatch.setattr(cb, "find_independence_certificate",
+                            lambda fam, report=None: None)
+        monkeypatch.setattr(cb, "find_dependence", lambda fam: None)
+        rep = gp_rho_zero_experiment(enumerate_tableaux(2, 2)[0], chain4)
+        assert rep.verdict == "undecided"
+        assert rep.certificate is None and rep.independence_certificate is None
+
     def test_rho_nonzero_rejected(self, chain4):
         # 2x2 tableau against a genus-3 chain
         ch3 = default_generic_chain(3)

@@ -3,10 +3,14 @@ import json
 from fractions import Fraction
 
 from tropdiv import Divisor, default_generic_chain, make_chain
+from tropdiv.chainbn import Tableau
 from tropdiv.cli import main
 from tropdiv.graph import canonical_divisor
+from tropdiv.independence import verify_independence
 from tropdiv.reduce import v_reduce
 from tropdiv import serialize as sz
+
+from .conftest import rho_zero_family
 
 
 def _write(path, obj):
@@ -113,8 +117,40 @@ class TestGP0:
         assert rep["verdict"] == "independent"
         assert sorted(rep["empty_cells"].values()) == [1, 2, 3, 4]
 
+    def test_certificate_reloads_and_reverifies(self, tmp_path):
+        chain_path = _chain_file(tmp_path, default_generic_chain(4))
+        out = tmp_path / "gp.json"
+        assert main(["gp0", "--g", "4", "--r", "1", "--d", "3",
+                     "--lengths", chain_path, "--out", str(out)]) == 0
+        reports = json.loads(out.read_text())["reports"]
+        assert len(reports) == 2
+        with open(chain_path) as fh:
+            chain = sz.chain_from_json(json.load(fh))
+        for rep in reports:
+            assert rep["verdict"] == "independent"
+            assert rep["certificate_draws"] < rep["certificate_draw_cap"] / 4
+            T = Tableau(tuple(tuple(row) for row in rep["tableau"]))
+            cert = sz.independence_certificate_from_json(chain.graph,
+                                                         rep["certificate"])
+            assert verify_independence(rho_zero_family(T, chain), cert)
+
+    def test_undecided_exits_3(self, tmp_path, monkeypatch):
+        import tropdiv.chainbn as cb
+        monkeypatch.setattr(cb, "find_independence_certificate",
+                            lambda fam, report=None: None)
+        monkeypatch.setattr(cb, "find_dependence", lambda fam: None)
+        out = tmp_path / "gp.json"
+        assert main(["gp0", "--g", "4", "--r", "1", "--d", "3",
+                     "--tableau", "0", "--out", str(out)]) == 3
+        (rep,) = json.loads(out.read_text())["reports"]
+        assert rep["verdict"] == "undecided" and "certificate" not in rep
+
     def test_nonzero_rho_is_usage_error(self):
         assert main(["gp0", "--g", "6", "--r", "3", "--d", "5"]) == 2
+
+    def test_seed_flag_removed(self):
+        assert main(["gp0", "--g", "4", "--r", "1", "--d", "3",
+                     "--seed", "0"]) == 2
 
 
 class TestUsage:

@@ -1,15 +1,23 @@
-"""Tests for tropical dependence certificates and the search."""
+"""Tests for tropical dependence and independence certificates and the
+searches for them."""
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from tropdiv import PLFunction
+from tropdiv import PLFunction, default_generic_chain
+from tropdiv.chainbn import enumerate_tableaux, gp_rho_zero_experiment
 from tropdiv.errors import SearchCapError
-from tropdiv.independence import (IndependenceReport, find_dependence,
-                                  unique_min_locus, verify_dependence)
+from tropdiv.independence import (CERTIFICATE_DRAWS, IndependenceCertificate,
+                                  IndependenceReport, find_dependence,
+                                  find_independence_certificate,
+                                  unique_min_locus, unique_min_permutation,
+                                  verify_dependence, verify_independence)
 from tropdiv.plfunc import distance_function, min_combination
+from tropdiv.sampling import SplitMix64
 
-from .conftest import circle_graph, theta_graph
+from .conftest import (circle_graph, point_contact_family, rho_zero_family,
+                       theta_graph)
 
 
 def base_pair(G):
@@ -100,3 +108,139 @@ class TestFindDependence:
         f, _ = base_pair(G)
         with pytest.raises(PreconditionError):
             find_dependence([f])
+
+
+def brute_force_unique_min(M):
+    """The unique minimising permutation of the min-plus permanent, or
+    None, by enumerating all permutations."""
+    n = len(M)
+    costs = {p: sum(M[i][p[i]] for i in range(n))
+             for p in permutations(range(n))}
+    lo = min(costs.values())
+    winners = [p for p, c in costs.items() if c == lo]
+    return winners[0] if len(winners) == 1 else None
+
+
+class TestUniqueMinPermutation:
+    def test_agrees_with_brute_force(self):
+        # entries in a small range, so that ties are common
+        rng = SplitMix64(0x7E57)
+        unique = 0
+        for t in range(3200):
+            n = 2 + t % 4
+            M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            got = unique_min_permutation(M)
+            assert got == brute_force_unique_min(M), M
+            unique += got is not None
+        # both outcomes are exercised
+        assert 0 < unique < 3200
+
+    def test_fractions_are_exact(self):
+        third = Fraction(1, 3)
+        assert unique_min_permutation([[third, 0], [0, third]]) == (1, 0)
+        assert unique_min_permutation([[third, third], [0, 0]]) is None
+
+    def test_non_square_or_oversized_rejected(self):
+        from tropdiv.errors import PreconditionError
+        from tropdiv.independence import MAX_FAMILY
+        with pytest.raises(PreconditionError):
+            unique_min_permutation([[0, 1], [2]])
+        n = MAX_FAMILY + 1
+        with pytest.raises(PreconditionError):
+            unique_min_permutation([[0] * n for _ in range(n)])
+
+
+def g4_family_and_certificate():
+    T = enumerate_tableaux(2, 2)[0]
+    fam = rho_zero_family(T, default_generic_chain(4))
+    cert = find_independence_certificate(fam)
+    assert cert is not None and verify_independence(fam, cert)
+    return fam, cert
+
+
+class TestVerifyIndependence:
+    def test_swapped_points_rejected(self):
+        # swapping two rows moves the unique minimiser to another
+        # permutation, so the stated one no longer wins
+        fam, cert = g4_family_and_certificate()
+        pts = list(cert.points)
+        pts[0], pts[1] = pts[1], pts[0]
+        bad = IndependenceCertificate(tuple(pts), cert.permutation)
+        assert not verify_independence(fam, bad)
+
+    def test_wrong_permutation_rejected(self):
+        fam, cert = g4_family_and_certificate()
+        n = len(fam)
+        for perm in permutations(range(n)):
+            if perm != cert.permutation:
+                bad = IndependenceCertificate(cert.points, perm)
+                assert not verify_independence(fam, bad)
+        for perm in ((0,) * n, tuple(range(n - 1)), tuple(range(1, n + 1))):
+            bad = IndependenceCertificate(cert.points, perm)
+            assert not verify_independence(fam, bad)
+
+    def test_tied_matrix_rejected(self):
+        fam, cert = g4_family_and_certificate()
+        # a repeated point gives two equal rows
+        pts = (cert.points[0],) + cert.points[:-1]
+        for perm in permutations(range(len(fam))):
+            assert not verify_independence(fam, IndependenceCertificate(pts, perm))
+        # a repeated function gives two equal columns
+        twin = [fam[0], fam[0]] + fam[2:]
+        assert not verify_independence(twin, cert)
+
+
+def planted_families():
+    """rho = 0 families with theta = min(f_a + b_a, f_b + b_b) appended,
+    each with the dependent sub-family [f_a, f_b, theta] and its offsets."""
+    out = []
+    for rows, cols in ((2, 2), (1, 3), (1, 4)):
+        chain = default_generic_chain(rows * cols)
+        for T in enumerate_tableaux(rows, cols):
+            fam = rho_zero_family(T, chain)
+            for a, b, ba, bb in ((0, 1, 0, 0), (0, len(fam) - 1, 2, -1)):
+                theta = min_combination([fam[a], fam[b]], [ba, bb])
+                out.append((fam + [theta], [fam[a], fam[b], theta], [ba, bb, 0]))
+    return out
+
+
+class TestFindIndependenceCertificate:
+    def test_planted_dependent_families_get_none(self):
+        for fam, sub, offsets in planted_families():
+            assert verify_dependence(sub, offsets) == (True, None)
+            report = IndependenceReport()
+            assert find_independence_certificate(fam, report=report) is None
+            assert report.draws == CERTIFICATE_DRAWS
+
+    def test_point_contact_family_gets_no_certificate(self):
+        # dependent, although find_dependence misses it: with no
+        # certificate either, the verdict can be undecided but never
+        # independent
+        fam = point_contact_family()
+        assert verify_dependence(fam, [0, 0, 0, 0]) == (True, None)
+        assert find_independence_certificate(fam) is None
+
+    def test_independent_pair(self):
+        G = theta_graph()
+        f, g = base_pair(G)
+        cert = find_independence_certificate([f, g])
+        assert cert is not None and verify_independence([f, g], cert)
+
+    def test_deterministic(self):
+        fam, cert = g4_family_and_certificate()
+        assert find_independence_certificate(fam) == cert
+
+
+def test_all_626_tableaux_certified():
+    """Every tableau of shape (2,3) at g = 6, the (6,2,6) family, is proved
+    independent well within the draw cap."""
+    chain = default_generic_chain(6)
+    tableaux = enumerate_tableaux(2, 3)
+    assert len(tableaux) == 5
+    for T in tableaux:
+        rep = gp_rho_zero_experiment(T, chain)
+        assert rep.verdict == "independent", T.entries
+        assert rep.certificate is None
+        assert verify_independence(rho_zero_family(T, chain),
+                                   rep.independence_certificate)
+        assert rep.certificate_draws < CERTIFICATE_DRAWS / 4, T.entries
