@@ -5,13 +5,15 @@ Subcommands: chain-new, reduce, rr-check, gp0, shape.  Exit codes:
 parse error, 3 an internal search/iteration cap was exceeded, or gp0
 left a family undecided (no independence certificate within the draw
 cap and no dependence found; a dependent family elsewhere in the same
-run takes precedence with exit code 1).
+run takes precedence with exit code 1), 4 an internal error (an
+unexpected exception, reported in one line on stderr).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .chainbn import enumerate_tableaux, gp_rho_zero_experiment, shape_profile
@@ -28,6 +30,21 @@ EXIT_OK = 0
 EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
+
+
+class _UsageError(Exception):
+    """Malformed command-line arguments or input files."""
+
+
+@contextmanager
+def _parsing():
+    # ValueError, KeyError and IndexError mean bad input only while
+    # arguments and JSON are parsed; anywhere else they are bugs
+    try:
+        yield
+    except (ValueError, KeyError, IndexError) as e:
+        raise _UsageError(e) from e
 
 
 def _emit(obj, out_path: str | None) -> None:
@@ -58,7 +75,8 @@ def _parse_base(graph: MetricGraph, text: str):
 
 
 def cmd_chain_new(args) -> int:
-    chain = _load_chain_arg(args)
+    with _parsing():
+        chain = _load_chain_arg(args)
     if args.require_generic and not check_genericity(chain):
         raise GenericityError("chain lengths are not generic")
     obj = sz.chain_to_json(chain)
@@ -69,9 +87,10 @@ def cmd_chain_new(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    graph = sz.graph_from_json(_load_json(args.graph))
-    D = sz.divisor_from_json(graph, _load_json(args.divisor))
-    base = _parse_base(graph, args.base)
+    with _parsing():
+        graph = sz.graph_from_json(_load_json(args.graph))
+        D = sz.divisor_from_json(graph, _load_json(args.divisor))
+        base = _parse_base(graph, args.base)
     res = v_reduce(graph, D, base)
     _emit({
         "input": sz.divisor_to_json(graph, D),
@@ -84,7 +103,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_rr_check(args) -> int:
-    graph = sz.graph_from_json(_load_json(args.graph))
+    with _parsing():
+        graph = sz.graph_from_json(_load_json(args.graph))
     g = graph.betti()
     rng = SplitMix64(args.seed)
     failures = []
@@ -108,10 +128,8 @@ def cmd_rr_check(args) -> int:
 
 
 def cmd_gp0(args) -> int:
-    if args.lengths:
-        chain = sz.chain_from_json(_load_json(args.lengths))
-    else:
-        chain = default_generic_chain(args.g)
+    with _parsing():
+        chain = _load_chain_arg(args)
     rows = args.g - args.d + args.r
     cols = args.r + 1
     rho = args.g - cols * rows
@@ -121,7 +139,8 @@ def cmd_gp0(args) -> int:
         raise PreconditionError("tableau shape is empty or does not match g")
     tableaux = enumerate_tableaux(rows, cols)
     if args.tableau != "all":
-        tableaux = [tableaux[int(args.tableau)]]
+        with _parsing():
+            tableaux = [tableaux[int(args.tableau)]]
     reports = []
     for T in tableaux:
         rep = gp_rho_zero_experiment(T, chain)
@@ -147,8 +166,9 @@ def cmd_gp0(args) -> int:
 
 
 def cmd_shape(args) -> int:
-    chain = sz.chain_from_json(_load_json(args.graph))
-    D = sz.divisor_from_json(chain.graph, _load_json(args.divisor))
+    with _parsing():
+        chain = sz.chain_from_json(_load_json(args.graph))
+        D = sz.divisor_from_json(chain.graph, _load_json(args.divisor))
     prof = shape_profile(D, chain)
     _emit({
         "cells": list(prof.cells),
@@ -220,10 +240,13 @@ def main(argv=None) -> int:
     except (ReductionCapError, SearchCapError) as e:
         sys.stderr.write(f"cap exceeded: {e}\n")
         return EXIT_CAP
-    except (GraphError, GenericityError, PreconditionError, ValueError,
-            KeyError, IndexError, OSError, json.JSONDecodeError) as e:
+    except (_UsageError, GraphError, GenericityError, PreconditionError,
+            OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
+    except Exception as e:
+        sys.stderr.write(f"internal error: {type(e).__name__}: {e}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

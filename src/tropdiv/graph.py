@@ -12,8 +12,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import GraphError, PreconditionError
 
-Rat = Fraction
-
 
 def _rat(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -90,7 +88,7 @@ class MetricGraph:
     orientation (first endpoint) used only for offset coordinates.
     """
 
-    def __init__(self, vertices: Iterable[str], edges: Sequence[tuple[str, str, Rat]]):
+    def __init__(self, vertices: Iterable[str], edges: Sequence[tuple[str, str, Fraction]]):
         self.vertices: tuple[str, ...] = tuple(vertices)
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
@@ -302,10 +300,6 @@ class Divisor:
             return "Divisor(0)"
         terms = sorted(self._coeffs.items(), key=lambda t: t[0].sort_key())
         return "Divisor(" + " + ".join(f"{c}*{p}" for p, c in terms) + ")"
-
-
-def degree(D: Divisor) -> int:
-    return D.degree
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ min_j(f_j + b_j) is attained at least twice at every point of the graph.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .errors import PreconditionError, SearchCapError
 from .graph import Interval, MetricGraph, Point, Region
-from .plfunc import PLFunction, min_combination
+from .plfunc import PLFunction, _same_graph, lower_envelope, min_combination
 from .sampling import SplitMix64
 
 MAX_FAMILY = 12
@@ -39,71 +39,39 @@ CERTIFICATE_SEED = 0x5EED_CE27
 def _common_graph(funcs: Sequence[PLFunction]) -> MetricGraph:
     if len(funcs) < 2:
         raise PreconditionError("need at least two functions")
-    graph = funcs[0].graph
-    for f in funcs:
-        if f.graph is not graph:
-            raise PreconditionError("functions live on different graphs")
-    return graph
+    return _same_graph(funcs)
 
 
-def _shifted(funcs: Sequence[PLFunction], offsets: Sequence) -> list[PLFunction]:
-    _common_graph(funcs)
+def _cells(funcs: Sequence[PLFunction], offsets: Sequence):
+    """(edge, lo, hi, indices attaining the minimum on the whole cell) for
+    every cell of the lower envelope of funcs[j] + offsets[j]."""
+    graph = _common_graph(funcs)
     if len(funcs) != len(offsets):
         raise PreconditionError("need one offset per function")
-    return [f.add_const(Fraction(b)) for f, b in zip(funcs, offsets)]
-
-
-def _edge_cells(shifted: list[PLFunction], ei: int) -> list[tuple[Fraction, Fraction, set[int]]]:
-    """Refine an edge at all breakpoints and pairwise crossings; on each
-    resulting cell every function is affine, so the set of indices that
-    attain the envelope identically is just {j : f_j = env at both ends}."""
-    offs = {o for f in shifted for (o, _v) in f.data[ei]}
-    base = sorted(offs)
-    extra: set[Fraction] = set()
-    for (a, b) in zip(base, base[1:]):
-        for j in range(len(shifted)):
-            for k in range(j + 1, len(shifted)):
-                da = shifted[j]._edge_value(ei, a) - shifted[k]._edge_value(ei, a)
-                db = shifted[j]._edge_value(ei, b) - shifted[k]._edge_value(ei, b)
-                if (da > 0 > db) or (da < 0 < db):
-                    extra.add(a + (b - a) * da / (da - db))
-    allo = sorted(offs | extra)
-    cells = []
-    vals = [[f._edge_value(ei, o) for f in shifted] for o in allo]
-    for idx in range(len(allo) - 1):
-        lo, hi = allo[idx], allo[idx + 1]
-        mlo = min(vals[idx])
-        mhi = min(vals[idx + 1])
-        attain = {j for j in range(len(shifted))
-                  if vals[idx][j] == mlo and vals[idx + 1][j] == mhi}
-        cells.append((lo, hi, attain))
-    return cells
+    offsets = [Fraction(b) for b in offsets]
+    for ei in range(len(graph.edges)):
+        env = lower_envelope([f.data[ei] for f in funcs], offsets)
+        for (lo, _v, a), (hi, _w, b) in zip(env, env[1:]):
+            yield ei, lo, hi, a & b
 
 
 def verify_dependence(funcs: Sequence[PLFunction],
                       offsets: Sequence) -> tuple[bool, Point | None]:
     """Whether min_j(funcs[j] + offsets[j]) is attained at least twice
     everywhere; on failure, also a point where it is attained only once."""
-    shifted = _shifted(funcs, offsets)
-    graph = shifted[0].graph
-    for ei in range(len(graph.edges)):
-        for (lo, hi, attain) in _edge_cells(shifted, ei):
-            if len(attain) < 2:
-                return False, graph.point(ei, (lo + hi) / 2)
+    for (ei, lo, hi, attain) in _cells(funcs, offsets):
+        if len(attain) < 2:
+            return False, funcs[0].graph.point(ei, (lo + hi) / 2)
     return True, None
 
 
 def unique_min_locus(funcs: Sequence[PLFunction], offsets: Sequence) -> Region:
     """The open set where the minimum is attained by exactly one function;
     empty exactly when the offsets give a tropical dependence."""
-    shifted = _shifted(funcs, offsets)
-    graph = shifted[0].graph
-    intervals = []
-    for ei in range(len(graph.edges)):
-        for (lo, hi, attain) in _edge_cells(shifted, ei):
-            if len(attain) == 1:
-                intervals.append(Interval(ei, lo, hi, False, False))
-    return Region(graph, intervals)
+    intervals = [Interval(ei, lo, hi, False, False)
+                 for (ei, lo, hi, attain) in _cells(funcs, offsets)
+                 if len(attain) == 1]
+    return Region(funcs[0].graph, intervals)
 
 
 @dataclass(frozen=True)
@@ -121,21 +89,18 @@ class DependenceCertificate:
 
 @dataclass
 class IndependenceReport:
-    """What a search did: from ``find_dependence``, one uniqueness witness
-    per fully checked candidate offset vector and the number of candidates
-    tried; from ``find_independence_certificate``, the number of point
-    sets drawn."""
+    """What a search did: from ``find_dependence``, the number of
+    candidate offset vectors tried; from ``find_independence_certificate``,
+    the number of point sets drawn."""
 
-    witnesses: list[tuple[tuple[Fraction, ...], Point]] = field(default_factory=list)
     candidates_tried: int = 0
     draws: int = 0
 
 
-def _critical_values(fj: PLFunction, fk: PLFunction) -> list[Fraction]:
-    """Values v such that fj - fk == v on a positive-length segment; only
-    offsets with b_k - b_j equal to such a v let the pair coincide on a
-    piece of the envelope."""
-    diff = fj - fk
+def _critical_values(diff: PLFunction) -> list[Fraction]:
+    """Values v such that diff = fj - fk == v on a positive-length
+    segment; only offsets with b_k - b_j equal to such a v let the pair
+    coincide on a piece of the envelope."""
     out: set[Fraction] = set()
     for pts in diff.data.values():
         for (o1, v1), (o2, v2) in zip(pts, pts[1:]):
@@ -176,8 +141,8 @@ def find_dependence(funcs: Sequence[PLFunction],
     hi_box: dict[tuple[int, int], Fraction] = {}
     for j in range(n):
         for k in range(j + 1, n):
-            crit[(j, k)] = _critical_values(funcs[j], funcs[k])
             diff = funcs[j] - funcs[k]
+            crit[(j, k)] = _critical_values(diff)
             vals_jk = [v for pts in diff.data.values() for (_o, v) in pts]
             lo_box[(j, k)] = min(vals_jk)
             hi_box[(j, k)] = max(vals_jk)
@@ -216,16 +181,13 @@ def find_dependence(funcs: Sequence[PLFunction],
 
     def full_check(subset, assignment):
         sub_funcs = [funcs[j] for j in subset]
-        ok, witness = verify_dependence(sub_funcs, assignment)
-        if ok:
-            offsets: list[Fraction | None] = [None] * n
-            for jpos, j in enumerate(subset):
-                offsets[j] = assignment[jpos]
-            theta = min_combination(sub_funcs, assignment)
-            return DependenceCertificate(tuple(offsets), theta)
-        if report is not None:
-            report.witnesses.append((tuple(assignment), witness))
-        return None
+        if not verify_dependence(sub_funcs, assignment)[0]:
+            return None
+        offsets: list[Fraction | None] = [None] * n
+        for jpos, j in enumerate(subset):
+            offsets[j] = assignment[jpos]
+        theta = min_combination(sub_funcs, assignment)
+        return DependenceCertificate(tuple(offsets), theta)
 
     for size in range(2, n + 1):
         for subset in combinations(range(n), size):

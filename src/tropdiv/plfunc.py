@@ -5,10 +5,18 @@ breakpoints covering the whole edge; consecutive breakpoints are joined
 linearly, and every segment slope must be an integer.  The order of a
 function at a point is the sum of its incoming slopes, so local maxima
 have positive order.
+
+Tropical combinations min_j(f_j + b_j) are computed edge by edge by
+``lower_envelope``, which also says which functions attain the minimum
+where; ``min_combination``, ``distance_function``, ``agreement_region``
+and the dependence checks of ``tropdiv.independence`` are loops over it.
+Functions combined with each other must live on the same graph object.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import GraphError, PreconditionError, TheoremViolation
@@ -16,6 +24,17 @@ from .graph import (Divisor, Interval, MetricGraph, Point, Region,
                     contains_point_in)
 
 EdgeData = list[tuple[Fraction, Fraction]]
+
+
+def _value_on(pts: EdgeData, off: Fraction) -> Fraction:
+    """Value at ``off`` of the function with breakpoints ``pts``."""
+    # the last breakpoint is never passed over, so it needs no comparison
+    i = bisect_left(pts, off, 0, len(pts) - 1, key=itemgetter(0))
+    o2, v2 = pts[i]
+    if o2 == off:
+        return v2
+    o1, v1 = pts[i - 1]
+    return v1 + (v2 - v1) * (off - o1) / (o2 - o1)
 
 
 def _normalize_edge(pts: EdgeData, length: Fraction) -> EdgeData:
@@ -61,31 +80,16 @@ class PLFunction:
         self.data = norm
         # continuity at vertices
         for name in graph.vertices:
-            vals = {self._edge_value(ei, off) for (ei, off) in
+            vals = {_value_on(self.data[ei], off) for (ei, off) in
                     graph.edge_coordinates(graph.vertex_point(name))}
             if len(vals) > 1:
                 raise GraphError(f"discontinuous at vertex {name}: {sorted(vals)}")
 
     # -- evaluation ------------------------------------------------------
 
-    def _edge_value(self, ei: int, off: Fraction) -> Fraction:
-        pts = self.data[ei]
-        lo, hi = 0, len(pts) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if pts[mid][0] < off:
-                lo = mid + 1
-            else:
-                hi = mid
-        o2, v2 = pts[lo]
-        if o2 == off:
-            return v2
-        o1, v1 = pts[lo - 1]
-        return v1 + (v2 - v1) * (off - o1) / (o2 - o1)
-
     def __call__(self, p: Point) -> Fraction:
         ei, off = self.graph.edge_coordinates(p)[0]
-        return self._edge_value(ei, off)
+        return _value_on(self.data[ei], off)
 
     # -- slopes and orders -----------------------------------------------
 
@@ -148,12 +152,13 @@ class PLFunction:
             for ei in range(len(graph.edges))})
 
     def _zip_with(self, other: "PLFunction", op) -> "PLFunction":
+        _same_graph([self, other])
         data = {}
         for ei in self.data:
             offs = sorted({o for (o, _v) in self.data[ei]} |
                           {o for (o, _v) in other.data[ei]})
-            data[ei] = [(o, op(self._edge_value(ei, o), other._edge_value(ei, o)))
-                        for o in offs]
+            data[ei] = [(o, op(_value_on(self.data[ei], o),
+                               _value_on(other.data[ei], o))) for o in offs]
         return PLFunction(self.graph, data)
 
     def __add__(self, other: "PLFunction") -> "PLFunction":
@@ -177,10 +182,50 @@ class PLFunction:
     def __eq__(self, other) -> bool:
         return isinstance(other, PLFunction) and self.data == other.data
 
-    def agrees_up_to_constant(self, other: "PLFunction") -> bool:
-        diff = self - other
-        vals = {v for pts in diff.data.values() for (_o, v) in pts}
-        return len(vals) == 1
+
+def _same_graph(funcs: Sequence[PLFunction]) -> MetricGraph:
+    graph = funcs[0].graph
+    if any(f.graph is not graph for f in funcs):
+        raise PreconditionError("functions live on different graphs")
+    return graph
+
+
+def lower_envelope(pieces: Sequence[EdgeData], offsets: Sequence
+                   ) -> list[tuple[Fraction, Fraction, frozenset[int]]]:
+    """The envelope min_j(pieces[j] + offsets[j]) on one edge.
+
+    ``pieces`` holds one sorted breakpoint list per function, all covering
+    the same edge; ``offsets`` are exact constants.  Returns, in increasing
+    offset, ``(offset, value, attaining indices)`` at every breakpoint of
+    any piece and at every crossing of two pieces.  Between consecutive
+    entries every piece is affine, so piece j attains the envelope on the
+    whole cell iff j attains it at both ends.
+    """
+    base = sorted({o for pts in pieces for (o, _v) in pts})
+    rows = [[_value_on(pts, o) + b for pts, b in zip(pieces, offsets)]
+            for o in base]
+    n = len(pieces)
+    out = []
+
+    def emit(o, row):
+        m = min(row)
+        out.append((o, m, frozenset(j for j in range(n) if row[j] == m)))
+
+    for a, ra, b, rb in zip(base, rows, base[1:], rows[1:]):
+        emit(a, ra)
+        # every piece is affine on [a, b]; add the strict sign changes of
+        # pairwise differences
+        cross: set[Fraction] = set()
+        for j in range(n):
+            for k in range(j + 1, n):
+                da, db = ra[j] - ra[k], rb[j] - rb[k]
+                if (da > 0 > db) or (da < 0 < db):
+                    cross.add(a + (b - a) * da / (da - db))
+        for t in sorted(cross):
+            s = (t - a) / (b - a)
+            emit(t, [va + (vb - va) * s for va, vb in zip(ra, rb)])
+    emit(base[-1], rows[-1])
+    return out
 
 
 def min_combination(funcs: Sequence[PLFunction], offsets: Sequence) -> PLFunction:
@@ -192,27 +237,12 @@ def min_combination(funcs: Sequence[PLFunction], offsets: Sequence) -> PLFunctio
         raise PreconditionError("need at least one function")
     if len(funcs) != len(offsets):
         raise PreconditionError("need one offset per function")
-    graph = funcs[0].graph
-    shifted = [f.add_const(b) for f, b in zip(funcs, offsets)]
-    data: dict[int, EdgeData] = {}
-    for ei in range(len(graph.edges)):
-        offs = {o for f in shifted for (o, _v) in f.data[ei]}
-        base = sorted(offs)
-        # within each common cell every function is linear, so crossings of
-        # pairs are the only extra breakpoints the envelope can have
-        extra: set[Fraction] = set()
-        for (a, b) in zip(base, base[1:]):
-            for j in range(len(shifted)):
-                for k in range(j + 1, len(shifted)):
-                    fa, fb = shifted[j]._edge_value(ei, a), shifted[j]._edge_value(ei, b)
-                    ga, gb = shifted[k]._edge_value(ei, a), shifted[k]._edge_value(ei, b)
-                    da, db = fa - ga, fb - gb
-                    if (da > 0 > db) or (da < 0 < db):
-                        t = a + (b - a) * da / (da - db)
-                        extra.add(t)
-        allo = sorted(offs | extra)
-        data[ei] = [(o, min(f._edge_value(ei, o) for f in shifted)) for o in allo]
-    return PLFunction(graph, data)
+    graph = _same_graph(funcs)
+    offsets = [Fraction(b) for b in offsets]
+    return PLFunction(graph, {
+        ei: [(o, v) for (o, v, _a) in
+             lower_envelope([f.data[ei] for f in funcs], offsets)]
+        for ei in range(len(graph.edges))})
 
 
 def in_R(f: PLFunction, D: Divisor) -> bool:
@@ -224,60 +254,34 @@ def distance_function(graph: MetricGraph, p: Point, cap=None) -> PLFunction:
     """x -> dist(x, p), optionally capped at ``cap`` (slopes stay in {-1,0,1})."""
     dv = graph.vertex_distances(p)
     data: dict[int, EdgeData] = {}
-
-    def envelope(lo: Fraction, hi: Fraction, lines) -> EdgeData:
-        offs = {lo, hi}
-        for i in range(len(lines)):
-            for j in range(i + 1, len(lines)):
-                (s1, c1), (s2, c2) = lines[i], lines[j]
-                if s1 != s2:
-                    t = (c2 - c1) / (s1 - s2)
-                    if lo < t < hi:
-                        offs.add(t)
-        return [(o, min(s * o + c for (s, c) in lines)) for o in sorted(offs)]
-
     for ei, (u, v, length) in enumerate(graph.edges):
         # around-the-graph candidates through either endpoint
-        base = [(Fraction(1), dv[u]), (Fraction(-1), dv[v] + length)]
+        pieces = [[(Fraction(0), dv[u]), (length, dv[u] + length)],
+                  [(Fraction(0), dv[v] + length), (length, dv[v])]]
         if not p.is_vertex and p.edge == ei:
-            # the straight-to-p piece |x - off| is concave-cornered, so the
-            # edge is split at the source before taking lower envelopes
+            # straight to p along the edge
             off = p.offset
-            left = envelope(Fraction(0), off, base + [(Fraction(-1), off)])
-            right = envelope(off, length, base + [(Fraction(1), -off)])
-            data[ei] = left + right
-        else:
-            data[ei] = envelope(Fraction(0), length, base)
-    f = PLFunction(graph, data)
-    if cap is not None:
-        f = min_combination([f, PLFunction.constant(graph, cap)], [0, 0])
-    return f
+            pieces.append([(Fraction(0), off), (off, Fraction(0)),
+                           (length, length - off)])
+        if cap is not None:
+            pieces.append([(Fraction(0), Fraction(cap)), (length, Fraction(cap))])
+        data[ei] = [(o, v) for (o, v, _a) in
+                    lower_envelope(pieces, [0] * len(pieces))]
+    return PLFunction(graph, data)
 
 
 def agreement_region(f: PLFunction, g_: PLFunction) -> Region:
-    """The closed set where the two functions are equal, as a region."""
-    if f.graph is not g_.graph:
-        raise PreconditionError("functions live on different graphs")
-    diff = f - g_
+    """The closed set where the two functions are equal, as a region: f = g
+    exactly where both attain min(f, g)."""
+    graph = _same_graph([f, g_])
     intervals: list[Interval] = []
     points: set[Point] = set()
-    for ei, pts in diff.data.items():
-        # collect zero locus on this edge: whole sub-intervals and crossings
-        zero_offs: set[Fraction] = set()
-        for (o1, v1), (o2, v2) in zip(pts, pts[1:]):
-            if v1 == 0 and v2 == 0:
-                intervals.append(Interval(ei, o1, o2))
-            elif (v1 > 0 > v2) or (v1 < 0 < v2):
-                zero_offs.add(o1 + (o2 - o1) * v1 / (v1 - v2))
-            else:
-                if v1 == 0:
-                    zero_offs.add(o1)
-                if v2 == 0:
-                    zero_offs.add(o2)
-        for off in zero_offs:
-            p = f.graph.point(ei, off)
-            points.add(p)
-    return Region(f.graph, intervals, points)
+    for ei in range(len(graph.edges)):
+        env = lower_envelope([f.data[ei], g_.data[ei]], [0, 0])
+        intervals += [Interval(ei, lo, hi) for (lo, _v, a), (hi, _w, b)
+                      in zip(env, env[1:]) if len(a & b) == 2]
+        points.update(graph.point(ei, o) for (o, _v, a) in env if len(a) == 2)
+    return Region(graph, intervals, points)
 
 
 def region_boundary_in(sub: Region, ambient: Region | None = None) -> frozenset[Point]:

@@ -2,6 +2,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from tropdiv import Divisor, default_generic_chain, make_chain
 from tropdiv.chainbn import Tableau
 from tropdiv.cli import main
@@ -147,6 +149,24 @@ class TestGP0:
 
     def test_nonzero_rho_is_usage_error(self):
         assert main(["gp0", "--g", "6", "--r", "3", "--d", "5"]) == 2
+
+    def test_bad_tableau_index_is_usage_error(self):
+        for index in ("9", "x"):
+            assert main(["gp0", "--g", "4", "--r", "1", "--d", "3",
+                         "--tableau", index]) == 2
+
+    @pytest.mark.parametrize("exc", [KeyError, RuntimeError])
+    def test_internal_error_exits_4(self, monkeypatch, capsys, exc):
+        import tropdiv.cli as cli
+
+        def broken(T, chain):
+            raise exc("broken")
+
+        monkeypatch.setattr(cli, "gp_rho_zero_experiment", broken)
+        assert main(["gp0", "--g", "4", "--r", "1", "--d", "3",
+                     "--tableau", "0"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ") and err.count("\n") == 1
 
     def test_seed_flag_removed(self):
         assert main(["gp0", "--g", "4", "--r", "1", "--d", "3",

@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropdiv import Divisor, PLFunction, canonical_divisor
-from tropdiv.errors import GraphError
+from tropdiv import Divisor, MetricGraph, PLFunction, canonical_divisor
+from tropdiv.errors import GraphError, PreconditionError
 from tropdiv.plfunc import (agreement_region, distance_function, in_R,
-                            min_combination, minchips_holds, obstruction_holds,
-                            region_boundary_in)
+                            lower_envelope, min_combination, minchips_holds,
+                            obstruction_holds, region_boundary_in)
 
-from .conftest import circle_graph, theta_graph
+from .conftest import circle_graph, point_contact_family, theta_graph
 
 
 def tent(graph, ei_up, peak, length):
@@ -133,6 +133,100 @@ class TestMinCombination:
         f = distance_function(G, G.vertex_point("a"))
         reg = agreement_region(f, f)
         assert reg.boundary() == frozenset()
+
+
+def _value_direct(pts, x):
+    """Value at x by a linear scan, independent of the library's lookup."""
+    for (o1, v1), (o2, v2) in zip(pts, pts[1:]):
+        if o1 <= x <= o2:
+            return v1 + (v2 - v1) * (x - o1) / (o2 - o1)
+    raise AssertionError(f"{x} off the edge")
+
+
+@st.composite
+def envelope_inputs(draw):
+    """Pieces with integer slopes on one edge, breakpoints at multiples of
+    1/2, and rational offsets; some pieces are shifted copies of earlier
+    ones that coincide with them once the offsets are added."""
+    length = draw(st.integers(1, 5))
+    pieces, offsets = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        if pieces and draw(st.integers(0, 2)) == 0:
+            j = draw(st.integers(0, len(pieces) - 1))
+            shift = Fraction(draw(st.integers(-3, 3)), 2)
+            pieces.append([(o, v - shift) for (o, v) in pieces[j]])
+            offsets.append(offsets[j] + shift)
+            continue
+        cuts = draw(st.sets(st.integers(1, 2 * length - 1), max_size=4))
+        offs = [Fraction(0)] + [Fraction(c, 2) for c in sorted(cuts)] + [Fraction(length)]
+        v = Fraction(draw(st.integers(-4, 4)))
+        pts = [(offs[0], v)]
+        for a, b in zip(offs, offs[1:]):
+            v += draw(st.integers(-3, 3)) * (b - a)
+            pts.append((b, v))
+        pieces.append(pts)
+        offsets.append(Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 3))))
+    return pieces, offsets
+
+
+def check_envelope(pieces, offsets):
+    """lower_envelope against pointwise evaluation at every entry and at
+    every cell midpoint."""
+    env = lower_envelope(pieces, offsets)
+
+    def direct(x):
+        vals = [_value_direct(pts, x) + b for pts, b in zip(pieces, offsets)]
+        m = min(vals)
+        return m, {j for j, v in enumerate(vals) if v == m}
+
+    offs = [o for (o, _v, _a) in env]
+    assert offs == sorted(set(offs))
+    assert {o for pts in pieces for (o, _v) in pts} <= set(offs)
+    for (o, v, a) in env:
+        assert (v, set(a)) == direct(o)
+    for (lo, v, a), (hi, w, b) in zip(env, env[1:]):
+        m, argmin = direct((lo + hi) / 2)
+        # the envelope is concave, so equality at the midpoint means it is
+        # affine on the cell: no crossing was missed
+        assert m == (v + w) / 2
+        assert set(a & b) == argmin
+    return env
+
+
+class TestLowerEnvelope:
+    @given(envelope_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pointwise_minimum(self, inputs):
+        check_envelope(*inputs)
+
+    def test_point_contact_family(self):
+        pieces = [f.data[0] for f in point_contact_family()]
+        env = check_envelope(pieces, [0, 0, 0, 0])
+        # a dependence: every cell is attained by at least two pieces
+        assert all(len(a & b) >= 2 for (_o, _v, a), (_p, _w, b)
+                   in zip(env, env[1:]))
+
+    def test_coincident_pieces(self):
+        pts = [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(2))]
+        env = check_envelope([pts, [(o, v - 1) for (o, v) in pts]], [0, 1])
+        assert [a for (_o, _v, a) in env] == [frozenset({0, 1})] * 2
+
+
+class TestGraphMismatch:
+    """Functions on two graph objects never combine, whatever their shapes."""
+
+    @pytest.mark.parametrize("other", [
+        theta_graph,
+        lambda: MetricGraph(["a", "b"], [("a", "b", 1)] * 3),
+        circle_graph,
+    ], ids=["same_shape", "other_lengths", "fewer_edges"])
+    def test_rejected(self, other):
+        f = PLFunction.constant(theta_graph(), 0)
+        g = PLFunction.constant(other(), 1)
+        for combine in (lambda: min_combination([f, g], [0, 0]),
+                        lambda: f + g, lambda: f - g):
+            with pytest.raises(PreconditionError, match="different graphs"):
+                combine()
 
 
 class TestRD:
