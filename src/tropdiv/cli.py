@@ -20,7 +20,7 @@ from .chainbn import enumerate_tableaux, gp_rho_zero_experiment, shape_profile
 from .errors import (GenericityError, GraphError, PreconditionError,
                      ReductionCapError, SearchCapError, TheoremViolation)
 from .graph import (ChainOfLoops, MetricGraph, canonical_divisor,
-                    check_genericity, default_generic_chain, make_chain)
+                    check_genericity, default_generic_chain)
 from .independence import CERTIFICATE_DRAWS
 from .reduce import riemann_roch_check, v_reduce
 from .sampling import SplitMix64, random_divisor
@@ -103,6 +103,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_rr_check(args) -> int:
+    if args.trials < 0:
+        raise _UsageError(f"--trials must be nonnegative, got {args.trials}")
     with _parsing():
         graph = sz.graph_from_json(_load_json(args.graph))
     g = graph.betti()
@@ -140,7 +142,10 @@ def cmd_gp0(args) -> int:
     tableaux = enumerate_tableaux(rows, cols)
     if args.tableau != "all":
         with _parsing():
-            tableaux = [tableaux[int(args.tableau)]]
+            index = int(args.tableau)
+            if index < 0:
+                raise IndexError(f"tableau index {index} is negative")
+            tableaux = [tableaux[index]]
     reports = []
     for T in tableaux:
         rep = gp_rho_zero_experiment(T, chain)

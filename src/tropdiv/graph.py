@@ -8,7 +8,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import GraphError, PreconditionError
 
@@ -24,6 +24,9 @@ def _rat(x) -> Fraction:
 
 
 _VERTEX_POINTS: dict[str, "Point"] = {}
+
+# entries per table of MetricGraph.memo; a full table is emptied
+MEMO_BOUND = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +109,7 @@ class MetricGraph:
         # is the first endpoint (offset 0) and side 1 the second (offset L).
         self._incidence: dict[str, list[tuple[int, int]]] = {v: [] for v in self.vertices}
         self._point_cache: dict[tuple[int, int, int], Point] = {}
+        self._memo: dict[Callable, dict] = {}
         for i, (u, v, _l) in enumerate(self.edges):
             self._incidence[u].append((i, 0))
             self._incidence[v].append((i, 1))
@@ -147,6 +151,25 @@ class MetricGraph:
 
     def total_length(self) -> Fraction:
         return sum((l for (_u, _v, l) in self.edges), Fraction(0))
+
+    # -- memo ------------------------------------------------------------
+
+    def memo(self, key, build: Callable):
+        """``build(self, key)``, remembered on this graph.
+
+        Each ``build`` has its own table, emptied when it reaches
+        ``MEMO_BOUND`` entries, so many cheap, short-lived entries (segment
+        models) never evict the few costly, reused ones (debt cones).
+        ``point``'s table and ``Point.at_vertex`` interning stay apart:
+        they serve the hottest lookups over few distinct points, and a
+        test pins the identity of interned vertex points.
+        """
+        table = self._memo.setdefault(build, {})
+        if key not in table:
+            if len(table) >= MEMO_BOUND:
+                table.clear()
+            table[key] = build(self, key)
+        return table[key]
 
     # -- points ----------------------------------------------------------
 
@@ -219,15 +242,22 @@ class MetricGraph:
                     heapq.heappush(heap, (d + length, y))
         return dist
 
-    def distance(self, p: Point, q: Point) -> Fraction:
+    def distances_from(self, p: Point) -> Callable[[Point], Fraction]:
+        """The function q -> dist(p, q), sharing one Dijkstra over all q."""
         dv = self.vertex_distances(p)
-        if q.is_vertex:
-            return dv[q.vertex]
-        u, v, length = self.edges[q.edge]
-        best = min(dv[u] + q.offset, dv[v] + (length - q.offset))
-        if not p.is_vertex and p.edge == q.edge:
-            best = min(best, abs(p.offset - q.offset))
-        return best
+
+        def dist(q: Point) -> Fraction:
+            if q.is_vertex:
+                return dv[q.vertex]
+            u, v, length = self.edges[q.edge]
+            best = min(dv[u] + q.offset, dv[v] + (length - q.offset))
+            if not p.is_vertex and p.edge == q.edge:
+                best = min(best, abs(p.offset - q.offset))
+            return best
+        return dist
+
+    def distance(self, p: Point, q: Point) -> Fraction:
+        return self.distances_from(p)(q)
 
 
 class Divisor:
@@ -557,11 +587,6 @@ class ChainOfLoops:
         return [self.graph.vertex_point(v) for v in self.graph.vertices]
 
 
-def make_chain(g: int, ell: Sequence, m: Sequence, beta: Sequence,
-               extended: bool = False, pendant: Sequence = (1, 1)) -> ChainOfLoops:
-    return ChainOfLoops(g, ell, m, beta, extended=extended, pendant=pendant)
-
-
 def default_generic_chain(g: int, extended: bool = False) -> ChainOfLoops:
     """Reproducible generic lengths: m_i = 1, ell_i = 2g-1 + i/(g+1), beta_i = 1.
 
@@ -571,7 +596,7 @@ def default_generic_chain(g: int, extended: bool = False) -> ChainOfLoops:
     ell = [2 * g - 1 + Fraction(i, g + 1) for i in range(1, g + 1)]
     m = [Fraction(1)] * g
     beta = [Fraction(1)] * (g - 1)
-    return make_chain(g, ell, m, beta, extended=extended)
+    return ChainOfLoops(g, ell, m, beta, extended=extended)
 
 
 def check_genericity(chain: ChainOfLoops) -> bool:

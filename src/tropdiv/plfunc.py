@@ -140,7 +140,7 @@ class PLFunction:
         for ei, data in self.data.items():
             for (off, _v) in data[1:-1]:
                 pts.add(self.graph.point(ei, off))
-        return Divisor({p: self.order_at(p) for p in pts if self.order_at(p) != 0})
+        return Divisor({p: self.order_at(p) for p in pts})
 
     # -- algebra ---------------------------------------------------------
 

@@ -28,71 +28,54 @@ class BurnResult:
     all_burnt: bool
     unburnt: set[Point]
     # outgoing germs of the unburnt set: (node, edge, offset, direction,
-    # length of the burnt stretch ahead)
+    # length of the burnt corridor ahead)
     germs: list[tuple[Point, int, Fraction, int, Fraction]]
     # segments with both endpoints unburnt: (edge, lo, hi)
     unburnt_segments: list[tuple[int, Fraction, Fraction]]
     # all segments of the model: (edge, lo, hi, node_lo, node_hi)
     segments: list[tuple[int, Fraction, Fraction, Point, Point]]
-    # with extend=True: per germ, the burnt corridor it faces as a list of
-    # (edge, lo, hi, direction) pieces, used to place the landing chip
-    walks: list[list[tuple[int, Fraction, Fraction, int]]] | None = None
+    # per germ, the burnt corridor it faces as a list of (edge, lo, hi,
+    # direction) pieces, walked from the germ's node
+    walks: list[list[tuple[int, Fraction, Fraction, int]]]
 
 
-def _model_segments(graph: MetricGraph, D: Divisor, base: Point):
-    """Subdivide each edge at interior support points (and the base).
+def _model_segments(graph: MetricGraph, cuts: frozenset[Point]):
+    """Subdivide each edge at the interior points ``cuts``: the segments,
+    the adjacency and the segments at each node of the model.
 
-    The result is cached per cut-set on the graph: during a rank search the
-    same handful of support patterns recurs thousands of times.
+    Built once per cut set through the graph's bounded ``memo``: during a
+    rank search the same support patterns recur many times.
     """
-    interior = [p for p in D.support() if not p.is_vertex]
-    key_set = {(p.edge, p.offset.numerator, p.offset.denominator) for p in interior}
-    if not base.is_vertex:
-        key_set.add((base.edge, base.offset.numerator, base.offset.denominator))
-    key = tuple(sorted(key_set))
-    cache = getattr(graph, "_segment_cache", None)
-    if cache is None:
-        cache = {}
-        graph._segment_cache = cache
-    model = cache.get(key)
-    if model is not None:
-        return model
-    cuts: dict[int, set[Fraction]] = {}
-    for p in interior:
-        cuts.setdefault(p.edge, set()).add(p.offset)
-    if not base.is_vertex:
-        cuts.setdefault(base.edge, set()).add(base.offset)
+    offsets: dict[int, list[Fraction]] = {}
+    for p in cuts:
+        offsets.setdefault(p.edge, []).append(p.offset)
     segments = []
     for ei in range(len(graph.edges)):
-        length = graph.edge_length(ei)
-        offs = [Fraction(0)] + sorted(cuts.get(ei, ())) + [length]
+        offs = [Fraction(0)] + sorted(offsets.get(ei, ())) + [graph.edge_length(ei)]
         for lo, hi in zip(offs, offs[1:]):
             segments.append((ei, lo, hi, graph.point(ei, lo), graph.point(ei, hi)))
-    nodes: set[Point] = set()
     adj: dict[Point, list[Point]] = {}
     incident: dict[Point, list[int]] = {}
     for si, (_ei, _lo, _hi, a, b) in enumerate(segments):
-        nodes.add(a)
-        nodes.add(b)
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
         incident.setdefault(a, []).append(si)
         incident.setdefault(b, []).append(si)
-    model = (segments, nodes, adj, incident)
-    cache[key] = model
-    return model
+    return segments, adj, incident
 
 
-def dhar_burn(graph: MetricGraph, D: Divisor, base: Point,
-              extend: bool = False) -> BurnResult:
+def dhar_burn(graph: MetricGraph, D: Divisor, base: Point) -> BurnResult:
     """One pass of the burning algorithm from ``base``.
 
-    Requires D effective away from the base point.  With ``extend=True``
-    each germ is continued through burnt valence-two nodes, so a firing
+    Requires D effective away from the base point.  Each germ of the
+    unburnt set is continued through burnt valence-two nodes, so a firing
     step can carry a chip across a whole burnt corridor instead of one
     segment at a time.
     """
-    segments, nodes, adj, incident = _model_segments(graph, D, base)
+    cuts = {p for p in D.support() if not p.is_vertex}
+    if not base.is_vertex:
+        cuts.add(base)
+    segments, adj, incident = graph.memo(frozenset(cuts), _model_segments)
     for p, c in D.items():
         if c < 0 and p != base:
             raise PreconditionError(f"divisor has debt {c} at {p} away from the base")
@@ -112,47 +95,33 @@ def dhar_burn(graph: MetricGraph, D: Divisor, base: Point,
                 burnt.add(y)
                 frontier.append(y)
 
-    unburnt = nodes - burnt
+    unburnt = adj.keys() - burnt
     germs: list[tuple[Point, int, Fraction, int, Fraction]] = []
     unb_segs: list[tuple[int, Fraction, Fraction]] = []
-    germ_segs: list[int] = []
+    walks: list[list[tuple[int, Fraction, Fraction, int]]] = []
     for si, (ei, lo, hi, a, b) in enumerate(segments):
         a_in, b_in = a in unburnt, b in unburnt
         if a_in and b_in:
             unb_segs.append((ei, lo, hi))
-        elif a_in:
-            germs.append((a, ei, lo, +1, hi - lo))
-            germ_segs.append(si)
-        elif b_in:
-            germs.append((b, ei, hi, -1, hi - lo))
-            germ_segs.append(si)
-
-    walks = None
-    if extend and germs:
-        walks = []
-        ext_germs = []
-        for (x, ei0, off0, d0, _l0), si0 in zip(germs, germ_segs):
+        elif a_in or b_in:
+            germ = (a, ei, lo, +1) if a_in else (b, ei, hi, -1)
             walk: list[tuple[int, Fraction, Fraction, int]] = []
             total = Fraction(0)
-            si, prev = si0, x
-            halve = False
+            s, prev = si, germ[0]
             while True:
-                ei, lo, hi, a, b = segments[si]
-                nxt = b if prev == a else a
-                walk.append((ei, lo, hi, +1 if prev == a else -1))
-                total += hi - lo
-                if nxt == base or nxt in unburnt or len(incident[nxt]) != 2:
-                    # a corridor ending at an unburnt node has been entered
-                    # from both ends; cap at the midpoint so ramps never
-                    # overlap (this only happens when the corridor loops
-                    # back to its own start)
-                    halve = nxt in unburnt
+                e, o1, o2, u, v = segments[s]
+                nxt = v if prev == u else u
+                walk.append((e, o1, o2, +1 if prev == u else -1))
+                total += o2 - o1
+                # fire reaches the inner nodes of a corridor only through its
+                # ends, so it ends at the base or a branch node, never at an
+                # unburnt one, and the ramps of two germs never meet
+                if nxt == base or len(incident[nxt]) != 2:
                     break
                 s1, s2 = incident[nxt]
-                si, prev = (s2 if si == s1 else s1), nxt
-            ext_germs.append((x, ei0, off0, d0, total / 2 if halve else total))
+                s, prev = (s2 if s == s1 else s1), nxt
+            germs.append(germ + (total,))
             walks.append(walk)
-        germs = ext_germs
     return BurnResult(not unburnt, unburnt, germs, unb_segs, segments, walks)
 
 
@@ -170,51 +139,49 @@ def dhar_unburnt(graph: MetricGraph, D: Divisor, base: Point) -> Region:
 
 
 def _firing_step(graph: MetricGraph, burn: BurnResult, eps: Fraction) -> PLFunction:
-    """The function min(dist(., unburnt set), eps): 0 on the unburnt set,
-    ramping up with slope 1 along each outgoing germ."""
-    ramp: dict[tuple[int, Fraction, int], Fraction] = {
-        (ei, off, d): eps for (_x, ei, off, d, _l) in burn.germs}
-    unb_nodes = burn.unburnt
-    unb_seg_set = {(ei, lo, hi) for (ei, lo, hi) in burn.unburnt_segments}
+    """The function min(dist(., unburnt set), eps) whose divisor
+    ``_firing_divisor`` gives: 0 on the unburnt set, a slope-1 ramp along
+    each corridor, eps elsewhere.  Needs eps at most every germ's length."""
+    # distance to the unburnt set of the corridor nodes closer than eps;
+    # every other node of a burnt segment is at least eps away
+    near = dict.fromkeys(burn.unburnt, Fraction(0))
+    for walk in burn.walks:
+        t = Fraction(0)
+        for (ei, lo, hi, d) in walk:
+            t += hi - lo
+            if t >= eps:
+                break
+            near[graph.point(ei, hi if d > 0 else lo)] = t
     data: dict[int, list[tuple[Fraction, Fraction]]] = {ei: [] for ei in range(len(graph.edges))}
     for (ei, lo, hi, a, b) in burn.segments:
-        pts: list[tuple[Fraction, Fraction]]
-        if (ei, lo, hi) in unb_seg_set:
-            pts = [(lo, Fraction(0)), (hi, Fraction(0))]
-        elif (ei, lo, +1) in ramp and a in unb_nodes:
-            pts = [(lo, Fraction(0)), (lo + eps, eps), (hi, eps)]
-        elif (ei, hi, -1) in ramp and b in unb_nodes:
-            pts = [(lo, eps), (hi - eps, eps), (hi, Fraction(0))]
+        ta, tb = near.get(a, eps), near.get(b, eps)
+        if ta == tb == eps or (a in burn.unburnt and b in burn.unburnt):
+            # eps where no ramp enters, 0 on an unburnt segment
+            data[ei] += [(lo, ta), (hi, tb)]
         else:
-            va = Fraction(0) if a in unb_nodes else eps
-            vb = Fraction(0) if b in unb_nodes else eps
-            pts = [(lo, va), (hi, vb)]
-        data[ei].extend(pts)
+            # inside a burnt segment the nearest unburnt point is reached
+            # through one of its ends; the kinks are where a ramp reaches eps
+            for o in sorted({lo, hi, lo + eps - ta, hi - eps + tb}):
+                if lo <= o <= hi:
+                    data[ei].append((o, min(ta + o - lo, tb + hi - o, eps)))
     return PLFunction(graph, data)
 
 
 def _firing_divisor(graph: MetricGraph, burn: BurnResult, eps: Fraction) -> Divisor:
-    """div of the firing-step function, computed without building it."""
-    delta: dict[Point, int] = {}
-
-    def bump(p: Point, c: int):
-        delta[p] = delta.get(p, 0) + c
-
-    if burn.walks is None:
-        for (x, ei, off, d, _l) in burn.germs:
-            bump(x, -1)
-            bump(graph.point(ei, off + d * eps), +1)
-        return Divisor(delta)
+    """div of the firing-step function, computed without building it: a
+    chip leaves the unburnt set along each germ and lands eps down its
+    corridor."""
+    terms: list[tuple[Point, int]] = []
     for (x, _ei, _off, _d, _l), walk in zip(burn.germs, burn.walks):
-        bump(x, -1)
+        terms.append((x, -1))
         remaining = eps
         for (ei, lo, hi, d) in walk:
             if remaining <= hi - lo:
                 pos = lo + remaining if d > 0 else hi - remaining
-                bump(graph.point(ei, pos), +1)
+                terms.append((graph.point(ei, pos), +1))
                 break
             remaining -= hi - lo
-    return Divisor(delta)
+    return Divisor(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +195,14 @@ class ReductionResult:
     steps: int
 
 
+def _cone(graph: MetricGraph, key: tuple[Point, Fraction]) -> tuple[PLFunction, Divisor]:
+    """The cone min(dist(., base), cap) for ``key`` = (base, cap), and its
+    divisor."""
+    base, cap = key
+    f = distance_function(graph, base, cap=cap)
+    return f, f.divisor()
+
+
 def _clear_debt(graph: MetricGraph, D: Divisor, base: Point,
                 track_witness: bool, budget: list[int]):
     """Make D effective away from the base by adding capped distance cones.
@@ -238,6 +213,7 @@ def _clear_debt(graph: MetricGraph, D: Divisor, base: Point,
     the ball of radius R, so the farthest debt distance strictly decreases.
     """
     witness = PLFunction.constant(graph, 0) if track_witness else None
+    dist = graph.distances_from(base)
     while True:
         debts = [(p, c) for p, c in D.items() if c < 0 and p != base]
         if not debts:
@@ -245,22 +221,11 @@ def _clear_debt(graph: MetricGraph, D: Divisor, base: Point,
         if budget[0] <= 0:
             raise ReductionCapError("debt-clearing step budget exhausted")
         budget[0] -= 1
-        p, c = max(debts, key=lambda t: (graph.distance(base, t[0]), t[0].sort_key()))
-        k = -c
-        cap = graph.distance(base, p)
-        cache = getattr(graph, "_cone_cache", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(graph, "_cone_cache", cache)
-        entry = cache.get((base, cap))
-        if entry is None:
-            f1 = distance_function(graph, base, cap=cap)
-            entry = (f1, f1.divisor())
-            cache[(base, cap)] = entry
-        f1, div1 = entry
-        D = D + Divisor({q: k * c1 for q, c1 in div1.items()})
+        p, c = max(debts, key=lambda t: (dist(t[0]), t[0].sort_key()))
+        f1, div1 = graph.memo((base, dist(p)), _cone)
+        D = D + div1 * -c
         if track_witness:
-            witness = witness + f1.scale(k)
+            witness = witness + f1.scale(-c)
 
 
 def v_reduce(graph: MetricGraph, D: Divisor, base: Point,
@@ -269,13 +234,17 @@ def v_reduce(graph: MetricGraph, D: Divisor, base: Point,
     """The unique divisor equivalent to D that is reduced at ``base``,
     together with (optionally) a witness f such that D + div(f) is the
     reduced divisor.
+
+    Both paths fire the same closed sets by the same distances, so they
+    take the same ``steps``; the witness path also sums the firing
+    functions.
     """
     graph.check_point(base)
     budget = [max_steps]
     D, witness = _clear_debt(graph, D, base, track_witness, budget)
     steps = max_steps - budget[0]
     while True:
-        burn = dhar_burn(graph, D, base, extend=not track_witness)
+        burn = dhar_burn(graph, D, base)
         if burn.all_burnt:
             if track_witness:
                 witness = witness.add_const(-witness(base))
@@ -285,12 +254,9 @@ def v_reduce(graph: MetricGraph, D: Divisor, base: Point,
         budget[0] -= 1
         steps += 1
         eps = min(l for (_x, _ei, _off, _d, l) in burn.germs)
+        D = D + _firing_divisor(graph, burn, eps)
         if track_witness:
-            psi = _firing_step(graph, burn, eps)
-            D = D + psi.divisor()
-            witness = witness + psi
-        else:
-            D = D + _firing_divisor(graph, burn, eps)
+            witness = witness + _firing_step(graph, burn, eps)
 
 
 def is_reduced(graph: MetricGraph, D: Divisor, base: Point) -> bool:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import GraphError
-from .graph import ChainOfLoops, Divisor, MetricGraph, Point, make_chain
+from .graph import ChainOfLoops, Divisor, MetricGraph, Point
 from .independence import IndependenceCertificate
 from .plfunc import PLFunction
 
@@ -97,7 +97,7 @@ def graph_from_json(obj: dict) -> MetricGraph:
 def chain_from_json(obj: dict) -> ChainOfLoops:
     if obj.get("type") != "chain":
         raise GraphError("not a chain description")
-    return make_chain(
+    return ChainOfLoops(
         int(obj["g"]),
         [rat_from_json(x) for x in obj["ell"]],
         [rat_from_json(x) for x in obj["m"]],

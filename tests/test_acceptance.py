@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropdiv import Divisor, default_generic_chain, make_chain
+from tropdiv import ChainOfLoops, Divisor, default_generic_chain
 from tropdiv.chainbn import (BNParams, build_Dj, build_Ek,
                              canonical_shape_check, chips_on_each_loop_check,
                              enumerate_tableaux, gp_rho_zero_experiment,
@@ -195,7 +195,7 @@ def test_criterion_6_chips_on_each_loop(capsys):
 
     # On a non-generic chain (all loop ratios 1) the conclusion fails: both
     # functions below place every chip outside cell gamma_2.
-    ch = make_chain(2, [Fraction(1)] * 2, [Fraction(1)] * 2, [Fraction(1)])
+    ch = ChainOfLoops(2, [Fraction(1)] * 2, [Fraction(1)] * 2, [Fraction(1)])
     G = ch.graph
     a = G.point(2, Fraction(1, 2))
     D = Divisor({a: 2})

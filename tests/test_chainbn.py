@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from tropdiv import (BNParams, Divisor, canonical_divisor,
-                     default_generic_chain, make_chain)
+from tropdiv import (BNParams, ChainOfLoops, Divisor, canonical_divisor,
+                     default_generic_chain)
 from tropdiv.chainbn import (DyckPath, Tableau, adjoint_divisor, build_Dj,
                              build_Ek, canonical_shape_check,
                              chips_on_each_loop_check, enumerate_tableaux,
@@ -66,7 +66,7 @@ class TestTableauDivisors:
             tableau_to_divisor(Tableau(((1, 2), (3, 4))), chain3)
 
     def test_requires_generic_chain(self):
-        bad = make_chain(4, [1] * 4, [1] * 4, [1] * 3)
+        bad = ChainOfLoops(4, [1] * 4, [1] * 4, [1] * 3)
         with pytest.raises(GenericityError):
             tableau_to_divisor(Tableau(((1, 2), (3, 4))), bad)
 
@@ -193,6 +193,6 @@ class TestGPExperiment:
             gp_rho_zero_experiment(Tableau(((1, 2), (3, 4))), ch3)
 
     def test_non_generic_chain_rejected(self):
-        bad = make_chain(4, [1] * 4, [1] * 4, [1] * 3)
+        bad = ChainOfLoops(4, [1] * 4, [1] * 4, [1] * 3)
         with pytest.raises(GenericityError):
             gp_rho_zero_experiment(Tableau(((1, 2), (3, 4))), bad)

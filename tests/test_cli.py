@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropdiv import Divisor, default_generic_chain, make_chain
+from tropdiv import ChainOfLoops, Divisor, default_generic_chain
 from tropdiv.chainbn import Tableau
 from tropdiv.cli import main
 from tropdiv.graph import canonical_divisor
@@ -37,8 +37,8 @@ class TestChainNew:
         assert len(obj["graph"]["edges"]) == 3 * 3 - 1
 
     def test_require_generic_rejects(self, tmp_path):
-        chain = make_chain(2, [Fraction(1)] * 2, [Fraction(1)] * 2,
-                           [Fraction(1)])
+        chain = ChainOfLoops(2, [Fraction(1)] * 2, [Fraction(1)] * 2,
+                             [Fraction(1)])
         path = _chain_file(tmp_path, chain)
         code = main(["chain-new", "--g", "2", "--lengths", path,
                      "--require-generic"])
@@ -95,6 +95,11 @@ class TestRRCheck:
         assert main(["rr-check", gpath, "--trials", "0"]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert "warning" in obj
+
+    def test_negative_trials_is_usage_error(self, tmp_path, capsys):
+        gpath = _chain_file(tmp_path, default_generic_chain(2))
+        assert main(["rr-check", gpath, "--trials", "-3"]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestShape:
@@ -154,6 +159,12 @@ class TestGP0:
         for index in ("9", "x"):
             assert main(["gp0", "--g", "4", "--r", "1", "--d", "3",
                          "--tableau", index]) == 2
+
+    def test_negative_tableau_index_is_usage_error(self, capsys):
+        for index in ("-1", "-2"):
+            assert main(["gp0", "--g", "4", "--r", "1", "--d", "3",
+                         "--tableau", index]) == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("exc", [KeyError, RuntimeError])
     def test_internal_error_exits_4(self, monkeypatch, capsys, exc):

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from tropdiv import (ChainOfLoops, Divisor, Interval, MetricGraph, Point,
                      Region, canonical_divisor, check_genericity,
-                     default_generic_chain, make_chain)
+                     default_generic_chain)
 from tropdiv.errors import GraphError
+from tropdiv.graph import MEMO_BOUND
 
 from .conftest import circle_graph, theta_graph
 
@@ -80,6 +81,30 @@ class TestMetricGraph:
         assert (G.distance(p, q) == 0) == (p == q)
         a = G.vertex_point("a")
         assert G.distance(p, q) <= G.distance(p, a) + G.distance(a, q)
+
+    def test_memo_is_bounded_per_kind(self):
+        G = theta_graph()
+        built = []
+
+        def square(graph, key):
+            built.append(key)
+            return [key * key]
+
+        def cube(graph, key):
+            built.append(key)
+            return [key ** 3]
+
+        kept = G.memo(2, cube)
+        for k in range(3 * MEMO_BOUND + 5):
+            assert G.memo(k, square) == [k * k]
+            assert len(G._memo[square]) <= MEMO_BOUND
+        assert len(built) == 3 * MEMO_BOUND + 6
+        # a repeated key returns the stored object without building again,
+        # and filling one kind's table never clears another's
+        assert G.memo(3 * MEMO_BOUND + 4, square) is G.memo(3 * MEMO_BOUND + 4, square)
+        assert G.memo(2, cube) is kept
+        assert len(built) == 3 * MEMO_BOUND + 6
+        assert len(G._memo[cube]) == 1
 
 
 class TestDivisor:
@@ -178,7 +203,7 @@ class TestChainOfLoops:
 
     def test_genericity(self):
         assert check_genericity(default_generic_chain(4))
-        bad = make_chain(2, [1, 1], [1, 1], [1])
+        bad = ChainOfLoops(2, [1, 1], [1, 1], [1])
         assert not check_genericity(bad)
 
     def test_rank_determining_set_is_vertex_set(self, chain3):

@@ -80,14 +80,21 @@ class TestReduction:
         with pytest.raises(ReductionCapError):
             v_reduce(G, D, default_base(G), max_steps=1)
 
-    def test_track_witness_paths_agree(self, chain3, rng):
-        G = chain3.graph
-        base = default_base(G)
-        for _ in range(5):
-            D = random_divisor(G, rng, rng.randint(-1, 5))
-            slow = v_reduce(G, D, base, track_witness=True).reduced
-            fast = v_reduce(G, D, base, track_witness=False).reduced
-            assert slow == fast
+    def test_track_witness_paths_agree(self, rng):
+        # both paths fire the same sets by the same distances, so they agree
+        # on the steps taken as well as on the result, also at interior
+        # bases and on the extended chain
+        for extended in (False, True):
+            G = default_generic_chain(3, extended=extended).graph
+            bases = [default_base(G), G.point(1, Fraction(1, 2))]
+            for i in range(6):
+                D = random_divisor(G, rng, rng.randint(-1, 5))
+                base = bases[i % 2]
+                slow = v_reduce(G, D, base, track_witness=True)
+                fast = v_reduce(G, D, base, track_witness=False)
+                assert slow.reduced == fast.reduced
+                assert slow.steps == fast.steps
+                assert D + slow.witness.divisor() == slow.reduced
 
 
 class TestEquivalence:
