@@ -1,7 +1,7 @@
 """Reduced divisors on a chain of loops, step by step.
 
 Builds a genus-3 chain, reduces the canonical divisor at w_3, and checks
-the firing-function witness by hand.
+the witness function by hand.
 """
 from tropdiv import canonical_divisor, default_generic_chain, v_reduce
 

@@ -136,10 +136,6 @@ class MetricGraph:
     def edge_length(self, ei: int) -> Fraction:
         return self.edges[ei][2]
 
-    def edge_ends(self, ei: int) -> tuple[str, str]:
-        u, v, _l = self.edges[ei]
-        return u, v
-
     def incidence(self, vertex: str) -> list[tuple[int, int]]:
         return self._incidence[vertex]
 
@@ -276,10 +272,6 @@ class Divisor:
                 if d[p] == 0:
                     del d[p]
         self._coeffs = d
-
-    @staticmethod
-    def of(*terms: tuple[int, Point]) -> "Divisor":
-        return Divisor([(p, c) for (c, p) in terms])
 
     def coeff(self, p: Point) -> int:
         return self._coeffs.get(p, 0)

@@ -6,6 +6,10 @@ number of burning directions reaching it, and the surviving closed set is
 fired toward the base until everything burns.  Divisors with negative
 coefficients away from the base are first repaired by an explicit
 debt-clearing pre-pass.
+
+Only chips move; the witness f with D + div(f) = D' is then solved from
+D' - D by one weighted-Laplacian system (Baker and Shokrieh, "Chip-firing
+games, potential theory on graphs, and spanning trees").
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError, ReductionCapError, TheoremViolation
 from .graph import Divisor, Interval, MetricGraph, Point, Region
-from .plfunc import PLFunction, distance_function
+from .plfunc import PLFunction, _value_on, distance_function
 
 DEFAULT_MAX_STEPS = 10 ** 6
 
@@ -32,8 +36,6 @@ class BurnResult:
     germs: list[tuple[Point, int, Fraction, int, Fraction]]
     # segments with both endpoints unburnt: (edge, lo, hi)
     unburnt_segments: list[tuple[int, Fraction, Fraction]]
-    # all segments of the model: (edge, lo, hi, node_lo, node_hi)
-    segments: list[tuple[int, Fraction, Fraction, Point, Point]]
     # per germ, the burnt corridor it faces as a list of (edge, lo, hi,
     # direction) pieces, walked from the germ's node
     walks: list[list[tuple[int, Fraction, Fraction, int]]]
@@ -122,7 +124,7 @@ def dhar_burn(graph: MetricGraph, D: Divisor, base: Point) -> BurnResult:
                 s, prev = (s2 if s == s1 else s1), nxt
             germs.append(germ + (total,))
             walks.append(walk)
-    return BurnResult(not unburnt, unburnt, germs, unb_segs, segments, walks)
+    return BurnResult(not unburnt, unburnt, germs, unb_segs, walks)
 
 
 def dhar_unburnt(graph: MetricGraph, D: Divisor, base: Point) -> Region:
@@ -138,39 +140,10 @@ def dhar_unburnt(graph: MetricGraph, D: Divisor, base: Point) -> Region:
     return Region(graph, intervals, isolated)
 
 
-def _firing_step(graph: MetricGraph, burn: BurnResult, eps: Fraction) -> PLFunction:
-    """The function min(dist(., unburnt set), eps) whose divisor
-    ``_firing_divisor`` gives: 0 on the unburnt set, a slope-1 ramp along
-    each corridor, eps elsewhere.  Needs eps at most every germ's length."""
-    # distance to the unburnt set of the corridor nodes closer than eps;
-    # every other node of a burnt segment is at least eps away
-    near = dict.fromkeys(burn.unburnt, Fraction(0))
-    for walk in burn.walks:
-        t = Fraction(0)
-        for (ei, lo, hi, d) in walk:
-            t += hi - lo
-            if t >= eps:
-                break
-            near[graph.point(ei, hi if d > 0 else lo)] = t
-    data: dict[int, list[tuple[Fraction, Fraction]]] = {ei: [] for ei in range(len(graph.edges))}
-    for (ei, lo, hi, a, b) in burn.segments:
-        ta, tb = near.get(a, eps), near.get(b, eps)
-        if ta == tb == eps or (a in burn.unburnt and b in burn.unburnt):
-            # eps where no ramp enters, 0 on an unburnt segment
-            data[ei] += [(lo, ta), (hi, tb)]
-        else:
-            # inside a burnt segment the nearest unburnt point is reached
-            # through one of its ends; the kinks are where a ramp reaches eps
-            for o in sorted({lo, hi, lo + eps - ta, hi - eps + tb}):
-                if lo <= o <= hi:
-                    data[ei].append((o, min(ta + o - lo, tb + hi - o, eps)))
-    return PLFunction(graph, data)
-
-
 def _firing_divisor(graph: MetricGraph, burn: BurnResult, eps: Fraction) -> Divisor:
-    """div of the firing-step function, computed without building it: a
-    chip leaves the unburnt set along each germ and lands eps down its
-    corridor."""
+    """div of the firing step min(dist(., unburnt set), eps): a chip leaves
+    the unburnt set along each germ and lands eps down its corridor.  Needs
+    eps at most every germ's length."""
     terms: list[tuple[Point, int]] = []
     for (x, _ei, _off, _d, _l), walk in zip(burn.germs, burn.walks):
         terms.append((x, -1))
@@ -195,16 +168,14 @@ class ReductionResult:
     steps: int
 
 
-def _cone(graph: MetricGraph, key: tuple[Point, Fraction]) -> tuple[PLFunction, Divisor]:
-    """The cone min(dist(., base), cap) for ``key`` = (base, cap), and its
-    divisor."""
+def _cone(graph: MetricGraph, key: tuple[Point, Fraction]) -> Divisor:
+    """div of the cone min(dist(., base), cap) for ``key`` = (base, cap)."""
     base, cap = key
-    f = distance_function(graph, base, cap=cap)
-    return f, f.divisor()
+    return distance_function(graph, base, cap=cap).divisor()
 
 
 def _clear_debt(graph: MetricGraph, D: Divisor, base: Point,
-                track_witness: bool, budget: list[int]):
+                budget: list[int]) -> Divisor:
     """Make D effective away from the base by adding capped distance cones.
 
     Each step clears the debt point farthest from the base; the cone
@@ -212,51 +183,88 @@ def _clear_debt(graph: MetricGraph, D: Divisor, base: Point,
     and every new debt it creates sits at a branch vertex strictly inside
     the ball of radius R, so the farthest debt distance strictly decreases.
     """
-    witness = PLFunction.constant(graph, 0) if track_witness else None
     dist = graph.distances_from(base)
     while True:
         debts = [(p, c) for p, c in D.items() if c < 0 and p != base]
         if not debts:
-            return D, witness
+            return D
         if budget[0] <= 0:
             raise ReductionCapError("debt-clearing step budget exhausted")
         budget[0] -= 1
         p, c = max(debts, key=lambda t: (dist(t[0]), t[0].sort_key()))
-        f1, div1 = graph.memo((base, dist(p)), _cone)
-        D = D + div1 * -c
-        if track_witness:
-            witness = witness + f1.scale(-c)
+        D = D + graph.memo((base, dist(p)), _cone) * -c
+
+
+def _potential(graph: MetricGraph, E: Divisor, base: Point) -> PLFunction:
+    """The f with div(f) = E and f(base) = 0, for E principal.
+
+    f is affine between the chips of E on each edge, so its vertex values
+    determine it.  They solve the weighted Laplacian (weight 1/L per edge
+    of length L) with the first vertex pinned to 0, where a chip c at
+    offset x sends c*(L-x)/L to the edge's first end and c*x/L to its
+    second.  The reduced Laplacian is positive definite, so exact
+    elimination needs no pivoting.
+    """
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    n = len(index)
+    # the Laplacian, each row augmented with its vertex's share of E
+    rows = [[Fraction(0)] * n + [Fraction(E.coeff(Point.at_vertex(v)))]
+            for v in graph.vertices]
+    chips: dict[int, list[tuple[Fraction, int]]] = {ei: [] for ei in range(len(graph.edges))}
+    for p, c in sorted(E.items(), key=lambda t: t[0].sort_key()):
+        if not p.is_vertex:
+            chips[p.edge].append((p.offset, c))
+    for ei, (u, v, length) in enumerate(graph.edges):
+        for i, j in ((index[u], index[v]), (index[v], index[u])):
+            rows[i][i] += 1 / length
+            rows[i][j] -= 1 / length
+        for x, c in chips[ei]:
+            rows[index[u]][n] += c * (length - x) / length
+            rows[index[v]][n] += c * x / length
+    for k in range(1, n):
+        for i in range(k + 1, n):
+            m = rows[i][k] / rows[k][k]
+            rows[i] = [a - m * b for a, b in zip(rows[i], rows[k])]
+    val = [Fraction(0)] * n
+    for k in range(n - 1, 0, -1):
+        val[k] = (rows[k][n] - sum(rows[k][j] * val[j] for j in range(k + 1, n))) / rows[k][k]
+    data: dict[int, list[tuple[Fraction, Fraction]]] = {}
+    for ei, (u, v, length) in enumerate(graph.edges):
+        # the slope leaving u; each chip c passed lowers it by c
+        o, y = Fraction(0), val[index[u]]
+        slope = (val[index[v]] - y + sum(c * (length - x) for x, c in chips[ei])) / length
+        data[ei] = [(o, y)]
+        for x, c in chips[ei] + [(length, 0)]:
+            y += slope * (x - o)
+            data[ei].append((x, y))
+            o, slope = x, slope - c
+    ei, off = graph.edge_coordinates(base)[0]
+    shift = _value_on(data[ei], off)
+    return PLFunction(graph, {ei: [(o, y - shift) for (o, y) in pts]
+                              for ei, pts in data.items()})
 
 
 def v_reduce(graph: MetricGraph, D: Divisor, base: Point,
              track_witness: bool = True,
              max_steps: int = DEFAULT_MAX_STEPS) -> ReductionResult:
     """The unique divisor equivalent to D that is reduced at ``base``,
-    together with (optionally) a witness f such that D + div(f) is the
-    reduced divisor.
+    together with (optionally) a witness f with D + div(f) the reduced
+    divisor and f(base) = 0.
 
-    Both paths fire the same closed sets by the same distances, so they
-    take the same ``steps``; the witness path also sums the firing
-    functions.
+    The firing loop moves chips only; the witness is solved afterwards
+    from the reduced divisor minus D, as it depends on nothing else.
     """
     graph.check_point(base)
     budget = [max_steps]
-    D, witness = _clear_debt(graph, D, base, track_witness, budget)
-    steps = max_steps - budget[0]
-    while True:
-        burn = dhar_burn(graph, D, base)
-        if burn.all_burnt:
-            if track_witness:
-                witness = witness.add_const(-witness(base))
-            return ReductionResult(D, witness, steps)
+    red = _clear_debt(graph, D, base, budget)
+    while not (burn := dhar_burn(graph, red, base)).all_burnt:
         if budget[0] <= 0:
             raise ReductionCapError(f"reduction did not finish within {max_steps} steps")
         budget[0] -= 1
-        steps += 1
         eps = min(l for (_x, _ei, _off, _d, l) in burn.germs)
-        D = D + _firing_divisor(graph, burn, eps)
-        if track_witness:
-            witness = witness + _firing_step(graph, burn, eps)
+        red = red + _firing_divisor(graph, burn, eps)
+    witness = _potential(graph, red - D, base) if track_witness else None
+    return ReductionResult(red, witness, max_steps - budget[0])
 
 
 def is_reduced(graph: MetricGraph, D: Divisor, base: Point) -> bool:
@@ -279,11 +287,10 @@ def is_equivalent(graph: MetricGraph, D1: Divisor, D2: Divisor) -> PLFunction | 
     if D1.degree != D2.degree:
         return None
     base = default_base(graph)
-    r1 = v_reduce(graph, D1, base)
-    r2 = v_reduce(graph, D2, base)
-    if r1.reduced != r2.reduced:
+    if (v_reduce(graph, D1, base, track_witness=False).reduced
+            != v_reduce(graph, D2, base, track_witness=False).reduced):
         return None
-    return r1.witness - r2.witness
+    return _potential(graph, D2 - D1, base)
 
 
 def effective_class(graph: MetricGraph, D: Divisor, base: Point | None = None) -> bool:

@@ -4,16 +4,29 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropdiv import Divisor, canonical_divisor, default_generic_chain
+from tropdiv import Divisor, MetricGraph, canonical_divisor, default_generic_chain
 from tropdiv.errors import PreconditionError, ReductionCapError, TheoremViolation
+from tropdiv.plfunc import distance_function, min_combination
 from tropdiv.reduce import (default_base, default_rank_points, dhar_burn,
                             dhar_unburnt, effective_class, find_unoccupied_edge,
                             is_equivalent, is_reduced, rank,
                             rank_subdivision_oracle, riemann_roch_check,
                             v_reduce)
-from tropdiv.sampling import SplitMix64, random_divisor, random_effective_divisor
+from tropdiv.sampling import (SplitMix64, random_divisor, random_effective_divisor,
+                              random_point)
 
 from .conftest import circle_graph, theta_graph
+
+
+def lollipop_graph() -> MetricGraph:
+    """An edge a-b with a self-loop at b."""
+    return MetricGraph(["a", "b"], [("a", "b", Fraction(2)), ("b", "b", Fraction(3))])
+
+
+def bouquet_graph() -> MetricGraph:
+    """One vertex with two loops: the Laplacian system for the witness's
+    vertex values is empty."""
+    return MetricGraph(["a"], [("a", "a", Fraction(2)), ("a", "a", Fraction(5, 2))])
 
 
 class TestBurning:
@@ -80,6 +93,18 @@ class TestReduction:
         with pytest.raises(ReductionCapError):
             v_reduce(G, D, default_base(G), max_steps=1)
 
+    @pytest.mark.parametrize("make", [lollipop_graph, bouquet_graph])
+    def test_witness_equation_on_self_loops(self, make, rng):
+        G = make()
+        loop = len(G.edges) - 1
+        for base in (default_base(G), G.point(loop, Fraction(7, 5))):
+            for deg in range(-1, 4):
+                D = random_divisor(G, rng, deg)
+                res = v_reduce(G, D, base)
+                assert D + res.witness.divisor() == res.reduced
+                assert res.witness(base) == 0
+                assert is_reduced(G, res.reduced, base)
+
     def test_track_witness_paths_agree(self, rng):
         # both paths fire the same sets by the same distances, so they agree
         # on the steps taken as well as on the result, also at interior
@@ -99,7 +124,6 @@ class TestReduction:
 
 class TestEquivalence:
     def test_equivalent_after_firing(self, chain2, rng):
-        from tropdiv.plfunc import distance_function
         G = chain2.graph
         D = random_effective_divisor(G, rng, 3)
         f = distance_function(G, default_base(G), cap=Fraction(1, 2))
@@ -107,6 +131,23 @@ class TestEquivalence:
         w = is_equivalent(G, D, E)
         assert w is not None
         assert D + w.divisor() == E
+
+    @pytest.mark.parametrize("make", [
+        theta_graph, circle_graph, lambda: default_generic_chain(3).graph,
+        lollipop_graph, bouquet_graph])
+    def test_witness_is_the_normalized_function(self, make, rng):
+        # div(f) determines f up to a constant, so the witness is f itself,
+        # shifted to vanish at the base
+        G = make()
+        base = default_base(G)
+        for i in range(4):
+            cones = [distance_function(G, random_point(G, rng),
+                                       cap=Fraction(rng.randint(1, 8), 2))
+                     for _ in range(3)]
+            f = cones[0] if i == 0 else min_combination(
+                cones, [rng.randint(-2, 2) for _ in cones])
+            D = random_effective_divisor(G, rng, 2)
+            assert is_equivalent(G, D, D + f.divisor()) == f.add_const(-f(base))
 
     def test_inequivalent(self, chain2):
         G = chain2.graph
@@ -136,7 +177,6 @@ class TestRank:
         assert rank(G, K + Divisor({chain3.v(1): 2})) == 6 - 3
 
     def test_rank_is_class_invariant(self, chain2, rng):
-        from tropdiv.plfunc import distance_function
         G = chain2.graph
         D = random_effective_divisor(G, rng, 2)
         f = distance_function(G, chain2.w(1), cap=Fraction(1, 3))
