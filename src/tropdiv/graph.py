@@ -136,9 +136,6 @@ class MetricGraph:
     def edge_length(self, ei: int) -> Fraction:
         return self.edges[ei][2]
 
-    def incidence(self, vertex: str) -> list[tuple[int, int]]:
-        return self._incidence[vertex]
-
     def valence(self, vertex: str) -> int:
         return len(self._incidence[vertex])
 
@@ -154,8 +151,8 @@ class MetricGraph:
         """``build(self, key)``, remembered on this graph.
 
         Each ``build`` has its own table, emptied when it reaches
-        ``MEMO_BOUND`` entries, so many cheap, short-lived entries (segment
-        models) never evict the few costly, reused ones (debt cones).
+        ``MEMO_BOUND`` entries, so the many cheap, short-lived entries of
+        one kind (segment models) never evict the entries of another.
         ``point``'s table and ``Point.at_vertex`` interning stay apart:
         they serve the hottest lookups over few distinct points, and a
         test pins the identity of interned vertex points.

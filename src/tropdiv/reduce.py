@@ -3,9 +3,10 @@
 Reduction to a base point runs the metric burning algorithm: fire spreads
 from the base, a point survives only if its chip count is at least the
 number of burning directions reaching it, and the surviving closed set is
-fired toward the base until everything burns.  Divisors with negative
-coefficients away from the base are first repaired by an explicit
-debt-clearing pre-pass.
+fired toward the base until everything burns.  Debt away from the base is
+first moved onto the base: by tropical Riemann-Roch, -p is equivalent to
+Z_p - (g+1)*q for an effective Z_p, the p-reduced form of (g+1)*q - p,
+which the same firing loop computes (see ``_clear_debt``).
 
 Only chips move; the witness f with D + div(f) = D' is then solved from
 D' - D by one weighted-Laplacian system (Baker and Shokrieh, "Chip-firing
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError, ReductionCapError, TheoremViolation
 from .graph import Divisor, Interval, MetricGraph, Point, Region
-from .plfunc import PLFunction, _value_on, distance_function
+from .plfunc import PLFunction, _value_on
 
 DEFAULT_MAX_STEPS = 10 ** 6
 
@@ -168,31 +169,41 @@ class ReductionResult:
     steps: int
 
 
-def _cone(graph: MetricGraph, key: tuple[Point, Fraction]) -> Divisor:
-    """div of the cone min(dist(., base), cap) for ``key`` = (base, cap)."""
-    base, cap = key
-    return distance_function(graph, base, cap=cap).divisor()
+def _fire(graph: MetricGraph, D: Divisor, base: Point, budget: list[int]) -> Divisor:
+    """Fire D toward ``base`` until it burns completely: the divisor
+    equivalent to D that is reduced at the base.  D must be effective away
+    from the base; each firing step draws one from ``budget``."""
+    while not (burn := dhar_burn(graph, D, base)).all_burnt:
+        if budget[0] <= 0:
+            raise ReductionCapError("reduction did not finish within its step budget")
+        budget[0] -= 1
+        eps = min(l for (_x, _ei, _off, _d, l) in burn.germs)
+        D = D + _firing_divisor(graph, burn, eps)
+    return D
 
 
 def _clear_debt(graph: MetricGraph, D: Divisor, base: Point,
                 budget: list[int]) -> Divisor:
-    """Make D effective away from the base by adding capped distance cones.
+    """An equivalent divisor whose only debt sits at the base q.
 
-    Each step clears the debt point farthest from the base; the cone
-    k*min(dist(., base), R) is nonnegative at every point except the base
-    and every new debt it creates sits at a branch vertex strictly inside
-    the ball of radius R, so the farthest debt distance strictly decreases.
+    For a debt point p != q, the divisor (g+1)*q - p has degree g, so by
+    tropical Riemann-Roch (Gathmann and Kerber, "A Riemann-Roch theorem in
+    tropical geometry") it has rank at least 0 and its p-reduced form Z_p
+    is effective.  Its only debt sits at its own base p, so ``_fire``
+    computes Z_p directly, with no clearing of its own, drawing from
+    ``budget``.  As p + Z_p - (g+1)*q is principal, each debt c*p (c < 0)
+    is replaced by -c*(Z_p - (g+1)*q), which is effective away from q.
     """
-    dist = graph.distances_from(base)
-    while True:
-        debts = [(p, c) for p, c in D.items() if c < 0 and p != base]
-        if not debts:
-            return D
-        if budget[0] <= 0:
-            raise ReductionCapError("debt-clearing step budget exhausted")
-        budget[0] -= 1
-        p, c = max(debts, key=lambda t: (dist(t[0]), t[0].sort_key()))
-        D = D + graph.memo((base, dist(p)), _cone) * -c
+    debts = [(p, c) for p, c in D.items() if c < 0 and p != base]
+    top = Divisor({base: graph.betti() + 1})
+    for p, c in debts:
+        at_p = Divisor({p: 1})
+        z = _fire(graph, top - at_p, p, budget)
+        if z.coeff(p) < 0:
+            raise TheoremViolation(
+                f"(g+1)*q - p has no effective representative for p = {p}")
+        D = D + (at_p + z - top) * -c
+    return D
 
 
 def _potential(graph: MetricGraph, E: Divisor, base: Point) -> PLFunction:
@@ -223,8 +234,10 @@ def _potential(graph: MetricGraph, E: Divisor, base: Point) -> PLFunction:
             rows[index[v]][n] += c * x / length
     for k in range(1, n):
         for i in range(k + 1, n):
-            m = rows[i][k] / rows[k][k]
-            rows[i] = [a - m * b for a, b in zip(rows[i], rows[k])]
+            # the Laplacian is sparse: most rows need no elimination step
+            if rows[i][k]:
+                m = rows[i][k] / rows[k][k]
+                rows[i] = [a - m * b for a, b in zip(rows[i], rows[k])]
     val = [Fraction(0)] * n
     for k in range(n - 1, 0, -1):
         val[k] = (rows[k][n] - sum(rows[k][j] * val[j] for j in range(k + 1, n))) / rows[k][k]
@@ -253,16 +266,12 @@ def v_reduce(graph: MetricGraph, D: Divisor, base: Point,
 
     The firing loop moves chips only; the witness is solved afterwards
     from the reduced divisor minus D, as it depends on nothing else.
+    ``steps`` counts every firing step, those that move debt to the base
+    included, and ``max_steps`` bounds them all.
     """
     graph.check_point(base)
     budget = [max_steps]
-    red = _clear_debt(graph, D, base, budget)
-    while not (burn := dhar_burn(graph, red, base)).all_burnt:
-        if budget[0] <= 0:
-            raise ReductionCapError(f"reduction did not finish within {max_steps} steps")
-        budget[0] -= 1
-        eps = min(l for (_x, _ei, _off, _d, l) in burn.germs)
-        red = red + _firing_divisor(graph, burn, eps)
+    red = _fire(graph, _clear_debt(graph, D, base, budget), base, budget)
     witness = _potential(graph, red - D, base) if track_witness else None
     return ReductionResult(red, witness, max_steps - budget[0])
 
@@ -351,7 +360,7 @@ def rank(graph: MetricGraph, D: Divisor,
     def dfs(cur: Divisor, start: int, depth: int):
         # cur is an effective representative of D minus the multiset chosen
         # so far; re-reducing at the point being subtracted keeps the only
-        # debt at the reduction base, so no debt-clearing pass is ever needed
+        # debt at the reduction base, so no debt ever has to move there
         nonlocal best_fail
         if depth + 1 >= best_fail:
             return

@@ -93,6 +93,67 @@ class TestReduction:
         with pytest.raises(ReductionCapError):
             v_reduce(G, D, default_base(G), max_steps=1)
 
+    def test_cap_counts_debt_transfer_steps(self, chain2):
+        # the p-reduced forms that move the debt draw from the same budget
+        G = chain2.graph
+        base = default_base(G)
+        D = Divisor({chain2.w(2): -1, chain2.v(2): 2})
+        steps = v_reduce(G, D, base).steps
+        assert steps > v_reduce(G, D + Divisor({chain2.w(2): 1}), base).steps
+        assert v_reduce(G, D, base, max_steps=steps).steps == steps
+        with pytest.raises(ReductionCapError):
+            v_reduce(G, D, base, max_steps=steps - 1)
+
+    def test_debt_at_genus_8(self):
+        # the cap catches a debt pass whose chip count grows with the genus
+        chain = default_generic_chain(8)
+        G = chain.graph
+        base = chain.v(1)
+        rng = SplitMix64(777)
+        done = 0
+        while done < 10:
+            D = random_divisor(G, rng, rng.randint(0, 14))
+            if all(c >= 0 for p, c in D.items() if p != base):
+                continue
+            res = v_reduce(G, D, base, max_steps=2_000)
+            assert D + res.witness.divisor() == res.reduced
+            assert is_reduced(G, res.reduced, base)
+            done += 1
+
+    def test_two_debt_points_and_debt_at_the_base(self, chain3):
+        G = chain3.graph
+        cone = distance_function(G, chain3.w(1), cap=Fraction(3, 2)).divisor()
+        for base in (default_base(G), G.point(chain3.top_edge(2), Fraction(1, 3))):
+            D = Divisor({chain3.w(3): -2, chain3.v(2): -1, base: -1, chain3.w(1): 3,
+                         G.point(chain3.bottom_edge(1), Fraction(1, 2)): 2})
+            res = v_reduce(G, D, base)
+            assert D + res.witness.divisor() == res.reduced
+            assert res.witness(base) == 0
+            assert is_reduced(G, res.reduced, base)
+            assert v_reduce(G, D + cone, base).reduced == res.reduced
+
+    def test_debt_on_a_tree(self):
+        # on a tree q - p is principal, so the p-reduced form of (g+1)q - p
+        # is 0 and each debt chip moves straight to the base
+        G = MetricGraph(["a", "b", "c", "d"], [
+            ("a", "b", Fraction(2)), ("b", "c", Fraction(3)), ("b", "d", Fraction(1, 2))])
+        assert G.betti() == 0
+        p, r = G.point(1, Fraction(1)), G.vertex_point("d")
+        for q in (G.vertex_point("a"), G.point(0, Fraction(1, 3))):
+            assert v_reduce(G, Divisor({q: 1, p: -1}), p).reduced == Divisor()
+            D = Divisor({p: -2, r: 3})
+            res = v_reduce(G, D, q)
+            assert res.reduced == Divisor({q: 1})
+            assert D + res.witness.divisor() == res.reduced
+
+    def test_missing_effective_representative_raises(self):
+        # with the genus understated, q - p on a circle has no effective
+        # representative, and the transfer must say so
+        G = circle_graph(4)
+        G.betti = lambda: 0
+        with pytest.raises(TheoremViolation):
+            v_reduce(G, Divisor({G.point(0, Fraction(1)): -1}), G.vertex_point("a"))
+
     @pytest.mark.parametrize("make", [lollipop_graph, bouquet_graph])
     def test_witness_equation_on_self_loops(self, make, rng):
         G = make()
