@@ -25,9 +25,6 @@ def _rat(x) -> Fraction:
 
 _VERTEX_POINTS: dict[str, "Point"] = {}
 
-# entries per table of MetricGraph.memo; a full table is emptied
-MEMO_BOUND = 1024
-
 
 @dataclass(frozen=True, eq=False)
 class Point:
@@ -109,10 +106,13 @@ class MetricGraph:
         # is the first endpoint (offset 0) and side 1 the second (offset L).
         self._incidence: dict[str, list[tuple[int, int]]] = {v: [] for v in self.vertices}
         self._point_cache: dict[tuple[int, int, int], Point] = {}
-        self._memo: dict[Callable, dict] = {}
         for i, (u, v, _l) in enumerate(self.edges):
             self._incidence[u].append((i, 0))
             self._incidence[v].append((i, 1))
+        # the same graph over vertex indices, for array-based algorithms
+        self.vertex_index: dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
+        self.edge_ends: tuple[tuple[int, int], ...] = tuple(
+            (self.vertex_index[u], self.vertex_index[v]) for (u, v, _l) in self.edges)
         if not self._connected():
             raise GraphError("graph is not connected")
 
@@ -144,25 +144,6 @@ class MetricGraph:
 
     def total_length(self) -> Fraction:
         return sum((l for (_u, _v, l) in self.edges), Fraction(0))
-
-    # -- memo ------------------------------------------------------------
-
-    def memo(self, key, build: Callable):
-        """``build(self, key)``, remembered on this graph.
-
-        Each ``build`` has its own table, emptied when it reaches
-        ``MEMO_BOUND`` entries, so the many cheap, short-lived entries of
-        one kind (segment models) never evict the entries of another.
-        ``point``'s table and ``Point.at_vertex`` interning stay apart:
-        they serve the hottest lookups over few distinct points, and a
-        test pins the identity of interned vertex points.
-        """
-        table = self._memo.setdefault(build, {})
-        if key not in table:
-            if len(table) >= MEMO_BOUND:
-                table.clear()
-            table[key] = build(self, key)
-        return table[key]
 
     # -- points ----------------------------------------------------------
 

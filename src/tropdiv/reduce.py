@@ -8,6 +8,14 @@ first moved onto the base: by tropical Riemann-Roch, -p is equivalent to
 Z_p - (g+1)*q for an effective Z_p, the p-reduced form of (g+1)*q - p,
 which the same firing loop computes (see ``_clear_debt``).
 
+Burning and firing run on integers.  Every offset is a multiple of 1/L,
+where L is the lcm of the denominators of the edge lengths, of the
+divisor's offsets and of the base's offset; firing moves chips by
+distances between such offsets, so they stay on that lattice.  The core
+keeps chips in a per-vertex list and a dict from (edge, offset in units
+of 1/L) to count, rebuilds the subdivided model as integer segment arrays
+on every step, and converts to and from ``Divisor`` once per call.
+
 Only chips move; the witness f with D + div(f) = D' is then solved from
 D' - D by one weighted-Laplacian system (Baker and Shokrieh, "Chip-firing
 games, potential theory on graphs, and spanning trees").
@@ -16,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import PreconditionError, ReductionCapError, TheoremViolation
 from .graph import Divisor, Interval, MetricGraph, Point, Region
@@ -25,107 +34,240 @@ DEFAULT_MAX_STEPS = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
-# burning on the subdivided model
+# the integer core
+
+
+class _Lattice:
+    """The graph with every length in units of 1/L, where L is the lcm of
+    the denominators of the edge lengths and of the given points' offsets.
+
+    A point is named by a key: its vertex index, or (edge, offset) with
+    the offset an integer strictly inside the edge.  Firing by a corridor
+    length never leaves this lattice, so the core needs no rescaling.
+    """
+
+    __slots__ = ("graph", "scale", "edges")
+
+    def __init__(self, graph: MetricGraph, points):
+        dens = [length.denominator for (_u, _v, length) in graph.edges]
+        for p in points:
+            graph.check_point(p)
+            if not p.is_vertex:
+                dens.append(p.offset.denominator)
+        self.graph = graph
+        self.scale = L = lcm(*dens)
+        # the graph's edges as (first end, second end, length) in integers
+        self.edges = [(u, v, length.numerator * (L // length.denominator))
+                      for (u, v), (_u, _v, length) in zip(graph.edge_ends, graph.edges)]
+
+    def key(self, p: Point):
+        if p.is_vertex:
+            return self.graph.vertex_index[p.vertex]
+        return (p.edge, p.offset.numerator * (self.scale // p.offset.denominator))
+
+    def point(self, key) -> Point:
+        if type(key) is int:
+            return Point.at_vertex(self.graph.vertices[key])
+        return self.graph.point(key[0], Fraction(key[1], self.scale))
+
+    def chips(self, D: Divisor) -> _Chips:
+        chips = _Chips(len(self.graph.vertices))
+        for p, c in D.items():
+            chips.add(self.key(p), c)
+        return chips
+
+    def divisor(self, chips: _Chips) -> Divisor:
+        return Divisor({self.point(k): c for k, c in chips.items()})
+
+
+class _Chips:
+    """An integer divisor: chips per vertex index, plus a dict from
+    (edge, offset) to its nonzero count."""
+
+    __slots__ = ("at_vertex", "on_edge")
+
+    def __init__(self, n: int):
+        self.at_vertex = [0] * n
+        self.on_edge: dict[tuple[int, int], int] = {}
+
+    def get(self, key) -> int:
+        if type(key) is int:
+            return self.at_vertex[key]
+        return self.on_edge.get(key, 0)
+
+    def add(self, key, c: int) -> None:
+        if type(key) is int:
+            self.at_vertex[key] += c
+        elif c := self.on_edge.get(key, 0) + c:
+            self.on_edge[key] = c
+        else:
+            del self.on_edge[key]
+
+    def items(self):
+        return [(i, c) for i, c in enumerate(self.at_vertex) if c] + list(self.on_edge.items())
+
+
+def _burn(lat: _Lattice, chips: _Chips, base):
+    """Subdivide every edge at the chips' interior points and at ``base``,
+    then burn from the base: a node burns once more burning directions
+    reach it than it holds chips.
+
+    Nodes 0..n-1 are the vertices, the others the cut points in edge and
+    offset order; ``keys`` names each node.  Returns the segments
+    (edge, lo, hi, a, b) in the same order, the segments at each node, the
+    keys, which nodes burnt and the base's node.
+    """
+    cuts: dict[int, list[int]] = {}
+    for (e, k) in chips.on_edge:
+        cuts.setdefault(e, []).append(k)
+    if type(base) is tuple and base not in chips.on_edge:
+        cuts.setdefault(base[0], []).append(base[1])
+    count = chips.at_vertex[:]
+    keys: list = list(range(len(count)))
+    inc: list[list[int]] = [[] for _ in keys]
+    segs: list[tuple[int, int, int, int, int]] = []
+    bid = base
+    for e, (a, v, length) in enumerate(lat.edges):
+        lo = 0
+        for k in sorted(cuts.get(e, ())):
+            b, key = len(keys), (e, k)
+            if key == base:
+                bid = b
+            keys.append(key)
+            count.append(chips.on_edge.get(key, 0))
+            inc.append([len(segs)])
+            inc[a].append(len(segs))
+            segs.append((e, lo, k, a, b))
+            a, lo = b, k
+        inc[a].append(len(segs))
+        inc[v].append(len(segs))
+        segs.append((e, lo, length, a, v))
+
+    burnt = [False] * len(keys)
+    burnt[bid] = True
+    arrivals = [0] * len(keys)
+    frontier = [bid]
+    while frontier:
+        x = frontier.pop()
+        for s in inc[x]:
+            _e, _lo, _hi, a, b = segs[s]
+            y = b if a == x else a
+            if not burnt[y]:
+                arrivals[y] += 1
+                if arrivals[y] > count[y]:
+                    burnt[y] = True
+                    frontier.append(y)
+    return segs, inc, keys, burnt, bid
+
+
+def _fire(lat: _Lattice, chips: _Chips, base, budget: list[int]) -> None:
+    """Fire ``chips`` toward ``base``, in place, until they burn
+    completely: the result is the divisor reduced at the base.  The chips
+    must be effective away from the base; each firing step draws one from
+    ``budget``.
+
+    A step fires the unburnt set by eps.  Each germ leaving it is followed
+    through burnt valence-two nodes to the base or a branch node, and eps
+    is the shortest such corridor, so a chip crosses a whole corridor in
+    one step.  Fire reaches the inner nodes of a corridor only through its
+    ends, so no corridor ends at an unburnt node, and two never meet.
+    """
+    while True:
+        segs, inc, keys, burnt, bid = _burn(lat, chips, base)
+        if all(burnt):
+            return
+        if budget[0] <= 0:
+            raise ReductionCapError("reduction did not finish within its step budget")
+        budget[0] -= 1
+        germs = []
+        for si, (_e, _lo, _hi, a, b) in enumerate(segs):
+            if burnt[a] == burnt[b]:
+                continue
+            prev = b if burnt[a] else a
+            walk: list[tuple[int, bool]] = []
+            total, s, x = 0, si, prev
+            while True:
+                _e, o1, o2, u, v = segs[s]
+                walk.append((s, prev == u))
+                total += o2 - o1
+                nxt = v if prev == u else u
+                if nxt == bid or len(inc[nxt]) != 2:
+                    break
+                s1, s2 = inc[nxt]
+                s, prev = (s2 if s == s1 else s1), nxt
+            germs.append((x, walk, total))
+        eps = min(total for (_x, _walk, total) in germs)
+        for x, walk, _total in germs:
+            chips.add(keys[x], -1)
+            rest = eps
+            for s, forward in walk:
+                e, o1, o2, _u, _v = segs[s]
+                if rest <= o2 - o1:
+                    k = o1 + rest if forward else o2 - rest
+                    u, v, length = lat.edges[e]
+                    chips.add(u if k == 0 else v if k == length else (e, k), 1)
+                    break
+                rest -= o2 - o1
+
+
+def _clear_debt(lat: _Lattice, chips: _Chips, base, budget: list[int]) -> None:
+    """Move all debt of ``chips`` onto ``base`` = q, in place.
+
+    For a debt point p != q, the divisor (g+1)*q - p has degree g, so by
+    tropical Riemann-Roch (Gathmann and Kerber, "A Riemann-Roch theorem in
+    tropical geometry") it has rank at least 0 and its p-reduced form Z_p
+    is effective.  Its only debt sits at its own base p, so ``_fire``
+    computes Z_p directly, with no clearing of its own, drawing from
+    ``budget``.  As p + Z_p - (g+1)*q is principal, each debt c*p (c < 0)
+    is replaced by -c*(Z_p - (g+1)*q), which is effective away from q.
+    """
+    top = lat.graph.betti() + 1
+    for p, c in [(p, c) for p, c in chips.items() if c < 0 and p != base]:
+        z = _Chips(len(chips.at_vertex))
+        z.add(base, top)
+        z.add(p, -1)
+        _fire(lat, z, p, budget)
+        if z.get(p) < 0:
+            raise TheoremViolation(
+                f"(g+1)*q - p has no effective representative for p = {lat.point(p)}")
+        for k, cz in z.items():
+            chips.add(k, -c * cz)
+        chips.add(p, -c)
+        chips.add(base, c * top)
+
+
+# ---------------------------------------------------------------------------
+# burning and reduction
 
 
 @dataclass
 class BurnResult:
+    """One burn from a base point, on the model that subdivides each edge
+    at the divisor's interior points and at the base."""
+
     all_burnt: bool
     unburnt: set[Point]
-    # outgoing germs of the unburnt set: (node, edge, offset, direction,
-    # length of the burnt corridor ahead)
-    germs: list[tuple[Point, int, Fraction, int, Fraction]]
-    # segments with both endpoints unburnt: (edge, lo, hi)
+    # segments of the model with both endpoints unburnt: (edge, lo, hi)
     unburnt_segments: list[tuple[int, Fraction, Fraction]]
-    # per germ, the burnt corridor it faces as a list of (edge, lo, hi,
-    # direction) pieces, walked from the germ's node
-    walks: list[list[tuple[int, Fraction, Fraction, int]]]
-
-
-def _model_segments(graph: MetricGraph, cuts: frozenset[Point]):
-    """Subdivide each edge at the interior points ``cuts``: the segments,
-    the adjacency and the segments at each node of the model.
-
-    Built once per cut set through the graph's bounded ``memo``: during a
-    rank search the same support patterns recur many times.
-    """
-    offsets: dict[int, list[Fraction]] = {}
-    for p in cuts:
-        offsets.setdefault(p.edge, []).append(p.offset)
-    segments = []
-    for ei in range(len(graph.edges)):
-        offs = [Fraction(0)] + sorted(offsets.get(ei, ())) + [graph.edge_length(ei)]
-        for lo, hi in zip(offs, offs[1:]):
-            segments.append((ei, lo, hi, graph.point(ei, lo), graph.point(ei, hi)))
-    adj: dict[Point, list[Point]] = {}
-    incident: dict[Point, list[int]] = {}
-    for si, (_ei, _lo, _hi, a, b) in enumerate(segments):
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-        incident.setdefault(a, []).append(si)
-        incident.setdefault(b, []).append(si)
-    return segments, adj, incident
 
 
 def dhar_burn(graph: MetricGraph, D: Divisor, base: Point) -> BurnResult:
     """One pass of the burning algorithm from ``base``.
 
-    Requires D effective away from the base point.  Each germ of the
-    unburnt set is continued through burnt valence-two nodes, so a firing
-    step can carry a chip across a whole burnt corridor instead of one
-    segment at a time.
+    This is the burn that ``v_reduce`` runs before every firing step, on
+    D converted to the integer core and back.  Requires D effective away
+    from the base point and every point on the graph.
     """
-    cuts = {p for p in D.support() if not p.is_vertex}
-    if not base.is_vertex:
-        cuts.add(base)
-    segments, adj, incident = graph.memo(frozenset(cuts), _model_segments)
+    lat = _Lattice(graph, [base, *D.support()])
     for p, c in D.items():
         if c < 0 and p != base:
             raise PreconditionError(f"divisor has debt {c} at {p} away from the base")
-
-    burnt: set[Point] = {base}
-    arrivals: dict[Point, int] = {}
-    coeff = D._coeffs.get
-    frontier = [base]
-    while frontier:
-        x = frontier.pop()
-        for y in adj[x]:
-            if y in burnt:
-                continue
-            a = arrivals.get(y, 0) + 1
-            arrivals[y] = a
-            if a > coeff(y, 0):
-                burnt.add(y)
-                frontier.append(y)
-
-    unburnt = adj.keys() - burnt
-    germs: list[tuple[Point, int, Fraction, int, Fraction]] = []
-    unb_segs: list[tuple[int, Fraction, Fraction]] = []
-    walks: list[list[tuple[int, Fraction, Fraction, int]]] = []
-    for si, (ei, lo, hi, a, b) in enumerate(segments):
-        a_in, b_in = a in unburnt, b in unburnt
-        if a_in and b_in:
-            unb_segs.append((ei, lo, hi))
-        elif a_in or b_in:
-            germ = (a, ei, lo, +1) if a_in else (b, ei, hi, -1)
-            walk: list[tuple[int, Fraction, Fraction, int]] = []
-            total = Fraction(0)
-            s, prev = si, germ[0]
-            while True:
-                e, o1, o2, u, v = segments[s]
-                nxt = v if prev == u else u
-                walk.append((e, o1, o2, +1 if prev == u else -1))
-                total += o2 - o1
-                # fire reaches the inner nodes of a corridor only through its
-                # ends, so it ends at the base or a branch node, never at an
-                # unburnt one, and the ramps of two germs never meet
-                if nxt == base or len(incident[nxt]) != 2:
-                    break
-                s1, s2 = incident[nxt]
-                s, prev = (s2 if s == s1 else s1), nxt
-            germs.append(germ + (total,))
-            walks.append(walk)
-    return BurnResult(not unburnt, unburnt, germs, unb_segs, walks)
+    segs, _inc, keys, burnt, _bid = _burn(lat, lat.chips(D), lat.key(base))
+    L = lat.scale
+    unburnt = {lat.point(k) for k, b in zip(keys, burnt) if not b}
+    unb_segs = [(e, Fraction(lo, L), Fraction(hi, L))
+                for (e, lo, hi, a, b) in segs if not (burnt[a] or burnt[b])]
+    return BurnResult(not unburnt, unburnt, unb_segs)
 
 
 def dhar_unburnt(graph: MetricGraph, D: Divisor, base: Point) -> Region:
@@ -141,69 +283,11 @@ def dhar_unburnt(graph: MetricGraph, D: Divisor, base: Point) -> Region:
     return Region(graph, intervals, isolated)
 
 
-def _firing_divisor(graph: MetricGraph, burn: BurnResult, eps: Fraction) -> Divisor:
-    """div of the firing step min(dist(., unburnt set), eps): a chip leaves
-    the unburnt set along each germ and lands eps down its corridor.  Needs
-    eps at most every germ's length."""
-    terms: list[tuple[Point, int]] = []
-    for (x, _ei, _off, _d, _l), walk in zip(burn.germs, burn.walks):
-        terms.append((x, -1))
-        remaining = eps
-        for (ei, lo, hi, d) in walk:
-            if remaining <= hi - lo:
-                pos = lo + remaining if d > 0 else hi - remaining
-                terms.append((graph.point(ei, pos), +1))
-                break
-            remaining -= hi - lo
-    return Divisor(terms)
-
-
-# ---------------------------------------------------------------------------
-# reduction
-
-
 @dataclass
 class ReductionResult:
     reduced: Divisor
     witness: PLFunction | None
     steps: int
-
-
-def _fire(graph: MetricGraph, D: Divisor, base: Point, budget: list[int]) -> Divisor:
-    """Fire D toward ``base`` until it burns completely: the divisor
-    equivalent to D that is reduced at the base.  D must be effective away
-    from the base; each firing step draws one from ``budget``."""
-    while not (burn := dhar_burn(graph, D, base)).all_burnt:
-        if budget[0] <= 0:
-            raise ReductionCapError("reduction did not finish within its step budget")
-        budget[0] -= 1
-        eps = min(l for (_x, _ei, _off, _d, l) in burn.germs)
-        D = D + _firing_divisor(graph, burn, eps)
-    return D
-
-
-def _clear_debt(graph: MetricGraph, D: Divisor, base: Point,
-                budget: list[int]) -> Divisor:
-    """An equivalent divisor whose only debt sits at the base q.
-
-    For a debt point p != q, the divisor (g+1)*q - p has degree g, so by
-    tropical Riemann-Roch (Gathmann and Kerber, "A Riemann-Roch theorem in
-    tropical geometry") it has rank at least 0 and its p-reduced form Z_p
-    is effective.  Its only debt sits at its own base p, so ``_fire``
-    computes Z_p directly, with no clearing of its own, drawing from
-    ``budget``.  As p + Z_p - (g+1)*q is principal, each debt c*p (c < 0)
-    is replaced by -c*(Z_p - (g+1)*q), which is effective away from q.
-    """
-    debts = [(p, c) for p, c in D.items() if c < 0 and p != base]
-    top = Divisor({base: graph.betti() + 1})
-    for p, c in debts:
-        at_p = Divisor({p: 1})
-        z = _fire(graph, top - at_p, p, budget)
-        if z.coeff(p) < 0:
-            raise TheoremViolation(
-                f"(g+1)*q - p has no effective representative for p = {p}")
-        D = D + (at_p + z - top) * -c
-    return D
 
 
 def _potential(graph: MetricGraph, E: Divisor, base: Point) -> PLFunction:
@@ -214,38 +298,47 @@ def _potential(graph: MetricGraph, E: Divisor, base: Point) -> PLFunction:
     of length L) with the first vertex pinned to 0, where a chip c at
     offset x sends c*(L-x)/L to the edge's first end and c*x/L to its
     second.  The reduced Laplacian is positive definite, so exact
-    elimination needs no pivoting.
+    elimination needs no pivoting.  Each row keeps only its nonzero
+    columns; elimination keeps the matrix symmetric, so the rows below a
+    pivot with an entry in its column are the later columns of its row,
+    and a chain, almost tridiagonal in vertex order, fills in nothing.
     """
-    index = {v: i for i, v in enumerate(graph.vertices)}
+    index = graph.vertex_index
     n = len(index)
-    # the Laplacian, each row augmented with its vertex's share of E
-    rows = [[Fraction(0)] * n + [Fraction(E.coeff(Point.at_vertex(v)))]
-            for v in graph.vertices]
+    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    # each vertex's share of E
+    rhs = [Fraction(E.coeff(Point.at_vertex(v))) for v in graph.vertices]
     chips: dict[int, list[tuple[Fraction, int]]] = {ei: [] for ei in range(len(graph.edges))}
     for p, c in sorted(E.items(), key=lambda t: t[0].sort_key()):
         if not p.is_vertex:
             chips[p.edge].append((p.offset, c))
-    for ei, (u, v, length) in enumerate(graph.edges):
-        for i, j in ((index[u], index[v]), (index[v], index[u])):
-            rows[i][i] += 1 / length
-            rows[i][j] -= 1 / length
+    for ei, ((i, j), (_u, _v, length)) in enumerate(zip(graph.edge_ends, graph.edges)):
+        if i != j:
+            for a, b in ((i, j), (j, i)):
+                rows[a][a] = rows[a].get(a, 0) + 1 / length
+                rows[a][b] = rows[a].get(b, 0) - 1 / length
         for x, c in chips[ei]:
-            rows[index[u]][n] += c * (length - x) / length
-            rows[index[v]][n] += c * x / length
+            rhs[i] += c * (length - x) / length
+            rhs[j] += c * x / length
     for k in range(1, n):
-        for i in range(k + 1, n):
-            # the Laplacian is sparse: most rows need no elimination step
-            if rows[i][k]:
-                m = rows[i][k] / rows[k][k]
-                rows[i] = [a - m * b for a, b in zip(rows[i], rows[k])]
+        pivot = rows[k]
+        for i in [i for i in pivot if i > k]:
+            m = rows[i].pop(k) / pivot[k]
+            if m:
+                row = rows[i]
+                for j, b in pivot.items():
+                    if j > k:
+                        row[j] = row.get(j, 0) - m * b
+                rhs[i] -= m * rhs[k]
     val = [Fraction(0)] * n
     for k in range(n - 1, 0, -1):
-        val[k] = (rows[k][n] - sum(rows[k][j] * val[j] for j in range(k + 1, n))) / rows[k][k]
+        row = rows[k]
+        val[k] = (rhs[k] - sum(a * val[j] for j, a in row.items() if j > k)) / row[k]
     data: dict[int, list[tuple[Fraction, Fraction]]] = {}
-    for ei, (u, v, length) in enumerate(graph.edges):
-        # the slope leaving u; each chip c passed lowers it by c
-        o, y = Fraction(0), val[index[u]]
-        slope = (val[index[v]] - y + sum(c * (length - x) for x, c in chips[ei])) / length
+    for ei, ((i, j), (_u, _v, length)) in enumerate(zip(graph.edge_ends, graph.edges)):
+        # the slope leaving the first end; each chip c passed lowers it by c
+        o, y = Fraction(0), val[i]
+        slope = (val[j] - y + sum(c * (length - x) for x, c in chips[ei])) / length
         data[ei] = [(o, y)]
         for x, c in chips[ei] + [(length, 0)]:
             y += slope * (x - o)
@@ -267,11 +360,15 @@ def v_reduce(graph: MetricGraph, D: Divisor, base: Point,
     The firing loop moves chips only; the witness is solved afterwards
     from the reduced divisor minus D, as it depends on nothing else.
     ``steps`` counts every firing step, those that move debt to the base
-    included, and ``max_steps`` bounds them all.
+    included, and ``max_steps`` bounds them all.  A point of D or a base
+    that the graph does not have raises ``GraphError``.
     """
-    graph.check_point(base)
+    lat = _Lattice(graph, [base, *D.support()])
+    chips, q = lat.chips(D), lat.key(base)
     budget = [max_steps]
-    red = _fire(graph, _clear_debt(graph, D, base, budget), base, budget)
+    _clear_debt(lat, chips, q, budget)
+    _fire(lat, chips, q, budget)
+    red = lat.divisor(chips)
     witness = _potential(graph, red - D, base) if track_witness else None
     return ReductionResult(red, witness, max_steps - budget[0])
 

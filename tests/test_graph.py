@@ -8,7 +8,6 @@ from tropdiv import (ChainOfLoops, Divisor, Interval, MetricGraph, Point,
                      Region, canonical_divisor, check_genericity,
                      default_generic_chain)
 from tropdiv.errors import GraphError
-from tropdiv.graph import MEMO_BOUND
 
 from .conftest import circle_graph, theta_graph
 
@@ -81,30 +80,6 @@ class TestMetricGraph:
         assert (G.distance(p, q) == 0) == (p == q)
         a = G.vertex_point("a")
         assert G.distance(p, q) <= G.distance(p, a) + G.distance(a, q)
-
-    def test_memo_is_bounded_per_kind(self):
-        G = theta_graph()
-        built = []
-
-        def square(graph, key):
-            built.append(key)
-            return [key * key]
-
-        def cube(graph, key):
-            built.append(key)
-            return [key ** 3]
-
-        kept = G.memo(2, cube)
-        for k in range(3 * MEMO_BOUND + 5):
-            assert G.memo(k, square) == [k * k]
-            assert len(G._memo[square]) <= MEMO_BOUND
-        assert len(built) == 3 * MEMO_BOUND + 6
-        # a repeated key returns the stored object without building again,
-        # and filling one kind's table never clears another's
-        assert G.memo(3 * MEMO_BOUND + 4, square) is G.memo(3 * MEMO_BOUND + 4, square)
-        assert G.memo(2, cube) is kept
-        assert len(built) == 3 * MEMO_BOUND + 6
-        assert len(G._memo[cube]) == 1
 
 
 class TestDivisor:

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropdiv import Divisor, MetricGraph, canonical_divisor, default_generic_chain
-from tropdiv.errors import PreconditionError, ReductionCapError, TheoremViolation
+from tropdiv import (Divisor, MetricGraph, Point, canonical_divisor,
+                     default_generic_chain)
+from tropdiv.errors import (GraphError, PreconditionError, ReductionCapError,
+                            TheoremViolation)
 from tropdiv.plfunc import distance_function, min_combination
 from tropdiv.reduce import (default_base, default_rank_points, dhar_burn,
                             dhar_unburnt, effective_class, find_unoccupied_edge,
@@ -27,6 +29,13 @@ def bouquet_graph() -> MetricGraph:
     """One vertex with two loops: the Laplacian system for the witness's
     vertex values is empty."""
     return MetricGraph(["a"], [("a", "a", Fraction(2)), ("a", "a", Fraction(5, 2))])
+
+
+def coprime_graph() -> MetricGraph:
+    """Three parallel edges whose lengths have coprime denominators 3, 7
+    and 11, one of them oriented the other way."""
+    return MetricGraph(["a", "b"], [("a", "b", Fraction(1, 3)), ("a", "b", Fraction(2, 7)),
+                                    ("b", "a", Fraction(5, 11))])
 
 
 class TestBurning:
@@ -166,6 +175,37 @@ class TestReduction:
                 assert res.witness(base) == 0
                 assert is_reduced(G, res.reduced, base)
 
+    def test_witness_equation_with_coprime_denominators(self, rng):
+        # chips at multiples of 1/13 and an interior base at 3/17, so the
+        # scale of the integer core takes a factor from every input
+        G = coprime_graph()
+        slots = [(ei, Fraction(k, 13)) for ei in range(3)
+                 for k in range(int(G.edge_length(ei) * 13) + 1)]
+        for base in (G.vertex_point("a"), G.point(2, Fraction(3, 17))):
+            for deg in range(-1, 5):
+                neg = rng.randint(0, 2) + max(0, -deg)
+                D = Divisor([(G.point(*rng.choice(slots)), -1 if i < neg else 1)
+                             for i in range(deg + 2 * neg)])
+                res = v_reduce(G, D, base)
+                assert D + res.witness.divisor() == res.reduced
+                assert res.witness(base) == 0
+                assert is_reduced(G, res.reduced, base)
+                fast = v_reduce(G, D, base, track_witness=False)
+                assert (fast.reduced, fast.steps) == (res.reduced, res.steps)
+
+    def test_points_the_graph_lacks_are_rejected(self, chain2):
+        # an edge of the genus-3 chain that the genus-2 chain lacks, and an
+        # offset past its edge's end
+        G, v1 = chain2.graph, chain2.v(1)
+        foreign = default_generic_chain(3).graph.point(6, Fraction(1, 2))
+        past_end = Point(None, 0, G.edge_length(0) + Fraction(1, 2))
+        for p in (foreign, past_end):
+            for track_witness in (True, False):
+                with pytest.raises(GraphError):
+                    v_reduce(G, Divisor({p: 1, v1: 1}), v1, track_witness=track_witness)
+            with pytest.raises(GraphError):
+                v_reduce(G, Divisor({v1: 1}), p)
+
     def test_track_witness_paths_agree(self, rng):
         # both paths fire the same sets by the same distances, so they agree
         # on the steps taken as well as on the result, also at interior
@@ -195,7 +235,7 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("make", [
         theta_graph, circle_graph, lambda: default_generic_chain(3).graph,
-        lollipop_graph, bouquet_graph])
+        lollipop_graph, bouquet_graph, coprime_graph])
     def test_witness_is_the_normalized_function(self, make, rng):
         # div(f) determines f up to a constant, so the witness is f itself,
         # shifted to vanish at the base

@@ -13,8 +13,11 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from tropdiv import Divisor, default_generic_chain
 from tropdiv.chainbn import Tableau, build_Dj, build_Ek, enumerate_tableaux
+from tropdiv.errors import ReductionCapError
 from tropdiv.reduce import default_base, v_reduce
 from tropdiv.sampling import SplitMix64, random_effective_divisor
 from tropdiv.serialize import (divisor_from_json, divisor_to_json, dumps,
@@ -80,6 +83,18 @@ def test_reductions_match_golden():
         D = divisor_from_json(G, e["D"])
         base = point_from_json(G, e["base"])
         assert dumps(_reduction(G, D, base)) == dumps(e["out"]), (e["g"], e["D"], e["base"])
+
+
+def test_golden_steps_are_the_exact_budget():
+    # each recorded step count is exactly the budget the reduction needs
+    for e in _load()["reductions"]:
+        G = default_generic_chain(e["g"]).graph
+        D = divisor_from_json(G, e["D"])
+        base = point_from_json(G, e["base"])
+        steps = e["out"]["steps"]
+        assert v_reduce(G, D, base, track_witness=False, max_steps=steps).steps == steps
+        with pytest.raises(ReductionCapError):
+            v_reduce(G, D, base, track_witness=False, max_steps=steps - 1)
 
 
 def test_tableau_pairs_match_golden():
