@@ -15,6 +15,8 @@ distances between such offsets, so they stay on that lattice.  The core
 keeps chips in a per-vertex list and a dict from (edge, offset in units
 of 1/L) to count, rebuilds the subdivided model as integer segment arrays
 on every step, and converts to and from ``Divisor`` once per call.
+``rank`` builds one lattice per call and runs its whole depth-first
+search on these chips.
 
 Only chips move; the witness f with D + div(f) = D' is then solved from
 D' - D by one weighted-Laplacian system (Baker and Shokrieh, "Chip-firing
@@ -105,6 +107,12 @@ class _Chips:
 
     def items(self):
         return [(i, c) for i, c in enumerate(self.at_vertex) if c] + list(self.on_edge.items())
+
+    def copy(self) -> _Chips:
+        new = _Chips(0)
+        new.at_vertex = self.at_vertex[:]
+        new.on_edge = self.on_edge.copy()
+        return new
 
 
 def _burn(lat: _Lattice, chips: _Chips, base):
@@ -434,42 +442,49 @@ def rank(graph: MetricGraph, D: Divisor,
     effective E of degree r supported on the point set.  The search walks
     nondecreasing index multisets depth-first, re-reducing incrementally,
     and prunes with the fact that once D - E fails, so does every
-    extension of E.
+    extension of E.  It runs on the integer core over one lattice, built
+    before anything is reduced, and the DFS moves ``_Chips`` with no
+    ``Divisor`` and no point check in between.  An empty point set raises
+    ``PreconditionError``, a point the graph lacks ``GraphError``.
     """
     if points is None:
         points = default_rank_points(graph)
+    if not points:
+        raise PreconditionError("rank needs a nonempty point set")
     if base is None:
         base = default_base(graph)
-    red0 = v_reduce(graph, D, base, track_witness=False).reduced
-    if red0.coeff(base) < 0:
+    lat = _Lattice(graph, [base, *D.support(), *points])
+    keys = [lat.key(p) for p in points]
+    # one public reduction per call; it lands on the lattice, which holds
+    # D's support and the base
+    red0 = lat.chips(v_reduce(graph, D, base, track_witness=False).reduced)
+    if red0.get(lat.key(base)) < 0:
         return -1
     # the rank of a divisor reduced at p is at most its coefficient at p,
     # and any E of degree deg(D)+1 drives the degree negative; both bound
-    # the depth the search needs to certify
+    # the depth the search needs to certify.  red0 is effective, so its
+    # reduction at p needs no debt moved.
     best_fail = D.degree + 1
-    for p in points:
-        red_p = v_reduce(graph, D, p, track_witness=False).reduced
-        cp = red_p.coeff(p)
-        if cp < 0:
-            return -1
-        best_fail = min(best_fail, cp + 1)
+    for k in keys:
+        red_p = red0.copy()
+        _fire(lat, red_p, k, [DEFAULT_MAX_STEPS])
+        best_fail = min(best_fail, red_p.get(k) + 1)
 
-    def dfs(cur: Divisor, start: int, depth: int):
+    def dfs(cur: _Chips, start: int, depth: int):
         # cur is an effective representative of D minus the multiset chosen
         # so far; re-reducing at the point being subtracted keeps the only
         # debt at the reduction base, so no debt ever has to move there
         nonlocal best_fail
         if depth + 1 >= best_fail:
             return
-        for i in range(start, len(points)):
-            p = points[i]
-            if cur.coeff(p) >= 1:
-                # a chip is present: the child is effective as it stands
-                nxt = cur - Divisor({p: 1})
-            else:
-                nxt = v_reduce(graph, cur - Divisor({p: 1}), p,
-                               track_witness=False).reduced
-                if nxt.coeff(p) < 0:
+        for i in range(start, len(keys)):
+            k = keys[i]
+            nxt = cur.copy()
+            nxt.add(k, -1)
+            # with a chip present the child is effective as it stands
+            if cur.get(k) < 1:
+                _fire(lat, nxt, k, [DEFAULT_MAX_STEPS])
+                if nxt.get(k) < 0:
                     best_fail = depth + 1
                     return
             dfs(nxt, i, depth + 1)

@@ -1,5 +1,6 @@
 """Tests for burning, reduction, equivalence, and rank."""
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -266,7 +267,56 @@ class TestEquivalence:
         assert not effective_class(G, Divisor({chain2.v(1): -1}))
 
 
+def brute_force_rank(G: MetricGraph, D: Divisor) -> int:
+    """rank(D) straight from the definition over ``default_rank_points``,
+    with public ``v_reduce`` and no pruning: rank(D) >= r iff D - E reduced
+    at the base has no debt there for every effective E of degree r on the
+    points.  Any E of degree deg(D) + 1 fails, so the loop ends."""
+    points, base = default_rank_points(G), default_base(G)
+    r = 0
+    while all(v_reduce(G, D - Divisor([(p, 1) for p in E]), base,
+                       track_witness=False).reduced.coeff(base) >= 0
+              for E in combinations_with_replacement(points, r)):
+        r += 1
+    return r - 1
+
+
 class TestRank:
+    def test_matches_brute_force_with_debt(self, chain2, chain3):
+        # 20 divisors with debt on each graph, degrees -1..4
+        rng = SplitMix64(8080)
+        for G in (chain2.graph, chain3.graph, lollipop_graph()):
+            seen = 0
+            while seen < 20:
+                D = random_divisor(G, rng, rng.randint(-1, 4))
+                if D.is_effective:
+                    continue
+                seen += 1
+                assert rank(G, D) == brute_force_rank(G, D), dict(D.items())
+
+    def test_brute_force_reference_on_known_ranks(self, chain2):
+        G, v1 = chain2.graph, chain2.v(1)
+        assert brute_force_rank(G, Divisor({v1: 3})) == 1
+        assert brute_force_rank(G, canonical_divisor(G)) == 1
+        assert brute_force_rank(G, Divisor({v1: -1})) == -1
+
+    def test_empty_point_set_is_rejected(self, chain2):
+        # over no points every E is zero, which would make the rank deg(D)
+        with pytest.raises(PreconditionError):
+            rank(chain2.graph, Divisor({chain2.v(1): 3}), points=[])
+
+    def test_points_the_graph_lacks_are_rejected(self, chain2):
+        # checked before reducing, also when D's class is not effective
+        G, v1 = chain2.graph, chain2.v(1)
+        foreign = default_generic_chain(3).graph.point(6, Fraction(1, 2))
+        past_end = Point(None, 0, G.edge_length(0) + Fraction(1, 2))
+        for p in (foreign, past_end):
+            for D in (Divisor({v1: -1}), Divisor({v1: 2})):
+                with pytest.raises(GraphError):
+                    rank(G, D, points=[v1, p])
+                with pytest.raises(GraphError):
+                    rank(G, D, base=p)
+
     def test_known_values(self, chain3):
         G = chain3.graph
         K = canonical_divisor(G)
