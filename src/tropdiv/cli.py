@@ -162,6 +162,9 @@ def cmd_gp0(args) -> int:
         if rep.independence_certificate is not None:
             entry["certificate"] = sz.independence_certificate_to_json(
                 chain.graph, rep.independence_certificate)
+        if rep.certificate is not None:
+            entry["dependence"] = sz.dependence_certificate_to_json(
+                rep.certificate)
         reports.append(entry)
     _emit({"reports": reports}, args.out)
     verdicts = {rep["verdict"] for rep in reports}

@@ -10,7 +10,10 @@ min_j(f_j + b_j) is attained at least twice at every point of the graph.
   points p_1..p_n at which the matrix M_ij = f_j(p_i) is tropically
   nonsingular, and ``verify_independence`` re-checks such a certificate.
 - ``find_dependence`` searches for offsets through the critical values of
-  pairwise differences.  The search is not complete: it misses
+  pairwise differences, in integers: the family is evaluated once on the
+  union of its breakpoint offsets and scaled by a common denominator,
+  which keeps every comparison, so the search tries the candidates of
+  the exact one in the same order.  The search is not complete: it misses
   dependences in which coincident pairs of functions meet only at
   isolated points (a four-function example on one edge is in the tests),
   so a search that finds nothing proves nothing.
@@ -25,7 +28,8 @@ from typing import Sequence
 
 from .errors import PreconditionError, SearchCapError
 from .graph import Interval, MetricGraph, Point, Region
-from .plfunc import PLFunction, _same_graph, lower_envelope, min_combination
+from .plfunc import (PLFunction, _same_graph, _value_on, lower_envelope,
+                     min_combination)
 from .sampling import SplitMix64
 
 MAX_FAMILY = 12
@@ -97,16 +101,35 @@ class IndependenceReport:
     draws: int = 0
 
 
-def _critical_values(diff: PLFunction) -> list[Fraction]:
-    """Values v such that diff = fj - fk == v on a positive-length
-    segment; only offsets with b_k - b_j equal to such a v let the pair
-    coincide on a piece of the envelope."""
-    out: set[Fraction] = set()
-    for pts in diff.data.values():
-        for (o1, v1), (o2, v2) in zip(pts, pts[1:]):
-            if v1 == v2 and o1 < o2:
-                out.add(v1)
-    return sorted(out)
+def _pair_tables(funcs: Sequence[PLFunction]):
+    """``(den, crit, box, probes)``: the tables ``find_dependence`` reads,
+    scaled by ``den``, the lcm of the denominators of the family's values
+    on the grid of all its breakpoint offsets, edge by edge.  Between grid
+    points f_j - f_k is affine, so ``crit[(j, k)]`` (the values it takes
+    on a positive-length segment) are its equal consecutive entries on one
+    edge and ``box[(j, k)]`` runs from its least to its greatest entry;
+    ``probes[j]`` holds f_j at each vertex's first edge coordinate, as
+    ``PLFunction.__call__`` reads it."""
+    graph = funcs[0].graph
+    offs = [sorted({o for f in funcs for (o, _v) in f.data[ei]})
+            for ei in range(len(graph.edges))]
+    grid = [[[_value_on(f.data[ei], o) for o in eo] for f in funcs]
+            for ei, eo in enumerate(offs)]
+    den = lcm(*(v.denominator for rows in grid for row in rows for v in row))
+    grid = [[[v.numerator * (den // v.denominator) for v in row] for row in rows]
+            for rows in grid]
+    crit, box = {}, {}
+    for j, k in combinations(range(len(funcs)), 2):
+        diffs = [[a - b for a, b in zip(rows[j], rows[k])] for rows in grid]
+        values = sorted({d for row in diffs for d, e in zip(row, row[1:]) if d == e})
+        lo, hi = min(map(min, diffs)), max(map(max, diffs))
+        crit[(j, k)], crit[(k, j)] = values, [-v for v in reversed(values)]
+        box[(j, k)], box[(k, j)] = range(lo, hi + 1), range(-hi, 1 - lo)
+    coords = [graph.edge_coordinates(graph.vertex_point(v))[0]
+              for v in graph.vertices]
+    probes = [[grid[ei][j][offs[ei].index(off)] for (ei, off) in coords]
+              for j in range(len(funcs))]
+    return den, crit, box, probes
 
 
 def find_dependence(funcs: Sequence[PLFunction],
@@ -126,47 +149,29 @@ def find_dependence(funcs: Sequence[PLFunction],
     points can be missed: ``None`` means that no candidate passed, not
     that the family is independent.  ``find_independence_certificate``
     proves independence.
+
+    The search runs on integers: ``_pair_tables`` evaluates the family
+    once on a grid of breakpoint offsets and scales all values by one
+    ``den > 0``.  Offsets are sums of critical values, so they scale to
+    integers too, and scaling keeps equality and order: the candidates,
+    their order and count, and the certificate are those of the search on
+    exact rationals.  A candidate that passes the vertex probes is divided
+    by ``den`` and checked exactly by ``verify_dependence``.
     """
+    graph = _common_graph(funcs)
     n = len(funcs)
-    if n < 2:
-        raise PreconditionError("need at least two functions")
     if n > MAX_FAMILY:
         raise SearchCapError(MAX_FAMILY)
-
-    crit: dict[tuple[int, int], list[Fraction]] = {}
-    # essentiality boxes: in a minimal dependence no function lies strictly
-    # above another everywhere, so b_k - b_j stays within the range of
-    # f_j - f_k; assignments outside the box reduce to a smaller subset
-    lo_box: dict[tuple[int, int], Fraction] = {}
-    hi_box: dict[tuple[int, int], Fraction] = {}
-    for j in range(n):
-        for k in range(j + 1, n):
-            diff = funcs[j] - funcs[k]
-            crit[(j, k)] = _critical_values(diff)
-            vals_jk = [v for pts in diff.data.values() for (_o, v) in pts]
-            lo_box[(j, k)] = min(vals_jk)
-            hi_box[(j, k)] = max(vals_jk)
-
-    def in_box(j: int, k: int, delta: Fraction) -> bool:
-        # is b_k - b_j = delta compatible with both j and k being essential
-        if j < k:
-            return lo_box[(j, k)] <= delta <= hi_box[(j, k)]
-        return lo_box[(k, j)] <= -delta <= hi_box[(k, j)]
-
-    def pair_values(j: int, k: int) -> list[Fraction]:
-        # candidate values of b_k - b_j
-        if j < k:
-            return crit[(j, k)]
-        return [-v for v in crit[(k, j)]]
+    # crit[(j, k)]: candidate values of b_k - b_j.  box[(j, k)]: in a
+    # minimal dependence no function lies strictly above another
+    # everywhere, so b_k - b_j stays within the range of f_j - f_k;
+    # assignments outside the box reduce to a smaller subset
+    den, crit, box, vals = _pair_tables(funcs)
 
     # cheap rejection: a dependence needs the pointwise minimum attained
     # twice at every vertex, which candidate vectors rarely manage
-    graph = funcs[0].graph
-    probes = [graph.vertex_point(v) for v in graph.vertices]
-    vals = [[f(p) for p in probes] for f in funcs]
-
-    def probe_ok(subset: tuple[int, ...], b: tuple[Fraction, ...]) -> bool:
-        for pi in range(len(probes)):
+    def probe_ok(subset: tuple[int, ...], b: tuple[int, ...]) -> bool:
+        for pi in range(len(graph.vertices)):
             lo = None
             count = 0
             for jpos, j in enumerate(subset):
@@ -181,6 +186,7 @@ def find_dependence(funcs: Sequence[PLFunction],
 
     def full_check(subset, assignment):
         sub_funcs = [funcs[j] for j in subset]
+        assignment = [Fraction(b, den) for b in assignment]
         if not verify_dependence(sub_funcs, assignment)[0]:
             return None
         offsets: list[Fraction | None] = [None] * n
@@ -195,11 +201,10 @@ def find_dependence(funcs: Sequence[PLFunction],
             # any assigned one through a critical value, in every order, so
             # all spanning-tree-shaped constraint systems are produced;
             # None marks a still-unassigned position
-            start = tuple(Fraction(0) if i == 0 else None
-                          for i in range(size))
-            current: set[tuple[Fraction | None, ...]] = {start}
+            start = tuple(0 if i == 0 else None for i in range(size))
+            current: set[tuple[int | None, ...]] = {start}
             for _level in range(1, size):
-                nxt: set[tuple[Fraction | None, ...]] = set()
+                nxt: set[tuple[int | None, ...]] = set()
                 for a in current:
                     for kpos in range(1, size):
                         if a[kpos] is not None:
@@ -207,10 +212,9 @@ def find_dependence(funcs: Sequence[PLFunction],
                         for jpos in range(size):
                             if a[jpos] is None:
                                 continue
-                            for v in pair_values(subset[jpos], subset[kpos]):
+                            for v in crit[(subset[jpos], subset[kpos])]:
                                 bk = a[jpos] + v
-                                if not all(in_box(subset[i], subset[kpos],
-                                                  bk - a[i])
+                                if not all(bk - a[i] in box[(subset[i], subset[kpos])]
                                            for i in range(size)
                                            if a[i] is not None):
                                     continue

@@ -8,7 +8,9 @@ from tropdiv import ChainOfLoops, Divisor, default_generic_chain
 from tropdiv.chainbn import Tableau
 from tropdiv.cli import main
 from tropdiv.graph import canonical_divisor
-from tropdiv.independence import verify_independence
+from tropdiv.independence import (DependenceCertificate, verify_dependence,
+                                  verify_independence)
+from tropdiv.plfunc import min_combination
 from tropdiv.reduce import v_reduce
 from tropdiv import serialize as sz
 
@@ -151,6 +153,44 @@ class TestGP0:
                      "--tableau", "0", "--out", str(out)]) == 3
         (rep,) = json.loads(out.read_text())["reports"]
         assert rep["verdict"] == "undecided" and "certificate" not in rep
+        assert "dependence" not in rep
+
+    def test_dependent_reports_offsets_and_exits_1(self, tmp_path, monkeypatch):
+        import tropdiv.chainbn as cb
+        build_Ek = cb.build_Ek
+
+        def shifted_Ek(T, chain, k):
+            # psi_1 = psi_0 + 3/2 keeps E_1, so the empty-cell table still
+            # checks, and makes phi_j + psi_1 a shift of phi_j + psi_0
+            E, psi = build_Ek(T, chain, k)
+            if k == 1:
+                psi = build_Ek(T, chain, 0)[1].add_const(Fraction(3, 2))
+            return E, psi
+
+        families = []
+
+        def known_dependence(fam):
+            families.append(fam)
+            offsets = (Fraction(0), Fraction(-3, 2), None, None)
+            return DependenceCertificate(
+                offsets, min_combination(fam[:2], offsets[:2]))
+
+        monkeypatch.setattr(cb, "build_Ek", shifted_Ek)
+        monkeypatch.setattr(cb, "find_independence_certificate",
+                            lambda fam, report=None: None)
+        monkeypatch.setattr(cb, "find_dependence", known_dependence)
+        out = tmp_path / "gp.json"
+        assert main(["gp0", "--g", "4", "--r", "1", "--d", "3",
+                     "--tableau", "0", "--out", str(out)]) == 1
+        (rep,) = json.loads(out.read_text())["reports"]
+        assert rep["verdict"] == "dependent" and "certificate" not in rep
+        assert rep["dependence"] == {"offsets": ["0", "-3/2", None, None]}
+        (fam,) = families
+        offsets = [None if b is None else sz.rat_from_json(b)
+                   for b in rep["dependence"]["offsets"]]
+        active = [j for j, b in enumerate(offsets) if b is not None]
+        assert verify_dependence([fam[j] for j in active],
+                                 [offsets[j] for j in active]) == (True, None)
 
     def test_nonzero_rho_is_usage_error(self):
         assert main(["gp0", "--g", "6", "--r", "3", "--d", "5"]) == 2

@@ -7,14 +7,16 @@ import pytest
 
 from tropdiv import PLFunction, default_generic_chain
 from tropdiv.chainbn import enumerate_tableaux, gp_rho_zero_experiment
-from tropdiv.errors import SearchCapError
+from tropdiv.errors import PreconditionError, SearchCapError
 from tropdiv.independence import (CERTIFICATE_DRAWS, IndependenceCertificate,
-                                  IndependenceReport, find_dependence,
+                                  IndependenceReport, _pair_tables,
+                                  find_dependence,
                                   find_independence_certificate,
                                   unique_min_locus, unique_min_permutation,
                                   verify_dependence, verify_independence)
 from tropdiv.plfunc import distance_function, min_combination
-from tropdiv.sampling import SplitMix64
+from tropdiv.sampling import (SplitMix64, random_effective_divisor,
+                              random_R_member)
 
 from .conftest import (circle_graph, point_contact_family, rho_zero_family,
                        theta_graph)
@@ -103,11 +105,62 @@ class TestFindDependence:
             find_dependence([f, g, p, q], max_candidates=1)
 
     def test_single_function_rejected(self):
-        from tropdiv.errors import PreconditionError
         G = theta_graph()
         f, _ = base_pair(G)
         with pytest.raises(PreconditionError):
             find_dependence([f])
+
+    def test_mixed_graphs_rejected_before_search(self):
+        # an equal graph that is a different object is still rejected
+        f, g = base_pair(theta_graph())
+        h, _ = base_pair(theta_graph())
+        report = IndependenceReport()
+        with pytest.raises(PreconditionError):
+            find_dependence([f, g, h], report=report)
+        assert report.candidates_tried == 0
+
+
+def exact_pair_tables(funcs):
+    """The dependence search's tables computed the exact way, from every
+    difference f_j - f_k built as a PLFunction: its critical values (the
+    values of its constant segments), its least and greatest breakpoint
+    values, and every function's value at every vertex."""
+    crit, box = {}, {}
+    for j, k in permutations(range(len(funcs)), 2):
+        diff = funcs[j] - funcs[k]
+        crit[(j, k)] = sorted({v1 for pts in diff.data.values()
+                               for (o1, v1), (o2, v2) in zip(pts, pts[1:])
+                               if v1 == v2 and o1 < o2})
+        vals = [v for pts in diff.data.values() for (_o, v) in pts]
+        box[(j, k)] = (min(vals), max(vals))
+    G = funcs[0].graph
+    probes = [[f(G.vertex_point(v)) for v in G.vertices] for f in funcs]
+    return crit, box, probes
+
+
+class TestPairTables:
+    def test_grid_tables_match_exact_differences(self):
+        rng = SplitMix64(0x6E1D)
+        graphs = [default_generic_chain(2).graph,
+                  default_generic_chain(3).graph, theta_graph()]
+        dens = set()
+        for t in range(12):
+            G = graphs[t % 3]
+            D = random_effective_divisor(G, rng, rng.randint(2, 4))
+            fam = [random_R_member(G, D, rng, moves=2)
+                   for _ in range(rng.randint(3, 5))]
+            den, crit, box, probes = _pair_tables(fam)
+            dens.add(den)
+            want_crit, want_box, want_probes = exact_pair_tables(fam)
+            assert {jk: [Fraction(v, den) for v in vs]
+                    for jk, vs in crit.items()} == want_crit
+            assert {jk: (Fraction(r[0], den), Fraction(r[-1], den))
+                    for jk, r in box.items()} == want_box
+            assert [[Fraction(v, den) for v in row]
+                    for row in probes] == want_probes
+        # crossings of the shifted minima give values off the integers, so
+        # the common-denominator scaling is exercised
+        assert max(dens) > 1
 
 
 def brute_force_unique_min(M):
@@ -141,7 +194,6 @@ class TestUniqueMinPermutation:
         assert unique_min_permutation([[third, third], [0, 0]]) is None
 
     def test_non_square_or_oversized_rejected(self):
-        from tropdiv.errors import PreconditionError
         from tropdiv.independence import MAX_FAMILY
         with pytest.raises(PreconditionError):
             unique_min_permutation([[0, 1], [2]])

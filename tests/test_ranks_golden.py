@@ -5,8 +5,10 @@ with debt) have their ``rank`` and ``riemann_roch_check`` outputs
 recomputed and compared with those recorded in ``data/ranks_golden.json``.
 Each entry carries its input, so the test does not depend on the sampler.
 
-The file was written by this module; rewrite it only for an intended
-change of output: ``PYTHONPATH=src python -m tests.test_ranks_golden``.
+The file was written by this module on the code of commit 0aa59e3, before
+the rank search moved onto the integer core, and added in ba16aed.
+Rewrite it only for an intended change of output:
+``PYTHONPATH=src python -m tests.test_ranks_golden``.
 """
 import json
 from pathlib import Path

@@ -6,8 +6,11 @@ of the (2,2) tableaux are recomputed and compared, as canonical JSON,
 with the outputs recorded in ``data/reductions_golden.json``.  Each entry
 carries its input, so the test does not depend on the sampler.
 
-The file was written by this module; rewrite it only for an intended
-change of output: ``PYTHONPATH=src python -m tests.test_reductions_golden``.
+The file was written by this module, first on the code of commit
+fe222ee (added in eb74198), and last rewritten by commit b8b04cd, whose
+change of the reduction's firing steps changed only the ``steps`` values.
+Rewrite it only for an intended change of output:
+``PYTHONPATH=src python -m tests.test_reductions_golden``.
 """
 import json
 from fractions import Fraction
