@@ -570,10 +570,9 @@ def default_generic_chain(g: int, extended: bool = False) -> ChainOfLoops:
 
 
 def check_genericity(chain: ChainOfLoops) -> bool:
-    """True iff no ell_i/m_i is a ratio of positive integers with sum <= 2g-2."""
+    """True iff no ell_i/m_i is a ratio a/b of positive integers with
+    a + b <= 2g-2.  In lowest terms p/q every such a/b is kp/kq, so that
+    holds iff p + q > 2g-2."""
     bound = 2 * chain.g - 2
-    bad = set()
-    for a in range(1, bound):
-        for b in range(1, bound - a + 1):
-            bad.add(Fraction(a, b))
-    return all(ell / m not in bad for ell, m in zip(chain.ell, chain.m))
+    return all((r := ell / m).numerator + r.denominator > bound
+               for ell, m in zip(chain.ell, chain.m))

@@ -11,12 +11,20 @@ Tropical combinations min_j(f_j + b_j) are computed edge by edge by
 where; ``min_combination``, ``distance_function``, ``agreement_region``
 and the dependence checks of ``tropdiv.independence`` are loops over it.
 Functions combined with each other must live on the same graph object.
+
+Every function is validated when it is built, results of arithmetic
+included.  Validation and ``+``/``-`` run on integers: an edge's offsets
+and values are multiplied by the lcm of their denominators, which keeps
+order and equality, and a slope is the same ratio of scaled integers.
+Integer slopes then make every value interpolated at a scaled offset an
+integer, so nothing is rounded and one ``Fraction`` is built per value.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from operator import itemgetter
+from math import lcm
+from operator import add, itemgetter, sub
 from typing import Iterable, Sequence
 
 from .errors import GraphError, PreconditionError, TheoremViolation
@@ -37,33 +45,51 @@ def _value_on(pts: EdgeData, off: Fraction) -> Fraction:
     return v1 + (v2 - v1) * (off - o1) / (o2 - o1)
 
 
-def _normalize_edge(pts: EdgeData, length: Fraction) -> EdgeData:
-    pts = sorted(pts)
-    if not pts or pts[0][0] != 0 or pts[-1][0] != length:
+def _scaled(pts: EdgeData, s: int) -> list[tuple[int, int]]:
+    """The breakpoints with offsets and values multiplied by ``s``, which
+    every denominator divides."""
+    return [(o.numerator * (s // o.denominator), v.numerator * (s // v.denominator))
+            for (o, v) in pts]
+
+
+def _between(p: tuple[int, int], q: tuple[int, int], o: int) -> int:
+    """The value at ``o`` on the integer-slope segment from p to q."""
+    (o1, v1), (o2, v2) = p, q
+    return v1 + (v2 - v1) // (o2 - o1) * (o - o1)
+
+
+def _normalize_edge(pts, length: Fraction) -> EdgeData:
+    """Sorted, deduplicated breakpoints covering [0, length], with integer
+    slopes and the collinear interior points dropped, all checked on the
+    edge's scaled integers.  The input's Fractions are kept; other values
+    are converted.
+    """
+    pts = [(o, v) if type(o) is type(v) is Fraction else (Fraction(o), Fraction(v))
+           for (o, v) in pts]
+    s = lcm(length.denominator, *(o.denominator for (o, _v) in pts),
+            *(v.denominator for (_o, v) in pts))
+    scaled = sorted((o, v, k) for k, (o, v) in enumerate(_scaled(pts, s)))
+    if (not scaled or scaled[0][0] != 0
+            or scaled[-1][0] != length.numerator * (s // length.denominator)):
         raise GraphError("edge data must cover the edge from offset 0 to its length")
-    out: EdgeData = [pts[0]]
-    for (o, v) in pts[1:]:
-        po, pv = out[-1]
-        if o == po:
-            if v != pv:
-                raise GraphError(f"conflicting values at offset {o}")
+    out = [scaled[0]]
+    for t in scaled[1:]:
+        if t[0] == out[-1][0]:
+            if t[1] != out[-1][1]:
+                raise GraphError(f"conflicting values at offset {pts[t[2]][0]}")
             continue
-        out.append((o, v))
-    # validate integer slopes, then drop interior breakpoints that are collinear
-    for (o1, v1), (o2, v2) in zip(out, out[1:]):
-        s = (v2 - v1) / (o2 - o1)
-        if s.denominator != 1:
-            raise GraphError(f"non-integer slope {s}")
-    merged: EdgeData = [out[0]]
-    for k in range(1, len(out) - 1):
-        o1, v1 = merged[-1]
-        o2, v2 = out[k]
-        o3, v3 = out[k + 1]
-        if (v2 - v1) * (o3 - o2) == (v3 - v2) * (o2 - o1):
-            continue
-        merged.append(out[k])
-    merged.append(out[-1])
-    return merged
+        out.append(t)
+    # a point is collinear with its neighbours iff the slopes on both
+    # sides agree
+    slopes = []
+    for (o1, v1, _k), (o2, v2, _l) in zip(out, out[1:]):
+        m, r = divmod(v2 - v1, o2 - o1)
+        if r:
+            raise GraphError(f"non-integer slope {Fraction(v2 - v1, o2 - o1)}")
+        slopes.append(m)
+    return ([pts[out[0][2]]]
+            + [pts[t[2]] for t, m1, m2 in zip(out[1:], slopes, slopes[1:]) if m1 != m2]
+            + [pts[out[-1][2]]])
 
 
 class PLFunction:
@@ -75,15 +101,18 @@ class PLFunction:
         for ei in range(len(graph.edges)):
             if ei not in data:
                 raise GraphError(f"missing data for edge {ei}")
-            norm[ei] = _normalize_edge([(Fraction(x), Fraction(y)) for (x, y) in data[ei]],
-                                       graph.edge_length(ei))
+            norm[ei] = _normalize_edge(data[ei], graph.edge_length(ei))
         self.data = norm
-        # continuity at vertices
-        for name in graph.vertices:
-            vals = {_value_on(self.data[ei], off) for (ei, off) in
-                    graph.edge_coordinates(graph.vertex_point(name))}
-            if len(vals) > 1:
-                raise GraphError(f"discontinuous at vertex {name}: {sorted(vals)}")
+        # continuity at vertices: every edge starts at its first end's
+        # value and ends at its second end's
+        at: list[Fraction | None] = [None] * len(graph.vertices)
+        for (i, j), pts in zip(graph.edge_ends, norm.values()):
+            for k, v in ((i, pts[0][1]), (j, pts[-1][1])):
+                if at[k] is None:
+                    at[k] = v
+                elif at[k] != v:
+                    raise GraphError(
+                        f"discontinuous at vertex {graph.vertices[k]}: {sorted({at[k], v})}")
 
     # -- evaluation ------------------------------------------------------
 
@@ -152,20 +181,39 @@ class PLFunction:
             for ei in range(len(graph.edges))})
 
     def _zip_with(self, other: "PLFunction", op) -> "PLFunction":
+        """``op`` of both functions at the union of their breakpoints, edge by
+        edge: one merge walk over offsets and values scaled to integers,
+        where integer slopes make every interpolated value an integer."""
         _same_graph([self, other])
         data = {}
-        for ei in self.data:
-            offs = sorted({o for (o, _v) in self.data[ei]} |
-                          {o for (o, _v) in other.data[ei]})
-            data[ei] = [(o, op(_value_on(self.data[ei], o),
-                               _value_on(other.data[ei], o))) for o in offs]
+        for ei, a in self.data.items():
+            b = other.data[ei]
+            s = lcm(*(x.denominator for pts in (a, b) for pt in pts for x in pt))
+            A, B = _scaled(a, s), _scaled(b, s)
+            out = []
+            i = k = 0
+            while True:
+                (oa, va), (ob, vb) = A[i], B[k]
+                if oa < ob:
+                    out.append((a[i][0], Fraction(op(va, _between(B[k - 1], B[k], oa)), s)))
+                    i += 1
+                elif ob < oa:
+                    out.append((b[k][0], Fraction(op(_between(A[i - 1], A[i], ob), vb), s)))
+                    k += 1
+                else:
+                    out.append((a[i][0], Fraction(op(va, vb), s)))
+                    if i == len(A) - 1:
+                        break
+                    i += 1
+                    k += 1
+            data[ei] = out
         return PLFunction(self.graph, data)
 
     def __add__(self, other: "PLFunction") -> "PLFunction":
-        return self._zip_with(other, lambda a, b: a + b)
+        return self._zip_with(other, add)
 
     def __sub__(self, other: "PLFunction") -> "PLFunction":
-        return self._zip_with(other, lambda a, b: a - b)
+        return self._zip_with(other, sub)
 
     def __neg__(self) -> "PLFunction":
         return self.scale(-1)

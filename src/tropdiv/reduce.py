@@ -20,17 +20,18 @@ search on these chips.
 
 Only chips move; the witness f with D + div(f) = D' is then solved from
 D' - D by one weighted-Laplacian system (Baker and Shokrieh, "Chip-firing
-games, potential theory on graphs, and spanning trees").
+games, potential theory on graphs, and spanning trees"), on the integers
+of the same kind of lattice, by fraction-free elimination.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .errors import PreconditionError, ReductionCapError, TheoremViolation
+from .errors import GraphError, PreconditionError, ReductionCapError, TheoremViolation
 from .graph import Divisor, Interval, MetricGraph, Point, Region
-from .plfunc import PLFunction, _value_on
+from .plfunc import PLFunction
 
 DEFAULT_MAX_STEPS = 10 ** 6
 
@@ -298,63 +299,106 @@ class ReductionResult:
     steps: int
 
 
+def _exact(num: int, den: int) -> int:
+    """num / den, an integer whenever the divisor being solved for is
+    principal."""
+    q, r = divmod(num, den)
+    if r:
+        raise GraphError("the divisor is not principal")
+    return q
+
+
 def _potential(graph: MetricGraph, E: Divisor, base: Point) -> PLFunction:
-    """The f with div(f) = E and f(base) = 0, for E principal.
+    """The f with div(f) = E and f(base) = 0; ``GraphError`` if E is not
+    principal.
 
     f is affine between the chips of E on each edge, so its vertex values
-    determine it.  They solve the weighted Laplacian (weight 1/L per edge
-    of length L) with the first vertex pinned to 0, where a chip c at
-    offset x sends c*(L-x)/L to the edge's first end and c*x/L to its
-    second.  The reduced Laplacian is positive definite, so exact
-    elimination needs no pivoting.  Each row keeps only its nonzero
-    columns; elimination keeps the matrix symmetric, so the rows below a
-    pivot with an entry in its column are the later columns of its row,
-    and a chain, almost tridiagonal in vertex order, fills in nothing.
+    determine it.  They solve the weighted Laplacian (weight 1/l per edge
+    of length l) with the first vertex pinned to 0, where a chip c at
+    offset x sends c*(l-x)/l to the edge's first end and c*x/l to its
+    second; the first vertex's equation, dropped, holds iff deg E = 0.
+    The system is solved on the integers of the lattice of E and the
+    base: with lengths and offsets in units of 1/L and P the lcm of the
+    lengths, every equation is multiplied by P, so the weights P/l and
+    the right-hand sides are integers, and the unknowns are L times f's
+    vertex values.  Those are integers when E is principal, as f then
+    has integer slopes and breakpoints on the lattice; a division that
+    leaves a remainder proves E is not.
+
+    The reduced Laplacian is positive definite, so elimination needs no
+    pivoting, and it is fraction-free: a row is updated as a multiple of
+    itself minus a multiple of the pivot row, then divided by the gcd of
+    its entries.  Each row keeps only its nonzero columns; elimination
+    keeps the pattern symmetric, so the rows below a pivot with an entry
+    in its column are the later columns of its row, and a chain, almost
+    tridiagonal in vertex order, fills in nothing.
     """
-    index = graph.vertex_index
-    n = len(index)
-    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
-    # each vertex's share of E
-    rhs = [Fraction(E.coeff(Point.at_vertex(v))) for v in graph.vertices]
-    chips: dict[int, list[tuple[Fraction, int]]] = {ei: [] for ei in range(len(graph.edges))}
-    for p, c in sorted(E.items(), key=lambda t: t[0].sort_key()):
-        if not p.is_vertex:
-            chips[p.edge].append((p.offset, c))
-    for ei, ((i, j), (_u, _v, length)) in enumerate(zip(graph.edge_ends, graph.edges)):
-        if i != j:
-            for a, b in ((i, j), (j, i)):
-                rows[a][a] = rows[a].get(a, 0) + 1 / length
-                rows[a][b] = rows[a].get(b, 0) - 1 / length
-        for x, c in chips[ei]:
-            rhs[i] += c * (length - x) / length
-            rhs[j] += c * x / length
+    if E.degree != 0:
+        raise GraphError(f"a divisor of degree {E.degree} is not principal")
+    lat = _Lattice(graph, [base, *E.support()])
+    n = len(graph.vertices)
+    P = lcm(*(length for (_u, _v, length) in lat.edges))
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    rhs = [0] * n
+    # (offset, chips, offset as a Fraction) on each edge; an interior base
+    # is a breakpoint without chips, so its value is read off the walk
+    chips: list[list[tuple[int, int, Fraction]]] = [[] for _ in lat.edges]
+    q = lat.key(base)
+    if type(q) is tuple:
+        chips[q[0]].append((q[1], 0, base.offset))
+    for p, c in E.items():
+        k = lat.key(p)
+        if type(k) is int:
+            rhs[k] += c * P
+        else:
+            chips[k[0]].append((k[1], c, p.offset))
+    for (i, j, length), on_edge in zip(lat.edges, chips):
+        w = P // length
+        on_edge.sort()
+        for a, b in ((i, j), (j, i)):
+            if a and a != b:
+                rows[a][a] = rows[a].get(a, 0) + w
+                if b:
+                    rows[a][b] = rows[a].get(b, 0) - w
+        for x, c, _o in on_edge:
+            rhs[i] += c * (length - x) * w
+            rhs[j] += c * x * w
     for k in range(1, n):
         pivot = rows[k]
         for i in [i for i in pivot if i > k]:
-            m = rows[i].pop(k) / pivot[k]
+            row = rows[i]
+            m = row.pop(k)
             if m:
-                row = rows[i]
+                a = pivot[k]
+                for j in row:
+                    row[j] *= a
                 for j, b in pivot.items():
                     if j > k:
                         row[j] = row.get(j, 0) - m * b
-                rhs[i] -= m * rhs[k]
-    val = [Fraction(0)] * n
+                rhs[i] = a * rhs[i] - m * rhs[k]
+                d = gcd(rhs[i], *row.values())
+                if d > 1:
+                    for j in row:
+                        row[j] //= d
+                    rhs[i] //= d
+    val = [0] * n
     for k in range(n - 1, 0, -1):
         row = rows[k]
-        val[k] = (rhs[k] - sum(a * val[j] for j, a in row.items() if j > k)) / row[k]
-    data: dict[int, list[tuple[Fraction, Fraction]]] = {}
-    for ei, ((i, j), (_u, _v, length)) in enumerate(zip(graph.edge_ends, graph.edges)):
+        val[k] = _exact(rhs[k] - sum(a * val[j] for j, a in row.items() if j > k), row[k])
+    data: dict[int, list[tuple[Fraction, int]]] = {}
+    for ei, ((i, j, length), on_edge) in enumerate(zip(lat.edges, chips)):
         # the slope leaving the first end; each chip c passed lowers it by c
-        o, y = Fraction(0), val[i]
-        slope = (val[j] - y + sum(c * (length - x) for x, c in chips[ei])) / length
-        data[ei] = [(o, y)]
-        for x, c in chips[ei] + [(length, 0)]:
+        slope = _exact(val[j] - val[i] + sum(c * (length - x) for x, c, _o in on_edge), length)
+        o, y = 0, val[i]
+        data[ei] = pts = [(Fraction(0), y)]
+        for x, c, off in on_edge:
             y += slope * (x - o)
-            data[ei].append((x, y))
+            pts.append((off, y))
             o, slope = x, slope - c
-    ei, off = graph.edge_coordinates(base)[0]
-    shift = _value_on(data[ei], off)
-    return PLFunction(graph, {ei: [(o, y - shift) for (o, y) in pts]
+        pts.append((graph.edge_length(ei), y + slope * (length - o)))
+    shift = val[q] if type(q) is int else next(y for (off, y) in data[q[0]] if off == base.offset)
+    L = lat.scale
+    return PLFunction(graph, {ei: [(o, Fraction(y - shift, L)) for (o, y) in pts]
                               for ei, pts in data.items()})
 
 

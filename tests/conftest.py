@@ -44,6 +44,13 @@ def theta_graph() -> MetricGraph:
     ])
 
 
+def coprime_graph() -> MetricGraph:
+    """Three parallel edges whose lengths have coprime denominators 3, 7
+    and 11, one of them oriented the other way."""
+    return MetricGraph(["a", "b"], [("a", "b", Fraction(1, 3)), ("a", "b", Fraction(2, 7)),
+                                    ("b", "a", Fraction(5, 11))])
+
+
 def random_connected_graph(rng: SplitMix64) -> MetricGraph:
     """A small random connected metric graph with rational edge lengths."""
     n = rng.randint(2, 4)

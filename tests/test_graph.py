@@ -8,6 +8,7 @@ from tropdiv import (ChainOfLoops, Divisor, Interval, MetricGraph, Point,
                      Region, canonical_divisor, check_genericity,
                      default_generic_chain)
 from tropdiv.errors import GraphError
+from tropdiv.sampling import SplitMix64
 
 from .conftest import circle_graph, theta_graph
 
@@ -180,6 +181,22 @@ class TestChainOfLoops:
         assert check_genericity(default_generic_chain(4))
         bad = ChainOfLoops(2, [1, 1], [1, 1], [1])
         assert not check_genericity(bad)
+
+    def test_genericity_matches_the_set_of_small_ratios(self):
+        # loop lengths of small height, so that ratios of small sum, their
+        # multiples and near misses all come up
+        rng = SplitMix64(0x6E7E)
+        outcomes = set()
+        for t in range(200):
+            g = 2 + t % 11
+            bound = 2 * g - 2
+            bad = {Fraction(a, b) for a in range(1, bound) for b in range(1, bound - a + 1)}
+            ell = [Fraction(rng.randint(1, 24), rng.randint(1, 12)) for _ in range(g)]
+            m = [Fraction(rng.randint(1, 24), rng.randint(1, 12)) for _ in range(g)]
+            want = all(x / y not in bad for x, y in zip(ell, m))
+            assert check_genericity(ChainOfLoops(g, ell, m, [1] * (g - 1))) == want
+            outcomes.add((g > 6, want))
+        assert len(outcomes) == 4
 
     def test_rank_determining_set_is_vertex_set(self, chain3):
         pts = chain3.rank_determining_set()

@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from tropdiv import PLFunction, default_generic_chain
+from tropdiv import MetricGraph, PLFunction, default_generic_chain
 from tropdiv.chainbn import enumerate_tableaux, gp_rho_zero_experiment
 from tropdiv.errors import PreconditionError, SearchCapError
 from tropdiv.independence import (CERTIFICATE_DRAWS, IndependenceCertificate,
@@ -81,6 +81,19 @@ class TestFindDependence:
         offs = [off for off in cert.offsets if off is not None]
         ok, _ = verify_dependence(active, offs)
         assert ok
+        assert cert.theta == min_combination(active, offs)
+
+    def test_candidate_passing_the_probes_is_checked_exactly(self):
+        # f and g agree near both vertices, so the one candidate, offsets
+        # (0, 0), passes the vertex probes, yet f alone attains the minimum
+        # in the middle of the edge
+        G = MetricGraph(["a", "b"], [("a", "b", 2)])
+        f = PLFunction.constant(G, 0)
+        g = PLFunction(G, {0: [(0, 0), (Fraction(1, 2), 0), (1, Fraction(1, 2)),
+                               (Fraction(3, 2), 0), (2, 0)]})
+        report = IndependenceReport()
+        assert find_dependence([f, g], report=report) is None
+        assert report.candidates_tried == 1
 
     def test_independent_family_returns_none(self):
         G = theta_graph()

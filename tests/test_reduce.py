@@ -10,7 +10,7 @@ from tropdiv import (Divisor, MetricGraph, Point, canonical_divisor,
 from tropdiv.errors import (GraphError, PreconditionError, ReductionCapError,
                             TheoremViolation)
 from tropdiv.plfunc import distance_function, min_combination
-from tropdiv.reduce import (default_base, default_rank_points, dhar_burn,
+from tropdiv.reduce import (_potential, default_base, default_rank_points, dhar_burn,
                             dhar_unburnt, effective_class, find_unoccupied_edge,
                             is_equivalent, is_reduced, rank,
                             rank_subdivision_oracle, riemann_roch_check,
@@ -18,7 +18,7 @@ from tropdiv.reduce import (default_base, default_rank_points, dhar_burn,
 from tropdiv.sampling import (SplitMix64, random_divisor, random_effective_divisor,
                               random_point)
 
-from .conftest import circle_graph, theta_graph
+from .conftest import circle_graph, coprime_graph, theta_graph
 
 
 def lollipop_graph() -> MetricGraph:
@@ -30,13 +30,6 @@ def bouquet_graph() -> MetricGraph:
     """One vertex with two loops: the Laplacian system for the witness's
     vertex values is empty."""
     return MetricGraph(["a"], [("a", "a", Fraction(2)), ("a", "a", Fraction(5, 2))])
-
-
-def coprime_graph() -> MetricGraph:
-    """Three parallel edges whose lengths have coprime denominators 3, 7
-    and 11, one of them oriented the other way."""
-    return MetricGraph(["a", "b"], [("a", "b", Fraction(1, 3)), ("a", "b", Fraction(2, 7)),
-                                    ("b", "a", Fraction(5, 11))])
 
 
 class TestBurning:
@@ -265,6 +258,28 @@ class TestEquivalence:
         G = chain2.graph
         assert effective_class(G, Divisor({chain2.v(1): 1}))
         assert not effective_class(G, Divisor({chain2.v(1): -1}))
+
+    @pytest.mark.parametrize("make", [theta_graph, coprime_graph,
+                                      lambda: default_generic_chain(2).graph])
+    def test_potential_rejects_non_principal_divisors(self, make):
+        # degree 0 but not principal: two distinct points on a graph of
+        # genus > 0, and a chip moved off a vertex by less than an edge
+        G = make()
+        a, b = G.vertex_point(G.vertices[0]), G.vertex_point(G.vertices[1])
+        for E in (Divisor({a: 1, b: -1}), Divisor({G.point(0, G.edge_length(0) / 3): 1, a: -1})):
+            with pytest.raises(GraphError):
+                _potential(G, E, a)
+            with pytest.raises(GraphError):
+                _potential(G, E, G.point(0, G.edge_length(0) / 2))
+
+    def test_potential_rejects_nonzero_degree(self, chain2):
+        # the system pins the first vertex and drops its equation, so only
+        # the degree tells that a chip there is not principal
+        G = chain2.graph
+        a = G.vertex_point(G.vertices[0])
+        for E in (Divisor({a: 1}), Divisor({a: -2}), Divisor({chain2.w(2): 1})):
+            with pytest.raises(GraphError, match="degree"):
+                _potential(G, E, a)
 
 
 def brute_force_rank(G: MetricGraph, D: Divisor) -> int:
