@@ -28,7 +28,8 @@ from typing import Sequence
 
 from .errors import PreconditionError, SearchCapError
 from .graph import Interval, MetricGraph, Point, Region
-from .plfunc import PLFunction, _same_graph, _value_on, lower_envelope
+from .plfunc import (PLFunction, _same_graph, _value_on, lower_envelope,
+                     min_combination)
 from .sampling import SplitMix64
 
 MAX_FAMILY = 12
@@ -155,8 +156,7 @@ def find_dependence(funcs: Sequence[PLFunction],
     integers too, and scaling keeps equality and order: the candidates,
     their order and count, and the certificate are those of the search on
     exact rationals.  A candidate that passes the vertex probes is divided
-    by ``den`` and checked exactly, as ``verify_dependence`` checks it, on
-    the lower envelopes that then give the certificate's theta.
+    by ``den`` and checked exactly by ``verify_dependence``.
     """
     graph = _common_graph(funcs)
     n = len(funcs)
@@ -185,19 +185,15 @@ def find_dependence(funcs: Sequence[PLFunction],
         return True
 
     def full_check(subset, assignment):
-        # verify_dependence's check, cell by cell; theta is read off the
-        # same envelopes, as min_combination would build it
+        sub_funcs = [funcs[j] for j in subset]
         assignment = [Fraction(b, den) for b in assignment]
-        theta = {}
-        for ei in range(len(graph.edges)):
-            env = lower_envelope([funcs[j].data[ei] for j in subset], assignment)
-            if any(len(a & b) < 2 for (_o, _v, a), (_p, _w, b) in zip(env, env[1:])):
-                return None
-            theta[ei] = [(o, v) for (o, v, _a) in env]
+        if not verify_dependence(sub_funcs, assignment)[0]:
+            return None
         offsets: list[Fraction | None] = [None] * n
         for jpos, j in enumerate(subset):
             offsets[j] = assignment[jpos]
-        return DependenceCertificate(tuple(offsets), PLFunction(graph, theta))
+        theta = min_combination(sub_funcs, assignment)
+        return DependenceCertificate(tuple(offsets), theta)
 
     for size in range(2, n + 1):
         for subset in combinations(range(n), size):

@@ -308,20 +308,19 @@ def _exact(num: int, den: int) -> int:
     return q
 
 
-def _potential(graph: MetricGraph, E: Divisor, base: Point) -> PLFunction:
-    """The f with div(f) = E and f(base) = 0; ``GraphError`` if E is not
-    principal.
+def _potential(lat: _Lattice, E: Divisor, base: Point) -> PLFunction:
+    """The f with div(f) = E and f(base) = 0, for E and the base on the
+    lattice ``lat``; ``GraphError`` if E is not principal.
 
     f is affine between the chips of E on each edge, so its vertex values
     determine it.  They solve the weighted Laplacian (weight 1/l per edge
     of length l) with the first vertex pinned to 0, where a chip c at
     offset x sends c*(l-x)/l to the edge's first end and c*x/l to its
     second; the first vertex's equation, dropped, holds iff deg E = 0.
-    The system is solved on the integers of the lattice of E and the
-    base: with lengths and offsets in units of 1/L and P the lcm of the
-    lengths, every equation is multiplied by P, so the weights P/l and
-    the right-hand sides are integers, and the unknowns are L times f's
-    vertex values.  Those are integers when E is principal, as f then
+    The system is solved on the integers of the lattice: with lengths
+    and offsets in units of 1/L and P the lcm of the lengths, every
+    equation is multiplied by P, so the weights P/l and the right-hand
+    sides are integers, and the unknowns are L times f's vertex values.  Those are integers when E is principal, as f then
     has integer slopes and breakpoints on the lattice; a division that
     leaves a remainder proves E is not.
 
@@ -335,7 +334,7 @@ def _potential(graph: MetricGraph, E: Divisor, base: Point) -> PLFunction:
     """
     if E.degree != 0:
         raise GraphError(f"a divisor of degree {E.degree} is not principal")
-    lat = _Lattice(graph, [base, *E.support()])
+    graph = lat.graph
     n = len(graph.vertices)
     P = lcm(*(length for (_u, _v, length) in lat.edges))
     rows: list[dict[int, int]] = [{} for _ in range(n)]
@@ -421,7 +420,8 @@ def v_reduce(graph: MetricGraph, D: Divisor, base: Point,
     _clear_debt(lat, chips, q, budget)
     _fire(lat, chips, q, budget)
     red = lat.divisor(chips)
-    witness = _potential(graph, red - D, base) if track_witness else None
+    # red - D lives on the lattice of D and the base
+    witness = _potential(lat, red - D, base) if track_witness else None
     return ReductionResult(red, witness, max_steps - budget[0])
 
 
@@ -448,7 +448,8 @@ def is_equivalent(graph: MetricGraph, D1: Divisor, D2: Divisor) -> PLFunction | 
     if (v_reduce(graph, D1, base, track_witness=False).reduced
             != v_reduce(graph, D2, base, track_witness=False).reduced):
         return None
-    return _potential(graph, D2 - D1, base)
+    E = D2 - D1
+    return _potential(_Lattice(graph, [base, *E.support()]), E, base)
 
 
 def effective_class(graph: MetricGraph, D: Divisor, base: Point | None = None) -> bool:

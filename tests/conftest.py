@@ -6,6 +6,7 @@ import pytest
 from tropdiv import MetricGraph, default_generic_chain
 from tropdiv.chainbn import build_Dj, build_Ek
 from tropdiv.plfunc import PLFunction
+from tropdiv.reduce import _Lattice, _potential
 from tropdiv.sampling import SplitMix64
 
 
@@ -49,6 +50,12 @@ def coprime_graph() -> MetricGraph:
     and 11, one of them oriented the other way."""
     return MetricGraph(["a", "b"], [("a", "b", Fraction(1, 3)), ("a", "b", Fraction(2, 7)),
                                     ("b", "a", Fraction(5, 11))])
+
+
+def solve_potential(G: MetricGraph, E, base) -> PLFunction:
+    """``reduce._potential`` on the lattice of E and the base, as
+    ``is_equivalent`` builds it."""
+    return _potential(_Lattice(G, [base, *E.support()]), E, base)
 
 
 def random_connected_graph(rng: SplitMix64) -> MetricGraph:
