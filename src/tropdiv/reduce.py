@@ -12,11 +12,15 @@ Burning and firing run on integers.  Every offset is a multiple of 1/L,
 where L is the lcm of the denominators of the edge lengths, of the
 divisor's offsets and of the base's offset; firing moves chips by
 distances between such offsets, so they stay on that lattice.  The core
-keeps chips in a per-vertex list and a dict from (edge, offset in units
-of 1/L) to count, rebuilds the subdivided model as integer segment arrays
-on every step, and converts to and from ``Divisor`` once per call.
-``rank`` builds one lattice per call and runs its whole depth-first
-search on these chips.
+keeps chips in a per-vertex list, a dict from (edge, offset in units of
+1/L) to count and, per edge, the sorted offsets that hold chips; it
+converts to and from ``Divisor`` once per call.  A firing step edits the
+offsets only where a chip leaves and where it lands.  The burn runs over
+the vertices and an interior base only: an edge, or the part of it on
+one side of an interior base, carries fire from end to end when it holds
+no chips, and otherwise its chips are read off its burnt ends (see
+``_Runs``).  ``rank`` builds one lattice per call and runs its whole
+depth-first search on these chips.
 
 Only chips move; the witness f with D + div(f) = D' is then solved from
 D' - D by one weighted-Laplacian system (Baker and Shokrieh, "Chip-firing
@@ -25,6 +29,7 @@ of the same kind of lattice, by fraction-free elimination.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -49,7 +54,7 @@ class _Lattice:
     length never leaves this lattice, so the core needs no rescaling.
     """
 
-    __slots__ = ("graph", "scale", "edges")
+    __slots__ = ("graph", "scale", "edges", "_runs")
 
     def __init__(self, graph: MetricGraph, points):
         dens = [length.denominator for (_u, _v, length) in graph.edges]
@@ -62,6 +67,8 @@ class _Lattice:
         # the graph's edges as (first end, second end, length) in integers
         self.edges = [(u, v, length.numerator * (L // length.denominator))
                       for (u, v), (_u, _v, length) in zip(graph.edge_ends, graph.edges)]
+        # one _Runs per base; there are at most as many bases as points
+        self._runs: dict = {}
 
     def key(self, p: Point):
         if p.is_vertex:
@@ -74,7 +81,7 @@ class _Lattice:
         return self.graph.point(key[0], Fraction(key[1], self.scale))
 
     def chips(self, D: Divisor) -> _Chips:
-        chips = _Chips(len(self.graph.vertices))
+        chips = _Chips(len(self.graph.vertices), len(self.edges))
         for p, c in D.items():
             chips.add(self.key(p), c)
         return chips
@@ -82,16 +89,25 @@ class _Lattice:
     def divisor(self, chips: _Chips) -> Divisor:
         return Divisor({self.point(k): c for k, c in chips.items()})
 
+    def runs(self, base) -> _Runs:
+        runs = self._runs.get(base)
+        if runs is None:
+            runs = self._runs[base] = _Runs(self, base)
+        return runs
+
 
 class _Chips:
-    """An integer divisor: chips per vertex index, plus a dict from
-    (edge, offset) to its nonzero count."""
+    """An integer divisor: chips per vertex index, a dict from (edge,
+    offset) to its nonzero count, and per edge the sorted tuple of those
+    offsets.  The tuples are replaced, never changed, so copies share
+    them."""
 
-    __slots__ = ("at_vertex", "on_edge")
+    __slots__ = ("at_vertex", "on_edge", "offsets")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, m: int):
         self.at_vertex = [0] * n
         self.on_edge: dict[tuple[int, int], int] = {}
+        self.offsets: list[tuple[int, ...]] = [()] * m
 
     def get(self, key) -> int:
         if type(key) is int:
@@ -101,72 +117,136 @@ class _Chips:
     def add(self, key, c: int) -> None:
         if type(key) is int:
             self.at_vertex[key] += c
-        elif c := self.on_edge.get(key, 0) + c:
+            return
+        old = self.on_edge.get(key, 0)
+        if c := old + c:
             self.on_edge[key] = c
         else:
             del self.on_edge[key]
+        if not (old and c):
+            # the offset starts or stops holding chips
+            e, k = key
+            offs = self.offsets[e]
+            i = bisect_left(offs, k)
+            self.offsets[e] = offs[:i] + (k,) + offs[i:] if c else offs[:i] + offs[i + 1:]
 
     def items(self):
         return [(i, c) for i, c in enumerate(self.at_vertex) if c] + list(self.on_edge.items())
 
     def copy(self) -> _Chips:
-        new = _Chips(0)
+        new = _Chips.__new__(_Chips)
         new.at_vertex = self.at_vertex[:]
         new.on_edge = self.on_edge.copy()
+        new.offsets = self.offsets[:]
         return new
 
 
-def _burn(lat: _Lattice, chips: _Chips, base):
-    """Subdivide every edge at the chips' interior points and at ``base``,
-    then burn from the base: a node burns once more burning directions
-    reach it than it holds chips.
+class _Runs:
+    """The edges of a lattice cut at a base into runs (edge, lo, hi, a, b),
+    from node a at offset lo to node b at hi.  The nodes are the vertex
+    indices; an interior base is node n and splits its edge into two
+    runs, the second appended after the edges.  ``base`` is the base's
+    node, and ``cut`` an interior base's key or None.  ``inc`` lists each
+    node's run ends as (run, side, node at the other end), side 0 being lo.
 
-    Nodes 0..n-1 are the vertices, the others the cut points in edge and
-    offset order; ``keys`` names each node.  Returns the segments
-    (edge, lo, hi, a, b) in the same order, the segments at each node, the
-    keys, which nodes burnt and the base's node.
+    A corridor leaves a run at one end and goes on through valence-two
+    vertices up to the base or a vertex of another valence.  Past the
+    run's end it depends on the graph and the base only, so ``tails``
+    holds it for each run and side, as its length and its pieces
+    (edge, start, direction, length).
     """
-    cuts: dict[int, list[int]] = {}
-    for (e, k) in chips.on_edge:
-        cuts.setdefault(e, []).append(k)
-    if type(base) is tuple and base not in chips.on_edge:
-        cuts.setdefault(base[0], []).append(base[1])
-    count = chips.at_vertex[:]
-    keys: list = list(range(len(count)))
-    inc: list[list[int]] = [[] for _ in keys]
-    segs: list[tuple[int, int, int, int, int]] = []
-    bid = base
-    for e, (a, v, length) in enumerate(lat.edges):
-        lo = 0
-        for k in sorted(cuts.get(e, ())):
-            b, key = len(keys), (e, k)
-            if key == base:
-                bid = b
-            keys.append(key)
-            count.append(chips.on_edge.get(key, 0))
-            inc.append([len(segs)])
-            inc[a].append(len(segs))
-            segs.append((e, lo, k, a, b))
-            a, lo = b, k
-        inc[a].append(len(segs))
-        inc[v].append(len(segs))
-        segs.append((e, lo, length, a, v))
 
-    burnt = [False] * len(keys)
-    burnt[bid] = True
-    arrivals = [0] * len(keys)
-    frontier = [bid]
-    while frontier:
-        x = frontier.pop()
-        for s in inc[x]:
-            _e, _lo, _hi, a, b = segs[s]
-            y = b if a == x else a
-            if not burnt[y]:
-                arrivals[y] += 1
-                if arrivals[y] > count[y]:
-                    burnt[y] = True
-                    frontier.append(y)
-    return segs, inc, keys, burnt, bid
+    __slots__ = ("runs", "inc", "base", "cut", "tails")
+
+    def __init__(self, lat: _Lattice, base):
+        n = len(lat.graph.vertices)
+        runs = [(e, 0, length, u, v) for e, (u, v, length) in enumerate(lat.edges)]
+        self.base, self.cut = base, None
+        if type(base) is tuple:
+            e, k = self.cut = base
+            u, v, length = lat.edges[e]
+            runs[e] = (e, 0, k, u, n)
+            runs.append((e, k, length, n, v))
+            self.base, n = n, n + 1
+        self.inc: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        for r, (_e, _lo, _hi, a, b) in enumerate(runs):
+            self.inc[a].append((r, 0, b))
+            self.inc[b].append((r, 1, a))
+        self.runs = runs
+        self.tails = [(self._tail(r, 0), self._tail(r, 1)) for r in range(len(runs))]
+
+    def _tail(self, r: int, side: int):
+        pieces, total = [], 0
+        y = self.runs[r][3 + side]
+        while y != self.base and len(self.inc[y]) == 2:
+            (r1, s1, _y1), (r2, s2, _y2) = self.inc[y]
+            r, s = (r2, s2) if (r1, s1) == (r, side) else (r1, s1)
+            e, lo, hi, a, b = self.runs[r]
+            pieces.append((e, lo, 1, hi - lo) if s == 0 else (e, hi, -1, hi - lo))
+            total += hi - lo
+            side, y = 1 - s, (b if s == 0 else a)
+        # most runs end at the base or a branch vertex; those share one tail
+        return (total, tuple(pieces)) if pieces else (0, ())
+
+    def burn(self, chips: _Chips):
+        """Burn from the base over the nodes.  Fire crosses a run only if
+        it holds no chips; otherwise it stops at the first chip from each
+        end.  A node burns once more burning runs reach it than it holds
+        chips.
+
+        Returns the chip offsets strictly inside each run and, for each
+        node, its chips less the burning runs that reached it: negative
+        iff the node burnt.  A run's lone chip point holding one chip also
+        burns when both ends of the run do, but fire reaches nothing new
+        through it.
+        """
+        inside, left = chips.offsets, chips.at_vertex[:]
+        if self.cut is not None:
+            e, k = self.cut
+            offs = inside[e]
+            i = bisect_left(offs, k)
+            j = i + 1 if i < len(offs) and offs[i] == k else i
+            inside = inside + [offs[j:]]
+            inside[e] = offs[:i]
+            left.append(0)
+        left[self.base] = -1
+        inc = self.inc
+        frontier = [self.base]
+        while frontier:
+            for r, _side, y in inc[frontier.pop()]:
+                if left[y] >= 0 and not inside[r]:
+                    left[y] -= 1
+                    if left[y] < 0:
+                        frontier.append(y)
+        return inside, left
+
+    def germs(self, chips: _Chips):
+        """Burn, then read off each germ leaving the unburnt set as (key,
+        edge, offset, direction, distance to the run's end, tail): the
+        unburnt point's key and offset, the direction along the edge in
+        which it leaves, and the rest of its corridor."""
+        inside, left = self.burn(chips)
+        germs = []
+        for offs, (e, lo, hi, a, b), (tail_a, tail_b) in zip(inside, self.runs, self.tails):
+            burnt_a, burnt_b = left[a] < 0, left[b] < 0
+            if not offs:
+                if burnt_a != burnt_b:
+                    germs.append((b, e, hi, -1, hi - lo, tail_a) if burnt_a else
+                                 (a, e, lo, 1, hi - lo, tail_b))
+            elif burnt_a or burnt_b:
+                if burnt_a and burnt_b and _lone(chips, e, offs):
+                    continue
+                if burnt_a:
+                    germs.append(((e, offs[0]), e, offs[0], -1, offs[0] - lo, tail_a))
+                if burnt_b:
+                    germs.append(((e, offs[-1]), e, offs[-1], 1, hi - offs[-1], tail_b))
+        return germs
+
+
+def _lone(chips: _Chips, e: int, offs) -> bool:
+    """Whether a run's chips are one chip at one point: that point burns
+    once fire reaches it from both ends."""
+    return len(offs) == 1 and chips.on_edge[(e, offs[0])] == 1
 
 
 def _fire(lat: _Lattice, chips: _Chips, base, budget: list[int]) -> None:
@@ -175,48 +255,38 @@ def _fire(lat: _Lattice, chips: _Chips, base, budget: list[int]) -> None:
     must be effective away from the base; each firing step draws one from
     ``budget``.
 
-    A step fires the unburnt set by eps.  Each germ leaving it is followed
-    through burnt valence-two nodes to the base or a branch node, and eps
-    is the shortest such corridor, so a chip crosses a whole corridor in
-    one step.  Fire reaches the inner nodes of a corridor only through its
-    ends, so no corridor ends at an unburnt node, and two never meet.
+    A step burns the base's runs (``_Runs.burn``) and fires the unburnt
+    set by eps.  Each germ leaving it is followed through burnt interior
+    chip points and valence-two vertices to the base or a vertex of
+    another valence, and eps is the shortest such corridor, so a chip
+    crosses a whole corridor in one step.  Fire reaches the inner points
+    of a corridor only through its ends, so no corridor ends at an
+    unburnt point, and two never meet.  A step changes the chip offsets
+    only where a chip leaves its germ and where it lands.
     """
+    runs = lat.runs(base)
     while True:
-        segs, inc, keys, burnt, bid = _burn(lat, chips, base)
-        if all(burnt):
+        germs = runs.germs(chips)
+        if not germs:
             return
         if budget[0] <= 0:
             raise ReductionCapError("reduction did not finish within its step budget")
         budget[0] -= 1
-        germs = []
-        for si, (_e, _lo, _hi, a, b) in enumerate(segs):
-            if burnt[a] == burnt[b]:
-                continue
-            prev = b if burnt[a] else a
-            walk: list[tuple[int, bool]] = []
-            total, s, x = 0, si, prev
-            while True:
-                _e, o1, o2, u, v = segs[s]
-                walk.append((s, prev == u))
-                total += o2 - o1
-                nxt = v if prev == u else u
-                if nxt == bid or len(inc[nxt]) != 2:
-                    break
-                s1, s2 = inc[nxt]
-                s, prev = (s2 if s == s1 else s1), nxt
-            germs.append((x, walk, total))
-        eps = min(total for (_x, _walk, total) in germs)
-        for x, walk, _total in germs:
-            chips.add(keys[x], -1)
+        eps = min(first + tail[0] for (_x, _e, _o, _d, first, tail) in germs)
+        for x, e, o, direction, first, (_total, pieces) in germs:
+            chips.add(x, -1)
+            # the chip lands eps along its corridor: on its own run, or on
+            # the first piece of the tail that reaches that far
             rest = eps
-            for s, forward in walk:
-                e, o1, o2, _u, _v = segs[s]
-                if rest <= o2 - o1:
-                    k = o1 + rest if forward else o2 - rest
-                    u, v, length = lat.edges[e]
-                    chips.add(u if k == 0 else v if k == length else (e, k), 1)
-                    break
-                rest -= o2 - o1
+            if rest > first:
+                rest -= first
+                for e, o, direction, length in pieces:
+                    if rest <= length:
+                        break
+                    rest -= length
+            k = o + direction * rest
+            u, v, length = lat.edges[e]
+            chips.add(u if k == 0 else v if k == length else (e, k), 1)
 
 
 def _clear_debt(lat: _Lattice, chips: _Chips, base, budget: list[int]) -> None:
@@ -232,7 +302,7 @@ def _clear_debt(lat: _Lattice, chips: _Chips, base, budget: list[int]) -> None:
     """
     top = lat.graph.betti() + 1
     for p, c in [(p, c) for p, c in chips.items() if c < 0 and p != base]:
-        z = _Chips(len(chips.at_vertex))
+        z = _Chips(len(chips.at_vertex), len(chips.offsets))
         z.add(base, top)
         z.add(p, -1)
         _fire(lat, z, p, budget)
@@ -251,32 +321,48 @@ def _clear_debt(lat: _Lattice, chips: _Chips, base, budget: list[int]) -> None:
 
 @dataclass
 class BurnResult:
-    """One burn from a base point, on the model that subdivides each edge
-    at the divisor's interior points and at the base."""
+    """One burn from a base point.  A point of the graph is unburnt iff it
+    is an unburnt vertex or chip point, or lies inside one of
+    ``unburnt_segments``."""
 
     all_burnt: bool
+    # the unburnt vertices and interior chip points
     unburnt: set[Point]
-    # segments of the model with both endpoints unburnt: (edge, lo, hi)
+    # the pieces (edge, lo, hi) into which the vertices, the chip points
+    # and an interior base cut the edges, with both ends unburnt; sorted
     unburnt_segments: list[tuple[int, Fraction, Fraction]]
 
 
 def dhar_burn(graph: MetricGraph, D: Divisor, base: Point) -> BurnResult:
     """One pass of the burning algorithm from ``base``.
 
-    This is the burn that ``v_reduce`` runs before every firing step, on
-    D converted to the integer core and back.  Requires D effective away
-    from the base point and every point on the graph.
+    This is the burn that ``v_reduce`` runs before every firing step
+    (``_Runs.burn``), on D converted to the integer core and back.  On
+    each run, the points between its ends and its chips are read off the
+    burnt ends: a run without chips burns iff an end does, and in a run
+    with chips only a lone one-chip point between two burnt ends burns.
+    Requires D effective away from the base point and every point on the
+    graph.
     """
     lat = _Lattice(graph, [base, *D.support()])
     for p, c in D.items():
         if c < 0 and p != base:
             raise PreconditionError(f"divisor has debt {c} at {p} away from the base")
-    segs, _inc, keys, burnt, _bid = _burn(lat, lat.chips(D), lat.key(base))
+    chips, runs = lat.chips(D), lat.runs(lat.key(base))
+    inside, left = runs.burn(chips)
+    burnt = [c < 0 for c in left]
     L = lat.scale
-    unburnt = {lat.point(k) for k, b in zip(keys, burnt) if not b}
-    unb_segs = [(e, Fraction(lo, L), Fraction(hi, L))
-                for (e, lo, hi, a, b) in segs if not (burnt[a] or burnt[b])]
-    return BurnResult(not unburnt, unburnt, unb_segs)
+    unburnt = {lat.point(x) for x in range(len(graph.vertices)) if not burnt[x]}
+    unb_segs = []
+    for r, (e, lo, hi, a, b) in enumerate(runs.runs):
+        offs = inside[r]
+        if burnt[a] and burnt[b] and (not offs or _lone(chips, e, offs)):
+            continue
+        unburnt.update(lat.point((e, k)) for k in offs)
+        stops = [(lo, burnt[a]), *((k, False) for k in offs), (hi, burnt[b])]
+        unb_segs += [(e, Fraction(k1, L), Fraction(k2, L))
+                     for (k1, b1), (k2, b2) in zip(stops, stops[1:]) if not (b1 or b2)]
+    return BurnResult(not unburnt, unburnt, sorted(unb_segs))
 
 
 def dhar_unburnt(graph: MetricGraph, D: Divisor, base: Point) -> Region:
@@ -320,9 +406,10 @@ def _potential(lat: _Lattice, E: Divisor, base: Point) -> PLFunction:
     The system is solved on the integers of the lattice: with lengths
     and offsets in units of 1/L and P the lcm of the lengths, every
     equation is multiplied by P, so the weights P/l and the right-hand
-    sides are integers, and the unknowns are L times f's vertex values.  Those are integers when E is principal, as f then
-    has integer slopes and breakpoints on the lattice; a division that
-    leaves a remainder proves E is not.
+    sides are integers, and the unknowns are L times f's vertex values.
+    Those are integers when E is principal, as f then has integer slopes
+    and breakpoints on the lattice; a division that leaves a remainder
+    proves E is not.
 
     The reduced Laplacian is positive definite, so elimination needs no
     pivoting, and it is fraction-free: a row is updated as a multiple of

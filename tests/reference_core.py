@@ -1,0 +1,129 @@
+"""The reduction core as it was before burning per edge: every firing
+step rebuilds the model subdividing each edge at the chips' interior
+points and at the base, and burns it node by node.  Kept unchanged as a
+test-only reference for ``tropdiv.reduce``'s burn and firing loop."""
+from __future__ import annotations
+
+from fractions import Fraction
+
+from tropdiv.errors import PreconditionError, ReductionCapError
+from tropdiv.reduce import BurnResult, _Chips, _Lattice
+
+
+def _burn(lat: _Lattice, chips: _Chips, base):
+    """Subdivide every edge at the chips' interior points and at ``base``,
+    then burn from the base: a node burns once more burning directions
+    reach it than it holds chips.
+
+    Nodes 0..n-1 are the vertices, the others the cut points in edge and
+    offset order; ``keys`` names each node.  Returns the segments
+    (edge, lo, hi, a, b) in the same order, the segments at each node, the
+    keys, which nodes burnt and the base's node.
+    """
+    cuts: dict[int, list[int]] = {}
+    for (e, k) in chips.on_edge:
+        cuts.setdefault(e, []).append(k)
+    if type(base) is tuple and base not in chips.on_edge:
+        cuts.setdefault(base[0], []).append(base[1])
+    count = chips.at_vertex[:]
+    keys: list = list(range(len(count)))
+    inc: list[list[int]] = [[] for _ in keys]
+    segs: list[tuple[int, int, int, int, int]] = []
+    bid = base
+    for e, (a, v, length) in enumerate(lat.edges):
+        lo = 0
+        for k in sorted(cuts.get(e, ())):
+            b, key = len(keys), (e, k)
+            if key == base:
+                bid = b
+            keys.append(key)
+            count.append(chips.on_edge.get(key, 0))
+            inc.append([len(segs)])
+            inc[a].append(len(segs))
+            segs.append((e, lo, k, a, b))
+            a, lo = b, k
+        inc[a].append(len(segs))
+        inc[v].append(len(segs))
+        segs.append((e, lo, length, a, v))
+
+    burnt = [False] * len(keys)
+    burnt[bid] = True
+    arrivals = [0] * len(keys)
+    frontier = [bid]
+    while frontier:
+        x = frontier.pop()
+        for s in inc[x]:
+            _e, _lo, _hi, a, b = segs[s]
+            y = b if a == x else a
+            if not burnt[y]:
+                arrivals[y] += 1
+                if arrivals[y] > count[y]:
+                    burnt[y] = True
+                    frontier.append(y)
+    return segs, inc, keys, burnt, bid
+
+
+def _fire(lat: _Lattice, chips: _Chips, base, budget: list[int]) -> None:
+    """Fire ``chips`` toward ``base``, in place, until they burn
+    completely: the result is the divisor reduced at the base.  The chips
+    must be effective away from the base; each firing step draws one from
+    ``budget``.
+
+    A step fires the unburnt set by eps.  Each germ leaving it is followed
+    through burnt valence-two nodes to the base or a branch node, and eps
+    is the shortest such corridor, so a chip crosses a whole corridor in
+    one step.  Fire reaches the inner nodes of a corridor only through its
+    ends, so no corridor ends at an unburnt node, and two never meet.
+    """
+    while True:
+        segs, inc, keys, burnt, bid = _burn(lat, chips, base)
+        if all(burnt):
+            return
+        if budget[0] <= 0:
+            raise ReductionCapError("reduction did not finish within its step budget")
+        budget[0] -= 1
+        germs = []
+        for si, (_e, _lo, _hi, a, b) in enumerate(segs):
+            if burnt[a] == burnt[b]:
+                continue
+            prev = b if burnt[a] else a
+            walk: list[tuple[int, bool]] = []
+            total, s, x = 0, si, prev
+            while True:
+                _e, o1, o2, u, v = segs[s]
+                walk.append((s, prev == u))
+                total += o2 - o1
+                nxt = v if prev == u else u
+                if nxt == bid or len(inc[nxt]) != 2:
+                    break
+                s1, s2 = inc[nxt]
+                s, prev = (s2 if s == s1 else s1), nxt
+            germs.append((x, walk, total))
+        eps = min(total for (_x, _walk, total) in germs)
+        for x, walk, _total in germs:
+            chips.add(keys[x], -1)
+            rest = eps
+            for s, forward in walk:
+                e, o1, o2, _u, _v = segs[s]
+                if rest <= o2 - o1:
+                    k = o1 + rest if forward else o2 - rest
+                    u, v, length = lat.edges[e]
+                    chips.add(u if k == 0 else v if k == length else (e, k), 1)
+                    break
+                rest -= o2 - o1
+
+
+
+
+def dhar_burn(graph, D, base) -> BurnResult:
+    """``reduce.dhar_burn`` on the reference burn."""
+    lat = _Lattice(graph, [base, *D.support()])
+    for p, c in D.items():
+        if c < 0 and p != base:
+            raise PreconditionError(f"divisor has debt {c} at {p} away from the base")
+    segs, _inc, keys, burnt, _bid = _burn(lat, lat.chips(D), lat.key(base))
+    L = lat.scale
+    unburnt = {lat.point(k) for k, b in zip(keys, burnt) if not b}
+    unb_segs = [(e, Fraction(lo, L), Fraction(hi, L))
+                for (e, lo, hi, a, b) in segs if not (burnt[a] or burnt[b])]
+    return BurnResult(not unburnt, unburnt, unb_segs)

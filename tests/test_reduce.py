@@ -7,18 +7,22 @@ from hypothesis import given, settings, strategies as st
 
 from tropdiv import (Divisor, MetricGraph, Point, canonical_divisor,
                      default_generic_chain)
+from tropdiv import reduce as reduce_core
 from tropdiv.errors import (GraphError, PreconditionError, ReductionCapError,
                             TheoremViolation)
+from tropdiv.graph import Interval, Region
 from tropdiv.plfunc import distance_function, min_combination
-from tropdiv.reduce import (default_base, default_rank_points, dhar_burn,
-                            dhar_unburnt, effective_class, find_unoccupied_edge,
-                            is_equivalent, is_reduced, rank,
+from tropdiv.reduce import (_Lattice, default_base, default_rank_points,
+                            dhar_burn, dhar_unburnt, effective_class,
+                            find_unoccupied_edge, is_equivalent, is_reduced, rank,
                             rank_subdivision_oracle, riemann_roch_check,
                             v_reduce)
 from tropdiv.sampling import (SplitMix64, random_divisor, random_effective_divisor,
                               random_point)
 
-from .conftest import circle_graph, coprime_graph, solve_potential, theta_graph
+from . import reference_core
+from .conftest import (circle_graph, coprime_graph, random_connected_graph,
+                       solve_potential, theta_graph)
 
 
 def lollipop_graph() -> MetricGraph:
@@ -55,6 +59,159 @@ class TestBurning:
         a, b = G.vertex_point("a"), G.vertex_point("b")
         with pytest.raises(PreconditionError):
             dhar_burn(G, Divisor({b: -1}), a)
+
+
+def probe_points(G: MetricGraph, D: Divisor, base: Point) -> list[Point]:
+    """Every vertex, chip point and interior base, and the midpoint of each
+    piece of an edge between them."""
+    cuts: dict[int, set[Fraction]] = {ei: {Fraction(0), G.edge_length(ei)}
+                                      for ei in range(len(G.edges))}
+    for p in [base, *D.support()]:
+        if not p.is_vertex:
+            cuts[p.edge].add(p.offset)
+    pts = []
+    for ei, offs in cuts.items():
+        offs = sorted(offs)
+        pts += [G.point(ei, o) for o in offs]
+        pts += [G.point(ei, (lo + hi) / 2) for lo, hi in zip(offs, offs[1:])]
+    return pts
+
+
+def assert_unburnt(G: MetricGraph, D: Divisor, base: Point, intervals=(), points=()):
+    """dhar_unburnt(G, D, base) holds exactly the given closed intervals
+    (edge, lo, hi) and isolated points, probed at every breakpoint and
+    midpoint; dhar_burn's unburnt vertices and chip points agree."""
+    want = Region(G, [Interval(ei, Fraction(lo), Fraction(hi)) for ei, lo, hi in intervals],
+                  points)
+    got = dhar_unburnt(G, D, base)
+    for p in probe_points(G, D, base):
+        assert got.contains(p) == want.contains(p), p
+    burn = dhar_burn(G, D, base)
+    assert burn.all_burnt == want.is_empty
+    for p in [*D.support(), *map(G.vertex_point, G.vertices)]:
+        assert (p in burn.unburnt) == want.contains(p), p
+
+
+class TestBurnRules:
+    """One hand-built burn per rule of the per-edge burn."""
+
+    def test_lone_one_chip_point_reached_from_both_ends_burns(self):
+        # circle of two edges of length 2 between a and b, base a
+        G = circle_graph(4)
+        a, b, p = G.vertex_point("a"), G.vertex_point("b"), G.point(0, 1)
+        assert_unburnt(G, Divisor({p: 1}), a)
+        # with a chip at b, fire reaches p from a only, so p survives
+        # together with the piece of its edge up to b
+        assert_unburnt(G, Divisor({p: 1, b: 1}), a, intervals=[(0, 1, 2)])
+
+    def test_lone_two_chip_point_survives_as_an_isolated_point(self):
+        G = circle_graph(4)
+        p = G.point(0, 1)
+        assert_unburnt(G, Divisor({p: 2}), G.vertex_point("a"), points=[p])
+
+    def test_two_chips_on_one_edge_survive_with_the_interval_between(self):
+        G = circle_graph(4)
+        D = Divisor({G.point(0, Fraction(1, 2)): 1, G.point(0, Fraction(3, 2)): 1})
+        assert_unburnt(G, D, G.vertex_point("a"),
+                       intervals=[(0, Fraction(1, 2), Fraction(3, 2))])
+
+    def test_corridor_runs_through_the_valence_two_end_of_the_chain(self):
+        # two chips near w2 on the top edge of the last loop: they survive
+        # as a point, and one step fires them by the corridor round w2 and
+        # along the bottom edge to v2, shorter than the top edge back to v2
+        chain = default_generic_chain(2)
+        G = chain.graph
+        top, bottom = chain.top_edge(2), chain.bottom_edge(2)
+        ell = G.edge_length(top)
+        p = G.point(top, ell - Fraction(1, 4))
+        D, base = Divisor({p: 2}), chain.v(1)
+        assert G.valence("w2") == 2
+        assert_unburnt(G, D, base, points=[p])
+        lat = _Lattice(G, [base, p])
+        chips = lat.chips(D)
+        with pytest.raises(ReductionCapError):
+            reduce_core._fire(lat, chips, lat.key(base), [1])
+        eps = Fraction(1, 4) + G.edge_length(bottom)
+        assert lat.divisor(chips) == Divisor({chain.v(2): 1,
+                                              G.point(top, ell - Fraction(1, 4) - eps): 1})
+
+    def test_interior_base_with_chips_on_both_sides_of_its_edge(self):
+        # fire from the base stops at the chip on each side of it, so
+        # nothing else burns; chips or debt at the base change nothing
+        G = circle_graph(4)
+        base = G.point(0, 1)
+        for c in (-1, 0, 2):
+            D = Divisor({G.point(0, Fraction(1, 2)): 1, G.point(0, Fraction(3, 2)): 1,
+                         base: c})
+            assert_unburnt(G, D, base, intervals=[
+                (0, 0, Fraction(1, 2)), (0, Fraction(3, 2), 2), (1, 0, 2)])
+
+    def test_self_loop_at_the_base(self):
+        # the lollipop's loop at b, length 3: both of its ends are the base
+        G = lollipop_graph()
+        b = G.vertex_point("b")
+        p, q = G.point(1, 1), G.point(1, 2)
+        assert_unburnt(G, Divisor({p: 1}), b)
+        assert_unburnt(G, Divisor({p: 2}), b, points=[p])
+        assert_unburnt(G, Divisor({p: 1, q: 1}), b, intervals=[(1, 1, 2)])
+        # an interior base on the loop cuts it into two runs: fire crosses
+        # the free one to b, too little for its two chips, and stops at q
+        # on the other, so the edge to a and the piece from q to b survive
+        assert_unburnt(G, Divisor({q: 1, b: 2}), p, intervals=[(0, 0, 2), (1, 2, 3)])
+
+
+def oracle_graphs():
+    rng = SplitMix64(4711)
+    graphs = [(f"random{i}", random_connected_graph(rng)) for i in range(6)]
+    graphs += [("lollipop", lollipop_graph()), ("bouquet", bouquet_graph()),
+               ("theta", theta_graph()), ("circle", circle_graph(4))]
+    graphs += [(f"chain{g}{'-extended' if extended else ''}",
+                default_generic_chain(g, extended=extended).graph)
+               for g in (2, 3, 4) for extended in (False, True)]
+    return [pytest.param(name, G, id=name) for name, G in graphs]
+
+
+class TestReferenceCore:
+    """The per-edge burn and firing loop against the reference core, which
+    rebuilds and burns the subdivided model on every step."""
+
+    @staticmethod
+    def bases(G: MetricGraph, rng: SplitMix64) -> list[Point]:
+        out = [default_base(G), G.vertex_point(G.vertices[-1])]
+        for _ in range(2):
+            ei = rng.below(len(G.edges))
+            out.append(G.point(ei, G.edge_length(ei) * Fraction(rng.randint(1, 7), 8)))
+        return out
+
+    @pytest.mark.parametrize("name,G", oracle_graphs())
+    def test_burn_and_reduction_agree(self, name, G, monkeypatch):
+        rng = SplitMix64(len(name) * 101 + len(G.edges))
+        cases = []
+        for base in self.bases(G, rng):
+            for _ in range(8):
+                # chips or debt at the base, and when it is interior, chips
+                # on both sides of it on its own edge
+                extra = Divisor({base: rng.randint(-2, 2)})
+                if not base.is_vertex:
+                    length = G.edge_length(base.edge)
+                    below = base.offset * Fraction(rng.randint(1, 3), 4)
+                    above = length - (length - base.offset) / 2
+                    extra += Divisor({G.point(base.edge, below): 1,
+                                      G.point(base.edge, above): 1})
+                E = random_effective_divisor(G, rng, rng.randint(0, 5)) + extra
+                D = random_divisor(G, rng, rng.randint(-1, 5)) + extra
+                cases.append((base, E, D))
+        new = [(dhar_burn(G, E, base), v_reduce(G, D, base, track_witness=False))
+               for base, E, D in cases]
+        with monkeypatch.context() as m:
+            m.setattr(reduce_core, "_fire", reference_core._fire)
+            for (base, E, D), (burn, res) in zip(cases, new):
+                ref = reference_core.dhar_burn(G, E, base)
+                assert (burn.all_burnt, burn.unburnt, burn.unburnt_segments) == (
+                    ref.all_burnt, ref.unburnt, ref.unburnt_segments), (base, E)
+                ref = v_reduce(G, D, base, track_witness=False)
+                assert (res.reduced, res.steps) == (ref.reduced, ref.steps), (base, D)
+        assert sum(not burn.all_burnt for burn, _res in new) >= len(cases) // 4
 
 
 class TestReduction:
