@@ -200,7 +200,11 @@ def build_Dj(T: Tableau, chain: ChainOfLoops, j: int) -> tuple[Divisor, PLFuncti
     r = T.cols - 1
     if not (0 <= j <= r):
         raise PreconditionError(f"column index {j} out of range 0..{r}")
-    D = tableau_to_divisor(T, chain)
+    return _twist(tableau_to_divisor(T, chain), chain, j, r)
+
+
+def _twist(D: Divisor, chain: ChainOfLoops, j: int, r: int) -> tuple[Divisor, PLFunction]:
+    """``build_Dj`` from the divisor D of a tableau with r + 1 columns."""
     wg = chain.w(chain.g)
     shift = Divisor({chain.v(1): j, wg: r - j})
     res = v_reduce(chain.graph, D - shift, wg)
@@ -337,8 +341,10 @@ def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
     r = T.cols - 1
     rows = T.rows
 
-    phis = [build_Dj(T, chain, j) for j in range(r + 1)]
-    psis = [build_Ek(T, chain, k) for k in range(rows)]
+    # as build_Dj and build_Ek, with each tableau's divisor built once
+    D, E = tableau_to_divisor(T, chain), adjoint_divisor(T, chain)
+    phis = [_twist(D, chain, j, r) for j in range(r + 1)]
+    psis = [_twist(E, chain, k, rows - 1) for k in range(rows)]
 
     # sanity table: the empty cell of D_j + E_k must be the tableau cell
     # in column j and row k

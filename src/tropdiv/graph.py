@@ -13,14 +13,17 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import GraphError, PreconditionError
 
 
-def _rat(x) -> Fraction:
+def _rat(x, error: type[Exception] = GraphError) -> Fraction:
+    """``x`` as a Fraction, from a Fraction, an int or a string; ``error``
+    for anything else, floats included, whose binary value is not the
+    rational meant."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
-    raise GraphError(f"not an exact rational: {x!r}")
+    raise error(f"not an exact rational: {x!r}")
 
 
 _VERTEX_POINTS: dict[str, "Point"] = {}

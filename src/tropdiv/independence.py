@@ -10,13 +10,19 @@ min_j(f_j + b_j) is attained at least twice at every point of the graph.
   points p_1..p_n at which the matrix M_ij = f_j(p_i) is tropically
   nonsingular, and ``verify_independence`` re-checks such a certificate.
 - ``find_dependence`` searches for offsets through the critical values of
-  pairwise differences, in integers: the family is evaluated once on the
-  union of its breakpoint offsets and scaled by a common denominator,
-  which keeps every comparison, so the search tries the candidates of
-  the exact one in the same order.  The search is not complete: it misses
+  pairwise differences.  The search is not complete: it misses
   dependences in which coincident pairs of functions meet only at
   isolated points (a four-function example on one edge is in the tests),
   so a search that finds nothing proves nothing.
+
+All of it runs on the integers of ``PLFunction.scaled``.  ``_family_grid``
+walks each edge of the family once, at the lcm of the functions' scales
+there, and gives every function's values at the union of their
+breakpoints as integers over one common denominator.  Scaling keeps
+equality and order, so the dependence search tries the candidates of the
+search on exact rationals in the same order, and the certificate search
+draws the same points and finds the same permutation.  The envelope
+checks run on ``plfunc.lower_envelope``, which is integer too.
 """
 from __future__ import annotations
 
@@ -27,8 +33,8 @@ from math import lcm
 from typing import Sequence
 
 from .errors import PreconditionError, SearchCapError
-from .graph import Interval, MetricGraph, Point, Region
-from .plfunc import (PLFunction, _same_graph, _value_on, lower_envelope,
+from .graph import Interval, MetricGraph, Point, Region, _rat
+from .plfunc import (PLFunction, _grid, _same_graph, lower_envelope,
                      min_combination)
 from .sampling import SplitMix64
 
@@ -46,34 +52,41 @@ def _common_graph(funcs: Sequence[PLFunction]) -> MetricGraph:
     return _same_graph(funcs)
 
 
+def _exact(x):
+    """An int as it is, any other exact rational as a ``Fraction``; a
+    float raises ``PreconditionError``."""
+    return x if type(x) is int else _rat(x, PreconditionError)
+
+
 def _cells(funcs: Sequence[PLFunction], offsets: Sequence):
-    """(edge, lo, hi, indices attaining the minimum on the whole cell) for
-    every cell of the lower envelope of funcs[j] + offsets[j]."""
+    """(edge, S, lo, hi, indices attaining the minimum on the whole cell)
+    for every cell of the lower envelope of funcs[j] + offsets[j], with
+    lo and hi in units of 1/S."""
     graph = _common_graph(funcs)
     if len(funcs) != len(offsets):
         raise PreconditionError("need one offset per function")
-    offsets = [Fraction(b) for b in offsets]
+    offsets = [_exact(b) for b in offsets]
     for ei in range(len(graph.edges)):
-        env = lower_envelope([f.data[ei] for f in funcs], offsets)
+        S, env = lower_envelope([f.scaled[ei] for f in funcs], offsets)
         for (lo, _v, a), (hi, _w, b) in zip(env, env[1:]):
-            yield ei, lo, hi, a & b
+            yield ei, S, lo, hi, a & b
 
 
 def verify_dependence(funcs: Sequence[PLFunction],
                       offsets: Sequence) -> tuple[bool, Point | None]:
     """Whether min_j(funcs[j] + offsets[j]) is attained at least twice
     everywhere; on failure, also a point where it is attained only once."""
-    for (ei, lo, hi, attain) in _cells(funcs, offsets):
+    for (ei, S, lo, hi, attain) in _cells(funcs, offsets):
         if len(attain) < 2:
-            return False, funcs[0].graph.point(ei, (lo + hi) / 2)
+            return False, funcs[0].graph.point(ei, Fraction(lo + hi, 2 * S))
     return True, None
 
 
 def unique_min_locus(funcs: Sequence[PLFunction], offsets: Sequence) -> Region:
     """The open set where the minimum is attained by exactly one function;
     empty exactly when the offsets give a tropical dependence."""
-    intervals = [Interval(ei, lo, hi, False, False)
-                 for (ei, lo, hi, attain) in _cells(funcs, offsets)
+    intervals = [Interval(ei, Fraction(lo, S), Fraction(hi, S), False, False)
+                 for (ei, S, lo, hi, attain) in _cells(funcs, offsets)
                  if len(attain) == 1]
     return Region(funcs[0].graph, intervals)
 
@@ -101,34 +114,46 @@ class IndependenceReport:
     draws: int = 0
 
 
+def _family_grid(funcs: Sequence[PLFunction]):
+    """``(den, grids, at_vertex)``.  ``grids[ei]`` is ``(S, offsets,
+    values)`` on edge ``ei``: S is the lcm of the functions' scales there,
+    ``offsets`` the sorted union of their breakpoint offsets in units of
+    1/S, and ``values[j]`` f_j at those offsets in units of 1/den, den the
+    lcm of every edge's S.  ``at_vertex[v]`` holds every function's value
+    at vertex v's first edge coordinate, as ``PLFunction.__call__`` reads
+    it."""
+    graph = funcs[0].graph
+    grids = []
+    for ei in range(len(graph.edges)):
+        pieces = [f.scaled[ei] for f in funcs]
+        S = lcm(*(p[0] for p in pieces))
+        grids.append((S, *_grid(pieces, S)))
+    den = lcm(*(S for (S, _x, _v) in grids))
+    grids = [(S, offs, [[v * (den // S) for v in col] for col in cols])
+             for (S, offs, cols) in grids]
+    at_vertex = []
+    for v in graph.vertices:
+        ei, off = graph.edge_coordinates(graph.vertex_point(v))[0]
+        at_vertex.append([col[0 if off == 0 else -1] for col in grids[ei][2]])
+    return den, grids, at_vertex
+
+
 def _pair_tables(funcs: Sequence[PLFunction]):
     """``(den, crit, box, probes)``: the tables ``find_dependence`` reads,
-    scaled by ``den``, the lcm of the denominators of the family's values
-    on the grid of all its breakpoint offsets, edge by edge.  Between grid
-    points f_j - f_k is affine, so ``crit[(j, k)]`` (the values it takes
-    on a positive-length segment) are its equal consecutive entries on one
+    in units of 1/den, from ``_family_grid``.  Between grid points
+    f_j - f_k is affine, so ``crit[(j, k)]`` (the values it takes on a
+    positive-length segment) are its equal consecutive entries on one
     edge and ``box[(j, k)]`` runs from its least to its greatest entry;
-    ``probes[j]`` holds f_j at each vertex's first edge coordinate, as
-    ``PLFunction.__call__`` reads it."""
-    graph = funcs[0].graph
-    offs = [sorted({o for f in funcs for (o, _v) in f.data[ei]})
-            for ei in range(len(graph.edges))]
-    grid = [[[_value_on(f.data[ei], o) for o in eo] for f in funcs]
-            for ei, eo in enumerate(offs)]
-    den = lcm(*(v.denominator for rows in grid for row in rows for v in row))
-    grid = [[[v.numerator * (den // v.denominator) for v in row] for row in rows]
-            for rows in grid]
+    ``probes[j]`` holds f_j at each vertex."""
+    den, grids, at_vertex = _family_grid(funcs)
     crit, box = {}, {}
     for j, k in combinations(range(len(funcs)), 2):
-        diffs = [[a - b for a, b in zip(rows[j], rows[k])] for rows in grid]
+        diffs = [[a - b for a, b in zip(cols[j], cols[k])] for (_S, _x, cols) in grids]
         values = sorted({d for row in diffs for d, e in zip(row, row[1:]) if d == e})
         lo, hi = min(map(min, diffs)), max(map(max, diffs))
         crit[(j, k)], crit[(k, j)] = values, [-v for v in reversed(values)]
         box[(j, k)], box[(k, j)] = range(lo, hi + 1), range(-hi, 1 - lo)
-    coords = [graph.edge_coordinates(graph.vertex_point(v))[0]
-              for v in graph.vertices]
-    probes = [[grid[ei][j][offs[ei].index(off)] for (ei, off) in coords]
-              for j in range(len(funcs))]
+    probes = [list(col) for col in zip(*at_vertex)]
     return den, crit, box, probes
 
 
@@ -150,13 +175,13 @@ def find_dependence(funcs: Sequence[PLFunction],
     that the family is independent.  ``find_independence_certificate``
     proves independence.
 
-    The search runs on integers: ``_pair_tables`` evaluates the family
-    once on a grid of breakpoint offsets and scales all values by one
-    ``den > 0``.  Offsets are sums of critical values, so they scale to
-    integers too, and scaling keeps equality and order: the candidates,
-    their order and count, and the certificate are those of the search on
-    exact rationals.  A candidate that passes the vertex probes is divided
-    by ``den`` and checked exactly by ``verify_dependence``.
+    The search runs on integers: ``_pair_tables`` reads the family's
+    values on a grid of breakpoint offsets, scaled by one ``den > 0``.
+    Offsets are sums of critical values, so they scale to integers too,
+    and scaling keeps equality and order: the candidates, their order and
+    count, and the certificate are those of the search on exact
+    rationals.  A candidate that passes the vertex probes is divided by
+    ``den`` and checked exactly by ``verify_dependence``.
     """
     graph = _common_graph(funcs)
     n = len(funcs)
@@ -258,17 +283,16 @@ def unique_min_permutation(matrix: Sequence[Sequence]) -> tuple[int, ...] | None
 
     A subset DP over columns: for every column set S, the least cost of
     matching rows 0..|S|-1 onto S and the number of matchings attaining
-    it, capped at 2.  Entries are scaled to integers first, so the DP
-    does exact integer arithmetic in O(2^n * n) steps.
+    it, capped at 2, in O(2^n * n) exact steps.  The searches pass
+    integer matrices; entries that are not ints are read as exact
+    rationals, and a float raises ``PreconditionError``.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise PreconditionError("matrix must be square")
     if n > MAX_FAMILY:
         raise PreconditionError(f"matrix size {n} exceeds {MAX_FAMILY}")
-    rats = [[Fraction(x) for x in row] for row in matrix]
-    den = lcm(*(x.denominator for row in rats for x in row))
-    M = [[x.numerator * (den // x.denominator) for x in row] for row in rats]
+    M = [[_exact(x) for x in row] for row in matrix]
     full = (1 << n) - 1
     best = [0] * (full + 1)
     count = [1] + [0] * full
@@ -296,37 +320,32 @@ def unique_min_permutation(matrix: Sequence[Sequence]) -> tuple[int, ...] | None
     return tuple(perm)
 
 
-def _candidate_points(funcs: Sequence[PLFunction]) -> list[Point]:
-    """The vertices and every interior breakpoint of any function, in a
-    fixed order."""
-    graph = funcs[0].graph
-    pts = {graph.vertex_point(v) for v in graph.vertices}
-    for f in funcs:
-        for ei, data in f.data.items():
-            pts.update(graph.point(ei, o) for (o, _v) in data[1:-1])
-    return sorted(pts, key=Point.sort_key)
-
-
 def find_independence_certificate(funcs: Sequence[PLFunction],
                                   report: IndependenceReport | None = None
                                   ) -> IndependenceCertificate | None:
     """Search for points that prove the family tropically independent.
 
-    Each draw takes n distinct points from the vertices and the interior
-    breakpoints of the family, from a SplitMix64 with a fixed seed, and
-    tests the matrix of values with ``unique_min_permutation``.  Returns
-    the first certificate found, or None after ``CERTIFICATE_DRAWS``
-    draws (or at once when there are fewer than n such points).  None proves nothing:
-    on a dependent family every draw fails.
+    The candidate points are the vertices and every interior breakpoint of
+    any function, in a fixed order; the family's values there are read
+    off ``_family_grid``.  Each draw takes n distinct candidates, from a
+    SplitMix64 with a fixed seed, and tests the matrix of values with
+    ``unique_min_permutation``.  Returns the first certificate found, or
+    None after ``CERTIFICATE_DRAWS`` draws (or at once when there are
+    fewer than n candidates).  None proves nothing: on a dependent family
+    every draw fails.
     """
-    _common_graph(funcs)
+    graph = _common_graph(funcs)
     n = len(funcs)
-    cands = _candidate_points(funcs)
+    _den, grids, at_vertex = _family_grid(funcs)
+    cands = [(graph.vertex_point(v), row) for v, row in zip(graph.vertices, at_vertex)]
+    for ei, (S, offs, cols) in enumerate(grids):
+        cands += [(graph.point(ei, Fraction(x, S)), row)
+                  for x, row in zip(offs[1:-1], list(zip(*cols))[1:-1])]
     if len(cands) < n:
         return None
+    cands.sort(key=lambda c: c[0].sort_key())
     rng = SplitMix64(CERTIFICATE_SEED)
     order = list(range(len(cands)))
-    values: dict[int, list[Fraction]] = {}
     for _draw in range(CERTIFICATE_DRAWS):
         if report is not None:
             report.draws += 1
@@ -335,12 +354,9 @@ def find_independence_certificate(funcs: Sequence[PLFunction],
             k = i + rng.below(len(order) - i)
             order[i], order[k] = order[k], order[i]
         picked = order[:n]
-        for i in picked:
-            if i not in values:
-                values[i] = [f(cands[i]) for f in funcs]
-        perm = unique_min_permutation([values[i] for i in picked])
+        perm = unique_min_permutation([cands[i][1] for i in picked])
         if perm is not None:
-            return IndependenceCertificate(tuple(cands[i] for i in picked), perm)
+            return IndependenceCertificate(tuple(cands[i][0] for i in picked), perm)
     return None
 
 
@@ -369,5 +385,8 @@ def verify_independence(funcs: Sequence[PLFunction],
         return False
     for p in cert.points:
         graph.check_point(p)
-    M = [[f(p) for f in funcs] for p in cert.points]
+    # values as (numerator, denominator), then over one denominator
+    vals = [[f._value(*graph.edge_coordinates(p)[0]) for f in funcs] for p in cert.points]
+    den = lcm(*(d for row in vals for (_v, d) in row))
+    M = [[v * (den // d) for (v, d) in row] for row in vals]
     return unique_min_permutation(M) == tuple(cert.permutation)

@@ -1,138 +1,180 @@
 """Continuous piecewise-linear functions with integer slopes on a metric graph.
 
-A function is stored edge-by-edge as a sorted list of (offset, value)
+A function is stored edge by edge as a sorted list of (offset, value)
 breakpoints covering the whole edge; consecutive breakpoints are joined
 linearly, and every segment slope must be an integer.  The order of a
 function at a point is the sum of its incoming slopes, so local maxima
 have positive order.
 
+Each edge is held once, in integers: a scale s > 0 and the tuples of its
+offsets and values multiplied by s, where s is the lcm of their
+denominators, so that equal functions are stored equally however they
+were built (``PLFunction.scaled``).  Every kernel runs on those
+integers: validation, ``+``, ``-``, ``scale``, ``add_const``, evaluation,
+orders and ``divisor()``.  Two edges combine at the lcm of their scales;
+integer slopes make every value interpolated at an integer offset an
+integer, so nothing is rounded.  ``data`` is a read-only ``Fraction``
+view, built afresh on each access.
+
 Tropical combinations min_j(f_j + b_j) are computed edge by edge by
 ``lower_envelope``, which also says which functions attain the minimum
 where; ``min_combination``, ``distance_function``, ``agreement_region``
 and the dependence checks of ``tropdiv.independence`` are loops over it.
-Functions combined with each other must live on the same graph object.
+It too works in integers, and only a crossing of two functions between
+breakpoints brings in a rational.  Functions combined with each other
+must live on the same graph object.
 
 Every function is validated when it is built, results of arithmetic
-included.  Validation and ``+``/``-`` run on integers: an edge's offsets
-and values are multiplied by the lcm of their denominators, which keeps
-order and equality, and a slope is the same ratio of scaled integers.
-Integer slopes then make every value interpolated at a scaled offset an
-integer, so nothing is rounded and one ``Fraction`` is built per value.
+included.  Exact rationals are ints, ``Fraction``s or strings; a float
+is rejected, as its binary value is not the number meant.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
-from operator import add, itemgetter, sub
+from math import gcd, lcm
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import GraphError, PreconditionError, TheoremViolation
-from .graph import (Divisor, Interval, MetricGraph, Point, Region,
+from .graph import (Divisor, Interval, MetricGraph, Point, Region, _rat,
                     contains_point_in)
 
-EdgeData = list[tuple[Fraction, Fraction]]
+# one edge: (s, offsets * s, values * s)
+Edge = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
-def _value_on(pts: EdgeData, off: Fraction) -> Fraction:
-    """Value at ``off`` of the function with breakpoints ``pts``."""
-    # the last breakpoint is never passed over, so it needs no comparison
-    i = bisect_left(pts, off, 0, len(pts) - 1, key=itemgetter(0))
-    o2, v2 = pts[i]
-    if o2 == off:
-        return v2
-    o1, v1 = pts[i - 1]
-    return v1 + (v2 - v1) * (off - o1) / (o2 - o1)
-
-
-def _scaled(pts: EdgeData, s: int) -> list[tuple[int, int]]:
-    """The breakpoints with offsets and values multiplied by ``s``, which
-    every denominator divides."""
-    return [(o.numerator * (s // o.denominator), v.numerator * (s // v.denominator))
-            for (o, v) in pts]
-
-
-def _between(p: tuple[int, int], q: tuple[int, int], o: int) -> int:
-    """The value at ``o`` on the integer-slope segment from p to q."""
-    (o1, v1), (o2, v2) = p, q
-    return v1 + (v2 - v1) // (o2 - o1) * (o - o1)
-
-
-def _normalize_edge(pts, length: Fraction) -> EdgeData:
-    """Sorted, deduplicated breakpoints covering [0, length], with integer
-    slopes and the collinear interior points dropped, all checked on the
-    edge's scaled integers.  The input's Fractions are kept; other values
-    are converted.
-    """
-    pts = [(o, v) if type(o) is type(v) is Fraction else (Fraction(o), Fraction(v))
-           for (o, v) in pts]
-    s = lcm(length.denominator, *(o.denominator for (o, _v) in pts),
-            *(v.denominator for (_o, v) in pts))
-    scaled = sorted((o, v, k) for k, (o, v) in enumerate(_scaled(pts, s)))
-    if (not scaled or scaled[0][0] != 0
-            or scaled[-1][0] != length.numerator * (s // length.denominator)):
+def _normalize_edge(S: int, pts: list[tuple[int, int]], length: int) -> Edge:
+    """The canonical edge of the breakpoints ``pts``, offsets and values
+    in units of 1/S, on an edge of integer length ``length`` in the same
+    units: sorted, deduplicated, covering [0, length], with integer slopes
+    and the collinear interior points dropped, at the least scale."""
+    pts.sort()
+    if not pts or pts[0][0] != 0 or pts[-1][0] != length:
         raise GraphError("edge data must cover the edge from offset 0 to its length")
-    out = [scaled[0]]
-    for t in scaled[1:]:
-        if t[0] == out[-1][0]:
-            if t[1] != out[-1][1]:
-                raise GraphError(f"conflicting values at offset {pts[t[2]][0]}")
+    O, V = [0], [pts[0][1]]
+    m = None        # the slope into the last kept point
+    for o, v in pts:
+        do = o - O[-1]
+        if not do:
+            if v != V[-1]:
+                raise GraphError(f"conflicting values at offset {Fraction(o, S)}")
             continue
-        out.append(t)
-    # a point is collinear with its neighbours iff the slopes on both
-    # sides agree
-    slopes = []
-    for (o1, v1, _k), (o2, v2, _l) in zip(out, out[1:]):
-        m, r = divmod(v2 - v1, o2 - o1)
+        k, r = divmod(v - V[-1], do)
         if r:
-            raise GraphError(f"non-integer slope {Fraction(v2 - v1, o2 - o1)}")
-        slopes.append(m)
-    return ([pts[out[0][2]]]
-            + [pts[t[2]] for t, m1, m2 in zip(out[1:], slopes, slopes[1:]) if m1 != m2]
-            + [pts[out[-1][2]]])
+            raise GraphError(f"non-integer slope {Fraction(v - V[-1], do)}")
+        if k == m:
+            # the last kept point is collinear with its neighbours
+            O[-1], V[-1] = o, v
+        else:
+            O.append(o)
+            V.append(v)
+            m = k
+    g = gcd(S, *O, *V)
+    if g > 1:
+        return S // g, tuple(o // g for o in O), tuple(v // g for v in V)
+    return S, tuple(O), tuple(V)
+
+
+def _sample(edge: Edge, S: int, grid: Sequence[int]) -> list[int]:
+    """The edge's values, in units of 1/S, at the sorted offsets ``grid``
+    (units of 1/S, S a multiple of the edge's scale): one walk."""
+    s, O, V = edge
+    f = S // s
+    out = []
+    i, last = 0, len(O) - 2
+    o1, v1 = O[0] * f, V[0] * f
+    m = (V[1] - V[0]) // (O[1] - O[0])
+    for x in grid:
+        while i < last and x > O[i + 1] * f:
+            i += 1
+            o1, v1 = O[i] * f, V[i] * f
+            m = (V[i + 1] - V[i]) // (O[i + 1] - O[i])
+        out.append(v1 + m * (x - o1))
+    return out
+
+
+def _grid(pieces: Sequence[Edge], S: int) -> tuple[list[int], list[list[int]]]:
+    """The sorted union of the pieces' breakpoint offsets, in units of
+    1/S (a multiple of every piece's scale), and each piece's values
+    there."""
+    grid = sorted({o * (S // s) for (s, O, _V) in pieces for o in O})
+    return grid, [_sample(p, S, grid) for p in pieces]
 
 
 class PLFunction:
-    """A continuous piecewise-linear function with integer slopes."""
+    """A continuous piecewise-linear function with integer slopes.
 
-    def __init__(self, graph: MetricGraph, data: dict[int, EdgeData]):
-        self.graph = graph
-        norm: dict[int, EdgeData] = {}
-        for ei in range(len(graph.edges)):
+    ``data`` maps each edge index to its breakpoints, (offset, value)
+    pairs of exact rationals in any order; repeats must agree.
+    """
+
+    def __init__(self, graph: MetricGraph, data: dict[int, Iterable]):
+        edges = []
+        for ei, (_u, _v, length) in enumerate(graph.edges):
             if ei not in data:
                 raise GraphError(f"missing data for edge {ei}")
-            norm[ei] = _normalize_edge(data[ei], graph.edge_length(ei))
-        self.data = norm
+            pts = [(_rat(o), _rat(v)) for (o, v) in data[ei]]
+            S = lcm(length.denominator, *(x.denominator for pt in pts for x in pt))
+            edges.append((S, [(o.numerator * (S // o.denominator),
+                               v.numerator * (S // v.denominator)) for (o, v) in pts]))
+        self._build(graph, edges)
+
+    @classmethod
+    def _from_ints(cls, graph: MetricGraph, edges) -> "PLFunction":
+        """The function whose edge ``ei`` has the breakpoints
+        ``edges[ei][1]``, integer pairs in units of 1/``edges[ei][0]``, a
+        multiple of the denominator of the edge's length; checked like
+        every other."""
+        f = cls.__new__(cls)
+        f._build(graph, edges)
+        return f
+
+    def _build(self, graph: MetricGraph, edges) -> None:
+        self.graph = graph
+        self.scaled: tuple[Edge, ...] = tuple(
+            _normalize_edge(S, pts, length.numerator * (S // length.denominator))
+            for (S, pts), (_u, _v, length) in zip(edges, graph.edges))
         # continuity at vertices: every edge starts at its first end's
-        # value and ends at its second end's
-        at: list[Fraction | None] = [None] * len(graph.vertices)
-        for (i, j), pts in zip(graph.edge_ends, norm.values()):
-            for k, v in ((i, pts[0][1]), (j, pts[-1][1])):
+        # value and ends at its second end's, compared as v/s
+        at: list[tuple[int, int] | None] = [None] * len(graph.vertices)
+        for (i, j), (s, _O, V) in zip(graph.edge_ends, self.scaled):
+            for k, v in ((i, V[0]), (j, V[-1])):
                 if at[k] is None:
-                    at[k] = v
-                elif at[k] != v:
-                    raise GraphError(
-                        f"discontinuous at vertex {graph.vertices[k]}: {sorted({at[k], v})}")
+                    at[k] = (v, s)
+                elif at[k][0] * s != v * at[k][1]:
+                    raise GraphError(f"discontinuous at vertex {graph.vertices[k]}: "
+                                     f"{sorted({Fraction(*at[k]), Fraction(v, s)})}")
+
+    @property
+    def data(self) -> dict[int, list[tuple[Fraction, Fraction]]]:
+        """The breakpoints of every edge as ``Fraction`` pairs: a new copy
+        on each access, so changing it changes nothing."""
+        return {ei: [(Fraction(o, s), Fraction(v, s)) for o, v in zip(O, V)]
+                for ei, (s, O, V) in enumerate(self.scaled)}
 
     # -- evaluation ------------------------------------------------------
 
+    def _value(self, ei: int, off: Fraction) -> tuple[int, int]:
+        """The value at offset ``off`` of edge ``ei`` as (numerator,
+        positive denominator), read at the scale s * off.denominator."""
+        edge = self.scaled[ei]
+        S = edge[0] * off.denominator
+        return _sample(edge, S, [off.numerator * edge[0]])[0], S
+
     def __call__(self, p: Point) -> Fraction:
-        ei, off = self.graph.edge_coordinates(p)[0]
-        return _value_on(self.data[ei], off)
+        return Fraction(*self._value(*self.graph.edge_coordinates(p)[0]))
 
     # -- slopes and orders -----------------------------------------------
 
-    def outgoing_slope(self, ei: int, off: Fraction, direction: int) -> Fraction:
+    def outgoing_slope(self, ei: int, off: Fraction, direction: int) -> int:
         """Slope seen leaving offset ``off`` on edge ``ei`` toward direction +1/-1."""
-        pts = self.data[ei]
-        if direction == 1:
-            for (o1, v1), (o2, v2) in zip(pts, pts[1:]):
-                if o1 <= off < o2:
-                    return (v2 - v1) / (o2 - o1)
-        else:
-            for (o1, v1), (o2, v2) in zip(pts, pts[1:]):
-                if o1 < off <= o2:
-                    return (v1 - v2) / (o2 - o1)
+        s, O, V = self.scaled[ei]
+        off = _rat(off)
+        d, x = off.denominator, off.numerator * s   # the offset is x/d in units of 1/s
+        for i in range(len(O) - 1):
+            lo, hi = O[i] * d, O[i + 1] * d
+            if (lo <= x < hi) if direction == 1 else (lo < x <= hi):
+                return direction * ((V[i + 1] - V[i]) // (O[i + 1] - O[i]))
         raise GraphError(f"no germ at edge {ei} offset {off} direction {direction}")
 
     def germs_at(self, p: Point) -> list[tuple[int, Fraction, int]]:
@@ -145,7 +187,7 @@ class PLFunction:
                 out.append((ei, off, 1))
         return out
 
-    def incoming_slope(self, p: Point, ei: int, direction: int) -> Fraction:
+    def incoming_slope(self, p: Point, ei: int, direction: int) -> int:
         """Slope of the function arriving at p along the germ (ei, direction).
 
         ``direction`` is the direction pointing away from p, matching
@@ -157,57 +199,40 @@ class PLFunction:
         raise GraphError(f"point {p} has no germ on edge {ei} direction {direction}")
 
     def order_at(self, p: Point) -> int:
-        total = Fraction(0)
-        for (ei, off, d) in self.germs_at(p):
-            total -= self.outgoing_slope(ei, off, d)
-        assert total.denominator == 1
-        return int(total)
+        return -sum(self.outgoing_slope(ei, off, d) for (ei, off, d) in self.germs_at(p))
 
     def divisor(self) -> Divisor:
-        """div(f): orders at all breakpoints and vertices."""
-        pts: set[Point] = {self.graph.vertex_point(v) for v in self.graph.vertices}
-        for ei, data in self.data.items():
-            for (off, _v) in data[1:-1]:
-                pts.add(self.graph.point(ei, off))
-        return Divisor({p: self.order_at(p) for p in pts})
+        """div(f): at each breakpoint the change of slope across it, at
+        each vertex the sum of the slopes arriving along its edges."""
+        graph = self.graph
+        terms = []
+        for ei, ((u, v, _l), (s, O, V)) in enumerate(zip(graph.edges, self.scaled)):
+            slopes = [(V[i + 1] - V[i]) // (O[i + 1] - O[i]) for i in range(len(O) - 1)]
+            terms.append((Point.at_vertex(u), -slopes[0]))
+            terms.append((Point.at_vertex(v), slopes[-1]))
+            terms += [(graph.point(ei, Fraction(o, s)), m1 - m2)
+                      for o, m1, m2 in zip(O[1:], slopes, slopes[1:])]
+        return Divisor(terms)
 
     # -- algebra ---------------------------------------------------------
 
     @staticmethod
     def constant(graph: MetricGraph, c) -> "PLFunction":
-        c = Fraction(c)
+        c = _rat(c, PreconditionError)
         return PLFunction(graph, {
             ei: [(Fraction(0), c), (graph.edge_length(ei), c)]
             for ei in range(len(graph.edges))})
 
     def _zip_with(self, other: "PLFunction", op) -> "PLFunction":
-        """``op`` of both functions at the union of their breakpoints, edge by
-        edge: one merge walk over offsets and values scaled to integers,
-        where integer slopes make every interpolated value an integer."""
+        """``op`` of both functions at the union of their breakpoints, edge
+        by edge, at the lcm of the two scales."""
         _same_graph([self, other])
-        data = {}
-        for ei, a in self.data.items():
-            b = other.data[ei]
-            s = lcm(*(x.denominator for pts in (a, b) for pt in pts for x in pt))
-            A, B = _scaled(a, s), _scaled(b, s)
-            out = []
-            i = k = 0
-            while True:
-                (oa, va), (ob, vb) = A[i], B[k]
-                if oa < ob:
-                    out.append((a[i][0], Fraction(op(va, _between(B[k - 1], B[k], oa)), s)))
-                    i += 1
-                elif ob < oa:
-                    out.append((b[k][0], Fraction(op(_between(A[i - 1], A[i], ob), vb), s)))
-                    k += 1
-                else:
-                    out.append((a[i][0], Fraction(op(va, vb), s)))
-                    if i == len(A) - 1:
-                        break
-                    i += 1
-                    k += 1
-            data[ei] = out
-        return PLFunction(self.graph, data)
+        edges = []
+        for a, b in zip(self.scaled, other.scaled):
+            S = lcm(a[0], b[0])
+            grid, (va, vb) = _grid([a, b], S)
+            edges.append((S, list(zip(grid, map(op, va, vb)))))
+        return PLFunction._from_ints(self.graph, edges)
 
     def __add__(self, other: "PLFunction") -> "PLFunction":
         return self._zip_with(other, add)
@@ -218,17 +243,23 @@ class PLFunction:
     def __neg__(self) -> "PLFunction":
         return self.scale(-1)
 
-    def scale(self, n: int) -> "PLFunction":
-        return PLFunction(self.graph, {
-            ei: [(o, n * v) for (o, v) in pts] for ei, pts in self.data.items()})
+    def scale(self, n) -> "PLFunction":
+        n = _rat(n, PreconditionError)
+        p, q = n.numerator, n.denominator
+        return PLFunction._from_ints(self.graph, [
+            (s * q, [(o * q, v * p) for o, v in zip(O, V)]) for (s, O, V) in self.scaled])
 
     def add_const(self, c) -> "PLFunction":
-        c = Fraction(c)
-        return PLFunction(self.graph, {
-            ei: [(o, v + c) for (o, v) in pts] for ei, pts in self.data.items()})
+        c = _rat(c, PreconditionError)
+        edges = []
+        for s, O, V in self.scaled:
+            S = lcm(s, c.denominator)
+            f, b = S // s, c.numerator * (S // c.denominator)
+            edges.append((S, [(o * f, v * f + b) for o, v in zip(O, V)]))
+        return PLFunction._from_ints(self.graph, edges)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PLFunction) and self.data == other.data
+        return isinstance(other, PLFunction) and self.scaled == other.scaled
 
 
 def _same_graph(funcs: Sequence[PLFunction]) -> MetricGraph:
@@ -238,42 +269,62 @@ def _same_graph(funcs: Sequence[PLFunction]) -> MetricGraph:
     return graph
 
 
-def lower_envelope(pieces: Sequence[EdgeData], offsets: Sequence
-                   ) -> list[tuple[Fraction, Fraction, frozenset[int]]]:
+Entry = tuple["int | Fraction", "int | Fraction", frozenset[int]]
+
+
+def lower_envelope(pieces: Sequence[Edge], offsets: Sequence
+                   ) -> tuple[int, list[Entry]]:
     """The envelope min_j(pieces[j] + offsets[j]) on one edge.
 
-    ``pieces`` holds one sorted breakpoint list per function, all covering
-    the same edge; ``offsets`` are exact constants.  Returns, in increasing
-    offset, ``(offset, value, attaining indices)`` at every breakpoint of
-    any piece and at every crossing of two pieces.  Between consecutive
+    ``pieces`` holds one edge per function, (s, offsets * s, values * s)
+    as in ``PLFunction.scaled``, all on the same edge; ``offsets`` are ints
+    or ``Fraction``s.  Returns ``(S, entries)``: S is the lcm of the
+    pieces' scales and the offsets' denominators, and ``entries`` lists,
+    in increasing offset, ``(offset, value, attaining indices)`` with
+    offset and value in units of 1/S, at every breakpoint of any piece
+    (both ints) and at every crossing of two pieces (``Fraction``s where
+    the crossing falls between multiples of 1/S).  Between consecutive
     entries every piece is affine, so piece j attains the envelope on the
     whole cell iff j attains it at both ends.
     """
-    base = sorted({o for pts in pieces for (o, _v) in pts})
-    rows = [[_value_on(pts, o) + b for pts, b in zip(pieces, offsets)]
-            for o in base]
+    S = lcm(*(p[0] for p in pieces), *(b.denominator for b in offsets))
+    grid, cols = _grid(pieces, S)
+    cols = [[v + b.numerator * (S // b.denominator) for v in col]
+            for col, b in zip(cols, offsets)]
     n = len(pieces)
-    out = []
+    out: list[Entry] = []
 
-    def emit(o, row):
+    def emit(o, row, q=1):
         m = min(row)
-        out.append((o, m, frozenset(j for j in range(n) if row[j] == m)))
+        out.append((o, m if q == 1 else Fraction(m, q),
+                    frozenset(j for j in range(n) if row[j] == m)))
 
-    for a, ra, b, rb in zip(base, rows, base[1:], rows[1:]):
+    rows = list(zip(*cols))
+    for a, ra, b, rb in zip(grid, rows, grid[1:], rows[1:]):
         emit(a, ra)
         # every piece is affine on [a, b]; add the strict sign changes of
-        # pairwise differences
+        # pairwise differences, at a + t(b - a) with t in (0, 1)
         cross: set[Fraction] = set()
         for j in range(n):
             for k in range(j + 1, n):
                 da, db = ra[j] - ra[k], rb[j] - rb[k]
                 if (da > 0 > db) or (da < 0 < db):
-                    cross.add(a + (b - a) * da / (da - db))
+                    cross.add(Fraction(da, da - db))
         for t in sorted(cross):
-            s = (t - a) / (b - a)
-            emit(t, [va + (vb - va) * s for va, vb in zip(ra, rb)])
-    emit(base[-1], rows[-1])
-    return out
+            # values times q, to stay in integers
+            p, q = t.numerator, t.denominator
+            emit(Fraction(a * q + (b - a) * p, q),
+                 [va * q + (vb - va) * p for va, vb in zip(ra, rb)], q)
+    emit(grid[-1], rows[-1])
+    return S, out
+
+
+def _envelope_edge(S: int, env: list[Entry]) -> tuple[int, list[tuple[int, int]]]:
+    """The envelope's breakpoints as integers, at S times the lcm of the
+    crossings' denominators."""
+    q = lcm(*(x.denominator for (o, v, _a) in env for x in (o, v)))
+    return S * q, [(o.numerator * (q // o.denominator), v.numerator * (q // v.denominator))
+                   for (o, v, _a) in env]
 
 
 def min_combination(funcs: Sequence[PLFunction], offsets: Sequence) -> PLFunction:
@@ -286,11 +337,10 @@ def min_combination(funcs: Sequence[PLFunction], offsets: Sequence) -> PLFunctio
     if len(funcs) != len(offsets):
         raise PreconditionError("need one offset per function")
     graph = _same_graph(funcs)
-    offsets = [Fraction(b) for b in offsets]
-    return PLFunction(graph, {
-        ei: [(o, v) for (o, v, _a) in
-             lower_envelope([f.data[ei] for f in funcs], offsets)]
-        for ei in range(len(graph.edges))})
+    offsets = [_rat(b, PreconditionError) for b in offsets]
+    return PLFunction._from_ints(graph, [
+        _envelope_edge(*lower_envelope([f.scaled[ei] for f in funcs], offsets))
+        for ei in range(len(graph.edges))])
 
 
 def in_R(f: PLFunction, D: Divisor) -> bool:
@@ -301,21 +351,25 @@ def in_R(f: PLFunction, D: Divisor) -> bool:
 def distance_function(graph: MetricGraph, p: Point, cap=None) -> PLFunction:
     """x -> dist(x, p), optionally capped at ``cap`` (slopes stay in {-1,0,1})."""
     dv = graph.vertex_distances(p)
-    data: dict[int, EdgeData] = {}
+    if cap is not None:
+        cap = _rat(cap, PreconditionError)
+    edges = []
     for ei, (u, v, length) in enumerate(graph.edges):
+        off = p.offset if not p.is_vertex and p.edge == ei else None
+        xs = [x for x in (length, dv[u], dv[v], off, cap) if x is not None]
+        S = lcm(*(x.denominator for x in xs))
+        L, du, dw = (x.numerator * (S // x.denominator) for x in (length, dv[u], dv[v]))
         # around-the-graph candidates through either endpoint
-        pieces = [[(Fraction(0), dv[u]), (length, dv[u] + length)],
-                  [(Fraction(0), dv[v] + length), (length, dv[v])]]
-        if not p.is_vertex and p.edge == ei:
+        pieces = [(S, (0, L), (du, du + L)), (S, (0, L), (dw + L, dw))]
+        if off is not None:
             # straight to p along the edge
-            off = p.offset
-            pieces.append([(Fraction(0), off), (off, Fraction(0)),
-                           (length, length - off)])
+            x = off.numerator * (S // off.denominator)
+            pieces.append((S, (0, x, L), (x, 0, L - x)))
         if cap is not None:
-            pieces.append([(Fraction(0), Fraction(cap)), (length, Fraction(cap))])
-        data[ei] = [(o, v) for (o, v, _a) in
-                    lower_envelope(pieces, [0] * len(pieces))]
-    return PLFunction(graph, data)
+            c = cap.numerator * (S // cap.denominator)
+            pieces.append((S, (0, L), (c, c)))
+        edges.append(_envelope_edge(*lower_envelope(pieces, [0] * len(pieces))))
+    return PLFunction._from_ints(graph, edges)
 
 
 def agreement_region(f: PLFunction, g_: PLFunction) -> Region:
@@ -325,10 +379,10 @@ def agreement_region(f: PLFunction, g_: PLFunction) -> Region:
     intervals: list[Interval] = []
     points: set[Point] = set()
     for ei in range(len(graph.edges)):
-        env = lower_envelope([f.data[ei], g_.data[ei]], [0, 0])
-        intervals += [Interval(ei, lo, hi) for (lo, _v, a), (hi, _w, b)
-                      in zip(env, env[1:]) if len(a & b) == 2]
-        points.update(graph.point(ei, o) for (o, _v, a) in env if len(a) == 2)
+        S, env = lower_envelope([f.scaled[ei], g_.scaled[ei]], [0, 0])
+        intervals += [Interval(ei, Fraction(lo, S), Fraction(hi, S))
+                      for (lo, _v, a), (hi, _w, b) in zip(env, env[1:]) if len(a & b) == 2]
+        points.update(graph.point(ei, Fraction(o, S)) for (o, _v, a) in env if len(a) == 2)
     return Region(graph, intervals, points)
 
 

@@ -426,18 +426,18 @@ def _potential(lat: _Lattice, E: Divisor, base: Point) -> PLFunction:
     P = lcm(*(length for (_u, _v, length) in lat.edges))
     rows: list[dict[int, int]] = [{} for _ in range(n)]
     rhs = [0] * n
-    # (offset, chips, offset as a Fraction) on each edge; an interior base
-    # is a breakpoint without chips, so its value is read off the walk
-    chips: list[list[tuple[int, int, Fraction]]] = [[] for _ in lat.edges]
+    # (offset, chips) on each edge; an interior base is a breakpoint
+    # without chips, so its value is read off the walk
+    chips: list[list[tuple[int, int]]] = [[] for _ in lat.edges]
     q = lat.key(base)
     if type(q) is tuple:
-        chips[q[0]].append((q[1], 0, base.offset))
+        chips[q[0]].append((q[1], 0))
     for p, c in E.items():
         k = lat.key(p)
         if type(k) is int:
             rhs[k] += c * P
         else:
-            chips[k[0]].append((k[1], c, p.offset))
+            chips[k[0]].append((k[1], c))
     for (i, j, length), on_edge in zip(lat.edges, chips):
         w = P // length
         on_edge.sort()
@@ -446,7 +446,7 @@ def _potential(lat: _Lattice, E: Divisor, base: Point) -> PLFunction:
                 rows[a][a] = rows[a].get(a, 0) + w
                 if b:
                     rows[a][b] = rows[a].get(b, 0) - w
-        for x, c, _o in on_edge:
+        for x, c in on_edge:
             rhs[i] += c * (length - x) * w
             rhs[j] += c * x * w
     for k in range(1, n):
@@ -471,21 +471,22 @@ def _potential(lat: _Lattice, E: Divisor, base: Point) -> PLFunction:
     for k in range(n - 1, 0, -1):
         row = rows[k]
         val[k] = _exact(rhs[k] - sum(a * val[j] for j, a in row.items() if j > k), row[k])
-    data: dict[int, list[tuple[Fraction, int]]] = {}
-    for ei, ((i, j, length), on_edge) in enumerate(zip(lat.edges, chips)):
+    # each edge's breakpoints, offsets and values in units of 1/L
+    data: list[list[tuple[int, int]]] = []
+    for (i, j, length), on_edge in zip(lat.edges, chips):
         # the slope leaving the first end; each chip c passed lowers it by c
-        slope = _exact(val[j] - val[i] + sum(c * (length - x) for x, c, _o in on_edge), length)
+        slope = _exact(val[j] - val[i] + sum(c * (length - x) for x, c in on_edge), length)
         o, y = 0, val[i]
-        data[ei] = pts = [(Fraction(0), y)]
-        for x, c, off in on_edge:
+        pts = [(0, y)]
+        for x, c in on_edge:
             y += slope * (x - o)
-            pts.append((off, y))
+            pts.append((x, y))
             o, slope = x, slope - c
-        pts.append((graph.edge_length(ei), y + slope * (length - o)))
-    shift = val[q] if type(q) is int else next(y for (off, y) in data[q[0]] if off == base.offset)
-    L = lat.scale
-    return PLFunction(graph, {ei: [(o, Fraction(y - shift, L)) for (o, y) in pts]
-                              for ei, pts in data.items()})
+        pts.append((length, y + slope * (length - o)))
+        data.append(pts)
+    shift = val[q] if type(q) is int else next(y for (x, y) in data[q[0]] if x == q[1])
+    return PLFunction._from_ints(graph, [(lat.scale, [(x, y - shift) for (x, y) in pts])
+                                         for pts in data])
 
 
 def v_reduce(graph: MetricGraph, D: Divisor, base: Point,

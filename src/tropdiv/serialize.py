@@ -111,9 +111,10 @@ def chain_from_json(obj: dict) -> ChainOfLoops:
 def plfunction_to_json(f: PLFunction) -> dict:
     return {
         "edges": {
-            str(ei): [{"offset": rat_to_json(o), "value": rat_to_json(v)}
-                      for (o, v) in pts]
-            for ei, pts in sorted(f.data.items())
+            str(ei): [{"offset": rat_to_json(Fraction(o, s)),
+                       "value": rat_to_json(Fraction(v, s))}
+                      for (o, v) in zip(O, V)]
+            for ei, (s, O, V) in enumerate(f.scaled)
         }
     }
 

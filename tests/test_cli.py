@@ -157,15 +157,18 @@ class TestGP0:
 
     def test_dependent_reports_offsets_and_exits_1(self, tmp_path, monkeypatch):
         import tropdiv.chainbn as cb
-        build_Ek = cb.build_Ek
+        twist = cb._twist
+        # the adjoint divisor E of tableau 0, from which the experiment
+        # builds every (E_k, psi_k)
+        E = cb.adjoint_divisor(cb.enumerate_tableaux(2, 2)[0], default_generic_chain(4))
 
-        def shifted_Ek(T, chain, k):
+        def shifted_twist(D, chain, k, r):
             # psi_1 = psi_0 + 3/2 keeps E_1, so the empty-cell table still
             # checks, and makes phi_j + psi_1 a shift of phi_j + psi_0
-            E, psi = build_Ek(T, chain, k)
-            if k == 1:
-                psi = build_Ek(T, chain, 0)[1].add_const(Fraction(3, 2))
-            return E, psi
+            Ek, psi = twist(D, chain, k, r)
+            if D == E and k == 1:
+                psi = twist(D, chain, 0, r)[1].add_const(Fraction(3, 2))
+            return Ek, psi
 
         families = []
 
@@ -175,7 +178,7 @@ class TestGP0:
             return DependenceCertificate(
                 offsets, min_combination(fam[:2], offsets[:2]))
 
-        monkeypatch.setattr(cb, "build_Ek", shifted_Ek)
+        monkeypatch.setattr(cb, "_twist", shifted_twist)
         monkeypatch.setattr(cb, "find_independence_certificate",
                             lambda fam, report=None: None)
         monkeypatch.setattr(cb, "find_dependence", known_dependence)

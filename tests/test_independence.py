@@ -54,6 +54,15 @@ class TestVerify:
         assert ok
 
 
+class TestFloatOffsetsRejected:
+    @pytest.mark.parametrize("check", [verify_dependence, unique_min_locus])
+    def test_rejected(self, check):
+        f, g = base_pair(theta_graph())
+        with pytest.raises(PreconditionError, match="not an exact rational"):
+            check([f, g], [0, 0.5])
+        check([f, g], [0, "1/2"])
+
+
 class TestUniqueMinLocus:
     def test_locus_of_independent_pair_is_nonempty(self):
         G = theta_graph()
@@ -205,6 +214,13 @@ class TestUniqueMinPermutation:
         third = Fraction(1, 3)
         assert unique_min_permutation([[third, 0], [0, third]]) == (1, 0)
         assert unique_min_permutation([[third, third], [0, 0]]) is None
+
+    def test_floats_rejected(self):
+        # in floats the second permutation sums to more than the first,
+        # but the matrix meant is singular
+        with pytest.raises(PreconditionError, match="not an exact rational"):
+            unique_min_permutation([[0.1, 0.2], [0.2, 0.30000000000000004]])
+        assert unique_min_permutation([["1/10", "1/5"], ["1/5", "3/10"]]) is None
 
     def test_non_square_or_oversized_rejected(self):
         from tropdiv.independence import MAX_FAMILY

@@ -1,5 +1,8 @@
 """Tests for piecewise-linear functions, orders, and tropical minima."""
+from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,7 @@ from tropdiv.errors import GraphError, PreconditionError
 from tropdiv.plfunc import (agreement_region, distance_function, in_R,
                             lower_envelope, min_combination, minchips_holds,
                             obstruction_holds, region_boundary_in)
+from tropdiv import serialize
 from tropdiv.sampling import SplitMix64, random_divisor, random_point
 
 from .conftest import (circle_graph, coprime_graph, point_contact_family, solve_potential,
@@ -148,6 +152,17 @@ class TestOrdersAndDivisors:
         f = distance_function(G, p)
         assert f.divisor().degree == 0
 
+    def test_order_at_matches_divisor(self):
+        G = theta_graph()
+        f = min_combination([distance_function(G, G.point(1, Fraction(1, 2))),
+                             distance_function(G, G.vertex_point("b"))], [0, Fraction(-1, 3)])
+        div = f.divisor()
+        pts = {G.vertex_point(v) for v in G.vertices} | set(div.support())
+        pts |= {G.point(ei, o) for ei, bps in f.data.items() for (o, _v) in bps[1:-1]}
+        pts.add(G.point(2, Fraction(1, 7)))
+        assert all(f.order_at(p) == div.coeff(p) for p in pts)
+        assert not div.is_zero
+
     def test_divisor_is_additive(self):
         G = theta_graph()
         f = distance_function(G, G.vertex_point("a"))
@@ -221,10 +236,24 @@ def envelope_inputs(draw):
     return pieces, offsets
 
 
+def scaled_piece(pts):
+    """Sorted Fraction breakpoints as an edge of ``PLFunction.scaled``,
+    (s, offsets * s, values * s), keeping every breakpoint."""
+    s = lcm(*(x.denominator for pt in pts for x in pt))
+    return s, tuple(int(o * s) for (o, _v) in pts), tuple(int(v * s) for (_o, v) in pts)
+
+
+def envelope(pieces, offsets):
+    """``lower_envelope`` on Fraction breakpoints, with its entries read
+    back as Fractions."""
+    S, env = lower_envelope([scaled_piece(pts) for pts in pieces], offsets)
+    return [(Fraction(o) / S, Fraction(v) / S, a) for (o, v, a) in env]
+
+
 def check_envelope(pieces, offsets):
     """lower_envelope against pointwise evaluation at every entry and at
     every cell midpoint."""
-    env = lower_envelope(pieces, offsets)
+    env = envelope(pieces, offsets)
 
     def direct(x):
         vals = [_value_direct(pts, x) + b for pts, b in zip(pieces, offsets)]
@@ -344,6 +373,47 @@ def exact_zip(f, g, op):
         for ei in f.data}
 
 
+def fraction_value_on(pts, off):
+    """Value at ``off`` of the function with Fraction breakpoints ``pts``,
+    by bisection."""
+    # the last breakpoint is never passed over, so it needs no comparison
+    i = bisect_left(pts, off, 0, len(pts) - 1, key=itemgetter(0))
+    o2, v2 = pts[i]
+    if o2 == off:
+        return v2
+    o1, v1 = pts[i - 1]
+    return v1 + (v2 - v1) * (off - o1) / (o2 - o1)
+
+
+def fraction_envelope(pieces, offsets):
+    """``lower_envelope`` in Fraction arithmetic, on Fraction breakpoint
+    lists: (offset, value, attaining indices) at every breakpoint of any
+    piece and at every crossing of two pieces."""
+    base = sorted({o for pts in pieces for (o, _v) in pts})
+    rows = [[fraction_value_on(pts, o) + b for pts, b in zip(pieces, offsets)]
+            for o in base]
+    n = len(pieces)
+    out = []
+
+    def emit(o, row):
+        m = min(row)
+        out.append((o, m, frozenset(j for j in range(n) if row[j] == m)))
+
+    for a, ra, b, rb in zip(base, rows, base[1:], rows[1:]):
+        emit(a, ra)
+        cross = set()
+        for j in range(n):
+            for k in range(j + 1, n):
+                da, db = ra[j] - ra[k], rb[j] - rb[k]
+                if (da > 0 > db) or (da < 0 < db):
+                    cross.add(a + (b - a) * da / (da - db))
+        for t in sorted(cross):
+            s = (t - a) / (b - a)
+            emit(t, [va + (vb - va) * s for va, vb in zip(ra, rb)])
+    emit(base[-1], rows[-1])
+    return out
+
+
 def exact_potential(G, E, base):
     """The data of the f with div(f) = E and f(base) = 0, by dense
     Gauss-Jordan elimination on the weighted Laplacian (weight 1/L per
@@ -445,3 +515,115 @@ class TestIntegerKernels:
                 solve_potential(G, E, base)
         else:
             assert solve_potential(G, E, base).data == want
+
+
+def envelope_family(G, rng):
+    """Two to five functions, each a random function or its negative, so
+    that slopes differ by up to 2 and crossings fall between lattice
+    points."""
+    return [random_function(G, rng).scale(rng.choice([-1, 1]))
+            for _ in range(rng.randint(2, 5))]
+
+
+def off_scale_offsets(funcs, rng):
+    """Random rational offsets, the first shifted by 1/p for the least
+    prime p that divides no edge scale of the family."""
+    scales = [s for f in funcs for (s, _O, _V) in f.scaled]
+    p = next(p for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+             if all(s % p for s in scales))
+    offsets = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in funcs]
+    offsets[0] += Fraction(1, p)
+    return offsets
+
+
+def envelope_against_oracle(funcs, offsets):
+    """The envelope of every edge against ``fraction_envelope``, entry by
+    entry; returns the entries in Fractions."""
+    entries = []
+    for ei in range(len(funcs[0].graph.edges)):
+        S, env = lower_envelope([f.scaled[ei] for f in funcs], offsets)
+        got = [(Fraction(o, S), Fraction(v, S), a) for (o, v, a) in env]
+        assert got == fraction_envelope([f.data[ei] for f in funcs], offsets)
+        entries += [(S, o) for (o, _v, _a) in env]
+    return entries
+
+
+class TestEnvelopeOracle:
+    """``lower_envelope`` against the Fraction envelope, on chains, the
+    theta graph and coprime edge lengths."""
+
+    @given(st.integers(0, len(KERNEL_GRAPHS) - 1), st.integers(0, 2 ** 32))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_fraction_envelope(self, gi, seed):
+        G = KERNEL_GRAPHS[gi]()
+        rng = SplitMix64(seed)
+        funcs = envelope_family(G, rng)
+        envelope_against_oracle(funcs, off_scale_offsets(funcs, rng))
+
+    def test_crossing_off_the_lattice(self):
+        # slopes -1 and 1 from vertex a cross at distance 1/10 on the edge
+        # of length 2/7, at 7/2 in units of 1/35
+        G = coprime_graph()
+        d = distance_function(G, G.vertex_point("a"))
+        entries = envelope_against_oracle([d.scale(-1), d], [0, Fraction(-1, 5)])
+        assert (35, Fraction(7, 2)) in entries
+
+
+class TestScaledForm:
+    """One stored form per function, and a ``data`` view that is a copy."""
+
+    def test_same_function_stored_once(self):
+        G = circle_graph(4)
+        flat = [(0, 0), (2, 0)]
+        # denominators that cancel: 2/4, 3/3
+        f = PLFunction(G, {0: [(0, 0), ("2/4", "2/4"), (1, "3/3"), (2, 0)], 1: flat})
+        # an extra collinear breakpoint at 1/7
+        g = PLFunction(G, {0: [(0, 0), (Fraction(1, 7), Fraction(1, 7)), (1, 1), (2, 0)],
+                           1: flat})
+        # scales of 4 and 7 taken on by arithmetic and cancelled again
+        h = f.add_const(Fraction(1, 4)).add_const(Fraction(-1, 4))
+        k = (g + g.add_const(Fraction(3, 7))) - g.add_const(Fraction(3, 7))
+        for other in (g, h, k):
+            assert other == f
+            assert other.scaled == f.scaled == ((1, (0, 1, 2), (0, 1, 0)), (1, (0, 2), (0, 0)))
+            assert (serialize.dumps(serialize.plfunction_to_json(other))
+                    == serialize.dumps(serialize.plfunction_to_json(f)))
+
+    def test_data_view_is_a_copy(self):
+        G = theta_graph()
+        f = distance_function(G, G.point(1, Fraction(1, 2)))
+        g = distance_function(G, G.point(1, Fraction(1, 2)))
+        p = G.point(2, Fraction(7, 3))
+        value, div = f(p), f.divisor()
+        view = f.data
+        for pts in view.values():
+            pts.reverse()
+            pts.append((Fraction(9), Fraction(9)))
+        view[0][0] = (Fraction(1), Fraction(-5))
+        view.clear()
+        assert f(p) == value and f.divisor() == div and f == g
+        assert f.data == g.data
+
+
+class TestFloatsRejected:
+    """A float's binary value is not the rational meant, so it raises."""
+
+    def test_breakpoints(self):
+        G = circle_graph(4)
+        flat = [(0, 0), (2, 0)]
+        for bad in ([(0, 0), (1.0, 0), (2, 0)], [(0, 0.0), (2, 0)]):
+            with pytest.raises(GraphError, match="not an exact rational"):
+                PLFunction(G, {0: bad, 1: flat})
+
+    def test_add_const(self):
+        f = PLFunction.constant(theta_graph(), 0)
+        with pytest.raises(PreconditionError, match="not an exact rational"):
+            f.add_const(0.5)
+        assert f.add_const("1/2") == f.add_const(Fraction(1, 2))
+
+    def test_min_combination_offsets(self):
+        G = theta_graph()
+        f = distance_function(G, G.vertex_point("a"))
+        with pytest.raises(PreconditionError, match="not an exact rational"):
+            min_combination([f, f], [0, 0.5])
+        assert min_combination([f, f], [1, "1/2"]) == f.add_const(Fraction(1, 2))
