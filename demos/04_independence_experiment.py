@@ -2,11 +2,12 @@
 
 For each standard 2x2 tableau we build the pair divisors D_j and E_k, check
 that each sum D_j + E_k leaves exactly the tableau's cell empty, and prove
-the family {phi_j + psi_k} tropically independent by a certificate: points
-p_i at which the matrix of values M[i][f] = f(p_i) has a unique optimal
-permutation for its min-plus permanent, so that no choice of offsets can
-make the minimum tie at every point.  The expected verdict on a generic
-chain is independence.
+the family {phi_j + psi_k} tropically independent by the certificate that
+this empty-cell table gives: the vertex v_i is matched to the function
+whose cell holds entry i, and the matrix of values M[i][f] = f(v_i) has
+that matching as the unique optimal permutation of its min-plus
+permanent, so that no choice of offsets can make the minimum tie at every
+point.  The expected verdict on a generic chain is independence.
 """
 from tropdiv import (default_generic_chain, enumerate_tableaux,
                      gp_rho_zero_experiment)
@@ -27,7 +28,7 @@ def main():
         print(f"  verdict: {rep.verdict}  ({rep.elapsed:.2f}s)")
         assert rep.verdict == "independent"
         cert = rep.independence_certificate
-        print(f"  certificate ({rep.certificate_draws} draw(s)):")
+        print("  certificate (empty-cell table):")
         for p, f in zip(cert.points, cert.permutation):
             j, k = divmod(f, rows)
             print(f"    point {p} is matched to phi_{j} + psi_{k}")

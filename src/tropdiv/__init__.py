@@ -19,9 +19,8 @@ from .reduce import (ReductionResult, default_base, default_rank_points,
                      riemann_roch_check, v_reduce)
 from .independence import (DependenceCertificate, IndependenceCertificate,
                            IndependenceReport, find_dependence,
-                           find_independence_certificate, unique_min_locus,
-                           unique_min_permutation, verify_dependence,
-                           verify_independence)
+                           is_unique_minimiser, unique_min_locus,
+                           verify_dependence, verify_independence)
 from .chainbn import (DyckPath, GPReport, ShapeProfile, Tableau,
                       adjoint_divisor, build_Dj, build_Ek,
                       canonical_shape_check, chips_on_each_loop_check,

@@ -4,7 +4,10 @@ Rectangular standard tableaux classify the relevant divisor classes; each
 tableau yields a lattice path, a divisor D on the chain, its adjoint E,
 and the twisted representatives D_j / E_k with piecewise-linear witnesses.
 The central experiment proves that the family {phi_j + psi_k} admits no
-tropical dependence.
+tropical dependence, as the paper does, from shapes: each D_j + E_k
+misses exactly one cell gamma_i, these cells are distinct, and matching
+the vertex v_i to the function whose cell holds entry i gives an
+independence certificate that is checked exactly.
 """
 from __future__ import annotations
 
@@ -13,12 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import (GenericityError, PreconditionError, TheoremViolation)
+from .errors import (GenericityError, PreconditionError, SearchCapError,
+                     TheoremViolation)
 from .graph import (BNParams, ChainOfLoops, Divisor, Point, canonical_divisor,
                     check_genericity, contains_point_in)
 from .independence import (DependenceCertificate, IndependenceCertificate,
-                           IndependenceReport, find_dependence,
-                           find_independence_certificate)
+                           find_dependence, verify_independence)
 from .plfunc import PLFunction, in_R
 from .reduce import v_reduce
 
@@ -316,7 +319,6 @@ class GPReport:
     empty_cell_table: dict[tuple[int, int], int]
     elapsed: float
     independence_certificate: IndependenceCertificate | None = None
-    certificate_draws: int = 0        # point sets the certificate search drew
 
 
 def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
@@ -324,12 +326,16 @@ def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
     {phi_j + psi_k} (index j * rows + k) for tropical dependence; the
     expected verdict on a generic chain is independence.
 
-    The verdict is "independent" with an independence certificate when
-    ``find_independence_certificate`` finds one.  Otherwise
-    ``find_dependence`` runs: "dependent" with its offsets in
+    The empty-cell table is checked first: D_j + E_k must miss exactly the
+    cell gamma_i of the entry i in row k and column j of T, and a
+    ``TheoremViolation`` is raised otherwise.  The table then gives the
+    certificate: the points v_1..v_g, with v_i matched to the function
+    phi_j + psi_k whose cell holds i.  The verdict is "independent" when
+    ``verify_independence`` accepts it; no tableau tried has failed this.
+    Otherwise ``find_dependence`` runs: "dependent" with its offsets in
     ``certificate`` if it finds a dependence, else "undecided", since that
-    search is incomplete.  "trivial" marks a family of fewer than two
-    functions.
+    search is incomplete, as it is when the search exceeds its cap.
+    "trivial" marks a family of fewer than two functions.
     """
     _require_generic(chain)
     params = T.params()
@@ -346,8 +352,8 @@ def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
     phis = [_twist(D, chain, j, r) for j in range(r + 1)]
     psis = [_twist(E, chain, k, rows - 1) for k in range(rows)]
 
-    # sanity table: the empty cell of D_j + E_k must be the tableau cell
-    # in column j and row k
+    # the empty cell of D_j + E_k must be the tableau cell in column j
+    # and row k
     table: dict[tuple[int, int], int] = {}
     for j, (Dj, _) in enumerate(phis):
         for k, (Ek, _) in enumerate(psis):
@@ -362,12 +368,18 @@ def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
     if len(family) < 2:
         return GPReport(params, T, "trivial", None, table,
                         time.monotonic() - t0)
-    search = IndependenceReport()
-    proof = find_independence_certificate(family, report=search)
-    if proof is not None:
+    # v_i is matched to the function whose cell holds entry i
+    perm = tuple(j * rows + k for (j, k) in sorted(table, key=table.get))
+    proof = IndependenceCertificate(tuple(chain.v(i) for i in range(1, chain.g + 1)),
+                                    perm)
+    if verify_independence(family, proof):
         verdict, cert = "independent", None
     else:
-        cert = find_dependence(family)
+        proof = None
+        try:
+            cert = find_dependence(family)
+        except SearchCapError:
+            cert = None
         verdict = "dependent" if cert is not None else "undecided"
     return GPReport(params, T, verdict, cert, table, time.monotonic() - t0,
-                    proof, search.draws)
+                    proof)

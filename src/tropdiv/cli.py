@@ -3,10 +3,11 @@
 Subcommands: chain-new, reduce, rr-check, gp0, shape.  Exit codes:
 0 success, 1 a checked mathematical property was falsified, 2 usage or
 parse error, 3 an internal search/iteration cap was exceeded, or gp0
-left a family undecided (no independence certificate within the draw
-cap and no dependence found; a dependent family elsewhere in the same
-run takes precedence with exit code 1), 4 an internal error (an
-unexpected exception, reported in one line on stderr).
+left a family undecided (the empty-cell certificate failed and the
+dependence search found nothing or hit its cap; a dependent family
+elsewhere in the same run takes precedence with exit code 1), 4 an
+internal error (an unexpected exception, reported in one line on
+stderr).
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ from .errors import (GenericityError, GraphError, PreconditionError,
                      ReductionCapError, SearchCapError, TheoremViolation)
 from .graph import (ChainOfLoops, MetricGraph, canonical_divisor,
                     check_genericity, default_generic_chain)
-from .independence import CERTIFICATE_DRAWS
 from .reduce import riemann_roch_check, v_reduce
 from .sampling import SplitMix64, random_divisor
 from . import serialize as sz
@@ -156,8 +156,6 @@ def cmd_gp0(args) -> int:
             "elapsed_seconds": round(rep.elapsed, 3),
             "empty_cells": {f"{j},{k}": i
                             for (j, k), i in sorted(rep.empty_cell_table.items())},
-            "certificate_draws": rep.certificate_draws,
-            "certificate_draw_cap": CERTIFICATE_DRAWS,
         }
         if rep.independence_certificate is not None:
             entry["certificate"] = sz.independence_certificate_to_json(

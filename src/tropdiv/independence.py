@@ -6,23 +6,25 @@ min_j(f_j + b_j) is attained at least twice at every point of the graph.
 
 - ``verify_dependence`` checks given offsets cell-by-cell on the exact
   lower envelope.
-- ``find_independence_certificate`` proves independence: it looks for
-  points p_1..p_n at which the matrix M_ij = f_j(p_i) is tropically
-  nonsingular, and ``verify_independence`` re-checks such a certificate.
+- ``verify_independence`` proves independence from a certificate: points
+  p_1..p_n and a permutation that is the unique minimiser of the min-plus
+  permanent of M_ij = f_j(p_i), checked by ``is_unique_minimiser`` in
+  O(n^3).  The caller supplies the certificate; on the chain of loops the
+  rho = 0 experiment reads it off the empty-cell table (``chainbn``).
 - ``find_dependence`` searches for offsets through the critical values of
   pairwise differences.  The search is not complete: it misses
   dependences in which coincident pairs of functions meet only at
   isolated points (a four-function example on one edge is in the tests),
   so a search that finds nothing proves nothing.
 
-All of it runs on the integers of ``PLFunction.scaled``.  ``_family_grid``
+All of it runs on the integers of ``PLFunction.scaled``.  ``_pair_tables``
 walks each edge of the family once, at the lcm of the functions' scales
 there, and gives every function's values at the union of their
 breakpoints as integers over one common denominator.  Scaling keeps
 equality and order, so the dependence search tries the candidates of the
-search on exact rationals in the same order, and the certificate search
-draws the same points and finds the same permutation.  The envelope
-checks run on ``plfunc.lower_envelope``, which is integer too.
+search on exact rationals in the same order.  The certificate matrix is
+put over one common denominator too, and the envelope checks run on
+``plfunc.lower_envelope``, which is integer as well.
 """
 from __future__ import annotations
 
@@ -36,14 +38,8 @@ from .errors import PreconditionError, SearchCapError
 from .graph import Interval, MetricGraph, Point, Region, _rat
 from .plfunc import (PLFunction, _grid, _same_graph, lower_envelope,
                      min_combination)
-from .sampling import SplitMix64
 
 MAX_FAMILY = 12
-# point sets tried by find_independence_certificate before it gives up;
-# the rho = 0 tableaux tried, up to genus 9, needed at most 26
-CERTIFICATE_DRAWS = 200
-# a fixed seed keeps certificates, and so reports, reproducible
-CERTIFICATE_SEED = 0x5EED_CE27
 
 
 def _common_graph(funcs: Sequence[PLFunction]) -> MetricGraph:
@@ -106,54 +102,42 @@ class DependenceCertificate:
 
 @dataclass
 class IndependenceReport:
-    """What a search did: from ``find_dependence``, the number of
-    candidate offset vectors tried; from ``find_independence_certificate``,
-    the number of point sets drawn."""
+    """What ``find_dependence`` did: the number of candidate offset vectors
+    it tried."""
 
     candidates_tried: int = 0
-    draws: int = 0
 
 
-def _family_grid(funcs: Sequence[PLFunction]):
-    """``(den, grids, at_vertex)``.  ``grids[ei]`` is ``(S, offsets,
-    values)`` on edge ``ei``: S is the lcm of the functions' scales there,
-    ``offsets`` the sorted union of their breakpoint offsets in units of
-    1/S, and ``values[j]`` f_j at those offsets in units of 1/den, den the
-    lcm of every edge's S.  ``at_vertex[v]`` holds every function's value
-    at vertex v's first edge coordinate, as ``PLFunction.__call__`` reads
-    it."""
+def _pair_tables(funcs: Sequence[PLFunction]):
+    """``(den, crit, box, probes)``: the tables ``find_dependence`` reads,
+    as integers in units of 1/den.  Each edge is walked once, at the lcm S
+    of the functions' scales there, giving every function's values at the
+    sorted union of their breakpoint offsets; den is the lcm of every
+    edge's S.  Between grid points f_j - f_k is affine, so
+    ``crit[(j, k)]`` (the values it takes on a positive-length segment)
+    are its equal consecutive entries on one edge and ``box[(j, k)]`` runs
+    from its least to its greatest entry.  ``probes[j]`` holds f_j at each
+    vertex's first edge coordinate, as ``PLFunction.__call__`` reads it."""
     graph = funcs[0].graph
     grids = []
     for ei in range(len(graph.edges)):
         pieces = [f.scaled[ei] for f in funcs]
         S = lcm(*(p[0] for p in pieces))
-        grids.append((S, *_grid(pieces, S)))
-    den = lcm(*(S for (S, _x, _v) in grids))
-    grids = [(S, offs, [[v * (den // S) for v in col] for col in cols])
-             for (S, offs, cols) in grids]
-    at_vertex = []
-    for v in graph.vertices:
-        ei, off = graph.edge_coordinates(graph.vertex_point(v))[0]
-        at_vertex.append([col[0 if off == 0 else -1] for col in grids[ei][2]])
-    return den, grids, at_vertex
-
-
-def _pair_tables(funcs: Sequence[PLFunction]):
-    """``(den, crit, box, probes)``: the tables ``find_dependence`` reads,
-    in units of 1/den, from ``_family_grid``.  Between grid points
-    f_j - f_k is affine, so ``crit[(j, k)]`` (the values it takes on a
-    positive-length segment) are its equal consecutive entries on one
-    edge and ``box[(j, k)]`` runs from its least to its greatest entry;
-    ``probes[j]`` holds f_j at each vertex."""
-    den, grids, at_vertex = _family_grid(funcs)
+        grids.append((S, _grid(pieces, S)[1]))
+    den = lcm(*(S for (S, _cols) in grids))
+    grids = [[[v * (den // S) for v in col] for col in cols] for (S, cols) in grids]
     crit, box = {}, {}
     for j, k in combinations(range(len(funcs)), 2):
-        diffs = [[a - b for a, b in zip(cols[j], cols[k])] for (_S, _x, cols) in grids]
+        diffs = [[a - b for a, b in zip(cols[j], cols[k])] for cols in grids]
         values = sorted({d for row in diffs for d, e in zip(row, row[1:]) if d == e})
         lo, hi = min(map(min, diffs)), max(map(max, diffs))
         crit[(j, k)], crit[(k, j)] = values, [-v for v in reversed(values)]
         box[(j, k)], box[(k, j)] = range(lo, hi + 1), range(-hi, 1 - lo)
-    probes = [list(col) for col in zip(*at_vertex)]
+    probes = [[] for _ in funcs]
+    for v in graph.vertices:
+        ei, off = graph.edge_coordinates(graph.vertex_point(v))[0]
+        for probe, col in zip(probes, grids[ei]):
+            probe.append(col[0 if off == 0 else -1])
     return den, crit, box, probes
 
 
@@ -172,8 +156,8 @@ def find_dependence(funcs: Sequence[PLFunction],
     a spanning tree of pairs that coincide on a segment are generated, so
     a dependence in which some functions meet the others only at isolated
     points can be missed: ``None`` means that no candidate passed, not
-    that the family is independent.  ``find_independence_certificate``
-    proves independence.
+    that the family is independent.  ``verify_independence`` proves
+    independence.
 
     The search runs on integers: ``_pair_tables`` reads the family's
     values on a grid of breakpoint offsets, scaled by one ``den > 0``.
@@ -276,88 +260,57 @@ class IndependenceCertificate:
     permutation: tuple[int, ...]
 
 
-def unique_min_permutation(matrix: Sequence[Sequence]) -> tuple[int, ...] | None:
-    """The permutation sigma minimising sum_i matrix[i][sigma[i]] (the
-    min-plus permanent) if it is the only minimiser, that is if the square
-    matrix is tropically nonsingular; otherwise None.
+def is_unique_minimiser(matrix: Sequence[Sequence],
+                        permutation: Sequence[int]) -> bool:
+    """Whether ``permutation`` (sigma) is the only permutation minimising
+    sum_i matrix[i][sigma[i]], the min-plus permanent; then the square
+    matrix is tropically nonsingular.
 
-    A subset DP over columns: for every column set S, the least cost of
-    matching rows 0..|S|-1 onto S and the number of matchings attaining
-    it, capped at 2, in O(2^n * n) exact steps.  The searches pass
-    integer matrices; entries that are not ints are read as exact
-    rationals, and a float raises ``PreconditionError``.
+    The exchange graph of sigma has the columns as nodes and, for j != j',
+    an arc j -> j' of weight M[sigma^-1(j)][j'] - M[sigma^-1(j)][j]: the
+    change in cost when the row matched to j moves to j'.  There are no
+    self-arcs.  sigma is the unique minimiser iff every cycle of this graph
+    has positive weight (strong regularity in max-plus algebra; Butkovic,
+    "Max-linear Systems: Theory and Algorithms").  Proof: any tau != sigma
+    is sigma followed by the disjoint cycles of the column permutation
+    tau o sigma^-1 that are not fixed points, each a simple cycle of the
+    exchange graph, and cost(tau) - cost(sigma) is the sum of their
+    weights; conversely every simple cycle is such a tau.  Floyd-Warshall
+    finds the least weight of a closed walk through each node, and a
+    closed walk of weight <= 0 splits into simple cycles, one of which
+    has weight <= 0.  So the check fails as soon as a closed walk of
+    weight <= 0 turns up, in O(n^3) exact steps and for any n.
+
+    ``verify_independence`` passes an integer matrix; entries that are
+    not ints are read as exact rationals, and a float raises
+    ``PreconditionError``.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise PreconditionError("matrix must be square")
-    if n > MAX_FAMILY:
-        raise PreconditionError(f"matrix size {n} exceeds {MAX_FAMILY}")
+    if sorted(permutation) != list(range(n)):
+        raise PreconditionError("not a permutation of the matrix's columns")
     M = [[_exact(x) for x in row] for row in matrix]
-    full = (1 << n) - 1
-    best = [0] * (full + 1)
-    count = [1] + [0] * full
-    last = [0] * (full + 1)     # column matched to the last row of an optimum
-    for mask in range(1, full + 1):
-        row = M[mask.bit_count() - 1]
-        lo = c = arg = None
-        for j in range(n):
-            if not mask >> j & 1:
+    row_of = [0] * n
+    for i, j in enumerate(permutation):
+        row_of[j] = i
+    # dist[a][b]: the least weight of a walk a -> b found so far; None on
+    # the diagonal until a closed walk through a is found
+    dist = [[M[row_of[a]][b] - M[row_of[a]][a] if b != a else None
+             for b in range(n)] for a in range(n)]
+    for m in range(n):
+        dm = dist[m]
+        for a in range(n):
+            da = dist[a]
+            am = da[m]
+            if am is None:
                 continue
-            prev = mask ^ (1 << j)
-            v = best[prev] + row[j]
-            if lo is None or v < lo:
-                lo, c, arg = v, count[prev], j
-            elif v == lo:
-                c = min(2, c + count[prev])
-        best[mask], count[mask], last[mask] = lo, c, arg
-    if count[full] != 1:
-        return None
-    perm = [0] * n
-    mask = full
-    for i in range(n - 1, -1, -1):
-        perm[i] = last[mask]
-        mask ^= 1 << perm[i]
-    return tuple(perm)
-
-
-def find_independence_certificate(funcs: Sequence[PLFunction],
-                                  report: IndependenceReport | None = None
-                                  ) -> IndependenceCertificate | None:
-    """Search for points that prove the family tropically independent.
-
-    The candidate points are the vertices and every interior breakpoint of
-    any function, in a fixed order; the family's values there are read
-    off ``_family_grid``.  Each draw takes n distinct candidates, from a
-    SplitMix64 with a fixed seed, and tests the matrix of values with
-    ``unique_min_permutation``.  Returns the first certificate found, or
-    None after ``CERTIFICATE_DRAWS`` draws (or at once when there are
-    fewer than n candidates).  None proves nothing: on a dependent family
-    every draw fails.
-    """
-    graph = _common_graph(funcs)
-    n = len(funcs)
-    _den, grids, at_vertex = _family_grid(funcs)
-    cands = [(graph.vertex_point(v), row) for v, row in zip(graph.vertices, at_vertex)]
-    for ei, (S, offs, cols) in enumerate(grids):
-        cands += [(graph.point(ei, Fraction(x, S)), row)
-                  for x, row in zip(offs[1:-1], list(zip(*cols))[1:-1])]
-    if len(cands) < n:
-        return None
-    cands.sort(key=lambda c: c[0].sort_key())
-    rng = SplitMix64(CERTIFICATE_SEED)
-    order = list(range(len(cands)))
-    for _draw in range(CERTIFICATE_DRAWS):
-        if report is not None:
-            report.draws += 1
-        # partial Fisher-Yates: order[:n] becomes a uniform n-subset
-        for i in range(n):
-            k = i + rng.below(len(order) - i)
-            order[i], order[k] = order[k], order[i]
-        picked = order[:n]
-        perm = unique_min_permutation([cands[i][1] for i in picked])
-        if perm is not None:
-            return IndependenceCertificate(tuple(cands[i][0] for i in picked), perm)
-    return None
+            for b, mb in enumerate(dm):
+                if mb is not None and (da[b] is None or am + mb < da[b]):
+                    da[b] = am + mb
+            if da[a] is not None and da[a] <= 0:
+                return False
+    return True
 
 
 def verify_independence(funcs: Sequence[PLFunction],
@@ -389,4 +342,4 @@ def verify_independence(funcs: Sequence[PLFunction],
     vals = [[f._value(*graph.edge_coordinates(p)[0]) for f in funcs] for p in cert.points]
     den = lcm(*(d for row in vals for (_v, d) in row))
     M = [[v * (den // d) for (v, d) in row] for row in vals]
-    return unique_min_permutation(M) == tuple(cert.permutation)
+    return is_unique_minimiser(M, cert.permutation)

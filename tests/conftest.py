@@ -5,6 +5,7 @@ import pytest
 
 from tropdiv import MetricGraph, default_generic_chain
 from tropdiv.chainbn import build_Dj, build_Ek
+from tropdiv.independence import IndependenceCertificate
 from tropdiv.plfunc import PLFunction
 from tropdiv.reduce import _Lattice, _potential
 from tropdiv.sampling import SplitMix64
@@ -82,6 +83,18 @@ def rho_zero_family(T, chain) -> list:
     phis = [build_Dj(T, chain, j)[1] for j in range(T.cols)]
     psis = [build_Ek(T, chain, k)[1] for k in range(T.rows)]
     return [phi + psi for phi in phis for psi in psis]
+
+
+def table_certificate(T, chain) -> IndependenceCertificate:
+    """The certificate the empty-cell table gives for rho_zero_family(T,
+    chain), read off the tableau: the vertex v_i is matched to
+    phi_j + psi_k when entry i sits in row k and column j."""
+    perm = []
+    for i in range(1, T.size + 1):
+        k, j = T.position(i)
+        perm.append(j * T.rows + k)
+    return IndependenceCertificate(tuple(chain.v(i) for i in range(1, T.size + 1)),
+                                   tuple(perm))
 
 
 def point_contact_family() -> list:

@@ -179,8 +179,7 @@ class TestGPExperiment:
             self, chain4, monkeypatch):
         # a failed dependence search is not a proof of independence
         import tropdiv.chainbn as cb
-        monkeypatch.setattr(cb, "find_independence_certificate",
-                            lambda fam, report=None: None)
+        monkeypatch.setattr(cb, "verify_independence", lambda fam, cert: False)
         monkeypatch.setattr(cb, "find_dependence", lambda fam: None)
         rep = gp_rho_zero_experiment(enumerate_tableaux(2, 2)[0], chain4)
         assert rep.verdict == "undecided"

@@ -7,6 +7,7 @@ import pytest
 from tropdiv import ChainOfLoops, Divisor, default_generic_chain
 from tropdiv.chainbn import Tableau
 from tropdiv.cli import main
+from tropdiv.errors import SearchCapError
 from tropdiv.graph import canonical_divisor
 from tropdiv.independence import (DependenceCertificate, verify_dependence,
                                   verify_independence)
@@ -14,7 +15,7 @@ from tropdiv.plfunc import min_combination
 from tropdiv.reduce import v_reduce
 from tropdiv import serialize as sz
 
-from .conftest import rho_zero_family
+from .conftest import rho_zero_family, table_certificate
 
 
 def _write(path, obj):
@@ -137,16 +138,15 @@ class TestGP0:
             chain = sz.chain_from_json(json.load(fh))
         for rep in reports:
             assert rep["verdict"] == "independent"
-            assert rep["certificate_draws"] < rep["certificate_draw_cap"] / 4
             T = Tableau(tuple(tuple(row) for row in rep["tableau"]))
             cert = sz.independence_certificate_from_json(chain.graph,
                                                          rep["certificate"])
+            assert cert == table_certificate(T, chain)
             assert verify_independence(rho_zero_family(T, chain), cert)
 
     def test_undecided_exits_3(self, tmp_path, monkeypatch):
         import tropdiv.chainbn as cb
-        monkeypatch.setattr(cb, "find_independence_certificate",
-                            lambda fam, report=None: None)
+        monkeypatch.setattr(cb, "verify_independence", lambda fam, cert: False)
         monkeypatch.setattr(cb, "find_dependence", lambda fam: None)
         out = tmp_path / "gp.json"
         assert main(["gp0", "--g", "4", "--r", "1", "--d", "3",
@@ -179,8 +179,7 @@ class TestGP0:
                 offsets, min_combination(fam[:2], offsets[:2]))
 
         monkeypatch.setattr(cb, "_twist", shifted_twist)
-        monkeypatch.setattr(cb, "find_independence_certificate",
-                            lambda fam, report=None: None)
+        monkeypatch.setattr(cb, "verify_independence", lambda fam, cert: False)
         monkeypatch.setattr(cb, "find_dependence", known_dependence)
         out = tmp_path / "gp.json"
         assert main(["gp0", "--g", "4", "--r", "1", "--d", "3",
@@ -194,6 +193,30 @@ class TestGP0:
         active = [j for j, b in enumerate(offsets) if b is not None]
         assert verify_dependence([fam[j] for j in active],
                                  [offsets[j] for j in active]) == (True, None)
+
+    def test_capped_dependence_search_is_undecided(self, tmp_path, monkeypatch):
+        # a capped search leaves that family undecided and keeps the run,
+        # so every other tableau still gets its report
+        import tropdiv.chainbn as cb
+
+        def capped(fam):
+            raise SearchCapError(200_000)
+
+        monkeypatch.setattr(cb, "verify_independence", lambda fam, cert: False)
+        monkeypatch.setattr(cb, "find_dependence", capped)
+        out = tmp_path / "gp.json"
+        assert main(["gp0", "--g", "4", "--r", "1", "--d", "3",
+                     "--tableau", "all", "--out", str(out)]) == 3
+        reports = json.loads(out.read_text())["reports"]
+        assert [rep["verdict"] for rep in reports] == ["undecided"] * 2
+        assert all("certificate" not in rep for rep in reports)
+
+    def test_genus_16_family_of_16_is_independent(self, capsys):
+        assert main(["gp0", "--g", "16", "--r", "3", "--d", "15",
+                     "--tableau", "0"]) == 0
+        (rep,) = json.loads(capsys.readouterr().out)["reports"]
+        assert rep["verdict"] == "independent"
+        assert len(rep["certificate"]["points"]) == 16
 
     def test_nonzero_rho_is_usage_error(self):
         assert main(["gp0", "--g", "6", "--r", "3", "--d", "5"]) == 2

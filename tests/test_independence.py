@@ -8,18 +8,16 @@ import pytest
 from tropdiv import MetricGraph, PLFunction, default_generic_chain
 from tropdiv.chainbn import enumerate_tableaux, gp_rho_zero_experiment
 from tropdiv.errors import PreconditionError, SearchCapError
-from tropdiv.independence import (CERTIFICATE_DRAWS, IndependenceCertificate,
-                                  IndependenceReport, _pair_tables,
-                                  find_dependence,
-                                  find_independence_certificate,
-                                  unique_min_locus, unique_min_permutation,
+from tropdiv.independence import (IndependenceCertificate, IndependenceReport,
+                                  _pair_tables, find_dependence,
+                                  is_unique_minimiser, unique_min_locus,
                                   verify_dependence, verify_independence)
 from tropdiv.plfunc import distance_function, min_combination
 from tropdiv.sampling import (SplitMix64, random_effective_divisor,
                               random_R_member)
 
 from .conftest import (circle_graph, point_contact_family, rho_zero_family,
-                       theta_graph)
+                       table_certificate, theta_graph)
 
 
 def base_pair(G):
@@ -196,7 +194,50 @@ def brute_force_unique_min(M):
     return winners[0] if len(winners) == 1 else None
 
 
+def dp_unique_min(M):
+    """``(perm, unique)``: a permutation minimising the min-plus permanent
+    of the square matrix M, and whether it is the only one.  A subset DP
+    over columns: for every column set S, the least cost of matching rows
+    0..|S|-1 onto S and the number of matchings attaining it, capped at 2,
+    in O(2^n * n) steps; the oracle for n <= 12."""
+    n = len(M)
+    full = (1 << n) - 1
+    best = [0] * (full + 1)
+    count = [1] + [0] * full
+    last = [0] * (full + 1)     # column matched to the last row of an optimum
+    for mask in range(1, full + 1):
+        row = M[mask.bit_count() - 1]
+        lo = c = arg = None
+        for j in range(n):
+            if not mask >> j & 1:
+                continue
+            prev = mask ^ (1 << j)
+            v = best[prev] + row[j]
+            if lo is None or v < lo:
+                lo, c, arg = v, count[prev], j
+            elif v == lo:
+                c = min(2, c + count[prev])
+        best[mask], count[mask], last[mask] = lo, c, arg
+    perm = [0] * n
+    mask = full
+    for i in range(n - 1, -1, -1):
+        perm[i] = last[mask]
+        mask ^= 1 << perm[i]
+    return tuple(perm), count[full] == 1
+
+
+def random_permutation(rng, n):
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        k = rng.randint(0, i)
+        perm[i], perm[k] = perm[k], perm[i]
+    return tuple(perm)
+
+
 class TestUniqueMinPermutation:
+    """``is_unique_minimiser``, the exchange-graph check, against
+    enumeration and against the subset DP."""
+
     def test_agrees_with_brute_force(self):
         # entries in a small range, so that ties are common
         rng = SplitMix64(0x7E57)
@@ -204,38 +245,74 @@ class TestUniqueMinPermutation:
         for t in range(3200):
             n = 2 + t % 4
             M = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            got = unique_min_permutation(M)
-            assert got == brute_force_unique_min(M), M
-            unique += got is not None
+            costs = {p: sum(M[i][p[i]] for i in range(n))
+                     for p in permutations(range(n))}
+            winner = min(costs, key=costs.get)
+            want = brute_force_unique_min(M)
+            assert is_unique_minimiser(M, winner) == (want is not None), M
+            other = random_permutation(rng, n)
+            assert is_unique_minimiser(M, other) == (want == other), (M, other)
+            unique += want is not None
         # both outcomes are exercised
         assert 0 < unique < 3200
 
+    def test_agrees_with_subset_dp(self):
+        rng = SplitMix64(0xD1CE)
+        outcomes = set()
+        for n in range(6, 13):
+            for spread in (3, n * n):
+                M = [[rng.randint(-spread, spread) for _ in range(n)]
+                     for _ in range(n)]
+                perm, unique = dp_unique_min(M)
+                assert is_unique_minimiser(M, perm) == unique, M
+                other = random_permutation(rng, n)
+                if other != perm:
+                    assert not is_unique_minimiser(M, other), (M, other)
+                outcomes.add(unique)
+        assert outcomes == {True, False}
+
     def test_fractions_are_exact(self):
         third = Fraction(1, 3)
-        assert unique_min_permutation([[third, 0], [0, third]]) == (1, 0)
-        assert unique_min_permutation([[third, third], [0, 0]]) is None
+        assert is_unique_minimiser([[third, 0], [0, third]], (1, 0))
+        assert not is_unique_minimiser([[third, 0], [0, third]], (0, 1))
+        assert not is_unique_minimiser([[third, third], [0, 0]], (0, 1))
+        assert not is_unique_minimiser([[third, third], [0, 0]], (1, 0))
 
     def test_floats_rejected(self):
         # in floats the second permutation sums to more than the first,
         # but the matrix meant is singular
         with pytest.raises(PreconditionError, match="not an exact rational"):
-            unique_min_permutation([[0.1, 0.2], [0.2, 0.30000000000000004]])
-        assert unique_min_permutation([["1/10", "1/5"], ["1/5", "3/10"]]) is None
+            is_unique_minimiser([[0.1, 0.2], [0.2, 0.30000000000000004]], (0, 1))
+        for perm in ((0, 1), (1, 0)):
+            assert not is_unique_minimiser([["1/10", "1/5"], ["1/5", "3/10"]], perm)
 
-    def test_non_square_or_oversized_rejected(self):
-        from tropdiv.independence import MAX_FAMILY
+    def test_non_square_rejected_large_accepted(self):
         with pytest.raises(PreconditionError):
-            unique_min_permutation([[0, 1], [2]])
-        n = MAX_FAMILY + 1
+            is_unique_minimiser([[0, 1], [2]], (0, 1))
         with pytest.raises(PreconditionError):
-            unique_min_permutation([[0] * n for _ in range(n)])
+            is_unique_minimiser([[0, 1], [2, 3]], (0, 0))
+        # no size cap: a planted permutation on zeros, every other entry
+        # positive, is the unique minimiser; a second zero on the planted
+        # rows' columns makes a tie
+        rng = SplitMix64(0xB16)
+        for n in (13, 20):
+            planted = random_permutation(rng, n)
+            M = [[0 if planted[i] == j else rng.randint(1, 9) for j in range(n)]
+                 for i in range(n)]
+            assert is_unique_minimiser(M, planted)
+            swapped = list(planted)
+            swapped[0], swapped[1] = swapped[1], swapped[0]
+            assert not is_unique_minimiser(M, tuple(swapped))
+            M[0][planted[1]] = M[1][planted[0]] = 0
+            assert not is_unique_minimiser(M, planted)
 
 
 def g4_family_and_certificate():
     T = enumerate_tableaux(2, 2)[0]
-    fam = rho_zero_family(T, default_generic_chain(4))
-    cert = find_independence_certificate(fam)
-    assert cert is not None and verify_independence(fam, cert)
+    chain = default_generic_chain(4)
+    fam = rho_zero_family(T, chain)
+    cert = table_certificate(T, chain)
+    assert verify_independence(fam, cert)
     return fam, cert
 
 
@@ -285,13 +362,39 @@ def planted_families():
     return out
 
 
+def candidate_points(funcs):
+    """The vertices, every breakpoint of any function and the midpoints
+    between consecutive ones, in a fixed order."""
+    G = funcs[0].graph
+    points = [G.vertex_point(v) for v in G.vertices]
+    for ei in range(len(G.edges)):
+        offs = sorted({o for f in funcs for (o, _v) in f.data[ei]})
+        points += [G.point(ei, o) for o in offs[1:-1]]
+        points += [G.point(ei, (a + b) / 2) for a, b in zip(offs, offs[1:])]
+    return points
+
+
+def assert_no_certificate(fam, seed):
+    """At 5 seeded n-subsets of candidate_points(fam), no permutation
+    passes verify_independence."""
+    rng = SplitMix64(seed)
+    points = candidate_points(fam)
+    n = len(fam)
+    assert len(points) >= n
+    for _draw in range(5):
+        picked = random_permutation(rng, len(points))[:n]
+        pts = tuple(points[i] for i in picked)
+        for perm in permutations(range(n)):
+            assert not verify_independence(fam, IndependenceCertificate(pts, perm))
+
+
 class TestFindIndependenceCertificate:
+    """No point set certifies a dependent family."""
+
     def test_planted_dependent_families_get_none(self):
-        for fam, sub, offsets in planted_families():
+        for t, (fam, sub, offsets) in enumerate(planted_families()):
             assert verify_dependence(sub, offsets) == (True, None)
-            report = IndependenceReport()
-            assert find_independence_certificate(fam, report=report) is None
-            assert report.draws == CERTIFICATE_DRAWS
+            assert_no_certificate(fam, 0xCE27 + t)
 
     def test_point_contact_family_gets_no_certificate(self):
         # dependent, although find_dependence misses it: with no
@@ -299,22 +402,28 @@ class TestFindIndependenceCertificate:
         # independent
         fam = point_contact_family()
         assert verify_dependence(fam, [0, 0, 0, 0]) == (True, None)
-        assert find_independence_certificate(fam) is None
+        assert_no_certificate(fam, 0xC0DE)
 
     def test_independent_pair(self):
+        # f(a) = g(b) = 0 and f(b) = g(a) > 0: a matched to f and b to g
+        # is the unique minimiser
         G = theta_graph()
         f, g = base_pair(G)
-        cert = find_independence_certificate([f, g])
-        assert cert is not None and verify_independence([f, g], cert)
+        a, b = G.vertex_point("a"), G.vertex_point("b")
+        assert verify_independence([f, g], IndependenceCertificate((a, b), (0, 1)))
+        assert not verify_independence([f, g], IndependenceCertificate((a, b), (1, 0)))
 
     def test_deterministic(self):
-        fam, cert = g4_family_and_certificate()
-        assert find_independence_certificate(fam) == cert
+        chain = default_generic_chain(4)
+        for T in enumerate_tableaux(2, 2):
+            certs = {gp_rho_zero_experiment(T, chain).independence_certificate
+                     for _ in range(2)}
+            assert certs == {table_certificate(T, chain)}
 
 
 def test_all_626_tableaux_certified():
     """Every tableau of shape (2,3) at g = 6, the (6,2,6) family, is proved
-    independent well within the draw cap."""
+    independent by the certificate of its empty-cell table."""
     chain = default_generic_chain(6)
     tableaux = enumerate_tableaux(2, 3)
     assert len(tableaux) == 5
@@ -324,4 +433,15 @@ def test_all_626_tableaux_certified():
         assert rep.certificate is None
         assert verify_independence(rho_zero_family(T, chain),
                                    rep.independence_certificate)
-        assert rep.certificate_draws < CERTIFICATE_DRAWS / 4, T.entries
+        assert rep.independence_certificate == table_certificate(T, chain)
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (4, 2), (3, 3), (2, 5), (5, 2)])
+def test_g8_to_g10_tableaux_certified(shape):
+    """Every tableau at g = 8-10 (154 in all) is proved independent by the
+    certificate of its empty-cell table."""
+    chain = default_generic_chain(shape[0] * shape[1])
+    for T in enumerate_tableaux(*shape):
+        rep = gp_rho_zero_experiment(T, chain)
+        assert rep.verdict == "independent", T.entries
+        assert rep.independence_certificate == table_certificate(T, chain)
