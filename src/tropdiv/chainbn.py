@@ -19,11 +19,11 @@ from math import factorial
 from .errors import (GenericityError, PreconditionError, SearchCapError,
                      TheoremViolation)
 from .graph import (BNParams, ChainOfLoops, Divisor, Point, canonical_divisor,
-                    check_genericity, contains_point_in)
+                    check_genericity)
 from .independence import (DependenceCertificate, IndependenceCertificate,
                            find_dependence, verify_independence)
-from .plfunc import PLFunction, in_R
-from .reduce import v_reduce
+from .plfunc import PLFunction
+from .reduce import is_equivalent, v_reduce
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +239,24 @@ class ShapeProfile:
         return tuple(i + 1 for i, occ in enumerate(self.cells) if not occ)
 
 
+def _chips_per_piece(D: Divisor, chain: ChainOfLoops) -> list[int]:
+    """Degree of D on each piece of ``ChainOfLoops.piece``, in one pass over
+    its support; chips on the pendant bridges are not counted."""
+    chips = [0] * (2 * chain.g)
+    for p, c in D.items():
+        k = chain.piece(p)
+        if k is not None:
+            chips[k] += c
+    return chips
+
+
 def shape_profile(D: Divisor, chain: ChainOfLoops) -> ShapeProfile:
     if not D.is_effective:
         raise PreconditionError("shape profile is defined for effective divisors")
-    cells = tuple(contains_point_in(D, chain.cell(i))
-                  for i in range(1, chain.g + 1))
-    bridges = tuple(contains_point_in(D, chain.bridge_region(i))
-                    for i in range(1, chain.g))
-    return ShapeProfile(cells, bridges, D.coeff(chain.w(chain.g)))
+    chips = _chips_per_piece(D, chain)
+    return ShapeProfile(tuple(c > 0 for c in chips[0::2]),
+                        tuple(c > 0 for c in chips[1:-1:2]),
+                        D.coeff(chain.w(chain.g)))
 
 
 def is_wg_reduced_shape(D: Divisor, chain: ChainOfLoops) -> bool:
@@ -254,21 +264,13 @@ def is_wg_reduced_shape(D: Divisor, chain: ChainOfLoops) -> bool:
     chain: no chips on bridges, at most one chip per cell gamma_i."""
     if not D.is_effective:
         return False
-    for i in range(1, chain.g):
-        if contains_point_in(D, chain.bridge_region(i)):
-            return False
-    for i in range(1, chain.g + 1):
-        cell = chain.cell(i)
-        chips = sum(c for p, c in D.items() if cell.contains(p))
-        if chips > 1:
-            return False
-    return True
+    chips = _chips_per_piece(D, chain)
+    return not any(chips[1:-1:2]) and all(c <= 1 for c in chips[0::2])
 
 
 def canonical_shape_check(D: Divisor, chain: ChainOfLoops) -> int:
     """For an effective divisor equivalent to the canonical one, return the
     index of a cell gamma_i containing no chip; one must exist."""
-    from .reduce import is_equivalent
     if not D.is_effective:
         raise PreconditionError("divisor must be effective")
     if is_equivalent(chain.graph, D, canonical_divisor(chain.graph)) is None:
@@ -287,6 +289,8 @@ def chips_on_each_loop_check(chain: ChainOfLoops, D: Divisor,
     deg(D) <= 2g-2 and pairwise distinct incoming slopes at v_i along the
     bridge arriving from the left."""
     g = chain.g
+    if not 1 <= i <= g:
+        raise PreconditionError(f"loop index {i} out of range 1..{g}")
     if D.degree > 2 * g - 2:
         raise PreconditionError("degree must be at most 2g-2")
     if i == 1 and not chain.extended:
@@ -296,12 +300,13 @@ def chips_on_each_loop_check(chain: ChainOfLoops, D: Divisor,
     slopes = [f.incoming_slope(vi, bridge, -1) for f in funcs]
     if len(set(slopes)) != len(slopes):
         raise PreconditionError(f"incoming slopes {slopes} are not pairwise distinct")
+    misses = 0
     for f in funcs:
-        if not in_R(f, D):
+        Df = D + f.divisor()
+        if not Df.is_effective:
             raise PreconditionError("every function must lie in R(D)")
-    cell = chain.cell(i)
-    misses = sum(1 for f in funcs
-                 if not contains_point_in(D + f.divisor(), cell))
+        if not _chips_per_piece(Df, chain)[2 * i - 2]:
+            misses += 1
     return misses <= 1
 
 

@@ -479,6 +479,15 @@ class ChainOfLoops:
             self._bridge[g] = len(edges)
             edges.append((f"w{g}", f"v{g + 1}", p1))
         self.graph = MetricGraph(vertices, edges)
+        # piece index (see ``piece``) by vertex name and by edge index; the
+        # pendant vertices and bridges have none
+        self._piece: dict[str | int, int] = {}
+        for i in range(1, g + 1):
+            for key in (f"v{i}", self._top[i], self._bottom[i]):
+                self._piece[key] = 2 * i - 2
+            self._piece[f"w{i}"] = 2 * i - 1
+            if i < g:
+                self._piece[self._bridge[i]] = 2 * i - 1
 
     # -- named points and edges ------------------------------------------
 
@@ -498,39 +507,12 @@ class ChainOfLoops:
         """Bridge i runs w_i -> v_{i+1}; 0 and g exist only on extended chains."""
         return self._bridge[i]
 
-    def loop_of_point(self, p: Point) -> int | None:
-        """Index of the loop whose closed point set contains p, else None."""
-        for i in range(1, self.g + 1):
-            if p == self.v(i) or p == self.w(i):
-                return i
-            if not p.is_vertex and p.edge in (self._top[i], self._bottom[i]):
-                return i
-        return None
-
-    # -- cells -----------------------------------------------------------
-
-    def cell(self, i: int) -> Region:
-        """gamma_i: loop i minus w_i, the union of two half-open edges [v_i, w_i)."""
-        G = self.graph
-        return Region(G, [
-            Interval(self._top[i], Fraction(0), self.ell[i - 1], True, False),
-            Interval(self._bottom[i], Fraction(0), self.m[i - 1], True, False),
-        ])
-
-    def bridge_region(self, i: int) -> Region:
-        """br_i: the half-open bridge [w_i, v_{i+1})."""
-        ei = self._bridge[i]
-        return Region(self.graph, [Interval(ei, Fraction(0), self.graph.edge_length(ei), True, False)])
-
-    def cells(self) -> list[tuple[str, Region]]:
-        """The decomposition gamma_1, br_1, ..., gamma_g, {w_g} (core chain part)."""
-        out: list[tuple[str, Region]] = []
-        for i in range(1, self.g + 1):
-            out.append((f"gamma{i}", self.cell(i)))
-            if i < self.g:
-                out.append((f"br{i}", self.bridge_region(i)))
-        out.append((f"w{self.g}", Region(self.graph, points=[self.w(self.g)])))
-        return out
+    def piece(self, p: Point) -> int | None:
+        """Index of the part of gamma_1, br_1, ..., gamma_g, {w_g} holding
+        the point p of this chain: 2i-2 for the cell gamma_i (loop i minus
+        w_i), 2i-1 for the bridge br_i = [w_i, v_{i+1}), 2g-1 for w_g, and
+        None on the pendant bridges of an extended chain."""
+        return self._piece.get(p.edge if p.vertex is None else p.vertex)
 
     # -- geometry helpers ------------------------------------------------
 

@@ -35,7 +35,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import GraphError, PreconditionError, ReductionCapError, TheoremViolation
-from .graph import Divisor, Interval, MetricGraph, Point, Region
+from .graph import (Divisor, Interval, MetricGraph, Point, Region,
+                    canonical_divisor)
 from .plfunc import PLFunction
 
 DEFAULT_MAX_STEPS = 10 ** 6
@@ -652,7 +653,6 @@ def find_unoccupied_edge(graph: MetricGraph, D: Divisor,
     One must exist; if none does, the underlying theorem is falsified and
     an error is raised rather than returning a wrong answer.
     """
-    from .graph import canonical_divisor
     if not D.is_effective:
         raise PreconditionError("divisor must be effective")
     if is_equivalent(graph, D, canonical_divisor(graph)) is None:
@@ -668,7 +668,6 @@ def find_unoccupied_edge(graph: MetricGraph, D: Divisor,
 
 def riemann_roch_check(graph: MetricGraph, D: Divisor) -> tuple[bool, int, int]:
     """Verify rank(D) - rank(K - D) == deg(D) - g + 1; returns both ranks."""
-    from .graph import canonical_divisor
     K = canonical_divisor(graph)
     r1 = rank(graph, D)
     r2 = rank(graph, K - D)

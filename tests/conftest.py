@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropdiv import MetricGraph, default_generic_chain
+from tropdiv import Interval, MetricGraph, Region, default_generic_chain
 from tropdiv.chainbn import build_Dj, build_Ek
 from tropdiv.independence import IndependenceCertificate
 from tropdiv.plfunc import PLFunction
@@ -29,6 +29,25 @@ def chain4():
 @pytest.fixture()
 def rng():
     return SplitMix64(0xC0FFEE)
+
+
+def cell_regions(chain) -> list[Region]:
+    """The core decomposition gamma_1, br_1, ..., gamma_g, {w_g} of a chain
+    as half-open ``Region``s, the reference for ``ChainOfLoops.piece``:
+    gamma_i is loop i minus w_i, and br_i is the bridge [w_i, v_{i+1})."""
+    G = chain.graph
+
+    def half_open(*edges):
+        return Region(G, [Interval(ei, Fraction(0), G.edge_length(ei), True, False)
+                          for ei in edges])
+
+    out = []
+    for i in range(1, chain.g + 1):
+        out.append(half_open(chain.top_edge(i), chain.bottom_edge(i)))
+        if i < chain.g:
+            out.append(half_open(chain.bridge_edge(i)))
+    out.append(Region(G, points=[chain.w(chain.g)]))
+    return out
 
 
 def circle_graph(circumference=4) -> MetricGraph:

@@ -5,16 +5,20 @@ import pytest
 
 from tropdiv import (BNParams, ChainOfLoops, Divisor, canonical_divisor,
                      default_generic_chain)
-from tropdiv.chainbn import (DyckPath, Tableau, adjoint_divisor, build_Dj,
-                             build_Ek, canonical_shape_check,
+from tropdiv.chainbn import (DyckPath, ShapeProfile, Tableau, adjoint_divisor,
+                             build_Dj, build_Ek, canonical_shape_check,
                              chips_on_each_loop_check, enumerate_tableaux,
                              gp_rho_zero_experiment, hook_length_count,
                              is_wg_reduced_shape, shape_profile,
                              tableau_to_divisor, tableau_to_dyck)
 from tropdiv.errors import (GenericityError, GraphError, PreconditionError,
                             TheoremViolation)
+from tropdiv.graph import contains_point_in
 from tropdiv.plfunc import PLFunction, in_R
 from tropdiv.reduce import is_equivalent, rank, v_reduce
+from tropdiv.sampling import SplitMix64, random_point
+
+from .conftest import cell_regions
 
 
 class TestTableau:
@@ -130,6 +134,35 @@ class TestShapes:
             prof = shape_profile(red, chain3)
             assert not any(prof.bridges)
 
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_shapes_match_the_cell_regions(self, extended):
+        rng = SplitMix64(0x5EA9 + extended)
+        outcomes = set()
+        for g in (2, 3, 4, 5):
+            chain = default_generic_chain(g, extended=extended)
+            G = chain.graph
+            regions = cell_regions(chain)
+            # vertices (v_i, w_i, w_g and the pendant ends) and the pendant
+            # bridges' midpoints, next to random points of every edge
+            special = [G.vertex_point(v) for v in G.vertices]
+            if extended:
+                special += [G.point(ei, G.edge_length(ei) / 2)
+                            for ei in (chain.bridge_edge(0), chain.bridge_edge(g))]
+            for _ in range(40):
+                D = Divisor([(rng.choice(special) if rng.below(2) else random_point(G, rng),
+                              rng.randint(1, 2))
+                             for _ in range(rng.randint(0, g + 2))])
+                occupied = [contains_point_in(D, reg) for reg in regions]
+                want = ShapeProfile(tuple(occupied[0::2]), tuple(occupied[1:-1:2]),
+                                    D.coeff(chain.w(g)))
+                assert shape_profile(D, chain) == want, D
+                reduced = (not any(occupied[1:-1:2]) and
+                           all(sum(c for p, c in D.items() if reg.contains(p)) <= 1
+                               for reg in regions[0::2]))
+                assert is_wg_reduced_shape(D, chain) == reduced, D
+                outcomes.add(reduced)
+        assert outcomes == {False, True}
+
     def test_canonical_shape_check_finds_empty_cell(self, chain3):
         K = canonical_divisor(chain3.graph)
         i = canonical_shape_check(K, chain3)
@@ -159,6 +192,13 @@ class TestChipsOnEachLoop:
     def test_loop_one_needs_extended_chain(self, chain2):
         with pytest.raises(PreconditionError):
             chips_on_each_loop_check(chain2, Divisor(), [], 1)
+
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_loop_index_out_of_range(self, extended):
+        chain = default_generic_chain(3, extended=extended)
+        for i in (0, 4):
+            with pytest.raises(PreconditionError, match="out of range"):
+                chips_on_each_loop_check(chain, Divisor(), [], i)
 
     def test_degree_bound(self, chain2):
         D = Divisor({chain2.v(2): 5})

@@ -10,7 +10,7 @@ from tropdiv import (ChainOfLoops, Divisor, Interval, MetricGraph, Point,
 from tropdiv.errors import GraphError
 from tropdiv.sampling import SplitMix64
 
-from .conftest import circle_graph, theta_graph
+from .conftest import cell_regions, circle_graph, theta_graph
 
 
 class TestPoint:
@@ -158,12 +158,26 @@ class TestChainOfLoops:
         ch.bridge_edge(0)
         ch.bridge_edge(2)
 
-    def test_cells_partition_the_chain(self, chain3, rng):
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_piece_matches_the_cell_regions(self, g, extended, rng):
         from tropdiv.sampling import random_point
-        regions = [reg for (_name, reg) in chain3.cells()]
-        for _ in range(60):
-            p = random_point(chain3.graph, rng)
-            assert sum(reg.contains(p) for reg in regions) == 1
+        chain = default_generic_chain(g, extended=extended)
+        G = chain.graph
+        regions = cell_regions(chain)
+        pendant_edges = {chain.bridge_edge(0), chain.bridge_edge(g)} if extended else set()
+        pendant_vertices = {"w0", f"v{g + 1}"} if extended else set()
+        points = [G.vertex_point(v) for v in G.vertices]
+        points += [G.point(ei, G.edge_length(ei) / 2) for ei in sorted(pendant_edges)]
+        points += [random_point(G, rng) for _ in range(80)]
+        for p in points:
+            hits = [k for k, reg in enumerate(regions) if reg.contains(p)]
+            # the regions partition the core chain and miss the pendants
+            pendant = p.vertex in pendant_vertices or p.edge in pendant_edges
+            assert len(hits) == (0 if pendant else 1), p
+            assert chain.piece(p) == (hits[0] if hits else None), p
+        assert chain.piece(chain.v(1)) == 0
+        assert chain.piece(chain.w(g)) == 2 * g - 1
 
     def test_ccw_point_geometry(self, chain3):
         c = chain3.ell[0] + chain3.m[0]
@@ -175,7 +189,7 @@ class TestChainOfLoops:
             t = c * k / 8
             p = chain3.ccw_point(1, t)
             assert chain3.graph.distance(chain3.w(1), p) <= t
-            assert chain3.loop_of_point(p) == 1
+            assert chain3.piece(p) == 0
 
     def test_genericity(self):
         assert check_genericity(default_generic_chain(4))
