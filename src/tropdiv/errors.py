@@ -22,10 +22,11 @@ class ReductionCapError(TropdivError, RuntimeError):
 
 
 class SearchCapError(TropdivError, RuntimeError):
-    """The dependence search exceeded its candidate cap."""
+    """The dependence search exceeded a cap: its candidate cap, or the
+    family size it accepts (then ``message`` says so)."""
 
-    def __init__(self, cap: int):
-        super().__init__(f"dependence search exceeded candidate cap {cap}")
+    def __init__(self, cap: int, message: str | None = None):
+        super().__init__(message or f"dependence search exceeded candidate cap {cap}")
         self.cap = cap
 
 

@@ -28,10 +28,12 @@ put over one common denominator too, and the envelope checks run on
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import add
 from typing import Sequence
 
 from .errors import PreconditionError, SearchCapError
@@ -141,6 +143,57 @@ def _pair_tables(funcs: Sequence[PLFunction]):
     return den, crit, box, probes
 
 
+def _grow(subset: tuple[int, ...], crit, box, max_candidates: int
+          ) -> list[tuple[int, ...]]:
+    """The sorted offset vectors ``find_dependence`` tries on ``subset``.
+
+    Position 0's offset is 0.  A level attaches one more position kpos to
+    an assigned jpos through a critical value v of
+    ``crit[(subset[jpos], subset[kpos])]``, b_k = b_j + v, keeping b_k
+    only if b_k - b_i lies in ``box[(subset[i], subset[kpos])]`` for
+    every assigned i.  Each box is a ``range``, so the admissible b_k form
+    one interval [lo, hi), and the critical values that land in it are
+    one slice of the sorted list, found by bisection.  Every such value
+    passes the per-value box test, so the level sets are those of
+    testing each value against each assigned position.  Raises
+    ``SearchCapError`` once a level holds more than ``max_candidates``
+    distinct partial assignments."""
+    size = len(subset)
+    # a level's partial assignments, grouped by their assigned positions
+    # (ascending, from 0): the offsets at those positions, in that order
+    current: dict[tuple[int, ...], set[tuple[int, ...]]] = {(0,): {(0,)}}
+    for _level in range(1, size):
+        nxt: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+        count = 0
+        for assigned, offsets in current.items():
+            for kpos in range(1, size):
+                if kpos in assigned:
+                    continue
+                k = subset[kpos]
+                r = bisect_left(assigned, kpos)
+                pairs = [(subset[i], k) for i in assigned]
+                starts = [box[p].start for p in pairs]
+                stops = [box[p].stop for p in pairs]
+                crits = [crit[p] for p in pairs]
+                out = nxt.setdefault(assigned[:r] + (kpos,) + assigned[r:], set())
+                before = len(out)
+                for a in offsets:
+                    lo = max(map(add, a, starts))
+                    hi = min(map(add, a, stops))
+                    if lo >= hi:
+                        continue
+                    head, tail = a[:r], a[r:]
+                    out.update([head + (bk,) + tail for bk in {
+                        b + v for b, values in zip(a, crits)
+                        for v in values[bisect_left(values, lo - b):
+                                        bisect_left(values, hi - b)]}])
+                count += len(out) - before
+                if count > max_candidates:
+                    raise SearchCapError(max_candidates)
+        current = nxt
+    return sorted(current.get(tuple(range(size)), ()))
+
+
 def find_dependence(funcs: Sequence[PLFunction],
                     max_candidates: int = 200_000,
                     report: IndependenceReport | None = None
@@ -152,12 +205,44 @@ def find_dependence(funcs: Sequence[PLFunction],
     remaining offsets are propagated through the pairwise critical sets:
     every assignment in which each new function is pinned to an already
     assigned one is generated (all spanning-tree-shaped constraint
-    systems), deduplicated, and verified.  Only offsets tied together by
-    a spanning tree of pairs that coincide on a segment are generated, so
-    a dependence in which some functions meet the others only at isolated
-    points can be missed: ``None`` means that no candidate passed, not
-    that the family is independent.  ``verify_independence`` proves
-    independence.
+    systems), deduplicated, and verified in sorted order.
+
+    Why the critical sets.  In a dependence of minimal support (no
+    proper subset of the active functions is dependent with the same
+    offsets), every active function attains the minimum on a set with
+    nonempty interior.  Proof: let m = min_j(f_j + b_j) and suppose the
+    contact set C of an active f has empty interior.  Drop f.  Off C the
+    minimum and the functions attaining it do not change, so it is still
+    attained twice.  A point x of C is a limit of points outside C, at
+    each of which two of the other functions attain m; the family is
+    finite, so one pair of them does so along a sequence tending to x,
+    and attaining m is a closed condition, so that pair attains m(x) at
+    x as well.  The remaining functions are dependent with the same
+    offsets, against minimality.  So the contact set of each active f
+    holds a segment, at every point of which another function attains m;
+    finitely many piecewise-linear differences cover it, so f coincides
+    with one other active function on a smaller segment, where their
+    difference is constant: b_k - b_j is a critical value of f_j - f_k.  The search links these coincidences
+    into spanning trees only, so a dependence in which some functions
+    meet the others only at isolated points (they hand off from one
+    coincidence to another there) can be missed: ``None`` means that no
+    candidate passed, not that the family is independent.
+    ``verify_independence`` proves independence.
+
+    The box.  In a minimal dependence no function lies strictly above
+    another everywhere, so b_k - b_j stays within the range of
+    f_j - f_k, the box; assignments outside it reduce to a smaller
+    subset.  ``_grow`` applies it as interval arithmetic: for each
+    partial assignment and unassigned position the boxes against the
+    assigned positions intersect to one interval of admissible offsets,
+    and the critical values landing in it are a bisected slice of a
+    sorted list, so no value is tested against the assigned positions
+    one by one.
+
+    ``max_candidates`` bounds the distinct partial assignments at one
+    level of one subset, not the total number of candidates tried: a
+    level holding more raises ``SearchCapError``.  A family of more than
+    ``MAX_FAMILY`` functions raises it before any candidate is tried.
 
     The search runs on integers: ``_pair_tables`` reads the family's
     values on a grid of breakpoint offsets, scaled by one ``den > 0``.
@@ -170,26 +255,19 @@ def find_dependence(funcs: Sequence[PLFunction],
     graph = _common_graph(funcs)
     n = len(funcs)
     if n > MAX_FAMILY:
-        raise SearchCapError(MAX_FAMILY)
-    # crit[(j, k)]: candidate values of b_k - b_j.  box[(j, k)]: in a
-    # minimal dependence no function lies strictly above another
-    # everywhere, so b_k - b_j stays within the range of f_j - f_k;
-    # assignments outside the box reduce to a smaller subset
+        raise SearchCapError(MAX_FAMILY, f"dependence search takes at most "
+                             f"{MAX_FAMILY} functions, got a family of {n}")
+    # crit[(j, k)]: candidate values of b_k - b_j; box[(j, k)]: the range
+    # of f_j - f_k, which holds b_k - b_j in a minimal dependence
     den, crit, box, vals = _pair_tables(funcs)
 
     # cheap rejection: a dependence needs the pointwise minimum attained
-    # twice at every vertex, which candidate vectors rarely manage
-    def probe_ok(subset: tuple[int, ...], b: tuple[int, ...]) -> bool:
-        for pi in range(len(graph.vertices)):
-            lo = None
-            count = 0
-            for jpos, j in enumerate(subset):
-                v = vals[j][pi] + b[jpos]
-                if lo is None or v < lo:
-                    lo, count = v, 1
-                elif v == lo:
-                    count += 1
-            if count < 2:
+    # twice at every vertex, which candidate vectors rarely manage; rows
+    # holds the subset's values at each vertex
+    def probe_ok(rows: list[list[int]], b: tuple[int, ...]) -> bool:
+        for row in rows:
+            at = list(map(add, row, b))
+            if at.count(min(at)) < 2:
                 return False
         return True
 
@@ -206,37 +284,11 @@ def find_dependence(funcs: Sequence[PLFunction],
 
     for size in range(2, n + 1):
         for subset in combinations(range(n), size):
-            # grow partial assignments by attaching any unassigned member to
-            # any assigned one through a critical value, in every order, so
-            # all spanning-tree-shaped constraint systems are produced;
-            # None marks a still-unassigned position
-            start = tuple(0 if i == 0 else None for i in range(size))
-            current: set[tuple[int | None, ...]] = {start}
-            for _level in range(1, size):
-                nxt: set[tuple[int | None, ...]] = set()
-                for a in current:
-                    for kpos in range(1, size):
-                        if a[kpos] is not None:
-                            continue
-                        for jpos in range(size):
-                            if a[jpos] is None:
-                                continue
-                            for v in crit[(subset[jpos], subset[kpos])]:
-                                bk = a[jpos] + v
-                                if not all(bk - a[i] in box[(subset[i], subset[kpos])]
-                                           for i in range(size)
-                                           if a[i] is not None):
-                                    continue
-                                b = list(a)
-                                b[kpos] = bk
-                                nxt.add(tuple(b))
-                                if len(nxt) > max_candidates:
-                                    raise SearchCapError(max_candidates)
-                current = nxt
-            for assignment in sorted(current):
+            rows = [[vals[j][pi] for j in subset] for pi in range(len(graph.vertices))]
+            for assignment in _grow(subset, crit, box, max_candidates):
                 if report is not None:
                     report.candidates_tried += 1
-                if not probe_ok(subset, assignment):
+                if not probe_ok(rows, assignment):
                     continue
                 cert = full_check(subset, assignment)
                 if cert is not None:

@@ -1,21 +1,23 @@
 """Tests for tropical dependence and independence certificates and the
 searches for them."""
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 from tropdiv import MetricGraph, PLFunction, default_generic_chain
 from tropdiv.chainbn import enumerate_tableaux, gp_rho_zero_experiment
 from tropdiv.errors import PreconditionError, SearchCapError
-from tropdiv.independence import (IndependenceCertificate, IndependenceReport,
-                                  _pair_tables, find_dependence,
+from tropdiv.independence import (MAX_FAMILY, IndependenceCertificate,
+                                  IndependenceReport, _grow, _pair_tables,
+                                  find_dependence,
                                   is_unique_minimiser, unique_min_locus,
                                   verify_dependence, verify_independence)
 from tropdiv.plfunc import distance_function, min_combination
 from tropdiv.sampling import (SplitMix64, random_effective_divisor,
                               random_R_member)
 
+from . import reference_search
 from .conftest import (circle_graph, point_contact_family, rho_zero_family,
                        table_certificate, theta_graph)
 
@@ -124,6 +126,20 @@ class TestFindDependence:
         with pytest.raises(SearchCapError):
             find_dependence([f, g, p, q], max_candidates=1)
 
+    def test_family_size_cap_is_named(self):
+        # a family over MAX_FAMILY raises before any candidate is tried,
+        # and the message names the family-size cap, not a candidate cap
+        G = theta_graph()
+        f, _ = base_pair(G)
+        report = IndependenceReport()
+        with pytest.raises(SearchCapError) as err:
+            find_dependence([f.add_const(c) for c in range(MAX_FAMILY + 1)],
+                            report=report)
+        assert MAX_FAMILY == 12 and err.value.cap == 12
+        assert "13" in str(err.value) and "12" in str(err.value)
+        assert "candidate cap" not in str(err.value)
+        assert report.candidates_tried == 0
+
     def test_single_function_rejected(self):
         G = theta_graph()
         f, _ = base_pair(G)
@@ -156,6 +172,99 @@ def exact_pair_tables(funcs):
     G = funcs[0].graph
     probes = [[f(G.vertex_point(v)) for v in G.vertices] for f in funcs]
     return crit, box, probes
+
+
+def random_tables(rng, n):
+    """``crit`` and ``box`` tables as ``_pair_tables`` reads them off a
+    grid, for n random integer walks on one edge: the critical values of
+    f_j - f_k are its equal consecutive entries (often none) and its box
+    runs from its least to its greatest entry (one value when f_k is a
+    shift of f_j, as some walks are)."""
+    length = rng.randint(2, 9)
+    walks = []
+    for _ in range(n):
+        if walks and rng.below(4) == 0:
+            walks.append([v + rng.randint(-3, 3) for v in rng.choice(walks)])
+            continue
+        walk = [rng.randint(-3, 3)]
+        for _ in range(length - 1):
+            walk.append(walk[-1] + rng.randint(-2, 2))
+        walks.append(walk)
+    crit, box = {}, {}
+    for j in range(n):
+        for k in range(n):
+            if j != k:
+                diffs = [a - b for a, b in zip(walks[j], walks[k])]
+                crit[(j, k)] = sorted({d for d, e in zip(diffs, diffs[1:]) if d == e})
+                box[(j, k)] = range(min(diffs), max(diffs) + 1)
+    return crit, box
+
+
+def cap_floor(subset, crit, box):
+    """The largest level the reference growth builds: the least cap it
+    does not exceed."""
+    lo, hi = 0, 1
+    while True:
+        try:
+            reference_search.grow(subset, crit, box, hi)
+            break
+        except SearchCapError:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            reference_search.grow(subset, crit, box, mid)
+            hi = mid
+        except SearchCapError:
+            lo = mid
+    return hi
+
+
+class TestGrow:
+    """``_grow`` against the level loop it replaced, kept in
+    ``reference_search``."""
+
+    def test_matches_reference_on_random_tables(self):
+        rng = SplitMix64(0x6A0E)
+        found_at, empty_crit, one_value_box = set(), 0, 0
+        for _ in range(150):
+            n = rng.randint(2, 7)
+            crit, box = random_tables(rng, n)
+            size = rng.randint(2, min(n, 6))
+            subset = rng.choice(list(combinations(range(n), size)))
+            want = reference_search.grow(subset, crit, box, 200_000)
+            assert _grow(subset, crit, box, 200_000) == want, (crit, box, subset)
+            if want:
+                found_at.add(size)
+            empty_crit += sum(not values for values in crit.values())
+            one_value_box += sum(len(r) == 1 for r in box.values())
+        # candidates at every subset size, and both edge cases, occur
+        assert found_at == {2, 3, 4, 5, 6}
+        assert empty_crit > 0 and one_value_box > 0
+
+    def test_matches_reference_on_family_tables(self):
+        fam = planted_families()[1][0]
+        _den, crit, box, _probes = _pair_tables(fam)
+        for size in range(2, len(fam) + 1):
+            for subset in combinations(range(len(fam)), size):
+                assert (_grow(subset, crit, box, 200_000)
+                        == reference_search.grow(subset, crit, box, 200_000))
+
+    def test_cap_at_the_largest_level(self):
+        rng = SplitMix64(0xCA9)
+        tried = 0
+        while tried < 12:
+            n = rng.randint(3, 6)
+            crit, box = random_tables(rng, n)
+            subset = tuple(range(n))
+            if not reference_search.grow(subset, crit, box, 200_000):
+                continue
+            tried += 1
+            cap = cap_floor(subset, crit, box)
+            assert (_grow(subset, crit, box, cap)
+                    == reference_search.grow(subset, crit, box, cap))
+            with pytest.raises(SearchCapError):
+                _grow(subset, crit, box, cap - 1)
 
 
 class TestPairTables:
