@@ -7,7 +7,8 @@ The central experiment proves that the family {phi_j + psi_k} admits no
 tropical dependence, as the paper does, from shapes: each D_j + E_k
 misses exactly one cell gamma_i, these cells are distinct, and matching
 the vertex v_i to the function whose cell holds entry i gives an
-independence certificate that is checked exactly.
+independence certificate that is checked exactly; should one fail, the
+experiment raises ``TheoremViolation``.
 """
 from __future__ import annotations
 
@@ -16,12 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import (GenericityError, PreconditionError, SearchCapError,
-                     TheoremViolation)
+from .errors import GenericityError, PreconditionError, TheoremViolation
 from .graph import (BNParams, ChainOfLoops, Divisor, Point, canonical_divisor,
                     check_genericity)
-from .independence import (DependenceCertificate, IndependenceCertificate,
-                           find_dependence, verify_independence)
+from .independence import IndependenceCertificate, competing_permutation
+# nothing here calls it: perfbench/test_perfbench.py reads chainbn.find_dependence
+from .independence import find_dependence  # noqa: F401
 from .plfunc import PLFunction
 from .reduce import is_equivalent, v_reduce
 
@@ -38,6 +39,8 @@ class Tableau:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if not self.entries or not self.entries[0]:
+            raise PreconditionError("a tableau needs a row and a column")
         rows = self.rows
         cols = self.cols
         flat = [x for row in self.entries for x in row]
@@ -318,29 +321,27 @@ def chips_on_each_loop_check(chain: ChainOfLoops, D: Divisor,
 class GPReport:
     params: BNParams
     tableau: Tableau
-    # "independent" | "dependent" | "undecided" | "trivial"
+    # always "independent": a family the certificate fails raises
     verdict: str
-    certificate: DependenceCertificate | None
     empty_cell_table: dict[tuple[int, int], int]
     elapsed: float
-    independence_certificate: IndependenceCertificate | None = None
+    independence_certificate: IndependenceCertificate
 
 
 def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
-    """Build phi_j and psi_k from the tableau and test the family
-    {phi_j + psi_k} (index j * rows + k) for tropical dependence; the
-    expected verdict on a generic chain is independence.
+    """Build phi_j and psi_k from the tableau and prove the family
+    {phi_j + psi_k} (index j * rows + k) tropically independent, as the
+    paper does on a generic chain.
 
     The empty-cell table is checked first: D_j + E_k must miss exactly the
-    cell gamma_i of the entry i in row k and column j of T, and a
-    ``TheoremViolation`` is raised otherwise.  The table then gives the
-    certificate: the points v_1..v_g, with v_i matched to the function
-    phi_j + psi_k whose cell holds i.  The verdict is "independent" when
-    ``verify_independence`` accepts it; no tableau tried has failed this.
-    Otherwise ``find_dependence`` runs: "dependent" with its offsets in
-    ``certificate`` if it finds a dependence, else "undecided", since that
-    search is incomplete, as it is when the search exceeds its cap.
-    "trivial" marks a family of fewer than two functions.
+    cell gamma_i of the entry i in row k and column j of T.  The table
+    then gives the certificate: the points v_1..v_g, with v_i matched to
+    the function phi_j + psi_k whose cell holds i.  Its matrix
+    M[i][j * rows + k] = phi_j(v_i) + psi_k(v_i), read off the witnesses,
+    must have that matching as the unique minimiser of its min-plus
+    permanent, as ``verify_independence`` checks on the family.  Either
+    failure raises ``TheoremViolation``; the second names a permutation
+    tau that costs no more than the matching.
     """
     _require_generic(chain)
     params = T.params()
@@ -369,22 +370,18 @@ def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
                     f"expected exactly the entry in row {k}, column {j}")
             table[(j, k)] = empty[0]
 
-    family = [phi + psi for (_D, phi) in phis for (_E, psi) in psis]
-    if len(family) < 2:
-        return GPReport(params, T, "trivial", None, table,
-                        time.monotonic() - t0)
     # v_i is matched to the function whose cell holds entry i
+    points = tuple(chain.v(i) for i in range(1, chain.g + 1))
     perm = tuple(j * rows + k for (j, k) in sorted(table, key=table.get))
-    proof = IndependenceCertificate(tuple(chain.v(i) for i in range(1, chain.g + 1)),
-                                    perm)
-    if verify_independence(family, proof):
-        verdict, cert = "independent", None
-    else:
-        proof = None
-        try:
-            cert = find_dependence(family)
-        except SearchCapError:
-            cert = None
-        verdict = "dependent" if cert is not None else "undecided"
-    return GPReport(params, T, verdict, cert, table, time.monotonic() - t0,
-                    proof)
+    at_phi = [[phi(v) for v in points] for (_D, phi) in phis]
+    at_psi = [[psi(v) for v in points] for (_E, psi) in psis]
+    matrix = [[a[i] + b[i] for a in at_phi for b in at_psi]
+              for i in range(chain.g)]
+    tau = competing_permutation(matrix, perm)
+    if tau is not None:
+        raise TheoremViolation(
+            f"tableau {T.entries}: the empty-cell matching sigma = {perm} "
+            f"of v_1..v_{chain.g} is not the unique minimiser; tau = {tau} "
+            f"costs no more")
+    return GPReport(params, T, "independent", table, time.monotonic() - t0,
+                    IndependenceCertificate(points, perm))

@@ -8,9 +8,8 @@ min_j(f_j + b_j) is attained at least twice at every point of the graph.
   lower envelope.
 - ``verify_independence`` proves independence from a certificate: points
   p_1..p_n and a permutation that is the unique minimiser of the min-plus
-  permanent of M_ij = f_j(p_i), checked by ``is_unique_minimiser`` in
-  O(n^3).  The caller supplies the certificate; on the chain of loops the
-  rho = 0 experiment reads it off the empty-cell table (``chainbn``).
+  permanent of M_ij = f_j(p_i), as ``competing_permutation`` checks in
+  O(n^3).  ``chainbn`` reads one off the empty-cell table of a tableau.
 - ``find_dependence`` searches for offsets through the critical values of
   pairwise differences.  The search is not complete: it misses
   dependences in which coincident pairs of functions meet only at
@@ -22,9 +21,9 @@ walks each edge of the family once, at the lcm of the functions' scales
 there, and gives every function's values at the union of their
 breakpoints as integers over one common denominator.  Scaling keeps
 equality and order, so the dependence search tries the candidates of the
-search on exact rationals in the same order.  The certificate matrix is
-put over one common denominator too, and the envelope checks run on
-``plfunc.lower_envelope``, which is integer as well.
+search on exact rationals in the same order.  ``competing_permutation``
+puts its matrix over one common denominator, and the envelope checks run
+on ``plfunc.lower_envelope``, which is integer as well.
 """
 from __future__ import annotations
 
@@ -38,8 +37,7 @@ from typing import Sequence
 
 from .errors import PreconditionError, SearchCapError
 from .graph import Interval, MetricGraph, Point, Region, _rat
-from .plfunc import (PLFunction, _grid, _same_graph, lower_envelope,
-                     min_combination)
+from .plfunc import PLFunction, _grid, _same_graph, lower_envelope
 
 MAX_FAMILY = 12
 
@@ -95,7 +93,6 @@ class DependenceCertificate:
     infinity (never minimal, effectively omitted from the family)."""
 
     offsets: tuple[Fraction | None, ...]
-    theta: PLFunction
 
     @property
     def active(self) -> tuple[int, ...]:
@@ -279,8 +276,7 @@ def find_dependence(funcs: Sequence[PLFunction],
         offsets: list[Fraction | None] = [None] * n
         for jpos, j in enumerate(subset):
             offsets[j] = assignment[jpos]
-        theta = min_combination(sub_funcs, assignment)
-        return DependenceCertificate(tuple(offsets), theta)
+        return DependenceCertificate(tuple(offsets))
 
     for size in range(2, n + 1):
         for subset in combinations(range(n), size):
@@ -312,30 +308,42 @@ class IndependenceCertificate:
     permutation: tuple[int, ...]
 
 
-def is_unique_minimiser(matrix: Sequence[Sequence],
-                        permutation: Sequence[int]) -> bool:
-    """Whether ``permutation`` (sigma) is the only permutation minimising
-    sum_i matrix[i][sigma[i]], the min-plus permanent; then the square
-    matrix is tropically nonsingular.
+def competing_permutation(matrix: Sequence[Sequence],
+                          permutation: Sequence[int]) -> tuple[int, ...] | None:
+    """None if ``permutation`` (sigma) is the only permutation minimising
+    sum_i matrix[i][sigma[i]], the min-plus permanent (then the square
+    matrix is tropically nonsingular); otherwise a permutation
+    tau != sigma whose sum is no greater.
 
     The exchange graph of sigma has the columns as nodes and, for j != j',
     an arc j -> j' of weight M[sigma^-1(j)][j'] - M[sigma^-1(j)][j]: the
-    change in cost when the row matched to j moves to j'.  There are no
-    self-arcs.  sigma is the unique minimiser iff every cycle of this graph
-    has positive weight (strong regularity in max-plus algebra; Butkovic,
-    "Max-linear Systems: Theory and Algorithms").  Proof: any tau != sigma
-    is sigma followed by the disjoint cycles of the column permutation
-    tau o sigma^-1 that are not fixed points, each a simple cycle of the
-    exchange graph, and cost(tau) - cost(sigma) is the sum of their
-    weights; conversely every simple cycle is such a tau.  Floyd-Warshall
-    finds the least weight of a closed walk through each node, and a
-    closed walk of weight <= 0 splits into simple cycles, one of which
-    has weight <= 0.  So the check fails as soon as a closed walk of
-    weight <= 0 turns up, in O(n^3) exact steps and for any n.
+    change in cost when the row matched to j moves to j'.  Any tau != sigma
+    is sigma followed by the disjoint cycles of tau o sigma^-1 that are
+    not fixed points, each a simple cycle of the exchange graph, and
+    cost(tau) - cost(sigma) is the sum of their weights; conversely every
+    simple cycle is such a tau.  So sigma is the unique minimiser iff
+    every simple cycle weighs more than 0 (strong regularity in max-plus
+    algebra; Butkovic, "Max-linear Systems: Theory and Algorithms").
 
-    ``verify_independence`` passes an integer matrix; entries that are
-    not ints are read as exact rationals, and a float raises
-    ``PreconditionError``.
+    Floyd-Warshall finds such a cycle in O(n^3) exact steps, for any n.
+    Phase m relaxes the paths through node m; ``nxt[a][b]`` is the node
+    after a on the path that ``dist[a][b]`` weighs.  Call a cycle m-low if
+    at most one of its nodes is >= m, and suppose that every m-low cycle
+    weighs more than 0 when phase m starts (for m = 0, as a cycle has two
+    nodes).  Then ``dist[a][b]`` is the least weight of a path a -> b with
+    inner nodes < m and ``nxt`` traces one, by the usual invariant of
+    Floyd-Warshall with path reconstruction.  Before relaxing, phase m
+    joins the traced paths P: a -> m and Q: m -> a for each a != m.  A
+    join of weight <= 0 is a simple cycle, which gives tau: if P and Q
+    shared a node x, P + Q would split at x into closed walks through a
+    and through m, all other nodes < m, so into m-low cycles of positive
+    weight.  If no join weighs <= 0, every (m+1)-low cycle weighs more
+    than 0: one through m and some a > m weighs dist[a][m] + dist[m][a]
+    or more.  With 0 on the diagonal, relaxing through m then changes
+    neither row m, column m nor the diagonal.
+
+    Entries are exact rationals (a float raises ``PreconditionError``),
+    put over one denominator so that the relaxation runs on ints.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -343,26 +351,36 @@ def is_unique_minimiser(matrix: Sequence[Sequence],
     if sorted(permutation) != list(range(n)):
         raise PreconditionError("not a permutation of the matrix's columns")
     M = [[_exact(x) for x in row] for row in matrix]
-    row_of = [0] * n
-    for i, j in enumerate(permutation):
-        row_of[j] = i
-    # dist[a][b]: the least weight of a walk a -> b found so far; None on
-    # the diagonal until a closed walk through a is found
-    dist = [[M[row_of[a]][b] - M[row_of[a]][a] if b != a else None
-             for b in range(n)] for a in range(n)]
+    den = lcm(*(x.denominator for row in M for x in row))
+    dist = [None] * n       # dist[a]: the arcs out of column a
+    for row, a in zip(M, permutation):
+        row = [x.numerator * (den // x.denominator) for x in row]
+        dist[a] = [x - row[a] for x in row]
+    nxt = [list(range(n)) for _ in range(n)]
     for m in range(n):
         dm = dist[m]
         for a in range(n):
-            da = dist[a]
-            am = da[m]
-            if am is None:
-                continue
+            if a != m and dist[a][m] + dm[a] <= 0:
+                move = list(range(n))   # the column each column's row moves to
+                for x, end in ((a, m), (m, a)):     # along P, then along Q
+                    while x != end:
+                        move[x] = nxt[x][end]
+                        x = move[x]
+                return tuple(move[j] for j in permutation)
+        for a in range(n):
+            da, na = dist[a], nxt[a]
+            am, via = da[m], na[m]
             for b, mb in enumerate(dm):
-                if mb is not None and (da[b] is None or am + mb < da[b]):
+                if am + mb < da[b]:
                     da[b] = am + mb
-            if da[a] is not None and da[a] <= 0:
-                return False
-    return True
+                    na[b] = via
+    return None
+
+
+def is_unique_minimiser(matrix: Sequence[Sequence],
+                        permutation: Sequence[int]) -> bool:
+    """Whether ``competing_permutation`` finds no rival to ``permutation``."""
+    return competing_permutation(matrix, permutation) is None
 
 
 def verify_independence(funcs: Sequence[PLFunction],
@@ -390,8 +408,5 @@ def verify_independence(funcs: Sequence[PLFunction],
         return False
     for p in cert.points:
         graph.check_point(p)
-    # values as (numerator, denominator), then over one denominator
-    vals = [[f._value(*graph.edge_coordinates(p)[0]) for f in funcs] for p in cert.points]
-    den = lcm(*(d for row in vals for (_v, d) in row))
-    M = [[v * (den // d) for (v, d) in row] for row in vals]
-    return is_unique_minimiser(M, cert.permutation)
+    return is_unique_minimiser([[f(p) for f in funcs] for p in cert.points],
+                               cert.permutation)

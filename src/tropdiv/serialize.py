@@ -3,8 +3,7 @@
 Rationals travel as strings "p" or "p/q" in lowest terms; points as
 {"edge": id, "offset": "p/q"} (or {"vertex": name} on input); divisors as
 sorted lists of {point, coeff}; independence certificates as
-{points, permutation}; dependence certificates as {offsets}, null for an
-omitted function.  Output is deterministic: keys sorted, rationals
+{points, permutation}.  Output is deterministic: keys sorted, rationals
 canonical.
 """
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Any
 
 from .errors import GraphError
 from .graph import ChainOfLoops, Divisor, MetricGraph, Point
-from .independence import DependenceCertificate, IndependenceCertificate
+from .independence import IndependenceCertificate
 from .plfunc import PLFunction
 
 
@@ -139,11 +138,6 @@ def independence_certificate_from_json(graph: MetricGraph,
     return IndependenceCertificate(
         tuple(point_from_json(graph, p) for p in obj["points"]),
         tuple(int(j) for j in obj["permutation"]))
-
-
-def dependence_certificate_to_json(cert: DependenceCertificate) -> dict:
-    return {"offsets": [None if b is None else rat_to_json(b)
-                        for b in cert.offsets]}
 
 
 def dumps(obj: Any) -> str:

@@ -104,6 +104,27 @@ def rho_zero_family(T, chain) -> list:
     return [phi + psi for phi in phis for psi in psis]
 
 
+def tie_psi_columns(monkeypatch, T, chain):
+    """Doctor the rho = 0 family of T by patching ``chainbn._twist`` so
+    that psi_1 = psi_0 + 3/2.  E_1 is kept, so the empty-cell table still
+    checks, but each phi_j + psi_1 is then a shift of phi_j + psi_0: two
+    columns of the certificate's matrix differ by a constant, and the
+    empty-cell matching ties with the one that swaps their rows."""
+    import tropdiv.chainbn as cb
+    twist = cb._twist
+    # the adjoint divisor of T, from which the experiment builds every
+    # (E_k, psi_k)
+    E = cb.adjoint_divisor(T, chain)
+
+    def shifted_twist(D, chain, k, r):
+        Ek, psi = twist(D, chain, k, r)
+        if D == E and k == 1:
+            psi = twist(D, chain, 0, r)[1].add_const(Fraction(3, 2))
+        return Ek, psi
+
+    monkeypatch.setattr(cb, "_twist", shifted_twist)
+
+
 def table_certificate(T, chain) -> IndependenceCertificate:
     """The certificate the empty-cell table gives for rho_zero_family(T,
     chain), read off the tableau: the vertex v_i is matched to

@@ -1,4 +1,6 @@
 """Tests for tableaux, chain divisor construction, and shape checks."""
+import ast
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,8 @@ from tropdiv.plfunc import PLFunction, in_R
 from tropdiv.reduce import is_equivalent, rank, v_reduce
 from tropdiv.sampling import SplitMix64, random_point
 
-from .conftest import cell_regions
+from .conftest import (cell_regions, rho_zero_family, table_certificate,
+                       tie_psi_columns)
 
 
 class TestTableau:
@@ -30,6 +33,11 @@ class TestTableau:
             Tableau(((2, 1), (3, 4)))      # row not increasing
         with pytest.raises(PreconditionError):
             Tableau(((1, 4), (2, 3)))      # column not increasing
+
+    @pytest.mark.parametrize("entries", [(), ((),), ((), ())])
+    def test_empty_shape_rejected(self, entries):
+        with pytest.raises(PreconditionError, match="a row and a column"):
+            Tableau(entries)
 
     def test_transpose_involution(self):
         T = Tableau(((1, 3), (2, 5), (4, 6)))
@@ -211,19 +219,29 @@ class TestGPExperiment:
         for T in enumerate_tableaux(2, 2):
             rep = gp_rho_zero_experiment(T, chain4)
             assert rep.verdict == "independent"
-            assert rep.certificate is None
             # the empty-cell table is a bijection onto the loops
             assert sorted(rep.empty_cell_table.values()) == [1, 2, 3, 4]
 
-    def test_undecided_when_no_certificate_and_no_dependence(
+    def test_failed_certificate_raises_with_a_competing_permutation(
             self, chain4, monkeypatch):
-        # a failed dependence search is not a proof of independence
-        import tropdiv.chainbn as cb
-        monkeypatch.setattr(cb, "verify_independence", lambda fam, cert: False)
-        monkeypatch.setattr(cb, "find_dependence", lambda fam: None)
-        rep = gp_rho_zero_experiment(enumerate_tableaux(2, 2)[0], chain4)
-        assert rep.verdict == "undecided"
-        assert rep.certificate is None and rep.independence_certificate is None
+        T = enumerate_tableaux(2, 2)[0]
+        tie_psi_columns(monkeypatch, T, chain4)
+        with pytest.raises(TheoremViolation) as err:
+            gp_rho_zero_experiment(T, chain4)
+        msg = str(err.value)
+        assert msg.startswith(f"tableau {T.entries}: ")
+        sigma = table_certificate(T, chain4).permutation
+        tau = ast.literal_eval(re.search(r"tau = (\(.*?\))", msg).group(1))
+        assert f"sigma = {sigma}" in msg
+        assert sorted(tau) == list(range(4)) and tau != sigma
+        # recomputed from the doctored family, tau costs no more than sigma
+        fam = rho_zero_family(T, chain4)
+        points = [chain4.v(i) for i in range(1, 5)]
+
+        def cost(perm):
+            return sum(fam[j](p) for p, j in zip(points, perm))
+
+        assert cost(tau) <= cost(sigma)
 
     def test_rho_nonzero_rejected(self, chain4):
         # 2x2 tableau against a genus-3 chain

@@ -5,17 +5,15 @@ from fractions import Fraction
 import pytest
 
 from tropdiv import ChainOfLoops, Divisor, default_generic_chain
-from tropdiv.chainbn import Tableau
+from tropdiv.chainbn import Tableau, enumerate_tableaux
 from tropdiv.cli import main
-from tropdiv.errors import SearchCapError
+from tropdiv.errors import ReductionCapError, SearchCapError
 from tropdiv.graph import canonical_divisor
-from tropdiv.independence import (DependenceCertificate, verify_dependence,
-                                  verify_independence)
-from tropdiv.plfunc import min_combination
+from tropdiv.independence import verify_independence
 from tropdiv.reduce import v_reduce
 from tropdiv import serialize as sz
 
-from .conftest import rho_zero_family, table_certificate
+from .conftest import rho_zero_family, table_certificate, tie_psi_columns
 
 
 def _write(path, obj):
@@ -144,72 +142,35 @@ class TestGP0:
             assert cert == table_certificate(T, chain)
             assert verify_independence(rho_zero_family(T, chain), cert)
 
-    def test_undecided_exits_3(self, tmp_path, monkeypatch):
-        import tropdiv.chainbn as cb
-        monkeypatch.setattr(cb, "verify_independence", lambda fam, cert: False)
-        monkeypatch.setattr(cb, "find_dependence", lambda fam: None)
+    def test_failed_certificate_exits_1_without_report(
+            self, tmp_path, monkeypatch, capsys):
+        # tableau 0 comes first, so "all" stops there as well
+        tie_psi_columns(monkeypatch, enumerate_tableaux(2, 2)[0],
+                        default_generic_chain(4))
         out = tmp_path / "gp.json"
+        for tableau in ("0", "all"):
+            assert main(["gp0", "--g", "4", "--r", "1", "--d", "3",
+                         "--tableau", tableau, "--out", str(out)]) == 1
+            assert not out.exists()
+            err = capsys.readouterr().err
+            assert err.startswith("falsified: tableau ((1, 2), (3, 4))")
+            assert "tau = (" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("exc,code", [(ReductionCapError, 3),
+                                          (SearchCapError, 4)])
+    def test_only_the_reduction_cap_exits_3(self, monkeypatch, capsys,
+                                            exc, code):
+        # gp0 no longer searches for dependences, so a search cap
+        # reaching the command line would be a bug
+        import tropdiv.cli as cli
+
+        def capped(T, chain):
+            raise exc(1)
+
+        monkeypatch.setattr(cli, "gp_rho_zero_experiment", capped)
         assert main(["gp0", "--g", "4", "--r", "1", "--d", "3",
-                     "--tableau", "0", "--out", str(out)]) == 3
-        (rep,) = json.loads(out.read_text())["reports"]
-        assert rep["verdict"] == "undecided" and "certificate" not in rep
-        assert "dependence" not in rep
-
-    def test_dependent_reports_offsets_and_exits_1(self, tmp_path, monkeypatch):
-        import tropdiv.chainbn as cb
-        twist = cb._twist
-        # the adjoint divisor E of tableau 0, from which the experiment
-        # builds every (E_k, psi_k)
-        E = cb.adjoint_divisor(cb.enumerate_tableaux(2, 2)[0], default_generic_chain(4))
-
-        def shifted_twist(D, chain, k, r):
-            # psi_1 = psi_0 + 3/2 keeps E_1, so the empty-cell table still
-            # checks, and makes phi_j + psi_1 a shift of phi_j + psi_0
-            Ek, psi = twist(D, chain, k, r)
-            if D == E and k == 1:
-                psi = twist(D, chain, 0, r)[1].add_const(Fraction(3, 2))
-            return Ek, psi
-
-        families = []
-
-        def known_dependence(fam):
-            families.append(fam)
-            offsets = (Fraction(0), Fraction(-3, 2), None, None)
-            return DependenceCertificate(
-                offsets, min_combination(fam[:2], offsets[:2]))
-
-        monkeypatch.setattr(cb, "_twist", shifted_twist)
-        monkeypatch.setattr(cb, "verify_independence", lambda fam, cert: False)
-        monkeypatch.setattr(cb, "find_dependence", known_dependence)
-        out = tmp_path / "gp.json"
-        assert main(["gp0", "--g", "4", "--r", "1", "--d", "3",
-                     "--tableau", "0", "--out", str(out)]) == 1
-        (rep,) = json.loads(out.read_text())["reports"]
-        assert rep["verdict"] == "dependent" and "certificate" not in rep
-        assert rep["dependence"] == {"offsets": ["0", "-3/2", None, None]}
-        (fam,) = families
-        offsets = [None if b is None else sz.rat_from_json(b)
-                   for b in rep["dependence"]["offsets"]]
-        active = [j for j, b in enumerate(offsets) if b is not None]
-        assert verify_dependence([fam[j] for j in active],
-                                 [offsets[j] for j in active]) == (True, None)
-
-    def test_capped_dependence_search_is_undecided(self, tmp_path, monkeypatch):
-        # a capped search leaves that family undecided and keeps the run,
-        # so every other tableau still gets its report
-        import tropdiv.chainbn as cb
-
-        def capped(fam):
-            raise SearchCapError(200_000)
-
-        monkeypatch.setattr(cb, "verify_independence", lambda fam, cert: False)
-        monkeypatch.setattr(cb, "find_dependence", capped)
-        out = tmp_path / "gp.json"
-        assert main(["gp0", "--g", "4", "--r", "1", "--d", "3",
-                     "--tableau", "all", "--out", str(out)]) == 3
-        reports = json.loads(out.read_text())["reports"]
-        assert [rep["verdict"] for rep in reports] == ["undecided"] * 2
-        assert all("certificate" not in rep for rep in reports)
+                     "--tableau", "0"]) == code
+        assert capsys.readouterr().out == ""
 
     def test_genus_16_family_of_16_is_independent(self, capsys):
         assert main(["gp0", "--g", "16", "--r", "3", "--d", "15",
