@@ -3,19 +3,35 @@
 Rectangular standard tableaux classify the relevant divisor classes; each
 tableau yields a lattice path, a divisor D on the chain, its adjoint E,
 and the twisted representatives D_j / E_k with piecewise-linear witnesses.
+
+D_j = red_{w_g}(D - j*v_1) + j*v_1 is reduced loop by loop, on integers:
+the chips at w_{i-1} and on bridge i-1 slide to v_i, and the d chips then
+on loop i are equivalent to (d-1)*w_i plus one chip at ccw distance
+sum c*t mod (ell_i + m_i) from w_i, all d at w_i when that sum is 0 (the
+Abel-Jacobi map of a cycle is a group isomorphism).  That leaves at most
+one chip in each cell and none on a bridge, the shape of a w_g-reduced
+divisor, and reduced divisors are unique (Baker-Norine; Cools, Draisma,
+Payne and Robeva, "A tropical proof of the Brill-Noether Theorem",
+Section 3).  The witness phi_j of D_j - D is read at v_1..v_g in closed
+form: its slope along bridge i is minus the degree of D_j - D left of it,
+and on each loop the two slopes leaving v_i solve one linear equation.
+Those slopes are integers exactly when D_j - D is principal on the loop,
+so a remainder raises ``TheoremViolation``: the check is as exact as the
+Laplacian solve that ``build_Dj`` still runs for the full witness.
+
 The central experiment proves that the family {phi_j + psi_k} admits no
 tropical dependence, as the paper does, from shapes: each D_j + E_k
 misses exactly one cell gamma_i, these cells are distinct, and matching
 the vertex v_i to the function whose cell holds entry i gives an
-independence certificate that is checked exactly; should one fail, the
-experiment raises ``TheoremViolation``.
+independence certificate, checked exactly on the closed-form values;
+should one fail, the experiment raises ``TheoremViolation``.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import GenericityError, PreconditionError, TheoremViolation
 from .graph import (BNParams, ChainOfLoops, Divisor, Point, canonical_divisor,
@@ -24,7 +40,7 @@ from .independence import IndependenceCertificate, competing_permutation
 # nothing here calls it: perfbench/test_perfbench.py reads chainbn.find_dependence
 from .independence import find_dependence  # noqa: F401
 from .plfunc import PLFunction
-from .reduce import is_equivalent, v_reduce
+from .reduce import _Lattice, _potential, is_equivalent
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +71,9 @@ class Tableau:
             col = [self.entries[r][c] for r in range(rows)]
             if any(a >= b for a, b in zip(col, col[1:])):
                 raise PreconditionError("columns must strictly increase")
+        # (row, col) of each entry, for ``position``
+        object.__setattr__(self, "_position", {
+            x: (r, c) for r, row in enumerate(self.entries) for c, x in enumerate(row)})
 
     @property
     def rows(self) -> int:
@@ -73,11 +92,10 @@ class Tableau:
 
     def position(self, i: int) -> tuple[int, int]:
         """(row, col) of entry i, zero-indexed."""
-        for r, row in enumerate(self.entries):
-            for c, x in enumerate(row):
-                if x == i:
-                    return r, c
-        raise PreconditionError(f"no entry {i}")
+        try:
+            return self._position[i]
+        except KeyError:
+            raise PreconditionError(f"no entry {i}") from None
 
     def params(self) -> BNParams:
         """The (g, r, d) with rho = 0 classified by this shape."""
@@ -200,24 +218,161 @@ def build_Dj(T: Tableau, chain: ChainOfLoops, j: int) -> tuple[Divisor, PLFuncti
     with the witness phi_j (D_j = D + div(phi_j), phi_j(w_g) = 0).
 
     D_j - j*v_1 - (r-j)*w_g has no chips on bridges or at vertices, so it
-    is reduced at every point; it is recovered as the w_g-reduced
-    representative of D - j*v_1 - (r-j)*w_g.
+    is reduced at every point; it is recovered as
+    D_j = red_{w_g}(D - j*v_1) + j*v_1, which ``_twist`` computes loop by
+    loop by the group law of each cycle, checking D_j ~ D by the integer
+    slopes of its closed-form witness values.  The whole witness is then
+    solved from D_j - D by ``reduce._potential``, on the lattice of D.
     """
     r = T.cols - 1
     if not (0 <= j <= r):
         raise PreconditionError(f"column index {j} out of range 0..{r}")
-    return _twist(tableau_to_divisor(T, chain), chain, j, r)
-
-
-def _twist(D: Divisor, chain: ChainOfLoops, j: int, r: int) -> tuple[Divisor, PLFunction]:
-    """``build_Dj`` from the divisor D of a tableau with r + 1 columns."""
+    D = tableau_to_divisor(T, chain)
+    Dj, _values = _twist(D, chain, j, r)
     wg = chain.w(chain.g)
-    shift = Divisor({chain.v(1): j, wg: r - j})
-    res = v_reduce(chain.graph, D - shift, wg)
-    Dj = res.reduced + shift
-    if not (Dj - shift).is_effective:
+    return Dj, _potential(_Lattice(chain.graph, [wg, *D.support()]), Dj - D, wg)
+
+
+def _chain_chips(D: Divisor, chain: ChainOfLoops):
+    """D in the integer coordinates of the chain, every length in units
+    of 1/L, L the lcm of the denominators of the lengths and of D's
+    offsets: returns L, the lengths ell_i, m_i and beta_i, and D's chips
+    on each loop as (ccw distance from w_i, count) and on each bridge i
+    as (offset from w_i, count).  w_i belongs to loop i, at distance 0;
+    the pendant bridges of an extended chain must be empty."""
+    L = lcm(*(x.denominator for x in chain.ell + chain.m + chain.beta),
+            *(p.offset.denominator for p in D.support() if not p.is_vertex))
+    ell, m, beta = ([x.numerator * (L // x.denominator) for x in xs]
+                    for xs in (chain.ell, chain.m, chain.beta))
+    loops: list[list[tuple[int, int]]] = [[] for _ in range(chain.g)]
+    bridges: list[list[tuple[int, int]]] = [[] for _ in range(chain.g)]
+    for p, c in D.items():
+        k = chain.piece(p)
+        if k is None:
+            raise PreconditionError(f"chip at {p} on a pendant bridge")
+        i = k // 2
+        if p.vertex is not None:
+            loops[i].append((0 if k % 2 else ell[i], c))
+            continue
+        x = p.offset.numerator * (L // p.offset.denominator)
+        if k % 2:
+            bridges[i].append((x, c))
+        elif p.edge == chain.top_edge(i + 1):
+            loops[i].append((ell[i] - x, c))
+        else:
+            loops[i].append((ell[i] + x, c))
+    return L, ell, m, beta, loops, bridges
+
+
+def _reduce_loops(loops, bridges, ell, m) -> tuple[list, int]:
+    """The w_g-reduced divisor equivalent to the chips ``loops`` and
+    ``bridges`` of ``_chain_chips``: the ccw distance from w_i of the chip
+    in each cell gamma_i (None for an empty cell), and the chips at w_g.
+
+    Loop by loop from the left, the chips at w_{i-1} and on bridge i-1
+    slide to v_i; then the d chips on loop i are equivalent to
+    (d-1)*w_i plus one chip at ccw distance sum c*t mod (ell_i + m_i)
+    from w_i, or to d*w_i when that sum is 0, since the Abel-Jacobi map
+    of a cycle is a group isomorphism.  The result has no chip on a
+    bridge and at most one in each cell, so it is reduced at w_g.  A
+    loop whose class is not effective (d < 0, or d = 0 and a nonzero
+    sum) raises ``PreconditionError``; effective input never has one."""
+    cells: list[int | None] = []
+    carry = 0
+    for i, on_loop in enumerate(loops):
+        d = carry + sum(c for (_t, c) in on_loop)
+        s = (carry * ell[i] + sum(c * t for (t, c) in on_loop)) % (ell[i] + m[i])
+        if d < 0 or (d == 0 and s):
+            raise PreconditionError(f"debt on loop {i + 1}")
+        cells.append(s or None)
+        carry = (d - 1 if s else d) + sum(c for (_x, c) in bridges[i])
+    return cells, carry
+
+
+def _vertex_values(loops, bridges, ell, m, beta) -> list[int]:
+    """The values at v_1..v_g, in units of 1/L, of the f with
+    div(f) = E and f(w_g) = 0, for E in the coordinates of
+    ``_chain_chips``; ``TheoremViolation`` if E is not principal.
+
+    At each point the outgoing slopes of f sum to minus E there.  Left of
+    bridge i, E has degree -s_i, so f has slope s_i along the bridge
+    toward v_{i+1}, lowered by c past each chip c on it.  On loop i let
+    S = s_{i-1} - E(v_i), and let T and B sum c times the distance to
+    w_i over the chips inside the top and the bottom edge.  The slopes a
+    along the top and b along the bottom leaving v_i satisfy a + b = S
+    and f(w_i) - f(v_i) = a*ell - T = b*m - B, so
+    a = (S*m + T - B) / (ell + m) and
+    f(w_i) - f(v_i) = (S*ell*m - T*m - B*ell) / (ell + m).  Given the
+    slope arriving at v_i, E is principal on the loop exactly when a,
+    and with it b, is an integer; and on the whole chain exactly when
+    that holds on every loop and deg E = 0, i.e. s_g = 0."""
+    vals: list[int] = []
+    y = s = 0
+    for i, on_loop in enumerate(loops):
+        vals.append(y)
+        S = s
+        T = B = 0
+        for t, c in on_loop:
+            s -= c
+            if t == ell[i]:
+                S -= c
+            elif t < ell[i]:
+                T += c * t
+            else:
+                B += c * (ell[i] + m[i] - t)
+        a, rem = divmod(S * m[i] + T - B, ell[i] + m[i])
+        if rem:
+            raise TheoremViolation(f"D_j - D is not principal on loop {i + 1}")
+        y += a * ell[i] - T
+        if i < len(beta):
+            y += s * beta[i] - sum(c * (beta[i] - x) for (x, c) in bridges[i])
+            s -= sum(c for (_x, c) in bridges[i])
+    if s:
+        raise TheoremViolation(f"D_j - D has degree {-s}")
+    return [v - y for v in vals]
+
+
+def _loop_point(chain: ChainOfLoops, i: int, t: int, ell: int, L: int) -> Point:
+    """``chain.ccw_point(i, t / L)`` for 0 < t < ell_i + m_i, with
+    ell = ell_i * L."""
+    if t == ell:
+        return chain.v(i)
+    if t < ell:
+        return chain.graph.point(chain.top_edge(i), Fraction(ell - t, L))
+    return chain.graph.point(chain.bottom_edge(i), Fraction(t - ell, L))
+
+
+def _twist(D: Divisor, chain: ChainOfLoops, j: int, r: int) -> tuple[Divisor, list[Fraction]]:
+    """``build_Dj`` from the divisor D of a tableau with r + 1 columns:
+    D_j = red_{w_g}(D - j*v_1) + j*v_1, and the values phi_j(v_1..v_g) of
+    its witness, with D_j = D + div(phi_j) and phi_j(w_g) = 0.
+
+    The reduction is ``_reduce_loops``: loop by loop, by the group law of
+    each cycle, on integers in units of 1/L.  Reduced divisors are unique
+    (Baker-Norine; Cools, Draisma, Payne and Robeva, "A tropical proof of
+    the Brill-Noether Theorem", Section 3), so this is the divisor that
+    ``v_reduce`` finds.  The witness values are read off D_j - D in
+    closed form by ``_vertex_values``, whose integer-slope test checks
+    exactly that D_j ~ D.  Core and extended chains take this one path:
+    tableau divisors put no chip on the pendant bridges.
+    """
+    L, ell, m, beta, loops, bridges = _chain_chips(D, chain)
+    loops[0].append((ell[0], -j))
+    cells, pile = _reduce_loops(loops, bridges, ell, m)
+    if pile < r - j:
         raise TheoremViolation("twisted representative failed to be effective")
-    return Dj, res.witness
+    Dj = Divisor([(chain.v(1), j), (chain.w(chain.g), pile)]
+                 + [(_loop_point(chain, i + 1, t, ell[i], L), 1)
+                    for i, t in enumerate(cells) if t is not None])
+    # E = D_j - D = red(F) - F for the reduced F = D - j*v_1
+    E = [[(t, -c) for (t, c) in on_loop] for on_loop in loops]
+    for i, t in enumerate(cells):
+        if t is not None:
+            E[i].append((t, 1))
+    E[-1].append((0, pile))
+    values = _vertex_values(E, [[(x, -c) for (x, c) in b] for b in bridges],
+                            ell, m, beta)
+    return Dj, [Fraction(v, L) for v in values]
 
 
 def build_Ek(T: Tableau, chain: ChainOfLoops, k: int) -> tuple[Divisor, PLFunction]:
@@ -373,8 +528,11 @@ def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
     # v_i is matched to the function whose cell holds entry i
     points = tuple(chain.v(i) for i in range(1, chain.g + 1))
     perm = tuple(j * rows + k for (j, k) in sorted(table, key=table.get))
-    at_phi = [[phi(v) for v in points] for (_D, phi) in phis]
-    at_psi = [[psi(v) for v in points] for (_E, psi) in psis]
+    # the matrix over one denominator: a positive scale keeps every
+    # comparison competing_permutation makes
+    den = lcm(*(x.denominator for (_D, a) in phis + psis for x in a))
+    at_phi, at_psi = ([[x.numerator * (den // x.denominator) for x in a]
+                       for (_D, a) in twists] for twists in (phis, psis))
     matrix = [[a[i] + b[i] for a in at_phi for b in at_psi]
               for i in range(chain.g)]
     tau = competing_permutation(matrix, perm)

@@ -12,13 +12,12 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 
 from .chainbn import enumerate_tableaux, gp_rho_zero_experiment, shape_profile
 from .errors import (GenericityError, GraphError, PreconditionError,
                      ReductionCapError, TheoremViolation)
-from .graph import (ChainOfLoops, MetricGraph, canonical_divisor,
-                    check_genericity, default_generic_chain)
+from .graph import (ChainOfLoops, MetricGraph, check_genericity,
+                    default_generic_chain)
 from .reduce import riemann_roch_check, v_reduce
 from .sampling import SplitMix64, random_divisor
 from . import serialize as sz

@@ -104,12 +104,25 @@ def rho_zero_family(T, chain) -> list:
     return [phi + psi for phi in phis for psi in psis]
 
 
+def rho_zero_matrix(T, chain) -> list[list]:
+    """The certificate matrix M[i][j * rows + k] = phi_j(v_i) + psi_k(v_i)
+    of the rho = 0 experiment, from the vertex values that
+    ``chainbn._twist`` returns (as patched, if it is)."""
+    import tropdiv.chainbn as cb
+    r, rows = T.cols - 1, T.rows
+    D, E = cb.tableau_to_divisor(T, chain), cb.adjoint_divisor(T, chain)
+    phis = [cb._twist(D, chain, j, r)[1] for j in range(r + 1)]
+    psis = [cb._twist(E, chain, k, rows - 1)[1] for k in range(rows)]
+    return [[a[i] + b[i] for a in phis for b in psis] for i in range(chain.g)]
+
+
 def tie_psi_columns(monkeypatch, T, chain):
     """Doctor the rho = 0 family of T by patching ``chainbn._twist`` so
-    that psi_1 = psi_0 + 3/2.  E_1 is kept, so the empty-cell table still
-    checks, but each phi_j + psi_1 is then a shift of phi_j + psi_0: two
-    columns of the certificate's matrix differ by a constant, and the
-    empty-cell matching ties with the one that swaps their rows."""
+    that psi_1's vertex values are psi_0's + 3/2.  E_1 is kept, so the
+    empty-cell table still checks, but each column phi_j + psi_1 of the
+    certificate's matrix is then the column phi_j + psi_0 plus a
+    constant, and the empty-cell matching ties with the one that swaps
+    their rows."""
     import tropdiv.chainbn as cb
     twist = cb._twist
     # the adjoint divisor of T, from which the experiment builds every
@@ -117,10 +130,10 @@ def tie_psi_columns(monkeypatch, T, chain):
     E = cb.adjoint_divisor(T, chain)
 
     def shifted_twist(D, chain, k, r):
-        Ek, psi = twist(D, chain, k, r)
+        Ek, values = twist(D, chain, k, r)
         if D == E and k == 1:
-            psi = twist(D, chain, 0, r)[1].add_const(Fraction(3, 2))
-        return Ek, psi
+            values = [v + Fraction(3, 2) for v in twist(D, chain, 0, r)[1]]
+        return Ek, values
 
     monkeypatch.setattr(cb, "_twist", shifted_twist)
 

@@ -1,13 +1,18 @@
-"""The reduction core as it was before burning per edge: every firing
-step rebuilds the model subdividing each edge at the chips' interior
-points and at the base, and burns it node by node.  Kept unchanged as a
-test-only reference for ``tropdiv.reduce``'s burn and firing loop."""
+"""Test-only references for the reduction core.
+
+The burn and firing loop as they were before burning per edge: every
+firing step rebuilds the model subdividing each edge at the chips'
+interior points and at the base, and burns it node by node, kept
+unchanged as the reference for ``tropdiv.reduce``'s.  And ``twist``,
+``chainbn._twist`` as it was before the loop-by-loop reduction: the
+generic ``v_reduce`` with its witness."""
 from __future__ import annotations
 
 from fractions import Fraction
 
-from tropdiv.errors import PreconditionError, ReductionCapError
-from tropdiv.reduce import BurnResult, _Chips, _Lattice
+from tropdiv.errors import PreconditionError, ReductionCapError, TheoremViolation
+from tropdiv.graph import Divisor
+from tropdiv.reduce import BurnResult, _Chips, _Lattice, v_reduce
 
 
 def _burn(lat: _Lattice, chips: _Chips, base):
@@ -113,8 +118,6 @@ def _fire(lat: _Lattice, chips: _Chips, base, budget: list[int]) -> None:
                 rest -= o2 - o1
 
 
-
-
 def dhar_burn(graph, D, base) -> BurnResult:
     """``reduce.dhar_burn`` on the reference burn."""
     lat = _Lattice(graph, [base, *D.support()])
@@ -127,3 +130,15 @@ def dhar_burn(graph, D, base) -> BurnResult:
     unb_segs = [(e, Fraction(lo, L), Fraction(hi, L))
                 for (e, lo, hi, a, b) in segs if not (burnt[a] or burnt[b])]
     return BurnResult(not unburnt, unburnt, unb_segs)
+
+
+def twist(D, chain, j: int, r: int):
+    """D_j = red_{w_g}(D - j*v_1) + j*v_1 and its witness phi_j, with
+    D + div(phi_j) = D_j and phi_j(w_g) = 0, by ``v_reduce``."""
+    wg = chain.w(chain.g)
+    shift = Divisor({chain.v(1): j, wg: r - j})
+    res = v_reduce(chain.graph, D - shift, wg)
+    Dj = res.reduced + shift
+    if not (Dj - shift).is_effective:
+        raise TheoremViolation("twisted representative failed to be effective")
+    return Dj, res.witness

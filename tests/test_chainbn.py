@@ -2,11 +2,12 @@
 import ast
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from tropdiv import (BNParams, ChainOfLoops, Divisor, canonical_divisor,
-                     default_generic_chain)
+                     chainbn, default_generic_chain)
 from tropdiv.chainbn import (DyckPath, ShapeProfile, Tableau, adjoint_divisor,
                              build_Dj, build_Ek, canonical_shape_check,
                              chips_on_each_loop_check, enumerate_tableaux,
@@ -15,12 +16,13 @@ from tropdiv.chainbn import (DyckPath, ShapeProfile, Tableau, adjoint_divisor,
                              tableau_to_divisor, tableau_to_dyck)
 from tropdiv.errors import (GenericityError, GraphError, PreconditionError,
                             TheoremViolation)
-from tropdiv.graph import contains_point_in
+from tropdiv.graph import check_genericity, contains_point_in
 from tropdiv.plfunc import PLFunction, in_R
 from tropdiv.reduce import is_equivalent, rank, v_reduce
 from tropdiv.sampling import SplitMix64, random_point
 
-from .conftest import (cell_regions, rho_zero_family, table_certificate,
+from . import reference_core
+from .conftest import (cell_regions, rho_zero_matrix, table_certificate,
                        tie_psi_columns)
 
 
@@ -130,6 +132,124 @@ class TestBuildDj:
         assert E + psi.divisor() == Ek
 
 
+def _assert_twist_agrees(D, chain, j, r):
+    """The loop-by-loop D_j and the closed-form phi_j(v_1..v_g) equal
+    those of the v_reduce-based oracle."""
+    Dj, values = chainbn._twist(D, chain, j, r)
+    ref, phi = reference_core.twist(D, chain, j, r)
+    assert Dj == ref
+    assert values == [phi(chain.v(i)) for i in range(1, chain.g + 1)]
+
+
+def _twist_every_column(T, chain):
+    D = tableau_to_divisor(T, chain)
+    for j in range(T.cols):
+        _assert_twist_agrees(D, chain, j, T.cols - 1)
+    return T.cols
+
+
+def _random_chain(rng, g, ratio=None):
+    """A generic chain with random rational lengths; with ``ratio`` a
+    function of the loop index, each ell_i / m_i is that ratio."""
+    def length():
+        return Fraction(rng.randint(1, 40), rng.randint(1, 7))
+
+    while True:
+        m = [length() for _ in range(g)]
+        ell = [x * ratio(i) if ratio else length() for i, x in enumerate(m)]
+        chain = ChainOfLoops(g, ell, m, [length() for _ in range(g - 1)])
+        if check_genericity(chain):
+            return chain
+
+
+class TestTwistOracle:
+    """``chainbn._twist`` against the v_reduce-based ``twist`` it
+    replaced, kept in ``tests/reference_core.py``."""
+
+    def test_every_tableau_up_to_genus_10(self):
+        twists = 0
+        for g in range(2, 11):
+            chain = default_generic_chain(g)
+            for rows in (rows for rows in range(1, g + 1) if g % rows == 0):
+                for T in enumerate_tableaux(rows, g // rows):
+                    twists += _twist_every_column(T, chain)
+        assert twists == 596
+
+    @pytest.mark.parametrize("rows,cols", [(3, 4), (4, 3)])
+    def test_sample_of_genus_12(self, rows, cols):
+        chain = default_generic_chain(12)
+        tableaux = enumerate_tableaux(rows, cols)
+        rng = SplitMix64(rows)
+        for _ in range(12):
+            _twist_every_column(tableaux[rng.below(len(tableaux))], chain)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_generic_chains(self, seed):
+        rng = SplitMix64(seed)
+        for rows, cols in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]:
+            chain = _random_chain(rng, rows * cols)
+            tableaux = enumerate_tableaux(rows, cols)
+            for _ in range(3):
+                _twist_every_column(tableaux[rng.below(len(tableaux))], chain)
+
+    @pytest.mark.parametrize("rows,cols", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)])
+    def test_chains_on_the_genericity_boundary(self, rows, cols):
+        # every ell_i / m_i is p/q in lowest terms with p + q = 2g - 1
+        g = rows * cols
+        ratios = [Fraction(p, 2 * g - 1 - p) for p in range(1, 2 * g - 1)
+                  if gcd(p, 2 * g - 1) == 1]
+        rng = SplitMix64(g + rows)
+        chain = _random_chain(rng, g, lambda i: rng.choice(ratios))
+        assert all((x / y).numerator + (x / y).denominator == 2 * g - 1
+                   for x, y in zip(chain.ell, chain.m))
+        for T in enumerate_tableaux(rows, cols):
+            _twist_every_column(T, chain)
+
+    @pytest.mark.parametrize("rows,cols", [(2, 2), (2, 3), (3, 2)])
+    def test_extended_chain(self, rows, cols):
+        chain = default_generic_chain(rows * cols, extended=True)
+        for T in enumerate_tableaux(rows, cols):
+            _twist_every_column(T, chain)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_effective_divisors(self, seed):
+        # chips on bridges and at v_i and w_i slide or reduce as well
+        rng = SplitMix64(100 + seed)
+        chain = _random_chain(rng, 3 + seed % 2)
+        points = [chain.v(i) for i in range(1, chain.g + 1)] + [
+            chain.w(i) for i in range(1, chain.g + 1)]
+        for _ in range(15):
+            D = Divisor([(random_point(chain.graph, rng, 6), 1)
+                         for _ in range(rng.randint(0, 2 * chain.g))]
+                        + [(rng.choice(points), rng.randint(0, 2))])
+            j = rng.randint(0, 2)
+            _assert_twist_agrees(D + Divisor({chain.v(1): j}), chain, j, j)
+
+    def test_debt_that_reduces_to_no_effective_class_raises(self, chain4):
+        # D_1 of the zero divisor would need -1 chips on loop 1
+        with pytest.raises(PreconditionError, match="debt on loop 1"):
+            chainbn._twist(Divisor(), chain4, 1, 1)
+
+    def test_doctored_loop_chip_raises(self, chain4, monkeypatch):
+        # moving the reduced chip of a loop by 1/L leaves D_j - D with a
+        # non-integral loop slope: not principal, so no values come back
+        T = enumerate_tableaux(2, 2)[0]
+        D = tableau_to_divisor(T, chain4)
+        reduce_loops = chainbn._reduce_loops
+        moved = []
+
+        def doctored(*args):
+            cells, pile = reduce_loops(*args)
+            i = next(i for i, t in enumerate(cells) if t is not None)
+            moved.append(i + 1)
+            return cells[:i] + [cells[i] + 1] + cells[i + 1:], pile
+
+        monkeypatch.setattr(chainbn, "_reduce_loops", doctored)
+        with pytest.raises(TheoremViolation, match="not principal on loop") as err:
+            chainbn._twist(D, chain4, 0, 1)
+        assert str(err.value).endswith(f"loop {moved[0]}")
+
+
 class TestShapes:
     def test_wg_reduced_shape_of_reduction(self, chain3, rng):
         from tropdiv.sampling import random_effective_divisor
@@ -234,12 +354,11 @@ class TestGPExperiment:
         tau = ast.literal_eval(re.search(r"tau = (\(.*?\))", msg).group(1))
         assert f"sigma = {sigma}" in msg
         assert sorted(tau) == list(range(4)) and tau != sigma
-        # recomputed from the doctored family, tau costs no more than sigma
-        fam = rho_zero_family(T, chain4)
-        points = [chain4.v(i) for i in range(1, 5)]
+        # recomputed from the doctored values, tau costs no more than sigma
+        M = rho_zero_matrix(T, chain4)
 
         def cost(perm):
-            return sum(fam[j](p) for p, j in zip(points, perm))
+            return sum(row[j] for row, j in zip(M, perm))
 
         assert cost(tau) <= cost(sigma)
 
