@@ -4,9 +4,13 @@ Rectangular standard tableaux classify the relevant divisor classes; each
 tableau yields a lattice path, a divisor D on the chain, its adjoint E,
 and the twisted representatives D_j / E_k with piecewise-linear witnesses.
 
-D_j = red_{w_g}(D - j*v_1) + j*v_1 is reduced loop by loop, on integers:
-the chips at w_{i-1} and on bridge i-1 slide to v_i, and the d chips then
-on loop i are equivalent to (d-1)*w_i plus one chip at ccw distance
+These divisors have chips on the loops only, kept per loop i as (ccw
+distance from w_i, count) in units of 1/L, L the lcm of the denominators
+of the chain's lengths; they become ``Divisor``s, placed by
+``ChainOfLoops.ccw_point``, only in ``tableau_to_divisor`` and
+``build_Dj`` / ``build_Ek``.  D_j = red_{w_g}(D - j*v_1) + j*v_1 is
+reduced loop by loop: the chips at w_{i-1} slide to v_i, and the d chips
+then on loop i are equivalent to (d-1)*w_i plus one chip at ccw distance
 sum c*t mod (ell_i + m_i) from w_i, all d at w_i when that sum is 0 (the
 Abel-Jacobi map of a cycle is a group isomorphism).  That leaves at most
 one chip in each cell and none on a bridge, the shape of a w_g-reduced
@@ -34,7 +38,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .errors import GenericityError, PreconditionError, TheoremViolation
-from .graph import (BNParams, ChainOfLoops, Divisor, Point, canonical_divisor,
+from .graph import (BNParams, ChainOfLoops, Divisor, canonical_divisor,
                     check_genericity)
 from .independence import IndependenceCertificate, competing_permutation
 # nothing here calls it: perfbench/test_perfbench.py reads chainbn.find_dependence
@@ -182,11 +186,45 @@ def tableau_to_dyck(T: Tableau) -> DyckPath:
 # divisors from tableaux
 
 
-def _require_generic(chain: ChainOfLoops):
+def _require_chain(T: Tableau, chain: ChainOfLoops):
+    if chain.g != T.size:
+        raise PreconditionError(f"tableau size {T.size} != genus {chain.g}")
     if not check_genericity(chain):
         raise GenericityError(
             "chain loop-length ratios admit a small integer ratio; "
             "divisor positions are not guaranteed to avoid the vertices")
+
+
+def _integer_lengths(chain: ChainOfLoops) -> tuple[int, list[int], list[int], list[int]]:
+    """L, the lcm of the denominators of the chain's lengths, and the
+    lengths ell_i, m_i and beta_i in units of 1/L."""
+    L = lcm(*(x.denominator for x in chain.ell + chain.m + chain.beta))
+    ell, m, beta = ([x.numerator * (L // x.denominator) for x in xs]
+                    for xs in (chain.ell, chain.m, chain.beta))
+    return L, ell, m, beta
+
+
+def _tableau_chips(T: Tableau, ell: list[int], m: list[int]) -> list[list[tuple[int, int]]]:
+    """The chips of ``tableau_to_divisor`` on the integer lengths ell and
+    m: the r at v_1 at distance ell_1, and each at p_{i-1}(j)*m_i taken
+    mod ell_i + m_i."""
+    r = T.cols - 1
+    path = tableau_to_dyck(T)
+    loops: list[list[tuple[int, int]]] = [[] for _ in ell]
+    if r:
+        loops[0].append((ell[0], r))
+    for i in range(1, T.size + 1):
+        _row, col = T.position(i)
+        if col < r:
+            loops[i - 1].append(
+                (path.coord(i - 1, col) * m[i - 1] % (ell[i - 1] + m[i - 1]), 1))
+    return loops
+
+
+def _divisor(chain: ChainOfLoops, L: int, loops) -> Divisor:
+    """The divisor of the chips ``loops`` on the chain."""
+    return Divisor([(chain.ccw_point(i, Fraction(t, L)), c)
+                    for i, on_loop in enumerate(loops, 1) for (t, c) in on_loop])
 
 
 def tableau_to_divisor(T: Tableau, chain: ChainOfLoops) -> Divisor:
@@ -194,18 +232,9 @@ def tableau_to_divisor(T: Tableau, chain: ChainOfLoops) -> Divisor:
     on loop i at counterclockwise distance p_{i-1}(j)*m_i from w_i whenever
     entry i sits in column j < r; loops with entries in the last column
     stay empty."""
-    if chain.g != T.size:
-        raise PreconditionError(f"tableau size {T.size} != genus {chain.g}")
-    _require_generic(chain)
-    r = T.cols - 1
-    path = tableau_to_dyck(T)
-    coeffs: list[tuple[Point, int]] = [(chain.v(1), r)] if r else []
-    for i in range(1, chain.g + 1):
-        _row, col = T.position(i)
-        if col < r:
-            dist = Fraction(path.coord(i - 1, col)) * chain.m[i - 1]
-            coeffs.append((chain.ccw_point(i, dist), 1))
-    return Divisor(coeffs)
+    _require_chain(T, chain)
+    L, ell, m, _beta = _integer_lengths(chain)
+    return _divisor(chain, L, _tableau_chips(T, ell, m))
 
 
 def adjoint_divisor(T: Tableau, chain: ChainOfLoops) -> Divisor:
@@ -219,58 +248,33 @@ def build_Dj(T: Tableau, chain: ChainOfLoops, j: int) -> tuple[Divisor, PLFuncti
 
     D_j - j*v_1 - (r-j)*w_g has no chips on bridges or at vertices, so it
     is reduced at every point; it is recovered as
-    D_j = red_{w_g}(D - j*v_1) + j*v_1, which ``_twist`` computes loop by
-    loop by the group law of each cycle, checking D_j ~ D by the integer
-    slopes of its closed-form witness values.  The whole witness is then
-    solved from D_j - D by ``reduce._potential``, on the lattice of D.
+    D_j = red_{w_g}(D - j*v_1) + j*v_1, which ``_twist`` computes on the
+    integer chips of the tableau, checking D_j ~ D by the integer slopes
+    of its closed-form witness values.  D and D_j become ``Divisor``s
+    only here, and the whole witness is solved from D_j - D by
+    ``reduce._potential``, on the lattice of D.
     """
     r = T.cols - 1
     if not (0 <= j <= r):
         raise PreconditionError(f"column index {j} out of range 0..{r}")
-    D = tableau_to_divisor(T, chain)
-    Dj, _values = _twist(D, chain, j, r)
+    _require_chain(T, chain)
+    L, ell, m, beta = _integer_lengths(chain)
+    chips = _tableau_chips(T, ell, m)
+    cells, pile, _values = _twist(chips, ell, m, beta, j, r)
+    D = _divisor(chain, L, chips)
     wg = chain.w(chain.g)
+    Dj = (_divisor(chain, L, [[] if t is None else [(t, 1)] for t in cells])
+          + Divisor({chain.v(1): j, wg: pile}))
     return Dj, _potential(_Lattice(chain.graph, [wg, *D.support()]), Dj - D, wg)
 
 
-def _chain_chips(D: Divisor, chain: ChainOfLoops):
-    """D in the integer coordinates of the chain, every length in units
-    of 1/L, L the lcm of the denominators of the lengths and of D's
-    offsets: returns L, the lengths ell_i, m_i and beta_i, and D's chips
-    on each loop as (ccw distance from w_i, count) and on each bridge i
-    as (offset from w_i, count).  w_i belongs to loop i, at distance 0;
-    the pendant bridges of an extended chain must be empty."""
-    L = lcm(*(x.denominator for x in chain.ell + chain.m + chain.beta),
-            *(p.offset.denominator for p in D.support() if not p.is_vertex))
-    ell, m, beta = ([x.numerator * (L // x.denominator) for x in xs]
-                    for xs in (chain.ell, chain.m, chain.beta))
-    loops: list[list[tuple[int, int]]] = [[] for _ in range(chain.g)]
-    bridges: list[list[tuple[int, int]]] = [[] for _ in range(chain.g)]
-    for p, c in D.items():
-        k = chain.piece(p)
-        if k is None:
-            raise PreconditionError(f"chip at {p} on a pendant bridge")
-        i = k // 2
-        if p.vertex is not None:
-            loops[i].append((0 if k % 2 else ell[i], c))
-            continue
-        x = p.offset.numerator * (L // p.offset.denominator)
-        if k % 2:
-            bridges[i].append((x, c))
-        elif p.edge == chain.top_edge(i + 1):
-            loops[i].append((ell[i] - x, c))
-        else:
-            loops[i].append((ell[i] + x, c))
-    return L, ell, m, beta, loops, bridges
+def _reduce_loops(loops, ell, m) -> tuple[list, int]:
+    """The w_g-reduced divisor equivalent to the chips ``loops``: the ccw
+    distance from w_i of the chip in each cell gamma_i (None for an empty
+    cell), and the chips at w_g.
 
-
-def _reduce_loops(loops, bridges, ell, m) -> tuple[list, int]:
-    """The w_g-reduced divisor equivalent to the chips ``loops`` and
-    ``bridges`` of ``_chain_chips``: the ccw distance from w_i of the chip
-    in each cell gamma_i (None for an empty cell), and the chips at w_g.
-
-    Loop by loop from the left, the chips at w_{i-1} and on bridge i-1
-    slide to v_i; then the d chips on loop i are equivalent to
+    Loop by loop from the left, the chips at w_{i-1} slide along the
+    bridge to v_i; then the d chips on loop i are equivalent to
     (d-1)*w_i plus one chip at ccw distance sum c*t mod (ell_i + m_i)
     from w_i, or to d*w_i when that sum is 0, since the Abel-Jacobi map
     of a cycle is a group isomorphism.  The result has no chip on a
@@ -285,22 +289,21 @@ def _reduce_loops(loops, bridges, ell, m) -> tuple[list, int]:
         if d < 0 or (d == 0 and s):
             raise PreconditionError(f"debt on loop {i + 1}")
         cells.append(s or None)
-        carry = (d - 1 if s else d) + sum(c for (_x, c) in bridges[i])
+        carry = d - 1 if s else d
     return cells, carry
 
 
-def _vertex_values(loops, bridges, ell, m, beta) -> list[int]:
+def _vertex_values(loops, ell, m, beta) -> list[int]:
     """The values at v_1..v_g, in units of 1/L, of the f with
-    div(f) = E and f(w_g) = 0, for E in the coordinates of
-    ``_chain_chips``; ``TheoremViolation`` if E is not principal.
+    div(f) = E and f(w_g) = 0, for the chips ``loops`` of E;
+    ``TheoremViolation`` if E is not principal.
 
     At each point the outgoing slopes of f sum to minus E there.  Left of
     bridge i, E has degree -s_i, so f has slope s_i along the bridge
-    toward v_{i+1}, lowered by c past each chip c on it.  On loop i let
-    S = s_{i-1} - E(v_i), and let T and B sum c times the distance to
-    w_i over the chips inside the top and the bottom edge.  The slopes a
-    along the top and b along the bottom leaving v_i satisfy a + b = S
-    and f(w_i) - f(v_i) = a*ell - T = b*m - B, so
+    toward v_{i+1}.  On loop i let S = s_{i-1} - E(v_i), and let T and B
+    sum c times the distance to w_i over the chips inside the top and the
+    bottom edge.  The slopes a along the top and b along the bottom
+    leaving v_i satisfy a + b = S and f(w_i) - f(v_i) = a*ell - T = b*m - B, so
     a = (S*m + T - B) / (ell + m) and
     f(w_i) - f(v_i) = (S*ell*m - T*m - B*ell) / (ell + m).  Given the
     slope arriving at v_i, E is principal on the loop exactly when a,
@@ -325,54 +328,37 @@ def _vertex_values(loops, bridges, ell, m, beta) -> list[int]:
             raise TheoremViolation(f"D_j - D is not principal on loop {i + 1}")
         y += a * ell[i] - T
         if i < len(beta):
-            y += s * beta[i] - sum(c * (beta[i] - x) for (x, c) in bridges[i])
-            s -= sum(c for (_x, c) in bridges[i])
+            y += s * beta[i]
     if s:
         raise TheoremViolation(f"D_j - D has degree {-s}")
     return [v - y for v in vals]
 
 
-def _loop_point(chain: ChainOfLoops, i: int, t: int, ell: int, L: int) -> Point:
-    """``chain.ccw_point(i, t / L)`` for 0 < t < ell_i + m_i, with
-    ell = ell_i * L."""
-    if t == ell:
-        return chain.v(i)
-    if t < ell:
-        return chain.graph.point(chain.top_edge(i), Fraction(ell - t, L))
-    return chain.graph.point(chain.bottom_edge(i), Fraction(t - ell, L))
+def _twist(loops, ell, m, beta, j: int, r: int) -> tuple[list, int, list[int]]:
+    """``build_Dj`` on the chips ``loops`` of the divisor D of a tableau
+    with r + 1 columns, on integers in units of 1/L.  Returns
+    D_j = red_{w_g}(D - j*v_1) + j*v_1 as the ``cells`` and the ``pile``
+    of ``_reduce_loops`` (D_j is j*v_1, one chip at distance cells[i-1]
+    in each occupied cell gamma_i, and pile*w_g), and L times the values
+    phi_j(v_1..v_g) of its witness, D_j = D + div(phi_j), phi_j(w_g) = 0.
 
-
-def _twist(D: Divisor, chain: ChainOfLoops, j: int, r: int) -> tuple[Divisor, list[Fraction]]:
-    """``build_Dj`` from the divisor D of a tableau with r + 1 columns:
-    D_j = red_{w_g}(D - j*v_1) + j*v_1, and the values phi_j(v_1..v_g) of
-    its witness, with D_j = D + div(phi_j) and phi_j(w_g) = 0.
-
-    The reduction is ``_reduce_loops``: loop by loop, by the group law of
-    each cycle, on integers in units of 1/L.  Reduced divisors are unique
-    (Baker-Norine; Cools, Draisma, Payne and Robeva, "A tropical proof of
-    the Brill-Noether Theorem", Section 3), so this is the divisor that
-    ``v_reduce`` finds.  The witness values are read off D_j - D in
-    closed form by ``_vertex_values``, whose integer-slope test checks
-    exactly that D_j ~ D.  Core and extended chains take this one path:
-    tableau divisors put no chip on the pendant bridges.
+    Reduced divisors are unique (Baker-Norine; Cools, Draisma, Payne and
+    Robeva, "A tropical proof of the Brill-Noether Theorem", Section 3),
+    so this is the divisor that ``v_reduce`` finds.  The witness values
+    are read off D_j - D in closed form by ``_vertex_values``, whose
+    integer-slope test checks exactly that D_j ~ D.
     """
-    L, ell, m, beta, loops, bridges = _chain_chips(D, chain)
-    loops[0].append((ell[0], -j))
-    cells, pile = _reduce_loops(loops, bridges, ell, m)
+    F = [loops[0] + [(ell[0], -j)], *loops[1:]]
+    cells, pile = _reduce_loops(F, ell, m)
     if pile < r - j:
         raise TheoremViolation("twisted representative failed to be effective")
-    Dj = Divisor([(chain.v(1), j), (chain.w(chain.g), pile)]
-                 + [(_loop_point(chain, i + 1, t, ell[i], L), 1)
-                    for i, t in enumerate(cells) if t is not None])
     # E = D_j - D = red(F) - F for the reduced F = D - j*v_1
-    E = [[(t, -c) for (t, c) in on_loop] for on_loop in loops]
+    E = [[(t, -c) for (t, c) in on_loop] for on_loop in F]
     for i, t in enumerate(cells):
         if t is not None:
             E[i].append((t, 1))
     E[-1].append((0, pile))
-    values = _vertex_values(E, [[(x, -c) for (x, c) in b] for b in bridges],
-                            ell, m, beta)
-    return Dj, [Fraction(v, L) for v in values]
+    return cells, pile, _vertex_values(E, ell, m, beta)
 
 
 def build_Ek(T: Tableau, chain: ChainOfLoops, k: int) -> tuple[Divisor, PLFunction]:
@@ -498,27 +484,30 @@ def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
     failure raises ``TheoremViolation``; the second names a permutation
     tau that costs no more than the matching.
     """
-    _require_generic(chain)
-    params = T.params()
-    if params.rho != 0:
-        raise PreconditionError(f"(g,r,d)={params} has rho={params.rho}, need 0")
-    if chain.g != params.g:
-        raise PreconditionError("chain genus does not match the tableau")
+    _require_chain(T, chain)
     t0 = time.monotonic()
     r = T.cols - 1
     rows = T.rows
 
-    # as build_Dj and build_Ek, with each tableau's divisor built once
-    D, E = tableau_to_divisor(T, chain), adjoint_divisor(T, chain)
-    phis = [_twist(D, chain, j, r) for j in range(r + 1)]
-    psis = [_twist(E, chain, k, rows - 1) for k in range(rows)]
+    # as build_Dj and build_Ek, on the integer chips of each tableau
+    _L, ell, m, beta = _integer_lengths(chain)
+    D, E = _tableau_chips(T, ell, m), _tableau_chips(T.transpose(), ell, m)
+    phis = [_twist(D, ell, m, beta, j, r) for j in range(r + 1)]
+    psis = [_twist(E, ell, m, beta, k, rows - 1) for k in range(rows)]
+
+    # the cells of D_j: those its reduced part occupies, and gamma_1 for
+    # its j chips at v_1 (w_g lies in no cell); the same for E_k
+    in_D, in_E = ([{i + 1 for i, t in enumerate(cells) if t is not None or i == 0 < j}
+                   for j, (cells, _pile, _values) in enumerate(twists)]
+                  for twists in (phis, psis))
 
     # the empty cell of D_j + E_k must be the tableau cell in column j
     # and row k
     table: dict[tuple[int, int], int] = {}
-    for j, (Dj, _) in enumerate(phis):
-        for k, (Ek, _) in enumerate(psis):
-            empty = shape_profile(Dj + Ek, chain).empty_cells()
+    for j, in_Dj in enumerate(in_D):
+        for k, in_Ek in enumerate(in_E):
+            empty = tuple(i for i in range(1, chain.g + 1)
+                          if i not in in_Dj and i not in in_Ek)
             if len(empty) != 1 or T.position(empty[0]) != (k, j):
                 raise TheoremViolation(
                     f"divisor D_{j} + E_{k} has empty cells {empty}, "
@@ -528,12 +517,9 @@ def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
     # v_i is matched to the function whose cell holds entry i
     points = tuple(chain.v(i) for i in range(1, chain.g + 1))
     perm = tuple(j * rows + k for (j, k) in sorted(table, key=table.get))
-    # the matrix over one denominator: a positive scale keeps every
-    # comparison competing_permutation makes
-    den = lcm(*(x.denominator for (_D, a) in phis + psis for x in a))
-    at_phi, at_psi = ([[x.numerator * (den // x.denominator) for x in a]
-                       for (_D, a) in twists] for twists in (phis, psis))
-    matrix = [[a[i] + b[i] for a in at_phi for b in at_psi]
+    # the matrix in units of 1/L: a positive scale keeps every comparison
+    # competing_permutation makes
+    matrix = [[a[i] + b[i] for (_c, _p, a) in phis for (_c, _p, b) in psis]
               for i in range(chain.g)]
     tau = competing_permutation(matrix, perm)
     if tau is not None:
@@ -541,5 +527,5 @@ def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
             f"tableau {T.entries}: the empty-cell matching sigma = {perm} "
             f"of v_1..v_{chain.g} is not the unique minimiser; tau = {tau} "
             f"costs no more")
-    return GPReport(params, T, "independent", table, time.monotonic() - t0,
+    return GPReport(T.params(), T, "independent", table, time.monotonic() - t0,
                     IndependenceCertificate(points, perm))

@@ -106,34 +106,36 @@ def rho_zero_family(T, chain) -> list:
 
 def rho_zero_matrix(T, chain) -> list[list]:
     """The certificate matrix M[i][j * rows + k] = phi_j(v_i) + psi_k(v_i)
-    of the rho = 0 experiment, from the vertex values that
-    ``chainbn._twist`` returns (as patched, if it is)."""
+    of the rho = 0 experiment, in units of 1/L, from the vertex values
+    that ``chainbn._twist`` returns (as patched, if it is)."""
     import tropdiv.chainbn as cb
     r, rows = T.cols - 1, T.rows
-    D, E = cb.tableau_to_divisor(T, chain), cb.adjoint_divisor(T, chain)
-    phis = [cb._twist(D, chain, j, r)[1] for j in range(r + 1)]
-    psis = [cb._twist(E, chain, k, rows - 1)[1] for k in range(rows)]
+    _L, ell, m, beta = cb._integer_lengths(chain)
+    D, E = cb._tableau_chips(T, ell, m), cb._tableau_chips(T.transpose(), ell, m)
+    phis = [cb._twist(D, ell, m, beta, j, r)[2] for j in range(r + 1)]
+    psis = [cb._twist(E, ell, m, beta, k, rows - 1)[2] for k in range(rows)]
     return [[a[i] + b[i] for a in phis for b in psis] for i in range(chain.g)]
 
 
 def tie_psi_columns(monkeypatch, T, chain):
     """Doctor the rho = 0 family of T by patching ``chainbn._twist`` so
-    that psi_1's vertex values are psi_0's + 3/2.  E_1 is kept, so the
-    empty-cell table still checks, but each column phi_j + psi_1 of the
-    certificate's matrix is then the column phi_j + psi_0 plus a
-    constant, and the empty-cell matching ties with the one that swaps
-    their rows."""
+    that psi_1's vertex values are psi_0's + 3 (3*L in units of 1/L).
+    E_1 is kept, so the empty-cell table still checks, but each column
+    phi_j + psi_1 of the certificate's matrix is then the column
+    phi_j + psi_0 plus a constant, and the empty-cell matching ties with
+    the one that swaps their rows."""
     import tropdiv.chainbn as cb
     twist = cb._twist
-    # the adjoint divisor of T, from which the experiment builds every
-    # (E_k, psi_k)
-    E = cb.adjoint_divisor(T, chain)
+    # the chips of the adjoint divisor of T, from which the experiment
+    # builds every (E_k, psi_k)
+    L, ell, m, _beta = cb._integer_lengths(chain)
+    E = cb._tableau_chips(T.transpose(), ell, m)
 
-    def shifted_twist(D, chain, k, r):
-        Ek, values = twist(D, chain, k, r)
-        if D == E and k == 1:
-            values = [v + Fraction(3, 2) for v in twist(D, chain, 0, r)[1]]
-        return Ek, values
+    def shifted_twist(loops, ell, m, beta, k, r):
+        cells, pile, values = twist(loops, ell, m, beta, k, r)
+        if loops == E and k == 1:
+            values = [v + 3 * L for v in twist(loops, ell, m, beta, 0, r)[2]]
+        return cells, pile, values
 
     monkeypatch.setattr(cb, "_twist", shifted_twist)
 

@@ -5,11 +5,14 @@ firing step rebuilds the model subdividing each edge at the chips'
 interior points and at the base, and burns it node by node, kept
 unchanged as the reference for ``tropdiv.reduce``'s.  And ``twist``,
 ``chainbn._twist`` as it was before the loop-by-loop reduction: the
-generic ``v_reduce`` with its witness."""
+generic ``v_reduce`` with its witness; and ``tableau_divisor``,
+``chainbn.tableau_to_divisor`` as it was before the integer chips: each
+chip placed by ``ChainOfLoops.ccw_point`` at a ``Fraction`` distance."""
 from __future__ import annotations
 
 from fractions import Fraction
 
+from tropdiv.chainbn import tableau_to_dyck
 from tropdiv.errors import PreconditionError, ReductionCapError, TheoremViolation
 from tropdiv.graph import Divisor
 from tropdiv.reduce import BurnResult, _Chips, _Lattice, v_reduce
@@ -142,3 +145,17 @@ def twist(D, chain, j: int, r: int):
     if not (Dj - shift).is_effective:
         raise TheoremViolation("twisted representative failed to be effective")
     return Dj, res.witness
+
+
+def tableau_divisor(T, chain):
+    """r chips at v_1, and one on loop i at ``chain.ccw_point(i,
+    p_{i-1}(j) * m_i)`` whenever entry i sits in column j < r."""
+    r = T.cols - 1
+    path = tableau_to_dyck(T)
+    coeffs = [(chain.v(1), r)] if r else []
+    for i in range(1, T.size + 1):
+        _row, col = T.position(i)
+        if col < r:
+            dist = Fraction(path.coord(i - 1, col)) * chain.m[i - 1]
+            coeffs.append((chain.ccw_point(i, dist), 1))
+    return Divisor(coeffs)

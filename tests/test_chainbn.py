@@ -17,6 +17,7 @@ from tropdiv.chainbn import (DyckPath, ShapeProfile, Tableau, adjoint_divisor,
 from tropdiv.errors import (GenericityError, GraphError, PreconditionError,
                             TheoremViolation)
 from tropdiv.graph import check_genericity, contains_point_in
+from tropdiv.independence import verify_independence
 from tropdiv.plfunc import PLFunction, in_R
 from tropdiv.reduce import is_equivalent, rank, v_reduce
 from tropdiv.sampling import SplitMix64, random_point
@@ -132,19 +133,20 @@ class TestBuildDj:
         assert E + psi.divisor() == Ek
 
 
-def _assert_twist_agrees(D, chain, j, r):
-    """The loop-by-loop D_j and the closed-form phi_j(v_1..v_g) equal
-    those of the v_reduce-based oracle."""
-    Dj, values = chainbn._twist(D, chain, j, r)
-    ref, phi = reference_core.twist(D, chain, j, r)
-    assert Dj == ref
-    assert values == [phi(chain.v(i)) for i in range(1, chain.g + 1)]
-
-
 def _twist_every_column(T, chain):
+    """For every column j, ``build_Dj``'s D_j and the closed-form
+    L * phi_j(v_1..v_g) of ``chainbn._twist`` equal those of the
+    v_reduce-based oracle."""
     D = tableau_to_divisor(T, chain)
+    L, ell, m, beta = chainbn._integer_lengths(chain)
+    chips = chainbn._tableau_chips(T, ell, m)
+    r = T.cols - 1
     for j in range(T.cols):
-        _assert_twist_agrees(D, chain, j, T.cols - 1)
+        ref, phi = reference_core.twist(D, chain, j, r)
+        assert build_Dj(T, chain, j)[0] == ref
+        _cells, _pile, values = chainbn._twist(chips, ell, m, beta, j, r)
+        assert [Fraction(v, L) for v in values] == [phi(chain.v(i))
+                                                    for i in range(1, chain.g + 1)]
     return T.cols
 
 
@@ -211,30 +213,18 @@ class TestTwistOracle:
         for T in enumerate_tableaux(rows, cols):
             _twist_every_column(T, chain)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_random_effective_divisors(self, seed):
-        # chips on bridges and at v_i and w_i slide or reduce as well
-        rng = SplitMix64(100 + seed)
-        chain = _random_chain(rng, 3 + seed % 2)
-        points = [chain.v(i) for i in range(1, chain.g + 1)] + [
-            chain.w(i) for i in range(1, chain.g + 1)]
-        for _ in range(15):
-            D = Divisor([(random_point(chain.graph, rng, 6), 1)
-                         for _ in range(rng.randint(0, 2 * chain.g))]
-                        + [(rng.choice(points), rng.randint(0, 2))])
-            j = rng.randint(0, 2)
-            _assert_twist_agrees(D + Divisor({chain.v(1): j}), chain, j, j)
-
     def test_debt_that_reduces_to_no_effective_class_raises(self, chain4):
         # D_1 of the zero divisor would need -1 chips on loop 1
+        _L, ell, m, beta = chainbn._integer_lengths(chain4)
         with pytest.raises(PreconditionError, match="debt on loop 1"):
-            chainbn._twist(Divisor(), chain4, 1, 1)
+            chainbn._twist([[] for _ in ell], ell, m, beta, 1, 1)
 
     def test_doctored_loop_chip_raises(self, chain4, monkeypatch):
         # moving the reduced chip of a loop by 1/L leaves D_j - D with a
         # non-integral loop slope: not principal, so no values come back
         T = enumerate_tableaux(2, 2)[0]
-        D = tableau_to_divisor(T, chain4)
+        _L, ell, m, beta = chainbn._integer_lengths(chain4)
+        chips = chainbn._tableau_chips(T, ell, m)
         reduce_loops = chainbn._reduce_loops
         moved = []
 
@@ -246,8 +236,69 @@ class TestTwistOracle:
 
         monkeypatch.setattr(chainbn, "_reduce_loops", doctored)
         with pytest.raises(TheoremViolation, match="not principal on loop") as err:
-            chainbn._twist(D, chain4, 0, 1)
+            chainbn._twist(chips, ell, m, beta, 0, 1)
         assert str(err.value).endswith(f"loop {moved[0]}")
+
+
+def _experiment_agrees_with_divisors(T, chain):
+    """The experiment's empty-cell table is the one ``shape_profile``
+    gives on ``build_Dj`` / ``build_Ek``'s D_j + E_k, and
+    ``verify_independence`` accepts its certificate on the family
+    {phi_j + psi_k}."""
+    rep = gp_rho_zero_experiment(T, chain)
+    twists = [[build(T, chain, j) for j in range(n)]
+              for build, n in ((build_Dj, T.cols), (build_Ek, T.rows))]
+    assert {jk: (i,) for jk, i in rep.empty_cell_table.items()} == {
+        (j, k): shape_profile(Dj + Ek, chain).empty_cells()
+        for j, (Dj, _phi) in enumerate(twists[0])
+        for k, (Ek, _psi) in enumerate(twists[1])}
+    family = [phi + psi for (_D, phi) in twists[0] for (_E, psi) in twists[1]]
+    assert verify_independence(family, rep.independence_certificate)
+
+
+class TestIntegerChips:
+    """The integer chips of the experiment against the ``Divisor``s of
+    the public functions."""
+
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_every_tableau_up_to_genus_8(self, extended):
+        experiments = 0
+        for g in range(2, 9):
+            chain = default_generic_chain(g, extended=extended)
+            for rows in (rows for rows in range(1, g + 1) if g % rows == 0):
+                for T in enumerate_tableaux(rows, g // rows):
+                    _experiment_agrees_with_divisors(T, chain)
+                    experiments += 1
+        assert experiments == 54
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_generic_chains(self, seed):
+        rng = SplitMix64(200 + seed)
+        for rows, cols in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]:
+            chain = _random_chain(rng, rows * cols)
+            tableaux = enumerate_tableaux(rows, cols)
+            for _ in range(2):
+                _experiment_agrees_with_divisors(tableaux[rng.below(len(tableaux))], chain)
+
+    def test_tableau_divisors_match_the_fraction_placement(self):
+        # on random chains p_{i-1}(j) * m_i often exceeds ell_i + m_i, so
+        # the chip wraps around the loop
+        rng = SplitMix64(0x7AB)
+        wraps = 0
+        for _ in range(8):
+            for rows, cols in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)]:
+                chain = _random_chain(rng, rows * cols)
+                for T in enumerate_tableaux(rows, cols):
+                    for S in (T, T.transpose()):
+                        assert tableau_to_divisor(S, chain) == \
+                            reference_core.tableau_divisor(S, chain)
+                        path = tableau_to_dyck(S)
+                        wraps += any(
+                            path.coord(i - 1, S.position(i)[1]) * chain.m[i - 1]
+                            >= chain.ell[i - 1] + chain.m[i - 1]
+                            for i in range(1, S.size + 1) if S.position(i)[1] < S.cols - 1)
+        # of the 1,312 divisors
+        assert wraps == 1146
 
 
 class TestShapes:
