@@ -5,11 +5,21 @@ Rationals travel as strings "p" or "p/q" in lowest terms; points as
 sorted lists of {point, coeff}; independence certificates as
 {points, permutation}.  Output is deterministic: keys sorted, rationals
 canonical.
+
+``dumps`` writes, with its own small recursive writer, the text of
+``json.dumps(obj, sort_keys=True, indent=2)`` and a trailing newline,
+byte for byte: one item per line, indented two spaces per level, ","
+ending every line of a container but its last, ": " after each key,
+``[]`` and ``{}`` for empty containers, and strings escaped to ASCII by
+the standard library's C encoder.  (``json``'s own indented encoder runs
+in pure Python, and it cost more than the reductions it printed.)
+Rationals are written from their integers, never through ``Fraction``.
 """
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd, inf
 from typing import Any
 
 from .errors import GraphError
@@ -18,11 +28,20 @@ from .independence import IndependenceCertificate
 from .plfunc import PLFunction
 
 
-def rat_to_json(x: Fraction) -> str:
-    x = Fraction(x)
+def rat_to_json(x: Fraction | int) -> str:
+    """``x``, an int or a ``Fraction``, as "p" or "p/q"; ``TypeError`` for
+    anything else, floats and strings included."""
+    if not isinstance(x, (Fraction, int)):
+        raise TypeError(f"not an exact rational: {x!r}")
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def _ratio(n: int, s: int) -> str:
+    """The rational n/s, s > 0, as :func:`rat_to_json` writes it."""
+    g = gcd(n, s)
+    return str(n // g) if g == s else f"{n // g}/{s // g}"
 
 
 def rat_from_json(s: Any) -> Fraction:
@@ -110,8 +129,7 @@ def chain_from_json(obj: dict) -> ChainOfLoops:
 def plfunction_to_json(f: PLFunction) -> dict:
     return {
         "edges": {
-            str(ei): [{"offset": rat_to_json(Fraction(o, s)),
-                       "value": rat_to_json(Fraction(v, s))}
+            str(ei): [{"offset": _ratio(o, s), "value": _ratio(v, s)}
                       for (o, v) in zip(O, V)]
             for ei, (s, O, V) in enumerate(f.scaled)
         }
@@ -143,13 +161,68 @@ def independence_certificate_from_json(graph: MetricGraph,
 def dumps(obj: Any) -> str:
     """Canonical JSON text: sorted keys, stable layout, trailing newline.
 
-    ``Fraction`` values anywhere in ``obj`` are rendered with
-    :func:`rat_to_json`.
+    The text is that of ``json.dumps(obj, sort_keys=True, indent=2)``
+    plus "\\n", for dicts with ``str`` keys, lists, tuples, strings,
+    ints, bools, ``None`` and floats (``NaN`` and ``Infinity`` as
+    ``json`` writes them); ``Fraction`` values anywhere in ``obj`` are
+    written as the string :func:`rat_to_json` gives.  Any other key or
+    value raises ``TypeError``.
     """
+    out: list[str] = []
+    _write(obj, "\n", out.append)
+    return "".join(out) + "\n"
 
-    def default(o: Any) -> str:
-        if isinstance(o, Fraction):
-            return rat_to_json(o)
-        raise TypeError(f"not JSON serializable: {o!r}")
 
-    return json.dumps(obj, sort_keys=True, indent=2, default=default) + "\n"
+def _write(o: Any, nl: str, emit) -> None:
+    """Pass the JSON text of ``o`` to ``emit`` in pieces; ``nl`` is a
+    newline and the indent of ``o``'s own level."""
+    if isinstance(o, str):
+        emit(_quote(o))
+    elif isinstance(o, dict):
+        if not o:
+            emit("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(o):
+            emit(sep)
+            emit(_quote(k))
+            emit(": ")
+            _write(o[k], inner, emit)
+            sep = "," + inner
+        emit(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            emit("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for x in o:
+            emit(sep)
+            _write(x, inner, emit)
+            sep = "," + inner
+        emit(nl + "]")
+    else:
+        emit(_scalar(o))
+
+
+def _scalar(o: Any) -> str:
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, Fraction):
+        return _quote(rat_to_json(o))
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == inf:
+            return "Infinity"
+        if o == -inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")

@@ -1,10 +1,11 @@
 """End-to-end tests for the command-line interface."""
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
-from tropdiv import ChainOfLoops, Divisor, default_generic_chain
+from tropdiv import ChainOfLoops, Divisor, cli, default_generic_chain
 from tropdiv.chainbn import Tableau, enumerate_tableaux
 from tropdiv.cli import main
 from tropdiv.errors import ReductionCapError, SearchCapError
@@ -222,3 +223,30 @@ class TestUsage:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["rr-check", str(bad)]) == 2
+
+    def test_repeated_calls_match_fresh_ones(self, tmp_path, capsys):
+        # main keeps one parser per process; a call after others, usage
+        # errors and --help among them, must act as the first call would
+        chain = default_generic_chain(3)
+        gpath = _chain_file(tmp_path, chain)
+        dpath = _divisor_file(tmp_path, chain.graph, canonical_divisor(chain.graph))
+        calls = [["chain-new", "--g", "2"],
+                 ["reduce", gpath, dpath, "--base", "2:1/2"],
+                 ["chain-new", "--g", "2", "--frob"],
+                 ["gp0", "--g", "4", "--r", "1", "--d", "3", "--tableau", "1"],
+                 ["--help"],
+                 ["rr-check", gpath, "--trials", "2"],
+                 ["reduce", gpath, dpath, "--base", "2:1/2"]]
+
+        def run(argv):
+            code = main(argv)
+            out, err = capsys.readouterr()
+            return code, re.sub(r'"elapsed_seconds": [^,]*,', "", out), err
+
+        fresh = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            fresh.append(run(argv))
+        assert [run(argv) for argv in calls] == fresh
+        assert [code for code, _out, _err in fresh] == [0, 0, 2, 0, 0, 0, 0]
+        assert all(out for code, out, _err in fresh if code == 0)

@@ -1,8 +1,11 @@
 """Round-trip tests for the JSON formats."""
 import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropdiv import Divisor, default_generic_chain
 from tropdiv.plfunc import distance_function
@@ -14,6 +17,20 @@ from tropdiv.serialize import (chain_from_json, chain_to_json,
                                rat_to_json)
 
 from .conftest import theta_graph
+
+
+DATA = Path(__file__).parent / "data"
+
+# strings with non-ASCII characters, quotes, backslashes and control characters
+_TEXT = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7fé€😀'), max_size=4) | st.text()
+
+
+def _reference(obj) -> str:
+    def default(o):
+        if isinstance(o, Fraction):
+            return rat_to_json(o)
+        raise TypeError(o)
+    return json.dumps(obj, sort_keys=True, indent=2, default=default) + "\n"
 
 
 class TestRationals:
@@ -29,6 +46,15 @@ class TestRationals:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
             rat_from_json("1/0")
+
+    def test_ints_are_rationals(self):
+        assert rat_to_json(-4) == "-4"
+        assert rat_to_json(10**30) == str(10**30)
+
+    @pytest.mark.parametrize("x", [0.5, 2.0, "1/2", "3", None])
+    def test_inexact_or_unparsed_rejected(self, x):
+        with pytest.raises(TypeError):
+            rat_to_json(x)
 
 
 class TestPointsAndDivisors:
@@ -80,3 +106,35 @@ class TestDumps:
         assert text.endswith("\n")
         assert json.loads(text) == {"a": ["3"], "b": "1/2"}
         assert text.index('"a"') < text.index('"b"')
+
+    def test_empty_containers_and_scalars(self):
+        obj = {"d": {}, "l": [], "t": (), "n": None, "b": [True, False],
+               "f": [0.5, -0.0, 1e300, math.nan, math.inf, -math.inf]}
+        assert dumps(obj) == _reference(obj)
+
+    @pytest.mark.parametrize("obj", [{1: "a"}, {"a": {(1, 2): 0}},
+                                     {"a": {1, 2}}, [b"x"], 1 + 2j])
+    def test_unsupported_keys_and_values_raise(self, obj):
+        with pytest.raises(TypeError):
+            dumps(obj)
+
+    @pytest.mark.parametrize("name", ["reductions", "ranks", "dependence"])
+    def test_golden_entries_reencode(self, name):
+        data = json.loads((DATA / f"{name}_golden.json").read_text())
+        entries = data["reductions"] + data["pairs"] if name == "reductions" else data
+        assert entries
+        for entry in entries:
+            assert dumps(entry) == _reference(entry)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.floats()
+        | st.sampled_from([-0.0, 1e300, -1e-300, math.nan, math.inf])
+        | st.fractions() | _TEXT,
+        lambda kids: (st.lists(kids, max_size=4)
+                      | st.lists(kids, max_size=4).map(tuple)
+                      | st.dictionaries(_TEXT, kids, max_size=4)),
+        max_leaves=30))
+    def test_matches_the_standard_library(self, obj):
+        assert dumps(obj) == _reference(obj)
+
