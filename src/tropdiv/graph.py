@@ -448,6 +448,8 @@ class ChainOfLoops:
         self.m = m
         self.beta = beta
         self.extended = extended
+        # each loop's circumference, for ``ccw_point``
+        self._cycle = tuple(x + y for x, y in zip(ell, m))
 
         vertices = []
         if extended:
@@ -525,16 +527,15 @@ class ChainOfLoops:
         is the one under which the tableau divisors acquire their expected
         rank; distance m_i from w_i lands inside the top edge.
         """
-        t = _rat(t)
-        c = self.ell[i - 1] + self.m[i - 1]
-        t = t % c
-        if t == 0:
+        t = _rat(t) % self._cycle[i - 1]
+        if not t:
             return self.w(i)
-        if t <= self.ell[i - 1]:
+        ell = self.ell[i - 1]
+        if t <= ell:
             # top edge is oriented v_i -> w_i, so ccw-distance t from w_i
             # sits at offset ell_i - t
-            return self.graph.point(self._top[i], self.ell[i - 1] - t)
-        return self.graph.point(self._bottom[i], t - self.ell[i - 1])
+            return self.graph.point(self._top[i], ell - t)
+        return self.graph.point(self._bottom[i], t - ell)
 
     def rank_determining_set(self) -> list[Point]:
         """The vertex set: the chain model is loopless (each loop is a pair

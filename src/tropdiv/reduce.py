@@ -578,8 +578,27 @@ def rank(graph: MetricGraph, D: Divisor,
     and prunes with the fact that once D - E fails, so does every
     extension of E.  It runs on the integer core over one lattice, built
     before anything is reduced, and the DFS moves ``_Chips`` with no
-    ``Divisor`` and no point check in between.  An empty point set raises
-    ``PreconditionError``, a point the graph lacks ``GraphError``.
+    ``Divisor`` and no point check in between.  A node of the search is
+    an effective representative cur of D minus the multiset chosen so
+    far, and a child takes one more point k off it.  No reduction runs
+    twice:
+
+    - a divisor of negative degree has rank -1 with nothing reduced, as
+      no divisor of negative degree is effective;
+    - a child k where cur has no chip is red_k(cur) - k, as a burn from
+      k does not look at the chips on k, and red_k(cur) is fired from the
+      reduction of cur at the sibling before, as the reduced divisor is
+      the same from any representative; at depth 0 these are the
+      pre-pass's red_k(D), each fired from the one before, starting at
+      the reduction red0 at the base;
+    - a node is searched only the first time its chips are met, whatever
+      its start index: the walk meets index multisets in lexicographic
+      order, and had the least failing E of least degree a node on its
+      path skipped for an earlier one with the same chips, the earlier
+      node's multiset plus the rest of E would fail too and come first.
+
+    An empty point set raises ``PreconditionError``, a point the graph
+    lacks ``GraphError``.
     """
     if points is None:
         points = default_rank_points(graph)
@@ -589,41 +608,65 @@ def rank(graph: MetricGraph, D: Divisor,
         base = default_base(graph)
     lat = _Lattice(graph, [base, *D.support(), *points])
     keys = [lat.key(p) for p in points]
+    if D.degree < 0:
+        return -1
     # one public reduction per call; it lands on the lattice, which holds
     # D's support and the base
     red0 = lat.chips(v_reduce(graph, D, base, track_witness=False).reduced)
-    if red0.get(lat.key(base)) < 0:
+    q = lat.key(base)
+    if red0.get(q) < 0:
         return -1
     # the rank of a divisor reduced at p is at most its coefficient at p,
     # and any E of degree deg(D)+1 drives the degree negative; both bound
     # the depth the search needs to certify.  red0 is effective, so its
-    # reduction at p needs no debt moved.
+    # reductions need no debt moved.
     best_fail = D.degree + 1
+    first: list[_Chips] = []
+    red = red0
     for k in keys:
-        red_p = red0.copy()
-        _fire(lat, red_p, k, [DEFAULT_MAX_STEPS])
-        best_fail = min(best_fail, red_p.get(k) + 1)
+        if k == q:
+            red = red0
+        else:
+            red = red.copy()
+            _fire(lat, red, k, [DEFAULT_MAX_STEPS])
+        first.append(red)
+        best_fail = min(best_fail, red.get(k) + 1)
+    # the chips of every node met so far that has children of its own
+    searched: set = set()
 
     def dfs(cur: _Chips, start: int, depth: int):
         # cur is an effective representative of D minus the multiset chosen
-        # so far; re-reducing at the point being subtracted keeps the only
-        # debt at the reduction base, so no debt ever has to move there
+        # so far; it is reduced before a point is taken off, so no firing
+        # ever meets debt
         nonlocal best_fail
         if depth + 1 >= best_fail:
             return
+        # cur reduced at the latest point where it has no chip, cur until then
+        red = cur
         for i in range(start, len(keys)):
             k = keys[i]
-            nxt = cur.copy()
-            nxt.add(k, -1)
             # with a chip present the child is effective as it stands
-            if cur.get(k) < 1:
-                _fire(lat, nxt, k, [DEFAULT_MAX_STEPS])
-                if nxt.get(k) < 0:
-                    best_fail = depth + 1
-                    return
-            dfs(nxt, i, depth + 1)
-            if depth + 1 >= best_fail:
+            if cur.get(k) > 0:
+                nxt = cur.copy()
+            else:
+                if depth == 0:
+                    red = first[i]
+                else:
+                    red = red.copy()
+                    _fire(lat, red, k, [DEFAULT_MAX_STEPS])
+                nxt = red.copy()
+            nxt.add(k, -1)
+            if nxt.get(k) < 0:
+                best_fail = depth + 1
                 return
+            if depth + 2 < best_fail:
+                node = (tuple(nxt.at_vertex), frozenset(nxt.on_edge.items()))
+                if node in searched:
+                    continue
+                searched.add(node)
+                dfs(nxt, i, depth + 1)
+                if depth + 1 >= best_fail:
+                    return
 
     dfs(red0, 0, 0)
     return best_fail - 1

@@ -7,7 +7,11 @@ unchanged as the reference for ``tropdiv.reduce``'s.  And ``twist``,
 ``chainbn._twist`` as it was before the loop-by-loop reduction: the
 generic ``v_reduce`` with its witness; and ``tableau_divisor``,
 ``chainbn.tableau_to_divisor`` as it was before the integer chips: each
-chip placed by ``ChainOfLoops.ccw_point`` at a ``Fraction`` distance."""
+chip placed by ``ChainOfLoops.ccw_point`` at a ``Fraction`` distance.
+And ``rank_dfs``, ``reduce.rank``'s search as it was before it stopped
+repeating reductions: every point's reduction fired from the reduction
+at the base, every child without a chip fired, and every node searched
+as often as the walk reaches it."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -15,7 +19,9 @@ from fractions import Fraction
 from tropdiv.chainbn import tableau_to_dyck
 from tropdiv.errors import PreconditionError, ReductionCapError, TheoremViolation
 from tropdiv.graph import Divisor
-from tropdiv.reduce import BurnResult, _Chips, _Lattice, v_reduce
+from tropdiv.reduce import (DEFAULT_MAX_STEPS, BurnResult, _Chips, _Lattice,
+                            default_base, default_rank_points, v_reduce)
+from tropdiv.reduce import _fire as _fire_runs
 
 
 def _burn(lat: _Lattice, chips: _Chips, base):
@@ -159,3 +165,44 @@ def tableau_divisor(T, chain):
             dist = Fraction(path.coord(i - 1, col)) * chain.m[i - 1]
             coeffs.append((chain.ccw_point(i, dist), 1))
     return Divisor(coeffs)
+
+
+def rank_dfs(graph, D, points=None, base=None) -> int:
+    """``reduce.rank`` by the depth-first search over nondecreasing index
+    multisets, pruned once D - E fails, with no reduction reused."""
+    if points is None:
+        points = default_rank_points(graph)
+    if not points:
+        raise PreconditionError("rank needs a nonempty point set")
+    if base is None:
+        base = default_base(graph)
+    lat = _Lattice(graph, [base, *D.support(), *points])
+    keys = [lat.key(p) for p in points]
+    red0 = lat.chips(v_reduce(graph, D, base, track_witness=False).reduced)
+    if red0.get(lat.key(base)) < 0:
+        return -1
+    best_fail = D.degree + 1
+    for k in keys:
+        red_p = red0.copy()
+        _fire_runs(lat, red_p, k, [DEFAULT_MAX_STEPS])
+        best_fail = min(best_fail, red_p.get(k) + 1)
+
+    def dfs(cur: _Chips, start: int, depth: int):
+        nonlocal best_fail
+        if depth + 1 >= best_fail:
+            return
+        for i in range(start, len(keys)):
+            k = keys[i]
+            nxt = cur.copy()
+            nxt.add(k, -1)
+            if cur.get(k) < 1:
+                _fire_runs(lat, nxt, k, [DEFAULT_MAX_STEPS])
+                if nxt.get(k) < 0:
+                    best_fail = depth + 1
+                    return
+            dfs(nxt, i, depth + 1)
+            if depth + 1 >= best_fail:
+                return
+
+    dfs(red0, 0, 0)
+    return best_fail - 1

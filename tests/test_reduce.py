@@ -453,7 +453,76 @@ def brute_force_rank(G: MetricGraph, D: Divisor) -> int:
     return r - 1
 
 
+def subdivision_points(G: MetricGraph, n: int) -> list[Point]:
+    """The vertices and the n-fold subdivision points of every edge, the
+    point set of ``rank_subdivision_oracle``."""
+    pts = [G.vertex_point(v) for v in G.vertices]
+    return pts + [G.point(ei, G.edge_length(ei) * k / n)
+                  for ei in range(len(G.edges)) for k in range(1, n)]
+
+
 class TestRank:
+    @pytest.mark.parametrize("n,per_degree", [(None, 8), (2, 4), (3, 2), (4, 1)])
+    def test_matches_rank_dfs_with_debt(self, chain2, chain3, n, per_degree):
+        # the search that reduces again wherever the walk leads, on
+        # divisors with debt of every degree -2..2g+1, over the default
+        # points or the n-fold subdivision points; every other divisor
+        # takes the points in reverse order and a random base, so that the
+        # base is not always the first point
+        rng = SplitMix64(2020 + (n or 0))
+        for G in (chain2.graph, chain3.graph, lollipop_graph()):
+            points = default_rank_points(G) if n is None else subdivision_points(G, n)
+            for degree in range(-2, 2 * G.betti() + 2):
+                seen = 0
+                while seen < per_degree:
+                    D = random_divisor(G, rng, degree)
+                    if D.is_effective:
+                        continue
+                    seen += 1
+                    pts, base = points, None
+                    if seen % 2 == 0:
+                        pts, base = points[::-1], random_point(G, rng)
+                    assert rank(G, D, pts, base) == reference_core.rank_dfs(G, D, pts, base), \
+                        (n, dict(D.items()), base)
+
+    def test_matches_rank_dfs_on_small_point_sets(self, chain2):
+        # over a few points that do not determine rank, few multisets of
+        # least degree fail, so a node wrongly skipped changes the rank
+        rng = SplitMix64(4242)
+        for G in (chain2.graph, lollipop_graph()):
+            for _ in range(300):
+                cands = subdivision_points(G, rng.randint(2, 4))
+                points = list(dict.fromkeys(cands[rng.below(len(cands))]
+                                            for _ in range(rng.randint(2, 6))))
+                base = random_point(G, rng) if rng.below(2) else None
+                D = random_divisor(G, rng, rng.randint(1, 2 * G.betti() + 2))
+                assert rank(G, D, points, base) == reference_core.rank_dfs(G, D, points, base), \
+                    (points, base, dict(D.items()))
+
+    def test_negative_degree_reduces_nothing(self, chain3, monkeypatch):
+        calls = []
+        for name in ("v_reduce", "_fire"):
+            def counted(*args, _real=getattr(reduce_core, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(reduce_core, name, counted)
+        G = chain3.graph
+        D = Divisor({chain3.v(1): 3, chain3.w(2): -2, G.point(0, Fraction(1, 2)): -2})
+        assert rank(G, D) == rank(G, D, subdivision_points(G, 3)) == -1
+        assert calls == []
+        # the points are still checked, and an empty set still rejected
+        foreign = default_generic_chain(4).graph.point(9, Fraction(1, 2))
+        with pytest.raises(GraphError):
+            rank(G, D, points=[chain3.v(1), foreign])
+        with pytest.raises(GraphError):
+            rank(G, D, base=foreign)
+        with pytest.raises(PreconditionError):
+            rank(G, D, points=[])
+        assert calls == []
+        # the counters see the reductions of a divisor of degree 0
+        assert rank(G, D + Divisor({chain3.v(2): 1})) == -1
+        assert {"v_reduce", "_fire"} <= set(calls)
+
     def test_matches_brute_force_with_debt(self, chain2, chain3):
         # 20 divisors with debt on each graph, degrees -1..4
         rng = SplitMix64(8080)
