@@ -7,7 +7,9 @@ this empty-cell table gives: the vertex v_i is matched to the function
 whose cell holds entry i, and the matrix of values M[i][f] = f(v_i) has
 that matching as the unique optimal permutation of its min-plus
 permanent, so that no choice of offsets can make the minimum tie at every
-point.  The expected verdict on a generic chain is independence.
+point.  The certificate carries offsets b that show it: at each v_i the
+matched function plus its offset is below every other f(v_i) + b_f.  The
+expected verdict on a generic chain is independence.
 """
 from tropdiv import (default_generic_chain, enumerate_tableaux,
                      gp_rho_zero_experiment)
@@ -31,7 +33,8 @@ def main():
         print("  certificate (empty-cell table):")
         for p, f in zip(cert.points, cert.permutation):
             j, k = divmod(f, rows)
-            print(f"    point {p} is matched to phi_{j} + psi_{k}")
+            print(f"    point {p} is matched to phi_{j} + psi_{k}, "
+                  f"offset {cert.offsets[f]}")
         print()
 
     print("every matching is the unique optimum of its min-plus permanent: "

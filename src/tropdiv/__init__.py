@@ -19,8 +19,9 @@ from .reduce import (ReductionResult, default_base, default_rank_points,
                      riemann_roch_check, v_reduce)
 from .independence import (DependenceCertificate, IndependenceCertificate,
                            IndependenceReport, find_dependence,
-                           is_unique_minimiser, unique_min_locus,
-                           verify_dependence, verify_independence)
+                           is_unique_minimiser, strict_offsets,
+                           unique_min_locus, verify_dependence,
+                           verify_independence)
 from .chainbn import (DyckPath, GPReport, ShapeProfile, Tableau,
                       adjoint_divisor, build_Dj, build_Ek,
                       canonical_shape_check, chips_on_each_loop_check,

@@ -40,7 +40,7 @@ from math import factorial, lcm
 from .errors import GenericityError, PreconditionError, TheoremViolation
 from .graph import (BNParams, ChainOfLoops, Divisor, canonical_divisor,
                     check_genericity)
-from .independence import IndependenceCertificate, competing_permutation
+from .independence import IndependenceCertificate, strict_offsets
 # nothing here calls it: perfbench/test_perfbench.py reads chainbn.find_dependence
 from .independence import find_dependence  # noqa: F401
 from .plfunc import PLFunction
@@ -480,9 +480,9 @@ def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
     the function phi_j + psi_k whose cell holds i.  Its matrix
     M[i][j * rows + k] = phi_j(v_i) + psi_k(v_i), read off the witnesses,
     must have that matching as the unique minimiser of its min-plus
-    permanent, as ``verify_independence`` checks on the family.  Either
-    failure raises ``TheoremViolation``; the second names a permutation
-    tau that costs no more than the matching.
+    permanent, and ``strict_offsets`` gives its offsets.  Either failure
+    raises ``TheoremViolation``; the second names a permutation tau that
+    costs no more than the matching.
     """
     _require_chain(T, chain)
     t0 = time.monotonic()
@@ -490,7 +490,7 @@ def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
     rows = T.rows
 
     # as build_Dj and build_Ek, on the integer chips of each tableau
-    _L, ell, m, beta = _integer_lengths(chain)
+    L, ell, m, beta = _integer_lengths(chain)
     D, E = _tableau_chips(T, ell, m), _tableau_chips(T.transpose(), ell, m)
     phis = [_twist(D, ell, m, beta, j, r) for j in range(r + 1)]
     psis = [_twist(E, ell, m, beta, k, rows - 1) for k in range(rows)]
@@ -517,15 +517,16 @@ def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
     # v_i is matched to the function whose cell holds entry i
     points = tuple(chain.v(i) for i in range(1, chain.g + 1))
     perm = tuple(j * rows + k for (j, k) in sorted(table, key=table.get))
-    # the matrix in units of 1/L: a positive scale keeps every comparison
-    # competing_permutation makes
+    # the matrix in units of 1/L: a positive scale keeps every comparison,
+    # and the offsets come out in the same units
     matrix = [[a[i] + b[i] for (_c, _p, a) in phis for (_c, _p, b) in psis]
               for i in range(chain.g)]
-    tau = competing_permutation(matrix, perm)
+    offsets, tau = strict_offsets(matrix, perm)
     if tau is not None:
         raise TheoremViolation(
             f"tableau {T.entries}: the empty-cell matching sigma = {perm} "
             f"of v_1..v_{chain.g} is not the unique minimiser; tau = {tau} "
             f"costs no more")
     return GPReport(T.params(), T, "independent", table, time.monotonic() - t0,
-                    IndependenceCertificate(points, perm))
+                    IndependenceCertificate(points, perm,
+                                            tuple(b / L for b in offsets)))

@@ -140,9 +140,10 @@ def cmd_gp0(args) -> int:
     if args.tableau != "all":
         with _parsing():
             index = int(args.tableau)
-            if index < 0:
-                raise IndexError(f"tableau index {index} is negative")
-            tableaux = [tableaux[index]]
+        if not 0 <= index < len(tableaux):
+            raise _UsageError(f"tableau index {index} is out of range: shape "
+                              f"{rows}x{cols} has {len(tableaux)} tableaux")
+        tableaux = [tableaux[index]]
     reports = []
     for T in tableaux:
         rep = gp_rho_zero_experiment(T, chain)
@@ -209,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--r", type=int, required=True)
     pg.add_argument("--d", type=int, required=True)
     pg.add_argument("--lengths", help="JSON chain description file")
-    pg.add_argument("--tableau", default="all", help="index or 'all'")
+    pg.add_argument("--tableau", default="all", help="index in lexicographic "
+                    "order of the row-concatenated entries, or 'all'")
     pg.add_argument("--out")
     pg.set_defaults(func=cmd_gp0)
 

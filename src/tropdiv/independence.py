@@ -6,10 +6,10 @@ min_j(f_j + b_j) is attained at least twice at every point of the graph.
 
 - ``verify_dependence`` checks given offsets cell-by-cell on the exact
   lower envelope.
-- ``verify_independence`` proves independence from a certificate: points
-  p_1..p_n and a permutation that is the unique minimiser of the min-plus
-  permanent of M_ij = f_j(p_i), as ``competing_permutation`` checks in
-  O(n^3).  ``chainbn`` reads one off the empty-cell table of a tableau.
+- ``verify_independence`` proves independence from points p_i, a
+  permutation sigma and offsets b, by n^2 comparisons; ``strict_offsets``
+  finds b by Bellman-Ford (or a rival to sigma), and ``chainbn`` reads
+  the points and sigma off the empty-cell table of a tableau.
 - ``find_dependence`` searches for offsets through the critical values of
   pairwise differences.  The search is not complete: it misses
   dependences in which coincident pairs of functions meet only at
@@ -21,9 +21,9 @@ walks each edge of the family once, at the lcm of the functions' scales
 there, and gives every function's values at the union of their
 breakpoints as integers over one common denominator.  Scaling keeps
 equality and order, so the dependence search tries the candidates of the
-search on exact rationals in the same order.  ``competing_permutation``
-puts its matrix over one common denominator, and the envelope checks run
-on ``plfunc.lower_envelope``, which is integer as well.
+search on exact rationals in the same order.  ``strict_offsets`` puts
+its matrix over one common denominator, and the envelope checks run on
+``plfunc.lower_envelope``, which is integer as well.
 """
 from __future__ import annotations
 
@@ -298,52 +298,40 @@ def find_dependence(funcs: Sequence[PLFunction],
 
 @dataclass(frozen=True)
 class IndependenceCertificate:
-    """Points p_0..p_{n-1} and a permutation sigma such that sigma is the
-    only permutation minimising sum_i M[i][sigma[i]], where
-    M[i][j] = funcs[j](points[i]): point i is matched to function
-    sigma[i].  ``verify_independence`` explains why this proves the
-    family independent."""
+    """Points p_i, a permutation sigma (point i is matched to function
+    sigma[i]) and offsets b such that sigma[i] is the only c attaining
+    min_c(funcs[c](p_i) + b[c]); see ``verify_independence``."""
 
     points: tuple[Point, ...]
     permutation: tuple[int, ...]
+    offsets: tuple[Fraction, ...]
 
 
-def competing_permutation(matrix: Sequence[Sequence],
-                          permutation: Sequence[int]) -> tuple[int, ...] | None:
-    """None if ``permutation`` (sigma) is the only permutation minimising
-    sum_i matrix[i][sigma[i]], the min-plus permanent (then the square
-    matrix is tropically nonsingular); otherwise a permutation
-    tau != sigma whose sum is no greater.
+def strict_offsets(matrix: Sequence[Sequence], permutation: Sequence[int]
+                   ) -> tuple[tuple[Fraction, ...] | None, tuple[int, ...] | None]:
+    """``(offsets, None)`` if ``permutation`` (sigma) is the only
+    permutation minimising sum_i M[i][sigma[i]], the min-plus permanent;
+    otherwise ``(None, tau)``, tau != sigma of no greater sum.  Offsets b
+    are strict: M[i][sigma[i]] + b[sigma[i]] < M[i][c] + b[c], c != sigma[i].
 
-    The exchange graph of sigma has the columns as nodes and, for j != j',
-    an arc j -> j' of weight M[sigma^-1(j)][j'] - M[sigma^-1(j)][j]: the
-    change in cost when the row matched to j moves to j'.  Any tau != sigma
-    is sigma followed by the disjoint cycles of tau o sigma^-1 that are
-    not fixed points, each a simple cycle of the exchange graph, and
-    cost(tau) - cost(sigma) is the sum of their weights; conversely every
-    simple cycle is such a tau.  So sigma is the unique minimiser iff
-    every simple cycle weighs more than 0 (strong regularity in max-plus
-    algebra; Butkovic, "Max-linear Systems: Theory and Algorithms").
-
-    Floyd-Warshall finds such a cycle in O(n^3) exact steps, for any n.
-    Phase m relaxes the paths through node m; ``nxt[a][b]`` is the node
-    after a on the path that ``dist[a][b]`` weighs.  Call a cycle m-low if
-    at most one of its nodes is >= m, and suppose that every m-low cycle
-    weighs more than 0 when phase m starts (for m = 0, as a cycle has two
-    nodes).  Then ``dist[a][b]`` is the least weight of a path a -> b with
-    inner nodes < m and ``nxt`` traces one, by the usual invariant of
-    Floyd-Warshall with path reconstruction.  Before relaxing, phase m
-    joins the traced paths P: a -> m and Q: m -> a for each a != m.  A
-    join of weight <= 0 is a simple cycle, which gives tau: if P and Q
-    shared a node x, P + Q would split at x into closed walks through a
-    and through m, all other nodes < m, so into m-low cycles of positive
-    weight.  If no join weighs <= 0, every (m+1)-low cycle weighs more
-    than 0: one through m and some a > m weighs dist[a][m] + dist[m][a]
-    or more.  With 0 on the diagonal, relaxing through m then changes
-    neither row m, column m nor the diagonal.
-
-    Entries are exact rationals (a float raises ``PreconditionError``),
-    put over one denominator so that the relaxation runs on ints.
+    In the exchange graph of sigma an arc j -> j' weighs
+    w = M[i][j'] - M[i][j], i = sigma^-1(j).  Every tau != sigma is sigma
+    followed by disjoint simple cycles of this graph and costs their
+    weight more, so sigma is the unique minimiser iff every cycle weighs
+    more than 0 (Butkovic, "Max-linear Systems: Theory and Algorithms").
+    Over one denominator den, arcs weigh n*den*w - 1 here, so a cycle of
+    k <= n arcs and weight W weighs n*den*W - k, negative iff W <= 0.
+    Bellman-Ford runs in rounds from d = 0, scanning rows last to first
+    (on every rho = 0 matrix of ``chainbn`` tried, one round settles and
+    a second confirms).  If a round relaxes nothing (by round n, without
+    a negative cycle), b = -d / (n*den) has b[j] - b[j'] < w on every arc.
+    Otherwise let v be the last column round n relaxes: d[v] is below the
+    weight of every path of at most n - 1 arcs to v, but at least that of
+    v's chain of predecessors if the chain is a path from an unrelaxed
+    column.  So it is not, and n steps back along it land on a cycle of
+    predecessors, which weighs less than 0, as every such cycle does.
+    That cycle is tau.  Entries are exact rationals (a float raises
+    ``PreconditionError``).
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -351,48 +339,49 @@ def competing_permutation(matrix: Sequence[Sequence],
     if sorted(permutation) != list(range(n)):
         raise PreconditionError("not a permutation of the matrix's columns")
     M = [[_exact(x) for x in row] for row in matrix]
-    den = lcm(*(x.denominator for row in M for x in row))
-    dist = [None] * n       # dist[a]: the arcs out of column a
-    for row, a in zip(M, permutation):
-        row = [x.numerator * (den // x.denominator) for x in row]
-        dist[a] = [x - row[a] for x in row]
-    nxt = [list(range(n)) for _ in range(n)]
-    for m in range(n):
-        dm = dist[m]
-        for a in range(n):
-            if a != m and dist[a][m] + dm[a] <= 0:
-                move = list(range(n))   # the column each column's row moves to
-                for x, end in ((a, m), (m, a)):     # along P, then along Q
-                    while x != end:
-                        move[x] = nxt[x][end]
-                        x = move[x]
-                return tuple(move[j] for j in permutation)
-        for a in range(n):
-            da, na = dist[a], nxt[a]
-            am, via = da[m], na[m]
-            for b, mb in enumerate(dm):
-                if am + mb < da[b]:
-                    da[b] = am + mb
-                    na[b] = via
-    return None
+    scale = n * lcm(*(x.denominator for row in M for x in row))
+    arcs = []   # (a, out): out[c] weighs a -> c, 0 (no arc) for c = a
+    for row, a in zip(reversed(M), reversed(permutation)):
+        row = [x.numerator * (scale // x.denominator) for x in row]
+        arcs.append((a, [x - row[a] - (c != a) for c, x in enumerate(row)]))
+    d, pred = [0] * n, [None] * n
+    for _round in range(max(n, 1)):
+        last = None
+        for a, out in arcs:
+            da = d[a]
+            for c, w in enumerate(out):
+                if da + w < d[c]:
+                    d[c], pred[c], last = da + w, a, c
+        if last is None:
+            return tuple(Fraction(-x, scale) for x in d), None
+    for _step in range(n):
+        last = pred[last]
+    move, c = list(range(n)), last  # move[j]: where the row matched to j goes
+    while move[pred[c]] == pred[c]:
+        move[pred[c]], c = c, pred[c]
+    return None, tuple(move[j] for j in permutation)
 
 
 def is_unique_minimiser(matrix: Sequence[Sequence],
                         permutation: Sequence[int]) -> bool:
-    """Whether ``competing_permutation`` finds no rival to ``permutation``."""
-    return competing_permutation(matrix, permutation) is None
+    """Whether ``strict_offsets`` finds no rival to ``permutation``."""
+    return strict_offsets(matrix, permutation)[1] is None
 
 
 def verify_independence(funcs: Sequence[PLFunction],
                         cert: IndependenceCertificate) -> bool:
-    """Whether the certificate proves the family tropically independent:
-    the matrix M[i][j] = funcs[j](cert.points[i]) must have
-    ``cert.permutation`` as its unique min-plus permanent minimiser.
+    """Whether the certificate proves the family tropically independent,
+    that is, M[i][sigma[i]] + b[sigma[i]] < M[i][c] + b[c] for every i and
+    c != sigma[i], with M[i][j] = funcs[j](p_i) and the points p_i, sigma
+    and b of ``cert``.  A certificate of another size is rejected.
 
-    Soundness.  A square matrix is tropically singular (its permanent is
-    attained at least twice) iff its rows lie on one tropical hyperplane
-    {x : min_j(x_j + b_j) attained at least twice} with finite b
-    (Richter-Gebert, Sturmfels and Theobald, "First steps in tropical
+    Soundness.  For any permutation tau != sigma, summing the inequalities
+    with c = tau[i] over the rows where tau[i] != sigma[i] cancels the
+    offsets: sigma is the only permutation minimising the min-plus
+    permanent of M.  A square matrix is tropically singular (its permanent
+    is attained at least twice) iff its rows lie on one tropical
+    hyperplane {x : min_j(x_j + b_j) attained at least twice} with finite
+    b (Richter-Gebert, Sturmfels and Theobald, "First steps in tropical
     geometry", Lemma 5.1).  A dependence with offsets b attains the
     minimum twice at every point, so in particular at each p_i: the rows
     of M lie on the hyperplane of b.  If the dependence uses only a subset
@@ -404,9 +393,12 @@ def verify_independence(funcs: Sequence[PLFunction],
     """
     graph = _common_graph(funcs)
     n = len(funcs)
-    if len(cert.points) != n or sorted(cert.permutation) != list(range(n)):
+    if (len(cert.points) != n or len(cert.offsets) != n
+            or sorted(cert.permutation) != list(range(n))):
         return False
     for p in cert.points:
         graph.check_point(p)
-    return is_unique_minimiser([[f(p) for f in funcs] for p in cert.points],
-                               cert.permutation)
+    offsets = [_exact(b) for b in cert.offsets]
+    rows = ([f(p) + b for f, b in zip(funcs, offsets)] for p in cert.points)
+    return all(row[s] < x for row, s in zip(rows, cert.permutation)
+               for c, x in enumerate(row) if c != s)

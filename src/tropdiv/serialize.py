@@ -3,8 +3,8 @@
 Rationals travel as strings "p" or "p/q" in lowest terms; points as
 {"edge": id, "offset": "p/q"} (or {"vertex": name} on input); divisors as
 sorted lists of {point, coeff}; independence certificates as
-{points, permutation}.  Output is deterministic: keys sorted, rationals
-canonical.
+{points, permutation, offsets}.  Output is deterministic: keys
+sorted, rationals canonical.
 
 ``dumps`` writes, with its own small recursive writer, the text of
 ``json.dumps(obj, sort_keys=True, indent=2)`` and a trailing newline,
@@ -148,14 +148,16 @@ def plfunction_from_json(graph: MetricGraph, obj: dict) -> PLFunction:
 def independence_certificate_to_json(graph: MetricGraph,
                                      cert: IndependenceCertificate) -> dict:
     return {"points": [point_to_json(graph, p) for p in cert.points],
-            "permutation": list(cert.permutation)}
+            "permutation": list(cert.permutation),
+            "offsets": [rat_to_json(b) for b in cert.offsets]}
 
 
 def independence_certificate_from_json(graph: MetricGraph,
                                        obj: dict) -> IndependenceCertificate:
     return IndependenceCertificate(
         tuple(point_from_json(graph, p) for p in obj["points"]),
-        tuple(int(j) for j in obj["permutation"]))
+        tuple(int(j) for j in obj["permutation"]),
+        tuple(rat_from_json(b) for b in obj["offsets"]))
 
 
 def dumps(obj: Any) -> str:

@@ -5,7 +5,7 @@ import pytest
 
 from tropdiv import Interval, MetricGraph, Region, default_generic_chain
 from tropdiv.chainbn import build_Dj, build_Ek
-from tropdiv.independence import IndependenceCertificate
+from tropdiv.independence import IndependenceCertificate, strict_offsets
 from tropdiv.plfunc import PLFunction
 from tropdiv.reduce import _Lattice, _potential
 from tropdiv.sampling import SplitMix64
@@ -140,16 +140,27 @@ def tie_psi_columns(monkeypatch, T, chain):
     monkeypatch.setattr(cb, "_twist", shifted_twist)
 
 
-def table_certificate(T, chain) -> IndependenceCertificate:
-    """The certificate the empty-cell table gives for rho_zero_family(T,
-    chain), read off the tableau: the vertex v_i is matched to
-    phi_j + psi_k when entry i sits in row k and column j."""
+def table_matching(T, chain) -> tuple[tuple, tuple[int, ...]]:
+    """The points and the permutation the empty-cell table gives for
+    rho_zero_family(T, chain), read off the tableau: the vertex v_i is
+    matched to phi_j + psi_k when entry i sits in row k and column j."""
     perm = []
     for i in range(1, T.size + 1):
         k, j = T.position(i)
         perm.append(j * T.rows + k)
-    return IndependenceCertificate(tuple(chain.v(i) for i in range(1, T.size + 1)),
-                                   tuple(perm))
+    return tuple(chain.v(i) for i in range(1, T.size + 1)), tuple(perm)
+
+
+def table_certificate(T, chain) -> IndependenceCertificate:
+    """The certificate of table_matching(T, chain), with the offsets
+    ``strict_offsets`` finds for it on rho_zero_matrix(T, chain), taken
+    from units of 1/L to units of 1."""
+    import tropdiv.chainbn as cb
+    points, perm = table_matching(T, chain)
+    offsets, tau = strict_offsets(rho_zero_matrix(T, chain), perm)
+    assert tau is None, (T.entries, tau)
+    L = cb._integer_lengths(chain)[0]
+    return IndependenceCertificate(points, perm, tuple(b / L for b in offsets))
 
 
 def point_contact_family() -> list:

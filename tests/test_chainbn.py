@@ -23,7 +23,7 @@ from tropdiv.reduce import is_equivalent, rank, v_reduce
 from tropdiv.sampling import SplitMix64, random_point
 
 from . import reference_core
-from .conftest import (cell_regions, rho_zero_matrix, table_certificate,
+from .conftest import (cell_regions, rho_zero_matrix, table_matching,
                        tie_psi_columns)
 
 
@@ -401,7 +401,7 @@ class TestGPExperiment:
             gp_rho_zero_experiment(T, chain4)
         msg = str(err.value)
         assert msg.startswith(f"tableau {T.entries}: ")
-        sigma = table_certificate(T, chain4).permutation
+        sigma = table_matching(T, chain4)[1]
         tau = ast.literal_eval(re.search(r"tau = (\(.*?\))", msg).group(1))
         assert f"sigma = {sigma}" in msg
         assert sorted(tau) == list(range(4)) and tau != sigma

@@ -188,6 +188,15 @@ class TestGP0:
             assert main(["gp0", "--g", "4", "--r", "1", "--d", "3",
                          "--tableau", index]) == 2
 
+    def test_out_of_range_tableau_index_names_the_shape(self, capsys):
+        # (4, 1, 3) has the two tableaux of shape 2x2
+        assert main(["gp0", "--g", "4", "--r", "1", "--d", "3",
+                     "--tableau", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: tableau index 7 is out of range: "
+                                "shape 2x2 has 2 tableaux\n")
+
     def test_negative_tableau_index_is_usage_error(self, capsys):
         for index in ("-1", "-2"):
             assert main(["gp0", "--g", "4", "--r", "1", "--d", "3",

@@ -10,8 +10,8 @@ from tropdiv.chainbn import enumerate_tableaux, gp_rho_zero_experiment
 from tropdiv.errors import PreconditionError, SearchCapError
 from tropdiv.independence import (MAX_FAMILY, IndependenceCertificate,
                                   IndependenceReport, _grow, _pair_tables,
-                                  competing_permutation, find_dependence,
-                                  is_unique_minimiser, unique_min_locus,
+                                  find_dependence, is_unique_minimiser,
+                                  strict_offsets, unique_min_locus,
                                   verify_dependence, verify_independence)
 from tropdiv.plfunc import distance_function, min_combination
 from tropdiv.sampling import (SplitMix64, random_effective_divisor,
@@ -19,7 +19,8 @@ from tropdiv.sampling import (SplitMix64, random_effective_divisor,
 
 from . import reference_search
 from .conftest import (circle_graph, point_contact_family, rho_zero_family,
-                       table_certificate, theta_graph)
+                       rho_zero_matrix, table_certificate, table_matching,
+                       theta_graph)
 
 
 def base_pair(G):
@@ -342,9 +343,36 @@ def random_permutation(rng, n):
     return tuple(perm)
 
 
+def cost(M, perm):
+    return sum(row[j] for row, j in zip(M, perm))
+
+
+def offsets_hold(M, sigma, offsets):
+    """The comparisons ``verify_independence`` makes, on a matrix: in every
+    row i, column sigma[i] is the only minimiser of M[i][c] + offsets[c]."""
+    return all(M[i][s] + offsets[s] < x + b
+               for i, s in enumerate(sigma)
+               for c, (x, b) in enumerate(zip(M[i], offsets)) if c != s)
+
+
+def check_strict_offsets(M, sigma, unique):
+    """``strict_offsets(M, sigma)`` gives offsets that pass the comparisons
+    if ``unique``, and otherwise a permutation tau != sigma of no greater
+    cost; returns ``unique``."""
+    offsets, tau = strict_offsets(M, sigma)
+    assert is_unique_minimiser(M, sigma) == unique, (M, sigma)
+    if unique:
+        assert tau is None and offsets_hold(M, sigma, offsets), (M, sigma, offsets)
+        return True
+    assert offsets is None and tau is not None and tau != sigma, (M, sigma)
+    assert sorted(tau) == list(range(len(M))), (M, sigma, tau)
+    assert cost(M, tau) <= cost(M, sigma), (M, sigma, tau)
+    return False
+
+
 class TestUniqueMinPermutation:
-    """``is_unique_minimiser``, the exchange-graph check, against
-    enumeration and against the subset DP."""
+    """``strict_offsets``, on the exchange graph, against enumeration and
+    against the subset DP."""
 
     def test_agrees_with_brute_force(self):
         # entries in a small range, so that ties are common
@@ -357,9 +385,9 @@ class TestUniqueMinPermutation:
                      for p in permutations(range(n))}
             winner = min(costs, key=costs.get)
             want = brute_force_unique_min(M)
-            assert is_unique_minimiser(M, winner) == (want is not None), M
+            check_strict_offsets(M, winner, want is not None)
             other = random_permutation(rng, n)
-            assert is_unique_minimiser(M, other) == (want == other), (M, other)
+            check_strict_offsets(M, other, want == other)
             unique += want is not None
         # both outcomes are exercised
         assert 0 < unique < 3200
@@ -372,33 +400,40 @@ class TestUniqueMinPermutation:
                 M = [[rng.randint(-spread, spread) for _ in range(n)]
                      for _ in range(n)]
                 perm, unique = dp_unique_min(M)
-                assert is_unique_minimiser(M, perm) == unique, M
+                check_strict_offsets(M, perm, unique)
                 other = random_permutation(rng, n)
                 if other != perm:
-                    assert not is_unique_minimiser(M, other), (M, other)
+                    check_strict_offsets(M, other, False)
                 outcomes.add(unique)
         assert outcomes == {True, False}
 
     def test_fractions_are_exact(self):
         third = Fraction(1, 3)
-        assert is_unique_minimiser([[third, 0], [0, third]], (1, 0))
-        assert not is_unique_minimiser([[third, 0], [0, third]], (0, 1))
-        assert not is_unique_minimiser([[third, third], [0, 0]], (0, 1))
-        assert not is_unique_minimiser([[third, third], [0, 0]], (1, 0))
+        check_strict_offsets([[third, 0], [0, third]], (1, 0), True)
+        check_strict_offsets([[third, 0], [0, third]], (0, 1), False)
+        check_strict_offsets([[third, third], [0, 0]], (0, 1), False)
+        check_strict_offsets([[third, third], [0, 0]], (1, 0), False)
+        # sigma is not row-minimal here: b_1 - b_0 must lie in (-2/3, -1/3),
+        # so the offsets are in units of 1/(n * den), finer than the entries
+        check_strict_offsets([[0, third], [-third, third]], (1, 0), True)
+        offsets, _tau = strict_offsets([[0, third], [-third, third]], (1, 0))
+        assert -2 * third < offsets[1] - offsets[0] < -third
+        assert {b.denominator for b in offsets} != {1}
 
     def test_floats_rejected(self):
         # in floats the second permutation sums to more than the first,
         # but the matrix meant is singular
         with pytest.raises(PreconditionError, match="not an exact rational"):
-            is_unique_minimiser([[0.1, 0.2], [0.2, 0.30000000000000004]], (0, 1))
+            strict_offsets([[0.1, 0.2], [0.2, 0.30000000000000004]], (0, 1))
         for perm in ((0, 1), (1, 0)):
+            assert strict_offsets([["1/10", "1/5"], ["1/5", "3/10"]], perm)[0] is None
             assert not is_unique_minimiser([["1/10", "1/5"], ["1/5", "3/10"]], perm)
 
     def test_non_square_rejected_large_accepted(self):
         with pytest.raises(PreconditionError):
-            is_unique_minimiser([[0, 1], [2]], (0, 1))
+            strict_offsets([[0, 1], [2]], (0, 1))
         with pytest.raises(PreconditionError):
-            is_unique_minimiser([[0, 1], [2, 3]], (0, 0))
+            strict_offsets([[0, 1], [2, 3]], (0, 0))
         # no size cap: a planted permutation on zeros, every other entry
         # positive, is the unique minimiser; a second zero on the planted
         # rows' columns makes a tie
@@ -407,31 +442,18 @@ class TestUniqueMinPermutation:
             planted = random_permutation(rng, n)
             M = [[0 if planted[i] == j else rng.randint(1, 9) for j in range(n)]
                  for i in range(n)]
-            assert is_unique_minimiser(M, planted)
+            check_strict_offsets(M, planted, True)
             swapped = list(planted)
             swapped[0], swapped[1] = swapped[1], swapped[0]
-            assert not is_unique_minimiser(M, tuple(swapped))
+            check_strict_offsets(M, tuple(swapped), False)
             M[0][planted[1]] = M[1][planted[0]] = 0
-            assert not is_unique_minimiser(M, planted)
+            check_strict_offsets(M, planted, False)
 
 
 class TestCompetingPermutation:
-    """``competing_permutation`` returns None exactly when sigma is the
-    unique minimiser, and otherwise a permutation tau != sigma of no
-    greater cost, against enumeration and the subset DP."""
-
-    @staticmethod
-    def check(M, sigma, unique):
-        tau = competing_permutation(M, sigma)
-        if unique:
-            assert tau is None, (M, sigma)
-            return True
-        n = len(M)
-        assert tau is not None and tau != sigma, (M, sigma)
-        assert sorted(tau) == list(range(n)), (M, sigma, tau)
-        assert (sum(M[i][tau[i]] for i in range(n))
-                <= sum(M[i][sigma[i]] for i in range(n))), (M, sigma, tau)
-        return False
+    """``strict_offsets`` returns offsets exactly when sigma is the unique
+    minimiser, and otherwise a permutation tau != sigma of no greater
+    cost, against enumeration and the subset DP."""
 
     def test_agrees_with_brute_force(self):
         # entries in a small range, so that ties are common; every third
@@ -446,7 +468,7 @@ class TestCompetingPermutation:
             winner = brute_force_unique_min(M)
             sigma = winner if winner is not None and t % 2 else \
                 random_permutation(rng, n)
-            outcomes.add(self.check(M, sigma, sigma == winner))
+            outcomes.add(check_strict_offsets(M, sigma, sigma == winner))
         assert outcomes == {True, False}
 
     def test_agrees_with_subset_dp(self):
@@ -458,11 +480,61 @@ class TestCompetingPermutation:
             if t % 3 == 0:
                 M = [[Fraction(x, rng.randint(1, 3)) for x in row] for row in M]
             perm, unique = dp_unique_min(M)
-            outcomes.add(self.check(M, perm, unique))
+            outcomes.add(check_strict_offsets(M, perm, unique))
             other = random_permutation(rng, n)
             if other != perm:
-                self.check(M, other, False)
+                check_strict_offsets(M, other, False)
         assert outcomes == {True, False}
+
+
+class TestStrictOffsetsOnRhoZero:
+    """The matrices of the rho = 0 experiment, each doctored at one entry
+    so that swapping two rows of the matching sigma costs exactly as much
+    as sigma, or one more."""
+
+    SHAPES = ((2, 2), (3, 2), (2, 3), (2, 4), (3, 3))
+
+    def test_one_transposition_ties_sigma(self):
+        tried = 0
+        for rows, cols in self.SHAPES:
+            chain = default_generic_chain(rows * cols)
+            for T in enumerate_tableaux(rows, cols):
+                M = rho_zero_matrix(T, chain)
+                sigma = table_matching(T, chain)[1]
+                check_strict_offsets(M, sigma, True)
+                for i, i2 in combinations(range(len(M)), 2):
+                    a, b = sigma[i], sigma[i2]
+                    tied = [list(row) for row in M]
+                    # the swap of rows i and i2 now costs what sigma does
+                    tied[i][b] = M[i][a] + M[i2][b] - M[i2][a]
+                    assert tied[i][b] < M[i][b]
+                    offsets, tau = strict_offsets(tied, sigma)
+                    assert offsets is None and tau != sigma, (T.entries, i, i2)
+                    assert cost(tied, tau) <= cost(tied, sigma)
+                    # sigma was the unique minimiser and only the entry
+                    # (i, b) fell, so every rival of no greater cost takes it
+                    assert tau[i] == b, (T.entries, i, i2, tau)
+                    tried += 1
+        assert tried == 2066
+
+    def test_one_more_keeps_offsets(self):
+        # a swap that costs one more than sigma (in units of 1/L) is a
+        # cycle of two arcs and exchange weight 1: it must not pass as a
+        # tie however small the gap
+        outcomes = []
+        for rows, cols in self.SHAPES:
+            chain = default_generic_chain(rows * cols)
+            for T in enumerate_tableaux(rows, cols):
+                M = rho_zero_matrix(T, chain)
+                sigma = table_matching(T, chain)[1]
+                for i in range(len(M) - 1):
+                    a, b = sigma[i], sigma[i + 1]
+                    near = [list(row) for row in M]
+                    near[i][b] = M[i][a] + M[i + 1][b] - M[i + 1][a] + 1
+                    perm, unique = dp_unique_min(near)
+                    outcomes.append(check_strict_offsets(
+                        near, sigma, unique and perm == sigma))
+        assert outcomes.count(True) > len(outcomes) // 2
 
 
 def g4_family_and_certificate():
@@ -481,7 +553,7 @@ class TestVerifyIndependence:
         fam, cert = g4_family_and_certificate()
         pts = list(cert.points)
         pts[0], pts[1] = pts[1], pts[0]
-        bad = IndependenceCertificate(tuple(pts), cert.permutation)
+        bad = IndependenceCertificate(tuple(pts), cert.permutation, cert.offsets)
         assert not verify_independence(fam, bad)
 
     def test_wrong_permutation_rejected(self):
@@ -489,21 +561,60 @@ class TestVerifyIndependence:
         n = len(fam)
         for perm in permutations(range(n)):
             if perm != cert.permutation:
-                bad = IndependenceCertificate(cert.points, perm)
+                bad = IndependenceCertificate(cert.points, perm, cert.offsets)
                 assert not verify_independence(fam, bad)
-        for perm in ((0,) * n, tuple(range(n - 1)), tuple(range(1, n + 1))):
-            bad = IndependenceCertificate(cert.points, perm)
+        for perm in ((0,) * n, tuple(range(n - 1)), tuple(range(1, n + 1)),
+                     tuple(range(n + 1))):
+            bad = IndependenceCertificate(cert.points, perm, cert.offsets)
             assert not verify_independence(fam, bad)
+
+    def test_offsets_of_another_size_rejected(self):
+        fam, cert = g4_family_and_certificate()
+        for offsets in (cert.offsets[:-1], cert.offsets + (0,), ()):
+            bad = IndependenceCertificate(cert.points, cert.permutation, offsets)
+            assert not verify_independence(fam, bad)
+
+    def test_changed_offset_rejected(self):
+        # raising b_c lets another function win at c's point; lowering it
+        # lets c win at another function's point
+        fam, cert = g4_family_and_certificate()
+        for c in range(len(fam)):
+            for delta in (100, -100):
+                offsets = list(cert.offsets)
+                offsets[c] += delta
+                bad = IndependenceCertificate(cert.points, cert.permutation,
+                                              tuple(offsets))
+                assert not verify_independence(fam, bad)
+
+    def test_float_offsets_rejected(self):
+        fam, cert = g4_family_and_certificate()
+        bad = IndependenceCertificate(cert.points, cert.permutation,
+                                      tuple(float(b) for b in cert.offsets))
+        with pytest.raises(PreconditionError, match="not an exact rational"):
+            verify_independence(fam, bad)
 
     def test_tied_matrix_rejected(self):
         fam, cert = g4_family_and_certificate()
-        # a repeated point gives two equal rows
+        # a repeated point gives two equal rows: no permutation has offsets
         pts = (cert.points[0],) + cert.points[:-1]
+        M = [[f(p) for f in fam] for p in pts]
         for perm in permutations(range(len(fam))):
-            assert not verify_independence(fam, IndependenceCertificate(pts, perm))
+            assert strict_offsets(M, perm)[0] is None
+            assert not verify_independence(
+                fam, IndependenceCertificate(pts, perm, cert.offsets))
         # a repeated function gives two equal columns
         twin = [fam[0], fam[0]] + fam[2:]
         assert not verify_independence(twin, cert)
+
+    def test_equal_sums_are_not_strict(self):
+        # two equal functions with equal offsets tie at every point: only a
+        # strict comparison rejects them
+        G = theta_graph()
+        f, _g = base_pair(G)
+        a, b = G.vertex_point("a"), G.vertex_point("b")
+        for perm in ((0, 1), (1, 0)):
+            assert not verify_independence(
+                [f, f], IndependenceCertificate((a, b), perm, (0, 0)))
 
 
 def planted_families():
@@ -533,8 +644,9 @@ def candidate_points(funcs):
 
 
 def assert_no_certificate(fam, seed):
-    """At 5 seeded n-subsets of candidate_points(fam), no permutation
-    passes verify_independence."""
+    """At 5 seeded n-subsets of candidate_points(fam), no permutation has
+    strict offsets, so no certificate on those points passes
+    verify_independence."""
     rng = SplitMix64(seed)
     points = candidate_points(fam)
     n = len(fam)
@@ -542,8 +654,9 @@ def assert_no_certificate(fam, seed):
     for _draw in range(5):
         picked = random_permutation(rng, len(points))[:n]
         pts = tuple(points[i] for i in picked)
+        M = [[f(p) for f in fam] for p in pts]
         for perm in permutations(range(n)):
-            assert not verify_independence(fam, IndependenceCertificate(pts, perm))
+            assert strict_offsets(M, perm)[0] is None, (pts, perm)
 
 
 class TestFindIndependenceCertificate:
@@ -567,8 +680,8 @@ class TestFindIndependenceCertificate:
         G = theta_graph()
         f, g = base_pair(G)
         a, b = G.vertex_point("a"), G.vertex_point("b")
-        assert verify_independence([f, g], IndependenceCertificate((a, b), (0, 1)))
-        assert not verify_independence([f, g], IndependenceCertificate((a, b), (1, 0)))
+        assert verify_independence([f, g], IndependenceCertificate((a, b), (0, 1), (0, 0)))
+        assert not verify_independence([f, g], IndependenceCertificate((a, b), (1, 0), (0, 0)))
 
     def test_deterministic(self):
         chain = default_generic_chain(4)

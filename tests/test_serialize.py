@@ -8,10 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropdiv import Divisor, default_generic_chain
+from tropdiv.chainbn import enumerate_tableaux, gp_rho_zero_experiment
+from tropdiv.independence import IndependenceCertificate
 from tropdiv.plfunc import distance_function
 from tropdiv.serialize import (chain_from_json, chain_to_json,
                                divisor_from_json, divisor_to_json, dumps,
                                graph_from_json, graph_to_json,
+                               independence_certificate_from_json,
+                               independence_certificate_to_json,
                                plfunction_from_json, plfunction_to_json,
                                point_from_json, point_to_json, rat_from_json,
                                rat_to_json)
@@ -86,6 +90,35 @@ class TestGraphsAndChains:
         ch = default_generic_chain(2)
         G = graph_from_json(chain_to_json(ch))
         assert G.edges == ch.graph.edges
+
+
+class TestIndependenceCertificates:
+    @staticmethod
+    def round_trip(G, cert):
+        text = dumps(independence_certificate_to_json(G, cert))
+        return independence_certificate_from_json(G, json.loads(text))
+
+    def test_offsets_round_trip_exactly(self):
+        G = theta_graph()
+        pts = (G.vertex_point("a"), G.point(2, Fraction(7, 3)), G.vertex_point("b"),
+               G.point(0, Fraction(1, 2)))
+        offsets = (Fraction(-7, 3), Fraction(0), Fraction(5, 2), Fraction(-4))
+        cert = IndependenceCertificate(pts, (2, 0, 3, 1), offsets)
+        obj = independence_certificate_to_json(G, cert)
+        assert obj["offsets"] == ["-7/3", "0", "5/2", "-4"]
+        back = self.round_trip(G, cert)
+        assert back == cert
+        assert all(type(b) is Fraction for b in back.offsets)
+
+    def test_experiment_certificates_round_trip(self):
+        chain = default_generic_chain(6)
+        seen = set()
+        for T in enumerate_tableaux(2, 3):
+            cert = gp_rho_zero_experiment(T, chain).independence_certificate
+            assert self.round_trip(chain.graph, cert) == cert
+            seen |= {b.denominator for b in cert.offsets}
+        # non-integer offsets are among them
+        assert seen != {1}
 
 
 class TestPLFunctions:
