@@ -19,7 +19,7 @@ def main():
     g, r, d = 4, 1, 3
     chain = default_generic_chain(g)
     rows = g - d + r
-    tableaux = enumerate_tableaux(rows, r + 1)
+    tableaux = list(enumerate_tableaux(rows, r + 1))
     print(f"(g, r, d) = ({g}, {r}, {d}): {len(tableaux)} standard tableaux\n")
 
     for T in tableaux:

@@ -33,6 +33,7 @@ should one fail, the experiment raises ``TheoremViolation``.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
@@ -111,7 +112,7 @@ class Tableau:
 
 def hook_length_count(rows: int, cols: int) -> int:
     """Number of standard tableaux of rectangular shape, by the hook
-    length formula; used as an enumeration oracle."""
+    length formula."""
     prod = 1
     for r in range(rows):
         for c in range(cols):
@@ -119,32 +120,28 @@ def hook_length_count(rows: int, cols: int) -> int:
     return factorial(rows * cols) // prod
 
 
-def enumerate_tableaux(rows: int, cols: int) -> list[Tableau]:
-    """All rectangular standard tableaux, in lexicographic order of the
-    row-concatenated entry sequence."""
+def enumerate_tableaux(rows: int, cols: int) -> Iterator[Tableau]:
+    """Every rectangular standard tableau, yielded as it is finished, in
+    lexicographic order of the Yamanouchi word (the row of entry 1, of
+    entry 2, ...): on at most two rows, and at both ends of any shape,
+    the order of the row-concatenated entries."""
     n = rows * cols
-    out: list[Tableau] = []
     grid = [[0] * cols for _ in range(rows)]
+    filled = [0] * rows
 
     def place(i: int):
         if i > n:
-            out.append(Tableau(tuple(tuple(row) for row in grid)))
+            yield Tableau(tuple(map(tuple, grid)))
             return
         for r in range(rows):
-            for c in range(cols):
-                if grid[r][c]:
-                    continue
-                if c > 0 and not grid[r][c - 1]:
-                    continue
-                if r > 0 and not grid[r - 1][c]:
-                    continue
+            c = filled[r]  # entry i fills (r, c) if the cell above is filled
+            if c < cols and (r == 0 or filled[r - 1] > c):
                 grid[r][c] = i
-                place(i + 1)
-                grid[r][c] = 0
+                filled[r] += 1
+                yield from place(i + 1)
+                filled[r] -= 1
 
-    place(1)
-    out.sort(key=lambda t: t.entries)
-    return out
+    return place(1)
 
 
 @dataclass(frozen=True)

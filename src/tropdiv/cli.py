@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from contextlib import contextmanager
 
-from .chainbn import enumerate_tableaux, gp_rho_zero_experiment, shape_profile
+from .chainbn import (enumerate_tableaux, gp_rho_zero_experiment,
+                      hook_length_count, shape_profile)
 from .errors import (GenericityError, GraphError, PreconditionError,
                      ReductionCapError, TheoremViolation)
 from .graph import (ChainOfLoops, MetricGraph, check_genericity,
@@ -140,10 +142,11 @@ def cmd_gp0(args) -> int:
     if args.tableau != "all":
         with _parsing():
             index = int(args.tableau)
-        if not 0 <= index < len(tableaux):
+        count = hook_length_count(rows, cols)
+        if not 0 <= index < count:
             raise _UsageError(f"tableau index {index} is out of range: shape "
-                              f"{rows}x{cols} has {len(tableaux)} tableaux")
-        tableaux = [tableaux[index]]
+                              f"{rows}x{cols} has {count} tableaux")
+        tableaux = itertools.islice(tableaux, index, index + 1)
     reports = []
     for T in tableaux:
         rep = gp_rho_zero_experiment(T, chain)
@@ -210,8 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--r", type=int, required=True)
     pg.add_argument("--d", type=int, required=True)
     pg.add_argument("--lengths", help="JSON chain description file")
-    pg.add_argument("--tableau", default="all", help="index in lexicographic "
-                    "order of the row-concatenated entries, or 'all'")
+    pg.add_argument("--tableau", default="all", help="index i in Yamanouchi-word order "
+                    "(the row-concatenated entries' on <= 2 rows and at the first and "
+                    "last index), reached by enumerating i tableaux; or 'all'")
     pg.add_argument("--out")
     pg.set_defaults(func=cmd_gp0)
 

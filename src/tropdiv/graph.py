@@ -537,11 +537,6 @@ class ChainOfLoops:
             return self.graph.point(self._top[i], ell - t)
         return self.graph.point(self._bottom[i], t - ell)
 
-    def rank_determining_set(self) -> list[Point]:
-        """The vertex set: the chain model is loopless (each loop is a pair
-        of parallel edges), so its vertices already determine rank."""
-        return [self.graph.vertex_point(v) for v in self.graph.vertices]
-
 
 def default_generic_chain(g: int, extended: bool = False) -> ChainOfLoops:
     """Reproducible generic lengths: m_i = 1, ell_i = 2g-1 + i/(g+1), beta_i = 1.

@@ -330,13 +330,14 @@ def strict_offsets(matrix: Sequence[Sequence], permutation: Sequence[int]
     v's chain of predecessors if the chain is a path from an unrelaxed
     column.  So it is not, and n steps back along it land on a cycle of
     predecessors, which weighs less than 0, as every such cycle does.
-    That cycle is tau.  Entries are exact rationals (a float raises
-    ``PreconditionError``).
+    That cycle is tau.  Entries are exact rationals and sigma's are ints
+    (a float raises ``PreconditionError``).
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise PreconditionError("matrix must be square")
-    if sorted(permutation) != list(range(n)):
+    # 0.0 and False sort equal to 0 but are no int column index
+    if any(type(j) is not int for j in permutation) or sorted(permutation) != list(range(n)):
         raise PreconditionError("not a permutation of the matrix's columns")
     M = [[_exact(x) for x in row] for row in matrix]
     scale = n * lcm(*(x.denominator for row in M for x in row))
@@ -373,7 +374,8 @@ def verify_independence(funcs: Sequence[PLFunction],
     """Whether the certificate proves the family tropically independent,
     that is, M[i][sigma[i]] + b[sigma[i]] < M[i][c] + b[c] for every i and
     c != sigma[i], with M[i][j] = funcs[j](p_i) and the points p_i, sigma
-    and b of ``cert``.  A certificate of another size is rejected.
+    and b of ``cert``.  A certificate of another size, or whose
+    permutation holds anything but ints, is rejected.
 
     Soundness.  For any permutation tau != sigma, summing the inequalities
     with c = tau[i] over the rows where tau[i] != sigma[i] cancels the
@@ -394,6 +396,7 @@ def verify_independence(funcs: Sequence[PLFunction],
     graph = _common_graph(funcs)
     n = len(funcs)
     if (len(cert.points) != n or len(cert.offsets) != n
+            or any(type(j) is not int for j in cert.permutation)
             or sorted(cert.permutation) != list(range(n))):
         return False
     for p in cert.points:

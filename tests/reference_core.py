@@ -11,12 +11,14 @@ chip placed by ``ChainOfLoops.ccw_point`` at a ``Fraction`` distance.
 And ``rank_dfs``, ``reduce.rank``'s search as it was before it stopped
 repeating reductions: every point's reduction fired from the reduction
 at the base, every child without a chip fired, and every node searched
-as often as the walk reaches it."""
+as often as the walk reaches it.  And ``sorted_tableaux``,
+``chainbn.enumerate_tableaux`` as it was before it streamed: the whole
+list, sorted by the row-concatenated entries."""
 from __future__ import annotations
 
 from fractions import Fraction
 
-from tropdiv.chainbn import tableau_to_dyck
+from tropdiv.chainbn import Tableau, tableau_to_dyck
 from tropdiv.errors import PreconditionError, ReductionCapError, TheoremViolation
 from tropdiv.graph import Divisor
 from tropdiv.reduce import (DEFAULT_MAX_STEPS, BurnResult, _Chips, _Lattice,
@@ -206,3 +208,31 @@ def rank_dfs(graph, D, points=None, base=None) -> int:
 
     dfs(red0, 0, 0)
     return best_fail - 1
+
+
+def sorted_tableaux(rows: int, cols: int) -> list[Tableau]:
+    """All rectangular standard tableaux, in lexicographic order of the
+    row-concatenated entry sequence."""
+    n = rows * cols
+    out: list[Tableau] = []
+    grid = [[0] * cols for _ in range(rows)]
+
+    def place(i: int):
+        if i > n:
+            out.append(Tableau(tuple(tuple(row) for row in grid)))
+            return
+        for r in range(rows):
+            for c in range(cols):
+                if grid[r][c]:
+                    continue
+                if c > 0 and not grid[r][c - 1]:
+                    continue
+                if r > 0 and not grid[r - 1][c]:
+                    continue
+                grid[r][c] = i
+                place(i + 1)
+                grid[r][c] = 0
+
+    place(1)
+    out.sort(key=lambda t: t.entries)
+    return out

@@ -115,7 +115,7 @@ def _verify_gp_structure(g: int, r: int, d: int) -> int:
     assert BNParams(g, r, d).rho == 0
     chain = default_generic_chain(g)
     wg = chain.w(g)
-    tableaux = enumerate_tableaux(rows, cols)
+    tableaux = list(enumerate_tableaux(rows, cols))
     for T in tableaux:
         D = tableau_to_divisor(T, chain)
         E = tableau_to_divisor(T.transpose(), chain)

@@ -61,9 +61,24 @@ class TestTableau:
 
     @pytest.mark.parametrize("rows,cols", [(2, 2), (2, 3), (3, 2), (2, 4)])
     def test_enumeration_matches_hook_length(self, rows, cols):
-        ts = enumerate_tableaux(rows, cols)
+        ts = list(enumerate_tableaux(rows, cols))
         assert len(ts) == hook_length_count(rows, cols)
         assert len(set(ts)) == len(ts)
+
+    @pytest.mark.parametrize("g", range(1, 13))
+    def test_enumeration_order_against_the_sorted_list(self, g):
+        # the stream is the old sorted list re-sorted by Yamanouchi word,
+        # and agrees with it at both ends, and everywhere on <= 2 rows
+        for rows in (rows for rows in range(1, g + 1) if g % rows == 0):
+            cols = g // rows
+            stream = list(enumerate_tableaux(rows, cols))
+            old = reference_core.sorted_tableaux(rows, cols)
+            assert stream == sorted(old, key=lambda t: tuple(
+                t.position(i)[0] for i in range(1, g + 1)))
+            assert len(set(stream)) == len(stream) == hook_length_count(rows, cols)
+            assert (stream[0], stream[-1]) == (old[0], old[-1])
+            if rows <= 2:
+                assert stream == old
 
     def test_dyck_path_endpoints(self):
         T = Tableau(((1, 2), (3, 4)))
@@ -87,14 +102,14 @@ class TestTableauDivisors:
 
     @pytest.mark.parametrize("idx", [0, 1])
     def test_g4_divisors_have_expected_rank(self, chain4, idx):
-        T = enumerate_tableaux(2, 2)[idx]
+        T = list(enumerate_tableaux(2, 2))[idx]
         D = tableau_to_divisor(T, chain4)
         assert D.degree == 3
         assert D.is_effective
         assert rank(chain4.graph, D) == 1
 
     def test_adjunction(self, chain4):
-        T = enumerate_tableaux(2, 2)[0]
+        T = next(enumerate_tableaux(2, 2))
         D = tableau_to_divisor(T, chain4)
         E = adjoint_divisor(T, chain4)
         K = canonical_divisor(chain4.graph)
@@ -103,7 +118,7 @@ class TestTableauDivisors:
 
     def test_v1_reduced_fixpoint(self, chain4):
         # the tableau divisor is already reduced at v_1
-        T = enumerate_tableaux(2, 2)[0]
+        T = next(enumerate_tableaux(2, 2))
         D = tableau_to_divisor(T, chain4)
         assert v_reduce(chain4.graph, D, chain4.v(1)).reduced == D
 
@@ -111,7 +126,7 @@ class TestTableauDivisors:
 class TestBuildDj:
     @pytest.mark.parametrize("j", [0, 1])
     def test_witness_and_twist(self, chain4, j):
-        T = enumerate_tableaux(2, 2)[0]
+        T = next(enumerate_tableaux(2, 2))
         D = tableau_to_divisor(T, chain4)
         Dj, phi = build_Dj(T, chain4, j)
         r = T.cols - 1
@@ -122,12 +137,12 @@ class TestBuildDj:
         assert (Dj - shift).is_effective
 
     def test_out_of_range(self, chain4):
-        T = enumerate_tableaux(2, 2)[0]
+        T = next(enumerate_tableaux(2, 2))
         with pytest.raises(PreconditionError):
             build_Dj(T, chain4, 5)
 
     def test_Ek_is_adjoint_build(self, chain4):
-        T = enumerate_tableaux(2, 2)[0]
+        T = next(enumerate_tableaux(2, 2))
         Ek, psi = build_Ek(T, chain4, 0)
         E = adjoint_divisor(T, chain4)
         assert E + psi.divisor() == Ek
@@ -180,7 +195,7 @@ class TestTwistOracle:
     @pytest.mark.parametrize("rows,cols", [(3, 4), (4, 3)])
     def test_sample_of_genus_12(self, rows, cols):
         chain = default_generic_chain(12)
-        tableaux = enumerate_tableaux(rows, cols)
+        tableaux = sorted(enumerate_tableaux(rows, cols), key=lambda t: t.entries)
         rng = SplitMix64(rows)
         for _ in range(12):
             _twist_every_column(tableaux[rng.below(len(tableaux))], chain)
@@ -190,7 +205,7 @@ class TestTwistOracle:
         rng = SplitMix64(seed)
         for rows, cols in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]:
             chain = _random_chain(rng, rows * cols)
-            tableaux = enumerate_tableaux(rows, cols)
+            tableaux = sorted(enumerate_tableaux(rows, cols), key=lambda t: t.entries)
             for _ in range(3):
                 _twist_every_column(tableaux[rng.below(len(tableaux))], chain)
 
@@ -222,7 +237,7 @@ class TestTwistOracle:
     def test_doctored_loop_chip_raises(self, chain4, monkeypatch):
         # moving the reduced chip of a loop by 1/L leaves D_j - D with a
         # non-integral loop slope: not principal, so no values come back
-        T = enumerate_tableaux(2, 2)[0]
+        T = next(enumerate_tableaux(2, 2))
         _L, ell, m, beta = chainbn._integer_lengths(chain4)
         chips = chainbn._tableau_chips(T, ell, m)
         reduce_loops = chainbn._reduce_loops
@@ -276,7 +291,7 @@ class TestIntegerChips:
         rng = SplitMix64(200 + seed)
         for rows, cols in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4)]:
             chain = _random_chain(rng, rows * cols)
-            tableaux = enumerate_tableaux(rows, cols)
+            tableaux = sorted(enumerate_tableaux(rows, cols), key=lambda t: t.entries)
             for _ in range(2):
                 _experiment_agrees_with_divisors(tableaux[rng.below(len(tableaux))], chain)
 
@@ -395,7 +410,7 @@ class TestGPExperiment:
 
     def test_failed_certificate_raises_with_a_competing_permutation(
             self, chain4, monkeypatch):
-        T = enumerate_tableaux(2, 2)[0]
+        T = next(enumerate_tableaux(2, 2))
         tie_psi_columns(monkeypatch, T, chain4)
         with pytest.raises(TheoremViolation) as err:
             gp_rho_zero_experiment(T, chain4)

@@ -146,7 +146,7 @@ class TestGP0:
     def test_failed_certificate_exits_1_without_report(
             self, tmp_path, monkeypatch, capsys):
         # tableau 0 comes first, so "all" stops there as well
-        tie_psi_columns(monkeypatch, enumerate_tableaux(2, 2)[0],
+        tie_psi_columns(monkeypatch, next(enumerate_tableaux(2, 2)),
                         default_generic_chain(4))
         out = tmp_path / "gp.json"
         for tableau in ("0", "all"):
@@ -179,6 +179,26 @@ class TestGP0:
         (rep,) = json.loads(capsys.readouterr().out)["reports"]
         assert rep["verdict"] == "independent"
         assert len(rep["certificate"]["points"]) == 16
+
+    def test_genus_36_tableau_0_is_streamed(self, capsys):
+        # 6x6 has about 1.7e15 tableaux: index 0 is the first one the
+        # enumeration yields, the row-filled tableau, and nothing more
+        assert main(["gp0", "--g", "36", "--r", "5", "--d", "35",
+                     "--tableau", "0"]) == 0
+        (rep,) = json.loads(capsys.readouterr().out)["reports"]
+        assert rep["verdict"] == "independent"
+        assert rep["tableau"] == [list(range(6 * r + 1, 6 * r + 7)) for r in range(6)]
+
+    def test_tableau_index_follows_the_sweep(self, capsys):
+        # (9, 2, 8) has the 42 tableaux of shape 3x3
+        argv = ["gp0", "--g", "9", "--r", "2", "--d", "8"]
+        assert main(argv) == 0
+        sweep = [rep["tableau"] for rep in json.loads(capsys.readouterr().out)["reports"]]
+        assert len(sweep) == 42
+        for index in (0, 17, 41):
+            assert main(argv + ["--tableau", str(index)]) == 0
+            (rep,) = json.loads(capsys.readouterr().out)["reports"]
+            assert rep["tableau"] == sweep[index]
 
     def test_nonzero_rho_is_usage_error(self):
         assert main(["gp0", "--g", "6", "--r", "3", "--d", "5"]) == 2

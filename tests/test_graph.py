@@ -211,8 +211,3 @@ class TestChainOfLoops:
             assert check_genericity(ChainOfLoops(g, ell, m, [1] * (g - 1))) == want
             outcomes.add((g > 6, want))
         assert len(outcomes) == 4
-
-    def test_rank_determining_set_is_vertex_set(self, chain3):
-        pts = chain3.rank_determining_set()
-        assert len(pts) == len(chain3.graph.vertices)
-        assert all(p.is_vertex for p in pts)

@@ -429,6 +429,14 @@ class TestUniqueMinPermutation:
             assert strict_offsets([["1/10", "1/5"], ["1/5", "3/10"]], perm)[0] is None
             assert not is_unique_minimiser([["1/10", "1/5"], ["1/5", "3/10"]], perm)
 
+    @pytest.mark.parametrize("perm", [(0.0, 1.0), (1.0, 0), (False, True),
+                                      (Fraction(0), 1), ("0", "1")])
+    def test_non_int_permutation_rejected(self, perm):
+        # (0.0, 1.0) and (False, True) sort equal to [0, 1] but are no
+        # permutation of the columns
+        with pytest.raises(PreconditionError, match="not a permutation"):
+            strict_offsets([[0, 1], [1, 0]], perm)
+
     def test_non_square_rejected_large_accepted(self):
         with pytest.raises(PreconditionError):
             strict_offsets([[0, 1], [2]], (0, 1))
@@ -538,7 +546,7 @@ class TestStrictOffsetsOnRhoZero:
 
 
 def g4_family_and_certificate():
-    T = enumerate_tableaux(2, 2)[0]
+    T = next(enumerate_tableaux(2, 2))
     chain = default_generic_chain(4)
     fam = rho_zero_family(T, chain)
     cert = table_certificate(T, chain)
@@ -567,6 +575,15 @@ class TestVerifyIndependence:
                      tuple(range(n + 1))):
             bad = IndependenceCertificate(cert.points, perm, cert.offsets)
             assert not verify_independence(fam, bad)
+
+    def test_non_int_permutation_rejected(self):
+        fam, cert = g4_family_and_certificate()
+        for perm in (tuple(float(j) for j in cert.permutation),
+                     tuple(Fraction(j) for j in cert.permutation),
+                     tuple(bool(j) if j < 2 else j for j in cert.permutation)):
+            assert sorted(perm) == sorted(cert.permutation)
+            bad = IndependenceCertificate(cert.points, perm, cert.offsets)
+            assert verify_independence(fam, bad) is False
 
     def test_offsets_of_another_size_rejected(self):
         fam, cert = g4_family_and_certificate()
@@ -695,7 +712,7 @@ def test_all_626_tableaux_certified():
     """Every tableau of shape (2,3) at g = 6, the (6,2,6) family, is proved
     independent by the certificate of its empty-cell table."""
     chain = default_generic_chain(6)
-    tableaux = enumerate_tableaux(2, 3)
+    tableaux = list(enumerate_tableaux(2, 3))
     assert len(tableaux) == 5
     for T in tableaux:
         rep = gp_rho_zero_experiment(T, chain)

@@ -581,7 +581,10 @@ class TestRank:
             assert rank(G, D) == rank_subdivision_oracle(G, D, n=4)
 
     def test_default_rank_points_loopless(self, chain3):
+        # the chain model is loopless (each loop is a pair of parallel
+        # edges), so its vertex set is returned as it stands
         pts = default_rank_points(chain3.graph)
+        assert len(pts) == len(chain3.graph.vertices)
         assert all(p.is_vertex for p in pts)
 
     def test_default_rank_points_self_loop(self):
