@@ -19,15 +19,14 @@ from .reduce import (ReductionResult, default_base, default_rank_points,
                      riemann_roch_check, v_reduce)
 from .independence import (DependenceCertificate, IndependenceCertificate,
                            IndependenceReport, find_dependence,
-                           is_unique_minimiser, strict_offsets,
-                           unique_min_locus, verify_dependence,
-                           verify_independence)
-from .chainbn import (DyckPath, GPReport, ShapeProfile, Tableau,
-                      adjoint_divisor, build_Dj, build_Ek,
-                      canonical_shape_check, chips_on_each_loop_check,
-                      enumerate_tableaux, gp_rho_zero_experiment,
-                      hook_length_count, is_wg_reduced_shape, shape_profile,
-                      tableau_to_divisor, tableau_to_dyck)
+                           strict_offsets, unique_min_locus,
+                           verify_dependence, verify_independence)
+from .chainbn import (GPReport, ShapeProfile, Tableau, adjoint_divisor,
+                      build_Dj, build_Ek, canonical_shape_check,
+                      chips_on_each_loop_check, enumerate_tableaux,
+                      gp_rho_zero_experiment, hook_length_count,
+                      is_wg_reduced_shape, shape_profile, tableau_to_divisor,
+                      tableau_to_dyck)
 from .sampling import (SplitMix64, random_divisor, random_effective_divisor,
                        random_point, random_R_member)
 

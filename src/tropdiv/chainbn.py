@@ -144,28 +144,12 @@ def enumerate_tableaux(rows: int, cols: int) -> Iterator[Tableau]:
     return place(1)
 
 
-@dataclass(frozen=True)
-class DyckPath:
-    """The lattice path p_0..p_g in Z^r attached to a tableau."""
-
-    points: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        r = len(self.points[0])
-        start = tuple(range(r, 0, -1))
-        if self.points[0] != start or self.points[-1] != start:
-            raise PreconditionError(f"path must start and end at {start}")
-        for p in self.points:
-            if any(p[a] <= p[a + 1] for a in range(r - 1)) or (r and p[-1] <= 0):
-                raise PreconditionError(f"path point {p} leaves the open chamber")
-
-    def coord(self, i: int, j: int) -> int:
-        return self.points[i][j]
-
-
-def tableau_to_dyck(T: Tableau) -> DyckPath:
-    """Step +e_j for an entry in column j < r, (-1,..,-1) for the last
-    column; the tableau conditions are exactly the chamber conditions."""
+def tableau_to_dyck(T: Tableau) -> tuple[tuple[int, ...], ...]:
+    """The lattice path p_0..p_g in Z^r attached to a tableau: from
+    (r, ..., 1), step +e_j for an entry in column j < r, (-1,..,-1) for
+    the last column.  The tableau conditions are exactly the conditions
+    that the path stays in the open chamber p(0) > ... > p(r-1) > 0 and
+    ends where it starts."""
     r = T.cols - 1
     cur = list(range(r, 0, -1))
     pts = [tuple(cur)]
@@ -176,7 +160,7 @@ def tableau_to_dyck(T: Tableau) -> DyckPath:
         else:
             cur = [x - 1 for x in cur]
         pts.append(tuple(cur))
-    return DyckPath(tuple(pts))
+    return tuple(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +198,7 @@ def _tableau_chips(T: Tableau, ell: list[int], m: list[int]) -> list[list[tuple[
         _row, col = T.position(i)
         if col < r:
             loops[i - 1].append(
-                (path.coord(i - 1, col) * m[i - 1] % (ell[i - 1] + m[i - 1]), 1))
+                (path[i - 1][col] * m[i - 1] % (ell[i - 1] + m[i - 1]), 1))
     return loops
 
 

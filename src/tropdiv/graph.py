@@ -14,15 +14,18 @@ from .errors import GraphError, PreconditionError
 
 
 def _rat(x, error: type[Exception] = GraphError) -> Fraction:
-    """``x`` as a Fraction, from a Fraction, an int or a string; ``error``
-    for anything else, floats included, whose binary value is not the
-    rational meant."""
+    """``x`` as a Fraction, from a Fraction, an int or a string that
+    ``Fraction`` parses; ``error`` for anything else, floats included,
+    whose binary value is not the rational meant."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise error(f"not an exact rational: {x!r}")
 
 
@@ -450,6 +453,11 @@ class ChainOfLoops:
         self.extended = extended
         # each loop's circumference, for ``ccw_point``
         self._cycle = tuple(x + y for x, y in zip(ell, m))
+        # whether no ell_i/m_i is a ratio a/b of positive integers with
+        # a + b <= 2g-2, for ``check_genericity``: in lowest terms p/q
+        # every such a/b is kp/kq, so that holds iff p + q > 2g-2
+        self.generic = all((r := x / y).numerator + r.denominator > 2 * g - 2
+                           for x, y in zip(ell, m))
 
         vertices = []
         if extended:
@@ -552,8 +560,5 @@ def default_generic_chain(g: int, extended: bool = False) -> ChainOfLoops:
 
 def check_genericity(chain: ChainOfLoops) -> bool:
     """True iff no ell_i/m_i is a ratio a/b of positive integers with
-    a + b <= 2g-2.  In lowest terms p/q every such a/b is kp/kq, so that
-    holds iff p + q > 2g-2."""
-    bound = 2 * chain.g - 2
-    return all((r := ell / m).numerator + r.denominator > bound
-               for ell, m in zip(chain.ell, chain.m))
+    a + b <= 2g-2; decided once, when the chain is built."""
+    return chain.generic

@@ -363,12 +363,6 @@ def strict_offsets(matrix: Sequence[Sequence], permutation: Sequence[int]
     return None, tuple(move[j] for j in permutation)
 
 
-def is_unique_minimiser(matrix: Sequence[Sequence],
-                        permutation: Sequence[int]) -> bool:
-    """Whether ``strict_offsets`` finds no rival to ``permutation``."""
-    return strict_offsets(matrix, permutation)[1] is None
-
-
 def verify_independence(funcs: Sequence[PLFunction],
                         cert: IndependenceCertificate) -> bool:
     """Whether the certificate proves the family tropically independent,

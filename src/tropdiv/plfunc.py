@@ -198,9 +198,6 @@ class PLFunction:
                 return -self.outgoing_slope(e, off, d)
         raise GraphError(f"point {p} has no germ on edge {ei} direction {direction}")
 
-    def order_at(self, p: Point) -> int:
-        return -sum(self.outgoing_slope(ei, off, d) for (ei, off, d) in self.germs_at(p))
-
     def divisor(self) -> Divisor:
         """div(f): at each breakpoint the change of slope across it, at
         each vertex the sum of the slopes arriving along its edges."""
@@ -384,12 +381,6 @@ def agreement_region(f: PLFunction, g_: PLFunction) -> Region:
                       for (lo, _v, a), (hi, _w, b) in zip(env, env[1:]) if len(a & b) == 2]
         points.update(graph.point(ei, Fraction(o, S)) for (o, _v, a) in env if len(a) == 2)
     return Region(graph, intervals, points)
-
-
-def region_boundary_in(sub: Region, ambient: Region | None = None) -> frozenset[Point]:
-    if ambient is None:
-        return sub.boundary()
-    return frozenset(p for p in sub.boundary() if ambient.contains(p))
 
 
 def minchips_holds(D: Divisor, funcs: Sequence[PLFunction],

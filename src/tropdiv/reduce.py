@@ -320,30 +320,16 @@ def _clear_debt(lat: _Lattice, chips: _Chips, base, budget: list[int]) -> None:
 # burning and reduction
 
 
-@dataclass
-class BurnResult:
-    """One burn from a base point.  A point of the graph is unburnt iff it
-    is an unburnt vertex or chip point, or lies inside one of
-    ``unburnt_segments``."""
-
-    all_burnt: bool
-    # the unburnt vertices and interior chip points
-    unburnt: set[Point]
-    # the pieces (edge, lo, hi) into which the vertices, the chip points
-    # and an interior base cut the edges, with both ends unburnt; sorted
-    unburnt_segments: list[tuple[int, Fraction, Fraction]]
-
-
-def dhar_burn(graph: MetricGraph, D: Divisor, base: Point) -> BurnResult:
-    """One pass of the burning algorithm from ``base``.
+def dhar_unburnt(graph: MetricGraph, D: Divisor, base: Point) -> Region:
+    """The maximal closed set that survives burning from ``base``; empty iff
+    D is reduced at the base.
 
     This is the burn that ``v_reduce`` runs before every firing step
-    (``_Runs.burn``), on D converted to the integer core and back.  On
-    each run, the points between its ends and its chips are read off the
-    burnt ends: a run without chips burns iff an end does, and in a run
-    with chips only a lone one-chip point between two burnt ends burns.
-    Requires D effective away from the base point and every point on the
-    graph.
+    (``_Runs.burn``).  On each run, the points between its ends and its
+    chips are read off the burnt ends: a run without chips burns iff an
+    end does, and in a run with chips only a lone one-chip point between
+    two burnt ends burns.  Requires D effective away from the base point
+    and every point on the graph.
     """
     lat = _Lattice(graph, [base, *D.support()])
     for p, c in D.items():
@@ -351,32 +337,22 @@ def dhar_burn(graph: MetricGraph, D: Divisor, base: Point) -> BurnResult:
             raise PreconditionError(f"divisor has debt {c} at {p} away from the base")
     chips, runs = lat.chips(D), lat.runs(lat.key(base))
     inside, left = runs.burn(chips)
-    burnt = [c < 0 for c in left]
     L = lat.scale
-    unburnt = {lat.point(x) for x in range(len(graph.vertices)) if not burnt[x]}
-    unb_segs = []
-    for r, (e, lo, hi, a, b) in enumerate(runs.runs):
-        offs = inside[r]
-        if burnt[a] and burnt[b] and (not offs or _lone(chips, e, offs)):
+    # the unburnt vertices and chip points by key, and those that end an interval
+    unburnt = {x for x in range(len(graph.vertices)) if left[x] >= 0}
+    ends, segs = set(), []
+    for offs, (e, lo, hi, a, b) in zip(inside, runs.runs):
+        burnt_a, burnt_b = left[a] < 0, left[b] < 0
+        if burnt_a and burnt_b and (not offs or _lone(chips, e, offs)):
             continue
-        unburnt.update(lat.point((e, k)) for k in offs)
-        stops = [(lo, burnt[a]), *((k, False) for k in offs), (hi, burnt[b])]
-        unb_segs += [(e, Fraction(k1, L), Fraction(k2, L))
-                     for (k1, b1), (k2, b2) in zip(stops, stops[1:]) if not (b1 or b2)]
-    return BurnResult(not unburnt, unburnt, sorted(unb_segs))
-
-
-def dhar_unburnt(graph: MetricGraph, D: Divisor, base: Point) -> Region:
-    """The maximal closed set that survives burning from ``base``; empty iff
-    D is reduced at the base."""
-    burn = dhar_burn(graph, D, base)
-    intervals = [Interval(ei, lo, hi) for (ei, lo, hi) in burn.unburnt_segments]
-    covered = set()
-    for (ei, lo, hi) in burn.unburnt_segments:
-        covered.add(graph.point(ei, lo))
-        covered.add(graph.point(ei, hi))
-    isolated = burn.unburnt - covered
-    return Region(graph, intervals, isolated)
+        unburnt.update((e, k) for k in offs)
+        stops = [(lo, a, burnt_a), *((k, (e, k), False) for k in offs), (hi, b, burnt_b)]
+        for (k1, x1, b1), (k2, x2, b2) in zip(stops, stops[1:]):
+            if not (b1 or b2):
+                segs.append((e, k1, k2))
+                ends.update((x1, x2))
+    intervals = [Interval(e, Fraction(k1, L), Fraction(k2, L)) for e, k1, k2 in sorted(segs)]
+    return Region(graph, intervals, map(lat.point, unburnt - ends))
 
 
 @dataclass
@@ -515,9 +491,12 @@ def v_reduce(graph: MetricGraph, D: Divisor, base: Point,
 
 
 def is_reduced(graph: MetricGraph, D: Divisor, base: Point) -> bool:
+    """Whether D is effective away from ``base`` and burns completely from
+    it: the test that ends ``_fire``."""
     if any(c < 0 for p, c in D.items() if p != base):
         return False
-    return dhar_burn(graph, D, base).all_burnt
+    lat = _Lattice(graph, [base, *D.support()])
+    return not lat.runs(lat.key(base)).germs(lat.chips(D))
 
 
 def default_base(graph: MetricGraph) -> Point:

@@ -49,15 +49,14 @@ def rat_from_json(s: Any) -> Fraction:
         return Fraction(s)
     if not isinstance(s, str):
         raise GraphError(f"expected a rational string, got {s!r}")
-    parts = s.split("/")
-    if len(parts) == 1:
-        return Fraction(int(parts[0]))
-    if len(parts) == 2:
-        num, den = int(parts[0]), int(parts[1])
-        if den == 0:
-            raise GraphError(f"zero denominator in {s!r}")
-        return Fraction(num, den)
-    raise GraphError(f"malformed rational {s!r}")
+    try:
+        # a third part fails the unpacking, a part int() rejects the parse
+        num, den = map(int, s.split("/")) if "/" in s else (int(s), 1)
+    except ValueError:
+        raise GraphError(f"malformed rational {s!r}") from None
+    if den == 0:
+        raise GraphError(f"zero denominator in {s!r}")
+    return Fraction(num, den)
 
 
 def point_to_json(graph: MetricGraph, p: Point) -> dict:

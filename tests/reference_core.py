@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from tropdiv.chainbn import Tableau, tableau_to_dyck
 from tropdiv.errors import PreconditionError, ReductionCapError, TheoremViolation
-from tropdiv.graph import Divisor
-from tropdiv.reduce import (DEFAULT_MAX_STEPS, BurnResult, _Chips, _Lattice,
+from tropdiv.graph import Divisor, Interval, Region
+from tropdiv.reduce import (DEFAULT_MAX_STEPS, _Chips, _Lattice,
                             default_base, default_rank_points, v_reduce)
 from tropdiv.reduce import _fire as _fire_runs
 
@@ -129,18 +129,20 @@ def _fire(lat: _Lattice, chips: _Chips, base, budget: list[int]) -> None:
                 rest -= o2 - o1
 
 
-def dhar_burn(graph, D, base) -> BurnResult:
-    """``reduce.dhar_burn`` on the reference burn."""
+def dhar_unburnt(graph, D, base) -> Region:
+    """``reduce.dhar_unburnt`` on the reference burn: the segments with
+    both ends unburnt, and the unburnt nodes that end none of them."""
     lat = _Lattice(graph, [base, *D.support()])
     for p, c in D.items():
         if c < 0 and p != base:
             raise PreconditionError(f"divisor has debt {c} at {p} away from the base")
     segs, _inc, keys, burnt, _bid = _burn(lat, lat.chips(D), lat.key(base))
     L = lat.scale
-    unburnt = {lat.point(k) for k, b in zip(keys, burnt) if not b}
-    unb_segs = [(e, Fraction(lo, L), Fraction(hi, L))
-                for (e, lo, hi, a, b) in segs if not (burnt[a] or burnt[b])]
-    return BurnResult(not unburnt, unburnt, unb_segs)
+    unb_segs = [(e, lo, hi, a, b) for (e, lo, hi, a, b) in segs if not (burnt[a] or burnt[b])]
+    ends = {x for (_e, _lo, _hi, a, b) in unb_segs for x in (a, b)}
+    return Region(graph, [Interval(e, Fraction(lo, L), Fraction(hi, L))
+                          for (e, lo, hi, _a, _b) in unb_segs],
+                  [lat.point(k) for x, k in enumerate(keys) if not burnt[x] and x not in ends])
 
 
 def twist(D, chain, j: int, r: int):
@@ -164,7 +166,7 @@ def tableau_divisor(T, chain):
     for i in range(1, T.size + 1):
         _row, col = T.position(i)
         if col < r:
-            dist = Fraction(path.coord(i - 1, col)) * chain.m[i - 1]
+            dist = Fraction(path[i - 1][col]) * chain.m[i - 1]
             coeffs.append((chain.ccw_point(i, dist), 1))
     return Divisor(coeffs)
 

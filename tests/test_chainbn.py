@@ -8,8 +8,8 @@ import pytest
 
 from tropdiv import (BNParams, ChainOfLoops, Divisor, canonical_divisor,
                      chainbn, default_generic_chain)
-from tropdiv.chainbn import (DyckPath, ShapeProfile, Tableau, adjoint_divisor,
-                             build_Dj, build_Ek, canonical_shape_check,
+from tropdiv.chainbn import (ShapeProfile, Tableau, adjoint_divisor, build_Dj,
+                             build_Ek, canonical_shape_check,
                              chips_on_each_loop_check, enumerate_tableaux,
                              gp_rho_zero_experiment, hook_length_count,
                              is_wg_reduced_shape, shape_profile,
@@ -86,8 +86,26 @@ class TestTableau:
         r = T.cols - 1
         # the path starts and ends at the top chamber point
         for j in range(r):
-            assert path.coord(0, j) == r - j
-            assert path.coord(T.size, j) == r - j
+            assert path[0][j] == r - j
+            assert path[T.size][j] == r - j
+
+    @pytest.mark.parametrize("g", range(1, 13))
+    def test_dyck_paths_stay_in_the_open_chamber(self, g):
+        # on every tableau of every rectangular shape of size g, the path
+        # starts and ends at (r, ..., 1), steps by +e_j or -(1, ..., 1),
+        # and keeps p(0) > ... > p(r-1) > 0
+        for rows in (rows for rows in range(1, g + 1) if g % rows == 0):
+            r = g // rows - 1
+            start = tuple(range(r, 0, -1))
+            steps = {tuple(int(a == j) for a in range(r)) for j in range(r)}
+            steps.add((-1,) * r)
+            for T in enumerate_tableaux(rows, r + 1):
+                path = tableau_to_dyck(T)
+                assert len(path) == g + 1 and path[0] == path[-1] == start, T
+                for p, q in zip(path, path[1:]):
+                    assert tuple(b - a for a, b in zip(p, q)) in steps, (T, p, q)
+                for p in path:
+                    assert all(a > b for a, b in zip(p, p[1:])) and (not r or p[-1] > 0), (T, p)
 
 
 class TestTableauDivisors:
@@ -309,7 +327,7 @@ class TestIntegerChips:
                             reference_core.tableau_divisor(S, chain)
                         path = tableau_to_dyck(S)
                         wraps += any(
-                            path.coord(i - 1, S.position(i)[1]) * chain.m[i - 1]
+                            path[i - 1][S.position(i)[1]] * chain.m[i - 1]
                             >= chain.ell[i - 1] + chain.m[i - 1]
                             for i in range(1, S.size + 1) if S.position(i)[1] < S.cols - 1)
         # of the 1,312 divisors

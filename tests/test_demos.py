@@ -1,5 +1,7 @@
-"""The narrative scripts in demos/ run to completion."""
+"""The narrative scripts in demos/ and the README's python blocks run to
+completion."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,17 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                           re.MULTILINE | re.DOTALL)
+
+
+def run_python(args: list[str]) -> subprocess.CompletedProcess:
+    """``python args`` from the repository root with src/ on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 def test_demos_present():
@@ -16,9 +29,16 @@ def test_demos_present():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_exits_0(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = run_python([str(demo)])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_blocks_present():
+    assert README_BLOCKS
+
+
+@pytest.mark.parametrize("block", README_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_block_exits_0(block):
+    proc = run_python(["-c", block])
     assert proc.returncode == 0, proc.stderr

@@ -7,10 +7,34 @@ from hypothesis import given, settings, strategies as st
 from tropdiv import (ChainOfLoops, Divisor, Interval, MetricGraph, Point,
                      Region, canonical_divisor, check_genericity,
                      default_generic_chain)
-from tropdiv.errors import GraphError
+from tropdiv.errors import GraphError, PreconditionError
+from tropdiv.graph import _rat
+from tropdiv.independence import strict_offsets
+from tropdiv.plfunc import PLFunction
 from tropdiv.sampling import SplitMix64
 
 from .conftest import cell_regions, circle_graph, theta_graph
+
+
+class TestRationalStrings:
+    """``_rat`` parses what ``Fraction`` parses, and raises its caller's
+    error on any other string: no bare ``ValueError`` or
+    ``ZeroDivisionError``."""
+
+    @pytest.mark.parametrize("s", ["1/0", "abc", "nan", "inf", "", "1/2/3", "1/-2"])
+    def test_malformed_string_raises_the_callers_error(self, s):
+        G = theta_graph()
+        with pytest.raises(GraphError, match="not an exact rational"):
+            G.point(0, s)
+        with pytest.raises(PreconditionError, match="not an exact rational"):
+            PLFunction.constant(G, s)
+        with pytest.raises(PreconditionError, match="not an exact rational"):
+            strict_offsets([[s, 0], [0, 0]], (0, 1))
+
+    @pytest.mark.parametrize("s,q", [("3", 3), ("-4/6", Fraction(-2, 3)), (" 1/2 ", Fraction(1, 2)),
+                                     ("1.5", Fraction(3, 2)), ("1e2", 100)])
+    def test_fraction_strings_accepted(self, s, q):
+        assert _rat(s) == q
 
 
 class TestPoint:

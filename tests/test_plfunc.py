@@ -12,7 +12,7 @@ from tropdiv import (Divisor, MetricGraph, PLFunction, canonical_divisor,
 from tropdiv.errors import GraphError, PreconditionError
 from tropdiv.plfunc import (agreement_region, distance_function, in_R,
                             lower_envelope, min_combination, minchips_holds,
-                            obstruction_holds, region_boundary_in)
+                            obstruction_holds)
 from tropdiv import serialize
 from tropdiv.sampling import SplitMix64, random_divisor, random_point
 
@@ -160,7 +160,9 @@ class TestOrdersAndDivisors:
         pts = {G.vertex_point(v) for v in G.vertices} | set(div.support())
         pts |= {G.point(ei, o) for ei, bps in f.data.items() for (o, _v) in bps[1:-1]}
         pts.add(G.point(2, Fraction(1, 7)))
-        assert all(f.order_at(p) == div.coeff(p) for p in pts)
+        # the order at p is minus the sum of the slopes leaving it
+        assert all(-sum(f.outgoing_slope(ei, off, d) for (ei, off, d) in f.germs_at(p))
+                   == div.coeff(p) for p in pts)
         assert not div.is_zero
 
     def test_divisor_is_additive(self):
@@ -193,7 +195,7 @@ class TestMinCombination:
         # g == 0 exactly off the open climbing edge
         assert reg.contains(G.point(1, 1))
         assert not reg.contains(G.point(0, 1))
-        assert not region_boundary_in(reg) == frozenset()
+        assert reg.boundary() != frozenset()
 
     def test_agreement_with_itself_has_empty_boundary(self):
         G = theta_graph()

@@ -13,7 +13,7 @@ from tropdiv.errors import (GraphError, PreconditionError, ReductionCapError,
 from tropdiv.graph import Interval, Region
 from tropdiv.plfunc import distance_function, min_combination
 from tropdiv.reduce import (_Lattice, default_base, default_rank_points,
-                            dhar_burn, dhar_unburnt, effective_class,
+                            dhar_unburnt, effective_class,
                             find_unoccupied_edge, is_equivalent, is_reduced, rank,
                             rank_subdivision_oracle, riemann_roch_check,
                             v_reduce)
@@ -40,7 +40,7 @@ class TestBurning:
     def test_effective_reduced_divisor_burns_completely(self):
         G = theta_graph()
         a = G.vertex_point("a")
-        assert dhar_burn(G, Divisor({a: 5}), a).all_burnt
+        assert is_reduced(G, Divisor({a: 5}), a)
         assert dhar_unburnt(G, Divisor({a: 5}), a).is_empty
 
     def test_blocking_chips_survive(self):
@@ -49,16 +49,16 @@ class TestBurning:
         p = G.point(0, 1)
         # two chips at the antipode block fire from both sides
         far = G.point(1, Fraction(1))
-        burn = dhar_burn(G, Divisor({far: 2}), a)
-        assert not burn.all_burnt
-        assert far in burn.unburnt
-        assert p not in burn.unburnt
+        unburnt = dhar_unburnt(G, Divisor({far: 2}), a)
+        assert not unburnt.is_empty
+        assert unburnt.contains(far)
+        assert not unburnt.contains(p)
 
     def test_debt_away_from_base_rejected(self):
         G = theta_graph()
         a, b = G.vertex_point("a"), G.vertex_point("b")
         with pytest.raises(PreconditionError):
-            dhar_burn(G, Divisor({b: -1}), a)
+            dhar_unburnt(G, Divisor({b: -1}), a)
 
 
 def probe_points(G: MetricGraph, D: Divisor, base: Point) -> list[Point]:
@@ -80,16 +80,13 @@ def probe_points(G: MetricGraph, D: Divisor, base: Point) -> list[Point]:
 def assert_unburnt(G: MetricGraph, D: Divisor, base: Point, intervals=(), points=()):
     """dhar_unburnt(G, D, base) holds exactly the given closed intervals
     (edge, lo, hi) and isolated points, probed at every breakpoint and
-    midpoint; dhar_burn's unburnt vertices and chip points agree."""
+    midpoint; ``is_reduced`` holds iff they are empty."""
     want = Region(G, [Interval(ei, Fraction(lo), Fraction(hi)) for ei, lo, hi in intervals],
                   points)
     got = dhar_unburnt(G, D, base)
     for p in probe_points(G, D, base):
         assert got.contains(p) == want.contains(p), p
-    burn = dhar_burn(G, D, base)
-    assert burn.all_burnt == want.is_empty
-    for p in [*D.support(), *map(G.vertex_point, G.vertices)]:
-        assert (p in burn.unburnt) == want.contains(p), p
+    assert is_reduced(G, D, base) == want.is_empty
 
 
 class TestBurnRules:
@@ -201,17 +198,18 @@ class TestReferenceCore:
                 E = random_effective_divisor(G, rng, rng.randint(0, 5)) + extra
                 D = random_divisor(G, rng, rng.randint(-1, 5)) + extra
                 cases.append((base, E, D))
-        new = [(dhar_burn(G, E, base), v_reduce(G, D, base, track_witness=False))
+        new = [(dhar_unburnt(G, E, base), v_reduce(G, D, base, track_witness=False))
                for base, E, D in cases]
         with monkeypatch.context() as m:
             m.setattr(reduce_core, "_fire", reference_core._fire)
-            for (base, E, D), (burn, res) in zip(cases, new):
-                ref = reference_core.dhar_burn(G, E, base)
-                assert (burn.all_burnt, burn.unburnt, burn.unburnt_segments) == (
-                    ref.all_burnt, ref.unburnt, ref.unburnt_segments), (base, E)
+            for (base, E, D), (unburnt, res) in zip(cases, new):
+                ref = reference_core.dhar_unburnt(G, E, base)
+                assert (unburnt.intervals, unburnt.points) == (ref.intervals, ref.points), (
+                    base, E)
+                assert is_reduced(G, E, base) == unburnt.is_empty, (base, E)
                 ref = v_reduce(G, D, base, track_witness=False)
                 assert (res.reduced, res.steps) == (ref.reduced, ref.steps), (base, D)
-        assert sum(not burn.all_burnt for burn, _res in new) >= len(cases) // 4
+        assert sum(not unburnt.is_empty for unburnt, _res in new) >= len(cases) // 4
 
 
 class TestReduction:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from tropdiv import Divisor, default_generic_chain
 from tropdiv.chainbn import enumerate_tableaux, gp_rho_zero_experiment
+from tropdiv.errors import GraphError
 from tropdiv.independence import IndependenceCertificate
 from tropdiv.plfunc import distance_function
 from tropdiv.serialize import (chain_from_json, chain_to_json,
@@ -50,6 +51,16 @@ class TestRationals:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
             rat_from_json("1/0")
+
+    @pytest.mark.parametrize("s", ["1/0", "abc", "", "1.5", "1/2/3", "1/x", "/2", "nan"])
+    def test_malformed_string_raises_graph_error(self, s):
+        with pytest.raises(GraphError):
+            rat_from_json(s)
+
+    @pytest.mark.parametrize("s,q", [("3", 3), ("-7/2", Fraction(-7, 2)), ("4/6", Fraction(2, 3)),
+                                     ("1/-2", Fraction(-1, 2)), (" 5 ", 5)])
+    def test_integer_strings_accepted(self, s, q):
+        assert rat_from_json(s) == q
 
     def test_ints_are_rationals(self):
         assert rat_to_json(-4) == "-4"
