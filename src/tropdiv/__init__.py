@@ -9,8 +9,8 @@ from .errors import (GenericityError, GraphError, PreconditionError,
                      ReductionCapError, SearchCapError, TheoremViolation,
                      TropdivError)
 from .graph import (BNParams, ChainOfLoops, Divisor, Interval, MetricGraph,
-                    Point, Region, canonical_divisor, check_genericity,
-                    contains_point_in, default_generic_chain)
+                    Point, Region, canonical_divisor, contains_point_in,
+                    default_generic_chain)
 from .plfunc import (PLFunction, agreement_region, distance_function, in_R,
                      min_combination, minchips_holds, obstruction_holds)
 from .reduce import (ReductionResult, default_base, default_rank_points,

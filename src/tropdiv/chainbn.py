@@ -39,8 +39,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .errors import GenericityError, PreconditionError, TheoremViolation
-from .graph import (BNParams, ChainOfLoops, Divisor, canonical_divisor,
-                    check_genericity)
+from .graph import BNParams, ChainOfLoops, Divisor, canonical_divisor
 from .independence import IndependenceCertificate, strict_offsets
 # nothing here calls it: perfbench/test_perfbench.py reads chainbn.find_dependence
 from .independence import find_dependence  # noqa: F401
@@ -170,7 +169,7 @@ def tableau_to_dyck(T: Tableau) -> tuple[tuple[int, ...], ...]:
 def _require_chain(T: Tableau, chain: ChainOfLoops):
     if chain.g != T.size:
         raise PreconditionError(f"tableau size {T.size} != genus {chain.g}")
-    if not check_genericity(chain):
+    if not chain.generic:
         raise GenericityError(
             "chain loop-length ratios admit a small integer ratio; "
             "divisor positions are not guaranteed to avoid the vertices")
@@ -441,8 +440,6 @@ def chips_on_each_loop_check(chain: ChainOfLoops, D: Divisor,
 
 @dataclass
 class GPReport:
-    params: BNParams
-    tableau: Tableau
     # always "independent": a family the certificate fails raises
     verdict: str
     empty_cell_table: dict[tuple[int, int], int]
@@ -508,6 +505,6 @@ def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
             f"tableau {T.entries}: the empty-cell matching sigma = {perm} "
             f"of v_1..v_{chain.g} is not the unique minimiser; tau = {tau} "
             f"costs no more")
-    return GPReport(T.params(), T, "independent", table, time.monotonic() - t0,
+    return GPReport("independent", table, time.monotonic() - t0,
                     IndependenceCertificate(points, perm,
                                             tuple(b / L for b in offsets)))

@@ -19,8 +19,7 @@ from .chainbn import (enumerate_tableaux, gp_rho_zero_experiment,
                       hook_length_count, shape_profile)
 from .errors import (GenericityError, GraphError, PreconditionError,
                      ReductionCapError, TheoremViolation)
-from .graph import (ChainOfLoops, MetricGraph, check_genericity,
-                    default_generic_chain)
+from .graph import ChainOfLoops, MetricGraph, default_generic_chain
 from .reduce import riemann_roch_check, v_reduce
 from .sampling import SplitMix64, random_divisor
 from . import serialize as sz
@@ -69,18 +68,18 @@ def _load_chain_arg(args) -> ChainOfLoops:
 def _parse_base(graph: MetricGraph, text: str):
     if ":" in text:
         edge_s, off_s = text.split(":", 1)
-        return graph.point(int(edge_s), sz.rat_from_json(off_s))
+        return graph.point(int(edge_s), off_s)
     return graph.vertex_point(text)
 
 
 def cmd_chain_new(args) -> int:
     with _parsing():
         chain = _load_chain_arg(args)
-    if args.require_generic and not check_genericity(chain):
+    if args.require_generic and not chain.generic:
         raise GenericityError("chain lengths are not generic")
     obj = sz.chain_to_json(chain)
     obj["graph"] = sz.graph_to_json(chain.graph)
-    obj["generic"] = check_genericity(chain)
+    obj["generic"] = chain.generic
     _emit(obj, args.out)
     return EXIT_OK
 

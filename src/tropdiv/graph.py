@@ -14,16 +14,19 @@ from .errors import GraphError, PreconditionError
 
 
 def _rat(x, error: type[Exception] = GraphError) -> Fraction:
-    """``x`` as a Fraction, from a Fraction, an int or a string that
-    ``Fraction`` parses; ``error`` for anything else, floats included,
-    whose binary value is not the rational meant."""
+    """``x`` as a Fraction, from a Fraction, an int or a string "p" or
+    "p/q" whose parts ``int()`` reads (q nonzero, on every Python alike);
+    ``error`` for anything else, floats included, whose binary value is
+    not the rational meant."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            # a third part fails the unpacking, a part int() rejects the parse
+            num, den = map(int, x.split("/")) if "/" in x else (int(x), 1)
+            return Fraction(num, den)
         except (ValueError, ZeroDivisionError):
             pass
     raise error(f"not an exact rational: {x!r}")
@@ -155,6 +158,9 @@ class MetricGraph:
 
     def point(self, edge: int, offset) -> Point:
         """Canonicalized point on an edge; endpoints collapse to vertices."""
+        if not isinstance(edge, int):
+            # before the cache, where 1.0 would find edge 1's points
+            raise GraphError(f"edge index {edge!r} is not an integer")
         if type(offset) is Fraction:
             p = self._point_cache.get((edge, offset.numerator, offset.denominator))
             if p is not None:
@@ -434,8 +440,10 @@ class ChainOfLoops:
 
     def __init__(self, g: int, ell: Sequence, m: Sequence, beta: Sequence,
                  extended: bool = False, pendant: Sequence = (1, 1)):
-        if g < 2:
-            raise GraphError(f"chain of loops needs g >= 2, got {g}")
+        if not isinstance(g, int) or g < 2:
+            raise GraphError(f"chain of loops needs an integer g >= 2, got {g!r}")
+        if not isinstance(extended, bool):
+            raise GraphError(f"extended must be a bool, got {extended!r}")
         ell = tuple(_rat(x) for x in ell)
         m = tuple(_rat(x) for x in m)
         beta = tuple(_rat(x) for x in beta)
@@ -454,7 +462,7 @@ class ChainOfLoops:
         # each loop's circumference, for ``ccw_point``
         self._cycle = tuple(x + y for x, y in zip(ell, m))
         # whether no ell_i/m_i is a ratio a/b of positive integers with
-        # a + b <= 2g-2, for ``check_genericity``: in lowest terms p/q
+        # a + b <= 2g-2, decided once: in lowest terms p/q
         # every such a/b is kp/kq, so that holds iff p + q > 2g-2
         self.generic = all((r := x / y).numerator + r.denominator > 2 * g - 2
                            for x, y in zip(ell, m))
@@ -557,8 +565,3 @@ def default_generic_chain(g: int, extended: bool = False) -> ChainOfLoops:
     beta = [Fraction(1)] * (g - 1)
     return ChainOfLoops(g, ell, m, beta, extended=extended)
 
-
-def check_genericity(chain: ChainOfLoops) -> bool:
-    """True iff no ell_i/m_i is a ratio a/b of positive integers with
-    a + b <= 2g-2; decided once, when the chain is built."""
-    return chain.generic

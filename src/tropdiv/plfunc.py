@@ -25,8 +25,8 @@ breakpoints brings in a rational.  Functions combined with each other
 must live on the same graph object.
 
 Every function is validated when it is built, results of arithmetic
-included.  Exact rationals are ints, ``Fraction``s or strings; a float
-is rejected, as its binary value is not the number meant.
+included.  Exact rationals are ints, ``Fraction``s or ``graph._rat``
+strings; a float is rejected, as its binary value is not the number meant.
 """
 from __future__ import annotations
 

@@ -505,19 +505,16 @@ def default_base(graph: MetricGraph) -> Point:
 
 
 def is_equivalent(graph: MetricGraph, D1: Divisor, D2: Divisor) -> PLFunction | None:
-    """If D1 ~ D2, a witness f with D2 = D1 + div(f); otherwise None.
-
-    Both divisors are reduced at the lexicographically first vertex and
-    compared there.
-    """
-    if D1.degree != D2.degree:
-        return None
+    """If D1 ~ D2, the witness f with D2 = D1 + div(f) that vanishes at
+    the lexicographically first vertex; otherwise None.  Nothing is
+    reduced: ``_potential`` finds f exactly when D2 - D1 is principal."""
     base = default_base(graph)
-    if (v_reduce(graph, D1, base, track_witness=False).reduced
-            != v_reduce(graph, D2, base, track_witness=False).reduced):
+    # outside the try, so that a point the graph lacks still raises
+    lat = _Lattice(graph, [base, *D1.support(), *D2.support()])
+    try:
+        return _potential(lat, D2 - D1, base)
+    except GraphError:
         return None
-    E = D2 - D1
-    return _potential(_Lattice(graph, [base, *E.support()]), E, base)
 
 
 def effective_class(graph: MetricGraph, D: Divisor, base: Point | None = None) -> bool:

@@ -4,7 +4,9 @@ Rationals travel as strings "p" or "p/q" in lowest terms; points as
 {"edge": id, "offset": "p/q"} (or {"vertex": name} on input); divisors as
 sorted lists of {point, coeff}; independence certificates as
 {points, permutation, offsets}.  Output is deterministic: keys
-sorted, rationals canonical.
+sorted, rationals canonical.  The readers pass each JSON value as it is
+to the constructor that checks it, so ``graph._rat`` reads every
+rational, and a float where an integer belongs raises ``GraphError``.
 
 ``dumps`` writes, with its own small recursive writer, the text of
 ``json.dumps(obj, sort_keys=True, indent=2)`` and a trailing newline,
@@ -23,7 +25,7 @@ from math import gcd, inf
 from typing import Any
 
 from .errors import GraphError
-from .graph import ChainOfLoops, Divisor, MetricGraph, Point
+from .graph import ChainOfLoops, Divisor, MetricGraph, Point, _rat
 from .independence import IndependenceCertificate
 from .plfunc import PLFunction
 
@@ -44,21 +46,6 @@ def _ratio(n: int, s: int) -> str:
     return str(n // g) if g == s else f"{n // g}/{s // g}"
 
 
-def rat_from_json(s: Any) -> Fraction:
-    if isinstance(s, int):
-        return Fraction(s)
-    if not isinstance(s, str):
-        raise GraphError(f"expected a rational string, got {s!r}")
-    try:
-        # a third part fails the unpacking, a part int() rejects the parse
-        num, den = map(int, s.split("/")) if "/" in s else (int(s), 1)
-    except ValueError:
-        raise GraphError(f"malformed rational {s!r}") from None
-    if den == 0:
-        raise GraphError(f"zero denominator in {s!r}")
-    return Fraction(num, den)
-
-
 def point_to_json(graph: MetricGraph, p: Point) -> dict:
     ei, off = graph.edge_coordinates(p)[0]
     return {"edge": ei, "offset": rat_to_json(off)}
@@ -67,7 +54,7 @@ def point_to_json(graph: MetricGraph, p: Point) -> dict:
 def point_from_json(graph: MetricGraph, obj: dict) -> Point:
     if "vertex" in obj:
         return graph.vertex_point(obj["vertex"])
-    return graph.point(int(obj["edge"]), rat_from_json(obj["offset"]))
+    return graph.point(obj["edge"], obj["offset"])
 
 
 def divisor_to_json(graph: MetricGraph, D: Divisor) -> list:
@@ -76,8 +63,7 @@ def divisor_to_json(graph: MetricGraph, D: Divisor) -> list:
 
 
 def divisor_from_json(graph: MetricGraph, obj: list) -> Divisor:
-    return Divisor([(point_from_json(graph, t["point"]), int(t["coeff"]))
-                    for t in obj])
+    return Divisor([(point_from_json(graph, t["point"]), t["coeff"]) for t in obj])
 
 
 def graph_to_json(graph: MetricGraph) -> dict:
@@ -105,24 +91,17 @@ def chain_to_json(chain: ChainOfLoops) -> dict:
 
 
 def graph_from_json(obj: dict) -> MetricGraph:
-    kind = obj.get("type", "graph")
-    if kind == "chain":
+    if obj.get("type") == "chain":
         return chain_from_json(obj).graph
-    return MetricGraph(obj["vertices"],
-                       [(u, v, rat_from_json(l)) for (u, v, l) in obj["edges"]])
+    return MetricGraph(obj["vertices"], obj["edges"])
 
 
 def chain_from_json(obj: dict) -> ChainOfLoops:
     if obj.get("type") != "chain":
         raise GraphError("not a chain description")
-    return ChainOfLoops(
-        int(obj["g"]),
-        [rat_from_json(x) for x in obj["ell"]],
-        [rat_from_json(x) for x in obj["m"]],
-        [rat_from_json(x) for x in obj["beta"]],
-        extended=bool(obj.get("extended", False)),
-        pendant=[rat_from_json(x) for x in obj.get("pendant", [1, 1])],
-    )
+    return ChainOfLoops(obj["g"], obj["ell"], obj["m"], obj["beta"],
+                        extended=obj.get("extended", False),
+                        pendant=obj.get("pendant", (1, 1)))
 
 
 def plfunction_to_json(f: PLFunction) -> dict:
@@ -136,12 +115,8 @@ def plfunction_to_json(f: PLFunction) -> dict:
 
 
 def plfunction_from_json(graph: MetricGraph, obj: dict) -> PLFunction:
-    data = {
-        int(ei): [(rat_from_json(t["offset"]), rat_from_json(t["value"]))
-                  for t in pts]
-        for ei, pts in obj["edges"].items()
-    }
-    return PLFunction(graph, data)
+    return PLFunction(graph, {int(ei): [(t["offset"], t["value"]) for t in pts]
+                              for ei, pts in obj["edges"].items()})
 
 
 def independence_certificate_to_json(graph: MetricGraph,
@@ -153,10 +128,12 @@ def independence_certificate_to_json(graph: MetricGraph,
 
 def independence_certificate_from_json(graph: MetricGraph,
                                        obj: dict) -> IndependenceCertificate:
+    perm = tuple(obj["permutation"])
+    if any(type(j) is not int for j in perm):
+        raise GraphError(f"permutation {list(perm)} holds a non-integer")
     return IndependenceCertificate(
-        tuple(point_from_json(graph, p) for p in obj["points"]),
-        tuple(int(j) for j in obj["permutation"]),
-        tuple(rat_from_json(b) for b in obj["offsets"]))
+        tuple(point_from_json(graph, p) for p in obj["points"]), perm,
+        tuple(_rat(b) for b in obj["offsets"]))
 
 
 def dumps(obj: Any) -> str:

@@ -16,7 +16,7 @@ from tropdiv.chainbn import (ShapeProfile, Tableau, adjoint_divisor, build_Dj,
                              tableau_to_divisor, tableau_to_dyck)
 from tropdiv.errors import (GenericityError, GraphError, PreconditionError,
                             TheoremViolation)
-from tropdiv.graph import check_genericity, contains_point_in
+from tropdiv.graph import contains_point_in
 from tropdiv.independence import verify_independence
 from tropdiv.plfunc import PLFunction, in_R
 from tropdiv.reduce import is_equivalent, rank, v_reduce
@@ -193,7 +193,7 @@ def _random_chain(rng, g, ratio=None):
         m = [length() for _ in range(g)]
         ell = [x * ratio(i) if ratio else length() for i, x in enumerate(m)]
         chain = ChainOfLoops(g, ell, m, [length() for _ in range(g - 1)])
-        if check_genericity(chain):
+        if chain.generic:
             return chain
 
 

@@ -8,8 +8,8 @@ import pytest
 from tropdiv import ChainOfLoops, Divisor, cli, default_generic_chain
 from tropdiv.chainbn import Tableau, enumerate_tableaux
 from tropdiv.cli import main
-from tropdiv.errors import ReductionCapError, SearchCapError
-from tropdiv.graph import canonical_divisor
+from tropdiv.errors import GraphError, ReductionCapError, SearchCapError
+from tropdiv.graph import _rat, canonical_divisor
 from tropdiv.independence import verify_independence
 from tropdiv.reduce import v_reduce
 from tropdiv import serialize as sz
@@ -80,6 +80,45 @@ class TestReduce:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["reduce", str(tmp_path / "nope.json"),
                      str(tmp_path / "nope2.json"), "--base", "v1"]) == 2
+
+    def test_float_coefficient_exits_2_without_output(self, tmp_path, capsys):
+        gpath = _chain_file(tmp_path, default_generic_chain(2))
+        dpath = _write(tmp_path / "div.json",
+                       [{"point": {"vertex": "w2"}, "coeff": 3.9}])
+        out = tmp_path / "red.json"
+        assert main(["reduce", gpath, dpath, "--base", "v1", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "3.9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("s,q", [
+        ("1/2", Fraction(1, 2)), (" 3/4 ", Fraction(3, 4)), ("2/4", Fraction(1, 2)),
+        ("-1/-2", Fraction(1, 2)), ("1 / 2", Fraction(1, 2)), ("1_0/40", Fraction(1, 4)),
+        ("3", 3), ("1.5", None), ("1e0", None), ("1/0", None), ("abc", None), ("", None),
+        ("1/2/3", None), ("nan", None)])
+    def test_offset_strings_read_alike_everywhere(self, tmp_path, s, q):
+        # _rat, G.point, point_from_json and --base e:s accept the same
+        # strings, "p" or "p/q" as int() reads each part, on every Python
+        chain = default_generic_chain(2)
+        G = chain.graph
+
+        def read(f):
+            try:
+                return f()
+            except GraphError:
+                return None
+        assert read(lambda: _rat(s)) == q
+        want = None if q is None else G.point(0, q)
+        assert read(lambda: G.point(0, s)) == want
+        assert read(lambda: sz.point_from_json(G, {"edge": 0, "offset": s})) == want
+        gpath = _chain_file(tmp_path, chain)
+        dpath = _divisor_file(tmp_path, G, Divisor({G.vertex_point("v1"): 2}))
+        out = tmp_path / "red.json"
+        code = main(["reduce", gpath, dpath, "--base", f"0:{s}", "--out", str(out)])
+        assert code == (2 if q is None else 0)
+        if q is None:
+            assert not out.exists()
+        else:
+            assert sz.point_from_json(G, json.loads(out.read_text())["base"]) == want
 
 
 class TestRRCheck:

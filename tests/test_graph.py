@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropdiv import (ChainOfLoops, Divisor, Interval, MetricGraph, Point,
-                     Region, canonical_divisor, check_genericity,
-                     default_generic_chain)
+                     Region, canonical_divisor, default_generic_chain)
 from tropdiv.errors import GraphError, PreconditionError
 from tropdiv.graph import _rat
 from tropdiv.independence import strict_offsets
@@ -17,11 +16,11 @@ from .conftest import cell_regions, circle_graph, theta_graph
 
 
 class TestRationalStrings:
-    """``_rat`` parses what ``Fraction`` parses, and raises its caller's
-    error on any other string: no bare ``ValueError`` or
+    """``_rat`` reads "p" or "p/q" with parts ``int()`` reads, and raises
+    its caller's error on any other string: no bare ``ValueError`` or
     ``ZeroDivisionError``."""
 
-    @pytest.mark.parametrize("s", ["1/0", "abc", "nan", "inf", "", "1/2/3", "1/-2"])
+    @pytest.mark.parametrize("s", ["1/0", "abc", "nan", "inf", "", "1/2/3", "1.5", "1e2"])
     def test_malformed_string_raises_the_callers_error(self, s):
         G = theta_graph()
         with pytest.raises(GraphError, match="not an exact rational"):
@@ -32,7 +31,7 @@ class TestRationalStrings:
             strict_offsets([[s, 0], [0, 0]], (0, 1))
 
     @pytest.mark.parametrize("s,q", [("3", 3), ("-4/6", Fraction(-2, 3)), (" 1/2 ", Fraction(1, 2)),
-                                     ("1.5", Fraction(3, 2)), ("1e2", 100)])
+                                     ("1/-2", Fraction(-1, 2))])
     def test_fraction_strings_accepted(self, s, q):
         assert _rat(s) == q
 
@@ -48,6 +47,13 @@ class TestPoint:
         G = theta_graph()
         assert G.point(1, Fraction(3, 2)) is G.point(1, Fraction(3, 2))
         assert Point.at_vertex("a") is Point.at_vertex("a")
+
+    def test_non_int_edge_rejected_even_when_cached(self):
+        G = theta_graph()
+        G.point(1, Fraction(1, 2))
+        for edge in (1.0, 1.9, "1"):
+            with pytest.raises(GraphError, match="not an integer"):
+                G.point(edge, Fraction(1, 2))
 
     def test_out_of_bounds(self):
         G = theta_graph()
@@ -164,6 +170,11 @@ class TestRegion:
 
 
 class TestChainOfLoops:
+    @pytest.mark.parametrize("g,extended", [(3.0, False), (3, 1), (3, "yes")])
+    def test_g_and_extended_types_checked(self, g, extended):
+        with pytest.raises(GraphError):
+            ChainOfLoops(g, [3] * 3, [1] * 3, [1] * 2, extended=extended)
+
     def test_shape(self, chain3):
         G = chain3.graph
         assert G.betti() == 3
@@ -216,9 +227,9 @@ class TestChainOfLoops:
             assert chain3.piece(p) == 0
 
     def test_genericity(self):
-        assert check_genericity(default_generic_chain(4))
+        assert default_generic_chain(4).generic
         bad = ChainOfLoops(2, [1, 1], [1, 1], [1])
-        assert not check_genericity(bad)
+        assert not bad.generic
 
     def test_genericity_matches_the_set_of_small_ratios(self):
         # loop lengths of small height, so that ratios of small sum, their
@@ -232,6 +243,6 @@ class TestChainOfLoops:
             ell = [Fraction(rng.randint(1, 24), rng.randint(1, 12)) for _ in range(g)]
             m = [Fraction(rng.randint(1, 24), rng.randint(1, 12)) for _ in range(g)]
             want = all(x / y not in bad for x, y in zip(ell, m))
-            assert check_genericity(ChainOfLoops(g, ell, m, [1] * (g - 1))) == want
+            assert ChainOfLoops(g, ell, m, [1] * (g - 1)).generic == want
             outcomes.add((g > 6, want))
         assert len(outcomes) == 4

@@ -409,6 +409,46 @@ class TestEquivalence:
         G = chain2.graph
         assert is_equivalent(G, Divisor(), Divisor({chain2.v(1): 1})) is None
 
+    @pytest.mark.parametrize("make", [
+        lambda: default_generic_chain(2).graph, lambda: default_generic_chain(3).graph,
+        lambda: default_generic_chain(3, extended=True).graph,
+        lambda: MetricGraph(["a", "b"], [("a", "b", Fraction(2)), ("a", "b", Fraction(3, 2)),
+                                         ("b", "b", Fraction(5, 2))])],
+        ids=["chain2", "chain3", "extended3", "loop_and_parallel"])
+    def test_matches_reducing_both(self, make):
+        # the oracle: equal degrees and equal reductions at the base; half
+        # the pairs are equivalent by construction, D2 being D1 reduced
+        # at a random point, and the others are random of about the same
+        # degree
+        G = make()
+        rng = SplitMix64(0xE0)
+        base = default_base(G)
+        outcomes = set()
+        for t in range(400):
+            D1 = random_divisor(G, rng, rng.randint(-1, 4))
+            if t % 2:
+                D2 = v_reduce(G, D1, random_point(G, rng), track_witness=False).reduced
+            else:
+                D2 = random_divisor(G, rng, D1.degree + (t % 3 == 0))
+            want = (D1.degree == D2.degree
+                    and v_reduce(G, D1, base, track_witness=False).reduced
+                    == v_reduce(G, D2, base, track_witness=False).reduced)
+            f = is_equivalent(G, D1, D2)
+            assert (f is not None) == want
+            if f is not None:
+                assert D1 + f.divisor() == D2
+                assert f(base) == 0
+            outcomes.add(want)
+        assert outcomes == {True, False}
+
+    def test_point_off_the_graph_raises(self, chain2):
+        # the lattice is built from both supports, so a point the graph
+        # lacks raises even where the two divisors cancel it
+        G = chain2.graph
+        stray = default_generic_chain(3).graph.point(7, Fraction(1, 2))
+        with pytest.raises(GraphError):
+            is_equivalent(G, Divisor({stray: 1}), Divisor({stray: 1}))
+
     def test_effective_class(self, chain2):
         G = chain2.graph
         assert effective_class(G, Divisor({chain2.v(1): 1}))

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from tropdiv import Divisor, default_generic_chain
 from tropdiv.chainbn import enumerate_tableaux, gp_rho_zero_experiment
 from tropdiv.errors import GraphError
+from tropdiv.graph import _rat
 from tropdiv.independence import IndependenceCertificate
 from tropdiv.plfunc import distance_function
 from tropdiv.serialize import (chain_from_json, chain_to_json,
@@ -18,8 +19,7 @@ from tropdiv.serialize import (chain_from_json, chain_to_json,
                                independence_certificate_from_json,
                                independence_certificate_to_json,
                                plfunction_from_json, plfunction_to_json,
-                               point_from_json, point_to_json, rat_from_json,
-                               rat_to_json)
+                               point_from_json, point_to_json, rat_to_json)
 
 from .conftest import theta_graph
 
@@ -42,7 +42,7 @@ class TestRationals:
     @pytest.mark.parametrize("q", [Fraction(0), Fraction(3), Fraction(-7, 2),
                                    Fraction(22, 7)])
     def test_round_trip(self, q):
-        assert rat_from_json(rat_to_json(q)) == q
+        assert _rat(rat_to_json(q)) == q
 
     def test_integers_are_compact(self):
         assert rat_to_json(Fraction(5)) == "5"
@@ -50,17 +50,17 @@ class TestRationals:
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ValueError):
-            rat_from_json("1/0")
+            _rat("1/0")
 
     @pytest.mark.parametrize("s", ["1/0", "abc", "", "1.5", "1/2/3", "1/x", "/2", "nan"])
     def test_malformed_string_raises_graph_error(self, s):
         with pytest.raises(GraphError):
-            rat_from_json(s)
+            _rat(s)
 
     @pytest.mark.parametrize("s,q", [("3", 3), ("-7/2", Fraction(-7, 2)), ("4/6", Fraction(2, 3)),
                                      ("1/-2", Fraction(-1, 2)), (" 5 ", 5)])
     def test_integer_strings_accepted(self, s, q):
-        assert rat_from_json(s) == q
+        assert _rat(s) == q
 
     def test_ints_are_rationals(self):
         assert rat_to_json(-4) == "-4"
@@ -141,6 +141,64 @@ class TestPLFunctions:
             for k in range(5):
                 p = G.point(ei, G.edge_length(ei) * k / 4)
                 assert f2(p) == f(p)
+
+
+_CHAIN = default_generic_chain(3)
+_G = _CHAIN.graph
+
+
+def _readers():
+    """(reader, valid JSON for it) pairs; each object holds ints and
+    rationals where a test puts a bad value."""
+    point = {"edge": 0, "offset": "1/2"}
+    return {
+        "point": (lambda o: point_from_json(_G, o), point),
+        "divisor": (lambda o: divisor_from_json(_G, o),
+                    [{"point": point, "coeff": 3}]),
+        "graph": (graph_from_json, graph_to_json(_G)),
+        "chain": (chain_from_json, chain_to_json(_CHAIN)),
+        "plfunction": (lambda o: plfunction_from_json(_G, o),
+                       plfunction_to_json(distance_function(_G, _CHAIN.v(1)))),
+        "certificate": (lambda o: independence_certificate_from_json(_G, o),
+                        {"points": [point, {"vertex": "v1"}],
+                         "permutation": [1, 0], "offsets": ["0", "-1/2"]}),
+    }
+
+
+class TestInputBoundary:
+    """Every JSON value reaches the constructor that checks it: a float
+    where an integer belongs, or a rational string ``_rat`` does not
+    read, raises ``GraphError`` from every reader; none is truncated by
+    ``int()``."""
+
+    CASES = [
+        ("divisor", (0, "coeff"), 3.9),
+        ("point", ("edge",), 1.0),
+        ("point", ("edge",), 1.9),
+        ("chain", ("g",), 3.0),
+        ("certificate", ("permutation", 1), 0.0),
+        ("point", ("offset",), "1.5"),
+        ("divisor", (0, "point", "offset"), "1.5"),
+        ("graph", ("edges", 0, 2), "1.5"),
+        ("chain", ("ell", 0), "1.5"),
+        ("plfunction", ("edges", "0", 0, "value"), "1.5"),
+        ("certificate", ("offsets", 0), "1.5"),
+    ]
+
+    @pytest.mark.parametrize("reader,path,bad", CASES, ids=[
+        "-".join(map(str, (reader, *path, bad))) for reader, path, bad in CASES])
+    def test_reader_rejects_inexact_input(self, reader, path, bad):
+        read, good = _readers()[reader]
+        read(good)
+        obj = json.loads(json.dumps(good))
+        *outer, last = path
+        inner = obj
+        for key in outer:
+            inner = inner[key]
+        inner[last] = bad
+        with pytest.raises(GraphError, match="integer" if isinstance(bad, float)
+                           else "not an exact rational"):
+            read(obj)
 
 
 class TestDumps:
