@@ -37,11 +37,12 @@ class _UsageError(Exception):
 
 @contextmanager
 def _parsing():
-    # ValueError, KeyError and IndexError mean bad input only while
-    # arguments and JSON are parsed; anywhere else they are bugs
+    # these mean bad input (a value of the wrong JSON type, a missing
+    # key) only while arguments and JSON are parsed; anywhere else they
+    # are bugs
     try:
         yield
-    except (ValueError, KeyError, IndexError) as e:
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError) as e:
         raise _UsageError(e) from e
 
 

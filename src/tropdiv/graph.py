@@ -16,11 +16,11 @@ from .errors import GraphError, PreconditionError
 def _rat(x, error: type[Exception] = GraphError) -> Fraction:
     """``x`` as a Fraction, from a Fraction, an int or a string "p" or
     "p/q" whose parts ``int()`` reads (q nonzero, on every Python alike);
-    ``error`` for anything else, floats included, whose binary value is
+    ``error`` for anything else: bools, and floats, whose binary value is
     not the rational meant."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if type(x) is int:
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -30,9 +30,6 @@ def _rat(x, error: type[Exception] = GraphError) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     raise error(f"not an exact rational: {x!r}")
-
-
-_VERTEX_POINTS: dict[str, "Point"] = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,14 +64,6 @@ class Point:
         return (self.vertex == other.vertex and self.edge == other.edge
                 and self.offset == other.offset)
 
-    @staticmethod
-    def at_vertex(name: str) -> "Point":
-        # interned so dictionary lookups short-circuit on identity
-        p = _VERTEX_POINTS.get(name)
-        if p is None:
-            p = _VERTEX_POINTS[name] = Point(name, -1, Fraction(0))
-        return p
-
     @property
     def is_vertex(self) -> bool:
         return self.vertex is not None
@@ -94,20 +83,29 @@ class MetricGraph:
     """A connected graph with positive rational edge lengths.
 
     Parallel edges and self-loops are allowed.  Each edge carries a fixed
-    orientation (first endpoint) used only for offset coordinates.
+    orientation (first endpoint) used only for offset coordinates.  Vertex
+    names are strings.  ``vertex_points``, indexed like ``vertices``, holds
+    the graph's one ``Point`` per vertex, and every vertex point it hands
+    out is one of them.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Sequence[tuple[str, str, Fraction]]):
         self.vertices: tuple[str, ...] = tuple(vertices)
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+        for name in self.vertices:
+            if not isinstance(name, str):
+                raise GraphError(f"vertex name {name!r} is not a string")
+        # the same graph over vertex indices, for array-based algorithms
+        self.vertex_index: dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
+        if len(self.vertex_index) != len(self.vertices):
             raise GraphError("duplicate vertex names")
+        self.vertex_points: tuple[Point, ...] = tuple(
+            Point(v, -1, Fraction(0)) for v in self.vertices)
         es = []
         for (u, v, length) in edges:
             length = _rat(length)
             if length <= 0:
                 raise GraphError(f"edge ({u},{v}) has non-positive length {length}")
-            if u not in vset or v not in vset:
+            if u not in self.vertex_index or v not in self.vertex_index:
                 raise GraphError(f"edge ({u},{v}) references unknown vertex")
             es.append((u, v, length))
         self.edges: tuple[tuple[str, str, Fraction], ...] = tuple(es)
@@ -118,8 +116,6 @@ class MetricGraph:
         for i, (u, v, _l) in enumerate(self.edges):
             self._incidence[u].append((i, 0))
             self._incidence[v].append((i, 1))
-        # the same graph over vertex indices, for array-based algorithms
-        self.vertex_index: dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
         self.edge_ends: tuple[tuple[int, int], ...] = tuple(
             (self.vertex_index[u], self.vertex_index[v]) for (u, v, _l) in self.edges)
         if not self._connected():
@@ -158,8 +154,8 @@ class MetricGraph:
 
     def point(self, edge: int, offset) -> Point:
         """Canonicalized point on an edge; endpoints collapse to vertices."""
-        if not isinstance(edge, int):
-            # before the cache, where 1.0 would find edge 1's points
+        if type(edge) is not int:
+            # before the cache, where 1.0 or True would find edge 1's points
             raise GraphError(f"edge index {edge!r} is not an integer")
         if type(offset) is Fraction:
             p = self._point_cache.get((edge, offset.numerator, offset.denominator))
@@ -168,22 +164,23 @@ class MetricGraph:
         offset = _rat(offset)
         if not (0 <= edge < len(self.edges)):
             raise GraphError(f"no edge {edge}")
-        u, v, length = self.edges[edge]
+        length = self.edges[edge][2]
         if offset < 0 or offset > length:
             raise GraphError(f"offset {offset} out of bounds for edge {edge} (length {length})")
         if offset == 0:
-            p = Point.at_vertex(u)
+            p = self.vertex_points[self.edge_ends[edge][0]]
         elif offset == length:
-            p = Point.at_vertex(v)
+            p = self.vertex_points[self.edge_ends[edge][1]]
         else:
             p = Point(None, edge, offset)
         self._point_cache[(edge, offset.numerator, offset.denominator)] = p
         return p
 
     def vertex_point(self, name: str) -> Point:
-        if name not in self._incidence:
+        i = self.vertex_index.get(name)
+        if i is None:
             raise GraphError(f"no vertex {name}")
-        return Point.at_vertex(name)
+        return self.vertex_points[i]
 
     def check_point(self, p: Point) -> None:
         if p.is_vertex:
@@ -255,7 +252,7 @@ class Divisor:
         d: dict[Point, int] = {}
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         for p, c in items:
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise GraphError(f"divisor coefficient {c!r} is not an integer")
             if c:
                 d[p] = d.get(p, 0) + c
@@ -444,28 +441,12 @@ class ChainOfLoops:
             raise GraphError(f"chain of loops needs an integer g >= 2, got {g!r}")
         if not isinstance(extended, bool):
             raise GraphError(f"extended must be a bool, got {extended!r}")
-        ell = tuple(_rat(x) for x in ell)
-        m = tuple(_rat(x) for x in m)
-        beta = tuple(_rat(x) for x in beta)
         if len(ell) != g or len(m) != g:
             raise GraphError(f"need {g} loop lengths, got {len(ell)} top / {len(m)} bottom")
         if len(beta) != g - 1:
             raise GraphError(f"need {g - 1} bridge lengths, got {len(beta)}")
-        for x in ell + m + beta:
-            if x <= 0:
-                raise GraphError(f"non-positive length {x}")
         self.g = g
-        self.ell = ell
-        self.m = m
-        self.beta = beta
         self.extended = extended
-        # each loop's circumference, for ``ccw_point``
-        self._cycle = tuple(x + y for x, y in zip(ell, m))
-        # whether no ell_i/m_i is a ratio a/b of positive integers with
-        # a + b <= 2g-2, decided once: in lowest terms p/q
-        # every such a/b is kp/kq, so that holds iff p + q > 2g-2
-        self.generic = all((r := x / y).numerator + r.denominator > 2 * g - 2
-                           for x, y in zip(ell, m))
 
         vertices = []
         if extended:
@@ -489,14 +470,22 @@ class ChainOfLoops:
                 self._bridge[i] = len(edges)
                 edges.append((f"w{i}", f"v{i + 1}", beta[i - 1]))
         if extended:
-            p0, p1 = (_rat(pendant[0]), _rat(pendant[1]))
-            if p0 <= 0 or p1 <= 0:
-                raise GraphError("non-positive pendant length")
             self._bridge[0] = len(edges)
-            edges.append(("w0", "v1", p0))
+            edges.append(("w0", "v1", pendant[0]))
             self._bridge[g] = len(edges)
-            edges.append((f"w{g}", f"v{g + 1}", p1))
-        self.graph = MetricGraph(vertices, edges)
+            edges.append((f"w{g}", f"v{g + 1}", pendant[1]))
+        # the graph parses and sign-checks every length
+        self.graph = G = MetricGraph(vertices, edges)
+        self.ell = ell = tuple(G.edge_length(self._top[i]) for i in range(1, g + 1))
+        self.m = m = tuple(G.edge_length(self._bottom[i]) for i in range(1, g + 1))
+        self.beta = tuple(G.edge_length(self._bridge[i]) for i in range(1, g))
+        # each loop's circumference, for ``ccw_point``
+        self._cycle = tuple(x + y for x, y in zip(ell, m))
+        # whether no ell_i/m_i is a ratio a/b of positive integers with
+        # a + b <= 2g-2, decided once: in lowest terms p/q
+        # every such a/b is kp/kq, so that holds iff p + q > 2g-2
+        self.generic = all((r := x / y).numerator + r.denominator > 2 * g - 2
+                           for x, y in zip(ell, m))
         # piece index (see ``piece``) by vertex name and by edge index; the
         # pendant vertices and bridges have none
         self._piece: dict[str | int, int] = {}

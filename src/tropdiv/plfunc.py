@@ -202,11 +202,12 @@ class PLFunction:
         """div(f): at each breakpoint the change of slope across it, at
         each vertex the sum of the slopes arriving along its edges."""
         graph = self.graph
+        at = graph.vertex_points
         terms = []
-        for ei, ((u, v, _l), (s, O, V)) in enumerate(zip(graph.edges, self.scaled)):
+        for ei, ((u, v), (s, O, V)) in enumerate(zip(graph.edge_ends, self.scaled)):
             slopes = [(V[i + 1] - V[i]) // (O[i + 1] - O[i]) for i in range(len(O) - 1)]
-            terms.append((Point.at_vertex(u), -slopes[0]))
-            terms.append((Point.at_vertex(v), slopes[-1]))
+            terms.append((at[u], -slopes[0]))
+            terms.append((at[v], slopes[-1]))
             terms += [(graph.point(ei, Fraction(o, s)), m1 - m2)
                       for o, m1, m2 in zip(O[1:], slopes, slopes[1:])]
         return Divisor(terms)

@@ -78,7 +78,7 @@ class _Lattice:
 
     def point(self, key) -> Point:
         if type(key) is int:
-            return Point.at_vertex(self.graph.vertices[key])
+            return self.graph.vertex_points[key]
         return self.graph.point(key[0], Fraction(key[1], self.scale))
 
     def chips(self, D: Divisor) -> _Chips:
@@ -536,7 +536,7 @@ def default_rank_points(graph: MetricGraph) -> list[Point]:
     edges need an extra interior point to break the loop.  Parallel edges
     are fine as they stand.
     """
-    pts = [graph.vertex_point(v) for v in graph.vertices]
+    pts = list(graph.vertex_points)
     for ei, (u, v, _l) in enumerate(graph.edges):
         if u == v:
             pts.append(graph.point(ei, graph.edge_length(ei) / 2))
@@ -652,15 +652,10 @@ def rank_subdivision_oracle(graph: MetricGraph, D: Divisor, n: int = 8,
                             base: Point | None = None) -> int:
     """Independent rank computation over the n-fold subdivision points of
     every edge, for cross-checking the default point set."""
-    pts: list[Point] = [graph.vertex_point(v) for v in graph.vertices]
-    seen = set(pts)
+    pts = list(graph.vertex_points)
     for ei in range(len(graph.edges)):
         length = graph.edge_length(ei)
-        for k in range(1, n):
-            p = graph.point(ei, length * k / n)
-            if p not in seen:
-                seen.add(p)
-                pts.append(p)
+        pts += [graph.point(ei, length * k / n) for k in range(1, n)]
     return rank(graph, D, points=pts, base=base)
 
 

@@ -63,6 +63,8 @@ def divisor_to_json(graph: MetricGraph, D: Divisor) -> list:
 
 
 def divisor_from_json(graph: MetricGraph, obj: list) -> Divisor:
+    if not isinstance(obj, list):
+        raise GraphError(f"a divisor is a JSON list, got {type(obj).__name__}")
     return Divisor([(point_from_json(graph, t["point"]), t["coeff"]) for t in obj])
 
 

@@ -292,6 +292,49 @@ class TestUsage:
         bad.write_text("{not json")
         assert main(["rr-check", str(bad)]) == 2
 
+    _chain3 = sz.chain_to_json(default_generic_chain(3))
+    _w3 = [{"point": {"vertex": "w3"}, "coeff": 1}]
+
+    @pytest.mark.parametrize("cmd,graph,divisor", [
+        ("reduce", [], _w3),
+        ("reduce", {"vertices": 5, "edges": []}, _w3),
+        ("reduce", {"vertices": ["a", "b"], "edges": 5}, _w3),
+        ("reduce", {"vertices": ["a", "b"], "edges": [["a", ["b"], "1"]]}, _w3),
+        ("chain-new", {**_chain3, "ell": 5}, None),
+        ("gp0", {**_chain3, "g": 4, "ell": ["7"] * 4, "m": ["1"] * 4,
+                 "beta": ["1"] * 3, "extended": True, "pendant": 5}, None),
+        ("reduce", _chain3, [5]),
+        ("reduce", _chain3, [{"point": 5, "coeff": 1}]),
+        ("reduce", _chain3, [{"point": {"vertex": ["w3"]}, "coeff": 1}]),
+        ("reduce", _chain3, {}),
+        ("reduce", _chain3, [{"point": {"edge": True, "offset": "1/2"}, "coeff": 1}]),
+        ("reduce", _chain3, [{"point": {"vertex": "w3"}, "coeff": True}]),
+    ])
+    def test_malformed_json_is_usage_error(self, tmp_path, capsys, cmd, graph, divisor):
+        # each input exits 2 with one "error:" line and no output file
+        gpath = _write(tmp_path / "graph.json", graph)
+        out = tmp_path / "out.json"
+        argv = {"reduce": ["reduce", gpath, _write(tmp_path / "div.json", divisor),
+                           "--base", "w3"],
+                "chain-new": ["chain-new", "--g", "3", "--lengths", gpath],
+                "gp0": ["gp0", "--g", "4", "--r", "1", "--d", "3", "--lengths", gpath,
+                        "--tableau", "0"]}[cmd]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_string_vertex_name_is_usage_error(self, tmp_path, capsys):
+        # names must be strings: a vertex 1 and a vertex "a" have no order
+        gpath = _write(tmp_path / "graph.json",
+                       {"vertices": [1, "a"], "edges": [[1, "a", "1"]]})
+        dpath = _write(tmp_path / "div.json", [{"point": {"vertex": 1}, "coeff": 1},
+                                               {"point": {"vertex": "a"}, "coeff": 1}])
+        out = tmp_path / "out.json"
+        assert main(["reduce", gpath, dpath, "--base", "a", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "not a string" in capsys.readouterr().err
+
     def test_repeated_calls_match_fresh_ones(self, tmp_path, capsys):
         # main keeps one parser per process; a call after others, usage
         # errors and --help among them, must act as the first call would

@@ -9,7 +9,8 @@ from tropdiv import (ChainOfLoops, Divisor, Interval, MetricGraph, Point,
 from tropdiv.errors import GraphError, PreconditionError
 from tropdiv.graph import _rat
 from tropdiv.independence import strict_offsets
-from tropdiv.plfunc import PLFunction
+from tropdiv.plfunc import PLFunction, distance_function
+from tropdiv.reduce import _Lattice
 from tropdiv.sampling import SplitMix64
 
 from .conftest import cell_regions, circle_graph, theta_graph
@@ -30,6 +31,13 @@ class TestRationalStrings:
         with pytest.raises(PreconditionError, match="not an exact rational"):
             strict_offsets([[s, 0], [0, 0]], (0, 1))
 
+    @pytest.mark.parametrize("x", [True, False])
+    def test_bool_rejected(self, x):
+        with pytest.raises(GraphError, match="not an exact rational"):
+            _rat(x)
+        with pytest.raises(GraphError, match="not an exact rational"):
+            MetricGraph(["a", "b"], [("a", "b", x)])
+
     @pytest.mark.parametrize("s,q", [("3", 3), ("-4/6", Fraction(-2, 3)), (" 1/2 ", Fraction(1, 2)),
                                      ("1/-2", Fraction(-1, 2))])
     def test_fraction_strings_accepted(self, s, q):
@@ -46,12 +54,25 @@ class TestPoint:
     def test_interning(self):
         G = theta_graph()
         assert G.point(1, Fraction(3, 2)) is G.point(1, Fraction(3, 2))
-        assert Point.at_vertex("a") is Point.at_vertex("a")
+        # one Point per vertex, owned by its graph
+        assert G.vertex_point("a") is G.point(0, 0) is G.vertex_points[0]
+
+    def test_vertex_points_are_the_graphs_own(self):
+        G = theta_graph()
+        assert _Lattice(G, []).point(0) is G.vertex_points[0]
+        # the distance from the middle of edge 0 breaks at both vertices
+        at_vertices = [p for p in distance_function(G, G.point(0, 1)).divisor().support()
+                       if p.is_vertex]
+        assert sorted(map(id, at_vertices)) == sorted(map(id, G.vertex_points))
+        # another graph's "a" is equal, with the same hash, but its own object
+        H = theta_graph()
+        a, b = G.vertex_point("a"), H.vertex_point("a")
+        assert a == b and hash(a) == hash(b) and a is not b
 
     def test_non_int_edge_rejected_even_when_cached(self):
         G = theta_graph()
         G.point(1, Fraction(1, 2))
-        for edge in (1.0, 1.9, "1"):
+        for edge in (1.0, 1.9, "1", True):
             with pytest.raises(GraphError, match="not an integer"):
                 G.point(edge, Fraction(1, 2))
 
@@ -72,7 +93,7 @@ class TestPoint:
         assert p != G.point(2, Fraction(2, 3))
 
     def test_sort_key_orders_vertices_before_interiors(self):
-        ps = [Point(None, 0, Fraction(1)), Point.at_vertex("a")]
+        ps = [Point(None, 0, Fraction(1)), theta_graph().vertex_point("a")]
         assert sorted(ps, key=lambda p: p.sort_key())[0].is_vertex
 
 
@@ -84,6 +105,11 @@ class TestMetricGraph:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(GraphError):
             MetricGraph(["a", "b"], [("a", "b", Fraction(0))])
+
+    @pytest.mark.parametrize("name", [1, None, True, ("a",)])
+    def test_rejects_non_string_vertex_name(self, name):
+        with pytest.raises(GraphError, match="not a string"):
+            MetricGraph([name, "a"], [(name, "a", 1)])
 
     def test_betti_and_total_length(self):
         G = theta_graph()
@@ -126,15 +152,19 @@ class TestDivisor:
         assert D - D == Divisor()
 
     def test_zero_coefficients_dropped(self):
-        a = Point.at_vertex("a")
+        a = theta_graph().vertex_point("a")
         assert Divisor({a: 0}).support() == []
 
     def test_rejects_non_integer(self):
         with pytest.raises(GraphError):
-            Divisor({Point.at_vertex("a"): Fraction(1, 2)})
+            Divisor({theta_graph().vertex_point("a"): Fraction(1, 2)})
+
+    def test_rejects_bool(self):
+        with pytest.raises(GraphError, match="not an integer"):
+            Divisor({theta_graph().vertex_point("a"): True})
 
     def test_effectivity(self):
-        a, b = Point.at_vertex("a"), Point.at_vertex("b")
+        a, b = theta_graph().vertex_points
         assert Divisor({a: 1}).is_effective
         assert not Divisor({a: 1, b: -1}).is_effective
 
@@ -174,6 +204,15 @@ class TestChainOfLoops:
     def test_g_and_extended_types_checked(self, g, extended):
         with pytest.raises(GraphError):
             ChainOfLoops(g, [3] * 3, [1] * 3, [1] * 2, extended=extended)
+
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, "0", "-1/2"])
+    @pytest.mark.parametrize("where", ["ell", "m", "beta", "pendant"])
+    def test_lengths_checked_by_the_graph(self, where, bad):
+        lengths = {"ell": [3] * 3, "m": [1] * 3, "beta": [1] * 2, "pendant": [1, 1]}
+        lengths[where][-1] = bad
+        with pytest.raises(GraphError):
+            ChainOfLoops(3, lengths["ell"], lengths["m"], lengths["beta"],
+                         extended=True, pendant=lengths["pendant"])
 
     def test_shape(self, chain3):
         G = chain3.graph
