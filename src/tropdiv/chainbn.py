@@ -8,27 +8,28 @@ These divisors have chips on the loops only, kept per loop i as (ccw
 distance from w_i, count) in units of 1/L, L the lcm of the denominators
 of the chain's lengths; they become ``Divisor``s, placed by
 ``ChainOfLoops.ccw_point``, only in ``tableau_to_divisor`` and
-``build_Dj`` / ``build_Ek``.  D_j = red_{w_g}(D - j*v_1) + j*v_1 is
-reduced loop by loop: the chips at w_{i-1} slide to v_i, and the d chips
-then on loop i are equivalent to (d-1)*w_i plus one chip at ccw distance
-sum c*t mod (ell_i + m_i) from w_i, all d at w_i when that sum is 0 (the
-Abel-Jacobi map of a cycle is a group isomorphism).  That leaves at most
-one chip in each cell and none on a bridge, the shape of a w_g-reduced
-divisor, and reduced divisors are unique (Baker-Norine; Cools, Draisma,
-Payne and Robeva, "A tropical proof of the Brill-Noether Theorem",
-Section 3).  The witness phi_j of D_j - D is read at v_1..v_g in closed
-form: its slope along bridge i is minus the degree of D_j - D left of it,
-and on each loop the two slopes leaving v_i solve one linear equation.
-Those slopes are integers exactly when D_j - D is principal on the loop,
-so a remainder raises ``TheoremViolation``: the check is as exact as the
-Laplacian solve that ``build_Dj`` still runs for the full witness.
+``build_Dj`` / ``build_Ek``.  D_j = red_{w_g}(D - j*v_1) + j*v_1 and the
+values of its witness phi_j at v_1..v_g come from one scan from loop 1
+to loop g (``_twist``), one ``_reduce_loop`` step per loop.  The scan
+leaves at most one chip in each cell and none on a bridge, the shape of
+a w_g-reduced divisor, and reduced divisors are unique (Baker-Norine;
+Cools, Draisma, Payne and Robeva, "A tropical proof of the Brill-Noether
+Theorem", Section 3).  The slopes of phi_j it reads are integers exactly
+when D_j - D is principal on each loop, so a remainder raises
+``TheoremViolation``: the check is as exact as the Laplacian solve that
+``build_Dj`` still runs for the full witness.
 
 The central experiment proves that the family {phi_j + psi_k} admits no
 tropical dependence, as the paper does, from shapes: each D_j + E_k
 misses exactly one cell gamma_i, these cells are distinct, and matching
 the vertex v_i to the function whose cell holds entry i gives an
 independence certificate, checked exactly on the closed-form values;
-should one fail, the experiment raises ``TheoremViolation``.
+should one fail, the experiment raises ``TheoremViolation``.  The cells
+are checked one function at a time: D_j must miss exactly the cells of
+the entries in column j of the tableau, and E_k those in row k.  That is
+the same check, since the pairs missing gamma_i form the product
+{j : D_j misses it} x {k : E_k misses it}, a single pair exactly when
+both factors are singletons.
 """
 from __future__ import annotations
 
@@ -228,11 +229,11 @@ def build_Dj(T: Tableau, chain: ChainOfLoops, j: int) -> tuple[Divisor, PLFuncti
 
     D_j - j*v_1 - (r-j)*w_g has no chips on bridges or at vertices, so it
     is reduced at every point; it is recovered as
-    D_j = red_{w_g}(D - j*v_1) + j*v_1, which ``_twist`` computes on the
-    integer chips of the tableau, checking D_j ~ D by the integer slopes
-    of its closed-form witness values.  D and D_j become ``Divisor``s
-    only here, and the whole witness is solved from D_j - D by
-    ``reduce._potential``, on the lattice of D.
+    D_j = red_{w_g}(D - j*v_1) + j*v_1 by the one scan of ``_twist`` over
+    the integer chips of the tableau, which checks D_j ~ D by the integer
+    slopes of its closed-form witness values.  D and D_j become
+    ``Divisor``s only here, and the whole witness is solved from D_j - D
+    by ``reduce._potential``, on the lattice of D.
     """
     r = T.cols - 1
     if not (0 <= j <= r):
@@ -248,97 +249,72 @@ def build_Dj(T: Tableau, chain: ChainOfLoops, j: int) -> tuple[Divisor, PLFuncti
     return Dj, _potential(_Lattice(chain.graph, [wg, *D.support()]), Dj - D, wg)
 
 
-def _reduce_loops(loops, ell, m) -> tuple[list, int]:
-    """The w_g-reduced divisor equivalent to the chips ``loops``: the ccw
-    distance from w_i of the chip in each cell gamma_i (None for an empty
-    cell), and the chips at w_g.
-
-    Loop by loop from the left, the chips at w_{i-1} slide along the
-    bridge to v_i; then the d chips on loop i are equivalent to
-    (d-1)*w_i plus one chip at ccw distance sum c*t mod (ell_i + m_i)
-    from w_i, or to d*w_i when that sum is 0, since the Abel-Jacobi map
-    of a cycle is a group isomorphism.  The result has no chip on a
-    bridge and at most one in each cell, so it is reduced at w_g.  A
-    loop whose class is not effective (d < 0, or d = 0 and a nonzero
-    sum) raises ``PreconditionError``; effective input never has one."""
-    cells: list[int | None] = []
-    carry = 0
-    for i, on_loop in enumerate(loops):
-        d = carry + sum(c for (_t, c) in on_loop)
-        s = (carry * ell[i] + sum(c * t for (t, c) in on_loop)) % (ell[i] + m[i])
-        if d < 0 or (d == 0 and s):
-            raise PreconditionError(f"debt on loop {i + 1}")
-        cells.append(s or None)
-        carry = d - 1 if s else d
-    return cells, carry
-
-
-def _vertex_values(loops, ell, m, beta) -> list[int]:
-    """The values at v_1..v_g, in units of 1/L, of the f with
-    div(f) = E and f(w_g) = 0, for the chips ``loops`` of E;
-    ``TheoremViolation`` if E is not principal.
-
-    At each point the outgoing slopes of f sum to minus E there.  Left of
-    bridge i, E has degree -s_i, so f has slope s_i along the bridge
-    toward v_{i+1}.  On loop i let S = s_{i-1} - E(v_i), and let T and B
-    sum c times the distance to w_i over the chips inside the top and the
-    bottom edge.  The slopes a along the top and b along the bottom
-    leaving v_i satisfy a + b = S and f(w_i) - f(v_i) = a*ell - T = b*m - B, so
-    a = (S*m + T - B) / (ell + m) and
-    f(w_i) - f(v_i) = (S*ell*m - T*m - B*ell) / (ell + m).  Given the
-    slope arriving at v_i, E is principal on the loop exactly when a,
-    and with it b, is an integer; and on the whole chain exactly when
-    that holds on every loop and deg E = 0, i.e. s_g = 0."""
-    vals: list[int] = []
-    y = s = 0
-    for i, on_loop in enumerate(loops):
-        vals.append(y)
-        S = s
-        T = B = 0
-        for t, c in on_loop:
-            s -= c
-            if t == ell[i]:
-                S -= c
-            elif t < ell[i]:
-                T += c * t
-            else:
-                B += c * (ell[i] + m[i] - t)
-        a, rem = divmod(S * m[i] + T - B, ell[i] + m[i])
-        if rem:
-            raise TheoremViolation(f"D_j - D is not principal on loop {i + 1}")
-        y += a * ell[i] - T
-        if i < len(beta):
-            y += s * beta[i]
-    if s:
-        raise TheoremViolation(f"D_j - D has degree {-s}")
-    return [v - y for v in vals]
+def _reduce_loop(carry: int, on_loop, ell: int, m: int, i: int) -> tuple[int | None, int]:
+    """One loop of the w_g-reduction: the ``carry`` chips at w_{i-1}
+    slide along the bridge to v_i, and with the chips ``on_loop`` of loop
+    i, d in all, they are equivalent to (d-1)*w_i plus one chip at ccw
+    distance s = sum c*t mod (ell + m) from w_i, or to d*w_i when s = 0,
+    since the Abel-Jacobi map of a cycle is a group isomorphism.  Returns
+    the distance of the chip left in cell gamma_i (None if it is empty)
+    and the chips carried on to w_i.  A loop whose class is not effective
+    (d < 0, or d = 0 and s != 0) raises ``PreconditionError``; effective
+    input never has one."""
+    d = carry + sum(c for (_t, c) in on_loop)
+    s = (carry * ell + sum(c * t for (t, c) in on_loop)) % (ell + m)
+    if d < 0 or (d == 0 and s):
+        raise PreconditionError(f"debt on loop {i}")
+    return (s, d - 1) if s else (None, d)
 
 
 def _twist(loops, ell, m, beta, j: int, r: int) -> tuple[list, int, list[int]]:
     """``build_Dj`` on the chips ``loops`` of the divisor D of a tableau
     with r + 1 columns, on integers in units of 1/L.  Returns
-    D_j = red_{w_g}(D - j*v_1) + j*v_1 as the ``cells`` and the ``pile``
-    of ``_reduce_loops`` (D_j is j*v_1, one chip at distance cells[i-1]
-    in each occupied cell gamma_i, and pile*w_g), and L times the values
+    D_j = red_{w_g}(D - j*v_1) + j*v_1 as the ccw distance of the chip in
+    each cell gamma_i (None for an empty cell) and the ``pile`` at w_g
+    (D_j is j*v_1, those cell chips and pile*w_g), and L times the values
     phi_j(v_1..v_g) of its witness, D_j = D + div(phi_j), phi_j(w_g) = 0.
 
-    Reduced divisors are unique (Baker-Norine; Cools, Draisma, Payne and
-    Robeva, "A tropical proof of the Brill-Noether Theorem", Section 3),
-    so this is the divisor that ``v_reduce`` finds.  The witness values
-    are read off D_j - D in closed form by ``_vertex_values``, whose
-    integer-slope test checks exactly that D_j ~ D.
+    One scan from loop 1 to loop g reduces F = D - j*v_1 by
+    ``_reduce_loop``, and reads phi_j(v_i) off E_i = (cell chip) - F_i,
+    the part of D_j - D on loop i.  Left of bridge i, D_j - D has degree
+    minus the carry c, so c is the slope of phi_j along the bridge toward
+    v_{i+1}.  On loop i, with c arriving at v_i, let num be c*m plus the
+    sum of c'*t over the chips c' of E_i at ccw distance t, top that sum
+    over the chips inside the top edge (t < ell), and past_v the chips at
+    t >= ell.  The slope leaving v_i along the top edge is
+    a = num / (ell + m) - past_v, and phi_j(w_i) - phi_j(v_i) = a*ell - top.
+    a is an integer exactly when D_j - D is principal on the loop, so a
+    remainder raises ``TheoremViolation``.  The pile at w_g is the last
+    carry, so D_j - D has degree 0 and needs no check.
     """
     F = [loops[0] + [(ell[0], -j)], *loops[1:]]
-    cells, pile = _reduce_loops(F, ell, m)
-    if pile < r - j:
+    cells: list[int | None] = []
+    values: list[int] = []
+    y = carry = 0
+    for i, on_loop in enumerate(F):
+        values.append(y)
+        cell, out = _reduce_loop(carry, on_loop, ell[i], m[i], i + 1)
+        cells.append(cell)
+        E_i = [(t, -c) for (t, c) in on_loop]
+        if cell is not None:
+            E_i.append((cell, 1))
+        num, top, past_v = carry * m[i], 0, 0
+        for t, c in E_i:
+            num += c * t
+            if t < ell[i]:
+                top += c * t
+            else:
+                past_v += c
+        a, rem = divmod(num, ell[i] + m[i])
+        if rem:
+            raise TheoremViolation(f"D_j - D is not principal on loop {i + 1}")
+        y += (a - past_v) * ell[i] - top
+        carry = out
+        if i < len(beta):
+            y += carry * beta[i]
+    if carry < r - j:
         raise TheoremViolation("twisted representative failed to be effective")
-    # E = D_j - D = red(F) - F for the reduced F = D - j*v_1
-    E = [[(t, -c) for (t, c) in on_loop] for on_loop in F]
-    for i, t in enumerate(cells):
-        if t is not None:
-            E[i].append((t, 1))
-    E[-1].append((0, pile))
-    return cells, pile, _vertex_values(E, ell, m, beta)
+    return cells, carry, [v - y for v in values]
 
 
 def build_Ek(T: Tableau, chain: ChainOfLoops, k: int) -> tuple[Divisor, PLFunction]:
@@ -452,10 +428,12 @@ def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
     {phi_j + psi_k} (index j * rows + k) tropically independent, as the
     paper does on a generic chain.
 
-    The empty-cell table is checked first: D_j + E_k must miss exactly the
-    cell gamma_i of the entry i in row k and column j of T.  The table
-    then gives the certificate: the points v_1..v_g, with v_i matched to
-    the function phi_j + psi_k whose cell holds i.  Its matrix
+    The empty-cell table is checked first, one function at a time: D_j
+    must miss exactly the cells of the entries in column j of T and E_k
+    those in row k, so that D_j + E_k misses exactly the cell gamma_i of
+    the entry i in row k and column j.  The table then gives the
+    certificate: the points v_1..v_g, with v_i matched to the function
+    phi_j + psi_k whose cell holds i.  Its matrix
     M[i][j * rows + k] = phi_j(v_i) + psi_k(v_i), read off the witnesses,
     must have that matching as the unique minimiser of its min-plus
     permanent, and ``strict_offsets`` gives its offsets.  Either failure
@@ -469,32 +447,25 @@ def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
 
     # as build_Dj and build_Ek, on the integer chips of each tableau
     L, ell, m, beta = _integer_lengths(chain)
-    D, E = _tableau_chips(T, ell, m), _tableau_chips(T.transpose(), ell, m)
+    Tt = T.transpose()
+    D, E = _tableau_chips(T, ell, m), _tableau_chips(Tt, ell, m)
     phis = [_twist(D, ell, m, beta, j, r) for j in range(r + 1)]
     psis = [_twist(E, ell, m, beta, k, rows - 1) for k in range(rows)]
 
-    # the cells of D_j: those its reduced part occupies, and gamma_1 for
-    # its j chips at v_1 (w_g lies in no cell); the same for E_k
-    in_D, in_E = ([{i + 1 for i, t in enumerate(cells) if t is not None or i == 0 < j}
-                   for j, (cells, _pile, _values) in enumerate(twists)]
-                  for twists in (phis, psis))
-
-    # the empty cell of D_j + E_k must be the tableau cell in column j
-    # and row k
-    table: dict[tuple[int, int], int] = {}
-    for j, in_Dj in enumerate(in_D):
-        for k, in_Ek in enumerate(in_E):
-            empty = tuple(i for i in range(1, chain.g + 1)
-                          if i not in in_Dj and i not in in_Ek)
-            if len(empty) != 1 or T.position(empty[0]) != (k, j):
+    # column j of T is row j of Tt; D_j's j chips at v_1 lie in gamma_1
+    for name, twists, must_miss in (("D", phis, Tt.entries), ("E", psis, T.entries)):
+        for j, (cells, _pile, _values) in enumerate(twists):
+            missed = tuple(i for i, t in enumerate(cells, 1)
+                           if t is None and not (i == 1 and j))
+            if missed != must_miss[j]:
                 raise TheoremViolation(
-                    f"divisor D_{j} + E_{k} has empty cells {empty}, "
-                    f"expected exactly the entry in row {k}, column {j}")
-            table[(j, k)] = empty[0]
+                    f"tableau {T.entries}: {name}_{j} misses cells {missed}, "
+                    f"expected {must_miss[j]}")
 
-    # v_i is matched to the function whose cell holds entry i
+    # v_i is matched to phi_j + psi_k for the entry i in row k, column j
+    table = {T.position(i)[::-1]: i for i in range(1, chain.g + 1)}
     points = tuple(chain.v(i) for i in range(1, chain.g + 1))
-    perm = tuple(j * rows + k for (j, k) in sorted(table, key=table.get))
+    perm = tuple(j * rows + k for (j, k) in table)
     # the matrix in units of 1/L: a positive scale keeps every comparison,
     # and the offsets come out in the same units
     matrix = [[a[i] + b[i] for (_c, _p, a) in phis for (_c, _p, b) in psis]

@@ -32,6 +32,12 @@ def _rat(x, error: type[Exception] = GraphError) -> Fraction:
     raise error(f"not an exact rational: {x!r}")
 
 
+# ``MetricGraph.point`` clears its cache of interior points when it holds
+# this many, so that it stays bounded over a long run; a seed-1 run of
+# the benchmark's ``rank`` workload peaks near 400 on one graph
+_POINT_CACHE_SIZE = 4096
+
+
 @dataclass(frozen=True, eq=False)
 class Point:
     """A location on a metric graph.
@@ -173,10 +179,14 @@ class MetricGraph:
             p = self.vertex_points[self.edge_ends[edge][1]]
         else:
             p = Point(None, edge, offset)
+        if len(self._point_cache) >= _POINT_CACHE_SIZE:
+            self._point_cache.clear()
         self._point_cache[(edge, offset.numerator, offset.denominator)] = p
         return p
 
     def vertex_point(self, name: str) -> Point:
+        if not isinstance(name, str):
+            raise GraphError(f"vertex name {name!r} is not a string")
         i = self.vertex_index.get(name)
         if i is None:
             raise GraphError(f"no vertex {name}")
@@ -445,6 +455,8 @@ class ChainOfLoops:
             raise GraphError(f"need {g} loop lengths, got {len(ell)} top / {len(m)} bottom")
         if len(beta) != g - 1:
             raise GraphError(f"need {g - 1} bridge lengths, got {len(beta)}")
+        if len(pendant) != 2:
+            raise GraphError(f"need 2 pendant bridge lengths, got {len(pendant)}")
         self.g = g
         self.extended = extended
 

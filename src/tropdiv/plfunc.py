@@ -109,6 +109,9 @@ class PLFunction:
     """
 
     def __init__(self, graph: MetricGraph, data: dict[int, Iterable]):
+        unknown = [ei for ei in data if type(ei) is not int or not 0 <= ei < len(graph.edges)]
+        if unknown:
+            raise GraphError(f"data for edges {unknown} the graph does not have")
         edges = []
         for ei, (_u, _v, length) in enumerate(graph.edges):
             if ei not in data:

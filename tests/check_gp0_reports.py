@@ -1,12 +1,15 @@
 """Check a ``tropdiv gp0`` report file from its JSON alone.
 
-    python3 tests/check_gp0_reports.py REPORTS.json --count N [--every K]
+    python3 tests/check_gp0_reports.py REPORTS.json --count N [--every K] [--golden]
 
 Every report must be "independent", there must be N of them, and the
 file's text must be that of json.dumps(sort_keys=True, indent=2) with a
 trailing newline, the layout ``serialize.dumps`` writes with its own
-writer.  Every K-th report (the first, the (K+1)-th, ...) is also
-checked on the default generic chain of its genus:
+writer.  With ``--golden``, the reports' ``sweep_digest`` must be the
+one that ``data/gp0_golden.json`` records for their genus (12 or 15),
+which pins every certificate offset of those sweeps.  Every K-th report
+(the first, the (K+1)-th, ...) is also checked on the default generic
+chain of its genus:
 
 - ``verify_independence`` accepts its certificate on the family
   {phi_j + psi_k} rebuilt as ``PLFunction`` sums from ``build_Dj`` and
@@ -25,13 +28,26 @@ runs on the output of the installed console script.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from tropdiv import default_generic_chain, serialize
 from tropdiv.chainbn import Tableau, build_Dj, build_Ek, shape_profile
 from tropdiv.independence import verify_independence
+
+GOLDEN = Path(__file__).parent / "data" / "gp0_golden.json"
+
+
+def sweep_digest(reports) -> str:
+    """SHA-256 of the ``serialize.dumps`` text of {"reports": reports},
+    each report without its ``elapsed_seconds``: a gp0 sweep's output
+    less its timings."""
+    kept = [{k: v for k, v in rep.items() if k != "elapsed_seconds"}
+            for rep in reports]
+    return hashlib.sha256(serialize.dumps({"reports": kept}).encode()).hexdigest()
 
 
 def check_report(rep, chain) -> tuple[bool, bool, bool]:
@@ -64,6 +80,8 @@ def main(argv=None) -> int:
                    help="number of reports the file must hold")
     p.add_argument("--every", type=int, default=1,
                    help="check the certificate of every K-th report")
+    p.add_argument("--golden", action="store_true",
+                   help="compare the reports' digest with the recorded one")
     args = p.parse_args(argv)
     if args.every < 1:
         p.error(f"--every must be positive, got {args.every}")
@@ -82,12 +100,19 @@ def main(argv=None) -> int:
         bad += not verified
         not_strict += not strict
         mismatched += not matched
+    digest_ok = True
+    if args.golden:
+        recorded = json.loads(GOLDEN.read_text())["sweep_sha256"]
+        digest_ok = bool(reps) and sweep_digest(reps) == recorded.get(str(reps[0]["g"]))
     print(f"{len(reps)} reports, {dependent} not independent; of {checked} "
           f"checked, {bad} not re-verified, {not_strict} with offsets failing "
           f"the plain comparisons, {mismatched} with other empty cells than "
-          f"shape_profile's; layout {'kept' if layout_ok else 'differs'}")
+          f"shape_profile's; layout {'kept' if layout_ok else 'differs'}"
+          + (f"; digest {'recorded' if digest_ok else 'differs'}"
+             if args.golden else ""))
     return int(len(reps) != args.count or dependent > 0 or bad > 0
-               or not_strict > 0 or mismatched > 0 or not layout_ok)
+               or not_strict > 0 or mismatched > 0 or not layout_ok
+               or not digest_ok)
 
 
 if __name__ == "__main__":

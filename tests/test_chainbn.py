@@ -258,16 +258,17 @@ class TestTwistOracle:
         T = next(enumerate_tableaux(2, 2))
         _L, ell, m, beta = chainbn._integer_lengths(chain4)
         chips = chainbn._tableau_chips(T, ell, m)
-        reduce_loops = chainbn._reduce_loops
+        reduce_loop = chainbn._reduce_loop
         moved = []
 
-        def doctored(*args):
-            cells, pile = reduce_loops(*args)
-            i = next(i for i, t in enumerate(cells) if t is not None)
-            moved.append(i + 1)
-            return cells[:i] + [cells[i] + 1] + cells[i + 1:], pile
+        def doctored(carry, on_loop, ell_i, m_i, i):
+            cell, carry = reduce_loop(carry, on_loop, ell_i, m_i, i)
+            if cell is not None and not moved:
+                moved.append(i)
+                cell += 1
+            return cell, carry
 
-        monkeypatch.setattr(chainbn, "_reduce_loops", doctored)
+        monkeypatch.setattr(chainbn, "_reduce_loop", doctored)
         with pytest.raises(TheoremViolation, match="not principal on loop") as err:
             chainbn._twist(chips, ell, m, beta, 0, 1)
         assert str(err.value).endswith(f"loop {moved[0]}")
@@ -445,6 +446,27 @@ class TestGPExperiment:
             return sum(row[j] for row, j in zip(M, perm))
 
         assert cost(tau) <= cost(sigma)
+
+    def test_doctored_empty_cell_raises(self, chain4, monkeypatch):
+        # emptying the last occupied cell of D_0 leaves it missing a cell
+        # that column 0 of T does not hold
+        T = next(enumerate_tableaux(2, 2))
+        twist = chainbn._twist
+        calls = []
+
+        def doctored(*args):
+            cells, pile, values = twist(*args)
+            calls.append(args[4])
+            if len(calls) == 1:
+                i = max(i for i, t in enumerate(cells) if t is not None)
+                cells = cells[:i] + [None] + cells[i + 1:]
+            return cells, pile, values
+
+        monkeypatch.setattr(chainbn, "_twist", doctored)
+        with pytest.raises(TheoremViolation,
+                           match=r"D_0 misses cells \(.*\), expected \(1, 3\)"):
+            gp_rho_zero_experiment(T, chain4)
+        assert calls[0] == 0
 
     def test_rho_nonzero_rejected(self, chain4):
         # 2x2 tableau against a genus-3 chain

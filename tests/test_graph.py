@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tropdiv import (ChainOfLoops, Divisor, Interval, MetricGraph, Point,
                      Region, canonical_divisor, default_generic_chain)
 from tropdiv.errors import GraphError, PreconditionError
-from tropdiv.graph import _rat
+from tropdiv.graph import _POINT_CACHE_SIZE, _rat
 from tropdiv.independence import strict_offsets
 from tropdiv.plfunc import PLFunction, distance_function
 from tropdiv.reduce import _Lattice
@@ -75,6 +75,22 @@ class TestPoint:
         for edge in (1.0, 1.9, "1", True):
             with pytest.raises(GraphError, match="not an integer"):
                 G.point(edge, Fraction(1, 2))
+
+    @pytest.mark.parametrize("name", [["a"], 0, None])
+    def test_vertex_name_not_a_string_rejected(self, name):
+        with pytest.raises(GraphError, match="not a string"):
+            theta_graph().vertex_point(name)
+
+    def test_point_cache_is_bounded(self):
+        G = theta_graph()
+        first = G.point(0, Fraction(1, 7))
+        bound = _POINT_CACHE_SIZE
+        # 3 * bound distinct points inside edge 0, of length 2
+        for k in range(1, 3 * bound + 1):
+            G.point(0, Fraction(k, 3 * bound + 1))
+            assert len(G._point_cache) <= bound
+        again = G.point(0, Fraction(1, 7))
+        assert again == first and hash(again) == hash(first)
 
     def test_out_of_bounds(self):
         G = theta_graph()
@@ -213,6 +229,11 @@ class TestChainOfLoops:
         with pytest.raises(GraphError):
             ChainOfLoops(3, lengths["ell"], lengths["m"], lengths["beta"],
                          extended=True, pendant=lengths["pendant"])
+
+    @pytest.mark.parametrize("pendant", [(1,), (), (1, 1, 1)])
+    def test_pendant_needs_two_lengths(self, pendant):
+        with pytest.raises(GraphError, match="2 pendant bridge lengths"):
+            ChainOfLoops(2, [3, 3], [1, 1], [1], extended=True, pendant=pendant)
 
     def test_shape(self, chain3):
         G = chain3.graph

@@ -43,6 +43,18 @@ class TestConstruction:
             PLFunction(G, {0: [(Fraction(0), Fraction(0)),
                                (Fraction(2), Fraction(0))]})
 
+    def test_data_for_an_unknown_edge_rejected(self):
+        H = MetricGraph(["a", "b"], [("a", "b", 1)])
+        line = [(0, 0), (1, 1)]
+        assert PLFunction(H, {0: line})(H.vertex_point("b")) == 1
+        for extra in (5, -1, True, "0"):
+            with pytest.raises(GraphError, match="does not have"):
+                PLFunction(H, {0: line, extra: [(0, 7)]})
+        obj = {"edges": {"0": [{"offset": "0", "value": "0"}, {"offset": "1", "value": "1"}],
+                         "5": [{"offset": "0", "value": "7"}]}}
+        with pytest.raises(GraphError, match="does not have"):
+            serialize.plfunction_from_json(H, obj)
+
     def test_non_integer_slope_rejected(self):
         G = circle_graph(4)
         data = {0: [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(1, 2))],

@@ -97,6 +97,12 @@ class TestGraphsAndChains:
         assert ch2.g == 3 and ch2.extended
         assert ch2.ell == ch.ell and ch2.m == ch.m and ch2.beta == ch.beta
 
+    def test_chain_with_one_pendant_length_rejected(self):
+        obj = chain_to_json(default_generic_chain(2, extended=True))
+        obj["pendant"] = ["1"]
+        with pytest.raises(GraphError, match="2 pendant bridge lengths"):
+            chain_from_json(obj)
+
     def test_graph_from_json_dispatches_chain(self):
         ch = default_generic_chain(2)
         G = graph_from_json(chain_to_json(ch))
