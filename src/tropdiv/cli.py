@@ -12,14 +12,15 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from .chainbn import (enumerate_tableaux, gp_rho_zero_experiment,
                       hook_length_count, shape_profile)
 from .errors import (GenericityError, GraphError, PreconditionError,
                      ReductionCapError, TheoremViolation)
-from .graph import ChainOfLoops, MetricGraph, default_generic_chain
+from .graph import BNParams, ChainOfLoops, MetricGraph, default_generic_chain
 from .reduce import riemann_roch_check, v_reduce
 from .sampling import SplitMix64, random_divisor
 from . import serialize as sz
@@ -47,12 +48,22 @@ def _parsing():
 
 
 def _emit(obj, out_path: str | None) -> None:
-    text = sz.dumps(obj)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write ``obj`` as :func:`serialize.dumps` text to stdout in one
+    piece, or to ``out_path`` as its generators yield: into
+    ``<out_path>.part``, renamed to ``out_path`` once complete and
+    deleted on any exception, so a failure leaves no file behind."""
+    if not out_path:
+        sys.stdout.write(sz.dumps(obj))
+        return
+    part = out_path + ".part"
+    try:
+        with open(part, "w") as fh:
+            sz.dump(obj, fh)
+        os.replace(part, out_path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(part)
+        raise
 
 
 def _load_json(path: str):
@@ -131,13 +142,13 @@ def cmd_rr_check(args) -> int:
 def cmd_gp0(args) -> int:
     with _parsing():
         chain = _load_chain_arg(args)
-    rows = args.g - args.d + args.r
-    cols = args.r + 1
-    rho = args.g - cols * rows
+    rho = BNParams(args.g, args.r, args.d).rho
     if rho != 0:
         raise PreconditionError(f"rho(g,r,d) = {rho}, gp0 needs rho = 0")
-    if rows <= 0 or rows * cols != args.g:
-        raise PreconditionError("tableau shape is empty or does not match g")
+    # rho = 0 makes rows * cols = g
+    rows, cols = args.g - args.d + args.r, args.r + 1
+    if rows <= 0:
+        raise PreconditionError("tableau shape is empty")
     tableaux = enumerate_tableaux(rows, cols)
     if args.tableau != "all":
         with _parsing():
@@ -147,20 +158,22 @@ def cmd_gp0(args) -> int:
             raise _UsageError(f"tableau index {index} is out of range: shape "
                               f"{rows}x{cols} has {count} tableaux")
         tableaux = itertools.islice(tableaux, index, index + 1)
-    reports = []
-    for T in tableaux:
-        rep = gp_rho_zero_experiment(T, chain)
-        reports.append({
-            "g": args.g, "r": args.r, "d": args.d,
-            "tableau": [list(row) for row in T.entries],
-            "verdict": rep.verdict,
-            "elapsed_seconds": round(rep.elapsed, 3),
-            "empty_cells": {f"{j},{k}": i
-                            for (j, k), i in sorted(rep.empty_cell_table.items())},
-            "certificate": sz.independence_certificate_to_json(
-                chain.graph, rep.independence_certificate),
-        })
-    _emit({"reports": reports}, args.out)
+
+    def reports():
+        for T in tableaux:
+            rep = gp_rho_zero_experiment(T, chain)
+            yield {
+                "g": args.g, "r": args.r, "d": args.d,
+                "tableau": [list(row) for row in T.entries],
+                "verdict": rep.verdict,
+                "elapsed_seconds": round(rep.elapsed, 3),
+                "empty_cells": {f"{j},{k}": i
+                                for (j, k), i in sorted(rep.empty_cell_table.items())},
+                "certificate": sz.independence_certificate_to_json(
+                    chain.graph, rep.independence_certificate),
+            }
+
+    _emit({"reports": reports()}, args.out)
     return EXIT_OK
 
 

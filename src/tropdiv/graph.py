@@ -8,7 +8,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import GraphError, PreconditionError
 
@@ -30,6 +30,14 @@ def _rat(x, error: type[Exception] = GraphError) -> Fraction:
         except (ValueError, ZeroDivisionError):
             pass
     raise error(f"not an exact rational: {x!r}")
+
+
+def _seq(x, what: str) -> Sequence:
+    """``x`` if it is a list or a tuple, ``GraphError`` otherwise: a
+    string's characters would pass for its items, and an int has none."""
+    if not isinstance(x, (list, tuple)):
+        raise GraphError(f"{what} must be a list, got {type(x).__name__}")
+    return x
 
 
 # ``MetricGraph.point`` clears its cache of interior points when it holds
@@ -95,8 +103,8 @@ class MetricGraph:
     out is one of them.
     """
 
-    def __init__(self, vertices: Iterable[str], edges: Sequence[tuple[str, str, Fraction]]):
-        self.vertices: tuple[str, ...] = tuple(vertices)
+    def __init__(self, vertices: Sequence[str], edges: Sequence[tuple[str, str, Fraction]]):
+        self.vertices: tuple[str, ...] = tuple(_seq(vertices, "vertices"))
         for name in self.vertices:
             if not isinstance(name, str):
                 raise GraphError(f"vertex name {name!r} is not a string")
@@ -107,7 +115,8 @@ class MetricGraph:
         self.vertex_points: tuple[Point, ...] = tuple(
             Point(v, -1, Fraction(0)) for v in self.vertices)
         es = []
-        for (u, v, length) in edges:
+        for edge in _seq(edges, "edges"):
+            u, v, length = _seq(edge, "an edge")
             length = _rat(length)
             if length <= 0:
                 raise GraphError(f"edge ({u},{v}) has non-positive length {length}")
@@ -235,22 +244,16 @@ class MetricGraph:
                     heapq.heappush(heap, (d + length, y))
         return dist
 
-    def distances_from(self, p: Point) -> Callable[[Point], Fraction]:
-        """The function q -> dist(p, q), sharing one Dijkstra over all q."""
-        dv = self.vertex_distances(p)
-
-        def dist(q: Point) -> Fraction:
-            if q.is_vertex:
-                return dv[q.vertex]
-            u, v, length = self.edges[q.edge]
-            best = min(dv[u] + q.offset, dv[v] + (length - q.offset))
-            if not p.is_vertex and p.edge == q.edge:
-                best = min(best, abs(p.offset - q.offset))
-            return best
-        return dist
-
     def distance(self, p: Point, q: Point) -> Fraction:
-        return self.distances_from(p)(q)
+        """Exact shortest-path distance between ``p`` and ``q``."""
+        dv = self.vertex_distances(p)
+        if q.is_vertex:
+            return dv[q.vertex]
+        u, v, length = self.edges[q.edge]
+        best = min(dv[u] + q.offset, dv[v] + (length - q.offset))
+        if not p.is_vertex and p.edge == q.edge:
+            best = min(best, abs(p.offset - q.offset))
+        return best
 
 
 class Divisor:
@@ -451,6 +454,8 @@ class ChainOfLoops:
             raise GraphError(f"chain of loops needs an integer g >= 2, got {g!r}")
         if not isinstance(extended, bool):
             raise GraphError(f"extended must be a bool, got {extended!r}")
+        for name, x in (("ell", ell), ("m", m), ("beta", beta), ("pendant", pendant)):
+            _seq(x, name)
         if len(ell) != g or len(m) != g:
             raise GraphError(f"need {g} loop lengths, got {len(ell)} top / {len(m)} bottom")
         if len(beta) != g - 1:

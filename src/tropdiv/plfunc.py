@@ -399,7 +399,6 @@ def minchips_holds(D: Divisor, funcs: Sequence[PLFunction],
     """
     theta = min_combination(funcs, [0] * len(funcs))
     Dt = D + theta.divisor()
-    ok = True
     for f in funcs:
         Df = D + f.divisor()
         reg = agreement_region(theta, f)
@@ -411,11 +410,9 @@ def minchips_holds(D: Divisor, funcs: Sequence[PLFunction],
         for p in pts:
             if not reg.contains(p):
                 continue
-            lhs = Dt.coeff(p) > 0
-            rhs = Df.coeff(p) > 0 or p in bd
-            if lhs != rhs:
-                ok = False
-    return ok
+            if (Dt.coeff(p) > 0) != (Df.coeff(p) > 0 or p in bd):
+                return False
+    return True
 
 
 def obstruction_holds(D: Divisor, funcs: Sequence[PLFunction], region: Region) -> bool:

@@ -517,10 +517,9 @@ def is_equivalent(graph: MetricGraph, D1: Divisor, D2: Divisor) -> PLFunction | 
         return None
 
 
-def effective_class(graph: MetricGraph, D: Divisor, base: Point | None = None) -> bool:
+def effective_class(graph: MetricGraph, D: Divisor) -> bool:
     """Whether D is linearly equivalent to an effective divisor."""
-    if base is None:
-        base = default_base(graph)
+    base = default_base(graph)
     red = v_reduce(graph, D, base, track_witness=False).reduced
     return red.coeff(base) >= 0
 
@@ -641,22 +640,19 @@ def rank(graph: MetricGraph, D: Divisor,
                     continue
                 searched.add(node)
                 dfs(nxt, i, depth + 1)
-                if depth + 1 >= best_fail:
-                    return
 
     dfs(red0, 0, 0)
     return best_fail - 1
 
 
-def rank_subdivision_oracle(graph: MetricGraph, D: Divisor, n: int = 8,
-                            base: Point | None = None) -> int:
+def rank_subdivision_oracle(graph: MetricGraph, D: Divisor, n: int = 8) -> int:
     """Independent rank computation over the n-fold subdivision points of
     every edge, for cross-checking the default point set."""
     pts = list(graph.vertex_points)
     for ei in range(len(graph.edges)):
         length = graph.edge_length(ei)
         pts += [graph.point(ei, length * k / n) for k in range(1, n)]
-    return rank(graph, D, points=pts, base=base)
+    return rank(graph, D, points=pts)
 
 
 def find_unoccupied_edge(graph: MetricGraph, D: Divisor,

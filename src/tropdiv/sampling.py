@@ -61,16 +61,15 @@ def random_effective_divisor(graph: MetricGraph, rng: SplitMix64,
     return Divisor([(random_point(graph, rng), 1) for _ in range(degree)])
 
 
-def random_divisor(graph: MetricGraph, rng: SplitMix64, degree: int,
-                   spread: int = 2) -> Divisor:
+def random_divisor(graph: MetricGraph, rng: SplitMix64, degree: int) -> Divisor:
     """A divisor of the exact given degree with a few negative chips mixed in."""
-    neg = rng.randint(0, spread) + max(0, -degree)
+    neg = rng.randint(0, 2) + max(0, -degree)
     D = Divisor([(random_point(graph, rng), -1) for _ in range(neg)])
     return D + random_effective_divisor(graph, rng, degree + neg)
 
 
 def random_R_member(graph: MetricGraph, D: Divisor, rng: SplitMix64,
-                    moves: int = 3, shift_range: int = 3) -> PLFunction:
+                    moves: int = 3) -> PLFunction:
     """A random element of R(D) (assumes the class of D is effective).
 
     Reduction witnesses at random base points all lie in R(D); the tropical
@@ -80,5 +79,5 @@ def random_R_member(graph: MetricGraph, D: Divisor, rng: SplitMix64,
     for _ in range(moves):
         base = random_point(graph, rng)
         funcs.append(v_reduce(graph, D, base).witness)
-    offsets = [Fraction(rng.randint(-shift_range, shift_range)) for _ in funcs]
+    offsets = [Fraction(rng.randint(-3, 3)) for _ in funcs]
     return min_combination(funcs, offsets)

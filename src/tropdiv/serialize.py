@@ -16,12 +16,14 @@ ending every line of a container but its last, ": " after each key,
 the standard library's C encoder.  (``json``'s own indented encoder runs
 in pure Python, and it cost more than the reductions it printed.)
 Rationals are written from their integers, never through ``Fraction``.
+``dump`` writes the same text to a file as it goes.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd, inf
+from types import GeneratorType
 from typing import Any
 
 from .errors import GraphError
@@ -35,9 +37,7 @@ def rat_to_json(x: Fraction | int) -> str:
     anything else, floats and strings included."""
     if not isinstance(x, (Fraction, int)):
         raise TypeError(f"not an exact rational: {x!r}")
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return _ratio(x.numerator, x.denominator)
 
 
 def _ratio(n: int, s: int) -> str:
@@ -144,13 +144,21 @@ def dumps(obj: Any) -> str:
     The text is that of ``json.dumps(obj, sort_keys=True, indent=2)``
     plus "\\n", for dicts with ``str`` keys, lists, tuples, strings,
     ints, bools, ``None`` and floats (``NaN`` and ``Infinity`` as
-    ``json`` writes them); ``Fraction`` values anywhere in ``obj`` are
-    written as the string :func:`rat_to_json` gives.  Any other key or
-    value raises ``TypeError``.
+    ``json`` writes them); a generator is written as the list of what it
+    yields, and ``Fraction`` values anywhere in ``obj`` as the string
+    :func:`rat_to_json` gives.  Any other key or value raises
+    ``TypeError``.
     """
     out: list[str] = []
     _write(obj, "\n", out.append)
     return "".join(out) + "\n"
+
+
+def dump(obj: Any, fh) -> None:
+    """Write the text of :func:`dumps` to the text file ``fh`` piece by
+    piece, so that a generator in ``obj`` is never held whole."""
+    _write(obj, "\n", fh.write)
+    fh.write("\n")
 
 
 def _write(o: Any, nl: str, emit) -> None:
@@ -171,17 +179,15 @@ def _write(o: Any, nl: str, emit) -> None:
             _write(o[k], inner, emit)
             sep = "," + inner
         emit(nl + "}")
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            emit("[]")
-            return
+    elif isinstance(o, (list, tuple, GeneratorType)):
         inner = nl + "  "
         sep = "[" + inner
         for x in o:
             emit(sep)
             _write(x, inner, emit)
             sep = "," + inner
-        emit(nl + "]")
+        # sep still opens the list when nothing was written
+        emit("[]" if sep[0] == "[" else nl + "]")
     else:
         emit(_scalar(o))
 

@@ -36,6 +36,8 @@ class TestTableau:
             Tableau(((2, 1), (3, 4)))      # row not increasing
         with pytest.raises(PreconditionError):
             Tableau(((1, 4), (2, 3)))      # column not increasing
+        with pytest.raises(PreconditionError, match="ragged"):
+            Tableau(((1, 2), (3,)))
 
     @pytest.mark.parametrize("entries", [(), ((),), ((), ())])
     def test_empty_shape_rejected(self, entries):
@@ -51,6 +53,9 @@ class TestTableau:
         T = Tableau(((1, 3), (2, 5), (4, 6)))
         assert T.position(1) == (0, 0)
         assert T.position(5) == (1, 1)
+        for i in (0, 7):
+            with pytest.raises(PreconditionError, match=f"no entry {i}"):
+                T.position(i)
 
     def test_params_rho(self):
         # 2x2 at g=4 is the rho = 0 case (g,r,d) = (4,1,3)
@@ -381,6 +386,14 @@ class TestShapes:
         i = canonical_shape_check(K, chain3)
         assert 1 <= i <= 3
 
+    def test_non_effective_divisor(self, chain3):
+        D = Divisor({chain3.v(1): 2, chain3.w(2): -1})
+        assert not is_wg_reduced_shape(D, chain3)
+        with pytest.raises(PreconditionError, match="effective"):
+            shape_profile(D, chain3)
+        with pytest.raises(PreconditionError, match="must be effective"):
+            canonical_shape_check(D, chain3)
+
     def test_canonical_shape_check_requires_canonical(self, chain3):
         with pytest.raises(PreconditionError):
             canonical_shape_check(Divisor({chain3.v(1): 1}), chain3)
@@ -412,6 +425,14 @@ class TestChipsOnEachLoop:
         for i in (0, 4):
             with pytest.raises(PreconditionError, match="out of range"):
                 chips_on_each_loop_check(chain, Divisor(), [], i)
+
+    def test_function_outside_R_of_D_rejected(self, chain2):
+        # firing v_2 by 1 needs a chip per downhill germ, three of them
+        from tropdiv.plfunc import distance_function
+        D = Divisor({chain2.v(2): 1})
+        f = distance_function(chain2.graph, chain2.v(2), cap=Fraction(1, 4))
+        with pytest.raises(PreconditionError, match="R\\(D\\)"):
+            chips_on_each_loop_check(chain2, D, [f], 2)
 
     def test_degree_bound(self, chain2):
         D = Divisor({chain2.v(2): 5})

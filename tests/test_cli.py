@@ -142,6 +142,25 @@ class TestRRCheck:
         assert main(["rr-check", gpath, "--trials", "-3"]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_mismatch_is_recorded_and_exits_1(self, tmp_path, monkeypatch):
+        # a check reporting a mismatch on trial 1 of 3 stands for a
+        # divisor that falsifies Riemann-Roch
+        calls = []
+
+        def mismatch_on_trial_1(graph, D):
+            calls.append(D)
+            return len(calls) != 2, 1, 2
+
+        monkeypatch.setattr(cli, "riemann_roch_check", mismatch_on_trial_1)
+        chain = default_generic_chain(2)
+        out = tmp_path / "rr.json"
+        assert main(["rr-check", _chain_file(tmp_path, chain), "--trials", "3",
+                     "--out", str(out)]) == 1
+        obj = json.loads(out.read_text())
+        assert obj["passed"] is False
+        assert obj["failures"] == [{"trial": 1, "rank": 1, "rank_adjoint": 2,
+                                    "divisor": sz.divisor_to_json(chain.graph, calls[1])}]
+
 
 class TestShape:
     def test_canonical_profile(self, tmp_path, capsys):
@@ -196,6 +215,28 @@ class TestGP0:
             assert err.startswith("falsified: tableau ((1, 2), (3, 4))")
             assert "tau = (" in err and err.count("\n") == 1
 
+    def test_failure_after_a_written_report_leaves_no_file(
+            self, tmp_path, monkeypatch, capsys):
+        # the sweep writes tableau 0's report before tableau 1 fails; the
+        # command must leave neither the output nor its partial file
+        second = list(enumerate_tableaux(2, 2))[1]
+        experiment = cli.gp_rho_zero_experiment
+
+        def doctored(T, chain):
+            # patched only now: the first tableau's D_1 has the chips of
+            # the second's E_1
+            if T == second:
+                tie_psi_columns(monkeypatch, T, chain)
+            return experiment(T, chain)
+
+        monkeypatch.setattr(cli, "gp_rho_zero_experiment", doctored)
+        out = tmp_path / "gp.json"
+        assert main(["gp0", "--g", "4", "--r", "1", "--d", "3",
+                     "--tableau", "all", "--out", str(out)]) == 1
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err.startswith(
+            f"falsified: tableau {second.entries}")
+
     @pytest.mark.parametrize("exc,code", [(ReductionCapError, 3),
                                           (SearchCapError, 4)])
     def test_only_the_reduction_cap_exits_3(self, monkeypatch, capsys,
@@ -241,6 +282,15 @@ class TestGP0:
 
     def test_nonzero_rho_is_usage_error(self):
         assert main(["gp0", "--g", "6", "--r", "3", "--d", "5"]) == 2
+
+    @pytest.mark.parametrize("g,r,d,match", [("0", "0", "0", "shape is empty"),
+                                             ("-4", "1", "3", "nonnegative")])
+    def test_empty_or_negative_shape_is_usage_error(self, tmp_path, capsys,
+                                                    g, r, d, match):
+        # --lengths gives the chain, so g reaches only the shape
+        lengths = _chain_file(tmp_path, default_generic_chain(4))
+        assert main(["gp0", "--g", g, "--r", r, "--d", d, "--lengths", lengths]) == 2
+        assert match in capsys.readouterr().err
 
     def test_bad_tableau_index_is_usage_error(self):
         for index in ("9", "x"):
@@ -309,6 +359,10 @@ class TestUsage:
         ("reduce", _chain3, {}),
         ("reduce", _chain3, [{"point": {"edge": True, "offset": "1/2"}, "coeff": 1}]),
         ("reduce", _chain3, [{"point": {"vertex": "w3"}, "coeff": True}]),
+        # a string where a list belongs, which would read as its characters
+        ("chain-new", {**_chain3, "ell": "777"}, None),
+        ("reduce", {"vertices": "ab", "edges": [["a", "b", "1"]]}, _w3),
+        ("reduce", {"vertices": ["a", "b"], "edges": ["ab1"]}, _w3),
     ])
     def test_malformed_json_is_usage_error(self, tmp_path, capsys, cmd, graph, divisor):
         # each input exits 2 with one "error:" line and no output file

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropdiv import (ChainOfLoops, Divisor, Interval, MetricGraph, Point,
-                     Region, canonical_divisor, default_generic_chain)
+from tropdiv import (BNParams, ChainOfLoops, Divisor, Interval, MetricGraph,
+                     Point, Region, canonical_divisor, default_generic_chain)
 from tropdiv.errors import GraphError, PreconditionError
 from tropdiv.graph import _POINT_CACHE_SIZE, _rat
 from tropdiv.independence import strict_offsets
@@ -107,6 +107,8 @@ class TestPoint:
         q = Point(None, 2, Fraction(1, 3))
         assert p == q and hash(p) == hash(q)
         assert p != G.point(2, Fraction(2, 3))
+        # a Point is never equal to what is not one, its vertex name included
+        assert G.vertex_point("a") != "a" and p != (2, Fraction(1, 3))
 
     def test_sort_key_orders_vertices_before_interiors(self):
         ps = [Point(None, 0, Fraction(1)), theta_graph().vertex_point("a")]
@@ -121,6 +123,36 @@ class TestMetricGraph:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(GraphError):
             MetricGraph(["a", "b"], [("a", "b", Fraction(0))])
+
+    @pytest.mark.parametrize("vertices,edges,match", [
+        (["a", "a"], [("a", "a", 1)], "duplicate vertex names"),
+        (["a", "b"], [("a", "c", 1)], "unknown vertex"),
+        ([], [], "not connected"),
+    ])
+    def test_rejects_malformed_graph(self, vertices, edges, match):
+        with pytest.raises(GraphError, match=match):
+            MetricGraph(vertices, edges)
+
+    @pytest.mark.parametrize("vertices,edges", [
+        ("ab", [("a", "b", 1)]),
+        (["a", "b"], ["ab1"]),
+        (["a", "b"], "ab"),
+        (5, [("a", "b", 1)]),
+        (["a", "b"], 5),
+        (["a", "b"], [5]),
+    ])
+    def test_vertices_edges_and_each_edge_must_be_lists(self, vertices, edges):
+        # a string's characters would pass for names or for an edge's
+        # fields: "ab1" unpacks to ("a", "b", "1")
+        with pytest.raises(GraphError, match="must be a list"):
+            MetricGraph(vertices, edges)
+
+    def test_unknown_vertex_rejected(self):
+        G = theta_graph()
+        with pytest.raises(GraphError, match="no vertex zz"):
+            G.vertex_point("zz")
+        with pytest.raises(GraphError, match="unknown vertex zz"):
+            G.check_point(Point("zz", -1, Fraction(0)))
 
     @pytest.mark.parametrize("name", [1, None, True, ("a",)])
     def test_rejects_non_string_vertex_name(self, name):
@@ -230,6 +262,26 @@ class TestChainOfLoops:
             ChainOfLoops(3, lengths["ell"], lengths["m"], lengths["beta"],
                          extended=True, pendant=lengths["pendant"])
 
+    @pytest.mark.parametrize("where,count,match", [
+        ("ell", 2, "need 3 loop lengths"), ("m", 4, "need 3 loop lengths"),
+        ("beta", 3, "need 2 bridge lengths"),
+    ])
+    def test_length_counts_checked(self, where, count, match):
+        lengths = {"ell": [3] * 3, "m": [1] * 3, "beta": [1] * 2}
+        lengths[where] = [1] * count
+        with pytest.raises(GraphError, match=match):
+            ChainOfLoops(3, lengths["ell"], lengths["m"], lengths["beta"])
+
+    @pytest.mark.parametrize("bad", ["333", 5])
+    @pytest.mark.parametrize("where", ["ell", "m", "beta", "pendant"])
+    def test_lengths_must_be_lists(self, where, bad):
+        # "333" has the length of three loops and reads as [3, 3, 3]
+        lengths = {"ell": [3] * 3, "m": [1] * 3, "beta": [1] * 2, "pendant": [1, 1]}
+        lengths[where] = bad[:len(lengths[where])] if isinstance(bad, str) else bad
+        with pytest.raises(GraphError, match=f"{where} must be a list"):
+            ChainOfLoops(3, lengths["ell"], lengths["m"], lengths["beta"],
+                         extended=True, pendant=lengths["pendant"])
+
     @pytest.mark.parametrize("pendant", [(1,), (), (1, 1, 1)])
     def test_pendant_needs_two_lengths(self, pendant):
         with pytest.raises(GraphError, match="2 pendant bridge lengths"):
@@ -285,6 +337,12 @@ class TestChainOfLoops:
             p = chain3.ccw_point(1, t)
             assert chain3.graph.distance(chain3.w(1), p) <= t
             assert chain3.piece(p) == 0
+
+    def test_bn_params_nonnegative(self):
+        assert BNParams(4, 1, 3).rho == 0
+        for g, r, d in ((-1, 0, 0), (4, -1, 3), (4, 1, -3)):
+            with pytest.raises(PreconditionError, match="nonnegative"):
+                BNParams(g, r, d)
 
     def test_genericity(self):
         assert default_generic_chain(4).generic

@@ -55,6 +55,13 @@ class TestVerify:
         assert ok
 
 
+    @pytest.mark.parametrize("check", [verify_dependence, unique_min_locus])
+    def test_needs_one_offset_per_function(self, check):
+        f, g = base_pair(theta_graph())
+        with pytest.raises(PreconditionError, match="one offset per function"):
+            check([f, g], [0])
+
+
 class TestFloatOffsetsRejected:
     @pytest.mark.parametrize("check", [verify_dependence, unique_min_locus])
     def test_rejected(self, check):

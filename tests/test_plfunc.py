@@ -184,6 +184,17 @@ class TestOrdersAndDivisors:
         assert (f + g).divisor() == f.divisor() + g.divisor()
         assert (f - g).divisor() == f.divisor() - g.divisor()
         assert f.scale(3).divisor() == 3 * f.divisor()
+        assert (-g).divisor() == -g.divisor()
+        assert all((-g)(p) == -g(p) for p in (G.vertex_point("b"), G.point(2, 1)))
+
+    def test_slope_off_the_edge_raises(self):
+        # a sits at offset 0 of every edge, so nothing leaves it backwards
+        G = theta_graph()
+        f = distance_function(G, G.vertex_point("a"))
+        with pytest.raises(GraphError, match="no germ at edge 0"):
+            f.outgoing_slope(0, G.edge_length(0), 1)
+        with pytest.raises(GraphError, match="has no germ on edge 0"):
+            f.incoming_slope(G.vertex_point("a"), 0, -1)
 
 
 class TestMinCombination:
@@ -198,6 +209,13 @@ class TestMinCombination:
             for k in range(9):
                 p = G.point(ei, G.edge_length(ei) * k / 8)
                 assert theta(p) == min(f(p) + c1, g(p) + c2)
+
+    @pytest.mark.parametrize("n_funcs,n_offsets,match", [
+        (0, 0, "at least one function"), (1, 2, "one offset per function")])
+    def test_needs_one_offset_per_function(self, n_funcs, n_offsets, match):
+        f = PLFunction.constant(theta_graph(), 0)
+        with pytest.raises(PreconditionError, match=match):
+            min_combination([f] * n_funcs, [0] * n_offsets)
 
     def test_agreement_region(self):
         G = circle_graph(4)
@@ -350,6 +368,16 @@ class TestMinChipsAndObstruction:
         g = distance_function(G, a, cap=Fraction(1))
         assert minchips_holds(D, [f, g])
 
+    def test_minchips_fails_off_R_of_D(self):
+        # the tent is 0 off its edge, so its agreement set with the
+        # constant has the edge's ends a and b on its boundary; they must
+        # carry chips of D + div(min), which only D = a + b gives
+        G = circle_graph(4)
+        a, b = G.vertex_point("a"), G.vertex_point("b")
+        funcs = [PLFunction.constant(G, 0), tent(G, 0, Fraction(1), Fraction(2))]
+        assert not minchips_holds(Divisor(), funcs)
+        assert minchips_holds(Divisor({a: 1, b: 1}), funcs)
+
     def test_obstruction_conclusion(self):
         G = circle_graph(4)
         a = G.vertex_point("a")
@@ -361,6 +389,15 @@ class TestMinChipsAndObstruction:
         # both D and the fired divisor meet the closed ball around a, so
         # the minimum must as well and the conclusion is True
         assert obstruction_holds(D, funcs, ball)
+
+    def test_obstruction_needs_functions_in_R_of_D(self):
+        G = circle_graph(4)
+        a = G.vertex_point("a")
+        D = Divisor({a: 1})
+        from tropdiv import Interval, Region
+        ball = Region(G, [Interval(0, Fraction(0), Fraction(1))])
+        with pytest.raises(PreconditionError, match="R\\(D\\)"):
+            obstruction_holds(D, [distance_function(G, a, cap=Fraction(1))], ball)
 
 
 # ---------------------------------------------------------------------------

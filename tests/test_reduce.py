@@ -43,6 +43,13 @@ class TestBurning:
         assert is_reduced(G, Divisor({a: 5}), a)
         assert dhar_unburnt(G, Divisor({a: 5}), a).is_empty
 
+    def test_debt_away_from_the_base_is_not_reduced(self):
+        # debt at the base itself is allowed, anywhere else it is not
+        G = theta_graph()
+        a, b = G.vertex_point("a"), G.vertex_point("b")
+        assert is_reduced(G, Divisor({a: -1}), a)
+        assert not is_reduced(G, Divisor({a: 2, b: -1}), a)
+
     def test_blocking_chips_survive(self):
         G = circle_graph(4)
         a = G.vertex_point("a")
@@ -651,6 +658,12 @@ class TestUnoccupiedEdge:
         tops = [chain3.top_edge(i) for i in range(1, 4)]
         ei = find_unoccupied_edge(G, K, tops)
         assert ei in tops
+
+    def test_requires_effective_divisor(self, chain3):
+        K = canonical_divisor(chain3.graph)
+        D = K + Divisor({chain3.v(1): 1, chain3.w(3): -1})
+        with pytest.raises(PreconditionError, match="must be effective"):
+            find_unoccupied_edge(chain3.graph, D, [chain3.top_edge(1)])
 
     def test_requires_canonical_class(self, chain3):
         with pytest.raises(PreconditionError):

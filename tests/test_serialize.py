@@ -1,4 +1,5 @@
 """Round-trip tests for the JSON formats."""
+import io
 import json
 import math
 from fractions import Fraction
@@ -14,7 +15,7 @@ from tropdiv.graph import _rat
 from tropdiv.independence import IndependenceCertificate
 from tropdiv.plfunc import distance_function
 from tropdiv.serialize import (chain_from_json, chain_to_json,
-                               divisor_from_json, divisor_to_json, dumps,
+                               divisor_from_json, divisor_to_json, dump, dumps,
                                graph_from_json, graph_to_json,
                                independence_certificate_from_json,
                                independence_certificate_to_json,
@@ -207,6 +208,24 @@ class TestInputBoundary:
             read(obj)
 
 
+    @pytest.mark.parametrize("reader,key,bad", [
+        ("chain", "ell", "777"), ("chain", "beta", "11"), ("chain", "m", 5),
+        ("graph", "vertices", "ab"), ("graph", "edges", ["ab1"]),
+    ])
+    def test_string_or_int_where_a_list_belongs_rejected(self, reader, key, bad):
+        read, good = _readers()[reader]
+        obj = json.loads(json.dumps(good))
+        obj[key] = bad
+        with pytest.raises(GraphError, match="must be a list"):
+            read(obj)
+
+    def test_chain_reader_needs_a_chain(self):
+        obj = chain_to_json(default_generic_chain(2))
+        obj["type"] = "graph"
+        with pytest.raises(GraphError, match="not a chain description"):
+            chain_from_json(obj)
+
+
 class TestDumps:
     def test_canonical_output(self):
         obj = {"b": Fraction(1, 2), "a": [Fraction(3)]}
@@ -219,6 +238,28 @@ class TestDumps:
         obj = {"d": {}, "l": [], "t": (), "n": None, "b": [True, False],
                "f": [0.5, -0.0, 1e300, math.nan, math.inf, -math.inf]}
         assert dumps(obj) == _reference(obj)
+
+    @pytest.mark.parametrize("items", [[], [{"i": 0}], [{"i": 0}, [], {"i": Fraction(1, 2)}]])
+    def test_generator_written_as_its_list(self, items):
+        obj = {"n": len(items), "items": items}
+        want = _reference(obj)
+        assert dumps({**obj, "items": (x for x in items)}) == want
+        fh = io.StringIO()
+        dump({**obj, "items": (x for x in items)}, fh)
+        assert fh.getvalue() == want
+
+    def test_dump_writes_each_item_before_the_next_is_made(self):
+        fh = io.StringIO()
+        written = []
+
+        def items():
+            for i in range(3):
+                written.append(fh.getvalue())
+                yield {"i": i}
+
+        dump({"items": items()}, fh)
+        assert [w.count('"i": ') for w in written] == [0, 1, 2]
+        assert fh.getvalue() == _reference({"items": [{"i": i} for i in range(3)]})
 
     @pytest.mark.parametrize("obj", [{1: "a"}, {"a": {(1, 2): 0}},
                                      {"a": {1, 2}}, [b"x"], 1 + 2j])
