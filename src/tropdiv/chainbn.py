@@ -37,7 +37,7 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from .errors import GenericityError, PreconditionError, TheoremViolation
 from .graph import BNParams, ChainOfLoops, Divisor, canonical_divisor
@@ -60,6 +60,8 @@ class Tableau:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # tuples, so that a tableau given lists still hashes and compares
+        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
         if not self.entries or not self.entries[0]:
             raise PreconditionError("a tableau needs a row and a column")
         rows = self.rows
@@ -131,7 +133,7 @@ def enumerate_tableaux(rows: int, cols: int) -> Iterator[Tableau]:
 
     def place(i: int):
         if i > n:
-            yield Tableau(tuple(map(tuple, grid)))
+            yield Tableau(grid)
             return
         for r in range(rows):
             c = filled[r]  # entry i fills (r, c) if the cell above is filled
@@ -176,16 +178,7 @@ def _require_chain(T: Tableau, chain: ChainOfLoops):
             "divisor positions are not guaranteed to avoid the vertices")
 
 
-def _integer_lengths(chain: ChainOfLoops) -> tuple[int, list[int], list[int], list[int]]:
-    """L, the lcm of the denominators of the chain's lengths, and the
-    lengths ell_i, m_i and beta_i in units of 1/L."""
-    L = lcm(*(x.denominator for x in chain.ell + chain.m + chain.beta))
-    ell, m, beta = ([x.numerator * (L // x.denominator) for x in xs]
-                    for xs in (chain.ell, chain.m, chain.beta))
-    return L, ell, m, beta
-
-
-def _tableau_chips(T: Tableau, ell: list[int], m: list[int]) -> list[list[tuple[int, int]]]:
+def _tableau_chips(T: Tableau, ell: tuple, m: tuple) -> list[list[tuple[int, int]]]:
     """The chips of ``tableau_to_divisor`` on the integer lengths ell and
     m: the r at v_1 at distance ell_1, and each at p_{i-1}(j)*m_i taken
     mod ell_i + m_i."""
@@ -214,7 +207,7 @@ def tableau_to_divisor(T: Tableau, chain: ChainOfLoops) -> Divisor:
     entry i sits in column j < r; loops with entries in the last column
     stay empty."""
     _require_chain(T, chain)
-    L, ell, m, _beta = _integer_lengths(chain)
+    L, ell, m, _beta = chain.integer_lengths
     return _divisor(chain, L, _tableau_chips(T, ell, m))
 
 
@@ -239,7 +232,7 @@ def build_Dj(T: Tableau, chain: ChainOfLoops, j: int) -> tuple[Divisor, PLFuncti
     if not (0 <= j <= r):
         raise PreconditionError(f"column index {j} out of range 0..{r}")
     _require_chain(T, chain)
-    L, ell, m, beta = _integer_lengths(chain)
+    L, ell, m, beta = chain.integer_lengths
     chips = _tableau_chips(T, ell, m)
     cells, pile, _values = _twist(chips, ell, m, beta, j, r)
     D = _divisor(chain, L, chips)
@@ -446,7 +439,7 @@ def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
     rows = T.rows
 
     # as build_Dj and build_Ek, on the integer chips of each tableau
-    L, ell, m, beta = _integer_lengths(chain)
+    L, ell, m, beta = chain.integer_lengths
     Tt = T.transpose()
     D, E = _tableau_chips(T, ell, m), _tableau_chips(Tt, ell, m)
     phis = [_twist(D, ell, m, beta, j, r) for j in range(r + 1)]

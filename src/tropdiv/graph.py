@@ -8,6 +8,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import GraphError, PreconditionError
@@ -446,6 +447,8 @@ class ChainOfLoops:
     ell_i (top) and m_i (bottom), both oriented v_i -> w_i.  Bridge i runs
     from w_i to v_{i+1}.  With ``extended=True`` the graph also carries
     pendant vertices w_0 and v_{g+1} attached by bridges to v_1 and w_g.
+    ``integer_lengths`` is (L, ell, m, beta), the lengths in units of 1/L,
+    L the lcm of their denominators: the lattice of ``chainbn``'s chips.
     """
 
     def __init__(self, g: int, ell: Sequence, m: Sequence, beta: Sequence,
@@ -496,8 +499,10 @@ class ChainOfLoops:
         self.ell = ell = tuple(G.edge_length(self._top[i]) for i in range(1, g + 1))
         self.m = m = tuple(G.edge_length(self._bottom[i]) for i in range(1, g + 1))
         self.beta = tuple(G.edge_length(self._bridge[i]) for i in range(1, g))
-        # each loop's circumference, for ``ccw_point``
-        self._cycle = tuple(x + y for x, y in zip(ell, m))
+        self.pendant = tuple(G.edge_length(self._bridge[i]) for i in (0, g)) if extended else ()
+        L = lcm(*(x.denominator for x in ell + m + self.beta))
+        self.integer_lengths = (L, *(tuple(x.numerator * (L // x.denominator) for x in xs)
+                                     for xs in (ell, m, self.beta)))
         # whether no ell_i/m_i is a ratio a/b of positive integers with
         # a + b <= 2g-2, decided once: in lowest terms p/q
         # every such a/b is kp/kq, so that holds iff p + q > 2g-2
@@ -522,14 +527,14 @@ class ChainOfLoops:
         return self.graph.vertex_point(f"w{i}")
 
     def top_edge(self, i: int) -> int:
-        return self._top[i]
+        return _chain_edge(self._top, i, "loop")
 
     def bottom_edge(self, i: int) -> int:
-        return self._bottom[i]
+        return _chain_edge(self._bottom, i, "loop")
 
     def bridge_edge(self, i: int) -> int:
         """Bridge i runs w_i -> v_{i+1}; 0 and g exist only on extended chains."""
-        return self._bridge[i]
+        return _chain_edge(self._bridge, i, "bridge")
 
     def piece(self, p: Point) -> int | None:
         """Index of the part of gamma_1, br_1, ..., gamma_g, {w_g} holding
@@ -549,15 +554,25 @@ class ChainOfLoops:
         is the one under which the tableau divisors acquire their expected
         rank; distance m_i from w_i lands inside the top edge.
         """
-        t = _rat(t) % self._cycle[i - 1]
+        top = self.top_edge(i)  # checks 1 <= i <= g
+        ell = self.ell[i - 1]
+        t = _rat(t) % (ell + self.m[i - 1])
         if not t:
             return self.w(i)
-        ell = self.ell[i - 1]
         if t <= ell:
             # top edge is oriented v_i -> w_i, so ccw-distance t from w_i
             # sits at offset ell_i - t
-            return self.graph.point(self._top[i], ell - t)
+            return self.graph.point(top, ell - t)
         return self.graph.point(self._bottom[i], t - ell)
+
+
+def _chain_edge(edges: dict[int, int], i, what: str) -> int:
+    """The edge index of ``what`` i in a chain's table ``edges``;
+    ``GraphError`` naming i if the chain has none."""
+    if type(i) is int and i in edges:
+        return edges[i]
+    raise GraphError(f"no {what} {i!r} on this chain; its {what}s are "
+                     f"{min(edges)}..{max(edges)}")
 
 
 def default_generic_chain(g: int, extended: bool = False) -> ChainOfLoops:

@@ -251,13 +251,7 @@ class PLFunction:
             (s * q, [(o * q, v * p) for o, v in zip(O, V)]) for (s, O, V) in self.scaled])
 
     def add_const(self, c) -> "PLFunction":
-        c = _rat(c, PreconditionError)
-        edges = []
-        for s, O, V in self.scaled:
-            S = lcm(s, c.denominator)
-            f, b = S // s, c.numerator * (S // c.denominator)
-            edges.append((S, [(o * f, v * f + b) for o, v in zip(O, V)]))
-        return PLFunction._from_ints(self.graph, edges)
+        return self + PLFunction.constant(self.graph, c)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PLFunction) and self.scaled == other.scaled

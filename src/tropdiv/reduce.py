@@ -492,10 +492,11 @@ def v_reduce(graph: MetricGraph, D: Divisor, base: Point,
 
 def is_reduced(graph: MetricGraph, D: Divisor, base: Point) -> bool:
     """Whether D is effective away from ``base`` and burns completely from
-    it: the test that ends ``_fire``."""
+    it: the test that ends ``_fire``.  The lattice is built first, so that
+    a point the graph lacks raises ``GraphError`` whatever its coefficient."""
+    lat = _Lattice(graph, [base, *D.support()])
     if any(c < 0 for p, c in D.items() if p != base):
         return False
-    lat = _Lattice(graph, [base, *D.support()])
     return not lat.runs(lat.key(base)).germs(lat.chips(D))
 
 
@@ -661,12 +662,27 @@ def find_unoccupied_edge(graph: MetricGraph, D: Divisor,
     whose complement is a tree, return an open edge with no point of D.
 
     One must exist; if none does, the underlying theorem is falsified and
-    an error is raised rather than returning a wrong answer.
+    an error is raised rather than returning a wrong answer.  An entry
+    that is not an edge index of the graph raises ``GraphError``; unless
+    there are g distinct entries whose complement is connected (so a
+    tree), ``PreconditionError``.
     """
     if not D.is_effective:
         raise PreconditionError("divisor must be effective")
     if is_equivalent(graph, D, canonical_divisor(graph)) is None:
         raise PreconditionError("divisor is not equivalent to the canonical divisor")
+    for ei in open_edges:
+        if type(ei) is not int or not 0 <= ei < len(graph.edges):
+            raise GraphError(f"no edge {ei!r}")
+    chosen = set(open_edges)
+    if len(chosen) != len(open_edges) or len(chosen) != graph.betti():
+        raise PreconditionError(
+            f"need {graph.betti()} distinct open edges, got {list(open_edges)}")
+    try:
+        MetricGraph(graph.vertices, [e for i, e in enumerate(graph.edges) if i not in chosen])
+    except GraphError:
+        raise PreconditionError(
+            f"removing edges {sorted(chosen)} disconnects the graph") from None
     for ei in open_edges:
         occupied = any((not p.is_vertex) and p.edge == ei and c > 0
                        for p, c in D.items())

@@ -27,15 +27,15 @@ from types import GeneratorType
 from typing import Any
 
 from .errors import GraphError
-from .graph import ChainOfLoops, Divisor, MetricGraph, Point, _rat
+from .graph import ChainOfLoops, Divisor, MetricGraph, Point, _rat, _seq
 from .independence import IndependenceCertificate
 from .plfunc import PLFunction
 
 
 def rat_to_json(x: Fraction | int) -> str:
     """``x``, an int or a ``Fraction``, as "p" or "p/q"; ``TypeError`` for
-    anything else, floats and strings included."""
-    if not isinstance(x, (Fraction, int)):
+    anything else, bools, floats and strings included."""
+    if not isinstance(x, (Fraction, int)) or isinstance(x, bool):
         raise TypeError(f"not an exact rational: {x!r}")
     return _ratio(x.numerator, x.denominator)
 
@@ -46,13 +46,21 @@ def _ratio(n: int, s: int) -> str:
     return str(n // g) if g == s else f"{n // g}/{s // g}"
 
 
+def _obj(x, what: str) -> dict:
+    """``x`` if it is a JSON object, ``GraphError`` otherwise, as
+    ``graph._seq`` does for lists."""
+    if not isinstance(x, dict):
+        raise GraphError(f"{what} must be a JSON object, got {type(x).__name__}")
+    return x
+
+
 def point_to_json(graph: MetricGraph, p: Point) -> dict:
     ei, off = graph.edge_coordinates(p)[0]
     return {"edge": ei, "offset": rat_to_json(off)}
 
 
 def point_from_json(graph: MetricGraph, obj: dict) -> Point:
-    if "vertex" in obj:
+    if "vertex" in _obj(obj, "a point"):
         return graph.vertex_point(obj["vertex"])
     return graph.point(obj["edge"], obj["offset"])
 
@@ -63,9 +71,8 @@ def divisor_to_json(graph: MetricGraph, D: Divisor) -> list:
 
 
 def divisor_from_json(graph: MetricGraph, obj: list) -> Divisor:
-    if not isinstance(obj, list):
-        raise GraphError(f"a divisor is a JSON list, got {type(obj).__name__}")
-    return Divisor([(point_from_json(graph, t["point"]), t["coeff"]) for t in obj])
+    return Divisor([(point_from_json(graph, _obj(t, "a divisor term")["point"]), t["coeff"])
+                    for t in _seq(obj, "a divisor")])
 
 
 def graph_to_json(graph: MetricGraph) -> dict:
@@ -86,20 +93,18 @@ def chain_to_json(chain: ChainOfLoops) -> dict:
         "extended": chain.extended,
     }
     if chain.extended:
-        G = chain.graph
-        obj["pendant"] = [rat_to_json(G.edge_length(chain.bridge_edge(0))),
-                          rat_to_json(G.edge_length(chain.bridge_edge(chain.g)))]
+        obj["pendant"] = [rat_to_json(x) for x in chain.pendant]
     return obj
 
 
 def graph_from_json(obj: dict) -> MetricGraph:
-    if obj.get("type") == "chain":
+    if _obj(obj, "a graph").get("type") == "chain":
         return chain_from_json(obj).graph
     return MetricGraph(obj["vertices"], obj["edges"])
 
 
 def chain_from_json(obj: dict) -> ChainOfLoops:
-    if obj.get("type") != "chain":
+    if _obj(obj, "a chain").get("type") != "chain":
         raise GraphError("not a chain description")
     return ChainOfLoops(obj["g"], obj["ell"], obj["m"], obj["beta"],
                         extended=obj.get("extended", False),
@@ -117,8 +122,10 @@ def plfunction_to_json(f: PLFunction) -> dict:
 
 
 def plfunction_from_json(graph: MetricGraph, obj: dict) -> PLFunction:
-    return PLFunction(graph, {int(ei): [(t["offset"], t["value"]) for t in pts]
-                              for ei, pts in obj["edges"].items()})
+    edges = _obj(_obj(obj, "a PL function")["edges"], "a PL function's edges")
+    return PLFunction(graph, {int(ei): [(_obj(t, "a breakpoint")["offset"], t["value"])
+                                        for t in _seq(pts, "an edge's breakpoints")]
+                              for ei, pts in edges.items()})
 
 
 def independence_certificate_to_json(graph: MetricGraph,
@@ -130,12 +137,12 @@ def independence_certificate_to_json(graph: MetricGraph,
 
 def independence_certificate_from_json(graph: MetricGraph,
                                        obj: dict) -> IndependenceCertificate:
-    perm = tuple(obj["permutation"])
+    perm = tuple(_seq(_obj(obj, "a certificate")["permutation"], "permutation"))
     if any(type(j) is not int for j in perm):
         raise GraphError(f"permutation {list(perm)} holds a non-integer")
     return IndependenceCertificate(
-        tuple(point_from_json(graph, p) for p in obj["points"]), perm,
-        tuple(_rat(b) for b in obj["offsets"]))
+        tuple(point_from_json(graph, p) for p in _seq(obj["points"], "points")), perm,
+        tuple(_rat(b) for b in _seq(obj["offsets"], "offsets")))
 
 
 def dumps(obj: Any) -> str:

@@ -110,7 +110,7 @@ def rho_zero_matrix(T, chain) -> list[list]:
     that ``chainbn._twist`` returns (as patched, if it is)."""
     import tropdiv.chainbn as cb
     r, rows = T.cols - 1, T.rows
-    _L, ell, m, beta = cb._integer_lengths(chain)
+    _L, ell, m, beta = chain.integer_lengths
     D, E = cb._tableau_chips(T, ell, m), cb._tableau_chips(T.transpose(), ell, m)
     phis = [cb._twist(D, ell, m, beta, j, r)[2] for j in range(r + 1)]
     psis = [cb._twist(E, ell, m, beta, k, rows - 1)[2] for k in range(rows)]
@@ -128,7 +128,7 @@ def tie_psi_columns(monkeypatch, T, chain):
     twist = cb._twist
     # the chips of the adjoint divisor of T, from which the experiment
     # builds every (E_k, psi_k)
-    L, ell, m, _beta = cb._integer_lengths(chain)
+    L, ell, m, _beta = chain.integer_lengths
     E = cb._tableau_chips(T.transpose(), ell, m)
 
     def shifted_twist(loops, ell, m, beta, k, r):
@@ -155,11 +155,10 @@ def table_certificate(T, chain) -> IndependenceCertificate:
     """The certificate of table_matching(T, chain), with the offsets
     ``strict_offsets`` finds for it on rho_zero_matrix(T, chain), taken
     from units of 1/L to units of 1."""
-    import tropdiv.chainbn as cb
     points, perm = table_matching(T, chain)
     offsets, tau = strict_offsets(rho_zero_matrix(T, chain), perm)
     assert tau is None, (T.entries, tau)
-    L = cb._integer_lengths(chain)[0]
+    L = chain.integer_lengths[0]
     return IndependenceCertificate(points, perm, tuple(b / L for b in offsets))
 
 

@@ -44,6 +44,13 @@ class TestTableau:
         with pytest.raises(PreconditionError, match="a row and a column"):
             Tableau(entries)
 
+    def test_lists_stored_as_tuples(self):
+        T = Tableau([[1, 2], [3, 4]])
+        assert T.entries == ((1, 2), (3, 4))
+        assert T == Tableau(((1, 2), (3, 4)))
+        assert hash(T) == hash(Tableau(((1, 2), (3, 4))))
+        assert T.transpose().transpose() == T
+
     def test_transpose_involution(self):
         T = Tableau(((1, 3), (2, 5), (4, 6)))
         assert T.transpose().transpose() == T
@@ -176,7 +183,7 @@ def _twist_every_column(T, chain):
     L * phi_j(v_1..v_g) of ``chainbn._twist`` equal those of the
     v_reduce-based oracle."""
     D = tableau_to_divisor(T, chain)
-    L, ell, m, beta = chainbn._integer_lengths(chain)
+    L, ell, m, beta = chain.integer_lengths
     chips = chainbn._tableau_chips(T, ell, m)
     r = T.cols - 1
     for j in range(T.cols):
@@ -253,7 +260,7 @@ class TestTwistOracle:
 
     def test_debt_that_reduces_to_no_effective_class_raises(self, chain4):
         # D_1 of the zero divisor would need -1 chips on loop 1
-        _L, ell, m, beta = chainbn._integer_lengths(chain4)
+        _L, ell, m, beta = chain4.integer_lengths
         with pytest.raises(PreconditionError, match="debt on loop 1"):
             chainbn._twist([[] for _ in ell], ell, m, beta, 1, 1)
 
@@ -261,7 +268,7 @@ class TestTwistOracle:
         # moving the reduced chip of a loop by 1/L leaves D_j - D with a
         # non-integral loop slope: not principal, so no values come back
         T = next(enumerate_tableaux(2, 2))
-        _L, ell, m, beta = chainbn._integer_lengths(chain4)
+        _L, ell, m, beta = chain4.integer_lengths
         chips = chainbn._tableau_chips(T, ell, m)
         reduce_loop = chainbn._reduce_loop
         moved = []

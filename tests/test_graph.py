@@ -211,6 +211,16 @@ class TestDivisor:
         with pytest.raises(GraphError, match="not an integer"):
             Divisor({theta_graph().vertex_point("a"): True})
 
+    def test_hash_and_repr(self):
+        G = theta_graph()
+        a, b = G.vertex_points
+        p = G.point(0, Fraction(1, 2))
+        D = Divisor({a: 2, p: -1, b: 1})
+        assert hash(D) == hash(Divisor([(b, 1), (p, -1), (a, 2)]))
+        assert len({D, Divisor({a: 2, b: 1, p: -1}), Divisor({a: 2})}) == 2
+        assert repr(D) == "Divisor(2*Point(a) + 1*Point(b) + -1*Point(e0@1/2))"
+        assert repr(Divisor({a: 0})) == "Divisor(0)"
+
     def test_effectivity(self):
         a, b = theta_graph().vertex_points
         assert Divisor({a: 1}).is_effective
@@ -240,6 +250,15 @@ class TestRegion:
         G = theta_graph()
         assert Region(G).is_empty
         assert not Region(G, points=[G.vertex_point("a")]).is_empty
+
+    def test_boundary_skips_an_open_end(self):
+        # (1/2, 1] on an edge of length 2: the open end 1/2 is not in the
+        # region, so only 1 is on its boundary
+        G = theta_graph()
+        reg = Region(G, [Interval(0, Fraction(1, 2), Fraction(1), lo_closed=False)])
+        assert reg.boundary() == {G.point(0, 1)}
+        closed = Region(G, [Interval(0, Fraction(1, 2), Fraction(1))])
+        assert closed.boundary() == {G.point(0, Fraction(1, 2)), G.point(0, 1)}
 
     def test_interval_out_of_bounds(self):
         G = theta_graph()
@@ -304,6 +323,16 @@ class TestChainOfLoops:
         # pendant bridges exist only on the extended chain
         ch.bridge_edge(0)
         ch.bridge_edge(2)
+
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_bad_loop_or_bridge_index_named(self, extended):
+        ch = default_generic_chain(3, extended=extended)
+        calls = [(ch.ccw_point, (i, t)) for i in (0, 4) for t in (0, 1)]
+        calls += [(f, (i,)) for f in (ch.top_edge, ch.bottom_edge) for i in (0, 4, True)]
+        calls += [(ch.bridge_edge, (i,)) for i in ((-1, 4) if extended else (0, 3))]
+        for f, args in calls:
+            with pytest.raises(GraphError, match=f"no (loop|bridge) {args[0]!r} on this chain"):
+                f(*args)
 
     @pytest.mark.parametrize("extended", [False, True])
     @pytest.mark.parametrize("g", [2, 3, 4, 5])

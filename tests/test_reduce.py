@@ -50,6 +50,13 @@ class TestBurning:
         assert is_reduced(G, Divisor({a: -1}), a)
         assert not is_reduced(G, Divisor({a: 2, b: -1}), a)
 
+    @pytest.mark.parametrize("coeff", [1, -1])
+    def test_point_the_graph_lacks_raises(self, chain2, coeff):
+        # whatever its coefficient: debt there would otherwise answer False
+        foreign = default_generic_chain(3).graph.point(6, Fraction(1, 2))
+        with pytest.raises(GraphError):
+            is_reduced(chain2.graph, Divisor({foreign: coeff, chain2.v(1): 2}), chain2.v(1))
+
     def test_blocking_chips_survive(self):
         G = circle_graph(4)
         a = G.vertex_point("a")
@@ -669,3 +676,19 @@ class TestUnoccupiedEdge:
         with pytest.raises(PreconditionError):
             find_unoccupied_edge(chain3.graph, Divisor({chain3.v(1): 1}),
                                  [chain3.top_edge(1)])
+
+    @pytest.mark.parametrize("edges", [[99], [0, 1, 99], [-1], [True], [1.0]])
+    def test_open_edge_not_in_the_graph(self, chain3, edges):
+        with pytest.raises(GraphError, match="no edge"):
+            find_unoccupied_edge(chain3.graph, canonical_divisor(chain3.graph), edges)
+
+    @pytest.mark.parametrize("which", ["none", "repeated", "two bridges",
+                                       "bridges and a top", "four"])
+    def test_open_edges_must_leave_a_tree(self, chain3, which):
+        top, bridge = chain3.top_edge, chain3.bridge_edge
+        edges = {"none": [], "repeated": [top(1)] * 3,
+                 "two bridges": [bridge(1), bridge(2)],
+                 "bridges and a top": [bridge(1), bridge(2), top(1)],
+                 "four": [top(1), top(2), top(3), chain3.bottom_edge(1)]}[which]
+        with pytest.raises(PreconditionError, match="distinct open edges|disconnects"):
+            find_unoccupied_edge(chain3.graph, canonical_divisor(chain3.graph), edges)

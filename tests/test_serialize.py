@@ -67,7 +67,7 @@ class TestRationals:
         assert rat_to_json(-4) == "-4"
         assert rat_to_json(10**30) == str(10**30)
 
-    @pytest.mark.parametrize("x", [0.5, 2.0, "1/2", "3", None])
+    @pytest.mark.parametrize("x", [0.5, 2.0, "1/2", "3", None, True, False])
     def test_inexact_or_unparsed_rejected(self, x):
         with pytest.raises(TypeError):
             rat_to_json(x)
@@ -217,6 +217,39 @@ class TestInputBoundary:
         obj = json.loads(json.dumps(good))
         obj[key] = bad
         with pytest.raises(GraphError, match="must be a list"):
+            read(obj)
+
+    CONTAINERS = [
+        ("certificate", ("offsets",), "000", "offsets must be a list"),
+        ("certificate", ("points",), "ab", "points must be a list"),
+        ("certificate", ("permutation",), "10", "permutation must be a list"),
+        ("certificate", ("points", 0), "v1", "a point must be a JSON object"),
+        ("point", (), "v1", "a point must be a JSON object"),
+        ("divisor", (0,), "v1", "a divisor term must be a JSON object"),
+        ("divisor", (0, "point"), ["v1"], "a point must be a JSON object"),
+        ("plfunction", ("edges",), [[]], "edges must be a JSON object"),
+        ("plfunction", ("edges", "0"), "ab", "breakpoints must be a list"),
+        ("plfunction", ("edges", "0", 0), "ab", "a breakpoint must be a JSON object"),
+        ("plfunction", (), [], "a PL function must be a JSON object"),
+        ("certificate", (), [], "a certificate must be a JSON object"),
+        ("graph", (), "g", "a graph must be a JSON object"),
+        ("chain", (), [], "a chain must be a JSON object"),
+    ]
+
+    @pytest.mark.parametrize("reader,path,bad,message", CONTAINERS, ids=[
+        "-".join(map(str, (reader, *path, bad))) for reader, path, bad, _m in CONTAINERS])
+    def test_wrong_container_type_rejected(self, reader, path, bad, message):
+        read, good = _readers()[reader]
+        obj = json.loads(json.dumps(good))
+        if path:
+            *outer, last = path
+            inner = obj
+            for key in outer:
+                inner = inner[key]
+            inner[last] = bad
+        else:
+            obj = bad
+        with pytest.raises(GraphError, match=message):
             read(obj)
 
     def test_chain_reader_needs_a_chain(self):
