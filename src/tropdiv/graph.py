@@ -129,6 +129,9 @@ class MetricGraph:
         # is the first endpoint (offset 0) and side 1 the second (offset L).
         self._incidence: dict[str, list[tuple[int, int]]] = {v: [] for v in self.vertices}
         self._point_cache: dict[tuple[int, int, int], Point] = {}
+        # reduce's burn runs per (lattice scale, base key), kept across
+        # calls and bounded there (``reduce._Lattice.runs``)
+        self._runs: dict = {}
         for i, (u, v, _l) in enumerate(self.edges):
             self._incidence[u].append((i, 0))
             self._incidence[v].append((i, 1))

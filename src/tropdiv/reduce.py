@@ -19,8 +19,11 @@ offsets only where a chip leaves and where it lands.  The burn runs over
 the vertices and an interior base only: an edge, or the part of it on
 one side of an interior base, carries fire from end to end when it holds
 no chips, and otherwise its chips are read off its burnt ends (see
-``_Runs``).  ``rank`` builds one lattice per call and runs its whole
-depth-first search on these chips.
+``_Runs``).  The runs of a base depend only on the edge lengths in
+units of 1/L and on the base, so the graph keeps them from call to call
+(``_Lattice.runs``); every call still builds its own lattice and checks
+its points.  ``rank`` runs its whole depth-first search on these chips,
+and on its last level fires only until the base holds a chip.
 
 Only chips move; the witness f with D + div(f) = D' is then solved from
 D' - D by one weighted-Laplacian system (Baker and Shokrieh, "Chip-firing
@@ -41,6 +44,10 @@ from .plfunc import PLFunction
 
 DEFAULT_MAX_STEPS = 10 ** 6
 
+# the graph's store of burn runs is emptied when it holds this many; a
+# seed-1 run of the benchmark's ``reduce`` workload builds 206 on one graph
+_RUNS_STORE_SIZE = 512
+
 
 # ---------------------------------------------------------------------------
 # the integer core
@@ -53,9 +60,11 @@ class _Lattice:
     A point is named by a key: its vertex index, or (edge, offset) with
     the offset an integer strictly inside the edge.  Firing by a corridor
     length never leaves this lattice, so the core needs no rescaling.
+    Each call builds its own lattice, checking every point and computing
+    L; only the burn runs are shared, through the graph (``runs``).
     """
 
-    __slots__ = ("graph", "scale", "edges", "_runs")
+    __slots__ = ("graph", "scale", "edges")
 
     def __init__(self, graph: MetricGraph, points):
         dens = [length.denominator for (_u, _v, length) in graph.edges]
@@ -68,8 +77,6 @@ class _Lattice:
         # the graph's edges as (first end, second end, length) in integers
         self.edges = [(u, v, length.numerator * (L // length.denominator))
                       for (u, v), (_u, _v, length) in zip(graph.edge_ends, graph.edges)]
-        # one _Runs per base; there are at most as many bases as points
-        self._runs: dict = {}
 
     def key(self, p: Point):
         if p.is_vertex:
@@ -91,9 +98,16 @@ class _Lattice:
         return Divisor({self.point(k): c for k, c in chips.items()})
 
     def runs(self, base) -> _Runs:
-        runs = self._runs.get(base)
+        """The runs of ``base``.  They depend on the integer edges at
+        this scale and on the base alone, so the graph keeps them by
+        (scale, base) for every later lattice of the same scale, and
+        empties its store when it holds ``_RUNS_STORE_SIZE``."""
+        store = self.graph._runs
+        runs = store.get((self.scale, base))
         if runs is None:
-            runs = self._runs[base] = _Runs(self, base)
+            if len(store) >= _RUNS_STORE_SIZE:
+                store.clear()
+            runs = store[(self.scale, base)] = _Runs(self, base)
         return runs
 
 
@@ -250,11 +264,15 @@ def _lone(chips: _Chips, e: int, offs) -> bool:
     return len(offs) == 1 and chips.on_edge[(e, offs[0])] == 1
 
 
-def _fire(lat: _Lattice, chips: _Chips, base, budget: list[int]) -> None:
+def _fire(lat: _Lattice, chips: _Chips, base, budget: list[int],
+          stop: bool = False) -> None:
     """Fire ``chips`` toward ``base``, in place, until they burn
     completely: the result is the divisor reduced at the base.  The chips
     must be effective away from the base; each firing step draws one from
-    ``budget``.
+    ``budget``.  With ``stop``, firing ends as soon as the base holds a
+    chip: no step takes one off the base, so the reduced divisor holds
+    one there too, and the chips left are an effective divisor
+    equivalent to the reduced one.
 
     A step burns the base's runs (``_Runs.burn``) and fires the unburnt
     set by eps.  Each germ leaving it is followed through burnt interior
@@ -267,6 +285,8 @@ def _fire(lat: _Lattice, chips: _Chips, base, budget: list[int]) -> None:
     """
     runs = lat.runs(base)
     while True:
+        if stop and chips.get(base) > 0:
+            return
         germs = runs.germs(chips)
         if not germs:
             return
@@ -563,15 +583,26 @@ def rank(graph: MetricGraph, D: Divisor,
       no divisor of negative degree is effective;
     - a child k where cur has no chip is red_k(cur) - k, as a burn from
       k does not look at the chips on k, and red_k(cur) is fired from the
-      reduction of cur at the sibling before, as the reduced divisor is
-      the same from any representative; at depth 0 these are the
+      reduction of cur at the sibling before, in place on the node's one
+      copy of cur, as the reduced divisor is the same from any
+      representative; at depth 0 these are the
       pre-pass's red_k(D), each fired from the one before, starting at
       the reduction red0 at the base;
     - a node is searched only the first time its chips are met, whatever
       its start index: the walk meets index multisets in lexicographic
       order, and had the least failing E of least degree a node on its
       path skipped for an earlier one with the same chips, the earlier
-      node's multiset plus the rest of E would fail too and come first.
+      node's multiset plus the rest of E would fail too and come first;
+    - on the last level (``depth + 2 >= best_fail``) a child only needs
+      a chip at k: a k where cur has one passes with no copy, and red is
+      fired from k's sibling until k holds a chip, not to the end, as
+      firing never takes a chip off its base.  The red left is still an
+      effective representative of cur, so the next sibling fires on
+      from it.
+
+    The graph keeps the burn runs of every base (``_Lattice.runs``), so
+    repeated calls on one graph, such as the two of
+    ``riemann_roch_check``, burn on runs built by the first.
 
     An empty point set raises ``PreconditionError``, a point the graph
     lacks ``GraphError``.
@@ -617,30 +648,38 @@ def rank(graph: MetricGraph, D: Divisor,
         nonlocal best_fail
         if depth + 1 >= best_fail:
             return
-        # cur reduced at the latest point where it has no chip, cur until then
+        # cur reduced (on a leaf, fired) at the latest point where it has
+        # no chip, cur until then
         red = cur
         for i in range(start, len(keys)):
             k = keys[i]
+            # on the last level only whether the child is effective counts
+            leaf = depth + 2 >= best_fail
             # with a chip present the child is effective as it stands
             if cur.get(k) > 0:
+                if leaf:
+                    continue
                 nxt = cur.copy()
             else:
                 if depth == 0:
                     red = first[i]
                 else:
-                    red = red.copy()
-                    _fire(lat, red, k, [DEFAULT_MAX_STEPS])
+                    # once copied off cur, red is this node's own
+                    if red is cur:
+                        red = red.copy()
+                    _fire(lat, red, k, [DEFAULT_MAX_STEPS], leaf)
+                if red.get(k) <= 0:
+                    best_fail = depth + 1
+                    return
+                if leaf:
+                    continue
                 nxt = red.copy()
             nxt.add(k, -1)
-            if nxt.get(k) < 0:
-                best_fail = depth + 1
-                return
-            if depth + 2 < best_fail:
-                node = (tuple(nxt.at_vertex), frozenset(nxt.on_edge.items()))
-                if node in searched:
-                    continue
-                searched.add(node)
-                dfs(nxt, i, depth + 1)
+            node = (tuple(nxt.at_vertex), frozenset(nxt.on_edge.items()))
+            if node in searched:
+                continue
+            searched.add(node)
+            dfs(nxt, i, depth + 1)
 
     dfs(red0, 0, 0)
     return best_fail - 1

@@ -6,7 +6,9 @@ sorted lists of {point, coeff}; independence certificates as
 {points, permutation, offsets}.  Output is deterministic: keys
 sorted, rationals canonical.  The readers pass each JSON value as it is
 to the constructor that checks it, so ``graph._rat`` reads every
-rational, and a float where an integer belongs raises ``GraphError``.
+rational, and a float where an integer belongs raises ``GraphError``; so
+do a missing key, named in the message, and an edge key of a PL function
+that is not an edge index in canonical decimal.
 
 ``dumps`` writes, with its own small recursive writer, the text of
 ``json.dumps(obj, sort_keys=True, indent=2)`` and a trailing newline,
@@ -54,6 +56,23 @@ def _obj(x, what: str) -> dict:
     return x
 
 
+def _field(obj, key: str, what: str):
+    """``obj[key]``; ``GraphError`` if ``what`` is not a JSON object, or
+    if it lacks the key, which the message names."""
+    if key not in _obj(obj, what):
+        raise GraphError(f"{what} has no {key!r}")
+    return obj[key]
+
+
+def _edge_key(key) -> int:
+    """The edge index a PL function's JSON key names: "0" or digits
+    without a leading zero, so that " 0" or "00" is not read as edge 0."""
+    if not (isinstance(key, str) and key.isascii() and key.isdigit()
+            and (key == "0" or key[0] != "0")):
+        raise GraphError(f"edge key {key!r} is not an edge index")
+    return int(key)
+
+
 def point_to_json(graph: MetricGraph, p: Point) -> dict:
     ei, off = graph.edge_coordinates(p)[0]
     return {"edge": ei, "offset": rat_to_json(off)}
@@ -62,7 +81,7 @@ def point_to_json(graph: MetricGraph, p: Point) -> dict:
 def point_from_json(graph: MetricGraph, obj: dict) -> Point:
     if "vertex" in _obj(obj, "a point"):
         return graph.vertex_point(obj["vertex"])
-    return graph.point(obj["edge"], obj["offset"])
+    return graph.point(_field(obj, "edge", "a point"), _field(obj, "offset", "a point"))
 
 
 def divisor_to_json(graph: MetricGraph, D: Divisor) -> list:
@@ -71,8 +90,8 @@ def divisor_to_json(graph: MetricGraph, D: Divisor) -> list:
 
 
 def divisor_from_json(graph: MetricGraph, obj: list) -> Divisor:
-    return Divisor([(point_from_json(graph, _obj(t, "a divisor term")["point"]), t["coeff"])
-                    for t in _seq(obj, "a divisor")])
+    return Divisor([(point_from_json(graph, _field(t, "point", "a divisor term")),
+                     _field(t, "coeff", "a divisor term")) for t in _seq(obj, "a divisor")])
 
 
 def graph_to_json(graph: MetricGraph) -> dict:
@@ -100,14 +119,14 @@ def chain_to_json(chain: ChainOfLoops) -> dict:
 def graph_from_json(obj: dict) -> MetricGraph:
     if _obj(obj, "a graph").get("type") == "chain":
         return chain_from_json(obj).graph
-    return MetricGraph(obj["vertices"], obj["edges"])
+    return MetricGraph(_field(obj, "vertices", "a graph"), _field(obj, "edges", "a graph"))
 
 
 def chain_from_json(obj: dict) -> ChainOfLoops:
     if _obj(obj, "a chain").get("type") != "chain":
         raise GraphError("not a chain description")
-    return ChainOfLoops(obj["g"], obj["ell"], obj["m"], obj["beta"],
-                        extended=obj.get("extended", False),
+    g, ell, m, beta = (_field(obj, key, "a chain") for key in ("g", "ell", "m", "beta"))
+    return ChainOfLoops(g, ell, m, beta, extended=obj.get("extended", False),
                         pendant=obj.get("pendant", (1, 1)))
 
 
@@ -122,9 +141,10 @@ def plfunction_to_json(f: PLFunction) -> dict:
 
 
 def plfunction_from_json(graph: MetricGraph, obj: dict) -> PLFunction:
-    edges = _obj(_obj(obj, "a PL function")["edges"], "a PL function's edges")
-    return PLFunction(graph, {int(ei): [(_obj(t, "a breakpoint")["offset"], t["value"])
-                                        for t in _seq(pts, "an edge's breakpoints")]
+    edges = _obj(_field(obj, "edges", "a PL function"), "a PL function's edges")
+    return PLFunction(graph, {_edge_key(ei): [(_field(t, "offset", "a breakpoint"),
+                                               _field(t, "value", "a breakpoint"))
+                                              for t in _seq(pts, "an edge's breakpoints")]
                               for ei, pts in edges.items()})
 
 
@@ -137,12 +157,13 @@ def independence_certificate_to_json(graph: MetricGraph,
 
 def independence_certificate_from_json(graph: MetricGraph,
                                        obj: dict) -> IndependenceCertificate:
-    perm = tuple(_seq(_obj(obj, "a certificate")["permutation"], "permutation"))
+    what = "a certificate"
+    perm = tuple(_seq(_field(obj, "permutation", what), "permutation"))
     if any(type(j) is not int for j in perm):
         raise GraphError(f"permutation {list(perm)} holds a non-integer")
     return IndependenceCertificate(
-        tuple(point_from_json(graph, p) for p in _seq(obj["points"], "points")), perm,
-        tuple(_rat(b) for b in _seq(obj["offsets"], "offsets")))
+        tuple(point_from_json(graph, p) for p in _seq(_field(obj, "points", what), "points")),
+        perm, tuple(_rat(b) for b in _seq(_field(obj, "offsets", what), "offsets")))
 
 
 def dumps(obj: Any) -> str:

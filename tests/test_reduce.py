@@ -12,7 +12,8 @@ from tropdiv.errors import (GraphError, PreconditionError, ReductionCapError,
                             TheoremViolation)
 from tropdiv.graph import Interval, Region
 from tropdiv.plfunc import distance_function, min_combination
-from tropdiv.reduce import (_Lattice, default_base, default_rank_points,
+from tropdiv.reduce import (DEFAULT_MAX_STEPS, _Lattice, _fire, _Runs,
+                            default_base, default_rank_points,
                             dhar_unburnt, effective_class,
                             find_unoccupied_edge, is_equivalent, is_reduced, rank,
                             rank_subdivision_oracle, riemann_roch_check,
@@ -656,6 +657,98 @@ class TestRiemannRoch:
             D = random_divisor(G, rng, rng.randint(-2, 2 * g))
             ok, r1, r2 = riemann_roch_check(G, D)
             assert ok, (D, r1, r2)
+
+
+def fresh_copy(G: MetricGraph) -> MetricGraph:
+    """The same graph built anew, so that nothing is stored on it."""
+    return MetricGraph(G.vertices, G.edges)
+
+
+class TestLeafFiring:
+    """``_fire`` with ``stop``, the firing on the rank search's last level."""
+
+    def test_stops_at_an_equivalent_effective_divisor(self, chain2, chain3):
+        rng = SplitMix64(6161)
+        stopped_early = 0
+        for G in (chain2.graph, chain3.graph, lollipop_graph()):
+            for _ in range(60):
+                base = random_point(G, rng)
+                D = random_effective_divisor(G, rng, rng.randint(0, 2 * G.betti()))
+                lat = _Lattice(G, [base, *D.support()])
+                q = lat.key(base)
+                full, part = lat.chips(D), lat.chips(D)
+                _fire(lat, full, q, [DEFAULT_MAX_STEPS])
+                _fire(lat, part, q, [DEFAULT_MAX_STEPS], True)
+                reduced, left = lat.divisor(full), lat.divisor(part)
+                assert left.is_effective, (base, D)
+                assert is_equivalent(G, left, reduced) is not None, (base, D)
+                assert (left.coeff(base) > 0) == (reduced.coeff(base) > 0), (base, D)
+                stopped_early += left != reduced
+        # the stop is taken often enough for the checks above to mean something
+        assert stopped_early >= 30
+
+
+class TestRunsOnTheGraph:
+    """The burn runs each base gets once per graph and scale."""
+
+    def test_warm_graph_matches_a_fresh_one(self, chain3):
+        rng = SplitMix64(7373)
+        for G in (fresh_copy(chain3.graph), lollipop_graph()):
+            for _ in range(25):
+                base = random_point(G, rng)
+                D = random_divisor(G, rng, rng.randint(-1, 2 * G.betti()))
+                warm = v_reduce(G, D, base)
+                cold = v_reduce(fresh_copy(G), D, base)
+                assert (warm.reduced, warm.steps) == (cold.reduced, cold.steps), (base, D)
+                assert warm.witness == cold.witness
+                points = subdivision_points(G, rng.randint(1, 3))
+                assert rank(G, D, points, base) == rank(fresh_copy(G), D, points, base)
+                assert riemann_roch_check(G, D) == riemann_roch_check(fresh_copy(G), D)
+            # runs of more than one scale have been stored
+            assert len({scale for scale, _base in G._runs}) > 1
+
+    def test_store_never_passes_its_cap(self, chain3, monkeypatch):
+        cap = 7
+
+        class Store(dict):
+            builds = 0
+
+            def __setitem__(self, key, runs):
+                assert len(self) < cap
+                Store.builds += 1
+                super().__setitem__(key, runs)
+
+        monkeypatch.setattr(reduce_core, "_RUNS_STORE_SIZE", cap)
+        G = fresh_copy(chain3.graph)
+        G._runs = Store()
+        rng = SplitMix64(8484)
+        for _ in range(6):
+            D = random_divisor(G, rng, rng.randint(0, 4))
+            assert rank_subdivision_oracle(G, D, n=2) == rank(fresh_copy(G), D)
+        assert Store.builds > 3 * cap
+
+    def test_second_riemann_roch_check_builds_no_runs(self, chain3, monkeypatch):
+        builds = []
+        real = _Runs.__init__
+
+        def counted(self, *args):
+            builds.append(args)
+            real(self, *args)
+
+        monkeypatch.setattr(_Runs, "__init__", counted)
+        G = fresh_copy(chain3.graph)
+        rng = SplitMix64(9595)
+        first_builds = []
+        for degree in (1, 3, 6):
+            D = random_divisor(G, rng, degree)
+            builds.clear()
+            first = riemann_roch_check(G, D)
+            first_builds.append(len(builds))
+            builds.clear()
+            assert riemann_roch_check(G, D) == first
+            assert builds == []
+        # the counter sees the first check on a fresh graph
+        assert first_builds[0] > 0
 
 
 class TestUnoccupiedEdge:

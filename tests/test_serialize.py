@@ -252,6 +252,39 @@ class TestInputBoundary:
         with pytest.raises(GraphError, match=message):
             read(obj)
 
+    MISSING = [
+        ("point", (), "edge"), ("point", (), "offset"),
+        ("divisor", (0,), "point"), ("divisor", (0,), "coeff"),
+        ("divisor", (0, "point"), "edge"),
+        ("graph", (), "vertices"), ("graph", (), "edges"),
+        ("chain", (), "g"), ("chain", (), "ell"), ("chain", (), "m"), ("chain", (), "beta"),
+        ("plfunction", (), "edges"),
+        ("plfunction", ("edges", "0", 0), "offset"), ("plfunction", ("edges", "0", 0), "value"),
+        ("certificate", (), "points"), ("certificate", (), "permutation"),
+        ("certificate", (), "offsets"), ("certificate", ("points", 0), "offset"),
+    ]
+
+    @pytest.mark.parametrize("reader,path,key", MISSING, ids=[
+        "-".join(map(str, (reader, *path, key))) for reader, path, key in MISSING])
+    def test_missing_key_is_named(self, reader, path, key):
+        read, good = _readers()[reader]
+        obj = json.loads(json.dumps(good))
+        inner = obj
+        for step in path:
+            inner = inner[step]
+        del inner[key]
+        with pytest.raises(GraphError, match=f"has no '{key}'"):
+            read(obj)
+
+    @pytest.mark.parametrize("key", ["x", " 0", "0 ", "00", "+0", "-1", "1.0", "", "\u0660"])
+    def test_edge_key_must_be_canonical_decimal(self, key):
+        # int() reads all but "x", "1.0" and "" as an edge index
+        read, good = _readers()["plfunction"]
+        obj = json.loads(json.dumps(good))
+        obj["edges"][key] = obj["edges"].pop("0")
+        with pytest.raises(GraphError, match="is not an edge index"):
+            read(obj)
+
     def test_chain_reader_needs_a_chain(self):
         obj = chain_to_json(default_generic_chain(2))
         obj["type"] = "graph"
