@@ -78,9 +78,11 @@ def _load_chain_arg(args) -> ChainOfLoops:
 
 
 def _parse_base(graph: MetricGraph, text: str):
+    # the edge index is read as a PL function's JSON edge key, so " 2",
+    # "02", "+2" and "1_0" are no edge index
     if ":" in text:
         edge_s, off_s = text.split(":", 1)
-        return graph.point(int(edge_s), off_s)
+        return graph.point(sz._edge_key(edge_s), off_s)
     return graph.vertex_point(text)
 
 

@@ -4,9 +4,13 @@ Reduction to a base point runs the metric burning algorithm: fire spreads
 from the base, a point survives only if its chip count is at least the
 number of burning directions reaching it, and the surviving closed set is
 fired toward the base until everything burns.  Debt away from the base is
-first moved onto the base: by tropical Riemann-Roch, -p is equivalent to
-Z_p - (g+1)*q for an effective Z_p, the p-reduced form of (g+1)*q - p,
-which the same firing loop computes (see ``_clear_debt``).
+first paid from the divisor's own chips, and the same firing loop does
+it (see ``_clear_debt``): all debt is gathered at one sink, the base if
+it holds debt and otherwise a debt point.  c chips of debt at p move to
+the sink by firing (g+c)*sink at p until p holds c chips, which tropical
+Riemann-Roch guarantees, and a sink other than the base is paid by
+firing at it until it holds no debt.  Each firing stops as soon as its
+base holds the chips it needs, as no firing step takes one off its base.
 
 Burning and firing run on integers.  Every offset is a multiple of 1/L,
 where L is the lcm of the denominators of the edge lengths, of the
@@ -265,14 +269,15 @@ def _lone(chips: _Chips, e: int, offs) -> bool:
 
 
 def _fire(lat: _Lattice, chips: _Chips, base, budget: list[int],
-          stop: bool = False) -> None:
+          until: int | None = None) -> None:
     """Fire ``chips`` toward ``base``, in place, until they burn
     completely: the result is the divisor reduced at the base.  The chips
     must be effective away from the base; each firing step draws one from
-    ``budget``.  With ``stop``, firing ends as soon as the base holds a
-    chip: no step takes one off the base, so the reduced divisor holds
-    one there too, and the chips left are an effective divisor
-    equivalent to the reduced one.
+    ``budget``.  With ``until`` an int, firing ends as soon as the base
+    holds at least ``until`` chips: no step takes one off the base, so
+    the reduced divisor holds that many there too, and the chips left
+    are a divisor equivalent to the reduced one and effective away from
+    the base.
 
     A step burns the base's runs (``_Runs.burn``) and fires the unburnt
     set by eps.  Each germ leaving it is followed through burnt interior
@@ -285,7 +290,7 @@ def _fire(lat: _Lattice, chips: _Chips, base, budget: list[int],
     """
     runs = lat.runs(base)
     while True:
-        if stop and chips.get(base) > 0:
+        if until is not None and chips.get(base) >= until:
             return
         germs = runs.germs(chips)
         if not germs:
@@ -310,30 +315,50 @@ def _fire(lat: _Lattice, chips: _Chips, base, budget: list[int],
             chips.add(u if k == 0 else v if k == length else (e, k), 1)
 
 
-def _clear_debt(lat: _Lattice, chips: _Chips, base, budget: list[int]) -> None:
-    """Move all debt of ``chips`` onto ``base`` = q, in place.
+def _transfer(lat: _Lattice, chips: _Chips, p, c: int, sink, budget: list[int]) -> None:
+    """Move c > 0 chips of debt at ``p`` onto ``sink``, in place.
 
-    For a debt point p != q, the divisor (g+1)*q - p has degree g, so by
-    tropical Riemann-Roch (Gathmann and Kerber, "A Riemann-Roch theorem in
-    tropical geometry") it has rank at least 0 and its p-reduced form Z_p
-    is effective.  Its only debt sits at its own base p, so ``_fire``
-    computes Z_p directly, with no clearing of its own, drawing from
-    ``budget``.  As p + Z_p - (g+1)*q is principal, each debt c*p (c < 0)
-    is replaced by -c*(Z_p - (g+1)*q), which is effective away from q.
+    (g+c)*sink - c*p has degree g, so by tropical Riemann-Roch (Gathmann
+    and Kerber, "A Riemann-Roch theorem in tropical geometry") it has rank
+    at least 0: reduced at p, (g+c)*sink holds at least c chips there.
+    ``_fire`` fires it at p only until it does, drawing from ``budget``,
+    and the result less (g+c)*sink, a principal divisor, is added.
     """
-    top = lat.graph.betti() + 1
-    for p, c in [(p, c) for p, c in chips.items() if c < 0 and p != base]:
-        z = _Chips(len(chips.at_vertex), len(chips.offsets))
-        z.add(base, top)
-        z.add(p, -1)
-        _fire(lat, z, p, budget)
-        if z.get(p) < 0:
-            raise TheoremViolation(
-                f"(g+1)*q - p has no effective representative for p = {lat.point(p)}")
-        for k, cz in z.items():
-            chips.add(k, -c * cz)
-        chips.add(p, -c)
-        chips.add(base, c * top)
+    top = lat.graph.betti() + c
+    z = _Chips(len(chips.at_vertex), len(chips.offsets))
+    z.add(sink, top)
+    _fire(lat, z, p, budget, until=c)
+    if z.get(p) < c:
+        raise TheoremViolation(
+            f"(g+{c})*s - {c}*p has no effective representative for "
+            f"p = {lat.point(p)}, s = {lat.point(sink)}")
+    for k, cz in z.items():
+        chips.add(k, cz)
+    chips.add(sink, -top)
+
+
+def _clear_debt(lat: _Lattice, chips: _Chips, base, budget: list[int]) -> None:
+    """Pay the debt of ``chips`` away from ``base`` = q, in place, so that
+    only q may be left in debt; each firing goes only as far as it must.
+
+    The sink is q if q holds debt, and otherwise the first debt point.
+    Every other debt moves to the sink (``_transfer``).  A sink
+    other than q is then paid by firing at it until it holds no debt; if
+    even its reduced divisor is in debt there, the class has no effective
+    member, and the rest of that debt moves to q.  Every firing draws
+    from ``budget``.
+    """
+    debts = [(p, -c) for p, c in chips.items() if c < 0 and p != base]
+    if not debts:
+        return
+    sink = base if chips.get(base) < 0 else debts[0][0]
+    for p, c in debts:
+        if p != sink:
+            _transfer(lat, chips, p, c, sink, budget)
+    if sink != base:
+        _fire(lat, chips, sink, budget, until=0)
+        if (c := chips.get(sink)) < 0:
+            _transfer(lat, chips, sink, -c, base, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +520,11 @@ def v_reduce(graph: MetricGraph, D: Divisor, base: Point,
 
     The firing loop moves chips only; the witness is solved afterwards
     from the reduced divisor minus D, as it depends on nothing else.
-    ``steps`` counts every firing step, those that move debt to the base
-    included, and ``max_steps`` bounds them all.  A point of D or a base
-    that the graph does not have raises ``GraphError``.
+    ``steps`` counts every firing step: those that move debt to the sink
+    and from it, those that pay the sink, and those that then reduce at
+    the base; ``max_steps`` bounds them all.  Only ``steps`` depends on
+    how the debt is paid, as the reduced divisor is unique.  A point of
+    D or a base that the graph does not have raises ``GraphError``.
     """
     lat = _Lattice(graph, [base, *D.support()])
     chips, q = lat.chips(D), lat.key(base)
@@ -595,10 +622,10 @@ def rank(graph: MetricGraph, D: Divisor,
       node's multiset plus the rest of E would fail too and come first;
     - on the last level (``depth + 2 >= best_fail``) a child only needs
       a chip at k: a k where cur has one passes with no copy, and red is
-      fired from k's sibling until k holds a chip, not to the end, as
-      firing never takes a chip off its base.  The red left is still an
-      effective representative of cur, so the next sibling fires on
-      from it.
+      fired from k's sibling with ``until=1``, until k holds a chip, not
+      to the end, as firing never takes a chip off its base.  The red
+      left is still an effective representative of cur, so the next
+      sibling fires on from it.
 
     The graph keeps the burn runs of every base (``_Lattice.runs``), so
     repeated calls on one graph, such as the two of
@@ -667,7 +694,8 @@ def rank(graph: MetricGraph, D: Divisor,
                     # once copied off cur, red is this node's own
                     if red is cur:
                         red = red.copy()
-                    _fire(lat, red, k, [DEFAULT_MAX_STEPS], leaf)
+                    _fire(lat, red, k, [DEFAULT_MAX_STEPS],
+                          until=1 if leaf else None)
                 if red.get(k) <= 0:
                     best_fail = depth + 1
                     return

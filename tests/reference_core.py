@@ -79,11 +79,13 @@ def _burn(lat: _Lattice, chips: _Chips, base):
     return segs, inc, keys, burnt, bid
 
 
-def _fire(lat: _Lattice, chips: _Chips, base, budget: list[int]) -> None:
+def _fire(lat: _Lattice, chips: _Chips, base, budget: list[int],
+          until: int | None = None) -> None:
     """Fire ``chips`` toward ``base``, in place, until they burn
     completely: the result is the divisor reduced at the base.  The chips
     must be effective away from the base; each firing step draws one from
-    ``budget``.
+    ``budget``.  With ``until`` an int, firing ends as soon as the base
+    holds at least ``until`` chips.
 
     A step fires the unburnt set by eps.  Each germ leaving it is followed
     through burnt valence-two nodes to the base or a branch node, and eps
@@ -92,6 +94,8 @@ def _fire(lat: _Lattice, chips: _Chips, base, budget: list[int]) -> None:
     ends, so no corridor ends at an unburnt node, and two never meet.
     """
     while True:
+        if until is not None and chips.get(base) >= until:
+            return
         segs, inc, keys, burnt, bid = _burn(lat, chips, base)
         if all(burnt):
             return

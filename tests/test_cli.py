@@ -77,6 +77,20 @@ class TestReduce:
         base = sz.point_from_json(G, obj["base"])
         assert base == G.point(0, Fraction(1, 2))
 
+    @pytest.mark.parametrize("base", [" 2:1/2", "02:1/2", "+2:1/2", "1_0:1/2", "2 :1/2",
+                                      ":1/2"])
+    def test_base_edge_index_is_read_as_json_reads_it(self, tmp_path, capsys, base):
+        # digits without a leading zero, as an edge key of a PL function;
+        # int() read these as edges 2 and, on this genus-4 chain, 10
+        chain = default_generic_chain(4)
+        G = chain.graph
+        gpath = _chain_file(tmp_path, chain)
+        dpath = _divisor_file(tmp_path, G, Divisor({G.vertex_point("v1"): 2}))
+        out = tmp_path / "red.json"
+        assert main(["reduce", gpath, dpath, "--base", base, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "edge" in capsys.readouterr().err
+
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["reduce", str(tmp_path / "nope.json"),
                      str(tmp_path / "nope2.json"), "--base", "v1"]) == 2

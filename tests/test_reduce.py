@@ -213,8 +213,22 @@ class TestReferenceCore:
                 E = random_effective_divisor(G, rng, rng.randint(0, 5)) + extra
                 D = random_divisor(G, rng, rng.randint(-1, 5)) + extra
                 cases.append((base, E, D))
+        # debt at two or three points, debt at the base with debt elsewhere,
+        # and p - p' of degree 0, whose class is not effective unless p ~ p':
+        # its sink p' stays in debt, and the rest of that debt moves to q
+        debts = []
+        for base in self.bases(G, rng):
+            for _ in range(3):
+                pts = [random_point(G, rng) for _ in range(3)]
+                debts += [
+                    (base, random_effective_divisor(G, rng, rng.randint(2, 6))
+                     - Divisor([(pts[0], 1), (pts[1], 2), (pts[2], rng.randint(0, 1))])),
+                    (base, random_effective_divisor(G, rng, rng.randint(1, 5))
+                     - Divisor([(base, rng.randint(1, 2)), (pts[0], 1), (pts[1], 1)])),
+                    (base, Divisor([(pts[0], 1), (pts[1], -1)]))]
         new = [(dhar_unburnt(G, E, base), v_reduce(G, D, base, track_witness=False))
                for base, E, D in cases]
+        new_debts = [v_reduce(G, D, base, track_witness=False) for base, D in debts]
         with monkeypatch.context() as m:
             m.setattr(reduce_core, "_fire", reference_core._fire)
             for (base, E, D), (unburnt, res) in zip(cases, new):
@@ -224,7 +238,15 @@ class TestReferenceCore:
                 assert is_reduced(G, E, base) == unburnt.is_empty, (base, E)
                 ref = v_reduce(G, D, base, track_witness=False)
                 assert (res.reduced, res.steps) == (ref.reduced, ref.steps), (base, D)
+            for (base, D), res in zip(debts, new_debts):
+                ref = v_reduce(G, D, base, track_witness=False)
+                assert (res.reduced, res.steps) == (ref.reduced, ref.steps), (base, D)
         assert sum(not unburnt.is_empty for unburnt, _res in new) >= len(cases) // 4
+        # on a graph with a cycle, some p - p' (every third case) are not
+        # effective, so their sink p' stays in debt and moves it on to q
+        not_effective = sum(res.reduced.coeff(base) < 0
+                            for (base, _D), res in zip(debts[2::3], new_debts[2::3]))
+        assert not_effective >= (1 if G.betti() else 0)
 
 
 class TestReduction:
@@ -266,12 +288,18 @@ class TestReduction:
         with pytest.raises(ReductionCapError):
             v_reduce(G, D, default_base(G), max_steps=1)
 
-    def test_cap_counts_debt_transfer_steps(self, chain2):
-        # the p-reduced forms that move the debt draw from the same budget
+    def test_cap_counts_debt_transfer_steps(self, chain2, monkeypatch):
+        # the base is in debt, so it is the sink, and the firing that moves
+        # the debt at w2 onto it draws from the same budget
         G = chain2.graph
         base = default_base(G)
-        D = Divisor({chain2.w(2): -1, chain2.v(2): 2})
+        D = Divisor({chain2.w(2): -1, chain2.v(2): 3, base: -1})
+        transfers = []
+        transfer = reduce_core._transfer
+        monkeypatch.setattr(reduce_core, "_transfer",
+                            lambda *args: transfers.append(args[4]) or transfer(*args))
         steps = v_reduce(G, D, base).steps
+        assert transfers == [G.vertex_index[base.vertex]]
         assert steps > v_reduce(G, D + Divisor({chain2.w(2): 1}), base).steps
         assert v_reduce(G, D, base, max_steps=steps).steps == steps
         with pytest.raises(ReductionCapError):
@@ -665,27 +693,32 @@ def fresh_copy(G: MetricGraph) -> MetricGraph:
 
 
 class TestLeafFiring:
-    """``_fire`` with ``stop``, the firing on the rank search's last level."""
+    """``_fire`` with ``until``: the firing on the rank search's last level
+    (1), and the payment of debt (0 and the debt's size)."""
 
     def test_stops_at_an_equivalent_effective_divisor(self, chain2, chain3):
-        rng = SplitMix64(6161)
-        stopped_early = 0
-        for G in (chain2.graph, chain3.graph, lollipop_graph()):
-            for _ in range(60):
-                base = random_point(G, rng)
-                D = random_effective_divisor(G, rng, rng.randint(0, 2 * G.betti()))
-                lat = _Lattice(G, [base, *D.support()])
-                q = lat.key(base)
-                full, part = lat.chips(D), lat.chips(D)
-                _fire(lat, full, q, [DEFAULT_MAX_STEPS])
-                _fire(lat, part, q, [DEFAULT_MAX_STEPS], True)
-                reduced, left = lat.divisor(full), lat.divisor(part)
-                assert left.is_effective, (base, D)
-                assert is_equivalent(G, left, reduced) is not None, (base, D)
-                assert (left.coeff(base) > 0) == (reduced.coeff(base) > 0), (base, D)
-                stopped_early += left != reduced
-        # the stop is taken often enough for the checks above to mean something
-        assert stopped_early >= 30
+        for until in (1, 2, 3):
+            rng = SplitMix64(6161)
+            stopped_early = 0
+            for G in (chain2.graph, chain3.graph, lollipop_graph()):
+                for _ in range(60):
+                    base = random_point(G, rng)
+                    # two more chips for each more the base must hold
+                    degree = rng.randint(0, 2 * G.betti()) + 2 * (until - 1)
+                    D = random_effective_divisor(G, rng, degree)
+                    lat = _Lattice(G, [base, *D.support()])
+                    q = lat.key(base)
+                    full, part = lat.chips(D), lat.chips(D)
+                    _fire(lat, full, q, [DEFAULT_MAX_STEPS])
+                    _fire(lat, part, q, [DEFAULT_MAX_STEPS], until=until)
+                    reduced, left = lat.divisor(full), lat.divisor(part)
+                    assert left.is_effective, (until, base, D)
+                    assert is_equivalent(G, left, reduced) is not None, (until, base, D)
+                    assert ((left.coeff(base) >= until)
+                            == (reduced.coeff(base) >= until)), (until, base, D)
+                    stopped_early += left != reduced
+            # the stop is taken often enough for the checks above to mean something
+            assert stopped_early >= 30, until
 
 
 class TestRunsOnTheGraph:

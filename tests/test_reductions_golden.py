@@ -7,8 +7,10 @@ with the outputs recorded in ``data/reductions_golden.json``.  Each entry
 carries its input, so the test does not depend on the sampler.
 
 The file was written by this module, first on the code of commit
-fe222ee (added in eb74198), and last rewritten by commit b8b04cd, whose
-change of the reduction's firing steps changed only the ``steps`` values.
+fe222ee (added in eb74198), and rewritten by commit b8b04cd and last by
+the commit after 05c57b1 ("Pay reduction debt from the divisor's own
+chips"), whose changes of the reduction's firing steps each changed only
+the ``steps`` values.
 Rewrite it only for an intended change of output:
 ``PYTHONPATH=src python -m tests.test_reductions_golden``.
 """
