@@ -8,7 +8,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import GraphError, PreconditionError
@@ -102,6 +102,10 @@ class MetricGraph:
     names are strings.  ``vertex_points``, indexed like ``vertices``, holds
     the graph's one ``Point`` per vertex, and every vertex point it hands
     out is one of them.
+
+    The graph owns the one integer form of its lengths: ``scale``, the lcm
+    of their denominators, and ``int_lengths``, in units of 1/``scale``.
+    Exact distances, distance functions and ``reduce``'s lattices scale it.
     """
 
     def __init__(self, vertices: Sequence[str], edges: Sequence[tuple[str, str, Fraction]]):
@@ -115,7 +119,10 @@ class MetricGraph:
             raise GraphError("duplicate vertex names")
         self.vertex_points: tuple[Point, ...] = tuple(
             Point(v, -1, Fraction(0)) for v in self.vertices)
-        es = []
+        es, ends = [], []
+        # vertex index -> list of (edge index, side, other end); side 0 means
+        # the vertex is the edge's first end (offset 0), side 1 its second
+        inc: list[list[tuple[int, int, int]]] = [[] for _ in self.vertices]
         for edge in _seq(edges, "edges"):
             u, v, length = _seq(edge, "an edge")
             length = _rat(length)
@@ -123,33 +130,31 @@ class MetricGraph:
                 raise GraphError(f"edge ({u},{v}) has non-positive length {length}")
             if u not in self.vertex_index or v not in self.vertex_index:
                 raise GraphError(f"edge ({u},{v}) references unknown vertex")
+            i, j = self.vertex_index[u], self.vertex_index[v]
+            inc[i].append((len(es), 0, j))
+            inc[j].append((len(es), 1, i))
             es.append((u, v, length))
+            ends.append((i, j))
+        self._incidence = inc
         self.edges: tuple[tuple[str, str, Fraction], ...] = tuple(es)
-        # vertex -> list of (edge index, side) where side 0 means the vertex
-        # is the first endpoint (offset 0) and side 1 the second (offset L).
-        self._incidence: dict[str, list[tuple[int, int]]] = {v: [] for v in self.vertices}
+        self.edge_ends: tuple[tuple[int, int], ...] = tuple(ends)
+        S = self.scale = lcm(*(length.denominator for (_u, _v, length) in es))
+        self.int_lengths: tuple[int, ...] = tuple(
+            length.numerator * (S // length.denominator) for (_u, _v, length) in es)
         self._point_cache: dict[tuple[int, int, int], Point] = {}
         # reduce's burn runs per (lattice scale, base key), kept across
         # calls and bounded there (``reduce._Lattice.runs``)
         self._runs: dict = {}
-        for i, (u, v, _l) in enumerate(self.edges):
-            self._incidence[u].append((i, 0))
-            self._incidence[v].append((i, 1))
-        self.edge_ends: tuple[tuple[int, int], ...] = tuple(
-            (self.vertex_index[u], self.vertex_index[v]) for (u, v, _l) in self.edges)
         if not self._connected():
             raise GraphError("graph is not connected")
 
     def _connected(self) -> bool:
         if not self.vertices:
             return False
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
+        seen = {0}
+        stack = [0]
         while stack:
-            x = stack.pop()
-            for (ei, side) in self._incidence[x]:
-                u, v, _l = self.edges[ei]
-                y = v if side == 0 else u
+            for (_ei, _side, y) in self._incidence[stack.pop()]:
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
@@ -161,7 +166,7 @@ class MetricGraph:
         return self.edges[ei][2]
 
     def valence(self, vertex: str) -> int:
-        return len(self._incidence[vertex])
+        return len(self._incidence[self.vertex_index[vertex]])
 
     def betti(self) -> int:
         return len(self.edges) - len(self.vertices) + 1
@@ -207,7 +212,7 @@ class MetricGraph:
 
     def check_point(self, p: Point) -> None:
         if p.is_vertex:
-            if p.vertex not in self._incidence:
+            if p.vertex not in self.vertex_index:
                 raise GraphError(f"point at unknown vertex {p.vertex}")
         else:
             if not (0 <= p.edge < len(self.edges)):
@@ -220,44 +225,58 @@ class MetricGraph:
         if not p.is_vertex:
             return [(p.edge, p.offset)]
         out = []
-        for (ei, side) in self._incidence[p.vertex]:
+        for (ei, side, _y) in self._incidence[self.vertex_index[p.vertex]]:
             out.append((ei, Fraction(0) if side == 0 else self.edge_length(ei)))
         return out
 
     # -- distances -------------------------------------------------------
 
-    def vertex_distances(self, src: Point) -> dict[str, Fraction]:
-        """Exact shortest-path distance from ``src`` to every vertex."""
-        dist: dict[str, Fraction] = {}
-        heap: list[tuple[Fraction, str]] = []
+    def _distances(self, src: Point, *dens: int) -> tuple[int, list[int]]:
+        """Dijkstra on integers, over vertex indices, from ``src``, checked
+        first.  Returns ``(L, d)``: L is the lcm of ``scale``, of src's
+        offset's denominator and of ``dens``, and d[i] is the distance
+        from src to vertex i in units of 1/L."""
+        self.check_point(src)
+        L = lcm(self.scale, src.offset.denominator, *dens)
+        k = L // self.scale
+        weights = [length * k for length in self.int_lengths]
+        dist: list[int | None] = [None] * len(self.vertices)
         if src.is_vertex:
-            heapq.heappush(heap, (Fraction(0), src.vertex))
+            heap = [(0, self.vertex_index[src.vertex])]
         else:
-            u, v, length = self.edges[src.edge]
-            heapq.heappush(heap, (src.offset, u))
-            heapq.heappush(heap, (length - src.offset, v))
+            a, b = self.edge_ends[src.edge]
+            x = src.offset.numerator * (L // src.offset.denominator)
+            heap = sorted([(x, a), (weights[src.edge] - x, b)])
+        inc = self._incidence
         while heap:
             d, x = heapq.heappop(heap)
-            if x in dist:
+            if dist[x] is not None:
                 continue
             dist[x] = d
-            for (ei, side) in self._incidence[x]:
-                u, v, length = self.edges[ei]
-                y = v if side == 0 else u
-                if y not in dist:
-                    heapq.heappush(heap, (d + length, y))
-        return dist
+            for (ei, _side, y) in inc[x]:
+                if dist[y] is None:
+                    heapq.heappush(heap, (d + weights[ei], y))
+        return L, dist
+
+    def vertex_distances(self, src: Point) -> dict[str, Fraction]:
+        """Exact shortest-path distance from ``src`` to every vertex;
+        ``GraphError`` for a point the graph does not have."""
+        L, dist = self._distances(src)
+        return {v: Fraction(d, L) for v, d in zip(self.vertices, dist)}
 
     def distance(self, p: Point, q: Point) -> Fraction:
-        """Exact shortest-path distance between ``p`` and ``q``."""
-        dv = self.vertex_distances(p)
+        """Exact shortest-path distance between ``p`` and ``q``;
+        ``GraphError`` for a point the graph does not have."""
+        self.check_point(q)
+        L, dv = self._distances(p, q.offset.denominator)
         if q.is_vertex:
-            return dv[q.vertex]
-        u, v, length = self.edges[q.edge]
-        best = min(dv[u] + q.offset, dv[v] + (length - q.offset))
+            return Fraction(dv[self.vertex_index[q.vertex]], L)
+        a, b = self.edge_ends[q.edge]
+        y = q.offset.numerator * (L // q.offset.denominator)
+        best = min(dv[a] + y, dv[b] + self.int_lengths[q.edge] * (L // self.scale) - y)
         if not p.is_vertex and p.edge == q.edge:
-            best = min(best, abs(p.offset - q.offset))
-        return best
+            best = min(best, abs(p.offset.numerator * (L // p.offset.denominator) - y))
+        return Fraction(best, L)
 
 
 class Divisor:
@@ -451,7 +470,8 @@ class ChainOfLoops:
     from w_i to v_{i+1}.  With ``extended=True`` the graph also carries
     pendant vertices w_0 and v_{g+1} attached by bridges to v_1 and w_g.
     ``integer_lengths`` is (L, ell, m, beta), the lengths in units of 1/L,
-    L the lcm of their denominators: the lattice of ``chainbn``'s chips.
+    L the lcm of their denominators: the lattice of ``chainbn``'s chips,
+    read off the graph's integer form.
     """
 
     def __init__(self, g: int, ell: Sequence, m: Sequence, beta: Sequence,
@@ -499,13 +519,16 @@ class ChainOfLoops:
             edges.append((f"w{g}", f"v{g + 1}", pendant[1]))
         # the graph parses and sign-checks every length
         self.graph = G = MetricGraph(vertices, edges)
-        self.ell = ell = tuple(G.edge_length(self._top[i]) for i in range(1, g + 1))
-        self.m = m = tuple(G.edge_length(self._bottom[i]) for i in range(1, g + 1))
-        self.beta = tuple(G.edge_length(self._bridge[i]) for i in range(1, g))
-        self.pendant = tuple(G.edge_length(self._bridge[i]) for i in (0, g)) if extended else ()
-        L = lcm(*(x.denominator for x in ell + m + self.beta))
-        self.integer_lengths = (L, *(tuple(x.numerator * (L // x.denominator) for x in xs)
-                                     for xs in (ell, m, self.beta)))
+        # edges top_i, bottom_i, bridge_i, ..., top_g, bottom_g, pendants
+        core = 3 * g - 1
+        lengths = [length for (_u, _v, length) in G.edges]
+        ell, m, self.beta = (tuple(lengths[i:core:3]) for i in range(3))
+        self.ell, self.m, self.pendant = ell, m, tuple(lengths[core:])
+        # with k the gcd of scale and the core's integer lengths, scale // k
+        # is the lcm of the core's denominators, whatever the pendants'
+        k = gcd(G.scale, *G.int_lengths[:core])
+        self.integer_lengths = (G.scale // k, *(tuple(x // k for x in G.int_lengths[i:core:3])
+                                                for i in range(3)))
         # whether no ell_i/m_i is a ratio a/b of positive integers with
         # a + b <= 2g-2, decided once: in lowest terms p/q
         # every such a/b is kp/kq, so that holds iff p + q > 2g-2

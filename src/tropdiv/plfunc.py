@@ -135,8 +135,8 @@ class PLFunction:
     def _build(self, graph: MetricGraph, edges) -> None:
         self.graph = graph
         self.scaled: tuple[Edge, ...] = tuple(
-            _normalize_edge(S, pts, length.numerator * (S // length.denominator))
-            for (S, pts), (_u, _v, length) in zip(edges, graph.edges))
+            _normalize_edge(S, pts, n * S // graph.scale)
+            for (S, pts), n in zip(edges, graph.int_lengths))
         # continuity at vertices: every edge starts at its first end's
         # value and ends at its second end's, compared as v/s
         at: list[tuple[int, int] | None] = [None] * len(graph.vertices)
@@ -344,21 +344,21 @@ def in_R(f: PLFunction, D: Divisor) -> bool:
 
 
 def distance_function(graph: MetricGraph, p: Point, cap=None) -> PLFunction:
-    """x -> dist(x, p), optionally capped at ``cap`` (slopes stay in {-1,0,1})."""
-    dv = graph.vertex_distances(p)
+    """x -> dist(x, p), optionally capped at ``cap`` (slopes stay in {-1,0,1});
+    ``GraphError`` for a point p the graph does not have."""
     if cap is not None:
         cap = _rat(cap, PreconditionError)
+    # every length, distance, offset and the cap in units of 1/S
+    S, dv = graph._distances(p, 1 if cap is None else cap.denominator)
+    k = S // graph.scale
+    x = None if p.is_vertex else p.offset.numerator * (S // p.offset.denominator)
     edges = []
-    for ei, (u, v, length) in enumerate(graph.edges):
-        off = p.offset if not p.is_vertex and p.edge == ei else None
-        xs = [x for x in (length, dv[u], dv[v], off, cap) if x is not None]
-        S = lcm(*(x.denominator for x in xs))
-        L, du, dw = (x.numerator * (S // x.denominator) for x in (length, dv[u], dv[v]))
+    for ei, ((u, v), n) in enumerate(zip(graph.edge_ends, graph.int_lengths)):
+        L, du, dw = n * k, dv[u], dv[v]
         # around-the-graph candidates through either endpoint
         pieces = [(S, (0, L), (du, du + L)), (S, (0, L), (dw + L, dw))]
-        if off is not None:
+        if x is not None and p.edge == ei:
             # straight to p along the edge
-            x = off.numerator * (S // off.denominator)
             pieces.append((S, (0, x, L), (x, 0, L - x)))
         if cap is not None:
             c = cap.numerator * (S // cap.denominator)

@@ -13,8 +13,8 @@ firing at it until it holds no debt.  Each firing stops as soon as its
 base holds the chips it needs, as no firing step takes one off its base.
 
 Burning and firing run on integers.  Every offset is a multiple of 1/L,
-where L is the lcm of the denominators of the edge lengths, of the
-divisor's offsets and of the base's offset; firing moves chips by
+where L is the lcm of the graph's ``scale`` (that of its edge lengths),
+of the divisor's offsets and of the base's offset; firing moves chips by
 distances between such offsets, so they stay on that lattice.  The core
 keeps chips in a per-vertex list, a dict from (edge, offset in units of
 1/L) to count and, per edge, the sorted offsets that hold chips; it
@@ -59,28 +59,29 @@ _RUNS_STORE_SIZE = 512
 
 class _Lattice:
     """The graph with every length in units of 1/L, where L is the lcm of
-    the denominators of the edge lengths and of the given points' offsets.
+    the graph's ``scale`` and the denominators of the given points' offsets.
 
     A point is named by a key: its vertex index, or (edge, offset) with
     the offset an integer strictly inside the edge.  Firing by a corridor
     length never leaves this lattice, so the core needs no rescaling.
-    Each call builds its own lattice, checking every point and computing
-    L; only the burn runs are shared, through the graph (``runs``).
+    Each call checks every point and scales the graph's integer lengths;
+    only the burn runs are shared, through the graph (``runs``).
     """
 
     __slots__ = ("graph", "scale", "edges")
 
     def __init__(self, graph: MetricGraph, points):
-        dens = [length.denominator for (_u, _v, length) in graph.edges]
+        dens = []
         for p in points:
             graph.check_point(p)
             if not p.is_vertex:
                 dens.append(p.offset.denominator)
         self.graph = graph
-        self.scale = L = lcm(*dens)
+        self.scale = L = lcm(graph.scale, *dens)
+        k = L // graph.scale
         # the graph's edges as (first end, second end, length) in integers
-        self.edges = [(u, v, length.numerator * (L // length.denominator))
-                      for (u, v), (_u, _v, length) in zip(graph.edge_ends, graph.edges)]
+        self.edges = [(u, v, length * k)
+                      for (u, v), length in zip(graph.edge_ends, graph.int_lengths)]
 
     def key(self, p: Point):
         if p.is_vertex:

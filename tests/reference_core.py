@@ -13,14 +13,21 @@ repeating reductions: every point's reduction fired from the reduction
 at the base, every child without a chip fired, and every node searched
 as often as the walk reaches it.  And ``sorted_tableaux``,
 ``chainbn.enumerate_tableaux`` as it was before it streamed: the whole
-list, sorted by the row-concatenated entries."""
+list, sorted by the row-concatenated entries.  And ``vertex_distances``,
+``distance`` and ``distance_function``, the graph's distances as they
+were before its integer form: Dijkstra on ``Fraction``s by vertex name,
+and each edge of a distance function at the lcm of its own values'
+denominators."""
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
+from math import lcm
 
 from tropdiv.chainbn import Tableau, tableau_to_dyck
 from tropdiv.errors import PreconditionError, ReductionCapError, TheoremViolation
 from tropdiv.graph import Divisor, Interval, Region
+from tropdiv.plfunc import PLFunction, _envelope_edge, lower_envelope
 from tropdiv.reduce import (DEFAULT_MAX_STEPS, _Chips, _Lattice,
                             default_base, default_rank_points, v_reduce)
 from tropdiv.reduce import _fire as _fire_runs
@@ -242,3 +249,64 @@ def sorted_tableaux(rows: int, cols: int) -> list[Tableau]:
     place(1)
     out.sort(key=lambda t: t.entries)
     return out
+
+
+def vertex_distances(graph, src) -> dict[str, Fraction]:
+    """Exact shortest-path distance from ``src`` to every vertex."""
+    incidence: dict[str, list[tuple[int, int]]] = {v: [] for v in graph.vertices}
+    for ei, (u, v, _l) in enumerate(graph.edges):
+        incidence[u].append((ei, 0))
+        incidence[v].append((ei, 1))
+    dist: dict[str, Fraction] = {}
+    heap: list[tuple[Fraction, str]] = []
+    if src.is_vertex:
+        heapq.heappush(heap, (Fraction(0), src.vertex))
+    else:
+        u, v, length = graph.edges[src.edge]
+        heapq.heappush(heap, (src.offset, u))
+        heapq.heappush(heap, (length - src.offset, v))
+    while heap:
+        d, x = heapq.heappop(heap)
+        if x in dist:
+            continue
+        dist[x] = d
+        for (ei, side) in incidence[x]:
+            u, v, length = graph.edges[ei]
+            y = v if side == 0 else u
+            if y not in dist:
+                heapq.heappush(heap, (d + length, y))
+    return dist
+
+
+def distance(graph, p, q) -> Fraction:
+    """Exact shortest-path distance between ``p`` and ``q``."""
+    dv = vertex_distances(graph, p)
+    if q.is_vertex:
+        return dv[q.vertex]
+    u, v, length = graph.edges[q.edge]
+    best = min(dv[u] + q.offset, dv[v] + (length - q.offset))
+    if not p.is_vertex and p.edge == q.edge:
+        best = min(best, abs(p.offset - q.offset))
+    return best
+
+
+def distance_function(graph, p, cap=None) -> PLFunction:
+    """x -> dist(x, p), optionally capped at ``cap``."""
+    dv = vertex_distances(graph, p)
+    edges = []
+    for ei, (u, v, length) in enumerate(graph.edges):
+        off = p.offset if not p.is_vertex and p.edge == ei else None
+        xs = [x for x in (length, dv[u], dv[v], off, cap) if x is not None]
+        S = lcm(*(x.denominator for x in xs))
+        L, du, dw = (x.numerator * (S // x.denominator) for x in (length, dv[u], dv[v]))
+        # around-the-graph candidates through either endpoint
+        pieces = [(S, (0, L), (du, du + L)), (S, (0, L), (dw + L, dw))]
+        if off is not None:
+            # straight to p along the edge
+            x = off.numerator * (S // off.denominator)
+            pieces.append((S, (0, x, L), (x, 0, L - x)))
+        if cap is not None:
+            c = cap.numerator * (S // cap.denominator)
+            pieces.append((S, (0, L), (c, c)))
+        edges.append(_envelope_edge(*lower_envelope(pieces, [0] * len(pieces))))
+    return PLFunction._from_ints(graph, edges)

@@ -11,8 +11,9 @@ from tropdiv.graph import _POINT_CACHE_SIZE, _rat
 from tropdiv.independence import strict_offsets
 from tropdiv.plfunc import PLFunction, distance_function
 from tropdiv.reduce import _Lattice
-from tropdiv.sampling import SplitMix64
+from tropdiv.sampling import SplitMix64, random_point
 
+from . import reference_core
 from .conftest import cell_regions, circle_graph, theta_graph
 
 
@@ -186,6 +187,89 @@ class TestMetricGraph:
         a = G.vertex_point("a")
         assert G.distance(p, q) <= G.distance(p, a) + G.distance(a, q)
 
+    @pytest.mark.parametrize("bad", [
+        Point(None, 1, Fraction(5)),        # beyond edge 1's length 1
+        Point(None, 1, Fraction(-1, 2)),
+        Point(None, 1, Fraction(0)),        # a vertex not in canonical form
+        Point("zz", -1, Fraction(0)),
+        Point(None, 99, Fraction(1, 2)),
+    ])
+    def test_distances_check_their_points(self, bad):
+        chain = default_generic_chain(2)
+        G, v1 = chain.graph, chain.v(1)
+        for call in (lambda: G.distance(v1, bad), lambda: G.distance(bad, v1),
+                     lambda: G.vertex_distances(bad), lambda: distance_function(G, bad)):
+            with pytest.raises(GraphError):
+                call()
+
+
+def random_multigraph(rng: SplitMix64) -> MetricGraph:
+    """A random connected graph on 1 to 5 vertices: a random tree, copies
+    of some of its edges, chords and self-loops, each edge oriented
+    either way, with lengths of denominators up to 6."""
+    n = rng.randint(1, 5)
+    names = [f"n{i}" for i in range(n)]
+
+    def length():
+        return Fraction(rng.randint(1, 12), rng.randint(1, 6))
+
+    edges = [(names[rng.randint(0, i - 1)], names[i], length()) for i in range(1, n)]
+    # a single vertex gets at least one self-loop
+    for _ in range(rng.randint(n == 1, 3)):
+        kind = rng.below(3)
+        if kind == 0 and edges:
+            u, v, _l = rng.choice(edges)
+        elif kind == 1:
+            u, v = rng.choice(names), rng.choice(names)
+        else:
+            u = v = rng.choice(names)
+        edges.append((u, v, length()))
+    edges = [(v, u, l) if rng.below(2) else (u, v, l) for (u, v, l) in edges]
+    return MetricGraph(names, edges)
+
+
+class TestIntegerDistances:
+    """``distance``, ``vertex_distances`` and ``distance_function`` on the
+    graph's integer form against ``reference_core``'s ``Fraction``
+    Dijkstra, on random graphs with parallel edges, self-loops and
+    bridges."""
+
+    def test_match_the_fraction_dijkstra(self):
+        rng = SplitMix64(31)
+        seen = set()
+        for _ in range(150):
+            G = random_multigraph(rng)
+            for ei, (u, v, _l) in enumerate(G.edges):
+                if u == v:
+                    seen.add("self-loop")
+                elif sum({u, v} == {a, b} for (a, b, _l) in G.edges) > 1:
+                    seen.add("parallel")
+                else:
+                    try:
+                        MetricGraph(G.vertices, G.edges[:ei] + G.edges[ei + 1:])
+                    except GraphError:
+                        seen.add("bridge")
+            pts = [random_point(G, rng, rng.choice([2, 3, 5, 7, 16])) for _ in range(3)]
+            ei = rng.below(len(G.edges))
+            pts += [G.point(ei, G.edge_length(ei) * Fraction(k, 9)) for k in (2, 5)]
+            for p in pts:
+                if p.offset.denominator > 1 and G.scale % p.offset.denominator:
+                    seen.add("offset off the graph's scale")
+                assert G.vertex_distances(p) == reference_core.vertex_distances(G, p)
+                cap = rng.choice([None, Fraction(rng.randint(1, 20), rng.choice([1, 5, 11]))])
+                f = distance_function(G, p, cap)
+                assert f == reference_core.distance_function(G, p, cap)
+                for q in pts:
+                    if p == q:
+                        seen.add("p == q")
+                    elif not p.is_vertex and p.edge == q.edge:
+                        seen.add("same edge")
+                    d = G.distance(p, q)
+                    assert d == reference_core.distance(G, p, q)
+                    assert f(q) == (d if cap is None else min(d, cap))
+        assert seen == {"self-loop", "parallel", "bridge", "offset off the graph's scale",
+                        "p == q", "same edge"}
+
 
 class TestDivisor:
     def test_arithmetic(self):
@@ -323,6 +407,14 @@ class TestChainOfLoops:
         # pendant bridges exist only on the extended chain
         ch.bridge_edge(0)
         ch.bridge_edge(2)
+
+    def test_integer_lengths_leave_out_the_pendants(self):
+        F = Fraction
+        ch = ChainOfLoops(3, [F(5, 2), F(7, 3), 4], [1, F(1, 2), 1], [F(1, 5), 2],
+                          extended=True, pendant=[F(1, 7), F(3, 11)])
+        assert ch.graph.scale == 2310
+        assert ch.integer_lengths == (30, (75, 70, 120), (30, 15, 30), (6, 60))
+        assert ch.pendant == (F(1, 7), F(3, 11))
 
     @pytest.mark.parametrize("extended", [False, True])
     def test_bad_loop_or_bridge_index_named(self, extended):
