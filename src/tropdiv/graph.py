@@ -53,8 +53,9 @@ class Point:
 
     Canonical form: a point at offset 0 or at the full edge length is stored
     as the vertex itself (``vertex`` set, ``edge`` = -1), so equality is
-    well-defined across all edges incident to that vertex.  The hash is
-    precomputed from integer parts; points live in hot dictionaries.
+    well-defined across all edges incident to that vertex; a vertex point
+    in any other form raises ``GraphError``.  The hash is precomputed from
+    integer parts; points live in hot dictionaries.
     """
 
     vertex: str | None
@@ -63,6 +64,8 @@ class Point:
 
     def __post_init__(self):
         if self.vertex is not None:
+            if self.edge != -1 or self.offset != 0:
+                raise GraphError(f"vertex point {self.vertex} needs edge -1 and offset 0")
             h = hash(("v", self.vertex))
         else:
             h = hash((self.edge, self.offset.numerator, self.offset.denominator))

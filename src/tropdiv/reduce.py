@@ -4,9 +4,10 @@ Reduction to a base point runs the metric burning algorithm: fire spreads
 from the base, a point survives only if its chip count is at least the
 number of burning directions reaching it, and the surviving closed set is
 fired toward the base until everything burns.  Debt away from the base is
-first paid from the divisor's own chips, and the same firing loop does
-it (see ``_clear_debt``): all debt is gathered at one sink, the base if
-it holds debt and otherwise a debt point.  c chips of debt at p move to
+first paid from the divisor's own chips by the same firing loop (see
+``_clear_debt``): all debt is gathered at one sink, the base if it holds
+debt and otherwise the least debt point in key order, so the firings
+depend on the divisor and the base alone.  c chips of debt at p move to
 the sink by firing (g+c)*sink at p until p holds c chips, which tropical
 Riemann-Roch guarantees, and a sink other than the base is paid by
 firing at it until it holds no debt.  Each firing stops as soon as its
@@ -15,19 +16,19 @@ base holds the chips it needs, as no firing step takes one off its base.
 Burning and firing run on integers.  Every offset is a multiple of 1/L,
 where L is the lcm of the graph's ``scale`` (that of its edge lengths),
 of the divisor's offsets and of the base's offset; firing moves chips by
-distances between such offsets, so they stay on that lattice.  The core
-keeps chips in a per-vertex list, a dict from (edge, offset in units of
-1/L) to count and, per edge, the sorted offsets that hold chips; it
-converts to and from ``Divisor`` once per call.  A firing step edits the
-offsets only where a chip leaves and where it lands.  The burn runs over
-the vertices and an interior base only: an edge, or the part of it on
-one side of an interior base, carries fire from end to end when it holds
-no chips, and otherwise its chips are read off its burnt ends (see
-``_Runs``).  The runs of a base depend only on the edge lengths in
-units of 1/L and on the base, so the graph keeps them from call to call
-(``_Lattice.runs``); every call still builds its own lattice and checks
-its points.  ``rank`` runs its whole depth-first search on these chips,
-and on its last level fires only until the base holds a chip.
+distances between such offsets, so they stay on that lattice.  All chips
+live in one store, ``_Chips``: a list per vertex and, per edge, a sorted
+tuple of (offset in units of 1/L, count) pairs, which burning, firing,
+the rank search and the witness solve all read; a call converts to and
+from ``Divisor`` once.  The burn runs over the vertices and an interior
+base only: an edge, or the part of it on one side of an interior base,
+carries fire from end to end when it holds no chips, and otherwise its
+chips are read off its burnt ends (see ``_Runs``).  The runs of a base
+depend only on the edge lengths in units of 1/L and on the base, so the
+graph keeps them from call to call (``_Lattice.runs``); every call still
+builds its own lattice and checks its points.  ``rank`` runs its whole
+depth-first search on these chips, and on its last level fires only
+until the base holds a chip.
 
 Only chips move; the witness f with D + div(f) = D' is then solved from
 D' - D by one weighted-Laplacian system (Baker and Shokrieh, "Chip-firing
@@ -70,14 +71,12 @@ class _Lattice:
 
     __slots__ = ("graph", "scale", "edges")
 
-    def __init__(self, graph: MetricGraph, points):
-        dens = []
+    def __init__(self, graph: MetricGraph, points: list[Point]):
         for p in points:
             graph.check_point(p)
-            if not p.is_vertex:
-                dens.append(p.offset.denominator)
         self.graph = graph
-        self.scale = L = lcm(graph.scale, *dens)
+        # a vertex point's offset is 0, of denominator 1
+        self.scale = L = lcm(graph.scale, *(p.offset.denominator for p in points))
         k = L // graph.scale
         # the graph's edges as (first end, second end, length) in integers
         self.edges = [(u, v, length * k)
@@ -117,47 +116,46 @@ class _Lattice:
 
 
 class _Chips:
-    """An integer divisor: chips per vertex index, a dict from (edge,
-    offset) to its nonzero count, and per edge the sorted tuple of those
-    offsets.  The tuples are replaced, never changed, so copies share
-    them."""
+    """An integer divisor: chips per vertex index and, per edge, the
+    sorted tuple of (offset, nonzero count) pairs inside it.  The tuples
+    are replaced, never changed, so copies share them.  ``items`` lists
+    the chips in key order: vertices by index, then edge and offset."""
 
-    __slots__ = ("at_vertex", "on_edge", "offsets")
+    __slots__ = ("at_vertex", "on_edge")
 
     def __init__(self, n: int, m: int):
         self.at_vertex = [0] * n
-        self.on_edge: dict[tuple[int, int], int] = {}
-        self.offsets: list[tuple[int, ...]] = [()] * m
+        self.on_edge: list[tuple[tuple[int, int], ...]] = [()] * m
 
     def get(self, key) -> int:
         if type(key) is int:
             return self.at_vertex[key]
-        return self.on_edge.get(key, 0)
+        e, k = key
+        for o, c in self.on_edge[e]:
+            if o == k:
+                return c
+        return 0
 
     def add(self, key, c: int) -> None:
         if type(key) is int:
             self.at_vertex[key] += c
             return
-        old = self.on_edge.get(key, 0)
-        if c := old + c:
-            self.on_edge[key] = c
-        else:
-            del self.on_edge[key]
-        if not (old and c):
-            # the offset starts or stops holding chips
-            e, k = key
-            offs = self.offsets[e]
-            i = bisect_left(offs, k)
-            self.offsets[e] = offs[:i] + (k,) + offs[i:] if c else offs[:i] + offs[i + 1:]
+        e, k = key
+        pairs = self.on_edge[e]
+        # offsets are integers, so the pair at k, if any, is pairs[i:j]
+        i, j = bisect_left(pairs, (k,)), bisect_left(pairs, (k + 1,))
+        if i < j:
+            c += pairs[i][1]
+        self.on_edge[e] = pairs[:i] + ((k, c),) + pairs[j:] if c else pairs[:i] + pairs[j:]
 
     def items(self):
-        return [(i, c) for i, c in enumerate(self.at_vertex) if c] + list(self.on_edge.items())
+        return ([(i, c) for i, c in enumerate(self.at_vertex) if c]
+                + [((e, k), c) for e, pairs in enumerate(self.on_edge) for k, c in pairs])
 
     def copy(self) -> _Chips:
         new = _Chips.__new__(_Chips)
         new.at_vertex = self.at_vertex[:]
-        new.on_edge = self.on_edge.copy()
-        new.offsets = self.offsets[:]
+        new.on_edge = self.on_edge[:]
         return new
 
 
@@ -214,20 +212,18 @@ class _Runs:
         end.  A node burns once more burning runs reach it than it holds
         chips.
 
-        Returns the chip offsets strictly inside each run and, for each
-        node, its chips less the burning runs that reached it: negative
-        iff the node burnt.  A run's lone chip point holding one chip also
-        burns when both ends of the run do, but fire reaches nothing new
-        through it.
+        Returns the (offset, count) pairs strictly inside each run and,
+        for each node, its chips less the burning runs that reached it:
+        negative iff the node burnt.  A run's lone chip point holding one
+        chip also burns when both ends of the run do, but fire reaches
+        nothing new through it.
         """
-        inside, left = chips.offsets, chips.at_vertex[:]
+        inside, left = chips.on_edge, chips.at_vertex[:]
         if self.cut is not None:
             e, k = self.cut
-            offs = inside[e]
-            i = bisect_left(offs, k)
-            j = i + 1 if i < len(offs) and offs[i] == k else i
-            inside = inside + [offs[j:]]
-            inside[e] = offs[:i]
+            pairs = inside[e]
+            inside = inside + [pairs[bisect_left(pairs, (k + 1,)):]]
+            inside[e] = pairs[:bisect_left(pairs, (k,))]
             left.append(0)
         left[self.base] = -1
         inc = self.inc
@@ -247,26 +243,27 @@ class _Runs:
         which it leaves, and the rest of its corridor."""
         inside, left = self.burn(chips)
         germs = []
-        for offs, (e, lo, hi, a, b), (tail_a, tail_b) in zip(inside, self.runs, self.tails):
+        for pairs, (e, lo, hi, a, b), (tail_a, tail_b) in zip(inside, self.runs, self.tails):
             burnt_a, burnt_b = left[a] < 0, left[b] < 0
-            if not offs:
+            if not pairs:
                 if burnt_a != burnt_b:
                     germs.append((b, e, hi, -1, hi - lo, tail_a) if burnt_a else
                                  (a, e, lo, 1, hi - lo, tail_b))
             elif burnt_a or burnt_b:
-                if burnt_a and burnt_b and _lone(chips, e, offs):
+                if burnt_a and burnt_b and _lone(pairs):
                     continue
+                first, last = pairs[0][0], pairs[-1][0]
                 if burnt_a:
-                    germs.append(((e, offs[0]), e, offs[0], -1, offs[0] - lo, tail_a))
+                    germs.append(((e, first), e, first, -1, first - lo, tail_a))
                 if burnt_b:
-                    germs.append(((e, offs[-1]), e, offs[-1], 1, hi - offs[-1], tail_b))
+                    germs.append(((e, last), e, last, 1, hi - last, tail_b))
         return germs
 
 
-def _lone(chips: _Chips, e: int, offs) -> bool:
+def _lone(pairs) -> bool:
     """Whether a run's chips are one chip at one point: that point burns
     once fire reaches it from both ends."""
-    return len(offs) == 1 and chips.on_edge[(e, offs[0])] == 1
+    return len(pairs) == 1 and pairs[0][1] == 1
 
 
 def _fire(lat: _Lattice, chips: _Chips, base, budget: list[int],
@@ -286,7 +283,7 @@ def _fire(lat: _Lattice, chips: _Chips, base, budget: list[int],
     another valence, and eps is the shortest such corridor, so a chip
     crosses a whole corridor in one step.  Fire reaches the inner points
     of a corridor only through its ends, so no corridor ends at an
-    unburnt point, and two never meet.  A step changes the chip offsets
+    unburnt point, and two never meet.  A step replaces an edge's pairs
     only where a chip leaves its germ and where it lands.
     """
     runs = lat.runs(base)
@@ -326,7 +323,7 @@ def _transfer(lat: _Lattice, chips: _Chips, p, c: int, sink, budget: list[int]) 
     and the result less (g+c)*sink, a principal divisor, is added.
     """
     top = lat.graph.betti() + c
-    z = _Chips(len(chips.at_vertex), len(chips.offsets))
+    z = _Chips(len(chips.at_vertex), len(chips.on_edge))
     z.add(sink, top)
     _fire(lat, z, p, budget, until=c)
     if z.get(p) < c:
@@ -342,12 +339,14 @@ def _clear_debt(lat: _Lattice, chips: _Chips, base, budget: list[int]) -> None:
     """Pay the debt of ``chips`` away from ``base`` = q, in place, so that
     only q may be left in debt; each firing goes only as far as it must.
 
-    The sink is q if q holds debt, and otherwise the first debt point.
-    Every other debt moves to the sink (``_transfer``).  A sink
-    other than q is then paid by firing at it until it holds no debt; if
-    even its reduced divisor is in debt there, the class has no effective
-    member, and the rest of that debt moves to q.  Every firing draws
-    from ``budget``.
+    The sink is q if q holds debt, and otherwise the least debt key, as
+    ``_Chips.items`` lists chips in key order; so the sink and every
+    firing depend on the chips alone, not on the order in which a
+    divisor's terms were listed.  Every other debt moves to the sink
+    (``_transfer``), in key order.  A sink other than q is then paid by
+    firing at it until it holds no debt; if even its reduced divisor is
+    in debt there, the class has no effective member, and the rest of
+    that debt moves to q.  Every firing draws from ``budget``.
     """
     debts = [(p, -c) for p, c in chips.items() if c < 0 and p != base]
     if not debts:
@@ -387,12 +386,12 @@ def dhar_unburnt(graph: MetricGraph, D: Divisor, base: Point) -> Region:
     # the unburnt vertices and chip points by key, and those that end an interval
     unburnt = {x for x in range(len(graph.vertices)) if left[x] >= 0}
     ends, segs = set(), []
-    for offs, (e, lo, hi, a, b) in zip(inside, runs.runs):
+    for pairs, (e, lo, hi, a, b) in zip(inside, runs.runs):
         burnt_a, burnt_b = left[a] < 0, left[b] < 0
-        if burnt_a and burnt_b and (not offs or _lone(chips, e, offs)):
+        if burnt_a and burnt_b and (not pairs or _lone(pairs)):
             continue
-        unburnt.update((e, k) for k in offs)
-        stops = [(lo, a, burnt_a), *((k, (e, k), False) for k in offs), (hi, b, burnt_b)]
+        unburnt.update((e, k) for k, _c in pairs)
+        stops = [(lo, a, burnt_a), *((k, (e, k), False) for k, _c in pairs), (hi, b, burnt_b)]
         for (k1, x1, b1), (k2, x2, b2) in zip(stops, stops[1:]):
             if not (b1 or b2):
                 segs.append((e, k1, k2))
@@ -448,22 +447,14 @@ def _potential(lat: _Lattice, E: Divisor, base: Point) -> PLFunction:
     n = len(graph.vertices)
     P = lcm(*(length for (_u, _v, length) in lat.edges))
     rows: list[dict[int, int]] = [{} for _ in range(n)]
-    rhs = [0] * n
-    # (offset, chips) on each edge; an interior base is a breakpoint
-    # without chips, so its value is read off the walk
-    chips: list[list[tuple[int, int]]] = [[] for _ in lat.edges]
+    chips = lat.chips(E)
+    rhs = [c * P for c in chips.at_vertex]
+    # an interior base is a chipless breakpoint, its value read off the walk
     q = lat.key(base)
     if type(q) is tuple:
-        chips[q[0]].append((q[1], 0))
-    for p, c in E.items():
-        k = lat.key(p)
-        if type(k) is int:
-            rhs[k] += c * P
-        else:
-            chips[k[0]].append((k[1], c))
-    for (i, j, length), on_edge in zip(lat.edges, chips):
+        chips.on_edge[q[0]] = tuple(sorted(chips.on_edge[q[0]] + ((q[1], 0),)))
+    for (i, j, length), on_edge in zip(lat.edges, chips.on_edge):
         w = P // length
-        on_edge.sort()
         for a, b in ((i, j), (j, i)):
             if a and a != b:
                 rows[a][a] = rows[a].get(a, 0) + w
@@ -496,7 +487,7 @@ def _potential(lat: _Lattice, E: Divisor, base: Point) -> PLFunction:
         val[k] = _exact(rhs[k] - sum(a * val[j] for j, a in row.items() if j > k), row[k])
     # each edge's breakpoints, offsets and values in units of 1/L
     data: list[list[tuple[int, int]]] = []
-    for (i, j, length), on_edge in zip(lat.edges, chips):
+    for (i, j, length), on_edge in zip(lat.edges, chips.on_edge):
         # the slope leaving the first end; each chip c passed lowers it by c
         slope = _exact(val[j] - val[i] + sum(c * (length - x) for x, c in on_edge), length)
         o, y = 0, val[i]
@@ -524,8 +515,10 @@ def v_reduce(graph: MetricGraph, D: Divisor, base: Point,
     ``steps`` counts every firing step: those that move debt to the sink
     and from it, those that pay the sink, and those that then reduce at
     the base; ``max_steps`` bounds them all.  Only ``steps`` depends on
-    how the debt is paid, as the reduced divisor is unique.  A point of
-    D or a base that the graph does not have raises ``GraphError``.
+    how the debt is paid, as the reduced divisor is unique, and it too
+    depends only on D and the base, not on the order of D's terms
+    (``_clear_debt``).  A point of D or a base that the graph does not
+    have raises ``GraphError``.
     """
     lat = _Lattice(graph, [base, *D.support()])
     chips, q = lat.chips(D), lat.key(base)
@@ -617,10 +610,12 @@ def rank(graph: MetricGraph, D: Divisor,
       pre-pass's red_k(D), each fired from the one before, starting at
       the reduction red0 at the base;
     - a node is searched only the first time its chips are met, whatever
-      its start index: the walk meets index multisets in lexicographic
-      order, and had the least failing E of least degree a node on its
-      path skipped for an earlier one with the same chips, the earlier
-      node's multiset plus the rest of E would fail too and come first;
+      its start index (``searched`` keys it by its vertex counts and its
+      edges' pair tuples, as two tuples): the walk meets index multisets in
+      lexicographic order, and had the least failing E of least degree a
+      node on its path skipped for an earlier one with the same chips, the
+      earlier node's multiset plus the rest of E would fail too and come
+      first;
     - on the last level (``depth + 2 >= best_fail``) a child only needs
       a chip at k: a k where cur has one passes with no copy, and red is
       fired from k's sibling with ``until=1``, until k holds a chip, not
@@ -704,7 +699,7 @@ def rank(graph: MetricGraph, D: Divisor,
                     continue
                 nxt = red.copy()
             nxt.add(k, -1)
-            node = (tuple(nxt.at_vertex), frozenset(nxt.on_edge.items()))
+            node = (tuple(nxt.at_vertex), tuple(nxt.on_edge))
             if node in searched:
                 continue
             searched.add(node)

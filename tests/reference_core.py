@@ -44,9 +44,10 @@ def _burn(lat: _Lattice, chips: _Chips, base):
     keys, which nodes burnt and the base's node.
     """
     cuts: dict[int, list[int]] = {}
-    for (e, k) in chips.on_edge:
-        cuts.setdefault(e, []).append(k)
-    if type(base) is tuple and base not in chips.on_edge:
+    for e, pairs in enumerate(chips.on_edge):
+        for k, _c in pairs:
+            cuts.setdefault(e, []).append(k)
+    if type(base) is tuple and not chips.get(base):
         cuts.setdefault(base[0], []).append(base[1])
     count = chips.at_vertex[:]
     keys: list = list(range(len(count)))
@@ -60,7 +61,7 @@ def _burn(lat: _Lattice, chips: _Chips, base):
             if key == base:
                 bid = b
             keys.append(key)
-            count.append(chips.on_edge.get(key, 0))
+            count.append(chips.get(key))
             inc.append([len(segs)])
             inc[a].append(len(segs))
             segs.append((e, lo, k, a, b))

@@ -155,6 +155,14 @@ class TestMetricGraph:
         with pytest.raises(GraphError, match="unknown vertex zz"):
             G.check_point(Point("zz", -1, Fraction(0)))
 
+    @pytest.mark.parametrize("edge, offset", [(3, Fraction(5)), (3, Fraction(0)),
+                                              (-1, Fraction(1, 2))])
+    def test_vertex_point_in_another_form_is_rejected(self, edge, offset):
+        # such a point would sit beside v1's own point as a second key for
+        # the same vertex, so a divisor could hold two terms at v1
+        with pytest.raises(GraphError, match="vertex point v1"):
+            Point("v1", edge, offset)
+
     @pytest.mark.parametrize("name", [1, None, True, ("a",)])
     def test_rejects_non_string_vertex_name(self, name):
         with pytest.raises(GraphError, match="not a string"):

@@ -1,6 +1,6 @@
 """Tests for burning, reduction, equivalence, and rank."""
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -332,6 +332,24 @@ class TestReduction:
             assert res.witness(base) == 0
             assert is_reduced(G, res.reduced, base)
             assert v_reduce(G, D + cone, base).reduced == res.reduced
+
+    def test_the_order_of_the_terms_changes_nothing(self, chain3):
+        # the debt is gathered at its least key, not at the first term
+        # listed, so steps too depends only on D and the base
+        G = chain3.graph
+        rng = SplitMix64(3232)
+        seen = 0
+        while seen < 12:
+            debts = list(dict.fromkeys(random_point(G, rng) for _ in range(rng.randint(2, 3))))
+            chips = list(dict.fromkeys(random_point(G, rng) for _ in range(2)))
+            if any(p.is_vertex for p in debts) or len(debts) < 2 or set(debts) & set(chips):
+                continue
+            terms = [(p, -1) for p in debts] + [(p, rng.randint(2, 3)) for p in chips]
+            base = rng.choice([default_base(G), random_point(G, rng)])
+            first = v_reduce(G, Divisor(terms), base)
+            for order in permutations(terms):
+                assert v_reduce(G, Divisor(order), base) == first
+            seen += 1
 
     def test_debt_on_a_tree(self):
         # on a tree q - p is principal, so the p-reduced form of (g+1)q - p
