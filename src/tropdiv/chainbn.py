@@ -4,20 +4,18 @@ Rectangular standard tableaux classify the relevant divisor classes; each
 tableau yields a lattice path, a divisor D on the chain, its adjoint E,
 and the twisted representatives D_j / E_k with piecewise-linear witnesses.
 
-These divisors have chips on the loops only, kept per loop i as (ccw
+``build_Dj`` / ``build_Ek`` follow the definition: D_j =
+red_{w_g}(D - j*v_1) + j*v_1 and its witness phi_j come from
+``v_reduce``.  The experiment keeps D's chips per loop i as (ccw
 distance from w_i, count) in units of 1/L, L the lcm of the denominators
-of the chain's lengths; they become ``Divisor``s, placed by
-``ChainOfLoops.ccw_point``, only in ``tableau_to_divisor`` and
-``build_Dj`` / ``build_Ek``.  D_j = red_{w_g}(D - j*v_1) + j*v_1 and the
-values of its witness phi_j at v_1..v_g come from one scan from loop 1
-to loop g (``_twist``), one ``_reduce_loop`` step per loop.  The scan
-leaves at most one chip in each cell and none on a bridge, the shape of
-a w_g-reduced divisor, and reduced divisors are unique (Baker-Norine;
-Cools, Draisma, Payne and Robeva, "A tropical proof of the Brill-Noether
-Theorem", Section 3).  The slopes of phi_j it reads are integers exactly
-when D_j - D is principal on each loop, so a remainder raises
-``TheoremViolation``: the check is as exact as the Laplacian solve that
-``build_Dj`` still runs for the full witness.
+of the chain's lengths, and gets the cells of D_j and the values of
+phi_j at v_1..v_g from one scan from loop 1 to loop g (``_twist``), one
+``_reduce_loop`` step per loop.  The scan leaves at most one chip in
+each cell and none on a bridge, the shape of a w_g-reduced divisor, and
+reduced divisors are unique (Baker-Norine; Cools, Draisma, Payne and
+Robeva, "A tropical proof of the Brill-Noether Theorem", Section 3).
+The slopes of phi_j it reads are integers exactly when D_j - D is
+principal on each loop, so a remainder raises ``TheoremViolation``.
 
 The central experiment proves that the family {phi_j + psi_k} admits no
 tropical dependence, as the paper does, from shapes: each D_j + E_k
@@ -45,7 +43,7 @@ from .independence import IndependenceCertificate, strict_offsets
 # nothing here calls it: perfbench/test_perfbench.py reads chainbn.find_dependence
 from .independence import find_dependence  # noqa: F401
 from .plfunc import PLFunction
-from .reduce import _Lattice, _potential, is_equivalent
+from .reduce import is_equivalent, v_reduce
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +193,6 @@ def _tableau_chips(T: Tableau, ell: tuple, m: tuple) -> list[list[tuple[int, int
     return loops
 
 
-def _divisor(chain: ChainOfLoops, L: int, loops) -> Divisor:
-    """The divisor of the chips ``loops`` on the chain."""
-    return Divisor([(chain.ccw_point(i, Fraction(t, L)), c)
-                    for i, on_loop in enumerate(loops, 1) for (t, c) in on_loop])
-
-
 def tableau_to_divisor(T: Tableau, chain: ChainOfLoops) -> Divisor:
     """The divisor classified by the tableau: r chips at v_1, plus one chip
     on loop i at counterclockwise distance p_{i-1}(j)*m_i from w_i whenever
@@ -208,7 +200,9 @@ def tableau_to_divisor(T: Tableau, chain: ChainOfLoops) -> Divisor:
     stay empty."""
     _require_chain(T, chain)
     L, ell, m, _beta = chain.integer_lengths
-    return _divisor(chain, L, _tableau_chips(T, ell, m))
+    return Divisor([(chain.ccw_point(i, Fraction(t, L)), c)
+                    for i, on_loop in enumerate(_tableau_chips(T, ell, m), 1)
+                    for (t, c) in on_loop])
 
 
 def adjoint_divisor(T: Tableau, chain: ChainOfLoops) -> Divisor:
@@ -220,26 +214,18 @@ def build_Dj(T: Tableau, chain: ChainOfLoops, j: int) -> tuple[Divisor, PLFuncti
     """The unique divisor D_j ~ D with D_j - j*v_1 - (r-j)*w_g effective,
     with the witness phi_j (D_j = D + div(phi_j), phi_j(w_g) = 0).
 
-    D_j - j*v_1 - (r-j)*w_g has no chips on bridges or at vertices, so it
-    is reduced at every point; it is recovered as
-    D_j = red_{w_g}(D - j*v_1) + j*v_1 by the one scan of ``_twist`` over
-    the integer chips of the tableau, which checks D_j ~ D by the integer
-    slopes of its closed-form witness values.  D and D_j become
-    ``Divisor``s only here, and the whole witness is solved from D_j - D
-    by ``reduce._potential``, on the lattice of D.
+    By definition D_j = red_{w_g}(D - j*v_1) + j*v_1, and phi_j is the
+    witness of that reduction, both from ``v_reduce``; a reduced divisor
+    holding fewer than r - j chips at w_g raises ``TheoremViolation``.
     """
     r = T.cols - 1
     if not (0 <= j <= r):
         raise PreconditionError(f"column index {j} out of range 0..{r}")
-    _require_chain(T, chain)
-    L, ell, m, beta = chain.integer_lengths
-    chips = _tableau_chips(T, ell, m)
-    cells, pile, _values = _twist(chips, ell, m, beta, j, r)
-    D = _divisor(chain, L, chips)
-    wg = chain.w(chain.g)
-    Dj = (_divisor(chain, L, [[] if t is None else [(t, 1)] for t in cells])
-          + Divisor({chain.v(1): j, wg: pile}))
-    return Dj, _potential(_Lattice(chain.graph, [wg, *D.support()]), Dj - D, wg)
+    wg, shift = chain.w(chain.g), Divisor({chain.v(1): j})
+    res = v_reduce(chain.graph, tableau_to_divisor(T, chain) - shift, wg)
+    if res.reduced.coeff(wg) < r - j:
+        raise TheoremViolation("twisted representative failed to be effective")
+    return res.reduced + shift, res.witness
 
 
 def _reduce_loop(carry: int, on_loop, ell: int, m: int, i: int) -> tuple[int | None, int]:
@@ -260,8 +246,9 @@ def _reduce_loop(carry: int, on_loop, ell: int, m: int, i: int) -> tuple[int | N
 
 
 def _twist(loops, ell, m, beta, j: int, r: int) -> tuple[list, int, list[int]]:
-    """``build_Dj`` on the chips ``loops`` of the divisor D of a tableau
-    with r + 1 columns, on integers in units of 1/L.  Returns
+    """What the experiment needs of ``build_Dj``, on the chips ``loops`` of
+    the divisor D of a tableau with r + 1 columns, on integers in units of
+    1/L, with no ``Divisor`` and no Laplacian solve.  Returns
     D_j = red_{w_g}(D - j*v_1) + j*v_1 as the ccw distance of the chip in
     each cell gamma_i (None for an empty cell) and the ``pile`` at w_g
     (D_j is j*v_1, those cell chips and pile*w_g), and L times the values

@@ -89,6 +89,9 @@ def _parse_base(graph: MetricGraph, text: str):
 def cmd_chain_new(args) -> int:
     with _parsing():
         chain = _load_chain_arg(args)
+    if chain.g != args.g:
+        raise _UsageError(f"--g {args.g} does not match the genus {chain.g} "
+                          f"of the chain in {args.lengths}")
     if args.require_generic and not chain.generic:
         raise GenericityError("chain lengths are not generic")
     obj = sz.chain_to_json(chain)

@@ -220,7 +220,9 @@ class MetricGraph:
         else:
             if not (0 <= p.edge < len(self.edges)):
                 raise GraphError(f"point on unknown edge {p.edge}")
-            if not (0 < p.offset < self.edge_length(p.edge)):
+            # n/d against the length in units of 1/scale, on integers
+            n, d = p.offset.numerator, p.offset.denominator
+            if not (0 < n and n * self.scale < self.int_lengths[p.edge] * d):
                 raise GraphError(f"non-canonical or out-of-range point {p}")
 
     def edge_coordinates(self, p: Point) -> list[tuple[int, Fraction]]:

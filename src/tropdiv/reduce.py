@@ -31,9 +31,9 @@ depth-first search on these chips, and on its last level fires only
 until the base holds a chip.
 
 Only chips move; the witness f with D + div(f) = D' is then solved from
-D' - D by one weighted-Laplacian system (Baker and Shokrieh, "Chip-firing
-games, potential theory on graphs, and spanning trees"), on the integers
-of the same kind of lattice, by fraction-free elimination.
+the reduced chips less D's terms by one weighted-Laplacian system (Baker
+and Shokrieh, "Chip-firing games, potential theory on graphs, and
+spanning trees"), on the same lattice, by fraction-free elimination.
 """
 from __future__ import annotations
 
@@ -416,9 +416,10 @@ def _exact(num: int, den: int) -> int:
     return q
 
 
-def _potential(lat: _Lattice, E: Divisor, base: Point) -> PLFunction:
-    """The f with div(f) = E and f(base) = 0, for E and the base on the
-    lattice ``lat``; ``GraphError`` if E is not principal.
+def _potential(lat: _Lattice, chips: _Chips, q) -> PLFunction:
+    """The f with div(f) = E and f(q) = 0, for E the divisor ``chips`` on
+    the lattice ``lat``, which it consumes, and q a key of that lattice;
+    ``GraphError`` if E is not principal.
 
     f is affine between the chips of E on each edge, so its vertex values
     determine it.  They solve the weighted Laplacian (weight 1/l per edge
@@ -441,16 +442,15 @@ def _potential(lat: _Lattice, E: Divisor, base: Point) -> PLFunction:
     in its column are the later columns of its row, and a chain, almost
     tridiagonal in vertex order, fills in nothing.
     """
-    if E.degree != 0:
-        raise GraphError(f"a divisor of degree {E.degree} is not principal")
+    degree = sum(chips.at_vertex) + sum(c for pairs in chips.on_edge for _x, c in pairs)
+    if degree != 0:
+        raise GraphError(f"a divisor of degree {degree} is not principal")
     graph = lat.graph
     n = len(graph.vertices)
     P = lcm(*(length for (_u, _v, length) in lat.edges))
     rows: list[dict[int, int]] = [{} for _ in range(n)]
-    chips = lat.chips(E)
     rhs = [c * P for c in chips.at_vertex]
     # an interior base is a chipless breakpoint, its value read off the walk
-    q = lat.key(base)
     if type(q) is tuple:
         chips.on_edge[q[0]] = tuple(sorted(chips.on_edge[q[0]] + ((q[1], 0),)))
     for (i, j, length), on_edge in zip(lat.edges, chips.on_edge):
@@ -511,7 +511,7 @@ def v_reduce(graph: MetricGraph, D: Divisor, base: Point,
     divisor and f(base) = 0.
 
     The firing loop moves chips only; the witness is solved afterwards
-    from the reduced divisor minus D, as it depends on nothing else.
+    from the reduced chips less D's terms, as it depends on nothing else.
     ``steps`` counts every firing step: those that move debt to the sink
     and from it, those that pay the sink, and those that then reduce at
     the base; ``max_steps`` bounds them all.  Only ``steps`` depends on
@@ -526,8 +526,12 @@ def v_reduce(graph: MetricGraph, D: Divisor, base: Point,
     _clear_debt(lat, chips, q, budget)
     _fire(lat, chips, q, budget)
     red = lat.divisor(chips)
-    # red - D lives on the lattice of D and the base
-    witness = _potential(lat, red - D, base) if track_witness else None
+    witness = None
+    if track_witness:
+        # the chips become red - D, on the lattice of D and the base
+        for p, c in D.items():
+            chips.add(lat.key(p), -c)
+        witness = _potential(lat, chips, q)
     return ReductionResult(red, witness, max_steps - budget[0])
 
 
@@ -554,7 +558,7 @@ def is_equivalent(graph: MetricGraph, D1: Divisor, D2: Divisor) -> PLFunction | 
     # outside the try, so that a point the graph lacks still raises
     lat = _Lattice(graph, [base, *D1.support(), *D2.support()])
     try:
-        return _potential(lat, D2 - D1, base)
+        return _potential(lat, lat.chips(D2 - D1), lat.key(base))
     except GraphError:
         return None
 

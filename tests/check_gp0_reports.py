@@ -13,8 +13,9 @@ chain of its genus:
 
 - ``verify_independence`` accepts its certificate on the family
   {phi_j + psi_k} rebuilt as ``PLFunction`` sums from ``build_Dj`` and
-  ``build_Ek``: the oracle for the matrix gp0 reads straight off the
-  witnesses;
+  ``build_Ek``, which take D_j, E_k and their witnesses from
+  ``v_reduce``: the oracle for the matrix gp0 reads off the loop scan
+  ``chainbn._twist``, which they do not run;
 - its offsets b pass the plain ``Fraction`` comparisons
   f_s(p_i) + b_s < f_c(p_i) + b_c at each point p_i, s = sigma(i), for
   every c != s, where f_c = phi_j + psi_k for c = j * rows + k is

@@ -73,9 +73,10 @@ def coprime_graph() -> MetricGraph:
 
 
 def solve_potential(G: MetricGraph, E, base) -> PLFunction:
-    """``reduce._potential`` on the lattice of E and the base, as
-    ``is_equivalent`` builds it."""
-    return _potential(_Lattice(G, [base, *E.support()]), E, base)
+    """``reduce._potential`` on the chips of E on the lattice of E and
+    the base, as ``is_equivalent`` builds it."""
+    lat = _Lattice(G, [base, *E.support()])
+    return _potential(lat, lat.chips(E), lat.key(base))
 
 
 def random_connected_graph(rng: SplitMix64) -> MetricGraph:

@@ -177,21 +177,46 @@ class TestBuildDj:
         E = adjoint_divisor(T, chain4)
         assert E + psi.divisor() == Ek
 
+    def test_reduction_short_of_chips_at_wg_raises(self, chain4, monkeypatch):
+        # D_0 needs r = 1 chip at w_g; a reduction that moved that chip to
+        # v_1 is not the twisted representative
+        T = next(enumerate_tableaux(2, 2))
+        reduce_ = chainbn.v_reduce
+        wg, v1 = chain4.w(4), chain4.v(1)
+
+        def doctored(graph, D, base):
+            res = reduce_(graph, D, base)
+            assert res.reduced.coeff(wg) == 1
+            res.reduced = res.reduced - Divisor({wg: 1}) + Divisor({v1: 1})
+            return res
+
+        monkeypatch.setattr(chainbn, "v_reduce", doctored)
+        with pytest.raises(TheoremViolation, match="failed to be effective"):
+            build_Dj(T, chain4, 0)
+
 
 def _twist_every_column(T, chain):
-    """For every column j, ``build_Dj``'s D_j and the closed-form
-    L * phi_j(v_1..v_g) of ``chainbn._twist`` equal those of the
-    v_reduce-based oracle."""
+    """For every column j, ``build_Dj``'s D_j and phi_j, and the D_j and
+    L * phi_j(v_1..v_g) of ``chainbn._twist``, equal those of the
+    v_reduce-based oracle; _twist's D_j is its cell chips, placed by
+    ``ccw_point``, its pile at w_g and j*v_1.  So do ``build_Ek``'s E_k
+    and psi_k for every row k."""
     D = tableau_to_divisor(T, chain)
     L, ell, m, beta = chain.integer_lengths
     chips = chainbn._tableau_chips(T, ell, m)
     r = T.cols - 1
     for j in range(T.cols):
         ref, phi = reference_core.twist(D, chain, j, r)
-        assert build_Dj(T, chain, j)[0] == ref
-        _cells, _pile, values = chainbn._twist(chips, ell, m, beta, j, r)
+        assert build_Dj(T, chain, j) == (ref, phi)
+        cells, pile, values = chainbn._twist(chips, ell, m, beta, j, r)
+        assert Divisor([(chain.ccw_point(i, Fraction(t, L)), 1)
+                        for i, t in enumerate(cells, 1) if t is not None]
+                       + [(chain.v(1), j), (chain.w(chain.g), pile)]) == ref
         assert [Fraction(v, L) for v in values] == [phi(chain.v(i))
                                                     for i in range(1, chain.g + 1)]
+    E = adjoint_divisor(T, chain)
+    for k in range(T.rows):
+        assert build_Ek(T, chain, k) == reference_core.twist(E, chain, k, T.rows - 1)
     return T.cols
 
 
@@ -210,8 +235,9 @@ def _random_chain(rng, g, ratio=None):
 
 
 class TestTwistOracle:
-    """``chainbn._twist`` against the v_reduce-based ``twist`` it
-    replaced, kept in ``tests/reference_core.py``."""
+    """``chainbn._twist``, ``build_Dj`` and ``build_Ek`` against the
+    ``twist`` kept in ``tests/reference_core.py``, which reduces
+    D - j*v_1 - (r-j)*w_g rather than D - j*v_1."""
 
     def test_every_tableau_up_to_genus_10(self):
         twists = 0

@@ -51,6 +51,15 @@ class TestChainNew:
         obj = json.loads(capsys.readouterr().out)
         assert obj["g"] == 2
 
+    def test_genus_must_match_the_lengths_file(self, tmp_path, capsys):
+        path = _chain_file(tmp_path, default_generic_chain(3))
+        out = tmp_path / "out.json"
+        assert main(["chain-new", "--g", "7", "--lengths", path, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "--g 7" in err and "genus 3" in err
+        assert main(["chain-new", "--g", "3", "--lengths", path, "--out", str(out)]) == 0
+
 
 class TestReduce:
     def test_matches_library(self, tmp_path):

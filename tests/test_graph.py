@@ -201,6 +201,10 @@ class TestMetricGraph:
         Point(None, 1, Fraction(0)),        # a vertex not in canonical form
         Point("zz", -1, Fraction(0)),
         Point(None, 99, Fraction(1, 2)),
+        # just past the end of edge 0, of length 10/3, at offsets whose
+        # denominators 3 does not divide
+        Point(None, 0, Fraction(167, 50)),
+        Point(None, 0, Fraction(24, 7)),
     ])
     def test_distances_check_their_points(self, bad):
         chain = default_generic_chain(2)
@@ -209,6 +213,19 @@ class TestMetricGraph:
                      lambda: G.vertex_distances(bad), lambda: distance_function(G, bad)):
             with pytest.raises(GraphError):
                 call()
+
+    @pytest.mark.parametrize("x", [Fraction(333, 100), Fraction(23, 7)])
+    def test_points_just_inside_an_edge_are_accepted(self, x):
+        # just short of the end w1 of edge 0 (v1 to w1, of length 10/3);
+        # the shortest way from v1 may go round by edge 1, of length 1
+        chain = default_generic_chain(2)
+        G, v1 = chain.graph, chain.v(1)
+        assert G.edge_length(0) == Fraction(10, 3) and G.edge_length(1) == 1
+        p = Point(None, 0, x)
+        G.check_point(p)
+        want = min(x, 1 + Fraction(10, 3) - x)
+        assert G.distance(v1, p) == G.distance(p, v1) == want
+        assert G.vertex_distances(p)["v1"] == want
 
 
 def random_multigraph(rng: SplitMix64) -> MetricGraph:
