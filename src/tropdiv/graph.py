@@ -6,10 +6,10 @@ nothing in this package touches floating point.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
 
 from .errors import GraphError, PreconditionError
 
@@ -41,9 +41,10 @@ def _seq(x, what: str) -> Sequence:
     return x
 
 
-# ``MetricGraph.point`` clears its cache of interior points when it holds
-# this many, so that it stays bounded over a long run; a seed-1 run of
-# the benchmark's ``rank`` workload peaks near 400 on one graph
+# ``MetricGraph._point_at`` clears the graph's store of points by
+# (edge, n, d) when it holds this many, so that it stays bounded over a
+# long run; a seed-1 20 s run of the benchmark's ``rank`` workload peaks
+# at 404 on its genus-3 graph, and of ``reduce`` at 351
 _POINT_CACHE_SIZE = 4096
 
 
@@ -180,29 +181,43 @@ class MetricGraph:
     # -- points ----------------------------------------------------------
 
     def point(self, edge: int, offset) -> Point:
-        """Canonicalized point on an edge; endpoints collapse to vertices."""
+        """Canonicalized point on an edge; endpoints collapse to vertices.
+        ``offset`` is any exact rational ``_rat`` reads; the point comes
+        from ``_point_at``, the graph's integer entry point, on its
+        numerator and denominator."""
         if type(edge) is not int:
-            # before the cache, where 1.0 or True would find edge 1's points
+            # before the store, where 1.0 or True would find edge 1's points
             raise GraphError(f"edge index {edge!r} is not an integer")
-        if type(offset) is Fraction:
-            p = self._point_cache.get((edge, offset.numerator, offset.denominator))
-            if p is not None:
-                return p
         offset = _rat(offset)
+        return self._point_at(edge, offset.numerator, offset.denominator)
+
+    def _point_at(self, edge: int, n: int, d: int) -> Point:
+        """The point at offset n/d on edge ``edge``, for ints n and d > 0:
+        the one constructor of points, which builds no ``Fraction`` when
+        the graph's store holds the point and checks bounds on integers
+        when it does not; ``GraphError`` past either end."""
+        k = gcd(n, d)
+        n, d = n // k, d // k
+        key = (edge, n, d)
+        p = self._point_cache.get(key)
+        if p is not None:
+            return p
         if not (0 <= edge < len(self.edges)):
             raise GraphError(f"no edge {edge}")
-        length = self.edges[edge][2]
-        if offset < 0 or offset > length:
-            raise GraphError(f"offset {offset} out of bounds for edge {edge} (length {length})")
-        if offset == 0:
+        # n/d against the length in units of 1/scale
+        over = n * self.scale - self.int_lengths[edge] * d
+        if n < 0 or over > 0:
+            raise GraphError(f"offset {Fraction(n, d)} out of bounds for edge {edge} "
+                             f"(length {self.edges[edge][2]})")
+        if n == 0:
             p = self.vertex_points[self.edge_ends[edge][0]]
-        elif offset == length:
+        elif over == 0:
             p = self.vertex_points[self.edge_ends[edge][1]]
         else:
-            p = Point(None, edge, offset)
+            p = Point(None, edge, Fraction(n, d))
         if len(self._point_cache) >= _POINT_CACHE_SIZE:
             self._point_cache.clear()
-        self._point_cache[(edge, offset.numerator, offset.denominator)] = p
+        self._point_cache[key] = p
         return p
 
     def vertex_point(self, name: str) -> Point:
@@ -322,20 +337,39 @@ class Divisor:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def __add__(self, other: "Divisor") -> "Divisor":
+    @staticmethod
+    def _of(coeffs: dict[Point, int]) -> "Divisor":
+        """The divisor of ``coeffs``, taken as is: nonzero ints only."""
+        D = object.__new__(Divisor)
+        D._coeffs = coeffs
+        return D
+
+    def _combine(self, other: "Divisor", sign: int) -> "Divisor":
+        """self + sign*other in one pass over other's terms, dropping the
+        sums that cancel; the terms of both are nonzero ints already."""
         d = dict(self._coeffs)
         for p, c in other._coeffs.items():
-            d[p] = d.get(p, 0) + c
-        return Divisor(d)
+            c = d.get(p, 0) + sign * c
+            if c:
+                d[p] = c
+            else:
+                del d[p]
+        return Divisor._of(d)
+
+    def __add__(self, other: "Divisor") -> "Divisor":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Divisor") -> "Divisor":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Divisor":
-        return Divisor({p: -c for p, c in self._coeffs.items()})
+        return Divisor._of({p: -c for p, c in self._coeffs.items()})
 
     def __mul__(self, n: int) -> "Divisor":
-        return Divisor({p: n * c for p, c in self._coeffs.items()})
+        if type(n) is not int:
+            # each product checked, as any other factor could make one
+            return Divisor({p: n * c for p, c in self._coeffs.items()})
+        return Divisor._of({p: n * c for p, c in self._coeffs.items()} if n else {})
 
     __rmul__ = __mul__
 

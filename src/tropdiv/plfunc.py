@@ -211,7 +211,7 @@ class PLFunction:
             slopes = [(V[i + 1] - V[i]) // (O[i + 1] - O[i]) for i in range(len(O) - 1)]
             terms.append((at[u], -slopes[0]))
             terms.append((at[v], slopes[-1]))
-            terms += [(graph.point(ei, Fraction(o, s)), m1 - m2)
+            terms += [(graph._point_at(ei, o, s), m1 - m2)
                       for o, m1, m2 in zip(O[1:], slopes, slopes[1:])]
         return Divisor(terms)
 

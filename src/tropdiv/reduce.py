@@ -90,7 +90,7 @@ class _Lattice:
     def point(self, key) -> Point:
         if type(key) is int:
             return self.graph.vertex_points[key]
-        return self.graph.point(key[0], Fraction(key[1], self.scale))
+        return self.graph._point_at(key[0], key[1], self.scale)
 
     def chips(self, D: Divisor) -> _Chips:
         chips = _Chips(len(self.graph.vertices), len(self.edges))
@@ -584,7 +584,7 @@ def default_rank_points(graph: MetricGraph) -> list[Point]:
     pts = list(graph.vertex_points)
     for ei, (u, v, _l) in enumerate(graph.edges):
         if u == v:
-            pts.append(graph.point(ei, graph.edge_length(ei) / 2))
+            pts.append(graph._point_at(ei, graph.int_lengths[ei], 2 * graph.scale))
     return pts
 
 
@@ -717,9 +717,8 @@ def rank_subdivision_oracle(graph: MetricGraph, D: Divisor, n: int = 8) -> int:
     """Independent rank computation over the n-fold subdivision points of
     every edge, for cross-checking the default point set."""
     pts = list(graph.vertex_points)
-    for ei in range(len(graph.edges)):
-        length = graph.edge_length(ei)
-        pts += [graph.point(ei, length * k / n) for k in range(1, n)]
+    for ei, length in enumerate(graph.int_lengths):
+        pts += [graph._point_at(ei, length * k, graph.scale * n) for k in range(1, n)]
     return rank(graph, D, points=pts)
 
 

@@ -1,7 +1,10 @@
 """Reproducible randomness for property sweeps.
 
 A splitmix64 generator keeps runs identical across platforms and
-implementations; all derived quantities are exact rationals.
+implementations; all derived quantities are exact rationals.  Points are
+drawn on the graph's integer lengths (``MetricGraph.int_lengths`` in
+units of 1/``scale``) and placed by its integer point constructor, so a
+draw builds no ``Fraction`` for a point the graph already holds.
 """
 from __future__ import annotations
 
@@ -29,9 +32,13 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection sampling."""
+        """Uniform integer in [0, n) by rejection sampling on one 64-bit
+        draw; ``ValueError`` unless 1 <= n <= 2**64, as past 2**64 no
+        draw would be accepted."""
         if n <= 0:
             raise ValueError("need a positive bound")
+        if n > 1 << 64:
+            raise ValueError(f"bound {n} is past 2**64, the range of one draw")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             x = self.next_u64()
@@ -47,11 +54,15 @@ class SplitMix64:
 
 
 def random_point(graph: MetricGraph, rng: SplitMix64, denominator: int = 16) -> Point:
-    """A point at a small-denominator fraction of a random edge (vertices
-    included via the endpoints)."""
+    """A point at a small-denominator fraction k/``denominator`` of a
+    random edge (vertices included via the endpoints), placed from the
+    graph's integer lengths; ``ValueError`` unless ``denominator`` is a
+    positive int."""
+    if type(denominator) is not int or denominator <= 0:
+        raise ValueError(f"denominator must be a positive int, got {denominator!r}")
     ei = rng.below(len(graph.edges))
     k = rng.randint(0, denominator)
-    return graph.point(ei, graph.edge_length(ei) * Fraction(k, denominator))
+    return graph._point_at(ei, graph.int_lengths[ei] * k, graph.scale * denominator)
 
 
 def random_effective_divisor(graph: MetricGraph, rng: SplitMix64,

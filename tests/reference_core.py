@@ -4,8 +4,8 @@ The burn and firing loop as they were before burning per edge: every
 firing step rebuilds the model subdividing each edge at the chips'
 interior points and at the base, and burns it node by node, kept
 unchanged as the reference for ``tropdiv.reduce``'s.  And ``twist``,
-``chainbn._twist`` as it was before the loop-by-loop reduction: the
-generic ``v_reduce`` with its witness; and ``tableau_divisor``,
+``chainbn.build_Dj``'s D_j by that reference loop rather than by
+``v_reduce``; and ``tableau_divisor``,
 ``chainbn.tableau_to_divisor`` as it was before the integer chips: each
 chip placed by ``ChainOfLoops.ccw_point`` at a ``Fraction`` distance.
 And ``rank_dfs``, ``reduce.rank``'s search as it was before it stopped
@@ -157,16 +157,20 @@ def dhar_unburnt(graph, D, base) -> Region:
                   [lat.point(k) for x, k in enumerate(keys) if not burnt[x] and x not in ends])
 
 
-def twist(D, chain, j: int, r: int):
-    """D_j = red_{w_g}(D - j*v_1) + j*v_1 and its witness phi_j, with
-    D + div(phi_j) = D_j and phi_j(w_g) = 0, by ``v_reduce``."""
+def twist(D, chain, j: int, r: int) -> Divisor:
+    """D_j, the divisor equivalent to D with D_j - j*v_1 - (r-j)*w_g
+    effective: D - j*v_1 - (r-j)*w_g, effective away from w_g, fired
+    toward w_g by the reference loop above until it burns completely,
+    plus j*v_1 + (r-j)*w_g."""
     wg = chain.w(chain.g)
     shift = Divisor({chain.v(1): j, wg: r - j})
-    res = v_reduce(chain.graph, D - shift, wg)
-    Dj = res.reduced + shift
-    if not (Dj - shift).is_effective:
+    lat = _Lattice(chain.graph, [wg, *D.support(), *shift.support()])
+    chips = lat.chips(D - shift)
+    _fire(lat, chips, lat.key(wg), [DEFAULT_MAX_STEPS])
+    reduced = lat.divisor(chips)
+    if not reduced.is_effective:
         raise TheoremViolation("twisted representative failed to be effective")
-    return Dj, res.witness
+    return reduced + shift
 
 
 def tableau_divisor(T, chain):

@@ -196,27 +196,32 @@ class TestBuildDj:
 
 
 def _twist_every_column(T, chain):
-    """For every column j, ``build_Dj``'s D_j and phi_j, and the D_j and
-    L * phi_j(v_1..v_g) of ``chainbn._twist``, equal those of the
-    v_reduce-based oracle; _twist's D_j is its cell chips, placed by
-    ``ccw_point``, its pile at w_g and j*v_1.  So do ``build_Ek``'s E_k
-    and psi_k for every row k."""
+    """For every column j, ``build_Dj``'s D_j and the D_j of
+    ``chainbn._twist`` equal the D_j that the reference firing loop
+    reaches; _twist's D_j is its cell chips, placed by ``ccw_point``, its
+    pile at w_g and j*v_1.  ``build_Dj``'s phi_j has D + div(phi_j) = D_j
+    and phi_j(w_g) = 0, which fix it, and _twist's L * phi_j(v_1..v_g)
+    are its values.  So for ``build_Ek``'s E_k and psi_k for every row
+    k."""
     D = tableau_to_divisor(T, chain)
     L, ell, m, beta = chain.integer_lengths
     chips = chainbn._tableau_chips(T, ell, m)
-    r = T.cols - 1
+    r, wg = T.cols - 1, chain.w(chain.g)
     for j in range(T.cols):
-        ref, phi = reference_core.twist(D, chain, j, r)
-        assert build_Dj(T, chain, j) == (ref, phi)
+        ref = reference_core.twist(D, chain, j, r)
+        Dj, phi = build_Dj(T, chain, j)
+        assert Dj == ref and D + phi.divisor() == ref and phi(wg) == 0
         cells, pile, values = chainbn._twist(chips, ell, m, beta, j, r)
         assert Divisor([(chain.ccw_point(i, Fraction(t, L)), 1)
                         for i, t in enumerate(cells, 1) if t is not None]
-                       + [(chain.v(1), j), (chain.w(chain.g), pile)]) == ref
+                       + [(chain.v(1), j), (wg, pile)]) == ref
         assert [Fraction(v, L) for v in values] == [phi(chain.v(i))
                                                     for i in range(1, chain.g + 1)]
     E = adjoint_divisor(T, chain)
     for k in range(T.rows):
-        assert build_Ek(T, chain, k) == reference_core.twist(E, chain, k, T.rows - 1)
+        Ek, psi = build_Ek(T, chain, k)
+        assert Ek == reference_core.twist(E, chain, k, T.rows - 1)
+        assert E + psi.divisor() == Ek and psi(wg) == 0
     return T.cols
 
 
@@ -236,8 +241,9 @@ def _random_chain(rng, g, ratio=None):
 
 class TestTwistOracle:
     """``chainbn._twist``, ``build_Dj`` and ``build_Ek`` against the
-    ``twist`` kept in ``tests/reference_core.py``, which reduces
-    D - j*v_1 - (r-j)*w_g rather than D - j*v_1."""
+    ``twist`` kept in ``tests/reference_core.py``, which fires
+    D - j*v_1 - (r-j)*w_g toward w_g by the reference firing loop, not
+    by ``v_reduce``, and their witnesses by their divisors."""
 
     def test_every_tableau_up_to_genus_10(self):
         twists = 0

@@ -14,7 +14,7 @@ from tropdiv.reduce import _Lattice
 from tropdiv.sampling import SplitMix64, random_point
 
 from . import reference_core
-from .conftest import cell_regions, circle_graph, theta_graph
+from .conftest import cell_regions, circle_graph, coprime_graph, theta_graph
 
 
 class TestRationalStrings:
@@ -92,6 +92,32 @@ class TestPoint:
             assert len(G._point_cache) <= bound
         again = G.point(0, Fraction(1, 7))
         assert again == first and hash(again) == hash(first)
+
+    @pytest.mark.parametrize("make", [theta_graph, coprime_graph,
+                                      lambda: default_generic_chain(3).graph])
+    def test_integer_constructor_is_point(self, make):
+        # every n/d from one end of each edge to the other, in lowest terms
+        # and not, first built by either constructor; past the ends raises
+        for first_by_ints in (True, False):
+            G = make()
+            for e, length in enumerate(G.int_lengths):
+                for d in (G.scale, 2 * G.scale, 3 * G.scale):
+                    top = length * (d // G.scale)
+                    for n in range(top + 1):
+                        if first_by_ints:
+                            p = G._point_at(e, n, d)
+                            assert G.point(e, Fraction(n, d)) is p
+                        else:
+                            p = G.point(e, Fraction(n, d))
+                            assert G._point_at(e, n, d) is p
+                        assert G._point_at(e, 5 * n, 5 * d) is p
+                    for n in (-1, top + 1):
+                        with pytest.raises(GraphError, match="out of bounds"):
+                            G._point_at(e, n, d)
+            with pytest.raises(GraphError, match="no edge"):
+                G._point_at(len(G.edges), 1, 2)
+            with pytest.raises(GraphError, match="no edge"):
+                G._point_at(-1, 1, 2)
 
     def test_out_of_bounds(self):
         G = theta_graph()
@@ -307,6 +333,43 @@ class TestDivisor:
         assert (-D).coeff(a) == -2
         assert (3 * E).coeff(b) == 3
         assert D - D == Divisor()
+
+    def test_arithmetic_matches_a_dict_reference(self):
+        # sums, differences, negatives and multiples of random divisors,
+        # many of whose terms cancel, against plain dict arithmetic
+        G = theta_graph()
+        pts = list(G.vertex_points) + [G.point(e, Fraction(1, 2)) for e in range(3)]
+        rng = SplitMix64(5)
+
+        def combine(*terms):
+            out = {}
+            for D, f in terms:
+                for p, c in D.items():
+                    out[p] = out.get(p, 0) + f * c
+            return {p: c for p, c in out.items() if c}
+
+        cancelled = 0
+        for _ in range(300):
+            D, E = (Divisor([(rng.choice(pts), rng.randint(-2, 2))
+                             for _ in range(rng.randint(0, 4))]) for _ in range(2))
+            assert dict((D + E).items()) == combine((D, 1), (E, 1))
+            assert dict((D - E).items()) == combine((D, 1), (E, -1))
+            assert dict((-D).items()) == combine((D, -1))
+            assert D - D == Divisor() and (D - D).is_zero
+            for n in range(-2, 3):
+                assert dict((D * n).items()) == dict((n * D).items()) == combine((D, n))
+            cancelled += len(combine((D, 1), (E, 1))) < len(set(D.support()) | set(E.support()))
+        assert cancelled >= 10
+
+    def test_multiple_rejects_the_factors_it_always_rejected(self):
+        a, b = theta_graph().vertex_points
+        D = Divisor({a: 2, b: -1})
+        for n in (Fraction(1, 2), Fraction(2), 2.0, "2"):
+            with pytest.raises(GraphError, match="not an integer"):
+                D * n
+        # a bool times an int coefficient is an int
+        assert D * True == D and (D * False).is_zero
+        assert Divisor() * 2.0 == Divisor()
 
     def test_zero_coefficients_dropped(self):
         a = theta_graph().vertex_point("a")
