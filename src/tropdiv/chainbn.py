@@ -67,6 +67,9 @@ class Tableau:
         flat = [x for row in self.entries for x in row]
         if any(len(row) != cols for row in self.entries):
             raise PreconditionError("ragged tableau")
+        # True and 1.0 would pass the bijection test for 1
+        if any(type(x) is not int for x in flat):
+            raise PreconditionError(f"tableau entries must be ints: {self.entries}")
         if sorted(flat) != list(range(1, rows * cols + 1)):
             raise PreconditionError("entries must be a bijection onto 1..n")
         for row in self.entries:
@@ -321,9 +324,11 @@ class ShapeProfile:
 
 def _chips_per_piece(D: Divisor, chain: ChainOfLoops) -> list[int]:
     """Degree of D on each piece of ``ChainOfLoops.piece``, in one pass over
-    its support; chips on the pendant bridges are not counted."""
+    its support; chips on the pendant bridges are not counted, and a
+    point the chain does not have raises ``GraphError``."""
     chips = [0] * (2 * chain.g)
     for p, c in D.items():
+        chain.graph.check_point(p)
         k = chain.piece(p)
         if k is not None:
             chips[k] += c

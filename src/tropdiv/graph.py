@@ -55,8 +55,9 @@ class Point:
     Canonical form: a point at offset 0 or at the full edge length is stored
     as the vertex itself (``vertex`` set, ``edge`` = -1), so equality is
     well-defined across all edges incident to that vertex; a vertex point
-    in any other form raises ``GraphError``.  The hash is precomputed from
-    integer parts; points live in hot dictionaries.
+    in any other form raises ``GraphError``, as does an offset that is not
+    an int or a ``Fraction``.  The hash is precomputed from integer parts;
+    points live in hot dictionaries.
     """
 
     vertex: str | None
@@ -64,6 +65,8 @@ class Point:
     offset: Fraction
 
     def __post_init__(self):
+        if not isinstance(self.offset, Fraction) and type(self.offset) is not int:
+            raise GraphError(f"point offset {self.offset!r} is not an int or a Fraction")
         if self.vertex is not None:
             if self.edge != -1 or self.offset != 0:
                 raise GraphError(f"vertex point {self.vertex} needs edge -1 and offset 0")
@@ -180,15 +183,23 @@ class MetricGraph:
 
     # -- points ----------------------------------------------------------
 
+    def edge_index(self, ei) -> int:
+        """``ei`` if it names an edge of this graph: an int (a bool or a
+        float is none) from 0 to len(edges) - 1; ``GraphError`` otherwise.
+        Every edge index that comes from outside the graph passes here."""
+        if type(ei) is not int:
+            raise GraphError(f"no edge {ei!r}: the index is not an integer")
+        if not 0 <= ei < len(self.edges):
+            raise GraphError(f"no edge {ei}")
+        return ei
+
     def point(self, edge: int, offset) -> Point:
         """Canonicalized point on an edge; endpoints collapse to vertices.
         ``offset`` is any exact rational ``_rat`` reads; the point comes
         from ``_point_at``, the graph's integer entry point, on its
         numerator and denominator."""
-        if type(edge) is not int:
-            # before the store, where 1.0 or True would find edge 1's points
-            raise GraphError(f"edge index {edge!r} is not an integer")
-        offset = _rat(offset)
+        # the edge before the store, where 1.0 or True would find edge 1's points
+        edge, offset = self.edge_index(edge), _rat(offset)
         return self._point_at(edge, offset.numerator, offset.denominator)
 
     def _point_at(self, edge: int, n: int, d: int) -> Point:
@@ -202,8 +213,7 @@ class MetricGraph:
         p = self._point_cache.get(key)
         if p is not None:
             return p
-        if not (0 <= edge < len(self.edges)):
-            raise GraphError(f"no edge {edge}")
+        self.edge_index(edge)
         # n/d against the length in units of 1/scale
         over = n * self.scale - self.int_lengths[edge] * d
         if n < 0 or over > 0:
@@ -233,11 +243,9 @@ class MetricGraph:
             if p.vertex not in self.vertex_index:
                 raise GraphError(f"point at unknown vertex {p.vertex}")
         else:
-            if not (0 <= p.edge < len(self.edges)):
-                raise GraphError(f"point on unknown edge {p.edge}")
             # n/d against the length in units of 1/scale, on integers
             n, d = p.offset.numerator, p.offset.denominator
-            if not (0 < n and n * self.scale < self.int_lengths[p.edge] * d):
+            if not (0 < n and n * self.scale < self.int_lengths[self.edge_index(p.edge)] * d):
                 raise GraphError(f"non-canonical or out-of-range point {p}")
 
     def edge_coordinates(self, p: Point) -> list[tuple[int, Fraction]]:
@@ -410,7 +418,7 @@ class Region:
         self.intervals: tuple[Interval, ...] = tuple(intervals)
         self.points: frozenset[Point] = frozenset(points)
         for iv in self.intervals:
-            if not (0 <= iv.lo <= iv.hi <= graph.edge_length(iv.edge)):
+            if not (0 <= iv.lo <= iv.hi <= graph.edge_length(graph.edge_index(iv.edge))):
                 raise GraphError(f"interval {iv} out of bounds")
 
     @property
@@ -507,7 +515,11 @@ class ChainOfLoops:
     Loop i is a pair of parallel edges between v_i and w_i with lengths
     ell_i (top) and m_i (bottom), both oriented v_i -> w_i.  Bridge i runs
     from w_i to v_{i+1}.  With ``extended=True`` the graph also carries
-    pendant vertices w_0 and v_{g+1} attached by bridges to v_1 and w_g.
+    pendant vertices w_0 and v_{g+1} attached by bridges 0 and g to v_1
+    and w_g.  The layout is one rule: top_i, bottom_i and bridge_i are
+    edges 3i-3, 3i-2 and 3i-1, the pendant bridges 0 and g edges 3g-1
+    and 3g; the vertices run v_1, w_1, ..., v_g, w_g, after w_0 and
+    before v_{g+1} on an extended chain.
     ``integer_lengths`` is (L, ell, m, beta), the lengths in units of 1/L,
     L the lcm of their denominators: the lattice of ``chainbn``'s chips,
     read off the graph's integer form.
@@ -530,35 +542,17 @@ class ChainOfLoops:
         self.g = g
         self.extended = extended
 
-        vertices = []
-        if extended:
-            vertices.append("w0")
+        vertices = [name for i in range(1, g + 1) for name in (f"v{i}", f"w{i}")]
+        edges = []
         for i in range(1, g + 1):
-            vertices.append(f"v{i}")
-            vertices.append(f"w{i}")
-        if extended:
-            vertices.append(f"v{g + 1}")
-
-        edges: list[tuple[str, str, Fraction]] = []
-        self._top: dict[int, int] = {}
-        self._bottom: dict[int, int] = {}
-        self._bridge: dict[int, int] = {}
-        for i in range(1, g + 1):
-            self._top[i] = len(edges)
-            edges.append((f"v{i}", f"w{i}", ell[i - 1]))
-            self._bottom[i] = len(edges)
-            edges.append((f"v{i}", f"w{i}", m[i - 1]))
+            edges += [(f"v{i}", f"w{i}", ell[i - 1]), (f"v{i}", f"w{i}", m[i - 1])]
             if i < g:
-                self._bridge[i] = len(edges)
                 edges.append((f"w{i}", f"v{i + 1}", beta[i - 1]))
         if extended:
-            self._bridge[0] = len(edges)
-            edges.append(("w0", "v1", pendant[0]))
-            self._bridge[g] = len(edges)
-            edges.append((f"w{g}", f"v{g + 1}", pendant[1]))
+            vertices = ["w0", *vertices, f"v{g + 1}"]
+            edges += [("w0", "v1", pendant[0]), (f"w{g}", f"v{g + 1}", pendant[1])]
         # the graph parses and sign-checks every length
         self.graph = G = MetricGraph(vertices, edges)
-        # edges top_i, bottom_i, bridge_i, ..., top_g, bottom_g, pendants
         core = 3 * g - 1
         lengths = [length for (_u, _v, length) in G.edges]
         ell, m, self.beta = (tuple(lengths[i:core:3]) for i in range(3))
@@ -573,15 +567,6 @@ class ChainOfLoops:
         # every such a/b is kp/kq, so that holds iff p + q > 2g-2
         self.generic = all((r := x / y).numerator + r.denominator > 2 * g - 2
                            for x, y in zip(ell, m))
-        # piece index (see ``piece``) by vertex name and by edge index; the
-        # pendant vertices and bridges have none
-        self._piece: dict[str | int, int] = {}
-        for i in range(1, g + 1):
-            for key in (f"v{i}", self._top[i], self._bottom[i]):
-                self._piece[key] = 2 * i - 2
-            self._piece[f"w{i}"] = 2 * i - 1
-            if i < g:
-                self._piece[self._bridge[i]] = 2 * i - 1
 
     # -- named points and edges ------------------------------------------
 
@@ -591,22 +576,36 @@ class ChainOfLoops:
     def w(self, i: int) -> Point:
         return self.graph.vertex_point(f"w{i}")
 
+    def _number(self, i, what: str, lo: int, hi: int) -> int:
+        """``i`` if it numbers one of this chain's ``what``s, lo..hi;
+        ``GraphError`` naming i otherwise."""
+        if type(i) is int and lo <= i <= hi:
+            return i
+        raise GraphError(f"no {what} {i!r} on this chain; its {what}s are {lo}..{hi}")
+
     def top_edge(self, i: int) -> int:
-        return _chain_edge(self._top, i, "loop")
+        return 3 * self._number(i, "loop", 1, self.g) - 3
 
     def bottom_edge(self, i: int) -> int:
-        return _chain_edge(self._bottom, i, "loop")
+        return 3 * self._number(i, "loop", 1, self.g) - 2
 
     def bridge_edge(self, i: int) -> int:
         """Bridge i runs w_i -> v_{i+1}; 0 and g exist only on extended chains."""
-        return _chain_edge(self._bridge, i, "bridge")
+        g = self.g
+        i = self._number(i, "bridge", *((0, g) if self.extended else (1, g - 1)))
+        return 3 * g - 1 if i == 0 else 3 * i - 1 + (i == g)
 
     def piece(self, p: Point) -> int | None:
         """Index of the part of gamma_1, br_1, ..., gamma_g, {w_g} holding
         the point p of this chain: 2i-2 for the cell gamma_i (loop i minus
         w_i), 2i-1 for the bridge br_i = [w_i, v_{i+1}), 2g-1 for w_g, and
         None on the pendant bridges of an extended chain."""
-        return self._piece.get(p.edge if p.vertex is None else p.vertex)
+        if p.vertex is None:
+            # edges 3i-3, 3i-2 and 3i-1 lie on pieces 2i-2, 2i-2 and 2i-1
+            return 2 * p.edge // 3 if p.edge < 3 * self.g - 1 else None
+        # a vertex's index is its piece's, past w_0 on an extended chain
+        k = self.graph.vertex_index[p.vertex] - self.extended
+        return k if 0 <= k < 2 * self.g else None
 
     # -- geometry helpers ------------------------------------------------
 
@@ -628,16 +627,7 @@ class ChainOfLoops:
             # top edge is oriented v_i -> w_i, so ccw-distance t from w_i
             # sits at offset ell_i - t
             return self.graph.point(top, ell - t)
-        return self.graph.point(self._bottom[i], t - ell)
-
-
-def _chain_edge(edges: dict[int, int], i, what: str) -> int:
-    """The edge index of ``what`` i in a chain's table ``edges``;
-    ``GraphError`` naming i if the chain has none."""
-    if type(i) is int and i in edges:
-        return edges[i]
-    raise GraphError(f"no {what} {i!r} on this chain; its {what}s are "
-                     f"{min(edges)}..{max(edges)}")
+        return self.graph.point(top + 1, t - ell)
 
 
 def default_generic_chain(g: int, extended: bool = False) -> ChainOfLoops:

@@ -171,7 +171,7 @@ class PLFunction:
 
     def outgoing_slope(self, ei: int, off: Fraction, direction: int) -> int:
         """Slope seen leaving offset ``off`` on edge ``ei`` toward direction +1/-1."""
-        s, O, V = self.scaled[ei]
+        s, O, V = self.scaled[self.graph.edge_index(ei)]
         off = _rat(off)
         d, x = off.denominator, off.numerator * s   # the offset is x/d in units of 1/s
         for i in range(len(O) - 1):
@@ -196,6 +196,7 @@ class PLFunction:
         ``direction`` is the direction pointing away from p, matching
         ``germs_at``; the incoming slope is the negative of the outgoing one.
         """
+        ei = self.graph.edge_index(ei)
         for (e, off, d) in self.germs_at(p):
             if e == ei and d == direction:
                 return -self.outgoing_slope(e, off, d)

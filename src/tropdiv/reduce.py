@@ -715,7 +715,11 @@ def rank(graph: MetricGraph, D: Divisor,
 
 def rank_subdivision_oracle(graph: MetricGraph, D: Divisor, n: int = 8) -> int:
     """Independent rank computation over the n-fold subdivision points of
-    every edge, for cross-checking the default point set."""
+    every edge, for cross-checking the default point set.  ``n`` must be
+    an int >= 2 (``PreconditionError``): the vertices alone need not
+    determine rank when the graph has a self-loop."""
+    if type(n) is not int or n < 2:
+        raise PreconditionError(f"the subdivision needs an int n >= 2, got {n!r}")
     pts = list(graph.vertex_points)
     for ei, length in enumerate(graph.int_lengths):
         pts += [graph._point_at(ei, length * k, graph.scale * n) for k in range(1, n)]
@@ -737,10 +741,7 @@ def find_unoccupied_edge(graph: MetricGraph, D: Divisor,
         raise PreconditionError("divisor must be effective")
     if is_equivalent(graph, D, canonical_divisor(graph)) is None:
         raise PreconditionError("divisor is not equivalent to the canonical divisor")
-    for ei in open_edges:
-        if type(ei) is not int or not 0 <= ei < len(graph.edges):
-            raise GraphError(f"no edge {ei!r}")
-    chosen = set(open_edges)
+    chosen = set(map(graph.edge_index, open_edges))
     if len(chosen) != len(open_edges) or len(chosen) != graph.betti():
         raise PreconditionError(
             f"need {graph.betti()} distinct open edges, got {list(open_edges)}")

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from tropdiv import (BNParams, ChainOfLoops, Divisor, canonical_divisor,
+from tropdiv import (BNParams, ChainOfLoops, Divisor, Point, canonical_divisor,
                      chainbn, default_generic_chain)
 from tropdiv.chainbn import (ShapeProfile, Tableau, adjoint_divisor, build_Dj,
                              build_Ek, canonical_shape_check,
@@ -38,6 +38,13 @@ class TestTableau:
             Tableau(((1, 4), (2, 3)))      # column not increasing
         with pytest.raises(PreconditionError, match="ragged"):
             Tableau(((1, 2), (3,)))
+
+    @pytest.mark.parametrize("entries", [((True, 2),), ((1.0, 2),), ((1, 2), (3, 4.0)),
+                                         ((1, 2), (3, Fraction(4)))])
+    def test_entries_must_be_ints(self, entries):
+        # each equals an int, so each would pass the bijection test
+        with pytest.raises(PreconditionError, match="must be ints"):
+            Tableau(entries)
 
     @pytest.mark.parametrize("entries", [(), ((),), ((), ())])
     def test_empty_shape_rejected(self, entries):
@@ -390,6 +397,15 @@ class TestShapes:
             assert is_wg_reduced_shape(red, chain3)
             prof = shape_profile(red, chain3)
             assert not any(prof.bridges)
+
+    @pytest.mark.parametrize("point", [Point("a", -1, Fraction(0))] + [
+        Point(None, edge, Fraction(1, 2)) for edge in (99, -1, 1.0)])
+    def test_point_off_the_chain_rejected(self, chain3, point):
+        # none is a point of the chain, to be skipped or counted on a piece
+        D = Divisor({chain3.w(3): 4, point: 1})
+        for check in (shape_profile, is_wg_reduced_shape):
+            with pytest.raises(GraphError):
+                check(D, chain3)
 
     @pytest.mark.parametrize("extended", [False, True])
     def test_shapes_match_the_cell_regions(self, extended):

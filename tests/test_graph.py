@@ -10,7 +10,7 @@ from tropdiv.errors import GraphError, PreconditionError
 from tropdiv.graph import _POINT_CACHE_SIZE, _rat
 from tropdiv.independence import strict_offsets
 from tropdiv.plfunc import PLFunction, distance_function
-from tropdiv.reduce import _Lattice
+from tropdiv.reduce import _Lattice, is_reduced, rank, v_reduce
 from tropdiv.sampling import SplitMix64, random_point
 
 from . import reference_core
@@ -137,6 +137,13 @@ class TestPoint:
         # a Point is never equal to what is not one, its vertex name included
         assert G.vertex_point("a") != "a" and p != (2, Fraction(1, 3))
 
+    @pytest.mark.parametrize("vertex,edge,offset", [
+        (None, 1, 0.5), (None, 1, "1/2"), (None, 1, None), (None, 1, True), ("a", -1, 0.0)])
+    def test_offset_must_be_an_int_or_a_fraction(self, vertex, edge, offset):
+        with pytest.raises(GraphError, match="not an int or a Fraction"):
+            Point(vertex, edge, offset)
+        assert Point(None, 1, 1) == Point(None, 1, Fraction(1))
+
     def test_sort_key_orders_vertices_before_interiors(self):
         ps = [Point(None, 0, Fraction(1)), theta_graph().vertex_point("a")]
         assert sorted(ps, key=lambda p: p.sort_key())[0].is_vertex
@@ -238,6 +245,28 @@ class TestMetricGraph:
         for call in (lambda: G.distance(v1, bad), lambda: G.distance(bad, v1),
                      lambda: G.vertex_distances(bad), lambda: distance_function(G, bad)):
             with pytest.raises(GraphError):
+                call()
+
+    def test_edge_index(self):
+        G = theta_graph()
+        assert [G.edge_index(ei) for ei in range(3)] == [0, 1, 2]
+        for bad in (-1, 3, 99):
+            with pytest.raises(GraphError, match=f"no edge {bad}$"):
+                G.edge_index(bad)
+        for bad in (True, False, 1.0, "1", None, Fraction(1)):
+            with pytest.raises(GraphError, match="no edge .*not an integer"):
+                G.edge_index(bad)
+
+    @pytest.mark.parametrize("edge", [1.0, True])
+    def test_point_on_a_non_int_edge_rejected_by_every_user(self, edge):
+        # 1.0 is no edge index, and True is not edge 1
+        G = theta_graph()
+        a, bad = G.vertex_point("a"), Point(None, edge, Fraction(1, 2))
+        D = Divisor({bad: 1})
+        for call in (lambda: v_reduce(G, D, a), lambda: rank(G, D),
+                     lambda: is_reduced(G, D, a), lambda: G.distance(bad, a),
+                     lambda: G.distance(a, bad)):
+            with pytest.raises(GraphError, match="not an integer"):
                 call()
 
     @pytest.mark.parametrize("x", [Fraction(333, 100), Fraction(23, 7)])
@@ -437,6 +466,11 @@ class TestRegion:
         with pytest.raises(GraphError):
             Region(G, [Interval(0, Fraction(0), Fraction(99))])
 
+    @pytest.mark.parametrize("edge", [99, 3, -1, True, 1.0])
+    def test_interval_on_an_edge_the_graph_lacks(self, edge):
+        with pytest.raises(GraphError, match="no edge"):
+            Region(theta_graph(), [Interval(edge, Fraction(0), Fraction(1))])
+
 
 class TestChainOfLoops:
     @pytest.mark.parametrize("g,extended", [(3.0, False), (3, 1), (3, "yes")])
@@ -503,6 +537,46 @@ class TestChainOfLoops:
         assert ch.graph.scale == 2310
         assert ch.integer_lengths == (30, (75, 70, 120), (30, 15, 30), (6, 60))
         assert ch.pendant == (F(1, 7), F(3, 11))
+
+    # the layout of ChainOfLoops(g, [11, 12, ...], [21, 22, ...],
+    # [31, 32, ...], pendant=(41, 42)): per g, its core vertices and edges,
+    # what the extended chain adds, and bridge_edge(i) on the extended
+    # chain; each edge's piece, None on a pendant bridge
+    LAYOUTS = {
+        2: (["v1", "w1", "v2", "w2"],
+            [("v1", "w1", 11), ("v1", "w1", 21), ("w1", "v2", 31),
+             ("v2", "w2", 12), ("v2", "w2", 22)],
+            ("w0", "v3"), [("w0", "v1", 41), ("w2", "v3", 42)],
+            {0: 5, 1: 2, 2: 6}, [0, 0, 1, 2, 2, None, None]),
+        3: (["v1", "w1", "v2", "w2", "v3", "w3"],
+            [("v1", "w1", 11), ("v1", "w1", 21), ("w1", "v2", 31),
+             ("v2", "w2", 12), ("v2", "w2", 22), ("w2", "v3", 32),
+             ("v3", "w3", 13), ("v3", "w3", 23)],
+            ("w0", "v4"), [("w0", "v1", 41), ("w3", "v4", 42)],
+            {0: 8, 1: 2, 2: 5, 3: 9}, [0, 0, 1, 2, 2, 3, 4, 4, None, None]),
+    }
+
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_layout(self, g, extended):
+        vertices, edges, (w0, pendant_v), pendants, bridges, pieces = self.LAYOUTS[g]
+        ch = ChainOfLoops(g, list(range(11, 11 + g)), list(range(21, 21 + g)),
+                          list(range(31, 30 + g)), extended=extended, pendant=[41, 42])
+        G = ch.graph
+        if extended:
+            vertices, edges = [w0, *vertices, pendant_v], edges + pendants
+        else:
+            bridges = {i: bridges[i] for i in range(1, g)}
+            pieces = pieces[:3 * g - 1]
+        assert list(G.vertices) == vertices
+        assert list(G.edges) == edges
+        assert [ch.top_edge(i) for i in range(1, g + 1)] == list(range(0, 3 * g, 3))
+        assert [ch.bottom_edge(i) for i in range(1, g + 1)] == list(range(1, 3 * g, 3))
+        assert {i: ch.bridge_edge(i) for i in bridges} == bridges
+        assert [ch.piece(G.point(ei, Fraction(1, 2))) for ei in range(len(edges))] == pieces
+        # a vertex's piece is its index on the core chain: v_i 2i-2, w_i 2i-1
+        assert [ch.piece(p) for p in G.vertex_points] == (
+            [None, *range(2 * g), None] if extended else list(range(2 * g)))
 
     @pytest.mark.parametrize("extended", [False, True])
     def test_bad_loop_or_bridge_index_named(self, extended):

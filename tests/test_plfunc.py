@@ -196,6 +196,17 @@ class TestOrdersAndDivisors:
         with pytest.raises(GraphError, match="has no germ on edge 0"):
             f.incoming_slope(G.vertex_point("a"), 0, -1)
 
+    @pytest.mark.parametrize("edge", [99, 3, -1, True, 1.0])
+    def test_slope_on_an_edge_the_graph_lacks(self, edge):
+        # -1 is not the last edge, nor True edge 1
+        G = theta_graph()
+        a = G.vertex_point("a")
+        f = distance_function(G, a)
+        with pytest.raises(GraphError, match="no edge"):
+            f.outgoing_slope(edge, 0, 1)
+        with pytest.raises(GraphError, match="no edge"):
+            f.incoming_slope(a, edge, 1)
+
 
 class TestMinCombination:
     @given(st.integers(-3, 3), st.integers(-3, 3))

@@ -679,6 +679,16 @@ class TestRank:
             D = random_divisor(G, rng, rng.randint(-1, 4))
             assert rank(G, D) == rank_subdivision_oracle(G, D, n=4)
 
+    @pytest.mark.parametrize("n", [1, 0, -3, 2.0, True, "4"])
+    def test_subdivision_oracle_needs_n_of_two_or_more(self, n):
+        # the vertex alone does not determine rank on a circle with one
+        # vertex: 2p has rank 1 there, but 2 on the vertex set
+        G = MetricGraph(["a"], [("a", "a", 4)])
+        D = Divisor({G.point(0, 2): 2})
+        assert rank(G, D) == rank_subdivision_oracle(G, D, n=2) == 1
+        with pytest.raises(PreconditionError, match="n >= 2"):
+            rank_subdivision_oracle(G, D, n=n)
+
     def test_default_rank_points_loopless(self, chain3):
         # the chain model is loopless (each loop is a pair of parallel
         # edges), so its vertex set is returned as it stands
