@@ -170,7 +170,9 @@ class MetricGraph:
     # -- basic accessors -------------------------------------------------
 
     def edge_length(self, ei: int) -> Fraction:
-        return self.edges[ei][2]
+        """The length of edge ``ei``, named as ``edge_index`` requires;
+        the graph's own loops read ``edges`` directly."""
+        return self.edges[self.edge_index(ei)][2]
 
     def valence(self, vertex: str) -> int:
         return len(self._incidence[self.vertex_index[vertex]])
@@ -254,7 +256,7 @@ class MetricGraph:
             return [(p.edge, p.offset)]
         out = []
         for (ei, side, _y) in self._incidence[self.vertex_index[p.vertex]]:
-            out.append((ei, Fraction(0) if side == 0 else self.edge_length(ei)))
+            out.append((ei, Fraction(0) if side == 0 else self.edges[ei][2]))
         return out
 
     # -- distances -------------------------------------------------------
@@ -418,7 +420,7 @@ class Region:
         self.intervals: tuple[Interval, ...] = tuple(intervals)
         self.points: frozenset[Point] = frozenset(points)
         for iv in self.intervals:
-            if not (0 <= iv.lo <= iv.hi <= graph.edge_length(graph.edge_index(iv.edge))):
+            if not (0 <= iv.lo <= iv.hi <= graph.edge_length(iv.edge)):
                 raise GraphError(f"interval {iv} out of bounds")
 
     @property
@@ -461,7 +463,7 @@ class Region:
             if not self.contains(p):
                 continue
             for (ei, off) in G.edge_coordinates(p):
-                length = G.edge_length(ei)
+                length = G.edges[ei][2]
                 for direction in (-1, 1):
                     if (direction == -1 and off == 0) or (direction == 1 and off == length):
                         continue

@@ -165,6 +165,8 @@ class PLFunction:
         return _sample(edge, S, [off.numerator * edge[0]])[0], S
 
     def __call__(self, p: Point) -> Fraction:
+        """The value at p; ``GraphError`` unless p is a point of the graph."""
+        self.graph.check_point(p)
         return Fraction(*self._value(*self.graph.edge_coordinates(p)[0]))
 
     # -- slopes and orders -----------------------------------------------
@@ -186,7 +188,7 @@ class PLFunction:
         for (ei, off) in self.graph.edge_coordinates(p):
             if off > 0:
                 out.append((ei, off, -1))
-            if off < self.graph.edge_length(ei):
+            if off < self.graph.edges[ei][2]:
                 out.append((ei, off, 1))
         return out
 
@@ -222,8 +224,8 @@ class PLFunction:
     def constant(graph: MetricGraph, c) -> "PLFunction":
         c = _rat(c, PreconditionError)
         return PLFunction(graph, {
-            ei: [(Fraction(0), c), (graph.edge_length(ei), c)]
-            for ei in range(len(graph.edges))})
+            ei: [(Fraction(0), c), (length, c)]
+            for ei, (_u, _v, length) in enumerate(graph.edges)})
 
     def _zip_with(self, other: "PLFunction", op) -> "PLFunction":
         """``op`` of both functions at the union of their breakpoints, edge

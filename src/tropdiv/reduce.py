@@ -27,8 +27,9 @@ chips are read off its burnt ends (see ``_Runs``).  The runs of a base
 depend only on the edge lengths in units of 1/L and on the base, so the
 graph keeps them from call to call (``_Lattice.runs``); every call still
 builds its own lattice and checks its points.  ``rank`` runs its whole
-depth-first search on these chips, and on its last level fires only
-until the base holds a chip.
+depth-first search on these chips, on its last level fires only until
+the base holds a chip, and ends at its first failure of degree
+deg(D) - g + 1, below which none can fail.
 
 Only chips move; the witness f with D + div(f) = D' is then solved from
 the reduced chips less D's terms by one weighted-Laplacian system (Baker
@@ -147,6 +148,9 @@ class _Chips:
         if i < j:
             c += pairs[i][1]
         self.on_edge[e] = pairs[:i] + ((k, c),) + pairs[j:] if c else pairs[:i] + pairs[j:]
+
+    def degree(self) -> int:
+        return sum(self.at_vertex) + sum(c for pairs in self.on_edge for _k, c in pairs)
 
     def items(self):
         return ([(i, c) for i, c in enumerate(self.at_vertex) if c]
@@ -442,7 +446,7 @@ def _potential(lat: _Lattice, chips: _Chips, q) -> PLFunction:
     in its column are the later columns of its row, and a chain, almost
     tridiagonal in vertex order, fills in nothing.
     """
-    degree = sum(chips.at_vertex) + sum(c for pairs in chips.on_edge for _x, c in pairs)
+    degree = chips.degree()
     if degree != 0:
         raise GraphError(f"a divisor of degree {degree} is not principal")
     graph = lat.graph
@@ -518,13 +522,18 @@ def v_reduce(graph: MetricGraph, D: Divisor, base: Point,
     how the debt is paid, as the reduced divisor is unique, and it too
     depends only on D and the base, not on the order of D's terms
     (``_clear_debt``).  A point of D or a base that the graph does not
-    have raises ``GraphError``.
+    have raises ``GraphError``.  A reduced divisor holds at most g chips
+    off its base (the lemma under ``rank``'s floor); a reduction that
+    leaves more raises ``TheoremViolation``.
     """
     lat = _Lattice(graph, [base, *D.support()])
     chips, q = lat.chips(D), lat.key(base)
     budget = [max_steps]
     _clear_debt(lat, chips, q, budget)
     _fire(lat, chips, q, budget)
+    if (off := chips.degree() - chips.get(q)) > graph.betti():
+        raise TheoremViolation(f"{off} chips off the base after reducing at {base}, "
+                               f"more than g = {graph.betti()}")
     red = lat.divisor(chips)
     witness = None
     if track_witness:
@@ -588,9 +597,13 @@ def default_rank_points(graph: MetricGraph) -> list[Point]:
     return pts
 
 
+class _Floor(Exception):
+    """Ends ``rank``'s search at a failure of the floor's degree."""
+
+
 def rank(graph: MetricGraph, D: Divisor,
          points: list[Point] | None = None,
-         base: Point | None = None) -> int:
+         base: Point | None = None, *, _floor: bool = True) -> int:
     """Baker-Norine rank, computed over a rank-determining point set.
 
     rank(D) >= r iff D - E has an effective representative for every
@@ -626,6 +639,22 @@ def rank(graph: MetricGraph, D: Divisor,
       to the end, as firing never takes a chip off its base.  The red
       left is still an effective representative of cur, so the next
       sibling fires on from it.
+
+    The search ends at its first failure of degree deg(D) - g + 1, the
+    floor, or does not start if the pre-pass finds one: rank(D) >=
+    deg(D) - g, so no E of lower degree fails.  That rests on the lemma
+    that a divisor reduced at q holds at most g chips off q (Baker and
+    Norine, "Riemann-Roch and Abel-Jacobi theory on a finite graph";
+    Hladky, Kral and Norine, "Rank of divisors on tropical curves", on
+    metric graphs).  Dhar's burn runs on a model subdivided at the chips
+    and at q, and a point p != q burns only once more directions reach
+    it than it holds chips, so D(p) <= in(p) - 1, in(p) counting the
+    edges along which fire reached p before it burnt.  Each edge gives
+    at most one such incoming direction, so the sum over the |V| - 1
+    points other than q is at most |E| - |V| + 1 = g.  Then D - E reduced
+    at q holds at least deg(D) - deg(E) - g chips at q.  ``v_reduce``
+    checks the lemma on every reduction.  ``_floor=False`` searches every
+    level, for ``rank_subdivision_oracle``.
 
     The graph keeps the burn runs of every base (``_Lattice.runs``), so
     repeated calls on one graph, such as the two of
@@ -665,6 +694,10 @@ def rank(graph: MetricGraph, D: Divisor,
             _fire(lat, red, k, [DEFAULT_MAX_STEPS])
         first.append(red)
         best_fail = min(best_fail, red.get(k) + 1)
+    # no E below the floor fails (see above); 0 is no floor, as no E of degree 0 fails
+    floor = D.degree - graph.betti() + 1 if _floor else 0
+    if best_fail <= floor:
+        return best_fail - 1
     # the chips of every node met so far that has children of its own
     searched: set = set()
 
@@ -698,6 +731,8 @@ def rank(graph: MetricGraph, D: Divisor,
                           until=1 if leaf else None)
                 if red.get(k) <= 0:
                     best_fail = depth + 1
+                    if best_fail <= floor:
+                        raise _Floor
                     return
                 if leaf:
                     continue
@@ -709,7 +744,10 @@ def rank(graph: MetricGraph, D: Divisor,
             searched.add(node)
             dfs(nxt, i, depth + 1)
 
-    dfs(red0, 0, 0)
+    try:
+        dfs(red0, 0, 0)
+    except _Floor:
+        pass
     return best_fail - 1
 
 
@@ -717,13 +755,15 @@ def rank_subdivision_oracle(graph: MetricGraph, D: Divisor, n: int = 8) -> int:
     """Independent rank computation over the n-fold subdivision points of
     every edge, for cross-checking the default point set.  ``n`` must be
     an int >= 2 (``PreconditionError``): the vertices alone need not
-    determine rank when the graph has a self-loop."""
+    determine rank when the graph has a self-loop.  It searches every
+    level, with no floor (see ``rank``): an oracle that took the same
+    early exit would check nothing above it."""
     if type(n) is not int or n < 2:
         raise PreconditionError(f"the subdivision needs an int n >= 2, got {n!r}")
     pts = list(graph.vertex_points)
     for ei, length in enumerate(graph.int_lengths):
         pts += [graph._point_at(ei, length * k, graph.scale * n) for k in range(1, n)]
-    return rank(graph, D, points=pts)
+    return rank(graph, D, points=pts, _floor=False)
 
 
 def find_unoccupied_edge(graph: MetricGraph, D: Divisor,

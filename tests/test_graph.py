@@ -257,6 +257,17 @@ class TestMetricGraph:
             with pytest.raises(GraphError, match="no edge .*not an integer"):
                 G.edge_index(bad)
 
+    def test_edge_length_checks_its_index(self):
+        # -1 is not the last edge, nor True edge 1
+        G = theta_graph()
+        assert [G.edge_length(ei) for ei in range(3)] == [2, 3, 5]
+        for bad in (-1, 3, 99):
+            with pytest.raises(GraphError, match=f"no edge {bad}$"):
+                G.edge_length(bad)
+        for bad in (True, 1.0):
+            with pytest.raises(GraphError, match="no edge .*not an integer"):
+                G.edge_length(bad)
+
     @pytest.mark.parametrize("edge", [1.0, True])
     def test_point_on_a_non_int_edge_rejected_by_every_user(self, edge):
         # 1.0 is no edge index, and True is not edge 1

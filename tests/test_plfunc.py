@@ -7,7 +7,7 @@ from operator import itemgetter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropdiv import (Divisor, MetricGraph, PLFunction, canonical_divisor,
+from tropdiv import (Divisor, MetricGraph, PLFunction, Point, canonical_divisor,
                      default_generic_chain)
 from tropdiv.errors import GraphError, PreconditionError
 from tropdiv.plfunc import (agreement_region, distance_function, in_R,
@@ -195,6 +195,15 @@ class TestOrdersAndDivisors:
             f.outgoing_slope(0, G.edge_length(0), 1)
         with pytest.raises(GraphError, match="has no germ on edge 0"):
             f.incoming_slope(G.vertex_point("a"), 0, -1)
+
+    @pytest.mark.parametrize("p", [Point(None, -1, Fraction(1, 2)), Point(None, 1, Fraction(99)),
+                                   Point(None, 99, Fraction(1, 2))])
+    def test_value_at_a_point_the_graph_lacks(self, p):
+        # edge -1 is not the last edge, and offset 99 is past edge 1's end
+        G = theta_graph()
+        f = distance_function(G, G.vertex_point("a"))
+        with pytest.raises(GraphError):
+            f(p)
 
     @pytest.mark.parametrize("edge", [99, 3, -1, True, 1.0])
     def test_slope_on_an_edge_the_graph_lacks(self, edge):

@@ -715,6 +715,58 @@ class TestRiemannRoch:
             assert ok, (D, r1, r2)
 
 
+class TestRiemannFloor:
+    """rank(D) >= deg(D) - g, so ``rank`` ends its search at the first
+    failure of degree deg(D) - g + 1, and ``v_reduce`` checks the lemma
+    that bound rests on: a reduced divisor holds at most g chips off its
+    base."""
+
+    def test_nonspecial_ranks_match_rank_dfs_and_take_the_floor(self, monkeypatch):
+        # D of degree 2g-1..2g+1 with debt, and K - D for D of degree -2
+        # or -1, on the chains of genus 3, 4 and 5 (fewer at genus 5,
+        # where rank_dfs takes 0.1 s each): each has rank deg - g, and
+        # the floored search fires fewer times than the search of every
+        # level on most of them
+        count = [0]
+
+        def counted(*args, _real=reduce_core._fire, **kwargs):
+            count[0] += 1
+            return _real(*args, **kwargs)
+
+        def fires(G, D, **kwargs):
+            count[0] = 0
+            return rank(G, D, **kwargs), count[0]
+
+        monkeypatch.setattr(reduce_core, "_fire", counted)
+        rng = SplitMix64(3636)
+        fewer = 0
+        for g, n in ((3, 32), (4, 20), (5, 8)):
+            G = default_generic_chain(g).graph
+            K = canonical_divisor(G)
+            for i in range(n):
+                if i % 3 == 2:
+                    D = K - random_divisor(G, rng, rng.randint(-2, -1))
+                else:
+                    D = random_divisor(G, rng, rng.randint(2 * g - 1, 2 * g + 1))
+                (r, floored), (r_all, every_level) = fires(G, D), fires(G, D, _floor=False)
+                assert r == r_all == D.degree - g == reference_core.rank_dfs(G, D), \
+                    (g, dict(D.items()))
+                assert floored <= every_level
+                fewer += floored < every_level
+        assert fewer >= 54, fewer
+
+    def test_more_than_g_chips_off_the_base_raises(self, chain3, monkeypatch):
+        # with firing turned off, an unreduced effective divisor passes
+        # through v_reduce as it stands: g chips off the base are allowed,
+        # g + 1 are not
+        monkeypatch.setattr(reduce_core, "_fire", lambda *args, **kwargs: None)
+        G, base = chain3.graph, chain3.v(1)
+        D = Divisor({chain3.w(3): 3, base: 2})
+        assert v_reduce(G, D, base).reduced == D
+        with pytest.raises(TheoremViolation, match="more than g = 3"):
+            v_reduce(G, D + Divisor({chain3.w(2): 1}), base)
+
+
 def fresh_copy(G: MetricGraph) -> MetricGraph:
     """The same graph built anew, so that nothing is stored on it."""
     return MetricGraph(G.vertices, G.edges)
