@@ -131,7 +131,11 @@ class MetricGraph:
         # the vertex is the edge's first end (offset 0), side 1 its second
         inc: list[list[tuple[int, int, int]]] = [[] for _ in self.vertices]
         for edge in _seq(edges, "edges"):
-            u, v, length = _seq(edge, "an edge")
+            if len(_seq(edge, "an edge")) != 3:
+                raise GraphError(f"an edge needs two ends and a length, got {edge!r}")
+            u, v, length = edge
+            if not (isinstance(u, str) and isinstance(v, str)):
+                raise GraphError(f"edge ({u!r},{v!r}) has an end that is not a string")
             length = _rat(length)
             if length <= 0:
                 raise GraphError(f"edge ({u},{v}) has non-positive length {length}")

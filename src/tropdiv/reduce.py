@@ -28,8 +28,9 @@ depend only on the edge lengths in units of 1/L and on the base, so the
 graph keeps them from call to call (``_Lattice.runs``); every call still
 builds its own lattice and checks its points.  ``rank`` runs its whole
 depth-first search on these chips, on its last level fires only until
-the base holds a chip, and ends at its first failure of degree
-deg(D) - g + 1, below which none can fail.
+the base holds a chip, and ends, in its pre-pass or its search, at its
+first failure of degree max(deg(D) - g + 1, 1), below which none can
+fail.
 
 Only chips move; the witness f with D + div(f) = D' is then solved from
 the reduced chips less D's terms by one weighted-Laplacian system (Baker
@@ -41,7 +42,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .errors import GraphError, PreconditionError, ReductionCapError, TheoremViolation
 from .graph import (Divisor, Interval, MetricGraph, Point, Region,
@@ -164,21 +165,22 @@ class _Chips:
 
 
 class _Runs:
-    """The edges of a lattice cut at a base into runs (edge, lo, hi, a, b),
-    from node a at offset lo to node b at hi.  The nodes are the vertex
-    indices; an interior base is node n and splits its edge into two
-    runs, the second appended after the edges.  ``base`` is the base's
-    node, and ``cut`` an interior base's key or None.  ``inc`` lists each
-    node's run ends as (run, side, node at the other end), side 0 being lo.
+    """The edges of a lattice cut at a base into runs, one row (edge, lo,
+    hi, a, b, tail_a, tail_b) per run: from node a at offset lo to node b
+    at hi.  The nodes are the vertex indices; an interior base is node n
+    and splits its edge into two runs, the second appended after the
+    edges.  ``base`` is the base's node, and ``cut`` an interior base's
+    key or None.  ``inc`` lists each node's runs as (run, node at the
+    other end).
 
     A corridor leaves a run at one end and goes on through valence-two
     vertices up to the base or a vertex of another valence.  Past the
-    run's end it depends on the graph and the base only, so ``tails``
-    holds it for each run and side, as its length and its pieces
-    (edge, start, direction, length).
+    run's end it depends on the graph and the base only, so a run's row
+    holds it for each end, tail_a past a and tail_b past b, as its length
+    and its pieces (edge, start, direction, length).
     """
 
-    __slots__ = ("runs", "inc", "base", "cut", "tails")
+    __slots__ = ("runs", "inc", "base", "cut")
 
     def __init__(self, lat: _Lattice, base):
         n = len(lat.graph.vertices)
@@ -190,23 +192,26 @@ class _Runs:
             runs[e] = (e, 0, k, u, n)
             runs.append((e, k, length, n, v))
             self.base, n = n, n + 1
-        self.inc: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        self.inc: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for r, (_e, _lo, _hi, a, b) in enumerate(runs):
-            self.inc[a].append((r, 0, b))
-            self.inc[b].append((r, 1, a))
+            self.inc[a].append((r, b))
+            self.inc[b].append((r, a))
+        # _tail reads the rows before their tails are added
         self.runs = runs
-        self.tails = [(self._tail(r, 0), self._tail(r, 1)) for r in range(len(runs))]
+        self.runs = [run + (self._tail(r, run[3]), self._tail(r, run[4]))
+                     for r, run in enumerate(runs)]
 
-    def _tail(self, r: int, side: int):
+    def _tail(self, r: int, y: int):
+        """The corridor past run r's end at node y."""
         pieces, total = [], 0
-        y = self.runs[r][3 + side]
         while y != self.base and len(self.inc[y]) == 2:
-            (r1, s1, _y1), (r2, s2, _y2) = self.inc[y]
-            r, s = (r2, s2) if (r1, s1) == (r, side) else (r1, s1)
+            # no run at a valence-two node other than the base is a loop
+            (r1, _y1), (r2, _y2) = self.inc[y]
+            r = r2 if r1 == r else r1
             e, lo, hi, a, b = self.runs[r]
-            pieces.append((e, lo, 1, hi - lo) if s == 0 else (e, hi, -1, hi - lo))
+            pieces.append((e, lo, 1, hi - lo) if a == y else (e, hi, -1, hi - lo))
             total += hi - lo
-            side, y = 1 - s, (b if s == 0 else a)
+            y = b if a == y else a
         # most runs end at the base or a branch vertex; those share one tail
         return (total, tuple(pieces)) if pieces else (0, ())
 
@@ -233,7 +238,7 @@ class _Runs:
         inc = self.inc
         frontier = [self.base]
         while frontier:
-            for r, _side, y in inc[frontier.pop()]:
+            for r, y in inc[frontier.pop()]:
                 if left[y] >= 0 and not inside[r]:
                     left[y] -= 1
                     if left[y] < 0:
@@ -244,30 +249,34 @@ class _Runs:
         """Burn, then read off each germ leaving the unburnt set as (key,
         edge, offset, direction, distance to the run's end, tail): the
         unburnt point's key and offset, the direction along the edge in
-        which it leaves, and the rest of its corridor."""
+        which it leaves, and the rest of its corridor.  Returns the germs
+        and eps, the length of the shortest corridor (inf if none)."""
         inside, left = self.burn(chips)
-        germs = []
-        for pairs, (e, lo, hi, a, b), (tail_a, tail_b) in zip(inside, self.runs, self.tails):
+        germs, eps = [], inf
+        for pairs, (e, lo, hi, a, b, tail_a, tail_b) in zip(inside, self.runs):
             burnt_a, burnt_b = left[a] < 0, left[b] < 0
             if not pairs:
                 if burnt_a != burnt_b:
-                    germs.append((b, e, hi, -1, hi - lo, tail_a) if burnt_a else
-                                 (a, e, lo, 1, hi - lo, tail_b))
+                    tail = tail_a if burnt_a else tail_b
+                    germs.append((b, e, hi, -1, hi - lo, tail) if burnt_a else
+                                 (a, e, lo, 1, hi - lo, tail))
+                    if hi - lo + tail[0] < eps:
+                        eps = hi - lo + tail[0]
             elif burnt_a or burnt_b:
-                if burnt_a and burnt_b and _lone(pairs):
+                # a lone one-chip point between two burnt ends burns
+                if burnt_a and burnt_b and len(pairs) == 1 and pairs[0][1] == 1:
                     continue
-                first, last = pairs[0][0], pairs[-1][0]
                 if burnt_a:
-                    germs.append(((e, first), e, first, -1, first - lo, tail_a))
+                    o = pairs[0][0]
+                    germs.append(((e, o), e, o, -1, o - lo, tail_a))
+                    if o - lo + tail_a[0] < eps:
+                        eps = o - lo + tail_a[0]
                 if burnt_b:
-                    germs.append(((e, last), e, last, 1, hi - last, tail_b))
-        return germs
-
-
-def _lone(pairs) -> bool:
-    """Whether a run's chips are one chip at one point: that point burns
-    once fire reaches it from both ends."""
-    return len(pairs) == 1 and pairs[0][1] == 1
+                    o = pairs[-1][0]
+                    germs.append(((e, o), e, o, 1, hi - o, tail_b))
+                    if hi - o + tail_b[0] < eps:
+                        eps = hi - o + tail_b[0]
+        return germs, eps
 
 
 def _fire(lat: _Lattice, chips: _Chips, base, budget: list[int],
@@ -294,13 +303,12 @@ def _fire(lat: _Lattice, chips: _Chips, base, budget: list[int],
     while True:
         if until is not None and chips.get(base) >= until:
             return
-        germs = runs.germs(chips)
+        germs, eps = runs.germs(chips)
         if not germs:
             return
         if budget[0] <= 0:
             raise ReductionCapError("reduction did not finish within its step budget")
         budget[0] -= 1
-        eps = min(first + tail[0] for (_x, _e, _o, _d, first, tail) in germs)
         for x, e, o, direction, first, (_total, pieces) in germs:
             chips.add(x, -1)
             # the chip lands eps along its corridor: on its own run, or on
@@ -390,9 +398,9 @@ def dhar_unburnt(graph: MetricGraph, D: Divisor, base: Point) -> Region:
     # the unburnt vertices and chip points by key, and those that end an interval
     unburnt = {x for x in range(len(graph.vertices)) if left[x] >= 0}
     ends, segs = set(), []
-    for pairs, (e, lo, hi, a, b) in zip(inside, runs.runs):
+    for pairs, (e, lo, hi, a, b, _tail_a, _tail_b) in zip(inside, runs.runs):
         burnt_a, burnt_b = left[a] < 0, left[b] < 0
-        if burnt_a and burnt_b and (not pairs or _lone(pairs)):
+        if burnt_a and burnt_b and (not pairs or len(pairs) == 1 and pairs[0][1] == 1):
             continue
         unburnt.update((e, k) for k, _c in pairs)
         stops = [(lo, a, burnt_a), *((k, (e, k), False) for k, _c in pairs), (hi, b, burnt_b)]
@@ -551,7 +559,7 @@ def is_reduced(graph: MetricGraph, D: Divisor, base: Point) -> bool:
     lat = _Lattice(graph, [base, *D.support()])
     if any(c < 0 for p, c in D.items() if p != base):
         return False
-    return not lat.runs(lat.key(base)).germs(lat.chips(D))
+    return not lat.runs(lat.key(base)).germs(lat.chips(D))[0]
 
 
 def default_base(graph: MetricGraph) -> Point:
@@ -640,21 +648,24 @@ def rank(graph: MetricGraph, D: Divisor,
       left is still an effective representative of cur, so the next
       sibling fires on from it.
 
-    The search ends at its first failure of degree deg(D) - g + 1, the
-    floor, or does not start if the pre-pass finds one: rank(D) >=
-    deg(D) - g, so no E of lower degree fails.  That rests on the lemma
-    that a divisor reduced at q holds at most g chips off q (Baker and
-    Norine, "Riemann-Roch and Abel-Jacobi theory on a finite graph";
-    Hladky, Kral and Norine, "Rank of divisors on tropical curves", on
-    metric graphs).  Dhar's burn runs on a model subdivided at the chips
+    The pre-pass and the search end at the first failure of degree
+    max(deg(D) - g + 1, 1), the floor: the pre-pass checks before its
+    first firing and after each, and the search, if it starts, stops
+    there.  No E of degree 0 fails, as red0 is effective, and rank(D) >=
+    deg(D) - g, so no E of degree up to deg(D) - g fails either.  That
+    rests on the lemma that a divisor reduced at q holds at most g chips
+    off q (Baker and Norine, "Riemann-Roch and Abel-Jacobi theory on a
+    finite graph"; Hladky, Kral and Norine, "Rank of divisors on tropical
+    curves", on metric graphs).  Dhar's burn runs on a model subdivided at the chips
     and at q, and a point p != q burns only once more directions reach
     it than it holds chips, so D(p) <= in(p) - 1, in(p) counting the
     edges along which fire reached p before it burnt.  Each edge gives
     at most one such incoming direction, so the sum over the |V| - 1
     points other than q is at most |E| - |V| + 1 = g.  Then D - E reduced
     at q holds at least deg(D) - deg(E) - g chips at q.  ``v_reduce``
-    checks the lemma on every reduction.  ``_floor=False`` searches every
-    level, for ``rank_subdivision_oracle``.
+    checks the lemma on every reduction.  ``_floor=False`` keeps the
+    floor at 1 and searches every level above it, for
+    ``rank_subdivision_oracle``.
 
     The graph keeps the burn runs of every base (``_Lattice.runs``), so
     repeated calls on one graph, such as the two of
@@ -682,11 +693,15 @@ def rank(graph: MetricGraph, D: Divisor,
     # the rank of a divisor reduced at p is at most its coefficient at p,
     # and any E of degree deg(D)+1 drives the degree negative; both bound
     # the depth the search needs to certify.  red0 is effective, so its
-    # reductions need no debt moved.
+    # reductions need no debt moved, and no E of degree 0 fails; nor does
+    # any E below the Riemann floor (see above)
+    floor = max(D.degree - graph.betti() + 1, 1) if _floor else 1
     best_fail = D.degree + 1
     first: list[_Chips] = []
     red = red0
     for k in keys:
+        if best_fail <= floor:
+            return best_fail - 1
         if k == q:
             red = red0
         else:
@@ -694,8 +709,6 @@ def rank(graph: MetricGraph, D: Divisor,
             _fire(lat, red, k, [DEFAULT_MAX_STEPS])
         first.append(red)
         best_fail = min(best_fail, red.get(k) + 1)
-    # no E below the floor fails (see above); 0 is no floor, as no E of degree 0 fails
-    floor = D.degree - graph.betti() + 1 if _floor else 0
     if best_fail <= floor:
         return best_fail - 1
     # the chips of every node met so far that has children of its own
@@ -755,9 +768,11 @@ def rank_subdivision_oracle(graph: MetricGraph, D: Divisor, n: int = 8) -> int:
     """Independent rank computation over the n-fold subdivision points of
     every edge, for cross-checking the default point set.  ``n`` must be
     an int >= 2 (``PreconditionError``): the vertices alone need not
-    determine rank when the graph has a self-loop.  It searches every
-    level, with no floor (see ``rank``): an oracle that took the same
-    early exit would check nothing above it."""
+    determine rank when the graph has a self-loop.  It takes no Riemann
+    floor (see ``rank``), as an oracle that took the same early exit
+    would check nothing above it, only the floor of 1: a failure of
+    degree 1 leaves rank 0 whatever the later points give, so stopping
+    there skips no level that could fail."""
     if type(n) is not int or n < 2:
         raise PreconditionError(f"the subdivision needs an int n >= 2, got {n!r}")
     pts = list(graph.vertex_points)

@@ -104,6 +104,16 @@ class TestReduce:
         assert main(["reduce", str(tmp_path / "nope.json"),
                      str(tmp_path / "nope2.json"), "--base", "v1"]) == 2
 
+    def test_malformed_edge_exits_2_with_the_graph_error(self, tmp_path, capsys):
+        gpath = _write(tmp_path / "graph.json",
+                       {"vertices": ["a", "b"], "edges": [["a", "b"]]})
+        dpath = _write(tmp_path / "div.json", [{"point": {"vertex": "a"}, "coeff": 1}])
+        out = tmp_path / "red.json"
+        assert main(["reduce", gpath, dpath, "--base", "a", "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "two ends and a length" in err and "unpack" not in err
+
     def test_float_coefficient_exits_2_without_output(self, tmp_path, capsys):
         gpath = _chain_file(tmp_path, default_generic_chain(2))
         dpath = _write(tmp_path / "div.json",

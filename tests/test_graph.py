@@ -12,6 +12,7 @@ from tropdiv.independence import strict_offsets
 from tropdiv.plfunc import PLFunction, distance_function
 from tropdiv.reduce import _Lattice, is_reduced, rank, v_reduce
 from tropdiv.sampling import SplitMix64, random_point
+from tropdiv import serialize as sz
 
 from . import reference_core
 from .conftest import cell_regions, circle_graph, coprime_graph, theta_graph
@@ -195,6 +196,18 @@ class TestMetricGraph:
         # the same vertex, so a divisor could hold two terms at v1
         with pytest.raises(GraphError, match="vertex point v1"):
             Point("v1", edge, offset)
+
+    @pytest.mark.parametrize("edges, match", [
+        ([["a", "b"]], "two ends and a length"),
+        ([[]], "two ends and a length"),
+        ([["a", "b", "1", "x"]], "two ends and a length"),
+        ([[["a"], "b", "1"]], "not a string"),
+    ])
+    def test_malformed_edge_read_from_json_raises_graph_error(self, edges, match):
+        # each of these once raised a bare ValueError ("not enough / too
+        # many values to unpack") or TypeError ("unhashable type: 'list'")
+        with pytest.raises(GraphError, match=match):
+            sz.graph_from_json({"vertices": ["a", "b"], "edges": edges})
 
     @pytest.mark.parametrize("name", [1, None, True, ("a",)])
     def test_rejects_non_string_vertex_name(self, name):

@@ -755,6 +755,58 @@ class TestRiemannFloor:
                 fewer += floored < every_level
         assert fewer >= 54, fewer
 
+    def test_special_ranks_match_rank_dfs_and_the_pre_pass_stops_at_the_floor(
+            self, monkeypatch):
+        # D of degree 0..2g-2 with debt, and K - D, on the chains of genus
+        # 3, 4 and 5: rank, floored or not, matches rank_dfs; and once the
+        # pre-pass's bound, deg(D) + 1 and then each red_p(D)(p) + 1 in
+        # point order, is at most max(deg(D) - g + 1, 1), rank fires no
+        # more, neither in the pre-pass nor in a search
+        fires = [0]
+
+        def counted(*args, _real=reduce_core._fire, **kwargs):
+            fires[0] += 1
+            return _real(*args, **kwargs)
+
+        def counted_from_here(*args, _real=reduce_core.v_reduce, **kwargs):
+            # the count starts after rank's one reduction at the base
+            result = _real(*args, **kwargs)
+            fires[0] = 0
+            return result
+
+        rng = SplitMix64(3737)
+        stopped = 0
+        for g, n in ((3, 36), (4, 24), (5, 12)):
+            G = default_generic_chain(g).graph
+            K, base = canonical_divisor(G), default_base(G)
+            points = default_rank_points(G)
+            for i in range(2 * n):
+                if i % 2 == 0:
+                    D = random_divisor(G, rng, rng.randint(0, 2 * g - 2))
+                else:
+                    D = K - D
+                r = reference_core.rank_dfs(G, D)
+                floor, bound, fired = max(D.degree - g + 1, 1), D.degree + 1, 0
+                for p in points:
+                    if bound <= floor:
+                        break
+                    fired += p != base
+                    bound = min(bound, v_reduce(G, D, p, track_witness=False)
+                                .reduced.coeff(p) + 1)
+                with monkeypatch.context() as m:
+                    m.setattr(reduce_core, "_fire", counted)
+                    m.setattr(reduce_core, "v_reduce", counted_from_here)
+                    assert rank(G, D) == r, (g, dict(D.items()))
+                if r < 0:
+                    # no effective class: nothing fires after red0
+                    assert fires[0] == 0, (g, dict(D.items()))
+                elif bound <= floor:
+                    assert fires[0] == fired, (g, dict(D.items()))
+                    stopped += fired < len(points) - 1
+                assert rank(G, D, _floor=False) == r, (g, dict(D.items()))
+        # the pre-pass stopped before its last point on 62 of the 144 today
+        assert stopped >= 55, stopped
+
     def test_more_than_g_chips_off_the_base_raises(self, chain3, monkeypatch):
         # with firing turned off, an unreduced effective divisor passes
         # through v_reduce as it stands: g chips off the base are allowed,
