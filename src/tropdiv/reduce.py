@@ -5,13 +5,12 @@ from the base, a point survives only if its chip count is at least the
 number of burning directions reaching it, and the surviving closed set is
 fired toward the base until everything burns.  Debt away from the base is
 first paid from the divisor's own chips by the same firing loop (see
-``_clear_debt``): all debt is gathered at one sink, the base if it holds
-debt and otherwise the least debt point in key order, so the firings
-depend on the divisor and the base alone.  c chips of debt at p move to
-the sink by firing (g+c)*sink at p until p holds c chips, which tropical
-Riemann-Roch guarantees, and a sink other than the base is paid by
-firing at it until it holds no debt.  Each firing stops as soon as its
-base holds the chips it needs, as no firing step takes one off its base.
+``_clear_debt``), in one pass: the debts are set aside, the base lends
+at most g chips so that the chips left have degree at least g, and each
+debt c*p, in key order, is paid by firing at p until p holds c chips,
+which tropical Riemann-Roch guarantees; so the firings depend on the
+divisor and the base alone.  Each firing stops as soon as its base
+holds the chips it needs, as no firing step takes one off its base.
 
 Burning and firing run on integers.  Every offset is a multiple of 1/L,
 where L is the lcm of the graph's ``scale`` (that of its edge lengths),
@@ -325,52 +324,38 @@ def _fire(lat: _Lattice, chips: _Chips, base, budget: list[int],
             chips.add(u if k == 0 else v if k == length else (e, k), 1)
 
 
-def _transfer(lat: _Lattice, chips: _Chips, p, c: int, sink, budget: list[int]) -> None:
-    """Move c > 0 chips of debt at ``p`` onto ``sink``, in place.
-
-    (g+c)*sink - c*p has degree g, so by tropical Riemann-Roch (Gathmann
-    and Kerber, "A Riemann-Roch theorem in tropical geometry") it has rank
-    at least 0: reduced at p, (g+c)*sink holds at least c chips there.
-    ``_fire`` fires it at p only until it does, drawing from ``budget``,
-    and the result less (g+c)*sink, a principal divisor, is added.
-    """
-    top = lat.graph.betti() + c
-    z = _Chips(len(chips.at_vertex), len(chips.on_edge))
-    z.add(sink, top)
-    _fire(lat, z, p, budget, until=c)
-    if z.get(p) < c:
-        raise TheoremViolation(
-            f"(g+{c})*s - {c}*p has no effective representative for "
-            f"p = {lat.point(p)}, s = {lat.point(sink)}")
-    for k, cz in z.items():
-        chips.add(k, cz)
-    chips.add(sink, -top)
-
-
 def _clear_debt(lat: _Lattice, chips: _Chips, base, budget: list[int]) -> None:
-    """Pay the debt of ``chips`` away from ``base`` = q, in place, so that
-    only q may be left in debt; each firing goes only as far as it must.
+    """Pay the debt of ``chips`` away from ``base`` = q, in place, from
+    their own chips, so that only q may be left in debt.
 
-    The sink is q if q holds debt, and otherwise the least debt key, as
-    ``_Chips.items`` lists chips in key order; so the sink and every
-    firing depend on the chips alone, not on the order in which a
-    divisor's terms were listed.  Every other debt moves to the sink
-    (``_transfer``), in key order.  A sink other than q is then paid by
-    firing at it until it holds no debt; if even its reduced divisor is
-    in debt there, the class has no effective member, and the rest of
-    that debt moves to q.  Every firing draws from ``budget``.
+    Every debt is set aside, q's too, which leaves effective chips, and
+    q is lent max(0, g - d) chips, d the degree of ``chips`` less q's
+    debt (the other debts counted), so that the chips left once every
+    other debt is paid still have degree at least g.  By tropical
+    Riemann-Roch (Gathmann and Kerber, "A Riemann-Roch theorem in tropical
+    geometry") every divisor of degree at least g is equivalent to an
+    effective one, so for each debt c*p, in key order, firing the chips at
+    p until p holds c chips succeeds (``TheoremViolation`` if not), and
+    the c chips are taken off p.  q then gets back its own debt less the
+    loan.  The firings depend on the chips alone, not on the order in
+    which a divisor's terms were listed, and every one draws from
+    ``budget``.
     """
     debts = [(p, -c) for p, c in chips.items() if c < 0 and p != base]
     if not debts:
         return
-    sink = base if chips.get(base) < 0 else debts[0][0]
+    owed = min(chips.get(base), 0)
+    loan = max(0, lat.graph.betti() - (chips.degree() - owed))
     for p, c in debts:
-        if p != sink:
-            _transfer(lat, chips, p, c, sink, budget)
-    if sink != base:
-        _fire(lat, chips, sink, budget, until=0)
-        if (c := chips.get(sink)) < 0:
-            _transfer(lat, chips, sink, -c, base, budget)
+        chips.add(p, c)
+    chips.add(base, loan - owed)
+    for p, c in debts:
+        _fire(lat, chips, p, budget, until=c)
+        if chips.get(p) < c:
+            raise TheoremViolation(f"{c} chips of debt at {lat.point(p)} not paid "
+                                   f"from a divisor of degree at least g")
+        chips.add(p, -c)
+    chips.add(base, owed - loan)
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +509,8 @@ def v_reduce(graph: MetricGraph, D: Divisor, base: Point,
 
     The firing loop moves chips only; the witness is solved afterwards
     from the reduced chips less D's terms, as it depends on nothing else.
-    ``steps`` counts every firing step: those that move debt to the sink
-    and from it, those that pay the sink, and those that then reduce at
+    ``steps`` counts every firing step: those that pay the debt away from
+    the base, one firing per debt point, and those that then reduce at
     the base; ``max_steps`` bounds them all.  Only ``steps`` depends on
     how the debt is paid, as the reduced divisor is unique, and it too
     depends only on D and the base, not on the order of D's terms

@@ -1,5 +1,6 @@
 """Shared fixtures and helpers for the test suite."""
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -70,6 +71,14 @@ def coprime_graph() -> MetricGraph:
     and 11, one of them oriented the other way."""
     return MetricGraph(["a", "b"], [("a", "b", Fraction(1, 3)), ("a", "b", Fraction(2, 7)),
                                     ("b", "a", Fraction(5, 11))])
+
+
+def k4_graph() -> MetricGraph:
+    """The complete graph on four vertices (genus 3), its six edges of
+    lengths 1/2, 2/3, 3/4, 4/5, 5/6 and 6/7."""
+    names = ["a", "b", "c", "d"]
+    return MetricGraph(names, [(u, v, Fraction(i, i + 1))
+                               for i, (u, v) in enumerate(combinations(names, 2), 1)])
 
 
 def solve_potential(G: MetricGraph, E, base) -> PLFunction:

@@ -1,25 +1,28 @@
-"""Ranks known without an oracle: rank(K) = g - 1 on every metric graph,
-by Riemann-Roch with D = 0, checked on chains and on graphs that are not
-chains; and rank(K - D) against ``reference_core.rank_dfs`` there."""
+"""Ranks known without an oracle, and rank(K - D) against
+``reference_core.rank_dfs``.
+
+- rank(K) = g - 1 on every metric graph, by Riemann-Roch with D = 0:
+  on chains, on K4, K3,3, the theta graph and the Petersen graph, and on
+  graphs with self-loops, where rank(D) = deg(D) - g for D of degree
+  above 2g - 2 is checked too.
+- On the default chain of genus rows * cols, the divisor of an a x b
+  tableau has rank b - 1, and its adjoint, the divisor of the transposed
+  tableau, rank a - 1, as has K - D, equivalent to it.  K - D holds debt
+  at the base v_1 and at up to g other points, so its ranks check the
+  reduction's debt pass at genus 4 to 9 against answers known in
+  advance.
+"""
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
-from tropdiv import MetricGraph, canonical_divisor, default_generic_chain
+from tropdiv import Divisor, MetricGraph, canonical_divisor, default_generic_chain
+from tropdiv.chainbn import adjoint_divisor, enumerate_tableaux, tableau_to_divisor
 from tropdiv.reduce import rank
 from tropdiv.sampling import SplitMix64, random_effective_divisor
 
 from . import reference_core
-from .conftest import theta_graph
-
-
-def k4_graph() -> MetricGraph:
-    """The complete graph on four vertices (genus 3), its six edges of
-    lengths 1/2, 2/3, 3/4, 4/5, 5/6 and 6/7."""
-    names = ["a", "b", "c", "d"]
-    return MetricGraph(names, [(u, v, Fraction(i, i + 1))
-                               for i, (u, v) in enumerate(combinations(names, 2), 1)])
+from .conftest import k4_graph, theta_graph
 
 
 def k33_graph() -> MetricGraph:
@@ -28,6 +31,17 @@ def k33_graph() -> MetricGraph:
     return MetricGraph(["a1", "a2", "a3", "b1", "b2", "b3"],
                        [(f"a{i}", f"b{j}", Fraction(3 * (i - 1) + j, 3))
                         for i in (1, 2, 3) for j in (1, 2, 3)])
+
+
+def petersen_graph() -> MetricGraph:
+    """The Petersen graph (genus 6): an outer 5-cycle o0..o4, spokes
+    o_i - i_i and an inner pentagram i_i - i_{i+2}, its fifteen edges of
+    lengths 1/3, 2/4, ..., 15/17 in that order."""
+    pairs = ([(f"o{i}", f"o{(i + 1) % 5}") for i in range(5)]
+             + [(f"o{i}", f"i{i}") for i in range(5)]
+             + [(f"i{i}", f"i{(i + 2) % 5}") for i in range(5)])
+    return MetricGraph([f"o{i}" for i in range(5)] + [f"i{i}" for i in range(5)],
+                       [(u, v, Fraction(k, k + 2)) for k, (u, v) in enumerate(pairs, 1)])
 
 
 GRAPHS = {"K4": k4_graph, "K33": k33_graph, "theta": theta_graph}
@@ -45,6 +59,41 @@ def test_canonical_rank_off_chains(name):
     assert rank(G, canonical_divisor(G)) == G.betti() - 1
 
 
+def test_canonical_rank_on_the_petersen_graph():
+    G = petersen_graph()
+    assert G.betti() == 6
+    assert rank(G, canonical_divisor(G)) == 5
+
+
+# a self-loop's vertex alone does not determine rank, so the rank points
+# hold a point on each loop; and on all but the theta graph with a loop,
+# K's reduction at each rank point holds at least g chips there, so the
+# pre-pass bounds rank(K) only by g, and the search finds the failures
+# that fix it
+LOOPED = {
+    "dumbbell": lambda: MetricGraph(["a", "b"], [("a", "a", Fraction(2)), ("a", "b", Fraction(1)),
+                                                 ("b", "b", Fraction(3))]),
+    "bouquet": lambda: MetricGraph(["a"], [("a", "a", Fraction(2)), ("a", "a", Fraction(5, 2))]),
+    "theta-with-a-loop": lambda: MetricGraph(["a", "b"], [
+        ("a", "b", Fraction(2)), ("a", "b", Fraction(3)), ("a", "b", Fraction(5)),
+        ("b", "b", Fraction(7, 2))]),
+    "loop-chain": lambda: MetricGraph(["a", "b", "c"], [
+        ("a", "a", Fraction(1)), ("a", "b", Fraction(2)), ("b", "b", Fraction(3, 2)),
+        ("b", "c", Fraction(1)), ("c", "c", Fraction(5, 3))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOPED))
+def test_ranks_on_graphs_with_self_loops(name):
+    G = LOOPED[name]()
+    g = G.betti()
+    assert rank(G, canonical_divisor(G)) == g - 1
+    # K - D has negative degree, so by Riemann-Roch rank(D) = deg(D) - g
+    for v in G.vertex_points:
+        for d in range(2 * g - 1, 2 * g + 2):
+            assert rank(G, Divisor({v: d})) == d - g, (v, d)
+
+
 @pytest.mark.parametrize("name", sorted(GRAPHS) + ["chain3", "chain4"])
 def test_rank_of_canonical_minus_effective_matches_rank_dfs(name):
     G = (default_generic_chain(int(name[-1])).graph if name.startswith("chain")
@@ -55,3 +104,20 @@ def test_rank_of_canonical_minus_effective_matches_rank_dfs(name):
         for _ in range(5):
             D = random_effective_divisor(G, rng, degree)
             assert rank(G, K - D) == reference_core.rank_dfs(G, K - D), dict(D.items())
+
+
+# every shape up to 3 x 3 and the 1 x 4 and 4 x 1 lines: 86 tableaux of
+# genus 4 to 9; longer lines cost seconds each (rank 8 at g = 9 for 1 x 9)
+SHAPES = [(2, 2), (1, 3), (3, 1), (2, 3), (3, 2), (1, 4), (4, 1), (2, 4), (4, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("rows,cols", SHAPES)
+def test_tableau_divisor_ranks(rows, cols):
+    chain = default_generic_chain(rows * cols)
+    G = chain.graph
+    K = canonical_divisor(G)
+    for T in enumerate_tableaux(rows, cols):
+        D = tableau_to_divisor(T, chain)
+        assert rank(G, D) == cols - 1, T.entries
+        assert rank(G, adjoint_divisor(T, chain)) == rows - 1, T.entries
+        assert rank(G, K - D) == rows - 1, T.entries

@@ -22,7 +22,7 @@ from tropdiv.sampling import (SplitMix64, random_divisor, random_effective_divis
                               random_point)
 
 from . import reference_core
-from .conftest import (circle_graph, coprime_graph, random_connected_graph,
+from .conftest import (circle_graph, coprime_graph, k4_graph, random_connected_graph,
                        solve_potential, theta_graph)
 
 
@@ -215,7 +215,8 @@ class TestReferenceCore:
                 cases.append((base, E, D))
         # debt at two or three points, debt at the base with debt elsewhere,
         # and p - p' of degree 0, whose class is not effective unless p ~ p':
-        # its sink p' stays in debt, and the rest of that debt moves to q
+        # the base lends it g chips to pay p', and stays in debt after the
+        # reduction when the class has no effective member
         debts = []
         for base in self.bases(G, rng):
             for _ in range(3):
@@ -243,7 +244,7 @@ class TestReferenceCore:
                 assert (res.reduced, res.steps) == (ref.reduced, ref.steps), (base, D)
         assert sum(not unburnt.is_empty for unburnt, _res in new) >= len(cases) // 4
         # on a graph with a cycle, some p - p' (every third case) are not
-        # effective, so their sink p' stays in debt and moves it on to q
+        # effective, so the base that lent chips to pay p' stays in debt
         not_effective = sum(res.reduced.coeff(base) < 0
                             for (base, _D), res in zip(debts[2::3], new_debts[2::3]))
         assert not_effective >= (1 if G.betti() else 0)
@@ -288,22 +289,32 @@ class TestReduction:
         with pytest.raises(ReductionCapError):
             v_reduce(G, D, default_base(G), max_steps=1)
 
-    def test_cap_counts_debt_transfer_steps(self, chain2, monkeypatch):
-        # the base is in debt, so it is the sink, and the firing that moves
-        # the debt at w2 onto it draws from the same budget
+    def test_cap_counts_debt_pass_steps(self, chain2, monkeypatch):
+        # the base in debt with debt at w2, and p - p' with no effective
+        # member: both have degree below g once the base's debt is set
+        # aside, so the base is lent chips, and the debt pass's firings
+        # draw from the one budget that the firing at the base then uses
         G = chain2.graph
         base = default_base(G)
-        D = Divisor({chain2.w(2): -1, chain2.v(2): 3, base: -1})
-        transfers = []
-        transfer = reduce_core._transfer
-        monkeypatch.setattr(reduce_core, "_transfer",
-                            lambda *args: transfers.append(args[4]) or transfer(*args))
-        steps = v_reduce(G, D, base).steps
-        assert transfers == [G.vertex_index[base.vertex]]
-        assert steps > v_reduce(G, D + Divisor({chain2.w(2): 1}), base).steps
-        assert v_reduce(G, D, base, max_steps=steps).steps == steps
-        with pytest.raises(ReductionCapError):
-            v_reduce(G, D, base, max_steps=steps - 1)
+        p, p2 = chain2.w(2), G.point(chain2.top_edge(1), Fraction(1, 3))
+        spent = []
+        clear_debt = reduce_core._clear_debt
+
+        def counted(lat, chips, q, budget):
+            before = budget[0]
+            clear_debt(lat, chips, q, budget)
+            spent.append(before - budget[0])
+
+        monkeypatch.setattr(reduce_core, "_clear_debt", counted)
+        for D in (Divisor({p: -1, chain2.v(2): 2, base: -1}), Divisor({p: 1, p2: -1})):
+            assert D.degree - min(D.coeff(base), 0) < G.betti()
+            spent.clear()
+            res = v_reduce(G, D, base)
+            assert spent[0] > 0
+            assert v_reduce(G, D, base, max_steps=res.steps).steps == res.steps
+            with pytest.raises(ReductionCapError):
+                v_reduce(G, D, base, max_steps=res.steps - 1)
+        assert res.reduced.coeff(base) < 0
 
     def test_debt_at_genus_8(self):
         # the cap catches a debt pass whose chip count grows with the genus
@@ -334,7 +345,7 @@ class TestReduction:
             assert v_reduce(G, D + cone, base).reduced == res.reduced
 
     def test_the_order_of_the_terms_changes_nothing(self, chain3):
-        # the debt is gathered at its least key, not at the first term
+        # the debts are paid in key order, not in the order of the terms
         # listed, so steps too depends only on D and the base
         G = chain3.graph
         rng = SplitMix64(3232)
@@ -352,8 +363,8 @@ class TestReduction:
             seen += 1
 
     def test_debt_on_a_tree(self):
-        # on a tree q - p is principal, so the p-reduced form of (g+1)q - p
-        # is 0 and each debt chip moves straight to the base
+        # on a tree every divisor of degree 0 is principal, so the debt at
+        # p is paid from r's chips with no chip lent at the base
         G = MetricGraph(["a", "b", "c", "d"], [
             ("a", "b", Fraction(2)), ("b", "c", Fraction(3)), ("b", "d", Fraction(1, 2))])
         assert G.betti() == 0
@@ -366,8 +377,9 @@ class TestReduction:
             assert D + res.witness.divisor() == res.reduced
 
     def test_missing_effective_representative_raises(self):
-        # with the genus understated, q - p on a circle has no effective
-        # representative, and the transfer must say so
+        # with the genus understated, the base lends too few chips: q - p
+        # on a circle has no effective representative, and the debt pass
+        # must say so
         G = circle_graph(4)
         G.betti = lambda: 0
         with pytest.raises(TheoremViolation):
@@ -431,6 +443,55 @@ class TestReduction:
                 assert slow.reduced == fast.reduced
                 assert slow.steps == fast.steps
                 assert D + slow.witness.divisor() == slow.reduced
+
+
+class TestDebtAtManyPoints:
+    """The debt pass against the Laplacian solve behind ``is_equivalent``,
+    which shares no firing code with it: divisors with debt at two to six
+    points, some with debt at the base too, of every degree from -2 to
+    2g + 1, on chains and on graphs that are not chains."""
+
+    GRAPHS = {"chain2": lambda: default_generic_chain(2).graph,
+              "chain3": lambda: default_generic_chain(3).graph,
+              "chain4": lambda: default_generic_chain(4).graph,
+              "chain3-extended": lambda: default_generic_chain(3, extended=True).graph,
+              "theta": theta_graph, "K4": k4_graph, "lollipop": lollipop_graph}
+
+    @staticmethod
+    def divisor(G: MetricGraph, rng: SplitMix64, base: Point, degree: int) -> Divisor:
+        """A divisor of the given degree with debt at 2..6 points other
+        than the base, and at the base too when rng says so."""
+        while True:
+            debts = Divisor([(random_point(G, rng), rng.randint(1, 2))
+                             for _ in range(rng.randint(2, 6))])
+            at_base = Divisor({base: rng.randint(0, 1) * rng.randint(1, 2)})
+            total = debts.degree + at_base.degree
+            if degree + total < 0:
+                continue
+            D = random_effective_divisor(G, rng, degree + total) - debts - at_base
+            if sum(c < 0 for p, c in D.items() if p != base) >= 2:
+                return D
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_reduced_and_equivalent_whatever_the_order(self, name):
+        G = self.GRAPHS[name]()
+        g = G.betti()
+        rng = SplitMix64(len(name) * 131 + g)
+        bases = [default_base(G), random_point(G, rng)]
+        at_base = 0
+        for degree in range(-2, 2 * g + 2):
+            for base in bases:
+                D = self.divisor(G, rng, base, degree)
+                at_base += D.coeff(base) < 0
+                res = v_reduce(G, D, base, track_witness=False)
+                assert is_reduced(G, res.reduced, base), (base, D)
+                f = is_equivalent(G, D, res.reduced)
+                assert f is not None and D + f.divisor() == res.reduced, (base, D)
+                terms = list(D.items())
+                for order in (terms[::-1], terms[1:] + terms[:1]):
+                    other = v_reduce(G, Divisor(order), base, track_witness=False)
+                    assert (other.reduced, other.steps) == (res.reduced, res.steps), (base, D)
+        assert at_base >= 2
 
 
 class TestEquivalence:

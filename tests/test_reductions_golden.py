@@ -7,10 +7,12 @@ with the outputs recorded in ``data/reductions_golden.json``.  Each entry
 carries its input, so the test does not depend on the sampler.
 
 The file was written by this module, first on the code of commit
-fe222ee (added in eb74198), and rewritten by commit b8b04cd and last by
-the commit after 05c57b1 ("Pay reduction debt from the divisor's own
-chips"), whose changes of the reduction's firing steps each changed only
-the ``steps`` values.
+fe222ee (added in eb74198), and rewritten by commit b8b04cd, by the
+commit after 05c57b1 ("Pay reduction debt from the divisor's own
+chips") and last by the commit after 1001f56 ("Pay reduction debt in
+one pass from the divisor's own chips plus a loan at the base"), whose
+changes of the reduction's firing steps each changed only the ``steps``
+values (162 to 137 in total at the last).
 Rewrite it only for an intended change of output:
 ``PYTHONPATH=src python -m tests.test_reductions_golden``.
 """
