@@ -47,6 +47,8 @@ def _seq(x, what: str) -> Sequence:
 # at 404 on its genus-3 graph, and of ``reduce`` at 351
 _POINT_CACHE_SIZE = 4096
 
+_ZERO = Fraction(0)  # every vertex point's offset
+
 
 @dataclass(frozen=True, eq=False)
 class Point:
@@ -92,7 +94,7 @@ class Point:
 
     def sort_key(self):
         if self.vertex is not None:
-            return (0, self.vertex, 0, Fraction(0))
+            return (0, self.vertex, 0, _ZERO)
         return (1, "", self.edge, self.offset)
 
     def __repr__(self):
@@ -125,7 +127,7 @@ class MetricGraph:
         if len(self.vertex_index) != len(self.vertices):
             raise GraphError("duplicate vertex names")
         self.vertex_points: tuple[Point, ...] = tuple(
-            Point(v, -1, Fraction(0)) for v in self.vertices)
+            Point(v, -1, _ZERO) for v in self.vertices)
         es, ends = [], []
         # vertex index -> list of (edge index, side, other end); side 0 means
         # the vertex is the edge's first end (offset 0), side 1 its second
@@ -156,6 +158,8 @@ class MetricGraph:
         # reduce's burn runs per (lattice scale, base key), kept across
         # calls and bounded there (``reduce._Lattice.runs``)
         self._runs: dict = {}
+        # eliminated on the first witness solved (``reduce._laplacian``)
+        self._laplacian = None
         if not self._connected():
             raise GraphError("graph is not connected")
 
@@ -260,7 +264,7 @@ class MetricGraph:
             return [(p.edge, p.offset)]
         out = []
         for (ei, side, _y) in self._incidence[self.vertex_index[p.vertex]]:
-            out.append((ei, Fraction(0) if side == 0 else self.edges[ei][2]))
+            out.append((ei, _ZERO if side == 0 else self.edges[ei][2]))
         return out
 
     # -- distances -------------------------------------------------------

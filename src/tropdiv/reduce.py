@@ -34,7 +34,8 @@ fail.
 Only chips move; the witness f with D + div(f) = D' is then solved from
 the reduced chips less D's terms by one weighted-Laplacian system (Baker
 and Shokrieh, "Chip-firing games, potential theory on graphs, and
-spanning trees"), on the same lattice, by fraction-free elimination.
+spanning trees"), whose matrix the graph eliminates once, fraction-free,
+so that each solve only replays the row operations on its right side.
 """
 from __future__ import annotations
 
@@ -413,6 +414,49 @@ def _exact(num: int, den: int) -> int:
     return q
 
 
+def _laplacian(graph: MetricGraph):
+    """The reduced weighted Laplacian of ``graph``, eliminated once and
+    kept as ``graph._laplacian``: (P, weights, ops, upper).  P is the lcm
+    of ``int_lengths``, and an edge of length l weighs P/l.  The matrix is
+    positive definite, so elimination needs no pivoting, and it is
+    fraction-free: a row becomes a times itself minus m times the pivot
+    row, then is divided by the gcd d of its entries, and ``ops`` lists
+    (row, pivot, a, m, d).  Rows keep their nonzero columns only, and the
+    pattern stays symmetric, so the rows a pivot updates are its row's
+    later columns, and a chain, almost tridiagonal in vertex order, fills
+    in nothing, and leaves no entry left of the diagonal.  ``upper`` holds
+    the rows left, last first, as (row, diagonal, later entries)."""
+    n = len(graph.vertices)
+    P = lcm(*graph.int_lengths)
+    weights = [P // length for length in graph.int_lengths]
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    for (i, j), w in zip(graph.edge_ends, weights):
+        for a, b in ((i, j), (j, i)):
+            if a and a != b:
+                rows[a][a] = rows[a].get(a, 0) + w
+                if b:
+                    rows[a][b] = rows[a].get(b, 0) - w
+    ops = []
+    for k in range(1, n):
+        pivot = rows[k]
+        for i in [i for i in pivot if i > k]:
+            row = rows[i]
+            m = row.pop(k)
+            if m:
+                a = pivot[k]
+                for j in row:
+                    row[j] *= a
+                for j, b in pivot.items():
+                    if j > k:
+                        row[j] = row.get(j, 0) - m * b
+                d = gcd(*row.values())
+                rows[i] = {j: x // d for j, x in row.items()}
+                ops.append((i, k, a, m, d))
+    upper = [(k, rows[k].pop(k), tuple(rows[k].items())) for k in range(n - 1, 0, -1)]
+    graph._laplacian = (P, weights, ops, upper)
+    return graph._laplacian
+
+
 def _potential(lat: _Lattice, chips: _Chips, q) -> PLFunction:
     """The f with div(f) = E and f(q) = 0, for E the divisor ``chips`` on
     the lattice ``lat``, which it consumes, and q a key of that lattice;
@@ -429,59 +473,30 @@ def _potential(lat: _Lattice, chips: _Chips, q) -> PLFunction:
     sides are integers, and the unknowns are L times f's vertex values.
     Those are integers when E is principal, as f then has integer slopes
     and breakpoints on the lattice; a division that leaves a remainder
-    proves E is not.
-
-    The reduced Laplacian is positive definite, so elimination needs no
-    pivoting, and it is fraction-free: a row is updated as a multiple of
-    itself minus a multiple of the pivot row, then divided by the gcd of
-    its entries.  Each row keeps only its nonzero columns; elimination
-    keeps the pattern symmetric, so the rows below a pivot with an entry
-    in its column are the later columns of its row, and a chain, almost
-    tridiagonal in vertex order, fills in nothing.
+    proves E is not.  The weights are the same at every L, so the matrix
+    is eliminated once per graph (``_laplacian``); a call replays its row
+    updates on the right-hand side, each division exact or raising, and
+    substitutes back.
     """
     degree = chips.degree()
     if degree != 0:
         raise GraphError(f"a divisor of degree {degree} is not principal")
     graph = lat.graph
-    n = len(graph.vertices)
-    P = lcm(*(length for (_u, _v, length) in lat.edges))
-    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    P, weights, ops, upper = graph._laplacian or _laplacian(graph)
+    P *= lat.scale // graph.scale
     rhs = [c * P for c in chips.at_vertex]
     # an interior base is a chipless breakpoint, its value read off the walk
     if type(q) is tuple:
         chips.on_edge[q[0]] = tuple(sorted(chips.on_edge[q[0]] + ((q[1], 0),)))
-    for (i, j, length), on_edge in zip(lat.edges, chips.on_edge):
-        w = P // length
-        for a, b in ((i, j), (j, i)):
-            if a and a != b:
-                rows[a][a] = rows[a].get(a, 0) + w
-                if b:
-                    rows[a][b] = rows[a].get(b, 0) - w
+    for (i, j, length), on_edge, w in zip(lat.edges, chips.on_edge, weights):
         for x, c in on_edge:
             rhs[i] += c * (length - x) * w
             rhs[j] += c * x * w
-    for k in range(1, n):
-        pivot = rows[k]
-        for i in [i for i in pivot if i > k]:
-            row = rows[i]
-            m = row.pop(k)
-            if m:
-                a = pivot[k]
-                for j in row:
-                    row[j] *= a
-                for j, b in pivot.items():
-                    if j > k:
-                        row[j] = row.get(j, 0) - m * b
-                rhs[i] = a * rhs[i] - m * rhs[k]
-                d = gcd(rhs[i], *row.values())
-                if d > 1:
-                    for j in row:
-                        row[j] //= d
-                    rhs[i] //= d
-    val = [0] * n
-    for k in range(n - 1, 0, -1):
-        row = rows[k]
-        val[k] = _exact(rhs[k] - sum(a * val[j] for j, a in row.items() if j > k), row[k])
+    for i, k, a, m, d in ops:
+        rhs[i] = a * rhs[i] - m * rhs[k] if d == 1 else _exact(a * rhs[i] - m * rhs[k], d)
+    val = [0] * len(rhs)
+    for k, diag, later in upper:
+        val[k] = _exact(rhs[k] - sum(a * val[j] for j, a in later), diag)
     # each edge's breakpoints, offsets and values in units of 1/L
     data: list[list[tuple[int, int]]] = []
     for (i, j, length), on_edge in zip(lat.edges, chips.on_edge):

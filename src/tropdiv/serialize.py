@@ -16,9 +16,11 @@ byte for byte: one item per line, indented two spaces per level, ","
 ending every line of a container but its last, ": " after each key,
 ``[]`` and ``{}`` for empty containers, and strings escaped to ASCII by
 the standard library's C encoder.  (``json``'s own indented encoder runs
-in pure Python, and it cost more than the reductions it printed.)
-Rationals are written from their integers, never through ``Fraction``.
-``dump`` writes the same text to a file as it goes.
+in pure Python, and it cost more than the reductions it printed.)  The
+writer tests a node's exact type first, and writes a dict's str and int
+values with their key.  Rationals are written from their integers, a
+``Fraction``'s with no gcd taken.  ``dump`` writes the same text to a
+file as it goes.
 """
 from __future__ import annotations
 
@@ -37,9 +39,11 @@ from .plfunc import PLFunction
 def rat_to_json(x: Fraction | int) -> str:
     """``x``, an int or a ``Fraction``, as "p" or "p/q"; ``TypeError`` for
     anything else, bools, floats and strings included."""
-    if not isinstance(x, (Fraction, int)) or isinstance(x, bool):
+    if isinstance(x, Fraction):
+        return Fraction.__str__(x)  # in lowest terms already
+    if not isinstance(x, int) or isinstance(x, bool):
         raise TypeError(f"not an exact rational: {x!r}")
-    return _ratio(x.numerator, x.denominator)
+    return int.__repr__(x)
 
 
 def _ratio(n: int, s: int) -> str:
@@ -74,8 +78,11 @@ def _edge_key(key) -> int:
 
 
 def point_to_json(graph: MetricGraph, p: Point) -> dict:
-    ei, off = graph.edge_coordinates(p)[0]
-    return {"edge": ei, "offset": rat_to_json(off)}
+    if p.is_vertex:
+        # the first of ``edge_coordinates``, read with no Fraction built
+        ei, side, _y = graph._incidence[graph.vertex_index[p.vertex]][0]
+        return {"edge": ei, "offset": rat_to_json(graph.edges[ei][2]) if side else "0"}
+    return {"edge": p.edge, "offset": rat_to_json(p.offset)}
 
 
 def point_from_json(graph: MetricGraph, obj: dict) -> Point:
@@ -191,23 +198,28 @@ def dump(obj: Any, fh) -> None:
 
 def _write(o: Any, nl: str, emit) -> None:
     """Pass the JSON text of ``o`` to ``emit`` in pieces; ``nl`` is a
-    newline and the indent of ``o``'s own level."""
-    if isinstance(o, str):
+    newline and the indent of ``o``'s own level.  Exact types are tested
+    first, and a dict's str and int values go out with their key."""
+    t = type(o)
+    if t is str or (t is not dict and t is not list and isinstance(o, str)):
         emit(_quote(o))
-    elif isinstance(o, dict):
+    elif t is dict or (t is not list and isinstance(o, dict)):
         if not o:
             emit("{}")
             return
         inner = nl + "  "
         sep = "{" + inner
         for k in sorted(o):
-            emit(sep)
-            emit(_quote(k))
-            emit(": ")
-            _write(o[k], inner, emit)
+            v = o[k]
+            tv = type(v)
+            if tv is str or tv is int:
+                emit(f"{sep}{_quote(k)}: {_quote(v) if tv is str else int.__repr__(v)}")
+            else:
+                emit(f"{sep}{_quote(k)}: ")
+                _write(v, inner, emit)
             sep = "," + inner
         emit(nl + "}")
-    elif isinstance(o, (list, tuple, GeneratorType)):
+    elif t is list or isinstance(o, (list, tuple, GeneratorType)):
         inner = nl + "  "
         sep = "[" + inner
         for x in o:

@@ -81,6 +81,17 @@ def k4_graph() -> MetricGraph:
                                for i, (u, v) in enumerate(combinations(names, 2), 1)])
 
 
+def petersen_graph() -> MetricGraph:
+    """The Petersen graph (genus 6): an outer 5-cycle o0..o4, spokes
+    o_i - i_i and an inner pentagram i_i - i_{i+2}, its fifteen edges of
+    lengths 1/3, 2/4, ..., 15/17 in that order."""
+    pairs = ([(f"o{i}", f"o{(i + 1) % 5}") for i in range(5)]
+             + [(f"o{i}", f"i{i}") for i in range(5)]
+             + [(f"i{i}", f"i{(i + 2) % 5}") for i in range(5)])
+    return MetricGraph([f"o{i}" for i in range(5)] + [f"i{i}" for i in range(5)],
+                       [(u, v, Fraction(k, k + 2)) for k, (u, v) in enumerate(pairs, 1)])
+
+
 def solve_potential(G: MetricGraph, E, base) -> PLFunction:
     """``reduce._potential`` on the chips of E on the lattice of E and
     the base, as ``is_equivalent`` builds it."""

@@ -17,19 +17,24 @@ list, sorted by the row-concatenated entries.  And ``vertex_distances``,
 ``distance`` and ``distance_function``, the graph's distances as they
 were before its integer form: Dijkstra on ``Fraction``s by vertex name,
 and each edge of a distance function at the lcm of its own values'
-denominators."""
+denominators.  And ``potential``, ``reduce._potential`` as it was
+before the graph kept its Laplacian eliminated: every call builds the
+weighted Laplacian at the lattice's scale and eliminates it with the
+right-hand side, each row divided by the gcd of its entries and its
+right-hand side.  And ``rank_points``, a rank-determining set of its
+own, so that a fault in ``reduce.default_rank_points`` does not hide
+in ``rank_dfs`` as well."""
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from tropdiv.chainbn import Tableau, tableau_to_dyck
-from tropdiv.errors import PreconditionError, ReductionCapError, TheoremViolation
+from tropdiv.errors import GraphError, PreconditionError, ReductionCapError, TheoremViolation
 from tropdiv.graph import Divisor, Interval, Region
 from tropdiv.plfunc import PLFunction, _envelope_edge, lower_envelope
-from tropdiv.reduce import (DEFAULT_MAX_STEPS, _Chips, _Lattice,
-                            default_base, default_rank_points, v_reduce)
+from tropdiv.reduce import DEFAULT_MAX_STEPS, _Chips, _Lattice, default_base, v_reduce
 from tropdiv.reduce import _fire as _fire_runs
 
 
@@ -187,11 +192,22 @@ def tableau_divisor(T, chain):
     return Divisor(coeffs)
 
 
+def rank_points(graph) -> list:
+    """Every vertex point, and the point a third of the way along each
+    self-loop: the vertices of a loopless model, built from the public
+    API alone."""
+    pts = list(graph.vertex_points)
+    for ei, (u, v, length) in enumerate(graph.edges):
+        if u == v:
+            pts.append(graph.point(ei, length / 3))
+    return pts
+
+
 def rank_dfs(graph, D, points=None, base=None) -> int:
     """``reduce.rank`` by the depth-first search over nondecreasing index
     multisets, pruned once D - E fails, with no reduction reused."""
     if points is None:
-        points = default_rank_points(graph)
+        points = rank_points(graph)
     if not points:
         raise PreconditionError("rank needs a nonempty point set")
     if base is None:
@@ -315,3 +331,79 @@ def distance_function(graph, p, cap=None) -> PLFunction:
             pieces.append((S, (0, L), (c, c)))
         edges.append(_envelope_edge(*lower_envelope(pieces, [0] * len(pieces))))
     return PLFunction._from_ints(graph, edges)
+
+
+def _exact(num: int, den: int) -> int:
+    """num / den, an integer whenever the divisor being solved for is
+    principal."""
+    q, r = divmod(num, den)
+    if r:
+        raise GraphError("the divisor is not principal")
+    return q
+
+
+def potential(lat: _Lattice, chips: _Chips, q) -> PLFunction:
+    """The f with div(f) = E and f(q) = 0, for E the divisor ``chips`` on
+    the lattice ``lat``, which it consumes, and q a key of that lattice;
+    ``GraphError`` if E is not principal.  The Laplacian, its weights
+    P/l with P the lcm of the lattice's lengths, is built and eliminated
+    fraction-free on every call, right-hand side included."""
+    degree = chips.degree()
+    if degree != 0:
+        raise GraphError(f"a divisor of degree {degree} is not principal")
+    graph = lat.graph
+    n = len(graph.vertices)
+    P = lcm(*(length for (_u, _v, length) in lat.edges))
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    rhs = [c * P for c in chips.at_vertex]
+    # an interior base is a chipless breakpoint, its value read off the walk
+    if type(q) is tuple:
+        chips.on_edge[q[0]] = tuple(sorted(chips.on_edge[q[0]] + ((q[1], 0),)))
+    for (i, j, length), on_edge in zip(lat.edges, chips.on_edge):
+        w = P // length
+        for a, b in ((i, j), (j, i)):
+            if a and a != b:
+                rows[a][a] = rows[a].get(a, 0) + w
+                if b:
+                    rows[a][b] = rows[a].get(b, 0) - w
+        for x, c in on_edge:
+            rhs[i] += c * (length - x) * w
+            rhs[j] += c * x * w
+    for k in range(1, n):
+        pivot = rows[k]
+        for i in [i for i in pivot if i > k]:
+            row = rows[i]
+            m = row.pop(k)
+            if m:
+                a = pivot[k]
+                for j in row:
+                    row[j] *= a
+                for j, b in pivot.items():
+                    if j > k:
+                        row[j] = row.get(j, 0) - m * b
+                rhs[i] = a * rhs[i] - m * rhs[k]
+                d = gcd(rhs[i], *row.values())
+                if d > 1:
+                    for j in row:
+                        row[j] //= d
+                    rhs[i] //= d
+    val = [0] * n
+    for k in range(n - 1, 0, -1):
+        row = rows[k]
+        val[k] = _exact(rhs[k] - sum(a * val[j] for j, a in row.items() if j > k), row[k])
+    # each edge's breakpoints, offsets and values in units of 1/L
+    data: list[list[tuple[int, int]]] = []
+    for (i, j, length), on_edge in zip(lat.edges, chips.on_edge):
+        # the slope leaving the first end; each chip c passed lowers it by c
+        slope = _exact(val[j] - val[i] + sum(c * (length - x) for x, c in on_edge), length)
+        o, y = 0, val[i]
+        pts = [(0, y)]
+        for x, c in on_edge:
+            y += slope * (x - o)
+            pts.append((x, y))
+            o, slope = x, slope - c
+        pts.append((length, y + slope * (length - o)))
+        data.append(pts)
+    shift = val[q] if type(q) is int else next(y for (x, y) in data[q[0]] if x == q[1])
+    return PLFunction._from_ints(graph, [(lat.scale, [(x, y - shift) for (x, y) in pts])
+                                         for pts in data])

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from tropdiv import (Divisor, MetricGraph, Point, canonical_divisor,
                      default_generic_chain)
 from tropdiv import reduce as reduce_core
+from tropdiv.chainbn import enumerate_tableaux, gp_rho_zero_experiment
 from tropdiv.errors import (GraphError, PreconditionError, ReductionCapError,
                             TheoremViolation)
 from tropdiv.graph import Interval, Region
@@ -22,8 +23,8 @@ from tropdiv.sampling import (SplitMix64, random_divisor, random_effective_divis
                               random_point)
 
 from . import reference_core
-from .conftest import (circle_graph, coprime_graph, k4_graph, random_connected_graph,
-                       solve_potential, theta_graph)
+from .conftest import (circle_graph, coprime_graph, k4_graph, petersen_graph,
+                       random_connected_graph, solve_potential, theta_graph)
 
 
 def lollipop_graph() -> MetricGraph:
@@ -975,6 +976,97 @@ class TestRunsOnTheGraph:
             assert builds == []
         # the counter sees the first check on a fresh graph
         assert first_builds[0] > 0
+
+
+class TestWitnessLaplacian:
+    """The witness solve on the graph's once-eliminated Laplacian against
+    ``reference_core.potential``, which builds and eliminates it on every
+    call, right-hand side included."""
+
+    GRAPHS = {**{f"chain{g}": (lambda g=g: default_generic_chain(g).graph) for g in range(2, 9)},
+              "chain3-extended": lambda: default_generic_chain(3, extended=True).graph,
+              "theta": theta_graph, "K4": k4_graph, "lollipop": lollipop_graph,
+              "petersen": petersen_graph}
+    # principal divisors per graph, 1,080 in all
+    TRIALS = 90
+
+    @staticmethod
+    def oracle(G: MetricGraph, E: Divisor, base: Point):
+        lat = _Lattice(G, [base, *E.support()])
+        return reference_core.potential(lat, lat.chips(E), lat.key(base))
+
+    @staticmethod
+    def interior_point(G: MetricGraph, rng: SplitMix64) -> Point:
+        while (p := random_point(G, rng)).is_vertex:
+            pass
+        return p
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_witnesses_match_the_per_call_elimination(self, name):
+        G = self.GRAPHS[name]()
+        g = G.betti()
+        rng = SplitMix64(len(name) * 977 + g)
+        for t in range(self.TRIALS):
+            # vertex and interior bases in turn
+            base = (G.vertex_points[rng.below(len(G.vertices))] if t % 2
+                    else self.interior_point(G, rng))
+            D = random_divisor(G, rng, rng.randint(0, 2 * g))
+            res = v_reduce(G, D, base)
+            E = res.reduced - D
+            assert res.witness == self.oracle(G, E, base), (base, D)
+            # another base, solved as is_equivalent solves it
+            other = self.interior_point(G, rng) if t % 2 else default_base(G)
+            assert solve_potential(G, E, other) == self.oracle(G, E, other), (other, D)
+        assert G._laplacian is not None
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_non_principal_divisors_raise_in_both(self, name):
+        G = self.GRAPHS[name]()
+        rng = SplitMix64(len(name) * 313)
+        raised = 0
+        for t in range(30):
+            base = G.vertex_points[0] if t % 2 else self.interior_point(G, rng)
+            k = rng.randint(1, 3)
+            E = random_effective_divisor(G, rng, k) - random_effective_divisor(G, rng, k)
+            try:
+                want = self.oracle(G, E, base)
+            except GraphError as exc:
+                assert "not principal" in str(exc)
+                with pytest.raises(GraphError, match="not principal"):
+                    solve_potential(G, E, base)
+                raised += 1
+            else:
+                assert solve_potential(G, E, base) == want, (base, E)
+        # a random divisor of degree 0 is principal only by accident (on
+        # the lollipop's bridge, one in three)
+        assert raised >= 15
+
+    def test_eliminated_once_per_graph(self, chain3, monkeypatch):
+        calls = []
+        real = reduce_core._laplacian
+
+        def counted(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(reduce_core, "_laplacian", counted)
+        G = fresh_copy(chain3.graph)
+        assert G._laplacian is None
+        rng = SplitMix64(4646)
+        for t in range(20):
+            # lattices of several scales: bases at 1/16, 1/48 and 1/80 of an edge
+            base = random_point(G, rng, 16 * (2 * (t % 3) + 1))
+            D = random_divisor(G, rng, 4)
+            res = v_reduce(G, D, base)
+            assert is_equivalent(G, D, res.reduced) is not None
+        assert calls == [G]
+
+    def test_gp0_never_eliminates(self, monkeypatch):
+        monkeypatch.setattr(reduce_core, "_laplacian", None)
+        chain = default_generic_chain(6)
+        for T in enumerate_tableaux(2, 3):
+            assert gp_rho_zero_experiment(T, chain).verdict == "independent"
+        assert chain.graph._laplacian is None
 
 
 class TestUnoccupiedEdge:
