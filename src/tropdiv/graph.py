@@ -155,9 +155,9 @@ class MetricGraph:
         self.int_lengths: tuple[int, ...] = tuple(
             length.numerator * (S // length.denominator) for (_u, _v, length) in es)
         self._point_cache: dict[tuple[int, int, int], Point] = {}
-        # reduce's burn runs per (lattice scale, base key), kept across
-        # calls and bounded there (``reduce._Lattice.runs``)
-        self._runs: dict = {}
+        # reduce's lattices by scale, each with its burn runs by base,
+        # kept across calls and bounded there (``reduce._Lattice._keep``)
+        self._lattices: dict = {}
         # eliminated on the first witness solved (``reduce._laplacian``)
         self._laplacian = None
         if not self._connected():
@@ -249,7 +249,7 @@ class MetricGraph:
         return self.vertex_points[i]
 
     def check_point(self, p: Point) -> None:
-        if p.is_vertex:
+        if p.vertex is not None:
             if p.vertex not in self.vertex_index:
                 raise GraphError(f"point at unknown vertex {p.vertex}")
         else:

@@ -22,14 +22,14 @@ the rank search and the witness solve all read; a call converts to and
 from ``Divisor`` once.  The burn runs over the vertices and an interior
 base only: an edge, or the part of it on one side of an interior base,
 carries fire from end to end when it holds no chips, and otherwise its
-chips are read off its burnt ends (see ``_Runs``).  The runs of a base
-depend only on the edge lengths in units of 1/L and on the base, so the
-graph keeps them from call to call (``_Lattice.runs``); every call still
-builds its own lattice and checks its points.  ``rank`` runs its whole
-depth-first search on these chips, on its last level fires only until
-the base holds a chip, and ends, in its pre-pass or its search, at its
-first failure of degree max(deg(D) - g + 1, 1), below which none can
-fail.
+chips are read off its burnt ends (see ``_Runs``).  The graph keeps one
+lattice per L, its edges scaled once, and the lattice the runs of each
+base, which depend on those edges and the base alone (``_Lattice``);
+every call still checks all of its points, on integers.  ``rank`` runs
+its whole depth-first search on these chips, on its last level fires
+only until the base holds a chip, and ends, in its pre-pass or its
+search, at its first failure of degree max(deg(D) - g + 1, 1), below
+which none can fail.
 
 Only chips move; the witness f with D + div(f) = D' is then solved from
 the reduced chips less D's terms by one weighted-Laplacian system (Baker
@@ -51,8 +51,9 @@ from .plfunc import PLFunction
 
 DEFAULT_MAX_STEPS = 10 ** 6
 
-# the graph's store of burn runs is emptied when it holds this many; a
-# seed-1 run of the benchmark's ``reduce`` workload builds 206 on one graph
+# the graph's lattices and their burn runs, counted together, are emptied
+# when they would pass this many; a seed-1 run of the benchmark's
+# ``reduce`` workload holds 220 on one graph, 216 of them runs
 _RUNS_STORE_SIZE = 512
 
 
@@ -67,25 +68,31 @@ class _Lattice:
     A point is named by a key: its vertex index, or (edge, offset) with
     the offset an integer strictly inside the edge.  Firing by a corridor
     length never leaves this lattice, so the core needs no rescaling.
-    Each call checks every point and scales the graph's integer lengths;
-    only the burn runs are shared, through the graph (``runs``).
+    Each call checks every point it is given, on integers, and returns
+    the graph's one lattice of that scale, built the first time the scale
+    is seen; it keeps the burn runs of each base (``runs``).  Points come
+    back from ``_point_at``, and distinct keys name distinct points.
     """
 
-    __slots__ = ("graph", "scale", "edges")
+    __slots__ = ("graph", "scale", "edges", "by_base")
 
-    def __init__(self, graph: MetricGraph, points: list[Point]):
+    def __new__(cls, graph: MetricGraph, points: list[Point]):
         for p in points:
             graph.check_point(p)
-        self.graph = graph
         # a vertex point's offset is 0, of denominator 1
-        self.scale = L = lcm(graph.scale, *(p.offset.denominator for p in points))
-        k = L // graph.scale
-        # the graph's edges as (first end, second end, length) in integers
-        self.edges = [(u, v, length * k)
-                      for (u, v), length in zip(graph.edge_ends, graph.int_lengths)]
+        L = lcm(graph.scale, *(p.offset.denominator for p in points if p.vertex is None))
+        lat = graph._lattices.get(L)
+        if lat is None:
+            lat = object.__new__(cls)
+            lat.graph, lat.scale, lat.by_base, k = graph, L, {}, L // graph.scale
+            # the graph's edges as (first end, second end, length) in integers
+            lat.edges = [(u, v, length * k)
+                         for (u, v), length in zip(graph.edge_ends, graph.int_lengths)]
+            lat._keep()
+        return lat
 
     def key(self, p: Point):
-        if p.is_vertex:
+        if p.vertex is not None:
             return self.graph.vertex_index[p.vertex]
         return (p.edge, p.offset.numerator * (self.scale // p.offset.denominator))
 
@@ -101,20 +108,28 @@ class _Lattice:
         return chips
 
     def divisor(self, chips: _Chips) -> Divisor:
-        return Divisor({self.point(k): c for k, c in chips.items()})
+        return Divisor._of({self.point(k): c for k, c in chips.items()})
 
     def runs(self, base) -> _Runs:
-        """The runs of ``base``.  They depend on the integer edges at
-        this scale and on the base alone, so the graph keeps them by
-        (scale, base) for every later lattice of the same scale, and
-        empties its store when it holds ``_RUNS_STORE_SIZE``."""
-        store = self.graph._runs
-        runs = store.get((self.scale, base))
+        """The runs of ``base``, built once per lattice, as they depend on
+        its integer edges and on the base alone."""
+        runs = self.by_base.get(base)
         if runs is None:
-            if len(store) >= _RUNS_STORE_SIZE:
-                store.clear()
-            runs = store[(self.scale, base)] = _Runs(self, base)
+            self._keep()
+            runs = self.by_base[base] = _Runs(self, base)
         return runs
+
+    def _keep(self) -> None:
+        """Put the lattice in the graph's store, with room for one more run,
+        emptying the store, runs and all, where its lattices and their runs
+        would pass ``_RUNS_STORE_SIZE``; one dropped while in use comes back."""
+        store = self.graph._lattices
+        kept = len(store) + sum(len(lat.by_base) for lat in store.values())
+        if kept + 1 + (store.get(self.scale) is not self) > _RUNS_STORE_SIZE:
+            for lat in store.values():
+                lat.by_base.clear()
+            store.clear()
+        store[self.scale] = self
 
 
 class _Chips:
@@ -667,9 +682,9 @@ def rank(graph: MetricGraph, D: Divisor,
     floor at 1 and searches every level above it, for
     ``rank_subdivision_oracle``.
 
-    The graph keeps the burn runs of every base (``_Lattice.runs``), so
+    The graph keeps its lattices and their burn runs (``_Lattice``), so
     repeated calls on one graph, such as the two of
-    ``riemann_roch_check``, burn on runs built by the first.
+    ``riemann_roch_check``, burn on the lattice and runs of the first.
 
     An empty point set raises ``PreconditionError``, a point the graph
     lacks ``GraphError``.

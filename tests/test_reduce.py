@@ -1,5 +1,6 @@
 """Tests for burning, reduction, equivalence, and rank."""
 from fractions import Fraction
+from math import lcm
 from itertools import combinations_with_replacement, permutations
 
 import pytest
@@ -915,8 +916,22 @@ class TestLeafFiring:
             assert stopped_early >= 30, until
 
 
+def held(G: MetricGraph) -> int:
+    """The lattices and burn runs in ``G``'s store, counted together as
+    ``_RUNS_STORE_SIZE`` bounds them."""
+    return len(G._lattices) + sum(len(lat.by_base) for lat in G._lattices.values())
+
+
+def point_of_denominator(G: MetricGraph, rng: SplitMix64, d: int) -> Point:
+    """A point at offset n/d on a random edge, a vertex where n is 0 or
+    n/d the edge's length."""
+    e = rng.below(len(G.edges))
+    return G.point(e, Fraction(rng.randint(0, int(G.edge_length(e) * d)), d))
+
+
 class TestRunsOnTheGraph:
-    """The burn runs each base gets once per graph and scale."""
+    """The graph's one lattice per scale, and the burn runs it keeps for
+    each base."""
 
     def test_warm_graph_matches_a_fresh_one(self, chain3):
         rng = SplitMix64(7373)
@@ -932,27 +947,35 @@ class TestRunsOnTheGraph:
                 assert rank(G, D, points, base) == rank(fresh_copy(G), D, points, base)
                 assert riemann_roch_check(G, D) == riemann_roch_check(fresh_copy(G), D)
             # runs of more than one scale have been stored
-            assert len({scale for scale, _base in G._runs}) > 1
+            assert sum(bool(lat.by_base) for lat in G._lattices.values()) > 1
 
     def test_store_never_passes_its_cap(self, chain3, monkeypatch):
-        cap = 7
+        cap, builds = 7, []
+        real = _Runs.__init__
 
         class Store(dict):
-            builds = 0
+            def __setitem__(self, scale, lat):
+                super().__setitem__(scale, lat)
+                assert held(lat.graph) <= cap
+                builds.append(scale)
 
-            def __setitem__(self, key, runs):
-                assert len(self) < cap
-                Store.builds += 1
-                super().__setitem__(key, runs)
+        def counted(self, lat, base):
+            # the lattice is in the store, and this run is about to join it
+            assert lat.graph._lattices[lat.scale] is lat
+            assert held(lat.graph) + 1 <= cap
+            builds.append(base)
+            real(self, lat, base)
 
         monkeypatch.setattr(reduce_core, "_RUNS_STORE_SIZE", cap)
+        monkeypatch.setattr(_Runs, "__init__", counted)
         G = fresh_copy(chain3.graph)
-        G._runs = Store()
+        G._lattices = Store()
         rng = SplitMix64(8484)
         for _ in range(6):
             D = random_divisor(G, rng, rng.randint(0, 4))
             assert rank_subdivision_oracle(G, D, n=2) == rank(fresh_copy(G), D)
-        assert Store.builds > 3 * cap
+            assert held(G) <= cap
+        assert len(builds) > 3 * cap
 
     def test_second_riemann_roch_check_builds_no_runs(self, chain3, monkeypatch):
         builds = []
@@ -976,6 +999,117 @@ class TestRunsOnTheGraph:
             assert builds == []
         # the counter sees the first check on a fresh graph
         assert first_builds[0] > 0
+
+    def test_second_rank_builds_no_lattice(self, chain3):
+        built = []
+
+        class Store(dict):
+            def __setitem__(self, scale, lat):
+                if scale not in self:
+                    built.append(scale)
+                super().__setitem__(scale, lat)
+
+        G = fresh_copy(chain3.graph)
+        G._lattices = Store()
+        rng = SplitMix64(1717)
+        base = default_base(G)
+        first_builds = []
+        for degree in (0, 2, 5):
+            D = random_divisor(G, rng, degree)
+            points = subdivision_points(G, 3)
+            built.clear()
+            first = rank(G, D, points)
+            first_builds.append(len(built))
+            lat = _Lattice(G, [base, *D.support(), *points])
+            edges = lat.edges
+            built.clear()
+            assert rank(G, D, points) == first
+            assert built == []
+            assert _Lattice(G, [base, *D.support(), *points]) is lat
+            assert lat.edges is edges
+        # the counter sees the first call on a fresh graph
+        assert first_builds[0] > 0
+
+
+class TestLatticeIntegerReads:
+    """The lattice's integer reads of points against their ``Fraction``
+    forms, on divisors with debt and offsets of denominators 1 to 16."""
+
+    GRAPHS = {**{f"chain{g}": (lambda g=g: default_generic_chain(g).graph) for g in (2, 3, 4)},
+              "theta": theta_graph, "K4": k4_graph, "lollipop": lollipop_graph}
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_integer_reads_match_the_fractions(self, name):
+        G = self.GRAPHS[name]()
+        rng = SplitMix64(2929)
+        for d in range(1, 17):
+            for _ in range(4):
+                base = point_of_denominator(G, rng, d)
+                terms = [(point_of_denominator(G, rng, rng.randint(1, 16)), rng.randint(-2, 3))
+                         for _ in range(rng.randint(1, 6))]
+                D = Divisor(terms + [(base, G.betti())])
+                points = [base, *D.support()]
+                lat = _Lattice(G, points)
+                assert lat.scale == lcm(G.scale, *(Fraction(p.offset).denominator
+                                                   for p in points))
+                for p in points:
+                    if p.is_vertex:
+                        assert lat.key(p) == G.vertex_index[p.vertex]
+                    else:
+                        assert lat.key(p) == (p.edge, Fraction(p.offset) * lat.scale)
+                assert lat.divisor(lat.chips(D)) == D
+                # chips fired to the base, debt paid first, as v_reduce does
+                chips, q = lat.chips(D), lat.key(base)
+                reduce_core._clear_debt(lat, chips, q, [DEFAULT_MAX_STEPS])
+                _fire(lat, chips, q, [DEFAULT_MAX_STEPS])
+                assert lat.divisor(chips) == v_reduce(G, D, base, track_witness=False).reduced
+                for c in (chips, lat.chips(D)):
+                    E = lat.divisor(c)
+                    assert E == Divisor([(lat.point(k), n) for k, n in c.items()])
+                    assert all(type(n) is int and n for _p, n in E.items())
+
+
+class TestBadPointsOnAWarmGraph:
+    """A point the graph lacks raises ``GraphError`` from every reduction
+    entry on a graph that holds the lattice of its scale, as on a fresh
+    one: a shared lattice skips no check."""
+
+    def bad_points(self, G: MetricGraph) -> dict[str, Point]:
+        return {"past an edge's end": Point(None, 1, G.edge_length(1) + Fraction(1, 2)),
+                "on an edge the graph lacks": Point(None, len(G.edges) + 2, Fraction(1, 2)),
+                "at a vertex the graph lacks": Point("zz", -1, Fraction(0))}
+
+    def entries(self, G: MetricGraph, bad: Point):
+        base, good = default_base(G), G.point(0, Fraction(1, 2))
+        D = Divisor({bad: 1, good: G.betti()})
+        return {"v_reduce": lambda: v_reduce(G, D, base),
+                "rank through D": lambda: rank(G, D),
+                "rank through base": lambda: rank(G, Divisor({good: 2}), base=bad),
+                "rank through points": lambda: rank(G, Divisor({good: 2}),
+                                                    [*G.vertex_points, bad]),
+                "rank_subdivision_oracle": lambda: rank_subdivision_oracle(G, D, n=2),
+                "is_reduced": lambda: is_reduced(G, D, base),
+                "is_equivalent": lambda: is_equivalent(G, D, Divisor({good: 3})),
+                "dhar_unburnt": lambda: dhar_unburnt(G, D, base),
+                "effective_class": lambda: effective_class(G, D)}
+
+    @pytest.mark.parametrize("name", ["chain3", "lollipop"])
+    def test_every_entry_raises_on_a_warm_graph(self, name):
+        G = default_generic_chain(3).graph if name == "chain3" else lollipop_graph()
+        base, good = default_base(G), G.point(0, Fraction(1, 2))
+        # warm the lattices that the bad points' offsets would scale to,
+        # with the runs of their bases
+        for E in (Divisor({good: G.betti() + 1}), Divisor({good: -1, base: G.betti() + 2})):
+            v_reduce(G, E, base)
+            rank(G, E)
+            rank_subdivision_oracle(G, E, n=2)
+        assert G._lattices[lcm(G.scale, 2)].by_base[G.vertex_index[base.vertex]]
+        for where, bad in self.bad_points(G).items():
+            for graph in (G, fresh_copy(G)):
+                for entry, call in self.entries(graph, bad).items():
+                    with pytest.raises(GraphError):
+                        call()
+                        pytest.fail(f"{entry} took a point {where}")
 
 
 class TestWitnessLaplacian:
