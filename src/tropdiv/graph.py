@@ -158,19 +158,19 @@ class MetricGraph:
         # reduce's lattices by scale, each with its burn runs by base,
         # kept across calls and bounded there (``reduce._Lattice._keep``)
         self._lattices: dict = {}
-        # eliminated on the first witness solved (``reduce._laplacian``)
-        self._laplacian = None
+        # made on the first witness and the first rank (``reduce._laplacian``, ``_classes``)
+        self._laplacian = self._classes = None
         if not self._connected():
             raise GraphError("graph is not connected")
 
-    def _connected(self) -> bool:
+    def _connected(self, skip=()) -> bool:
         if not self.vertices:
             return False
         seen = {0}
         stack = [0]
         while stack:
-            for (_ei, _side, y) in self._incidence[stack.pop()]:
-                if y not in seen:
+            for (ei, _side, y) in self._incidence[stack.pop()]:
+                if y not in seen and ei not in skip:
                     seen.add(y)
                     stack.append(y)
         return len(seen) == len(self.vertices)

@@ -606,6 +606,24 @@ def effective_class(graph: MetricGraph, D: Divisor) -> bool:
 # rank
 
 
+def _classes(graph: MetricGraph):
+    """(vrep, erep), kept as ``graph._classes``: vrep[x] is the least vertex
+    joined to vertex x by bridges, erep[e] that vertex for a bridge e, else
+    None, as for a self-loop.  Points so joined are equivalent: the function
+    0 on p's side of a bridge pq, of slope 1 along it and constant on q's
+    side has the divisor q - p, and stopped at an inner point x, x - p."""
+    ends = graph.edge_ends
+    bridges = {e for e, (u, v) in enumerate(ends) if u != v and not graph._connected({e})}
+    vrep = list(range(len(graph.vertices)))
+    # each pass carries every least index at least one bridge further
+    for _ in bridges:
+        for e in bridges:
+            u, v = ends[e]
+            vrep[u] = vrep[v] = min(vrep[u], vrep[v])
+    graph._classes = (vrep, [vrep[u] if e in bridges else None for e, (u, _v) in enumerate(ends)])
+    return graph._classes
+
+
 def default_rank_points(graph: MetricGraph) -> list[Point]:
     """A rank-determining set: the vertex set of a loopless model.
 
@@ -637,8 +655,10 @@ def rank(graph: MetricGraph, D: Divisor,
     before anything is reduced, and the DFS moves ``_Chips`` with no
     ``Divisor`` and no point check in between.  A node of the search is
     an effective representative cur of D minus the multiset chosen so
-    far, and a child takes one more point k off it.  No reduction runs
-    twice:
+    far, and a child takes one more point k off it.  Each point is taken
+    as its bridge class's vertex (``_classes``), each class once: swapping
+    p' ~ p for p in E keeps the class of D - E.  With no memo, a node recurs
+    only for equivalent multisets of classes.  A node reduces nothing twice:
 
     - a divisor of negative degree has rank -1 with nothing reduced, as
       no divisor of negative degree is effective;
@@ -649,13 +669,6 @@ def rank(graph: MetricGraph, D: Divisor,
       representative; at depth 0 these are the
       pre-pass's red_k(D), each fired from the one before, starting at
       the reduction red0 at the base;
-    - a node is searched only the first time its chips are met, whatever
-      its start index (``searched`` keys it by its vertex counts and its
-      edges' pair tuples, as two tuples): the walk meets index multisets in
-      lexicographic order, and had the least failing E of least degree a
-      node on its path skipped for an earlier one with the same chips, the
-      earlier node's multiset plus the rest of E would fail too and come
-      first;
     - on the last level (``depth + 2 >= best_fail``) a child only needs
       a chip at k: a k where cur has one passes with no copy, and red is
       fired from k's sibling with ``until=1``, until k holds a chip, not
@@ -696,7 +709,9 @@ def rank(graph: MetricGraph, D: Divisor,
     if base is None:
         base = default_base(graph)
     lat = _Lattice(graph, [base, *D.support(), *points])
-    keys = [lat.key(p) for p in points]
+    vrep, erep = graph._classes or _classes(graph)
+    keys = list(dict.fromkeys(vrep[k] if type(k) is int else k if erep[k[0]] is None
+                              else erep[k[0]] for k in map(lat.key, points)))
     if D.degree < 0:
         return -1
     # one public reduction per call; it lands on the lattice, which holds
@@ -726,8 +741,6 @@ def rank(graph: MetricGraph, D: Divisor,
         best_fail = min(best_fail, red.get(k) + 1)
     if best_fail <= floor:
         return best_fail - 1
-    # the chips of every node met so far that has children of its own
-    searched: set = set()
 
     def dfs(cur: _Chips, start: int, depth: int):
         # cur is an effective representative of D minus the multiset chosen
@@ -766,10 +779,6 @@ def rank(graph: MetricGraph, D: Divisor,
                     continue
                 nxt = red.copy()
             nxt.add(k, -1)
-            node = (tuple(nxt.at_vertex), tuple(nxt.on_edge))
-            if node in searched:
-                continue
-            searched.add(node)
             dfs(nxt, i, depth + 1)
 
     try:
@@ -815,11 +824,8 @@ def find_unoccupied_edge(graph: MetricGraph, D: Divisor,
     if len(chosen) != len(open_edges) or len(chosen) != graph.betti():
         raise PreconditionError(
             f"need {graph.betti()} distinct open edges, got {list(open_edges)}")
-    try:
-        MetricGraph(graph.vertices, [e for i, e in enumerate(graph.edges) if i not in chosen])
-    except GraphError:
-        raise PreconditionError(
-            f"removing edges {sorted(chosen)} disconnects the graph") from None
+    if not graph._connected(chosen):
+        raise PreconditionError(f"removing edges {sorted(chosen)} disconnects the graph")
     for ei in open_edges:
         occupied = any((not p.is_vertex) and p.edge == ei and c > 0
                        for p, c in D.items())

@@ -11,7 +11,9 @@ chip placed by ``ChainOfLoops.ccw_point`` at a ``Fraction`` distance.
 And ``rank_dfs``, ``reduce.rank``'s search as it was before it stopped
 repeating reductions: every point's reduction fired from the reduction
 at the base, every child without a chip fired, and every node searched
-as often as the walk reaches it.  And ``sorted_tableaux``,
+as often as the walk reaches it, over every point it is given; it
+reduces on the reference loop alone, its debt paid by a loan of its own
+(``_reduce``).  And ``sorted_tableaux``,
 ``chainbn.enumerate_tableaux`` as it was before it streamed: the whole
 list, sorted by the row-concatenated entries.  And ``vertex_distances``,
 ``distance`` and ``distance_function``, the graph's distances as they
@@ -34,8 +36,7 @@ from tropdiv.chainbn import Tableau, tableau_to_dyck
 from tropdiv.errors import GraphError, PreconditionError, ReductionCapError, TheoremViolation
 from tropdiv.graph import Divisor, Interval, Region
 from tropdiv.plfunc import PLFunction, _envelope_edge, lower_envelope
-from tropdiv.reduce import DEFAULT_MAX_STEPS, _Chips, _Lattice, default_base, v_reduce
-from tropdiv.reduce import _fire as _fire_runs
+from tropdiv.reduce import DEFAULT_MAX_STEPS, _Chips, _Lattice, default_base
 
 
 def _burn(lat: _Lattice, chips: _Chips, base):
@@ -203,9 +204,32 @@ def rank_points(graph) -> list:
     return pts
 
 
+def _reduce(lat: _Lattice, chips: _Chips, q) -> None:
+    """``chips`` reduced at ``q``, in place, on the reference loop.  The
+    debts are set aside and q is lent g chips more than the debts away
+    from it, so that by tropical Riemann-Roch firing toward each such debt
+    c*p until p holds c chips succeeds; the loan and q's own debt are then
+    taken back and the chips fired toward q."""
+    owed = max(0, -chips.get(q))
+    debts = [(p, -c) for p, c in chips.items() if c < 0 and p != q]
+    loan = lat.graph.betti() + sum(c for _p, c in debts)
+    for p, c in debts:
+        chips.add(p, c)
+    chips.add(q, loan + owed)
+    for p, c in debts:
+        _fire(lat, chips, p, [DEFAULT_MAX_STEPS], until=c)
+        if chips.get(p) < c:
+            raise TheoremViolation(f"{c} chips of debt at {p} not paid")
+        chips.add(p, -c)
+    chips.add(q, -loan - owed)
+    _fire(lat, chips, q, [DEFAULT_MAX_STEPS])
+
+
 def rank_dfs(graph, D, points=None, base=None) -> int:
     """``reduce.rank`` by the depth-first search over nondecreasing index
-    multisets, pruned once D - E fails, with no reduction reused."""
+    multisets, pruned once D - E fails, with no reduction reused.  Every
+    reduction, the one at the base too, runs on the reference loop, so
+    no rank comparison shares a firing loop with ``rank``."""
     if points is None:
         points = rank_points(graph)
     if not points:
@@ -214,13 +238,14 @@ def rank_dfs(graph, D, points=None, base=None) -> int:
         base = default_base(graph)
     lat = _Lattice(graph, [base, *D.support(), *points])
     keys = [lat.key(p) for p in points]
-    red0 = lat.chips(v_reduce(graph, D, base, track_witness=False).reduced)
+    red0 = lat.chips(D)
+    _reduce(lat, red0, lat.key(base))
     if red0.get(lat.key(base)) < 0:
         return -1
     best_fail = D.degree + 1
     for k in keys:
         red_p = red0.copy()
-        _fire_runs(lat, red_p, k, [DEFAULT_MAX_STEPS])
+        _fire(lat, red_p, k, [DEFAULT_MAX_STEPS])
         best_fail = min(best_fail, red_p.get(k) + 1)
 
     def dfs(cur: _Chips, start: int, depth: int):
@@ -232,7 +257,7 @@ def rank_dfs(graph, D, points=None, base=None) -> int:
             nxt = cur.copy()
             nxt.add(k, -1)
             if cur.get(k) < 1:
-                _fire_runs(lat, nxt, k, [DEFAULT_MAX_STEPS])
+                _fire(lat, nxt, k, [DEFAULT_MAX_STEPS])
                 if nxt.get(k) < 0:
                     best_fail = depth + 1
                     return
