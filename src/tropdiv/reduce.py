@@ -643,8 +643,7 @@ class _Floor(Exception):
 
 
 def rank(graph: MetricGraph, D: Divisor,
-         points: list[Point] | None = None,
-         base: Point | None = None, *, _floor: bool = True) -> int:
+         points: list[Point] | None = None, *, _floor: bool = True) -> int:
     """Baker-Norine rank, computed over a rank-determining point set.
 
     rank(D) >= r iff D - E has an effective representative for every
@@ -668,7 +667,7 @@ def rank(graph: MetricGraph, D: Divisor,
       copy of cur, as the reduced divisor is the same from any
       representative; at depth 0 these are the
       pre-pass's red_k(D), each fired from the one before, starting at
-      the reduction red0 at the base;
+      the reduction red0 at ``default_base(graph)``;
     - on the last level (``depth + 2 >= best_fail``) a child only needs
       a chip at k: a k where cur has one passes with no copy, and red is
       fired from k's sibling with ``until=1``, until k holds a chip, not
@@ -706,8 +705,7 @@ def rank(graph: MetricGraph, D: Divisor,
         points = default_rank_points(graph)
     if not points:
         raise PreconditionError("rank needs a nonempty point set")
-    if base is None:
-        base = default_base(graph)
+    base = default_base(graph)
     lat = _Lattice(graph, [base, *D.support(), *points])
     vrep, erep = graph._classes or _classes(graph)
     keys = list(dict.fromkeys(vrep[k] if type(k) is int else k if erep[k[0]] is None

@@ -23,8 +23,10 @@ chain of its genus:
 - its empty cells, which gp0 reads off integer chips, are those that
   ``shape_profile`` finds on the ``Divisor``s D_j + E_k.
 
-Exits 0 if every check passes and 1 otherwise.  Not a pytest module: it
-runs on the output of the installed console script.
+Exits 0 if every check passes and 1 otherwise.  Not a pytest module:
+``scale/test_gp0.py`` calls ``main`` on the reports of the installed
+console script, and ``scale/test_reduce.py`` checks the other files that
+script writes with ``layout_kept``.
 """
 from __future__ import annotations
 
@@ -49,6 +51,12 @@ def sweep_digest(reports) -> str:
     kept = [{k: v for k, v in rep.items() if k != "elapsed_seconds"}
             for rep in reports]
     return hashlib.sha256(serialize.dumps({"reports": kept}).encode()).hexdigest()
+
+
+def layout_kept(text: str) -> bool:
+    """Whether ``text`` is that of json.dumps(sort_keys=True, indent=2)
+    with a trailing newline, the layout ``serialize.dumps`` writes."""
+    return text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 def check_report(rep, chain) -> tuple[bool, bool, bool]:
@@ -88,7 +96,7 @@ def main(argv=None) -> int:
         p.error(f"--every must be positive, got {args.every}")
     with open(args.reports) as fh:
         text = fh.read()
-    layout_ok = text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    layout_ok = layout_kept(text)
     reps = json.loads(text)["reports"]
     dependent = sum(rep["verdict"] != "independent" for rep in reps)
     chains = {}

@@ -629,8 +629,8 @@ class TestRank:
         # the search that reduces again wherever the walk leads, on
         # divisors with debt of every degree -2..2g+1, over the default
         # points or the n-fold subdivision points; every other divisor
-        # takes the points in reverse order and a random base, so that the
-        # base is not always the first point
+        # takes the points in reverse order, and rank_dfs a random base:
+        # the rank does not depend on the base, and rank takes the default
         rng = SplitMix64(2020 + (n or 0))
         for G in (chain2.graph, chain3.graph, lollipop_graph()):
             points = default_rank_points(G) if n is None else subdivision_points(G, n)
@@ -644,7 +644,7 @@ class TestRank:
                     pts, base = points, None
                     if seen % 2 == 0:
                         pts, base = points[::-1], random_point(G, rng)
-                    assert rank(G, D, pts, base) == reference_core.rank_dfs(G, D, pts, base), \
+                    assert rank(G, D, pts) == reference_core.rank_dfs(G, D, pts, base), \
                         (n, dict(D.items()), base)
 
     def test_matches_rank_dfs_on_small_point_sets(self, chain2):
@@ -658,7 +658,7 @@ class TestRank:
                                             for _ in range(rng.randint(2, 6))))
                 base = random_point(G, rng) if rng.below(2) else None
                 D = random_divisor(G, rng, rng.randint(1, 2 * G.betti() + 2))
-                assert rank(G, D, points, base) == reference_core.rank_dfs(G, D, points, base), \
+                assert rank(G, D, points) == reference_core.rank_dfs(G, D, points, base), \
                     (points, base, dict(D.items()))
 
     def test_negative_degree_reduces_nothing(self, chain3, monkeypatch):
@@ -676,8 +676,6 @@ class TestRank:
         foreign = default_generic_chain(4).graph.point(9, Fraction(1, 2))
         with pytest.raises(GraphError):
             rank(G, D, points=[chain3.v(1), foreign])
-        with pytest.raises(GraphError):
-            rank(G, D, base=foreign)
         with pytest.raises(PreconditionError):
             rank(G, D, points=[])
         assert calls == []
@@ -717,8 +715,6 @@ class TestRank:
             for D in (Divisor({v1: -1}), Divisor({v1: 2})):
                 with pytest.raises(GraphError):
                     rank(G, D, points=[v1, p])
-                with pytest.raises(GraphError):
-                    rank(G, D, base=p)
 
     def test_known_values(self, chain3):
         G = chain3.graph
@@ -973,7 +969,7 @@ class TestRunsOnTheGraph:
                 assert (warm.reduced, warm.steps) == (cold.reduced, cold.steps), (base, D)
                 assert warm.witness == cold.witness
                 points = subdivision_points(G, rng.randint(1, 3))
-                assert rank(G, D, points, base) == rank(fresh_copy(G), D, points, base)
+                assert rank(G, D, points) == rank(fresh_copy(G), D, points)
                 assert riemann_roch_check(G, D) == riemann_roch_check(fresh_copy(G), D)
             # runs of more than one scale have been stored
             assert sum(bool(lat.by_base) for lat in G._lattices.values()) > 1
@@ -1113,7 +1109,6 @@ class TestBadPointsOnAWarmGraph:
         D = Divisor({bad: 1, good: G.betti()})
         return {"v_reduce": lambda: v_reduce(G, D, base),
                 "rank through D": lambda: rank(G, D),
-                "rank through base": lambda: rank(G, Divisor({good: 2}), base=bad),
                 "rank through points": lambda: rank(G, Divisor({good: 2}),
                                                     [*G.vertex_points, bad]),
                 "rank_subdivision_oracle": lambda: rank_subdivision_oracle(G, D, n=2),
