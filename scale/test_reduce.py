@@ -84,6 +84,10 @@ BAD = {
     "vertex name 1": ([V("a", 1)], "reduce", "intname.json", "in.json", "--base", "a"),
     "edge true": ([E(True, "1/2", 1)], "reduce", "chain3.json", "in.json", "--base", "w3"),
     "--g 7 with a genus-3 chain": ([], "chain-new", "--g", 7, "--lengths", "chain3.json"),
+    # JSON text nested past the parser's recursion limit, and a graph with no edge
+    "nested JSON": ("[" * 100000 + "]" * 100000, "reduce", "chain3.json", "in.json",
+                    "--base", "w3"),
+    "edgeless graph": ([V("a", 1)], "reduce", "edgeless.json", "in.json", "--base", "a"),
 }
 
 
@@ -92,7 +96,12 @@ def test_bad_input_exits_2_and_writes_no_file(tropdiv, tmp_path, case):
     divisor, *args = BAD[case]
     assert tropdiv("chain-new", "--g", 3, "--out", "chain3.json")[0] == 0
     write(tmp_path / "intname.json", {"vertices": [1, "a"], "edges": [[1, "a", "1"]]})
-    write(tmp_path / "in.json", divisor)
+    write(tmp_path / "edgeless.json", {"vertices": ["a"], "edges": []})
+    # a str is the file's text, written as it is
+    if isinstance(divisor, str):
+        (tmp_path / "in.json").write_text(divisor)
+    else:
+        write(tmp_path / "in.json", divisor)
     assert tropdiv(*args, "--out", "bad.json")[0] == 2
     assert not (tmp_path / "bad.json").exists()
 

@@ -59,24 +59,24 @@ class Tableau:
 
     def __post_init__(self):
         # tuples, so that a tableau given lists still hashes and compares
-        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
+        try:
+            object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
+        except TypeError:  # the entries, or a row, is not iterable
+            raise PreconditionError("a tableau is a list of rows of ints") from None
         if not self.entries or not self.entries[0]:
             raise PreconditionError("a tableau needs a row and a column")
-        rows = self.rows
-        cols = self.cols
         flat = [x for row in self.entries for x in row]
-        if any(len(row) != cols for row in self.entries):
+        if any(len(row) != self.cols for row in self.entries):
             raise PreconditionError("ragged tableau")
         # True and 1.0 would pass the bijection test for 1
         if any(type(x) is not int for x in flat):
             raise PreconditionError(f"tableau entries must be ints: {self.entries}")
-        if sorted(flat) != list(range(1, rows * cols + 1)):
+        if sorted(flat) != list(range(1, self.size + 1)):
             raise PreconditionError("entries must be a bijection onto 1..n")
         for row in self.entries:
             if any(a >= b for a, b in zip(row, row[1:])):
                 raise PreconditionError("rows must strictly increase")
-        for c in range(cols):
-            col = [self.entries[r][c] for r in range(rows)]
+        for col in zip(*self.entries):
             if any(a >= b for a, b in zip(col, col[1:])):
                 raise PreconditionError("columns must strictly increase")
         # (row, col) of each entry, for ``position``
@@ -147,17 +147,18 @@ def enumerate_tableaux(rows: int, cols: int) -> Iterator[Tableau]:
     return place(1)
 
 
-def tableau_to_dyck(T: Tableau) -> tuple[tuple[int, ...], ...]:
+def tableau_to_dyck(T: Tableau, axis: int = 1) -> tuple[tuple[int, ...], ...]:
     """The lattice path p_0..p_g in Z^r attached to a tableau: from
     (r, ..., 1), step +e_j for an entry in column j < r, (-1,..,-1) for
-    the last column.  The tableau conditions are exactly the conditions
+    the last column; ``axis`` 0 reads rows for columns, the path of
+    ``T.transpose()``.  The tableau conditions are exactly the conditions
     that the path stays in the open chamber p(0) > ... > p(r-1) > 0 and
     ends where it starts."""
-    r = T.cols - 1
+    r = (T.rows, T.cols)[axis] - 1
     cur = list(range(r, 0, -1))
     pts = [tuple(cur)]
     for i in range(1, T.size + 1):
-        _row, col = T.position(i)
+        col = T.position(i)[axis]
         if col < r:
             cur[col] += 1
         else:
@@ -179,17 +180,17 @@ def _require_chain(T: Tableau, chain: ChainOfLoops):
             "divisor positions are not guaranteed to avoid the vertices")
 
 
-def _tableau_chips(T: Tableau, ell: tuple, m: tuple) -> list[list[tuple[int, int]]]:
+def _tableau_chips(T: Tableau, ell: tuple, m: tuple, axis: int = 1) -> list[list[tuple[int, int]]]:
     """The chips of ``tableau_to_divisor`` on the integer lengths ell and
     m: the r at v_1 at distance ell_1, and each at p_{i-1}(j)*m_i taken
-    mod ell_i + m_i."""
-    r = T.cols - 1
-    path = tableau_to_dyck(T)
+    mod ell_i + m_i; with ``axis`` 0, those of ``T.transpose()``."""
+    r = (T.rows, T.cols)[axis] - 1
+    path = tableau_to_dyck(T, axis)
     loops: list[list[tuple[int, int]]] = [[] for _ in ell]
     if r:
         loops[0].append((ell[0], r))
     for i in range(1, T.size + 1):
-        _row, col = T.position(i)
+        col = T.position(i)[axis]
         if col < r:
             loops[i - 1].append(
                 (path[i - 1][col] * m[i - 1] % (ell[i - 1] + m[i - 1]), 1))
@@ -432,13 +433,12 @@ def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
 
     # as build_Dj and build_Ek, on the integer chips of each tableau
     L, ell, m, beta = chain.integer_lengths
-    Tt = T.transpose()
-    D, E = _tableau_chips(T, ell, m), _tableau_chips(Tt, ell, m)
+    D, E = _tableau_chips(T, ell, m), _tableau_chips(T, ell, m, axis=0)
     phis = [_twist(D, ell, m, beta, j, r) for j in range(r + 1)]
     psis = [_twist(E, ell, m, beta, k, rows - 1) for k in range(rows)]
 
-    # column j of T is row j of Tt; D_j's j chips at v_1 lie in gamma_1
-    for name, twists, must_miss in (("D", phis, Tt.entries), ("E", psis, T.entries)):
+    # D_j's j chips at v_1 lie in gamma_1
+    for name, twists, must_miss in (("D", phis, [*zip(*T.entries)]), ("E", psis, T.entries)):
         for j, (cells, _pile, _values) in enumerate(twists):
             missed = tuple(i for i, t in enumerate(cells, 1)
                            if t is None and not (i == 1 and j))

@@ -4,7 +4,9 @@ Subcommands: chain-new, reduce, rr-check, gp0, shape.  Exit codes:
 0 success, 1 a checked mathematical property was falsified (for gp0, a
 family whose empty-cell certificate fails; no report is written), 2 usage
 or parse error, 3 the reduction exceeded its step cap, 4 an internal
-error (an unexpected exception, reported in one line on stderr).
+error (an unexpected exception, reported in one line on stderr).  Bad
+JSON text, and any value the readers reject as a ``TropdivError``, exit
+2; a builtin exception raised while reading input is a bug, and exits 4.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import itertools
 import json
 import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 
 from .chainbn import (enumerate_tableaux, gp_rho_zero_experiment,
                       hook_length_count, shape_profile)
@@ -34,17 +36,6 @@ EXIT_INTERNAL = 4
 
 class _UsageError(Exception):
     """Malformed command-line arguments or input files."""
-
-
-@contextmanager
-def _parsing():
-    # these mean bad input (a value of the wrong JSON type, a missing
-    # key) only while arguments and JSON are parsed; anywhere else they
-    # are bugs
-    try:
-        yield
-    except (ValueError, KeyError, IndexError, TypeError, AttributeError) as e:
-        raise _UsageError(e) from e
 
 
 def _emit(obj, out_path: str | None) -> None:
@@ -68,7 +59,11 @@ def _emit(obj, out_path: str | None) -> None:
 
 def _load_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        # ValueError: bad syntax or UTF-8, an int past the digit limit
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as e:
+            raise _UsageError(f"{path} is not JSON: {type(e).__name__}: {e}") from None
 
 
 def _load_chain_arg(args) -> ChainOfLoops:
@@ -87,8 +82,7 @@ def _parse_base(graph: MetricGraph, text: str):
 
 
 def cmd_chain_new(args) -> int:
-    with _parsing():
-        chain = _load_chain_arg(args)
+    chain = _load_chain_arg(args)
     if chain.g != args.g:
         raise _UsageError(f"--g {args.g} does not match the genus {chain.g} "
                           f"of the chain in {args.lengths}")
@@ -102,10 +96,9 @@ def cmd_chain_new(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    with _parsing():
-        graph = sz.graph_from_json(_load_json(args.graph))
-        D = sz.divisor_from_json(graph, _load_json(args.divisor))
-        base = _parse_base(graph, args.base)
+    graph = sz.graph_from_json(_load_json(args.graph))
+    D = sz.divisor_from_json(graph, _load_json(args.divisor))
+    base = _parse_base(graph, args.base)
     res = v_reduce(graph, D, base)
     _emit({
         "input": sz.divisor_to_json(graph, D),
@@ -120,8 +113,7 @@ def cmd_reduce(args) -> int:
 def cmd_rr_check(args) -> int:
     if args.trials < 0:
         raise _UsageError(f"--trials must be nonnegative, got {args.trials}")
-    with _parsing():
-        graph = sz.graph_from_json(_load_json(args.graph))
+    graph = sz.graph_from_json(_load_json(args.graph))
     g = graph.betti()
     rng = SplitMix64(args.seed)
     failures = []
@@ -145,8 +137,7 @@ def cmd_rr_check(args) -> int:
 
 
 def cmd_gp0(args) -> int:
-    with _parsing():
-        chain = _load_chain_arg(args)
+    chain = _load_chain_arg(args)
     rho = BNParams(args.g, args.r, args.d).rho
     if rho != 0:
         raise PreconditionError(f"rho(g,r,d) = {rho}, gp0 needs rho = 0")
@@ -156,8 +147,7 @@ def cmd_gp0(args) -> int:
         raise PreconditionError("tableau shape is empty")
     tableaux = enumerate_tableaux(rows, cols)
     if args.tableau != "all":
-        with _parsing():
-            index = int(args.tableau)
+        index = args.tableau
         count = hook_length_count(rows, cols)
         if not 0 <= index < count:
             raise _UsageError(f"tableau index {index} is out of range: shape "
@@ -183,9 +173,8 @@ def cmd_gp0(args) -> int:
 
 
 def cmd_shape(args) -> int:
-    with _parsing():
-        chain = sz.chain_from_json(_load_json(args.graph))
-        D = sz.divisor_from_json(chain.graph, _load_json(args.divisor))
+    chain = sz.chain_from_json(_load_json(args.graph))
+    D = sz.divisor_from_json(chain.graph, _load_json(args.divisor))
     prof = shape_profile(D, chain)
     _emit({
         "cells": list(prof.cells),
@@ -194,6 +183,11 @@ def cmd_shape(args) -> int:
         "empty_cells": list(prof.empty_cells()),
     }, args.out)
     return EXIT_OK
+
+
+def tableau_index(text: str):
+    """--tableau's value: "all", or an int that ``cmd_gp0`` range-checks."""
+    return text if text == "all" else int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--r", type=int, required=True)
     pg.add_argument("--d", type=int, required=True)
     pg.add_argument("--lengths", help="JSON chain description file")
-    pg.add_argument("--tableau", default="all", help="index i in Yamanouchi-word order "
+    pg.add_argument("--tableau", default="all", type=tableau_index,
+                    help="index i in Yamanouchi-word order "
                     "(the row-concatenated entries' on <= 2 rows and at the first and "
                     "last index), reached by enumerating i tableaux; or 'all'")
     pg.add_argument("--out")

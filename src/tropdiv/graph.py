@@ -104,7 +104,7 @@ class Point:
 
 
 class MetricGraph:
-    """A connected graph with positive rational edge lengths.
+    """A connected graph with one edge or more, of positive rational lengths.
 
     Parallel edges and self-loops are allowed.  Each edge carries a fixed
     orientation (first endpoint) used only for offset coordinates.  Vertex
@@ -162,6 +162,8 @@ class MetricGraph:
         self._laplacian = self._classes = None
         if not self._connected():
             raise GraphError("graph is not connected")
+        if not es:  # a point is named by an edge; a self-loop will do
+            raise GraphError("a graph needs an edge")
 
     def _connected(self, skip=()) -> bool:
         if not self.vertices:

@@ -70,8 +70,9 @@ def _field(obj, key: str, what: str):
 
 def _edge_key(key) -> int:
     """The edge index a PL function's JSON key names: "0" or digits
-    without a leading zero, so that " 0" or "00" is not read as edge 0."""
-    if not (isinstance(key, str) and key.isascii() and key.isdigit()
+    without a leading zero, so that " 0" or "00" is not read as edge 0,
+    and fewer than 20 of them, as an index is below ``sys.maxsize``."""
+    if not (isinstance(key, str) and key.isascii() and key.isdigit() and len(key) < 20
             and (key == "0" or key[0] != "0")):
         raise GraphError(f"edge key {key!r} is not an edge index")
     return int(key)

@@ -370,9 +370,14 @@ class TestUsage:
     def test_unknown_flag(self):
         assert main(["chain-new", "--g", "2", "--frob"]) == 2
 
-    def test_bad_json(self, tmp_path):
+    # json.load raises ValueError on bad syntax, bad UTF-8 and an integer
+    # past Python's 4,300-digit limit, and RecursionError on deep nesting
+    @pytest.mark.parametrize("text", [
+        "{not json", "[" * 100000 + "]" * 100000, b"\xff\xfe", "1" * 5000,
+    ], ids=["syntax", "nested", "utf-8", "digits"])
+    def test_bad_json(self, tmp_path, text):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        (bad.write_bytes if isinstance(text, bytes) else bad.write_text)(text)
         assert main(["rr-check", str(bad)]) == 2
 
     _chain3 = sz.chain_to_json(default_generic_chain(3))
@@ -396,6 +401,9 @@ class TestUsage:
         ("chain-new", {**_chain3, "ell": "777"}, None),
         ("reduce", {"vertices": "ab", "edges": [["a", "b", "1"]]}, _w3),
         ("reduce", {"vertices": ["a", "b"], "edges": ["ab1"]}, _w3),
+        # a graph with no edge, where a point has no edge to be named by
+        ("reduce", {"vertices": ["a"], "edges": []}, _w3),
+        ("rr-check", {"vertices": ["a"], "edges": []}, None),
     ])
     def test_malformed_json_is_usage_error(self, tmp_path, capsys, cmd, graph, divisor):
         # each input exits 2 with one "error:" line and no output file
@@ -404,6 +412,7 @@ class TestUsage:
         argv = {"reduce": ["reduce", gpath, _write(tmp_path / "div.json", divisor),
                            "--base", "w3"],
                 "chain-new": ["chain-new", "--g", "3", "--lengths", gpath],
+                "rr-check": ["rr-check", gpath],
                 "gp0": ["gp0", "--g", "4", "--r", "1", "--d", "3", "--lengths", gpath,
                         "--tableau", "0"]}[cmd]
         assert main(argv + ["--out", str(out)]) == 2
