@@ -21,12 +21,11 @@ def test_every_tableau_at_genus_12(tropdiv, tmp_path):
     sweep = ("gp0", "--g", 12, "--r", 3, "--d", 12, "--tableau", "all")
     assert tropdiv(*sweep, "--out", "gp12.json")[0] == 0
     assert check_reports([str(tmp_path / "gp12.json"), "--count", "462", "--golden"]) == 0
-    # both output paths of cli._emit write the same reports
+    # both output paths of cli._emit write the same bytes, and so do two
+    # runs: the reports hold no timing
     code, out, _mb = tropdiv(*sweep)
     assert code == 0
-    assert [line for line in out.splitlines() if '"elapsed_seconds"' not in line] == \
-        [line for line in (tmp_path / "gp12.json").read_text().splitlines()
-         if '"elapsed_seconds"' not in line]
+    assert out == (tmp_path / "gp12.json").read_text()
 
 
 def test_every_tableau_at_genus_15(tropdiv, tmp_path):

@@ -161,7 +161,6 @@ def cmd_gp0(args) -> int:
                 "g": args.g, "r": args.r, "d": args.d,
                 "tableau": [list(row) for row in T.entries],
                 "verdict": rep.verdict,
-                "elapsed_seconds": round(rep.elapsed, 3),
                 "empty_cells": {f"{j},{k}": i
                                 for (j, k), i in sorted(rep.empty_cell_table.items())},
                 "certificate": sz.independence_certificate_to_json(

@@ -19,14 +19,15 @@ the standard library's C encoder.  (``json``'s own indented encoder runs
 in pure Python, and it cost more than the reductions it printed.)  The
 writer tests a node's exact type first, and writes a dict's str and int
 values with their key.  Rationals are written from their integers, a
-``Fraction``'s with no gcd taken.  ``dump`` writes the same text to a
-file as it goes.
+``Fraction``'s with no gcd taken.  It writes no float, as the readers
+read none: a float raises ``TypeError``.  ``dump`` writes the same text
+to a file as it goes.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from math import gcd, inf
+from math import gcd
 from types import GeneratorType
 from typing import Any
 
@@ -179,11 +180,10 @@ def dumps(obj: Any) -> str:
 
     The text is that of ``json.dumps(obj, sort_keys=True, indent=2)``
     plus "\\n", for dicts with ``str`` keys, lists, tuples, strings,
-    ints, bools, ``None`` and floats (``NaN`` and ``Infinity`` as
-    ``json`` writes them); a generator is written as the list of what it
-    yields, and ``Fraction`` values anywhere in ``obj`` as the string
-    :func:`rat_to_json` gives.  Any other key or value raises
-    ``TypeError``.
+    ints, bools and ``None``; a generator is written as the list of what
+    it yields, and ``Fraction`` values anywhere in ``obj`` as the string
+    :func:`rat_to_json` gives.  Any other key or value, a float
+    included, raises ``TypeError``: output is exact, as input is.
     """
     out: list[str] = []
     _write(obj, "\n", out.append)
@@ -244,12 +244,4 @@ def _scalar(o: Any) -> str:
         return int.__repr__(o)
     if isinstance(o, Fraction):
         return _quote(rat_to_json(o))
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == inf:
-            return "Infinity"
-        if o == -inf:
-            return "-Infinity"
-        return float.__repr__(o)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")

@@ -5,6 +5,7 @@ terminal (capsys.disabled) when it succeeds.  These tests are slower than
 the unit suite; the whole file takes a few minutes, most of it in the
 subdivision-oracle cross-check of criterion 8.
 """
+import time
 from fractions import Fraction
 
 import pytest
@@ -242,9 +243,11 @@ def test_criterion_5_main_independence(capsys):
         chain = default_generic_chain(g)
         tableaux = enumerate_tableaux(*shape)
         for T in tableaux:
+            t0 = time.monotonic()
             rep = gp_rho_zero_experiment(T, chain)
+            elapsed = time.monotonic() - t0
             assert rep.verdict == "independent", (g, r, d, T.entries)
-            assert rep.elapsed < 600, (g, T.entries, rep.elapsed)
+            assert elapsed < 600, (g, T.entries, elapsed)
             assert verify_independence(rho_zero_family(T, chain),
                                        rep.independence_certificate)
             assert rep.independence_certificate == table_certificate(T, chain)

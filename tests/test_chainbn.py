@@ -40,9 +40,11 @@ class TestTableau:
             Tableau(((1, 2), (3,)))
 
     @pytest.mark.parametrize("entries", [((True, 2),), ((1.0, 2),), ((1, 2), (3, 4.0)),
-                                         ((1, 2), (3, Fraction(4)))])
+                                         ((1, 2), (3, Fraction(4))), ((1.5, 10**5000),)])
     def test_entries_must_be_ints(self, entries):
-        # each equals an int, so each would pass the bijection test
+        # the first four each equal an int, so each would pass the
+        # bijection test; the last has an int past the 4,300 digits that
+        # str() writes, so the message must not format it
         with pytest.raises(PreconditionError, match="must be ints"):
             Tableau(entries)
 
@@ -67,8 +69,9 @@ class TestTableau:
         T = Tableau(((1, 3), (2, 5), (4, 6)))
         assert T.position(1) == (0, 0)
         assert T.position(5) == (1, 1)
-        for i in (0, 7):
-            with pytest.raises(PreconditionError, match=f"no entry {i}"):
+        # 10**5000 is past the 4,300 digits that str() writes
+        for i, shown in ((0, "0"), (7, "7"), (10**5000, "of 16610 bits")):
+            with pytest.raises(PreconditionError, match=f"no entry {shown}"):
                 T.position(i)
 
     def test_params_rho(self):

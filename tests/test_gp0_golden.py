@@ -2,13 +2,14 @@
 
 ``tropdiv gp0 --tableau all`` runs in process on the default generic
 chain for every tableau of shapes 2x2, 2x3, 3x2, 2x4 and 4x2 (40
-reports); each shape's output, without ``elapsed_seconds``, must have
-the ``serialize.dumps`` text of the one recorded in
+reports); each shape's ``--out`` file must hold, byte for byte, the
+``serialize.dumps`` text of the reports recorded in
 ``data/gp0_golden.json``: the same empty-cell tables, the same
 permutations and the same certificate offsets.  The file also records
-``check_gp0_reports.sweep_digest`` of the genus-12 (3x4, 462 reports)
-and genus-15 (3x5, 6,006 reports) sweeps, which the CI steps running
-those sweeps check with ``tests/check_gp0_reports.py --golden``.
+``check_gp0_reports.sweep_digest``, the SHA-256 of the ``--out`` file,
+of the genus-12 (3x4, 462 reports) and genus-15 (3x5, 6,006 reports)
+sweeps, which ``scale/test_gp0.py`` checks with
+``tests/check_gp0_reports.py --golden``.
 
 The file was written by this module on the code of commit b053e9d,
 before the twisted divisors were reduced and read in a single scan.
@@ -28,19 +29,15 @@ SHAPES = ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2))
 SWEEPS = ((3, 4), (3, 5))
 
 
-def _sweep(rows: int, cols: int) -> list:
-    """The reports of ``tropdiv gp0 --tableau all`` for the shape, without
-    ``elapsed_seconds``."""
+def _sweep(rows: int, cols: int) -> str:
+    """The ``--out`` text of ``tropdiv gp0 --tableau all`` for the shape."""
     g, r = rows * cols, cols - 1
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "gp0.json"
         argv = ["gp0", "--g", str(g), "--r", str(r), "--d", str(g + r - rows),
                 "--tableau", "all", "--out", str(out)]
         assert cli.main(argv) == cli.EXIT_OK
-        reports = json.loads(out.read_text())["reports"]
-    for rep in reports:
-        del rep["elapsed_seconds"]
-    return reports
+        return out.read_text()
 
 
 def test_gp0_reports_match_golden():
@@ -49,13 +46,14 @@ def test_gp0_reports_match_golden():
     assert sum(len(e["reports"]) for e in golden["shapes"]) == 40
     assert sorted(golden["sweep_sha256"]) == [str(rows * cols) for rows, cols in SWEEPS]
     for e in golden["shapes"]:
-        assert dumps(_sweep(*e["shape"])) == dumps(e["reports"]), e["shape"]
+        assert _sweep(*e["shape"]) == dumps({"reports": e["reports"]}), e["shape"]
 
 
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps({
-        "shapes": [{"shape": list(s), "reports": _sweep(*s)} for s in SHAPES],
+        "shapes": [{"shape": list(s), "reports": json.loads(_sweep(*s))["reports"]}
+                   for s in SHAPES],
         "sweep_sha256": {str(rows * cols): sweep_digest(_sweep(rows, cols))
                          for rows, cols in SWEEPS},
     }, sort_keys=True, separators=(",", ":")) + "\n")

@@ -301,8 +301,7 @@ class TestDumps:
         assert text.index('"a"') < text.index('"b"')
 
     def test_empty_containers_and_scalars(self):
-        obj = {"d": {}, "l": [], "t": (), "n": None, "b": [True, False],
-               "f": [0.5, -0.0, 1e300, math.nan, math.inf, -math.inf]}
+        obj = {"d": {}, "l": [], "t": (), "n": None, "b": [True, False]}
         assert dumps(obj) == _reference(obj)
 
     @pytest.mark.parametrize("items", [[], [{"i": 0}], [{"i": 0}, [], {"i": Fraction(1, 2)}]])
@@ -328,7 +327,8 @@ class TestDumps:
         assert fh.getvalue() == _reference({"items": [{"i": i} for i in range(3)]})
 
     @pytest.mark.parametrize("obj", [{1: "a"}, {"a": {(1, 2): 0}},
-                                     {"a": {1, 2}}, [b"x"], 1 + 2j])
+                                     {"a": {1, 2}}, [b"x"], 1 + 2j,
+                                     0.5, math.nan, math.inf])
     def test_unsupported_keys_and_values_raise(self, obj):
         with pytest.raises(TypeError):
             dumps(obj)
@@ -343,8 +343,7 @@ class TestDumps:
 
     @settings(max_examples=200, deadline=None)
     @given(st.recursive(
-        st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.floats()
-        | st.sampled_from([-0.0, 1e300, -1e-300, math.nan, math.inf])
+        st.none() | st.booleans() | st.integers(-10**30, 10**30)
         | st.fractions() | _TEXT,
         lambda kids: (st.lists(kids, max_size=4)
                       | st.lists(kids, max_size=4).map(tuple)
