@@ -101,7 +101,8 @@ class Tableau:
         """(row, col) of entry i, zero-indexed."""
         try:
             return self._position[i]
-        except KeyError:  # an int past 4,300 digits has no decimal str
+        except (KeyError, TypeError):  # TypeError: i is unhashable
+            # an int past 4,300 digits has no decimal str
             raise PreconditionError(f"no entry {i}" if type(i) is not int or i.bit_length() < 64
                                     else f"no entry of {i.bit_length()} bits") from None
 

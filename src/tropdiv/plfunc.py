@@ -25,8 +25,12 @@ breakpoints brings in a rational.  Functions combined with each other
 must live on the same graph object.
 
 Every function is validated when it is built, results of arithmetic
-included.  Exact rationals are ints, ``Fraction``s or ``graph._rat``
-strings; a float is rejected, as its binary value is not the number meant.
+included, with one exception: the witness solve of ``tropdiv.reduce``
+writes its edges in canonical form and hands them to ``_of`` unchecked,
+having made every division exact, so every slope an integer, and
+checked that each edge reaches its far end at the value solved there.
+Exact rationals are ints, ``Fraction``s or ``graph._rat`` strings; a
+float is rejected, as its binary value is not the number meant.
 """
 from __future__ import annotations
 
@@ -130,6 +134,15 @@ class PLFunction:
         every other."""
         f = cls.__new__(cls)
         f._build(graph, edges)
+        return f
+
+    @staticmethod
+    def _of(graph: MetricGraph, scaled: tuple[Edge, ...]) -> "PLFunction":
+        """The function of ``scaled``, taken as is: per edge of the graph,
+        its breakpoints as ``_normalize_edge`` leaves them, the edges
+        meeting at the vertices."""
+        f = object.__new__(PLFunction)
+        f.graph, f.scaled = graph, scaled
         return f
 
     def _build(self, graph: MetricGraph, edges) -> None:

@@ -474,8 +474,8 @@ def _laplacian(graph: MetricGraph):
 
 def _potential(lat: _Lattice, chips: _Chips, q) -> PLFunction:
     """The f with div(f) = E and f(q) = 0, for E the divisor ``chips`` on
-    the lattice ``lat``, which it consumes, and q a key of that lattice;
-    ``GraphError`` if E is not principal.
+    the lattice ``lat``, which it leaves unchanged, and q a key of that
+    lattice; ``GraphError`` if E is not principal.
 
     f is affine between the chips of E on each edge, so its vertex values
     determine it.  They solve the weighted Laplacian (weight 1/l per edge
@@ -492,6 +492,13 @@ def _potential(lat: _Lattice, chips: _Chips, q) -> PLFunction:
     is eliminated once per graph (``_laplacian``); a call replays its row
     updates on the right-hand side, each division exact or raising, and
     substitutes back.
+
+    Each edge is then written as ``PLFunction.scaled`` holds it and taken
+    as is (``PLFunction._of``): its breakpoints are its ends and its chips,
+    where the slope drops by a nonzero count, so none is collinear; its
+    values are shifted to f(q) = 0 and all is divided by the gcd of L, the
+    offsets and the values, as ``_normalize_edge`` does.  Each edge must
+    reach its far end at the value solved there, or ``TheoremViolation``.
     """
     degree = chips.degree()
     if degree != 0:
@@ -500,9 +507,6 @@ def _potential(lat: _Lattice, chips: _Chips, q) -> PLFunction:
     P, weights, ops, upper = graph._laplacian or _laplacian(graph)
     P *= lat.scale // graph.scale
     rhs = [c * P for c in chips.at_vertex]
-    # an interior base is a chipless breakpoint, its value read off the walk
-    if type(q) is tuple:
-        chips.on_edge[q[0]] = tuple(sorted(chips.on_edge[q[0]] + ((q[1], 0),)))
     for (i, j, length), on_edge, w in zip(lat.edges, chips.on_edge, weights):
         for x, c in on_edge:
             rhs[i] += c * (length - x) * w
@@ -512,22 +516,39 @@ def _potential(lat: _Lattice, chips: _Chips, q) -> PLFunction:
     val = [0] * len(rhs)
     for k, diag, later in upper:
         val[k] = _exact(rhs[k] - sum(a * val[j] for j, a in later), diag)
+    # f(q) = 0; an interior base's value is read off its edge: its first
+    # end's value, the slope leaving that end and the chips passed
+    if type(q) is int:
+        shift = val[q]
+    else:
+        e, k = q
+        i, j, length = lat.edges[e]
+        on_edge = chips.on_edge[e]
+        slope = _exact(val[j] - val[i] + sum(c * (length - x) for x, c in on_edge), length)
+        shift = val[i] + slope * k - sum(c * (k - x) for x, c in on_edge if x < k)
+    val = [y - shift for y in val]
     # each edge's breakpoints, offsets and values in units of 1/L
-    data: list[list[tuple[int, int]]] = []
+    L, scaled = lat.scale, []
     for (i, j, length), on_edge in zip(lat.edges, chips.on_edge):
         # the slope leaving the first end; each chip c passed lowers it by c
         slope = _exact(val[j] - val[i] + sum(c * (length - x) for x, c in on_edge), length)
         o, y = 0, val[i]
-        pts = [(0, y)]
+        O, V = [0], [y]
         for x, c in on_edge:
             y += slope * (x - o)
-            pts.append((x, y))
+            O.append(x)
+            V.append(y)
             o, slope = x, slope - c
-        pts.append((length, y + slope * (length - o)))
-        data.append(pts)
-    shift = val[q] if type(q) is int else next(y for (x, y) in data[q[0]] if x == q[1])
-    return PLFunction._from_ints(graph, [(lat.scale, [(x, y - shift) for (x, y) in pts])
-                                         for pts in data])
+        y += slope * (length - o)
+        if y != val[j]:
+            raise TheoremViolation(f"the witness solved for {lat.divisor(chips)} is "
+                                   f"discontinuous at vertex {graph.vertices[j]}")
+        O.append(length)
+        V.append(y)
+        g = gcd(L, *O, *V)
+        scaled.append((L // g, tuple([o // g for o in O]), tuple([y // g for y in V])) if g > 1
+                      else (L, tuple(O), tuple(V)))
+    return PLFunction._of(graph, tuple(scaled))
 
 
 def v_reduce(graph: MetricGraph, D: Divisor, base: Point,

@@ -70,7 +70,7 @@ class TestTableau:
         assert T.position(1) == (0, 0)
         assert T.position(5) == (1, 1)
         # 10**5000 is past the 4,300 digits that str() writes
-        for i, shown in ((0, "0"), (7, "7"), (10**5000, "of 16610 bits")):
+        for i, shown in ((0, "0"), (7, "7"), (10**5000, "of 16610 bits"), ([1], r"\[1\]")):
             with pytest.raises(PreconditionError, match=f"no entry {shown}"):
                 T.position(i)
 

@@ -1,4 +1,5 @@
 """Tests for burning, reduction, equivalence, and rank."""
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from itertools import combinations_with_replacement, permutations
@@ -13,8 +14,8 @@ from tropdiv.chainbn import enumerate_tableaux, gp_rho_zero_experiment
 from tropdiv.errors import (GraphError, PreconditionError, ReductionCapError,
                             TheoremViolation)
 from tropdiv.graph import Interval, Region
-from tropdiv.plfunc import distance_function, min_combination
-from tropdiv.reduce import (DEFAULT_MAX_STEPS, _Lattice, _fire, _Runs,
+from tropdiv.plfunc import PLFunction, distance_function, min_combination
+from tropdiv.reduce import (DEFAULT_MAX_STEPS, _Lattice, _fire, _potential, _Runs,
                             default_base, default_rank_points,
                             dhar_unburnt, effective_class,
                             find_unoccupied_edge, is_equivalent, is_reduced, rank,
@@ -600,6 +601,15 @@ class TestEquivalence:
             with pytest.raises(GraphError, match="degree"):
                 solve_potential(G, E, a)
 
+    def test_potential_checks_each_far_end(self, monkeypatch):
+        # with divisions that round down instead of raising, a divisor that
+        # is not principal gets slopes that miss their edges' far ends
+        monkeypatch.setattr(reduce_core, "_exact", lambda num, den: num // den)
+        G = theta_graph()
+        a, b = G.vertex_point("a"), G.vertex_point("b")
+        with pytest.raises(TheoremViolation, match="discontinuous at vertex b"):
+            solve_potential(G, Divisor({a: 1, b: -1}), a)
+
 
 def brute_force_rank(G: MetricGraph, D: Divisor) -> int:
     """rank(D) straight from the definition over ``default_rank_points``,
@@ -1159,6 +1169,23 @@ class TestWitnessLaplacian:
             pass
         return p
 
+    @staticmethod
+    def checked(f: PLFunction) -> PLFunction:
+        """f, once its canonical edges are shown to be those that the
+        checked ``_from_ints`` builds from its own breakpoints."""
+        rebuilt = PLFunction._from_ints(f.graph, [(s, list(zip(O, V))) for s, O, V in f.scaled])
+        assert rebuilt.scaled == f.scaled
+        return f
+
+    def solve(self, G: MetricGraph, E: Divisor, base: Point) -> PLFunction:
+        """``solve_potential``, checked to leave its chips as they were."""
+        lat = _Lattice(G, [base, *E.support()])
+        chips = lat.chips(E)
+        before = chips.items()
+        f = _potential(lat, chips, lat.key(base))
+        assert chips.items() == before, (base, E)
+        return self.checked(f)
+
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_witnesses_match_the_per_call_elimination(self, name):
         G = self.GRAPHS[name]()
@@ -1171,11 +1198,38 @@ class TestWitnessLaplacian:
             D = random_divisor(G, rng, rng.randint(0, 2 * g))
             res = v_reduce(G, D, base)
             E = res.reduced - D
-            assert res.witness == self.oracle(G, E, base), (base, D)
+            assert self.checked(res.witness) == self.oracle(G, E, base), (base, D)
             # another base, solved as is_equivalent solves it
             other = self.interior_point(G, rng) if t % 2 else default_base(G)
-            assert solve_potential(G, E, other) == self.oracle(G, E, other), (other, D)
+            assert self.solve(G, E, other) == self.oracle(G, E, other), (other, D)
         assert G._laplacian is not None
+
+    @pytest.mark.parametrize("name", sorted([*GRAPHS, "bouquet"]))
+    def test_interior_bases_on_before_and_after_the_chips(self, name):
+        G = bouquet_graph() if name == "bouquet" else self.GRAPHS[name]()
+        rng = SplitMix64(len(name) * 541 + G.betti())
+        loops = [e for e, (u, v, _length) in enumerate(G.edges) if u == v]
+        seen = Counter()
+        for t in range(20):
+            base = self.interior_point(G, rng) if t % 2 else G.vertex_points[0]
+            D = random_divisor(G, rng, rng.randint(1, 2 * G.betti()))
+            E = v_reduce(G, D, base).reduced - D
+            offsets: dict[int, list[Fraction]] = {}
+            for p in E.support():
+                if not p.is_vertex:
+                    offsets.setdefault(p.edge, []).append(p.offset)
+            bases = [("on a chip", G.point(e, x)) for e, xs in offsets.items() for x in xs]
+            bases += [("before the first chip", G.point(e, min(xs) / 2))
+                      for e, xs in offsets.items()]
+            bases += [("after the last chip", G.point(e, (max(xs) + G.edge_length(e)) / 2))
+                      for e, xs in offsets.items()]
+            bases += [("on a self-loop", G.point(e, G.edge_length(e) * rng.randint(1, 7) / 8))
+                      for e in loops]
+            for kind, b in bases:
+                assert self.solve(G, E, b) == self.oracle(G, E, b), (kind, b, E)
+                seen[kind] += 1
+        assert seen["on a chip"] and seen["before the first chip"] and seen["after the last chip"]
+        assert bool(seen["on a self-loop"]) == bool(loops)
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_non_principal_divisors_raise_in_both(self, name):
