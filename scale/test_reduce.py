@@ -7,7 +7,7 @@ import pytest
 from tests.check_gp0_reports import layout_kept
 from tropdiv import Divisor, MetricGraph, default_generic_chain
 from tropdiv import serialize as sz
-from tropdiv.reduce import (_RUNS_STORE_SIZE, is_equivalent, is_reduced, rank,
+from tropdiv.reduce import (_STORE_SIZE, is_equivalent, is_reduced, rank,
                             riemann_roch_check, v_reduce)
 from tropdiv.sampling import SplitMix64, random_point
 
@@ -107,19 +107,24 @@ def test_bad_input_exits_2_and_writes_no_file(tropdiv, tmp_path, case):
 
 
 def test_warm_genus_8_graph_matches_fresh_copies():
-    # reduce keeps one lattice per scale on the graph, with the burn runs
-    # of each base, and empties that store when its lattices and runs
-    # together would pass _RUNS_STORE_SIZE; divisors with debt and bases
-    # at fractions 1/5, 1/7 and 1/16 of their edges bring in many scales
+    # reduce stores one lattice per scale on the graph, the burn runs of
+    # each base, the Laplacian and the bridge classes, and empties that
+    # store when it would pass _STORE_SIZE entries; divisors with debt and
+    # bases at fractions 1/5, 1/7 and 1/16 of their edges bring in many
+    # scales.  The peak is read at every insert
     class Store(dict):
         clears = peak = 0
+
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            Store.peak = max(Store.peak, len(self))
 
         def clear(self):
             Store.clears += 1
             super().clear()
 
     G = default_generic_chain(8).graph
-    G._lattices = Store()
+    G._store = Store()
     g, rng = G.betti(), SplitMix64(4040)
 
     def point():
@@ -139,9 +144,7 @@ def test_warm_genus_8_graph_matches_fresh_copies():
             (cold.reduced, cold.witness, cold.steps), i
         assert rank(G, D) == rank(fresh(), D), i
         assert riemann_roch_check(G, D) == riemann_roch_check(fresh(), D), i
-        held = len(G._lattices) + sum(len(lat.by_base) for lat in G._lattices.values())
-        Store.peak = max(Store.peak, held)
-    assert Store.clears and Store.peak <= _RUNS_STORE_SIZE, (Store.clears, Store.peak)
+    assert Store.clears and Store.peak <= _STORE_SIZE, (Store.clears, Store.peak)
 
 
 # rank and the rank of K - D on 40 random divisors of degrees -2..2g, about

@@ -155,11 +155,10 @@ class MetricGraph:
         self.int_lengths: tuple[int, ...] = tuple(
             length.numerator * (S // length.denominator) for (_u, _v, length) in es)
         self._point_cache: dict[tuple[int, int, int], Point] = {}
-        # reduce's lattices by scale, each with its burn runs by base,
-        # kept across calls and bounded there (``reduce._Lattice._keep``)
-        self._lattices: dict = {}
-        # made on the first witness and the first rank (``reduce._laplacian``, ``_classes``)
-        self._laplacian = self._classes = None
+        # what reduce derives from the graph, kept across calls: lattices,
+        # burn runs, the eliminated Laplacian and the bridge classes, in
+        # one store that ``reduce._stored`` fills and bounds
+        self._store: dict = {}
         if not self._connected():
             raise GraphError("graph is not connected")
         if not es:  # a point is named by an edge; a self-loop will do

@@ -186,6 +186,9 @@ class PLFunction:
 
     def outgoing_slope(self, ei: int, off: Fraction, direction: int) -> int:
         """Slope seen leaving offset ``off`` on edge ``ei`` toward direction +1/-1."""
+        if type(direction) is not int or direction not in (1, -1):
+            # 2 would read twice the slope, and a bool pass for an int
+            raise PreconditionError(f"direction must be the int 1 or -1, got {direction!r}")
         s, O, V = self.scaled[self.graph.edge_index(ei)]
         off = _rat(off)
         d, x = off.denominator, off.numerator * s   # the offset is x/d in units of 1/s

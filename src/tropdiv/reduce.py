@@ -22,20 +22,19 @@ the rank search and the witness solve all read; a call converts to and
 from ``Divisor`` once.  The burn runs over the vertices and an interior
 base only: an edge, or the part of it on one side of an interior base,
 carries fire from end to end when it holds no chips, and otherwise its
-chips are read off its burnt ends (see ``_Runs``).  The graph keeps one
-lattice per L, its edges scaled once, and the lattice the runs of each
-base, which depend on those edges and the base alone (``_Lattice``);
-every call still checks all of its points, on integers.  ``rank`` runs
-its whole depth-first search on these chips, on its last level fires
-only until the base holds a chip, and ends, in its pre-pass or its
-search, at its first failure of degree max(deg(D) - g + 1, 1), below
-which none can fail.
+chips are read off its burnt ends (see ``_Runs``).  The graph stores
+(``_stored``) one lattice per L, its edges scaled once, the runs of each
+base on it, the eliminated Laplacian and the bridge classes; every call
+still checks all of its points, on integers.  ``rank`` runs its whole
+depth-first search on these chips, on its last level fires only until
+the base holds a chip, and ends, in its pre-pass or its search, at its
+first failure of degree max(deg(D) - g + 1, 1), below which none can fail.
 
 Only chips move; the witness f with D + div(f) = D' is then solved from
 the reduced chips less D's terms by one weighted-Laplacian system (Baker
 and Shokrieh, "Chip-firing games, potential theory on graphs, and
-spanning trees"), whose matrix the graph eliminates once, fraction-free,
-so that each solve only replays the row operations on its right side.
+spanning trees"), whose matrix is eliminated once, fraction-free, and
+stored, so that each solve only replays the row operations on its right side.
 """
 from __future__ import annotations
 
@@ -51,10 +50,24 @@ from .plfunc import PLFunction
 
 DEFAULT_MAX_STEPS = 10 ** 6
 
-# the graph's lattices and their burn runs, counted together, are emptied
-# when they would pass this many; a seed-1 run of the benchmark's
-# ``reduce`` workload holds 220 on one graph, 216 of them runs
-_RUNS_STORE_SIZE = 512
+# the graph's store, emptied when it would pass this many entries: a
+# lattice under its scale L, a base's burn runs under (L, base), and the
+# Laplacian and bridge classes under "laplacian" and "classes"; seed-1
+# benchmark runs of ``rank`` and ``reduce`` level off at 404 on their
+# genus-3 graph, 398 of them runs, after 30,000 ops and more
+_STORE_SIZE = 512
+
+
+def _stored(graph: MetricGraph, key, value):
+    """``value``, put in the graph's store under ``key``, emptied first where
+    it is full; callers look up ``store.get(key) or`` (no value is falsy)
+    and come here on a miss.  No entry refers to another, so a store
+    emptied in a call only costs a rebuild."""
+    store = graph._store
+    if len(store) >= _STORE_SIZE:
+        store.clear()
+    store[key] = value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -69,26 +82,26 @@ class _Lattice:
     the offset an integer strictly inside the edge.  Firing by a corridor
     length never leaves this lattice, so the core needs no rescaling.
     Each call checks every point it is given, on integers, and returns
-    the graph's one lattice of that scale, built the first time the scale
-    is seen; it keeps the burn runs of each base (``runs``).  Points come
-    back from ``_point_at``, and distinct keys name distinct points.
+    the graph's stored lattice of that scale (``_stored``), built where
+    the store lacks it.  Points come back from ``_point_at``, and
+    distinct keys name distinct points.
     """
 
-    __slots__ = ("graph", "scale", "edges", "by_base")
+    __slots__ = ("graph", "scale", "edges")
 
     def __new__(cls, graph: MetricGraph, points: list[Point]):
         for p in points:
             graph.check_point(p)
         # a vertex point's offset is 0, of denominator 1
         L = lcm(graph.scale, *(p.offset.denominator for p in points if p.vertex is None))
-        lat = graph._lattices.get(L)
+        lat = graph._store.get(L)
         if lat is None:
             lat = object.__new__(cls)
-            lat.graph, lat.scale, lat.by_base, k = graph, L, {}, L // graph.scale
+            lat.graph, lat.scale, k = graph, L, L // graph.scale
             # the graph's edges as (first end, second end, length) in integers
             lat.edges = [(u, v, length * k)
                          for (u, v), length in zip(graph.edge_ends, graph.int_lengths)]
-            lat._keep()
+            _stored(graph, L, lat)
         return lat
 
     def key(self, p: Point):
@@ -111,25 +124,10 @@ class _Lattice:
         return Divisor._of({self.point(k): c for k, c in chips.items()})
 
     def runs(self, base) -> _Runs:
-        """The runs of ``base``, built once per lattice, as they depend on
-        its integer edges and on the base alone."""
-        runs = self.by_base.get(base)
-        if runs is None:
-            self._keep()
-            runs = self.by_base[base] = _Runs(self, base)
-        return runs
-
-    def _keep(self) -> None:
-        """Put the lattice in the graph's store, with room for one more run,
-        emptying the store, runs and all, where its lattices and their runs
-        would pass ``_RUNS_STORE_SIZE``; one dropped while in use comes back."""
-        store = self.graph._lattices
-        kept = len(store) + sum(len(lat.by_base) for lat in store.values())
-        if kept + 1 + (store.get(self.scale) is not self) > _RUNS_STORE_SIZE:
-            for lat in store.values():
-                lat.by_base.clear()
-            store.clear()
-        store[self.scale] = self
+        """The runs of ``base``, stored under (L, base), as they depend on
+        the lattice's integer edges and on the base alone."""
+        key = (self.scale, base)
+        return self.graph._store.get(key) or _stored(self.graph, key, _Runs(self, base))
 
 
 class _Chips:
@@ -431,8 +429,8 @@ def _exact(num: int, den: int) -> int:
 
 def _laplacian(graph: MetricGraph):
     """The reduced weighted Laplacian of ``graph``, eliminated once and
-    kept as ``graph._laplacian``: (P, weights, ops, upper).  P is the lcm
-    of ``int_lengths``, and an edge of length l weighs P/l.  The matrix is
+    kept in its store: (P, weights, ops, upper).  P is the lcm of
+    ``int_lengths``, and an edge of length l weighs P/l.  The matrix is
     positive definite, so elimination needs no pivoting, and it is
     fraction-free: a row becomes a times itself minus m times the pivot
     row, then is divided by the gcd d of its entries, and ``ops`` lists
@@ -468,8 +466,7 @@ def _laplacian(graph: MetricGraph):
                 rows[i] = {j: x // d for j, x in row.items()}
                 ops.append((i, k, a, m, d))
     upper = [(k, rows[k].pop(k), tuple(rows[k].items())) for k in range(n - 1, 0, -1)]
-    graph._laplacian = (P, weights, ops, upper)
-    return graph._laplacian
+    return P, weights, ops, upper
 
 
 def _potential(lat: _Lattice, chips: _Chips, q) -> PLFunction:
@@ -489,7 +486,7 @@ def _potential(lat: _Lattice, chips: _Chips, q) -> PLFunction:
     Those are integers when E is principal, as f then has integer slopes
     and breakpoints on the lattice; a division that leaves a remainder
     proves E is not.  The weights are the same at every L, so the matrix
-    is eliminated once per graph (``_laplacian``); a call replays its row
+    is eliminated once and stored (``_laplacian``); a call replays its row
     updates on the right-hand side, each division exact or raising, and
     substitutes back.
 
@@ -504,7 +501,8 @@ def _potential(lat: _Lattice, chips: _Chips, q) -> PLFunction:
     if degree != 0:
         raise GraphError(f"a divisor of degree {degree} is not principal")
     graph = lat.graph
-    P, weights, ops, upper = graph._laplacian or _laplacian(graph)
+    P, weights, ops, upper = (graph._store.get("laplacian")
+                              or _stored(graph, "laplacian", _laplacian(graph)))
     P *= lat.scale // graph.scale
     rhs = [c * P for c in chips.at_vertex]
     for (i, j, length), on_edge, w in zip(lat.edges, chips.on_edge, weights):
@@ -628,7 +626,7 @@ def effective_class(graph: MetricGraph, D: Divisor) -> bool:
 
 
 def _classes(graph: MetricGraph):
-    """(vrep, erep), kept as ``graph._classes``: vrep[x] is the least vertex
+    """(vrep, erep), kept in the graph's store: vrep[x] is the least vertex
     joined to vertex x by bridges, erep[e] that vertex for a bridge e, else
     None, as for a self-loop.  Points so joined are equivalent: the function
     0 on p's side of a bridge pq, of slope 1 along it and constant on q's
@@ -641,8 +639,7 @@ def _classes(graph: MetricGraph):
         for e in bridges:
             u, v = ends[e]
             vrep[u] = vrep[v] = min(vrep[u], vrep[v])
-    graph._classes = (vrep, [vrep[u] if e in bridges else None for e, (u, _v) in enumerate(ends)])
-    return graph._classes
+    return vrep, [vrep[u] if e in bridges else None for e, (u, _v) in enumerate(ends)]
 
 
 def default_rank_points(graph: MetricGraph) -> list[Point]:
@@ -715,8 +712,8 @@ def rank(graph: MetricGraph, D: Divisor,
     floor at 1 and searches every level above it, for
     ``rank_subdivision_oracle``.
 
-    The graph keeps its lattices and their burn runs (``_Lattice``), so
-    repeated calls on one graph, such as the two of
+    The graph stores its lattices, their runs and the bridge classes
+    (``_stored``), so repeated calls on one graph, such as the two of
     ``riemann_roch_check``, burn on the lattice and runs of the first.
 
     An empty point set raises ``PreconditionError``, a point the graph
@@ -728,7 +725,7 @@ def rank(graph: MetricGraph, D: Divisor,
         raise PreconditionError("rank needs a nonempty point set")
     base = default_base(graph)
     lat = _Lattice(graph, [base, *D.support(), *points])
-    vrep, erep = graph._classes or _classes(graph)
+    vrep, erep = graph._store.get("classes") or _stored(graph, "classes", _classes(graph))
     keys = list(dict.fromkeys(vrep[k] if type(k) is int else k if erep[k[0]] is None
                               else erep[k[0]] for k in map(lat.key, points)))
     if D.degree < 0:

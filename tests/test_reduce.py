@@ -952,9 +952,37 @@ class TestLeafFiring:
 
 
 def held(G: MetricGraph) -> int:
-    """The lattices and burn runs in ``G``'s store, counted together as
-    ``_RUNS_STORE_SIZE`` bounds them."""
-    return len(G._lattices) + sum(len(lat.by_base) for lat in G._lattices.values())
+    """The entries in ``G``'s store, lattices, runs, Laplacian and bridge
+    classes alike, counted as ``_STORE_SIZE`` bounds them."""
+    return len(G._store)
+
+
+class Store(dict):
+    """A graph's store that records the key of every entry it takes,
+    ``limit`` the bound checked after each."""
+
+    limit = None
+
+    def __init__(self):
+        super().__init__()
+        self.built, self.clears = [], 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.built.append(key)
+        assert self.limit is None or len(self) <= self.limit, key
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+def stored_graph(G: MetricGraph, limit: int | None = None) -> MetricGraph:
+    """A fresh copy of G whose store is a ``Store`` bounded at ``limit``."""
+    G = fresh_copy(G)
+    G._store = Store()
+    G._store.limit = limit
+    return G
 
 
 def point_of_denominator(G: MetricGraph, rng: SplitMix64, d: int) -> Point:
@@ -965,8 +993,8 @@ def point_of_denominator(G: MetricGraph, rng: SplitMix64, d: int) -> Point:
 
 
 class TestRunsOnTheGraph:
-    """The graph's one lattice per scale, and the burn runs it keeps for
-    each base."""
+    """The graph's one lattice per scale, and the burn runs it stores for
+    each base under (scale, base)."""
 
     def test_warm_graph_matches_a_fresh_one(self, chain3):
         rng = SplitMix64(7373)
@@ -982,35 +1010,19 @@ class TestRunsOnTheGraph:
                 assert rank(G, D, points) == rank(fresh_copy(G), D, points)
                 assert riemann_roch_check(G, D) == riemann_roch_check(fresh_copy(G), D)
             # runs of more than one scale have been stored
-            assert sum(bool(lat.by_base) for lat in G._lattices.values()) > 1
+            assert len({key[0] for key in G._store if type(key) is tuple}) > 1
 
     def test_store_never_passes_its_cap(self, chain3, monkeypatch):
-        cap, builds = 7, []
-        real = _Runs.__init__
-
-        class Store(dict):
-            def __setitem__(self, scale, lat):
-                super().__setitem__(scale, lat)
-                assert held(lat.graph) <= cap
-                builds.append(scale)
-
-        def counted(self, lat, base):
-            # the lattice is in the store, and this run is about to join it
-            assert lat.graph._lattices[lat.scale] is lat
-            assert held(lat.graph) + 1 <= cap
-            builds.append(base)
-            real(self, lat, base)
-
-        monkeypatch.setattr(reduce_core, "_RUNS_STORE_SIZE", cap)
-        monkeypatch.setattr(_Runs, "__init__", counted)
-        G = fresh_copy(chain3.graph)
-        G._lattices = Store()
+        cap = 7
+        monkeypatch.setattr(reduce_core, "_STORE_SIZE", cap)
+        # the store checks the cap at every insert
+        G = stored_graph(chain3.graph, limit=cap)
         rng = SplitMix64(8484)
         for _ in range(6):
             D = random_divisor(G, rng, rng.randint(0, 4))
             assert rank_subdivision_oracle(G, D, n=2) == rank(fresh_copy(G), D)
             assert held(G) <= cap
-        assert len(builds) > 3 * cap
+        assert len(G._store.built) > 3 * cap
 
     def test_second_riemann_roch_check_builds_no_runs(self, chain3, monkeypatch):
         builds = []
@@ -1021,31 +1033,26 @@ class TestRunsOnTheGraph:
             real(self, *args)
 
         monkeypatch.setattr(_Runs, "__init__", counted)
-        G = fresh_copy(chain3.graph)
+        G = stored_graph(chain3.graph)
+        built = G._store.built
         rng = SplitMix64(9595)
         first_builds = []
         for degree in (1, 3, 6):
             D = random_divisor(G, rng, degree)
             builds.clear()
+            built.clear()
             first = riemann_roch_check(G, D)
             first_builds.append(len(builds))
             builds.clear()
+            built.clear()
             assert riemann_roch_check(G, D) == first
-            assert builds == []
+            assert builds == [] and built == []
         # the counter sees the first check on a fresh graph
         assert first_builds[0] > 0
 
     def test_second_rank_builds_no_lattice(self, chain3):
-        built = []
-
-        class Store(dict):
-            def __setitem__(self, scale, lat):
-                if scale not in self:
-                    built.append(scale)
-                super().__setitem__(scale, lat)
-
-        G = fresh_copy(chain3.graph)
-        G._lattices = Store()
+        G = stored_graph(chain3.graph)
+        built = G._store.built
         rng = SplitMix64(1717)
         base = default_base(G)
         first_builds = []
@@ -1064,6 +1071,42 @@ class TestRunsOnTheGraph:
             assert lat.edges is edges
         # the counter sees the first call on a fresh graph
         assert first_builds[0] > 0
+
+
+class TestAnEmptiedStore:
+    """With the store bounded at 2, nearly every insert empties it, the
+    eliminated Laplacian and the bridge classes included; each is made
+    again where it is next needed, and every result matches a fresh
+    graph's."""
+
+    GRAPHS = {"chain3": lambda: default_generic_chain(3).graph,
+              "lollipop": lollipop_graph, "K4": k4_graph}
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_results_match_a_fresh_graph(self, name, monkeypatch):
+        made = Counter()
+        for what in ("_laplacian", "_classes"):
+            def counted(graph, real=getattr(reduce_core, what), what=what):
+                made[what, graph] += 1
+                return real(graph)
+            monkeypatch.setattr(reduce_core, what, counted)
+        monkeypatch.setattr(reduce_core, "_STORE_SIZE", 2)
+        G = stored_graph(self.GRAPHS[name](), limit=2)
+        rng = SplitMix64(len(name) * 6007)
+        for _ in range(25):
+            base = random_point(G, rng)
+            D = random_divisor(G, rng, rng.randint(-1, 2 * G.betti()))
+            warm, cold = v_reduce(G, D, base), v_reduce(fresh_copy(G), D, base)
+            assert (warm.reduced, warm.witness, warm.steps) == \
+                (cold.reduced, cold.witness, cold.steps), (base, D)
+            assert rank(G, D) == rank(fresh_copy(G), D), D
+            assert (rank_subdivision_oracle(G, D, n=2)
+                    == rank_subdivision_oracle(fresh_copy(G), D, n=2)), D
+            assert riemann_roch_check(G, D) == riemann_roch_check(fresh_copy(G), D), D
+        # the store was emptied, and the Laplacian and the classes were
+        # evicted from it and made again on the same graph
+        assert G._store.clears > 25
+        assert made["_laplacian", G] > 1 and made["_classes", G] > 1
 
 
 class TestLatticeIntegerReads:
@@ -1137,7 +1180,9 @@ class TestBadPointsOnAWarmGraph:
             v_reduce(G, E, base)
             rank(G, E)
             rank_subdivision_oracle(G, E, n=2)
-        assert G._lattices[lcm(G.scale, 2)].by_base[G.vertex_index[base.vertex]]
+        L = lcm(G.scale, 2)
+        assert type(G._store[L]) is _Lattice
+        assert type(G._store[L, G.vertex_index[base.vertex]]) is _Runs
         for where, bad in self.bad_points(G).items():
             for graph in (G, fresh_copy(G)):
                 for entry, call in self.entries(graph, bad).items():
@@ -1202,7 +1247,7 @@ class TestWitnessLaplacian:
             # another base, solved as is_equivalent solves it
             other = self.interior_point(G, rng) if t % 2 else default_base(G)
             assert self.solve(G, E, other) == self.oracle(G, E, other), (other, D)
-        assert G._laplacian is not None
+        assert "laplacian" in G._store
 
     @pytest.mark.parametrize("name", sorted([*GRAPHS, "bouquet"]))
     def test_interior_bases_on_before_and_after_the_chips(self, name):
@@ -1263,7 +1308,7 @@ class TestWitnessLaplacian:
 
         monkeypatch.setattr(reduce_core, "_laplacian", counted)
         G = fresh_copy(chain3.graph)
-        assert G._laplacian is None
+        assert "laplacian" not in G._store
         rng = SplitMix64(4646)
         for t in range(20):
             # lattices of several scales: bases at 1/16, 1/48 and 1/80 of an edge
@@ -1278,7 +1323,7 @@ class TestWitnessLaplacian:
         chain = default_generic_chain(6)
         for T in enumerate_tableaux(2, 3):
             assert gp_rho_zero_experiment(T, chain).verdict == "independent"
-        assert chain.graph._laplacian is None
+        assert "laplacian" not in chain.graph._store
 
 
 class TestUnoccupiedEdge:
