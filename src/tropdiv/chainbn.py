@@ -330,7 +330,6 @@ def _chips_per_piece(D: Divisor, chain: ChainOfLoops) -> list[int]:
     point the chain does not have raises ``GraphError``."""
     chips = [0] * (2 * chain.g)
     for p, c in D.items():
-        chain.graph.check_point(p)
         k = chain.piece(p)
         if k is not None:
             chips[k] += c

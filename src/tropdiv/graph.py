@@ -260,7 +260,9 @@ class MetricGraph:
                 raise GraphError(f"non-canonical or out-of-range point {p}")
 
     def edge_coordinates(self, p: Point) -> list[tuple[int, Fraction]]:
-        """All (edge, offset) pairs naming this point."""
+        """All (edge, offset) pairs naming this point; ``GraphError``
+        unless it is a point of the graph (``check_point``)."""
+        self.check_point(p)
         if not p.is_vertex:
             return [(p.edge, p.offset)]
         out = []
@@ -610,7 +612,9 @@ class ChainOfLoops:
         """Index of the part of gamma_1, br_1, ..., gamma_g, {w_g} holding
         the point p of this chain: 2i-2 for the cell gamma_i (loop i minus
         w_i), 2i-1 for the bridge br_i = [w_i, v_{i+1}), 2g-1 for w_g, and
-        None on the pendant bridges of an extended chain."""
+        None on the pendant bridges of an extended chain; ``GraphError``
+        unless p is a point of the chain (``check_point``)."""
+        self.graph.check_point(p)
         if p.vertex is None:
             # edges 3i-3, 3i-2 and 3i-1 lie on pieces 2i-2, 2i-2 and 2i-1
             return 2 * p.edge // 3 if p.edge < 3 * self.g - 1 else None

@@ -179,16 +179,19 @@ class PLFunction:
 
     def __call__(self, p: Point) -> Fraction:
         """The value at p; ``GraphError`` unless p is a point of the graph."""
-        self.graph.check_point(p)
         return Fraction(*self._value(*self.graph.edge_coordinates(p)[0]))
 
     # -- slopes and orders -----------------------------------------------
 
-    def outgoing_slope(self, ei: int, off: Fraction, direction: int) -> int:
-        """Slope seen leaving offset ``off`` on edge ``ei`` toward direction +1/-1."""
+    @staticmethod
+    def _direction(direction) -> None:
         if type(direction) is not int or direction not in (1, -1):
             # 2 would read twice the slope, and a bool pass for an int
             raise PreconditionError(f"direction must be the int 1 or -1, got {direction!r}")
+
+    def outgoing_slope(self, ei: int, off: Fraction, direction: int) -> int:
+        """Slope seen leaving offset ``off`` on edge ``ei`` toward direction +1/-1."""
+        self._direction(direction)
         s, O, V = self.scaled[self.graph.edge_index(ei)]
         off = _rat(off)
         d, x = off.denominator, off.numerator * s   # the offset is x/d in units of 1/s
@@ -199,7 +202,8 @@ class PLFunction:
         raise GraphError(f"no germ at edge {ei} offset {off} direction {direction}")
 
     def germs_at(self, p: Point) -> list[tuple[int, Fraction, int]]:
-        """All (edge, offset, direction) triples pointing away from p."""
+        """All (edge, offset, direction) triples pointing away from p;
+        ``GraphError`` unless p is a point of the graph."""
         out = []
         for (ei, off) in self.graph.edge_coordinates(p):
             if off > 0:
@@ -214,6 +218,7 @@ class PLFunction:
         ``direction`` is the direction pointing away from p, matching
         ``germs_at``; the incoming slope is the negative of the outgoing one.
         """
+        self._direction(direction)
         ei = self.graph.edge_index(ei)
         for (e, off, d) in self.germs_at(p):
             if e == ei and d == direction:

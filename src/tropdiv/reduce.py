@@ -24,9 +24,12 @@ base only: an edge, or the part of it on one side of an interior base,
 carries fire from end to end when it holds no chips, and otherwise its
 chips are read off its burnt ends (see ``_Runs``).  The graph stores
 (``_stored``) one lattice per L, its edges scaled once, the runs of each
-base on it, the eliminated Laplacian and the bridge classes; every call
-still checks all of its points, on integers.  ``rank`` runs its whole
-depth-first search on these chips, on its last level fires only until
+base on it, the eliminated Laplacian, the bridge classes and the
+canonical divisor.  Every call checks the points it is given, on
+integers; the graph's own vertices, which ``rank`` reads off the stored
+classes, are not checked again.  ``rank`` runs its whole depth-first
+search on these chips, fires in its pre-pass only until the base holds
+as many chips as its bound less one and on its last level only until
 the base holds a chip, and ends, in its pre-pass or its search, at its
 first failure of degree max(deg(D) - g + 1, 1), below which none can fail.
 
@@ -52,9 +55,10 @@ DEFAULT_MAX_STEPS = 10 ** 6
 
 # the graph's store, emptied when it would pass this many entries: a
 # lattice under its scale L, a base's burn runs under (L, base), and the
-# Laplacian and bridge classes under "laplacian" and "classes"; seed-1
-# benchmark runs of ``rank`` and ``reduce`` level off at 404 on their
-# genus-3 graph, 398 of them runs, after 30,000 ops and more
+# Laplacian, the bridge classes and the canonical divisor under
+# "laplacian", "classes" and "canonical"; seed-1 benchmark runs of
+# ``rank`` and ``reduce`` level off at 404 on their genus-3 graph, 398 of
+# them runs, after 30,000 ops and more
 _STORE_SIZE = 512
 
 
@@ -190,7 +194,9 @@ class _Runs:
     vertices up to the base or a vertex of another valence.  Past the
     run's end it depends on the graph and the base only, so a run's row
     holds it for each end, tail_a past a and tail_b past b, as its length
-    and its pieces (edge, start, direction, length).
+    and its pieces (edge, start, direction, length).  Only an end of
+    valence two that is not the base has a corridor past it (``_tail``);
+    every other end's tail is (0, ()).
     """
 
     __slots__ = ("runs", "inc", "base", "cut")
@@ -210,9 +216,11 @@ class _Runs:
             self.inc[a].append((r, b))
             self.inc[b].append((r, a))
         # _tail reads the rows before their tails are added
-        self.runs = runs
-        self.runs = [run + (self._tail(r, run[3]), self._tail(r, run[4]))
-                     for r, run in enumerate(runs)]
+        self.runs, base, inc = runs, self.base, self.inc
+        self.runs = [(e, lo, hi, a, b,
+                      self._tail(r, a) if a != base and len(inc[a]) == 2 else (0, ()),
+                      self._tail(r, b) if b != base and len(inc[b]) == 2 else (0, ()))
+                     for r, (e, lo, hi, a, b) in enumerate(runs)]
 
     def _tail(self, r: int, y: int):
         """The corridor past run r's end at node y."""
@@ -649,11 +657,13 @@ def default_rank_points(graph: MetricGraph) -> list[Point]:
     edges need an extra interior point to break the loop.  Parallel edges
     are fine as they stand.
     """
-    pts = list(graph.vertex_points)
-    for ei, (u, v, _l) in enumerate(graph.edges):
-        if u == v:
-            pts.append(graph._point_at(ei, graph.int_lengths[ei], 2 * graph.scale))
-    return pts
+    return [*graph.vertex_points, *_loop_points(graph)]
+
+
+def _loop_points(graph: MetricGraph) -> list[Point]:
+    """The midpoint of each self-loop, in edge order."""
+    return [graph._point_at(ei, graph.int_lengths[ei], 2 * graph.scale)
+            for ei, (u, v) in enumerate(graph.edge_ends) if u == v]
 
 
 class _Floor(Exception):
@@ -674,8 +684,12 @@ def rank(graph: MetricGraph, D: Divisor,
     an effective representative cur of D minus the multiset chosen so
     far, and a child takes one more point k off it.  Each point is taken
     as its bridge class's vertex (``_classes``), each class once: swapping
-    p' ~ p for p in E keeps the class of D - E.  With no memo, a node recurs
-    only for equivalent multisets of classes.  A node reduces nothing twice:
+    p' ~ p for p in E keeps the class of D - E.  With no point set given,
+    the keys are read off the stored classes, one per class of vertices,
+    followed by each self-loop's midpoint, which alone is checked and
+    keyed on the lattice; the result is that of ``default_rank_points``
+    given as the point set.  With no memo, a node recurs only for
+    equivalent multisets of classes.  A node reduces nothing twice:
 
     - a divisor of negative degree has rank -1 with nothing reduced, as
       no divisor of negative degree is effective;
@@ -683,9 +697,13 @@ def rank(graph: MetricGraph, D: Divisor,
       k does not look at the chips on k, and red_k(cur) is fired from the
       reduction of cur at the sibling before, in place on the node's one
       copy of cur, as the reduced divisor is the same from any
-      representative; at depth 0 these are the
-      pre-pass's red_k(D), each fired from the one before, starting at
-      the reduction red0 at ``default_base(graph)``;
+      representative; at depth 0 these are the pre-pass's
+      representatives, each fired from the one before, starting at the
+      reduction red0 at ``default_base(graph)``.  The pre-pass fires at k
+      only until k holds best_fail - 1 chips, as only a coefficient below
+      that lowers the bound, so a depth-0 child may start from a
+      representative that is not reduced at k; it is still effective and
+      holds a chip at k, which is all a child needs;
     - on the last level (``depth + 2 >= best_fail``) a child only needs
       a chip at k: a k where cur has one passes with no copy, and red is
       fired from k's sibling with ``until=1``, until k holds a chip, not
@@ -714,20 +732,23 @@ def rank(graph: MetricGraph, D: Divisor,
 
     The graph stores its lattices, their runs and the bridge classes
     (``_stored``), so repeated calls on one graph, such as the two of
-    ``riemann_roch_check``, burn on the lattice and runs of the first.
+    ``riemann_roch_check``, burn on the lattice and runs of the first;
+    ``riemann_roch_check`` takes the canonical divisor from there too.
 
     An empty point set raises ``PreconditionError``, a point the graph
     lacks ``GraphError``.
     """
-    if points is None:
-        points = default_rank_points(graph)
-    if not points:
+    if points is not None and not points:
         raise PreconditionError("rank needs a nonempty point set")
     base = default_base(graph)
-    lat = _Lattice(graph, [base, *D.support(), *points])
+    # the default set's vertices are the graph's own: their keys are read
+    # off the classes, and only its self-loop midpoints are checked
+    checked = _loop_points(graph) if points is None else points
+    lat = _Lattice(graph, [base, *D.support(), *checked])
     vrep, erep = graph._store.get("classes") or _stored(graph, "classes", _classes(graph))
-    keys = list(dict.fromkeys(vrep[k] if type(k) is int else k if erep[k[0]] is None
-                              else erep[k[0]] for k in map(lat.key, points)))
+    keys = [*dict.fromkeys(vrep)] if points is None else []
+    keys += dict.fromkeys(vrep[k] if type(k) is int else k if erep[k[0]] is None
+                          else erep[k[0]] for k in map(lat.key, checked))
     if D.degree < 0:
         return -1
     # one public reduction per call; it lands on the lattice, which holds
@@ -752,7 +773,7 @@ def rank(graph: MetricGraph, D: Divisor,
             red = red0
         else:
             red = red.copy()
-            _fire(lat, red, k, [DEFAULT_MAX_STEPS])
+            _fire(lat, red, k, [DEFAULT_MAX_STEPS], until=best_fail - 1)
         first.append(red)
         best_fail = min(best_fail, red.get(k) + 1)
     if best_fail <= floor:
@@ -760,8 +781,8 @@ def rank(graph: MetricGraph, D: Divisor,
 
     def dfs(cur: _Chips, start: int, depth: int):
         # cur is an effective representative of D minus the multiset chosen
-        # so far; it is reduced before a point is taken off, so no firing
-        # ever meets debt
+        # so far; a point is taken off only where it holds a chip, so no
+        # firing ever meets debt
         nonlocal best_fail
         if depth + 1 >= best_fail:
             return
@@ -853,7 +874,7 @@ def find_unoccupied_edge(graph: MetricGraph, D: Divisor,
 
 def riemann_roch_check(graph: MetricGraph, D: Divisor) -> tuple[bool, int, int]:
     """Verify rank(D) - rank(K - D) == deg(D) - g + 1; returns both ranks."""
-    K = canonical_divisor(graph)
+    K = graph._store.get("canonical") or _stored(graph, "canonical", canonical_divisor(graph))
     r1 = rank(graph, D)
     r2 = rank(graph, K - D)
     g = graph.betti()

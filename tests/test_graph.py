@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tropdiv import (BNParams, ChainOfLoops, Divisor, Interval, MetricGraph,
                      Point, Region, canonical_divisor, default_generic_chain)
 from tropdiv.errors import GraphError, PreconditionError
-from tropdiv.graph import _POINT_CACHE_SIZE, _rat
+from tropdiv.graph import _POINT_CACHE_SIZE, _rat, contains_point_in
 from tropdiv.independence import strict_offsets
 from tropdiv.plfunc import PLFunction, distance_function
 from tropdiv.reduce import _Lattice, is_reduced, rank, v_reduce
@@ -494,6 +494,41 @@ class TestRegion:
     def test_interval_on_an_edge_the_graph_lacks(self, edge):
         with pytest.raises(GraphError, match="no edge"):
             Region(theta_graph(), [Interval(edge, Fraction(0), Fraction(1))])
+
+
+class TestPointReaders:
+    """Every reader of a point checks it first: on the genus-2 chain, an
+    unknown vertex raised a bare ``KeyError`` from ``Region.contains``,
+    edge 99 and offset 1000 on edge 0 were simply not in a region,
+    ``germs_at`` raised ``IndexError`` for edge 99 and read a germ at
+    offset 1000, and ``piece`` put edge -5 on piece -4 and offset 1000 on
+    piece 0."""
+
+    BAD = {"vertex_zz": Point("zz", -1, Fraction(0)),
+           "edge_99": Point(None, 99, Fraction(1, 2)),
+           "edge_-5": Point(None, -5, Fraction(1, 2)),
+           "offset_1000": Point(None, 0, Fraction(1000))}
+
+    @staticmethod
+    def readers(chain) -> dict:
+        G = chain.graph
+        everywhere = Region(G, [Interval(ei, Fraction(0), G.edge_length(ei))
+                                for ei in range(len(G.edges))])
+        f = distance_function(G, chain.v(1))
+        return {"edge_coordinates": G.edge_coordinates,
+                "Region.contains": everywhere.contains,
+                "contains_point_in": lambda p: contains_point_in(Divisor({p: 1}), everywhere),
+                "germs_at": f.germs_at,
+                "incoming_slope": lambda p: f.incoming_slope(p, 0, 1),
+                "piece": chain.piece}
+
+    @pytest.mark.parametrize("reader", ["edge_coordinates", "Region.contains",
+                                        "contains_point_in", "germs_at",
+                                        "incoming_slope", "piece"])
+    @pytest.mark.parametrize("where", BAD)
+    def test_a_point_the_graph_lacks_raises(self, chain2, where, reader):
+        with pytest.raises(GraphError):
+            self.readers(chain2)[reader](self.BAD[where])
 
 
 class TestChainOfLoops:

@@ -198,10 +198,13 @@ class TestOrdersAndDivisors:
 
     @pytest.mark.parametrize("direction", [0, 2, -3, True])
     def test_slope_toward_a_direction_other_than_one_raises(self, chain2, direction):
-        # 2 read twice the slope, 0 read 0, -3 three times it reversed
+        # 2 read twice the slope, 0 read 0, -3 three times it reversed; the
+        # incoming slope took True for 1 and found no germ toward 2
         f = distance_function(chain2.graph, chain2.graph.vertex_points[0])
         with pytest.raises(PreconditionError, match="direction must be the int 1 or -1"):
             f.outgoing_slope(0, 1, direction)
+        with pytest.raises(PreconditionError, match="direction must be the int 1 or -1"):
+            f.incoming_slope(chain2.graph.point(0, 1), 0, direction)
 
     @pytest.mark.parametrize("p", [Point(None, -1, Fraction(1, 2)), Point(None, 1, Fraction(99)),
                                    Point(None, 99, Fraction(1, 2))])

@@ -34,6 +34,12 @@ def lollipop_graph() -> MetricGraph:
     return MetricGraph(["a", "b"], [("a", "b", Fraction(2)), ("b", "b", Fraction(3))])
 
 
+def two_loops_graph() -> MetricGraph:
+    """A bridge a-b with a self-loop at each end."""
+    return MetricGraph(["a", "b"], [("a", "a", Fraction(3)), ("a", "b", Fraction(1, 2)),
+                                    ("b", "b", Fraction(5, 2))])
+
+
 def bouquet_graph() -> MetricGraph:
     """One vertex with two loops: the Laplacian system for the witness's
     vertex values is empty."""
@@ -757,6 +763,25 @@ class TestRank:
         assert rank(G, D) == rank_subdivision_oracle(G, D, n=2) == 1
         with pytest.raises(PreconditionError, match="n >= 2"):
             rank_subdivision_oracle(G, D, n=n)
+
+    @pytest.mark.parametrize("make", [lambda: default_generic_chain(3).graph, lollipop_graph,
+                                      k4_graph, two_loops_graph],
+                             ids=["chain3", "lollipop", "K4", "two_loops"])
+    def test_default_points_match_the_same_points_given(self, make):
+        # with no point set, rank reads the vertices' keys off the bridge
+        # classes and keys only the self-loop midpoints; given as a list,
+        # every point is checked and keyed
+        G = make()
+        rng = SplitMix64(len(G.edges) * 3001 + G.betti())
+        points = default_rank_points(G)
+        for degree in range(-2, 2 * G.betti() + 2):
+            seen = 0
+            while seen < 4:
+                D = random_divisor(G, rng, degree)
+                if D.is_effective:
+                    continue
+                seen += 1
+                assert rank(G, D) == rank(G, D, points), dict(D.items())
 
     def test_default_rank_points_loopless(self, chain3):
         # the chain model is loopless (each loop is a pair of parallel
