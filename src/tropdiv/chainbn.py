@@ -3,6 +3,9 @@
 Rectangular standard tableaux classify the relevant divisor classes; each
 tableau yields a lattice path, a divisor D on the chain, its adjoint E,
 and the twisted representatives D_j / E_k with piecewise-linear witnesses.
+``Tableau(...)`` checks every tableau it is given; ``Tableau._of`` is the
+one unchecked producer of tableaux, for the standard fillings that
+``enumerate_tableaux`` and ``Tableau.transpose`` build.
 
 ``build_Dj`` / ``build_Ek`` follow the definition: D_j =
 red_{w_g}(D - j*v_1) + j*v_1 and its witness phi_j come from
@@ -49,10 +52,19 @@ from .reduce import is_equivalent, v_reduce
 # tableaux and lattice paths
 
 
+def _positions(entries) -> dict[int, tuple[int, int]]:
+    """(row, col) of each entry, for ``Tableau.position``."""
+    return {x: (r, c) for r, row in enumerate(entries) for c, x in enumerate(row)}
+
+
 @dataclass(frozen=True)
 class Tableau:
     """A rectangular standard tableau: entries 1..rows*cols, strictly
-    increasing along rows and columns."""
+    increasing along rows and columns.
+
+    ``Tableau(entries)`` checks all of that; ``Tableau._of`` is the one
+    unchecked producer, for the fillings ``enumerate_tableaux`` and
+    ``transpose`` build standard by construction."""
 
     entries: tuple[tuple[int, ...], ...]
 
@@ -78,9 +90,17 @@ class Tableau:
         for col in zip(*self.entries):
             if any(a >= b for a, b in zip(col, col[1:])):
                 raise PreconditionError("columns must strictly increase")
-        # (row, col) of each entry, for ``position``
-        object.__setattr__(self, "_position", {
-            x: (r, c) for r, row in enumerate(self.entries) for c, x in enumerate(row)})
+        object.__setattr__(self, "_position", _positions(self.entries))
+
+    @staticmethod
+    def _of(entries: tuple[tuple[int, ...], ...]) -> "Tableau":
+        """The tableau of ``entries``, taken as is: a tuple of equal-length
+        tuples of ints holding a standard filling."""
+        T = object.__new__(Tableau)
+        # as the dataclass sets them, leaving the instance's __dict__ untouched
+        object.__setattr__(T, "entries", entries)
+        object.__setattr__(T, "_position", _positions(entries))
+        return T
 
     @property
     def rows(self) -> int:
@@ -95,7 +115,7 @@ class Tableau:
         return self.rows * self.cols
 
     def transpose(self) -> "Tableau":
-        return Tableau(tuple(zip(*self.entries)))
+        return Tableau._of(tuple(zip(*self.entries)))
 
     def position(self, i: int) -> tuple[int, int]:
         """(row, col) of entry i, zero-indexed."""
@@ -135,7 +155,7 @@ def enumerate_tableaux(rows: int, cols: int) -> Iterator[Tableau]:
 
     def place(i: int):
         if i > n:
-            yield Tableau(grid)
+            yield Tableau._of(tuple(map(tuple, grid)))
             return
         for r in range(rows):
             c = filled[r]  # entry i fills (r, c) if the cell above is filled
@@ -243,8 +263,11 @@ def _reduce_loop(carry: int, on_loop, ell: int, m: int, i: int) -> tuple[int | N
     and the chips carried on to w_i.  A loop whose class is not effective
     (d < 0, or d = 0 and s != 0) raises ``PreconditionError``; effective
     input never has one."""
-    d = carry + sum(c for (_t, c) in on_loop)
-    s = (carry * ell + sum(c * t for (t, c) in on_loop)) % (ell + m)
+    d, s = carry, carry * ell
+    for t, c in on_loop:
+        d += c
+        s += c * t
+    s %= ell + m
     if d < 0 or (d == 0 and s):
         raise PreconditionError(f"debt on loop {i}")
     return (s, d - 1) if s else (None, d)
@@ -278,22 +301,22 @@ def _twist(loops, ell, m, beta, j: int, r: int) -> tuple[list, int, list[int]]:
     y = carry = 0
     for i, on_loop in enumerate(F):
         values.append(y)
-        cell, out = _reduce_loop(carry, on_loop, ell[i], m[i], i + 1)
+        ell_i, m_i = ell[i], m[i]
+        cell, out = _reduce_loop(carry, on_loop, ell_i, m_i, i + 1)
         cells.append(cell)
-        E_i = [(t, -c) for (t, c) in on_loop]
-        if cell is not None:
-            E_i.append((cell, 1))
-        num, top, past_v = carry * m[i], 0, 0
-        for t, c in E_i:
-            num += c * t
-            if t < ell[i]:
-                top += c * t
+        # sums over E_i, the cell chip less F_i: each chip (t, c) of F_i
+        # counts -c, so the cell chip goes in as (cell, -1)
+        num, top, past_v = carry * m_i, 0, 0
+        for t, c in on_loop if cell is None else (*on_loop, (cell, -1)):
+            num -= c * t
+            if t < ell_i:
+                top -= c * t
             else:
-                past_v += c
-        a, rem = divmod(num, ell[i] + m[i])
+                past_v -= c
+        a, rem = divmod(num, ell_i + m_i)
         if rem:
             raise TheoremViolation(f"D_j - D is not principal on loop {i + 1}")
-        y += (a - past_v) * ell[i] - top
+        y += (a - past_v) * ell_i - top
         carry = out
         if i < len(beta):
             y += carry * beta[i]
@@ -447,7 +470,8 @@ def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
 
     # v_i is matched to phi_j + psi_k for the entry i in row k, column j
     table = {T.position(i)[::-1]: i for i in range(1, chain.g + 1)}
-    points = tuple(chain.v(i) for i in range(1, chain.g + 1))
+    # v_1..v_g, every other vertex from v_1 (past w_0 on an extended chain)
+    points = chain.graph.vertex_points[chain.extended:2 * chain.g:2]
     perm = tuple(j * rows + k for (j, k) in table)
     # the matrix in units of 1/L: a positive scale keeps every comparison,
     # and the offsets come out in the same units

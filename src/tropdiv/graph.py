@@ -33,6 +33,14 @@ def _rat(x, error: type[Exception] = GraphError) -> Fraction:
     raise error(f"not an exact rational: {x!r}")
 
 
+def _length(x, u: str, v: str) -> Fraction:
+    """``x`` as the length of an edge (u, v): a positive rational."""
+    length = _rat(x)
+    if length.numerator <= 0:  # a Fraction's denominator is positive
+        raise GraphError(f"edge ({u},{v}) has non-positive length {length}")
+    return length
+
+
 def _seq(x, what: str) -> Sequence:
     """``x`` if it is a list or a tuple, ``GraphError`` otherwise: a
     string's characters would pass for its items, and an int has none."""
@@ -77,6 +85,19 @@ class Point:
             h = hash((self.edge, self.offset.numerator, self.offset.denominator))
         object.__setattr__(self, "_hash", h)
 
+    @staticmethod
+    def _of_vertex(name: str) -> "Point":
+        """The point of vertex ``name``, taken as is: the graph's one
+        constructor of its ``vertex_points``, which skips the checks of
+        ``Point(name, -1, Fraction(0))`` and hashes like it."""
+        p = object.__new__(Point)
+        # set as the dataclass sets them: an instance's __dict__, once
+        # touched, would slow every attribute read of the point
+        for field, value in (("vertex", name), ("edge", -1), ("offset", _ZERO),
+                             ("_hash", hash(("v", name)))):
+            object.__setattr__(p, field, value)
+        return p
+
     def __hash__(self):
         return self._hash
 
@@ -115,54 +136,73 @@ class MetricGraph:
     The graph owns the one integer form of its lengths: ``scale``, the lcm
     of their denominators, and ``int_lengths``, in units of 1/``scale``.
     Exact distances, distance functions and ``reduce``'s lattices scale it.
+
+    ``MetricGraph(vertices, edges)`` checks all of its input;
+    ``MetricGraph._of`` checks none of it, for a graph whose names and
+    edges the library built itself (``ChainOfLoops``).
     """
 
     def __init__(self, vertices: Sequence[str], edges: Sequence[tuple[str, str, Fraction]]):
-        self.vertices: tuple[str, ...] = tuple(_seq(vertices, "vertices"))
-        for name in self.vertices:
+        names = tuple(_seq(vertices, "vertices"))
+        for name in names:
             if not isinstance(name, str):
                 raise GraphError(f"vertex name {name!r} is not a string")
-        # the same graph over vertex indices, for array-based algorithms
-        self.vertex_index: dict[str, int] = {v: i for i, v in enumerate(self.vertices)}
-        if len(self.vertex_index) != len(self.vertices):
+        index = {v: i for i, v in enumerate(names)}
+        if len(index) != len(names):
             raise GraphError("duplicate vertex names")
-        self.vertex_points: tuple[Point, ...] = tuple(
-            Point(v, -1, _ZERO) for v in self.vertices)
-        es, ends = [], []
-        # vertex index -> list of (edge index, side, other end); side 0 means
-        # the vertex is the edge's first end (offset 0), side 1 its second
-        inc: list[list[tuple[int, int, int]]] = [[] for _ in self.vertices]
+        parsed = []
         for edge in _seq(edges, "edges"):
             if len(_seq(edge, "an edge")) != 3:
                 raise GraphError(f"an edge needs two ends and a length, got {edge!r}")
             u, v, length = edge
             if not (isinstance(u, str) and isinstance(v, str)):
                 raise GraphError(f"edge ({u!r},{v!r}) has an end that is not a string")
-            length = _rat(length)
-            if length <= 0:
-                raise GraphError(f"edge ({u},{v}) has non-positive length {length}")
-            if u not in self.vertex_index or v not in self.vertex_index:
+            parsed.append((u, v, _length(length, u, v)))
+            if u not in index or v not in index:
                 raise GraphError(f"edge ({u},{v}) references unknown vertex")
-            i, j = self.vertex_index[u], self.vertex_index[v]
-            inc[i].append((len(es), 0, j))
-            inc[j].append((len(es), 1, i))
-            es.append((u, v, length))
+        self._build(names, index, parsed)
+        if not self._connected():
+            raise GraphError("graph is not connected")
+        if not parsed:  # a point is named by an edge; a self-loop will do
+            raise GraphError("a graph needs an edge")
+
+    @staticmethod
+    def _of(vertices: tuple[str, ...], edges: list[tuple[str, str, Fraction]]) -> "MetricGraph":
+        """The graph of ``vertices`` and ``edges``, taken as is: distinct
+        names, edges between them of positive ``Fraction`` lengths (as
+        ``_length`` returns them), connected.  ``ChainOfLoops`` builds
+        its graph so."""
+        G = object.__new__(MetricGraph)
+        G._build(vertices, {v: i for i, v in enumerate(vertices)}, edges)
+        return G
+
+    def _build(self, vertices, index, edges) -> None:
+        """The graph's fields, from checked ``vertices``, their ``index``
+        and ``edges``."""
+        self.vertices: tuple[str, ...] = vertices
+        # the same graph over vertex indices, for array-based algorithms
+        self.vertex_index: dict[str, int] = index
+        self.vertex_points: tuple[Point, ...] = tuple(map(Point._of_vertex, vertices))
+        # vertex index -> list of (edge index, side, other end); side 0 means
+        # the vertex is the edge's first end (offset 0), side 1 its second
+        inc: list[list[tuple[int, int, int]]] = [[] for _ in vertices]
+        ends = []
+        for k, (u, v, _l) in enumerate(edges):
+            i, j = index[u], index[v]
+            inc[i].append((k, 0, j))
+            inc[j].append((k, 1, i))
             ends.append((i, j))
         self._incidence = inc
-        self.edges: tuple[tuple[str, str, Fraction], ...] = tuple(es)
+        self.edges: tuple[tuple[str, str, Fraction], ...] = tuple(edges)
         self.edge_ends: tuple[tuple[int, int], ...] = tuple(ends)
-        S = self.scale = lcm(*(length.denominator for (_u, _v, length) in es))
+        S = self.scale = lcm(*(length.denominator for (_u, _v, length) in edges))
         self.int_lengths: tuple[int, ...] = tuple(
-            length.numerator * (S // length.denominator) for (_u, _v, length) in es)
+            length.numerator * (S // length.denominator) for (_u, _v, length) in edges)
         self._point_cache: dict[tuple[int, int, int], Point] = {}
         # what reduce derives from the graph, kept across calls: lattices,
         # burn runs, the eliminated Laplacian and the bridge classes, in
         # one store that ``reduce._stored`` fills and bounds
         self._store: dict = {}
-        if not self._connected():
-            raise GraphError("graph is not connected")
-        if not es:  # a point is named by an edge; a self-loop will do
-            raise GraphError("a graph needs an edge")
 
     def _connected(self, skip=()) -> bool:
         if not self.vertices:
@@ -419,7 +459,8 @@ class Interval:
 
 
 class Region:
-    """A finite union of edge intervals plus isolated points.
+    """A finite union of edge intervals plus isolated points, each checked
+    against the graph (``GraphError`` otherwise).
 
     Half-openness is tracked explicitly; the chain cells gamma_i and the
     bridges br_i are half-open.
@@ -430,6 +471,8 @@ class Region:
         self.graph = graph
         self.intervals: tuple[Interval, ...] = tuple(intervals)
         self.points: frozenset[Point] = frozenset(points)
+        for p in self.points:
+            graph.check_point(p)
         for iv in self.intervals:
             if not (0 <= iv.lo <= iv.hi <= graph.edge_length(iv.edge)):
                 raise GraphError(f"interval {iv} out of bounds")
@@ -535,7 +578,8 @@ class ChainOfLoops:
     before v_{g+1} on an extended chain.
     ``integer_lengths`` is (L, ell, m, beta), the lengths in units of 1/L,
     L the lcm of their denominators: the lattice of ``chainbn``'s chips,
-    read off the graph's integer form.
+    read off the graph's integer form.  ``generic`` is read off it too,
+    on integers: no ratio ell_i/m_i is a/b with a + b <= 2g-2.
     """
 
     def __init__(self, g: int, ell: Sequence, m: Sequence, beta: Sequence,
@@ -557,15 +601,18 @@ class ChainOfLoops:
 
         vertices = [name for i in range(1, g + 1) for name in (f"v{i}", f"w{i}")]
         edges = []
-        for i in range(1, g + 1):
-            edges += [(f"v{i}", f"w{i}", ell[i - 1]), (f"v{i}", f"w{i}", m[i - 1])]
-            if i < g:
-                edges.append((f"w{i}", f"v{i + 1}", beta[i - 1]))
+        for i in range(g):
+            v, w = vertices[2 * i], vertices[2 * i + 1]
+            edges += [(v, w, ell[i]), (v, w, m[i])]
+            if i < g - 1:
+                edges.append((w, vertices[2 * i + 2], beta[i]))
         if extended:
             vertices = ["w0", *vertices, f"v{g + 1}"]
             edges += [("w0", "v1", pendant[0]), (f"w{g}", f"v{g + 1}", pendant[1])]
-        # the graph parses and sign-checks every length
-        self.graph = G = MetricGraph(vertices, edges)
+        # the chain is connected and its names distinct, so its lengths are
+        # all the graph needs checked
+        self.graph = G = MetricGraph._of(
+            tuple(vertices), [(u, v, _length(x, u, v)) for (u, v, x) in edges])
         core = 3 * g - 1
         lengths = [length for (_u, _v, length) in G.edges]
         ell, m, self.beta = (tuple(lengths[i:core:3]) for i in range(3))
@@ -576,10 +623,11 @@ class ChainOfLoops:
         self.integer_lengths = (G.scale // k, *(tuple(x // k for x in G.int_lengths[i:core:3])
                                                 for i in range(3)))
         # whether no ell_i/m_i is a ratio a/b of positive integers with
-        # a + b <= 2g-2, decided once: in lowest terms p/q
-        # every such a/b is kp/kq, so that holds iff p + q > 2g-2
-        self.generic = all((r := x / y).numerator + r.denominator > 2 * g - 2
-                           for x, y in zip(ell, m))
+        # a + b <= 2g-2, decided once on the integer lengths x and y: in
+        # lowest terms p/q = (x/k)/(y/k), k = gcd(x, y), every such a/b is
+        # np/nq, so that holds iff p + q > 2g-2
+        self.generic = all((x + y) // gcd(x, y) > 2 * g - 2
+                           for x, y in zip(*self.integer_lengths[1:3]))
 
     # -- named points and edges ------------------------------------------
 

@@ -87,6 +87,24 @@ class TestTableau:
         assert len(ts) == hook_length_count(rows, cols)
         assert len(set(ts)) == len(ts)
 
+    @pytest.mark.parametrize("shape", [(rows, cols) for rows in range(1, 13)
+                                       for cols in range(1, 12 // rows + 1)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_enumerated_and_transposed_tableaux_match_their_checked_twins(self, shape):
+        # enumerate_tableaux and transpose build through the unchecked
+        # Tableau._of; the checked constructor must accept each tableau
+        # and give it the same value, hash and position table
+        rows, cols = shape
+        count = 0
+        for T in enumerate_tableaux(rows, cols):
+            count += 1
+            for U, entries in ((T, T.entries), (T.transpose(), tuple(zip(*T.entries)))):
+                checked = Tableau(entries)
+                assert U == checked and hash(U) == hash(checked)
+                assert all(type(row) is tuple for row in U.entries)
+                assert U._position == checked._position
+        assert count == hook_length_count(rows, cols)
+
     @pytest.mark.parametrize("g", range(1, 13))
     def test_enumeration_order_against_the_sorted_list(self, g):
         # the stream is the old sorted list re-sorted by Yamanouchi word,

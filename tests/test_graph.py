@@ -15,7 +15,8 @@ from tropdiv.sampling import SplitMix64, random_point
 from tropdiv import serialize as sz
 
 from . import reference_core
-from .conftest import cell_regions, circle_graph, coprime_graph, theta_graph
+from .conftest import (cell_regions, circle_graph, coprime_graph, k4_graph,
+                       petersen_graph, theta_graph)
 
 
 class TestRationalStrings:
@@ -530,6 +531,47 @@ class TestPointReaders:
         with pytest.raises(GraphError):
             self.readers(chain2)[reader](self.BAD[where])
 
+    @pytest.mark.parametrize("where", ["vertex_zz", "edge_99", "offset_1000"])
+    def test_a_region_of_a_point_the_graph_lacks_raises(self, chain2, where):
+        # Region used to take its isolated points unchecked
+        with pytest.raises(GraphError):
+            Region(chain2.graph, points=[self.BAD[where]])
+
+
+class TestTrustedConstructors:
+    """``MetricGraph`` builds its vertex points unchecked, and
+    ``ChainOfLoops`` its graph; each must be what the checked constructor
+    gives."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: default_generic_chain(3).graph,
+        lambda: default_generic_chain(4, extended=True).graph,
+        circle_graph, theta_graph, coprime_graph, k4_graph, petersen_graph])
+    def test_equal_and_hash_like_checked_points(self, make):
+        G = make()
+        assert len(G.vertex_points) == len(G.vertices)
+        for v, p in zip(G.vertices, G.vertex_points):
+            q = Point(v, -1, Fraction(0))
+            assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+            assert (p.vertex, p.edge, p.offset) == (v, -1, 0)
+            assert type(p.offset) is Fraction and p.is_vertex
+            assert G.vertex_point(v) is p
+
+    @pytest.mark.parametrize("extended", [False, True])
+    @pytest.mark.parametrize("g", [2, 3, 5])
+    def test_chain_graph_matches_the_checked_constructor(self, g, extended):
+        # ChainOfLoops builds its graph with the unchecked MetricGraph._of;
+        # the checked constructor must accept the same input and agree
+        ell = [Fraction(2 * g + i, 3) for i in range(g)]
+        m = [str(i + 1) for i in range(g)]
+        beta = [Fraction(1, i + 2) for i in range(g - 1)]
+        G = ChainOfLoops(g, ell, m, beta, extended=extended, pendant=["5/7", 2]).graph
+        H = MetricGraph(list(G.vertices), list(G.edges))
+        for field in ("vertices", "vertex_index", "vertex_points", "edges", "edge_ends",
+                      "_incidence", "scale", "int_lengths"):
+            assert getattr(G, field) == getattr(H, field), field
+        assert all(type(length) is Fraction for (_u, _v, length) in G.edges)
+
 
 class TestChainOfLoops:
     @pytest.mark.parametrize("g,extended", [(3.0, False), (3, 1), (3, "yes")])
@@ -695,6 +737,8 @@ class TestChainOfLoops:
         # loop lengths of small height, so that ratios of small sum, their
         # multiples and near misses all come up
         rng = SplitMix64(0x6E7E)
+        # the pendants' own stream, so that rng draws the loops it drew alone
+        pendant_rng = SplitMix64(0x9E2D)
         outcomes = set()
         for t in range(200):
             g = 2 + t % 11
@@ -704,5 +748,12 @@ class TestChainOfLoops:
             m = [Fraction(rng.randint(1, 24), rng.randint(1, 12)) for _ in range(g)]
             want = all(x / y not in bad for x, y in zip(ell, m))
             assert ChainOfLoops(g, ell, m, [1] * (g - 1)).generic == want
+            # genericity reads the core's lengths only: pendant
+            # denominators (13, 17, 19, 23) that no core length has
+            pendant = [Fraction(pendant_rng.randint(1, 30),
+                                pendant_rng.choice((13, 17, 19, 23)))
+                       for _ in range(2)]
+            assert ChainOfLoops(g, ell, m, [1] * (g - 1), extended=True,
+                                pendant=pendant).generic == want
             outcomes.add((g > 6, want))
         assert len(outcomes) == 4
