@@ -134,9 +134,17 @@ class Tableau:
         return BNParams(g, r, d)
 
 
+def _check_shape(rows, cols) -> None:
+    """``PreconditionError`` unless rows and cols are ints >= 1."""
+    if not (type(rows) is int and type(cols) is int and rows >= 1 and cols >= 1):
+        raise PreconditionError(f"tableau shape is empty: rows and cols must be "
+                                f"ints >= 1, got {rows!r} x {cols!r}")
+
+
 def hook_length_count(rows: int, cols: int) -> int:
     """Number of standard tableaux of rectangular shape, by the hook
-    length formula."""
+    length formula; ``PreconditionError`` for no shape (``_check_shape``)."""
+    _check_shape(rows, cols)
     prod = 1
     for r in range(rows):
         for c in range(cols):
@@ -148,7 +156,9 @@ def enumerate_tableaux(rows: int, cols: int) -> Iterator[Tableau]:
     """Every rectangular standard tableau, yielded as it is finished, in
     lexicographic order of the Yamanouchi word (the row of entry 1, of
     entry 2, ...): on at most two rows, and at both ends of any shape,
-    the order of the row-concatenated entries."""
+    the order of the row-concatenated entries.  ``PreconditionError``
+    for no shape, before anything is yielded (``_check_shape``)."""
+    _check_shape(rows, cols)
     n = rows * cols
     grid = [[0] * cols for _ in range(rows)]
     filled = [0] * rows
@@ -168,18 +178,17 @@ def enumerate_tableaux(rows: int, cols: int) -> Iterator[Tableau]:
     return place(1)
 
 
-def tableau_to_dyck(T: Tableau, axis: int = 1) -> tuple[tuple[int, ...], ...]:
+def tableau_to_dyck(T: Tableau) -> tuple[tuple[int, ...], ...]:
     """The lattice path p_0..p_g in Z^r attached to a tableau: from
     (r, ..., 1), step +e_j for an entry in column j < r, (-1,..,-1) for
-    the last column; ``axis`` 0 reads rows for columns, the path of
-    ``T.transpose()``.  The tableau conditions are exactly the conditions
+    the last column.  The tableau conditions are exactly the conditions
     that the path stays in the open chamber p(0) > ... > p(r-1) > 0 and
     ends where it starts."""
-    r = (T.rows, T.cols)[axis] - 1
+    r = T.cols - 1
     cur = list(range(r, 0, -1))
     pts = [tuple(cur)]
     for i in range(1, T.size + 1):
-        col = T.position(i)[axis]
+        col = T.position(i)[1]
         if col < r:
             cur[col] += 1
         else:
@@ -201,17 +210,17 @@ def _require_chain(T: Tableau, chain: ChainOfLoops):
             "divisor positions are not guaranteed to avoid the vertices")
 
 
-def _tableau_chips(T: Tableau, ell: tuple, m: tuple, axis: int = 1) -> list[list[tuple[int, int]]]:
+def _tableau_chips(T: Tableau, ell: tuple, m: tuple) -> list[list[tuple[int, int]]]:
     """The chips of ``tableau_to_divisor`` on the integer lengths ell and
     m: the r at v_1 at distance ell_1, and each at p_{i-1}(j)*m_i taken
-    mod ell_i + m_i; with ``axis`` 0, those of ``T.transpose()``."""
-    r = (T.rows, T.cols)[axis] - 1
-    path = tableau_to_dyck(T, axis)
+    mod ell_i + m_i."""
+    r = T.cols - 1
+    path = tableau_to_dyck(T)
     loops: list[list[tuple[int, int]]] = [[] for _ in ell]
     if r:
         loops[0].append((ell[0], r))
     for i in range(1, T.size + 1):
-        col = T.position(i)[axis]
+        col = T.position(i)[1]
         if col < r:
             loops[i - 1].append(
                 (path[i - 1][col] * m[i - 1] % (ell[i - 1] + m[i - 1]), 1))
@@ -454,12 +463,13 @@ def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
 
     # as build_Dj and build_Ek, on the integer chips of each tableau
     L, ell, m, beta = chain.integer_lengths
-    D, E = _tableau_chips(T, ell, m), _tableau_chips(T, ell, m, axis=0)
+    Tt = T.transpose()
+    D, E = _tableau_chips(T, ell, m), _tableau_chips(Tt, ell, m)
     phis = [_twist(D, ell, m, beta, j, r) for j in range(r + 1)]
     psis = [_twist(E, ell, m, beta, k, rows - 1) for k in range(rows)]
 
     # D_j's j chips at v_1 lie in gamma_1
-    for name, twists, must_miss in (("D", phis, [*zip(*T.entries)]), ("E", psis, T.entries)):
+    for name, twists, must_miss in (("D", phis, Tt.entries), ("E", psis, T.entries)):
         for j, (cells, _pile, _values) in enumerate(twists):
             missed = tuple(i for i, t in enumerate(cells, 1)
                            if t is None and not (i == 1 and j))

@@ -143,8 +143,6 @@ def cmd_gp0(args) -> int:
         raise PreconditionError(f"rho(g,r,d) = {rho}, gp0 needs rho = 0")
     # rho = 0 makes rows * cols = g
     rows, cols = args.g - args.d + args.r, args.r + 1
-    if rows <= 0:
-        raise PreconditionError("tableau shape is empty")
     tableaux = enumerate_tableaux(rows, cols)
     if args.tableau != "all":
         index = args.tableau
@@ -159,10 +157,10 @@ def cmd_gp0(args) -> int:
             rep = gp_rho_zero_experiment(T, chain)
             yield {
                 "g": args.g, "r": args.r, "d": args.d,
-                "tableau": [list(row) for row in T.entries],
+                "tableau": T.entries,
                 "verdict": rep.verdict,
                 "empty_cells": {f"{j},{k}": i
-                                for (j, k), i in sorted(rep.empty_cell_table.items())},
+                                for (j, k), i in rep.empty_cell_table.items()},
                 "certificate": sz.independence_certificate_to_json(
                     chain.graph, rep.independence_certificate),
             }
@@ -239,12 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built once per process: parse_args leaves a parser as it found it,
-    # and each subcommand's func is a module function that looks up what
-    # it calls when it runs
-    return build_parser()
+# built once per process: parse_args leaves a parser as it found it,
+# and each subcommand's func is a module function that looks up what
+# it calls when it runs
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:

@@ -58,6 +58,12 @@ _POINT_CACHE_SIZE = 4096
 _ZERO = Fraction(0)  # every vertex point's offset
 
 
+def _point_hash(vertex: str | None, edge: int, offset) -> int:
+    """A point's hash: of its vertex's name, or of its edge and offset's integers."""
+    return hash(("v", vertex) if vertex is not None else
+                (edge, offset.numerator, offset.denominator))
+
+
 @dataclass(frozen=True, eq=False)
 class Point:
     """A location on a metric graph.
@@ -66,8 +72,8 @@ class Point:
     as the vertex itself (``vertex`` set, ``edge`` = -1), so equality is
     well-defined across all edges incident to that vertex; a vertex point
     in any other form raises ``GraphError``, as does an offset that is not
-    an int or a ``Fraction``.  The hash is precomputed from integer parts;
-    points live in hot dictionaries.
+    an int or a ``Fraction``.  The hash is precomputed from integer parts
+    (``_point_hash``); points live in hot dictionaries.
     """
 
     vertex: str | None
@@ -77,24 +83,20 @@ class Point:
     def __post_init__(self):
         if not isinstance(self.offset, Fraction) and type(self.offset) is not int:
             raise GraphError(f"point offset {self.offset!r} is not an int or a Fraction")
-        if self.vertex is not None:
-            if self.edge != -1 or self.offset != 0:
-                raise GraphError(f"vertex point {self.vertex} needs edge -1 and offset 0")
-            h = hash(("v", self.vertex))
-        else:
-            h = hash((self.edge, self.offset.numerator, self.offset.denominator))
-        object.__setattr__(self, "_hash", h)
+        if self.vertex is not None and (self.edge != -1 or self.offset != 0):
+            raise GraphError(f"vertex point {self.vertex} needs edge -1 and offset 0")
+        object.__setattr__(self, "_hash", _point_hash(self.vertex, self.edge, self.offset))
 
     @staticmethod
-    def _of_vertex(name: str) -> "Point":
-        """The point of vertex ``name``, taken as is: the graph's one
-        constructor of its ``vertex_points``, which skips the checks of
-        ``Point(name, -1, Fraction(0))`` and hashes like it."""
+    def _of(vertex: str | None, edge: int, offset: Fraction) -> "Point":
+        """The point (vertex, edge, offset), taken as is: canonical, with a
+        ``Fraction`` offset.  The one unchecked constructor of points, for
+        ``vertex_points`` and the edge points ``_point_at`` bounds-tests."""
         p = object.__new__(Point)
         # set as the dataclass sets them: an instance's __dict__, once
         # touched, would slow every attribute read of the point
-        for field, value in (("vertex", name), ("edge", -1), ("offset", _ZERO),
-                             ("_hash", hash(("v", name)))):
+        for field, value in (("vertex", vertex), ("edge", edge), ("offset", offset),
+                             ("_hash", _point_hash(vertex, edge, offset))):
             object.__setattr__(p, field, value)
         return p
 
@@ -182,7 +184,7 @@ class MetricGraph:
         self.vertices: tuple[str, ...] = vertices
         # the same graph over vertex indices, for array-based algorithms
         self.vertex_index: dict[str, int] = index
-        self.vertex_points: tuple[Point, ...] = tuple(map(Point._of_vertex, vertices))
+        self.vertex_points: tuple[Point, ...] = tuple(Point._of(v, -1, _ZERO) for v in vertices)
         # vertex index -> list of (edge index, side, other end); side 0 means
         # the vertex is the edge's first end (offset 0), side 1 its second
         inc: list[list[tuple[int, int, int]]] = [[] for _ in vertices]
@@ -275,7 +277,7 @@ class MetricGraph:
         elif over == 0:
             p = self.vertex_points[self.edge_ends[edge][1]]
         else:
-            p = Point(None, edge, Fraction(n, d))
+            p = Point._of(None, edge, Fraction(n, d))
         if len(self._point_cache) >= _POINT_CACHE_SIZE:
             self._point_cache.clear()
         self._point_cache[key] = p
@@ -309,6 +311,12 @@ class MetricGraph:
         for (ei, side, _y) in self._incidence[self.vertex_index[p.vertex]]:
             out.append((ei, _ZERO if side == 0 else self.edges[ei][2]))
         return out
+
+    def _germs(self, p: Point) -> list[tuple[int, Fraction, int]]:
+        """All (edge, offset, direction) triples pointing away from p, none
+        past an edge's end; ``GraphError`` unless p is a point of the graph."""
+        return [(ei, off, d) for (ei, off) in self.edge_coordinates(p) for d in (-1, 1)
+                if (off > 0 if d == -1 else off < self.edges[ei][2])]
 
     # -- distances -------------------------------------------------------
 
@@ -516,13 +524,9 @@ class Region:
         for p in cands:
             if not self.contains(p):
                 continue
-            for (ei, off) in G.edge_coordinates(p):
-                length = G.edges[ei][2]
-                for direction in (-1, 1):
-                    if (direction == -1 and off == 0) or (direction == 1 and off == length):
-                        continue
-                    if not self._covers_germ(ei, off, direction):
-                        out.add(p)
+            for (ei, off, direction) in G._germs(p):
+                if not self._covers_germ(ei, off, direction):
+                    out.add(p)
         return frozenset(out)
 
     def _covers_germ(self, edge: int, off: Fraction, direction: int) -> bool:

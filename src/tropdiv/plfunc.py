@@ -204,13 +204,7 @@ class PLFunction:
     def germs_at(self, p: Point) -> list[tuple[int, Fraction, int]]:
         """All (edge, offset, direction) triples pointing away from p;
         ``GraphError`` unless p is a point of the graph."""
-        out = []
-        for (ei, off) in self.graph.edge_coordinates(p):
-            if off > 0:
-                out.append((ei, off, -1))
-            if off < self.graph.edges[ei][2]:
-                out.append((ei, off, 1))
-        return out
+        return self.graph._germs(p)
 
     def incoming_slope(self, p: Point, ei: int, direction: int) -> int:
         """Slope of the function arriving at p along the germ (ei, direction).

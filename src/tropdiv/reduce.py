@@ -666,10 +666,6 @@ def _loop_points(graph: MetricGraph) -> list[Point]:
             for ei, (u, v) in enumerate(graph.edge_ends) if u == v]
 
 
-class _Floor(Exception):
-    """Ends ``rank``'s search at a failure of the floor's degree."""
-
-
 def rank(graph: MetricGraph, D: Divisor,
          points: list[Point] | None = None, *, _floor: bool = True) -> int:
     """Baker-Norine rank, computed over a rank-determining point set.
@@ -809,19 +805,17 @@ def rank(graph: MetricGraph, D: Divisor,
                           until=1 if leaf else None)
                 if red.get(k) <= 0:
                     best_fail = depth + 1
-                    if best_fail <= floor:
-                        raise _Floor
                     return
                 if leaf:
                     continue
                 nxt = red.copy()
             nxt.add(k, -1)
             dfs(nxt, i, depth + 1)
+            # a failure of the floor's degree ends the search
+            if best_fail <= floor:
+                return
 
-    try:
-        dfs(red0, 0, 0)
-    except _Floor:
-        pass
+    dfs(red0, 0, 0)
     return best_fail - 1
 
 

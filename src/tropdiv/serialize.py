@@ -80,6 +80,7 @@ def _edge_key(key) -> int:
 
 
 def point_to_json(graph: MetricGraph, p: Point) -> dict:
+    graph.check_point(p)
     if p.is_vertex:
         # the first of ``edge_coordinates``, read with no Fraction built
         ei, side, _y = graph._incidence[graph.vertex_index[p.vertex]][0]

@@ -87,6 +87,16 @@ class TestTableau:
         assert len(ts) == hook_length_count(rows, cols)
         assert len(set(ts)) == len(ts)
 
+    @pytest.mark.parametrize("rows,cols", [(0, 3), (3, 0), (-1, 2), (2, 1.5)])
+    def test_no_shape_rejected_by_enumeration_and_count(self, rows, cols):
+        # enumerate_tableaux once yielded Tableau(()) for (0, 3) and
+        # ((), (), ()) for (3, 0), and hook_length_count(-1, 2) raised a
+        # bare ValueError; the enumeration raises before it yields
+        with pytest.raises(PreconditionError, match="shape is empty"):
+            enumerate_tableaux(rows, cols)
+        with pytest.raises(PreconditionError, match="shape is empty"):
+            hook_length_count(rows, cols)
+
     @pytest.mark.parametrize("shape", [(rows, cols) for rows in range(1, 13)
                                        for cols in range(1, 12 // rows + 1)],
                              ids=lambda shape: "x".join(map(str, shape)))

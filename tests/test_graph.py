@@ -539,7 +539,7 @@ class TestPointReaders:
 
 
 class TestTrustedConstructors:
-    """``MetricGraph`` builds its vertex points unchecked, and
+    """``MetricGraph`` builds its vertex and edge points unchecked, and
     ``ChainOfLoops`` its graph; each must be what the checked constructor
     gives."""
 
@@ -556,6 +556,14 @@ class TestTrustedConstructors:
             assert (p.vertex, p.edge, p.offset) == (v, -1, 0)
             assert type(p.offset) is Fraction and p.is_vertex
             assert G.vertex_point(v) is p
+        # _point_at builds each new edge point unchecked too
+        for e, length in enumerate(G.int_lengths):
+            for k in range(1, 8):
+                n, d = length * k, G.scale * 8
+                p, q = G._point_at(e, n, d), Point(None, e, Fraction(n, d))
+                assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+                assert p.sort_key() == q.sort_key()
+                assert type(p.offset) is Fraction and not p.is_vertex
 
     @pytest.mark.parametrize("extended", [False, True])
     @pytest.mark.parametrize("g", [2, 3, 5])

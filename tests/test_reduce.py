@@ -930,6 +930,44 @@ class TestRiemannFloor:
         # the pre-pass stopped before its last point on 62 of the 144 today
         assert stopped >= 55, stopped
 
+    def test_the_search_ends_at_its_first_failure_of_the_floors_degree(self, monkeypatch):
+        # D of degree 2g-1..2g+1 with debt, and K - D for D of degree -2
+        # or -1, on the chains of genus 3, 4 and 5, kept where the
+        # pre-pass's bound, deg(D) + 1 and then each red_p(D)(p) + 1,
+        # stays above the floor deg(D) - g + 1, so that the search starts:
+        # rank(D) = deg(D) - g, so the search meets a failure of the
+        # floor's degree, and it must end there, with no firing after the
+        # one that left its base without a chip
+        after = []
+
+        def recorded(lat, chips, base, *args, _real=reduce_core._fire, **kwargs):
+            _real(lat, chips, base, *args, **kwargs)
+            after.append(chips.get(base))
+
+        rng = SplitMix64(3838)
+        searched = 0
+        for g, n in ((3, 30), (4, 24), (5, 12)):
+            G = default_generic_chain(g).graph
+            K, points = canonical_divisor(G), default_rank_points(G)
+            for i in range(n):
+                if i % 3 == 2:
+                    D = K - random_divisor(G, rng, rng.randint(-2, -1))
+                else:
+                    D = random_divisor(G, rng, rng.randint(2 * g - 1, 2 * g + 1))
+                floor = D.degree - g + 1
+                bound = min(D.degree + 1, *(v_reduce(G, D, p, track_witness=False)
+                                            .reduced.coeff(p) + 1 for p in points))
+                if bound <= floor:
+                    continue
+                searched += 1
+                after.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(reduce_core, "_fire", recorded)
+                    assert rank(G, D) == floor - 1, (g, dict(D.items()))
+                assert after[-1] <= 0, (g, dict(D.items()), after)
+        # the search started on 6 of the 66 today
+        assert searched >= 5, searched
+
     def test_more_than_g_chips_off_the_base_raises(self, chain3, monkeypatch):
         # with firing turned off, an unreduced effective divisor passes
         # through v_reduce as it stands: g chips off the base are allowed,

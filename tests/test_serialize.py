@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropdiv import Divisor, default_generic_chain
+from tropdiv import Divisor, Point, default_generic_chain
 from tropdiv.chainbn import enumerate_tableaux, gp_rho_zero_experiment
 from tropdiv.errors import GraphError
 from tropdiv.graph import _rat
@@ -83,6 +83,19 @@ class TestPointsAndDivisors:
         G = theta_graph()
         D = Divisor({G.vertex_point("b"): -2, G.point(0, 1): 3})
         assert divisor_from_json(G, divisor_to_json(G, D)) == D
+
+    @pytest.mark.parametrize("p", [Point("zz", -1, 0), Point(None, 99, Fraction(1, 2)),
+                                   Point(None, 0, 1000)], ids=["vertex", "edge", "offset"])
+    def test_writers_reject_a_point_the_graph_lacks(self, p):
+        # the unknown vertex raised a bare KeyError, and the other two were
+        # written as JSON that point_from_json rejects
+        G = default_generic_chain(2).graph
+        cert = IndependenceCertificate((p,), (0,), (Fraction(0),))
+        for write in (lambda: point_to_json(G, p),
+                      lambda: divisor_to_json(G, Divisor({p: 1})),
+                      lambda: independence_certificate_to_json(G, cert)):
+            with pytest.raises(GraphError):
+                write()
 
 
 class TestGraphsAndChains:
