@@ -5,16 +5,21 @@ re-verified on the family rebuilt as ``PLFunction`` sums, and, with
 ``tests/data/gp0_golden.json``, which pins every certificate offset."""
 import pytest
 
+from scale.golden import check
 from tests.check_gp0_reports import main as check_reports
 
 
 # tableau 0, the row-filled one, of 4x4, 5x4, 5x5 and 6x6: families of 16
 # to 36 functions, with 24,024 to 1.7e15 tableaux that --tableau 0 streams
 # past rather than lists
-@pytest.mark.parametrize("g,r,d", [(16, 3, 15), (20, 3, 18), (25, 4, 24), (36, 5, 35)])
+ROW_FILLED = [(16, 3, 15), (20, 3, 18), (25, 4, 24), (36, 5, 35)]
+
+
+@pytest.mark.parametrize("g,r,d", ROW_FILLED)
 def test_row_filled_tableau(tropdiv, tmp_path, g, r, d):
     assert tropdiv("gp0", "--g", g, "--r", r, "--d", d, "--tableau", 0, "--out", "gp.json")[0] == 0
     assert check_reports([str(tmp_path / "gp.json"), "--count", "1"]) == 0
+    check(f"gp0 --g {g} --tableau 0", tmp_path / "gp.json")
 
 
 def test_every_tableau_at_genus_12(tropdiv, tmp_path):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from scale.golden import check
 from tests.check_gp0_reports import layout_kept
 from tropdiv import Divisor, MetricGraph, default_generic_chain
 from tropdiv import serialize as sz
@@ -46,6 +47,8 @@ REDUCTIONS = {
     "reddebt12": ("chain12", [V("w12", 14), E(0, "5", -1), E(16, "1/2", -1)], "18:7/2"),
     "reddebtk4": ("k4", [V("d", 5), E(0, "1/4", -1), E(5, "1/7", -1)], "2:1/3"),
 }
+# the shape file's divisor
+EFF3 = [V("w3", 4), E(0, "1/3", 1)]
 
 
 def test_reductions_with_witnesses(tropdiv, tmp_path):
@@ -59,7 +62,7 @@ def test_reductions_with_witnesses(tropdiv, tmp_path):
         write(tmp_path / f"in-{name}.json", divisor)
         assert tropdiv("reduce", f"{graph}.json", f"in-{name}.json", "--base", base,
                        "--out", f"{name}.json")[0] == 0, name
-    write(tmp_path / "eff3.json", [V("w3", 4), E(0, "1/3", 1)])
+    write(tmp_path / "eff3.json", EFF3)
     assert tropdiv("shape", "chain3.json", "eff3.json", "--out", "shape3.json")[0] == 0
     assert all(layout_kept(read(name)) for name in ("chain3", "red3", "shape3"))
     assert json.loads(read("red3"))["witness"]["edges"]
@@ -77,6 +80,8 @@ def test_reductions_with_witnesses(tropdiv, tmp_path):
         assert D + f.divisor() == red and is_reduced(G, red, base), name
         h = is_equivalent(G, D, red)
         assert h is not None and D + h.divisor() == red, name
+        check(f"reduce {name}", tmp_path / f"{name}.json")
+    check("shape eff3", tmp_path / "shape3.json")
 
 
 BAD = {

@@ -118,13 +118,12 @@ class Tableau:
         return Tableau._of(tuple(zip(*self.entries)))
 
     def position(self, i: int) -> tuple[int, int]:
-        """(row, col) of entry i, zero-indexed."""
-        try:
+        """(row, col) of entry i, an int, zero-indexed."""
+        if type(i) is int and i in self._position:
             return self._position[i]
-        except (KeyError, TypeError):  # TypeError: i is unhashable
-            # an int past 4,300 digits has no decimal str
-            raise PreconditionError(f"no entry {i}" if type(i) is not int or i.bit_length() < 64
-                                    else f"no entry of {i.bit_length()} bits") from None
+        # an int past 4,300 digits has no decimal str
+        raise PreconditionError(f"no entry {i}" if type(i) is not int or i.bit_length() < 64
+                                else f"no entry of {i.bit_length()} bits")
 
     def params(self) -> BNParams:
         """The (g, r, d) with rho = 0 classified by this shape."""
@@ -253,8 +252,8 @@ def build_Dj(T: Tableau, chain: ChainOfLoops, j: int) -> tuple[Divisor, PLFuncti
     holding fewer than r - j chips at w_g raises ``TheoremViolation``.
     """
     r = T.cols - 1
-    if not (0 <= j <= r):
-        raise PreconditionError(f"column index {j} out of range 0..{r}")
+    if not (type(j) is int and 0 <= j <= r):
+        raise PreconditionError(f"column index {j!r} out of range: need an int in 0..{r}")
     wg, shift = chain.w(chain.g), Divisor({chain.v(1): j})
     res = v_reduce(chain.graph, tableau_to_divisor(T, chain) - shift, wg)
     if res.reduced.coeff(wg) < r - j:
@@ -407,8 +406,8 @@ def chips_on_each_loop_check(chain: ChainOfLoops, D: Divisor,
     deg(D) <= 2g-2 and pairwise distinct incoming slopes at v_i along the
     bridge arriving from the left."""
     g = chain.g
-    if not 1 <= i <= g:
-        raise PreconditionError(f"loop index {i} out of range 1..{g}")
+    if not (type(i) is int and 1 <= i <= g):
+        raise PreconditionError(f"loop index {i!r} out of range: need an int in 1..{g}")
     if D.degree > 2 * g - 2:
         raise PreconditionError("degree must be at most 2g-2")
     if i == 1 and not chain.extended:

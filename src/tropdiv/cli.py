@@ -34,10 +34,6 @@ EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
 
-class _UsageError(Exception):
-    """Malformed command-line arguments or input files."""
-
-
 def _emit(obj, out_path: str | None) -> None:
     """Write ``obj`` as :func:`serialize.dumps` text to stdout in one
     piece, or to ``out_path`` as its generators yield: into
@@ -63,7 +59,7 @@ def _load_json(path: str):
         try:
             return json.load(fh)
         except (ValueError, RecursionError) as e:
-            raise _UsageError(f"{path} is not JSON: {type(e).__name__}: {e}") from None
+            raise PreconditionError(f"{path} is not JSON: {type(e).__name__}: {e}") from None
 
 
 def _load_chain_arg(args) -> ChainOfLoops:
@@ -84,8 +80,8 @@ def _parse_base(graph: MetricGraph, text: str):
 def cmd_chain_new(args) -> int:
     chain = _load_chain_arg(args)
     if chain.g != args.g:
-        raise _UsageError(f"--g {args.g} does not match the genus {chain.g} "
-                          f"of the chain in {args.lengths}")
+        raise PreconditionError(f"--g {args.g} does not match the genus {chain.g} "
+                                f"of the chain in {args.lengths}")
     if args.require_generic and not chain.generic:
         raise GenericityError("chain lengths are not generic")
     obj = sz.chain_to_json(chain)
@@ -112,7 +108,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_rr_check(args) -> int:
     if args.trials < 0:
-        raise _UsageError(f"--trials must be nonnegative, got {args.trials}")
+        raise PreconditionError(f"--trials must be nonnegative, got {args.trials}")
     graph = sz.graph_from_json(_load_json(args.graph))
     g = graph.betti()
     rng = SplitMix64(args.seed)
@@ -148,8 +144,8 @@ def cmd_gp0(args) -> int:
         index = args.tableau
         count = hook_length_count(rows, cols)
         if not 0 <= index < count:
-            raise _UsageError(f"tableau index {index} is out of range: shape "
-                              f"{rows}x{cols} has {count} tableaux")
+            raise PreconditionError(f"tableau index {index} is out of range: shape "
+                                    f"{rows}x{cols} has {count} tableaux")
         tableaux = itertools.islice(tableaux, index, index + 1)
 
     def reports():
@@ -256,7 +252,7 @@ def main(argv=None) -> int:
     except ReductionCapError as e:
         sys.stderr.write(f"cap exceeded: {e}\n")
         return EXIT_CAP
-    except (_UsageError, GraphError, GenericityError, PreconditionError,
+    except (GraphError, GenericityError, PreconditionError,
             OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE

@@ -561,8 +561,9 @@ class BNParams:
     d: int
 
     def __post_init__(self):
-        if self.g < 0 or self.r < 0 or self.d < 0:
-            raise PreconditionError("g, r, d must be nonnegative")
+        if not (type(self.g) is type(self.r) is type(self.d) is int
+                and min(self.g, self.r, self.d) >= 0):
+            raise PreconditionError("g, r, d must be nonnegative ints")
 
     @property
     def rho(self) -> int:

@@ -195,8 +195,8 @@ class _Runs:
     run's end it depends on the graph and the base only, so a run's row
     holds it for each end, tail_a past a and tail_b past b, as its length
     and its pieces (edge, start, direction, length).  Only an end of
-    valence two that is not the base has a corridor past it (``_tail``);
-    every other end's tail is (0, ()).
+    valence two that is not the base has a corridor past it; ``_tail``,
+    called at every end, returns (0, ()) at any other.
     """
 
     __slots__ = ("runs", "inc", "base", "cut")
@@ -216,10 +216,8 @@ class _Runs:
             self.inc[a].append((r, b))
             self.inc[b].append((r, a))
         # _tail reads the rows before their tails are added
-        self.runs, base, inc = runs, self.base, self.inc
-        self.runs = [(e, lo, hi, a, b,
-                      self._tail(r, a) if a != base and len(inc[a]) == 2 else (0, ()),
-                      self._tail(r, b) if b != base and len(inc[b]) == 2 else (0, ()))
+        self.runs = runs
+        self.runs = [(e, lo, hi, a, b, self._tail(r, a), self._tail(r, b))
                      for r, (e, lo, hi, a, b) in enumerate(runs)]
 
     def _tail(self, r: int, y: int):
@@ -446,7 +444,10 @@ def _laplacian(graph: MetricGraph):
     pattern stays symmetric, so the rows a pivot updates are its row's
     later columns, and a chain, almost tridiagonal in vertex order, fills
     in nothing, and leaves no entry left of the diagonal.  ``upper`` holds
-    the rows left, last first, as (row, diagonal, later entries)."""
+    the rows left, last first, as (row, diagonal, later entries).  Each m
+    is an entry off the diagonal, and these stay negative: sums of -P/l at
+    first, then a*row[j] - m*pivot[j] with a > 0 > m, pivot[j] < 0 and
+    row[j] <= 0, over a gcd > 0."""
     n = len(graph.vertices)
     P = lcm(*graph.int_lengths)
     weights = [P // length for length in graph.int_lengths]
@@ -463,16 +464,15 @@ def _laplacian(graph: MetricGraph):
         for i in [i for i in pivot if i > k]:
             row = rows[i]
             m = row.pop(k)
-            if m:
-                a = pivot[k]
-                for j in row:
-                    row[j] *= a
-                for j, b in pivot.items():
-                    if j > k:
-                        row[j] = row.get(j, 0) - m * b
-                d = gcd(*row.values())
-                rows[i] = {j: x // d for j, x in row.items()}
-                ops.append((i, k, a, m, d))
+            a = pivot[k]
+            for j in row:
+                row[j] *= a
+            for j, b in pivot.items():
+                if j > k:
+                    row[j] = row.get(j, 0) - m * b
+            d = gcd(*row.values())
+            rows[i] = {j: x // d for j, x in row.items()}
+            ops.append((i, k, a, m, d))
     upper = [(k, rows[k].pop(k), tuple(rows[k].items())) for k in range(n - 1, 0, -1)]
     return P, weights, ops, upper
 
@@ -780,8 +780,6 @@ def rank(graph: MetricGraph, D: Divisor,
         # so far; a point is taken off only where it holds a chip, so no
         # firing ever meets debt
         nonlocal best_fail
-        if depth + 1 >= best_fail:
-            return
         # cur reduced (on a leaf, fired) at the latest point where it has
         # no chip, cur until then
         red = cur
@@ -858,9 +856,7 @@ def find_unoccupied_edge(graph: MetricGraph, D: Divisor,
     if not graph._connected(chosen):
         raise PreconditionError(f"removing edges {sorted(chosen)} disconnects the graph")
     for ei in open_edges:
-        occupied = any((not p.is_vertex) and p.edge == ei and c > 0
-                       for p, c in D.items())
-        if not occupied:
+        if not any(p.edge == ei for p in D.support()):
             return ei
     raise TheoremViolation(
         "every designated open edge carries a point of a canonical divisor")

@@ -33,8 +33,11 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection sampling on one 64-bit
-        draw; ``ValueError`` unless 1 <= n <= 2**64, as past 2**64 no
-        draw would be accepted."""
+        draw; ``ValueError`` unless n is an int (a bool or a float is
+        none) with 1 <= n <= 2**64, as past 2**64 no draw would be
+        accepted."""
+        if type(n) is not int:
+            raise ValueError(f"need an int bound, got {type(n).__name__}")
         if n <= 0:
             raise ValueError("need a positive bound")
         if n > 1 << 64:

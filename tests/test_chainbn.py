@@ -74,6 +74,18 @@ class TestTableau:
             with pytest.raises(PreconditionError, match=f"no entry {shown}"):
                 T.position(i)
 
+    @pytest.mark.parametrize("i", [True, 2.0, Fraction(3), 2.5])
+    def test_position_of_a_non_int_is_no_entry(self, i):
+        # the table is keyed by 1..4, which True, 2.0 and Fraction(3) hash as
+        with pytest.raises(PreconditionError, match="no entry"):
+            Tableau(((1, 2), (3, 4))).position(i)
+
+    @pytest.mark.parametrize("g,r,d", [(4, True, 3), (4, 1.0, 3), (4, 1, 2.5),
+                                       (Fraction(4), 1, 3)])
+    def test_bn_params_need_ints(self, g, r, d):
+        with pytest.raises(PreconditionError, match="nonnegative ints"):
+            BNParams(g, r, d)
+
     def test_params_rho(self):
         # 2x2 at g=4 is the rho = 0 case (g,r,d) = (4,1,3)
         p = Tableau(((1, 2), (3, 4))).params()
@@ -208,6 +220,16 @@ class TestBuildDj:
         T = next(enumerate_tableaux(2, 2))
         with pytest.raises(PreconditionError):
             build_Dj(T, chain4, 5)
+
+    def test_negative_column_index(self, chain4):
+        # the 0 <= j half of the range test
+        with pytest.raises(PreconditionError, match="column index -1"):
+            build_Dj(next(enumerate_tableaux(2, 2)), chain4, -1)
+
+    @pytest.mark.parametrize("j", [True, 1.0, 0.5])
+    def test_column_index_must_be_an_int(self, chain4, j):
+        with pytest.raises(PreconditionError, match="column index"):
+            build_Dj(next(enumerate_tableaux(2, 2)), chain4, j)
 
     def test_Ek_is_adjoint_build(self, chain4):
         T = next(enumerate_tableaux(2, 2))
@@ -486,6 +508,12 @@ class TestShapes:
 
 
 class TestChipsOnEachLoop:
+    @pytest.mark.parametrize("i", [True, 2.0, 1.5])
+    def test_loop_index_must_be_an_int(self, i):
+        chain = default_generic_chain(3, extended=True)
+        with pytest.raises(PreconditionError, match="loop index"):
+            chips_on_each_loop_check(chain, Divisor(), [], i)
+
     def test_constant_family_passes(self, chain2):
         G = chain2.graph
         D = Divisor({chain2.v(2): 1})

@@ -477,6 +477,19 @@ class TestRegion:
         assert Region(G).is_empty
         assert not Region(G, points=[G.vertex_point("a")]).is_empty
 
+    @pytest.mark.parametrize("lo_closed,hi_closed", [(True, False), (False, True),
+                                                     (True, True)])
+    def test_a_degenerate_interval_is_empty_unless_closed_at_both_ends(self, lo_closed,
+                                                                        hi_closed):
+        # [1, 1) and (1, 1] hold nothing, [1, 1] the point 1 of edge 0
+        G = theta_graph()
+        reg = Region(G, [Interval(0, Fraction(1), Fraction(1), lo_closed, hi_closed)])
+        one_point = lo_closed and hi_closed
+        assert reg.is_empty is not one_point
+        assert reg.contains(G.point(0, 1)) is one_point
+        assert not reg.contains(G.point(0, Fraction(3, 4)))
+        assert not reg.contains(G.point(0, Fraction(5, 4)))
+
     def test_boundary_skips_an_open_end(self):
         # (1/2, 1] on an edge of length 2: the open end 1/2 is not in the
         # region, so only 1 is on its boundary

@@ -585,6 +585,16 @@ class TestEquivalence:
         assert effective_class(G, Divisor({chain2.v(1): 1}))
         assert not effective_class(G, Divisor({chain2.v(1): -1}))
 
+    @pytest.mark.parametrize("which", ["zero", "w1"])
+    def test_effective_class_with_no_chip_left_at_the_base(self, chain2, which):
+        # reduced at the base, these keep no chip there: effective is
+        # a coefficient >= 0 at the base, not >= 1
+        G = chain2.graph
+        D = Divisor() if which == "zero" else Divisor({chain2.w(1): 1})
+        base = default_base(G)
+        assert v_reduce(G, D, base).reduced.coeff(base) == 0
+        assert effective_class(G, D)
+
     @pytest.mark.parametrize("make", [theta_graph, coprime_graph,
                                       lambda: default_generic_chain(2).graph])
     def test_potential_rejects_non_principal_divisors(self, make):
@@ -1396,6 +1406,18 @@ class TestUnoccupiedEdge:
         tops = [chain3.top_edge(i) for i in range(1, 4)]
         ei = find_unoccupied_edge(G, K, tops)
         assert ei in tops
+
+    def test_passes_over_a_chip_inside_the_first_open_edge(self):
+        # K reduced at p, inside the first open edge, keeps rank(K) = g - 1
+        # chips at p, so the search must read an edge point's edge and go on
+        chain = default_generic_chain(3)
+        G = chain.graph
+        tops = [chain.top_edge(i) for i in range(1, 4)]
+        p = G.point(tops[0], G.edge_length(tops[0]) / 3)
+        D = v_reduce(G, canonical_divisor(G), p).reduced
+        assert D.coeff(p) >= 2
+        ei = find_unoccupied_edge(G, D, tops)
+        assert ei in tops[1:] and all(q.edge != ei for q in D.support())
 
     def test_requires_effective_divisor(self, chain3):
         K = canonical_divisor(chain3.graph)

@@ -35,6 +35,16 @@ def test_below_rejects_bounds_past_two_to_the_64(n):
         SplitMix64(1).below(n)
 
 
+@pytest.mark.parametrize("call", [lambda rng: rng.below(True), lambda rng: rng.below(3.0),
+                                  lambda rng: rng.below(2.5), lambda rng: rng.randint(0, 1.5),
+                                  lambda rng: rng.randint(0, Fraction(3))],
+                         ids=["below-True", "below-3.0", "below-2.5", "randint-0-1.5",
+                              "randint-0-Fraction3"])
+def test_bounds_must_be_ints(call):
+    with pytest.raises(ValueError, match="int bound"):
+        call(SplitMix64(1))
+
+
 @pytest.mark.parametrize("denominator", [0, -2, 2.0, True, Fraction(2), "16"])
 def test_random_point_needs_a_positive_int_denominator(denominator):
     with pytest.raises(ValueError, match="denominator must be a positive int"):
