@@ -1,10 +1,10 @@
 """The SHA-256 of every result file the scale tier writes, recorded in
 ``tests/data/scale_golden.json``: the eight witness reductions of
 ``scale/test_reduce.py``, ``"events"`` counts included, its ``shape``
-file, and ``gp0 --tableau 0`` at genus 16, 20, 25 and 36
-(``scale/test_gp0.py``).  The scale tests compare each file they write
-with its digest (``check``).  The genus-12 and genus-15 sweeps have
-theirs in ``tests/data/gp0_golden.json``.
+file, ``gp0 --tableau 0`` at genus 16, 20, 25 and 36, and
+``gp0 --tableau all`` at genus 12 and 15 (``scale/test_gp0.py``), which
+pins every certificate offset of those sweeps.  The scale tests compare
+each file they write with its digest (``check``).
 
 ``rr-check``'s report is not recorded: it holds the trials, the genus,
 the seed, the failures and ``passed``, and no rank, so its digest would
@@ -41,7 +41,7 @@ def record() -> dict[str, str]:
     """The digest of each result file, by label, from runs in process."""
     from tropdiv import cli
 
-    from .test_gp0 import ROW_FILLED
+    from .test_gp0 import ROW_FILLED, SWEEPS
     from .test_reduce import EFF3, K4, REDUCTIONS, write
 
     digests = {}
@@ -65,6 +65,9 @@ def record() -> dict[str, str]:
         for g, r, deg in ROW_FILLED:
             digests[f"gp0 --g {g} --tableau 0"] = run("out.json", "gp0", "--g", g, "--r", r,
                                                       "--d", deg, "--tableau", 0)
+        for g, r, deg in SWEEPS:
+            digests[f"gp0 --g {g} --tableau all"] = run("out.json", "gp0", "--g", g, "--r", r,
+                                                        "--d", deg, "--tableau", "all")
     return digests
 
 

@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import GenericityError, PreconditionError, TheoremViolation
-from .graph import BNParams, ChainOfLoops, Divisor, canonical_divisor
+from .graph import BNParams, ChainOfLoops, Divisor, _shown, canonical_divisor
 from .independence import IndependenceCertificate, strict_offsets
 # nothing here calls it: perfbench/test_perfbench.py reads chainbn.find_dependence
 from .independence import find_dependence  # noqa: F401
@@ -121,9 +121,7 @@ class Tableau:
         """(row, col) of entry i, an int, zero-indexed."""
         if type(i) is int and i in self._position:
             return self._position[i]
-        # an int past 4,300 digits has no decimal str
-        raise PreconditionError(f"no entry {i}" if type(i) is not int or i.bit_length() < 64
-                                else f"no entry of {i.bit_length()} bits")
+        raise PreconditionError(f"no entry {_shown(i, str)}")
 
     def params(self) -> BNParams:
         """The (g, r, d) with rho = 0 classified by this shape."""
@@ -253,7 +251,7 @@ def build_Dj(T: Tableau, chain: ChainOfLoops, j: int) -> tuple[Divisor, PLFuncti
     """
     r = T.cols - 1
     if not (type(j) is int and 0 <= j <= r):
-        raise PreconditionError(f"column index {j!r} out of range: need an int in 0..{r}")
+        raise PreconditionError(f"column index {_shown(j)} out of range: need an int in 0..{r}")
     wg, shift = chain.w(chain.g), Divisor({chain.v(1): j})
     res = v_reduce(chain.graph, tableau_to_divisor(T, chain) - shift, wg)
     if res.reduced.coeff(wg) < r - j:
@@ -407,7 +405,7 @@ def chips_on_each_loop_check(chain: ChainOfLoops, D: Divisor,
     bridge arriving from the left."""
     g = chain.g
     if not (type(i) is int and 1 <= i <= g):
-        raise PreconditionError(f"loop index {i!r} out of range: need an int in 1..{g}")
+        raise PreconditionError(f"loop index {_shown(i)} out of range: need an int in 1..{g}")
     if D.degree > 2 * g - 2:
         raise PreconditionError("degree must be at most 2g-2")
     if i == 1 and not chain.extended:

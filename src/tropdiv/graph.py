@@ -41,6 +41,12 @@ def _length(x, u: str, v: str) -> Fraction:
     return length
 
 
+def _shown(x, form=repr) -> str:
+    """``form(x)`` for an error message; "of N bits" for an int of 64
+    bits or more, as one past 4,300 digits has no decimal str."""
+    return f"of {x.bit_length()} bits" if type(x) is int and x.bit_length() >= 64 else form(x)
+
+
 def _seq(x, what: str) -> Sequence:
     """``x`` if it is a list or a tuple, ``GraphError`` otherwise: a
     string's characters would pass for its items, and an int has none."""
@@ -243,7 +249,7 @@ class MetricGraph:
         if type(ei) is not int:
             raise GraphError(f"no edge {ei!r}: the index is not an integer")
         if not 0 <= ei < len(self.edges):
-            raise GraphError(f"no edge {ei}")
+            raise GraphError(f"no edge {_shown(ei)}")
         return ei
 
     def point(self, edge: int, offset) -> Point:
@@ -590,13 +596,14 @@ class ChainOfLoops:
     def __init__(self, g: int, ell: Sequence, m: Sequence, beta: Sequence,
                  extended: bool = False, pendant: Sequence = (1, 1)):
         if not isinstance(g, int) or g < 2:
-            raise GraphError(f"chain of loops needs an integer g >= 2, got {g!r}")
+            raise GraphError(f"chain of loops needs an integer g >= 2, got {_shown(g)}")
         if not isinstance(extended, bool):
             raise GraphError(f"extended must be a bool, got {extended!r}")
         for name, x in (("ell", ell), ("m", m), ("beta", beta), ("pendant", pendant)):
             _seq(x, name)
         if len(ell) != g or len(m) != g:
-            raise GraphError(f"need {g} loop lengths, got {len(ell)} top / {len(m)} bottom")
+            raise GraphError(f"need {_shown(g, str)} loop lengths, "
+                             f"got {len(ell)} top / {len(m)} bottom")
         if len(beta) != g - 1:
             raise GraphError(f"need {g - 1} bridge lengths, got {len(beta)}")
         if len(pendant) != 2:
@@ -647,7 +654,7 @@ class ChainOfLoops:
         ``GraphError`` naming i otherwise."""
         if type(i) is int and lo <= i <= hi:
             return i
-        raise GraphError(f"no {what} {i!r} on this chain; its {what}s are {lo}..{hi}")
+        raise GraphError(f"no {what} {_shown(i)} on this chain; its {what}s are {lo}..{hi}")
 
     def top_edge(self, i: int) -> int:
         return 3 * self._number(i, "loop", 1, self.g) - 3

@@ -40,7 +40,7 @@ from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import GraphError, PreconditionError, TheoremViolation
-from .graph import (Divisor, Interval, MetricGraph, Point, Region, _rat,
+from .graph import (Divisor, Interval, MetricGraph, Point, Region, _rat, _shown,
                     contains_point_in)
 
 # one edge: (s, offsets * s, values * s)
@@ -115,7 +115,8 @@ class PLFunction:
     def __init__(self, graph: MetricGraph, data: dict[int, Iterable]):
         unknown = [ei for ei in data if type(ei) is not int or not 0 <= ei < len(graph.edges)]
         if unknown:
-            raise GraphError(f"data for edges {unknown} the graph does not have")
+            shown = ", ".join(map(_shown, unknown))
+            raise GraphError(f"data for edges [{shown}] the graph does not have")
         edges = []
         for ei, (_u, _v, length) in enumerate(graph.edges):
             if ei not in data:
@@ -187,7 +188,7 @@ class PLFunction:
     def _direction(direction) -> None:
         if type(direction) is not int or direction not in (1, -1):
             # 2 would read twice the slope, and a bool pass for an int
-            raise PreconditionError(f"direction must be the int 1 or -1, got {direction!r}")
+            raise PreconditionError(f"direction must be the int 1 or -1, got {_shown(direction)}")
 
     def outgoing_slope(self, ei: int, off: Fraction, direction: int) -> int:
         """Slope seen leaving offset ``off`` on edge ``ei`` toward direction +1/-1."""

@@ -47,7 +47,7 @@ from fractions import Fraction
 from math import gcd, inf, lcm
 
 from .errors import GraphError, PreconditionError, ReductionCapError, TheoremViolation
-from .graph import (Divisor, Interval, MetricGraph, Point, Region,
+from .graph import (Divisor, Interval, MetricGraph, Point, Region, _shown,
                     canonical_divisor)
 from .plfunc import PLFunction
 
@@ -558,8 +558,7 @@ def _potential(lat: _Lattice, chips: _Chips, q) -> PLFunction:
 
 
 def v_reduce(graph: MetricGraph, D: Divisor, base: Point,
-             track_witness: bool = True,
-             max_steps: int = DEFAULT_MAX_STEPS) -> ReductionResult:
+             track_witness: bool = True) -> ReductionResult:
     """The unique divisor equivalent to D that is reduced at ``base``,
     together with (optionally) a witness f with D + div(f) the reduced
     divisor and f(base) = 0.
@@ -568,7 +567,7 @@ def v_reduce(graph: MetricGraph, D: Divisor, base: Point,
     from the reduced chips less D's terms, as it depends on nothing else.
     ``steps`` counts every firing step: those that pay the debt away from
     the base, one firing per debt point, and those that then reduce at
-    the base; ``max_steps`` bounds them all.  Only ``steps`` depends on
+    the base; ``DEFAULT_MAX_STEPS`` bounds them all.  Only ``steps`` depends on
     how the debt is paid, as the reduced divisor is unique, and it too
     depends only on D and the base, not on the order of D's terms
     (``_clear_debt``).  A point of D or a base that the graph does not
@@ -578,7 +577,7 @@ def v_reduce(graph: MetricGraph, D: Divisor, base: Point,
     """
     lat = _Lattice(graph, [base, *D.support()])
     chips, q = lat.chips(D), lat.key(base)
-    budget = [max_steps]
+    budget = [cap := DEFAULT_MAX_STEPS]
     _clear_debt(lat, chips, q, budget)
     _fire(lat, chips, q, budget)
     if (off := chips.degree() - chips.get(q)) > graph.betti():
@@ -591,7 +590,7 @@ def v_reduce(graph: MetricGraph, D: Divisor, base: Point,
         for p, c in D.items():
             chips.add(lat.key(p), -c)
         witness = _potential(lat, chips, q)
-    return ReductionResult(red, witness, max_steps - budget[0])
+    return ReductionResult(red, witness, cap - budget[0])
 
 
 def is_reduced(graph: MetricGraph, D: Divisor, base: Point) -> bool:
@@ -827,7 +826,7 @@ def rank_subdivision_oracle(graph: MetricGraph, D: Divisor, n: int = 8) -> int:
     degree 1 leaves rank 0 whatever the later points give, so stopping
     there skips no level that could fail."""
     if type(n) is not int or n < 2:
-        raise PreconditionError(f"the subdivision needs an int n >= 2, got {n!r}")
+        raise PreconditionError(f"the subdivision needs an int n >= 2, got {_shown(n)}")
     pts = list(graph.vertex_points)
     for ei, length in enumerate(graph.int_lengths):
         pts += [graph._point_at(ei, length * k, graph.scale * n) for k in range(1, n)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .graph import Divisor, MetricGraph, Point
+from .graph import Divisor, MetricGraph, Point, _shown
 from .plfunc import PLFunction, min_combination
 from .reduce import v_reduce
 
@@ -41,7 +41,7 @@ class SplitMix64:
         if n <= 0:
             raise ValueError("need a positive bound")
         if n > 1 << 64:
-            raise ValueError(f"bound {n} is past 2**64, the range of one draw")
+            raise ValueError(f"bound {_shown(n)} is past 2**64, the range of one draw")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             x = self.next_u64()
@@ -62,7 +62,7 @@ def random_point(graph: MetricGraph, rng: SplitMix64, denominator: int = 16) -> 
     graph's integer lengths; ``ValueError`` unless ``denominator`` is a
     positive int."""
     if type(denominator) is not int or denominator <= 0:
-        raise ValueError(f"denominator must be a positive int, got {denominator!r}")
+        raise ValueError(f"denominator must be a positive int, got {_shown(denominator)}")
     ei = rng.below(len(graph.edges))
     k = rng.randint(0, denominator)
     return graph._point_at(ei, graph.int_lengths[ei] * k, graph.scale * denominator)

@@ -1,14 +1,11 @@
 """Check a ``tropdiv gp0`` report file from its JSON alone.
 
-    python3 tests/check_gp0_reports.py REPORTS.json --count N [--every K] [--golden]
+    python3 tests/check_gp0_reports.py REPORTS.json --count N [--every K]
 
 Every report must be "independent", there must be N of them, and the
 file's text must be that of json.dumps(sort_keys=True, indent=2) with a
 trailing newline, the layout ``serialize.dumps`` writes with its own
-writer.  With ``--golden``, the file's ``sweep_digest``, its SHA-256,
-must be the one that ``data/gp0_golden.json`` records for its genus (12
-or 15), which pins every byte of those sweeps, each certificate offset
-included.  Every K-th report (the first, the (K+1)-th, ...) is also
+writer.  Every K-th report (the first, the (K+1)-th, ...) is also
 checked on the default generic chain of its genus:
 
 - ``verify_independence`` accepts its certificate on the family
@@ -26,29 +23,20 @@ checked on the default generic chain of its genus:
 Exits 0 if every check passes and 1 otherwise.  Not a pytest module:
 ``scale/test_gp0.py`` calls ``main`` on the reports of the installed
 console script, and ``scale/test_reduce.py`` checks the other files that
-script writes with ``layout_kept``.
+script writes with ``layout_kept``.  The bytes of those reports are
+pinned apart from these checks, by their digests in
+``data/scale_golden.json``.
 """
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from tropdiv import default_generic_chain, serialize
 from tropdiv.chainbn import Tableau, build_Dj, build_Ek, shape_profile
 from tropdiv.independence import verify_independence
-
-GOLDEN = Path(__file__).parent / "data" / "gp0_golden.json"
-
-
-def sweep_digest(text: str) -> str:
-    """SHA-256 of a gp0 sweep's output ``text``, that of the file itself:
-    the reports hold no timing, so two runs write the same bytes."""
-    return hashlib.sha256(text.encode()).hexdigest()
-
 
 def layout_kept(text: str) -> bool:
     """Whether ``text`` is that of json.dumps(sort_keys=True, indent=2)
@@ -86,8 +74,6 @@ def main(argv=None) -> int:
                    help="number of reports the file must hold")
     p.add_argument("--every", type=int, default=1,
                    help="check the certificate of every K-th report")
-    p.add_argument("--golden", action="store_true",
-                   help="compare the reports' digest with the recorded one")
     args = p.parse_args(argv)
     if args.every < 1:
         p.error(f"--every must be positive, got {args.every}")
@@ -106,19 +92,12 @@ def main(argv=None) -> int:
         bad += not verified
         not_strict += not strict
         mismatched += not matched
-    digest_ok = True
-    if args.golden:
-        recorded = json.loads(GOLDEN.read_text())["sweep_sha256"]
-        digest_ok = bool(reps) and sweep_digest(text) == recorded.get(str(reps[0]["g"]))
     print(f"{len(reps)} reports, {dependent} not independent; of {checked} "
           f"checked, {bad} not re-verified, {not_strict} with offsets failing "
           f"the plain comparisons, {mismatched} with other empty cells than "
-          f"shape_profile's; layout {'kept' if layout_ok else 'differs'}"
-          + (f"; digest {'recorded' if digest_ok else 'differs'}"
-             if args.golden else ""))
+          f"shape_profile's; layout {'kept' if layout_ok else 'differs'}")
     return int(len(reps) != args.count or dependent > 0 or bad > 0
-               or not_strict > 0 or mismatched > 0 or not layout_ok
-               or not digest_ok)
+               or not_strict > 0 or mismatched > 0 or not layout_ok)
 
 
 if __name__ == "__main__":

@@ -5,11 +5,10 @@ chain for every tableau of shapes 2x2, 2x3, 3x2, 2x4 and 4x2 (40
 reports); each shape's ``--out`` file must hold, byte for byte, the
 ``serialize.dumps`` text of the reports recorded in
 ``data/gp0_golden.json``: the same empty-cell tables, the same
-permutations and the same certificate offsets.  The file also records
-``check_gp0_reports.sweep_digest``, the SHA-256 of the ``--out`` file,
-of the genus-12 (3x4, 462 reports) and genus-15 (3x5, 6,006 reports)
-sweeps, which ``scale/test_gp0.py`` checks with
-``tests/check_gp0_reports.py --golden``.
+permutations and the same certificate offsets.  The genus-12 (3x4, 462
+reports) and genus-15 (3x5, 6,006 reports) sweeps are pinned by the
+SHA-256 of their ``--out`` files in ``data/scale_golden.json``, which
+``scale/golden.py`` writes and ``scale/test_gp0.py`` checks.
 
 The file was written by this module on the code of commit b053e9d,
 before the twisted divisors were reduced and read in a single scan.
@@ -23,10 +22,9 @@ from pathlib import Path
 from tropdiv import cli
 from tropdiv.serialize import dumps
 
-from .check_gp0_reports import GOLDEN, sweep_digest
-
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "gp0_golden.json"
 SHAPES = ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2))
-SWEEPS = ((3, 4), (3, 5))
 
 
 def _sweep(rows: int, cols: int) -> str:
@@ -44,7 +42,9 @@ def test_gp0_reports_match_golden():
     golden = json.loads(GOLDEN.read_text())
     assert [e["shape"] for e in golden["shapes"]] == [list(s) for s in SHAPES]
     assert sum(len(e["reports"]) for e in golden["shapes"]) == 40
-    assert sorted(golden["sweep_sha256"]) == [str(rows * cols) for rows, cols in SWEEPS]
+    # the digests that scale/test_gp0.py checks the two larger sweeps with
+    scale = json.loads((DATA / "scale_golden.json").read_text())
+    assert {"gp0 --g 12 --tableau all", "gp0 --g 15 --tableau all"} <= scale.keys()
     for e in golden["shapes"]:
         assert _sweep(*e["shape"]) == dumps({"reports": e["reports"]}), e["shape"]
 
@@ -54,6 +54,4 @@ if __name__ == "__main__":
     GOLDEN.write_text(json.dumps({
         "shapes": [{"shape": list(s), "reports": json.loads(_sweep(*s))["reports"]}
                    for s in SHAPES],
-        "sweep_sha256": {str(rows * cols): sweep_digest(_sweep(rows, cols))
-                         for rows, cols in SWEEPS},
     }, sort_keys=True, separators=(",", ":")) + "\n")

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from tropdiv import (BNParams, ChainOfLoops, Divisor, Interval, MetricGraph,
                      Point, Region, canonical_divisor, default_generic_chain)
+from tropdiv.chainbn import Tableau, build_Dj, chips_on_each_loop_check
 from tropdiv.errors import GraphError, PreconditionError
 from tropdiv.graph import _POINT_CACHE_SIZE, _rat, contains_point_in
 from tropdiv.independence import strict_offsets
 from tropdiv.plfunc import PLFunction, distance_function
-from tropdiv.reduce import _Lattice, is_reduced, rank, v_reduce
+from tropdiv.reduce import _Lattice, is_reduced, rank, rank_subdivision_oracle, v_reduce
 from tropdiv.sampling import SplitMix64, random_point
 from tropdiv import serialize as sz
 
@@ -778,3 +779,38 @@ class TestChainOfLoops:
                                 pendant=pendant).generic == want
             outcomes.add((g > 6, want))
         assert len(outcomes) == 4
+
+
+# past the 4,300 digits that str() writes: an error message that formats it
+# raises a bare ValueError instead of the call's own error
+BIG = 10**5000
+
+
+@pytest.mark.parametrize("error,call", [
+    pytest.param(GraphError, lambda c, f: c.graph.edge_index(BIG), id="edge_index"),
+    pytest.param(GraphError, lambda c, f: c.graph.point(BIG, 0), id="point"),
+    pytest.param(GraphError, lambda c, f: c.graph.edge_length(BIG), id="edge_length"),
+    pytest.param(GraphError, lambda c, f: c.graph.check_point(Point(None, BIG, 1)),
+                 id="check_point"),
+    pytest.param(GraphError, lambda c, f: c.top_edge(BIG), id="top_edge"),
+    pytest.param(GraphError, lambda c, f: c.bridge_edge(BIG), id="bridge_edge"),
+    pytest.param(GraphError, lambda c, f: ChainOfLoops(BIG, [1], [1], []), id="ChainOfLoops"),
+    pytest.param(PreconditionError, lambda c, f: build_Dj(Tableau(((1, 2), (3, 4))), c, BIG),
+                 id="build_Dj"),
+    pytest.param(PreconditionError,
+                 lambda c, f: chips_on_each_loop_check(c, Divisor(), [f], BIG),
+                 id="chips_on_each_loop_check"),
+    pytest.param(PreconditionError,
+                 lambda c, f: rank_subdivision_oracle(c.graph, Divisor(), n=-BIG),
+                 id="rank_subdivision_oracle"),
+    pytest.param(ValueError, lambda c, f: random_point(c.graph, SplitMix64(1), denominator=-BIG),
+                 id="random_point"),
+    pytest.param(ValueError, lambda c, f: SplitMix64(1).below(BIG), id="below"),
+    pytest.param(GraphError, lambda c, f: PLFunction(c.graph, {BIG: []}), id="PLFunction"),
+    pytest.param(GraphError, lambda c, f: f.outgoing_slope(BIG, 0, 1), id="outgoing_slope"),
+    pytest.param(PreconditionError, lambda c, f: f.incoming_slope(c.v(1), 0, BIG),
+                 id="incoming_slope"),
+])
+def test_a_huge_int_is_named_by_its_bit_length(chain4, error, call):
+    with pytest.raises(error, match="of 16610 bits"):
+        call(chain4, PLFunction.constant(chain4.graph, 0))

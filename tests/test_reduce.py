@@ -292,11 +292,12 @@ class TestReduction:
         res = v_reduce(G, Divisor({far: -2, base: 5}), base)
         assert all(c >= 0 for p, c in res.reduced.items() if p != base)
 
-    def test_cap_raises(self, chain2):
+    def test_cap_raises(self, chain2, monkeypatch):
         G = chain2.graph
         D = Divisor({chain2.w(2): 3})
+        monkeypatch.setattr(reduce_core, "DEFAULT_MAX_STEPS", 1)
         with pytest.raises(ReductionCapError):
-            v_reduce(G, D, default_base(G), max_steps=1)
+            v_reduce(G, D, default_base(G))
 
     def test_cap_counts_debt_pass_steps(self, chain2, monkeypatch):
         # the base in debt with debt at w2, and p - p' with no effective
@@ -318,15 +319,19 @@ class TestReduction:
         for D in (Divisor({p: -1, chain2.v(2): 2, base: -1}), Divisor({p: 1, p2: -1})):
             assert D.degree - min(D.coeff(base), 0) < G.betti()
             spent.clear()
+            monkeypatch.setattr(reduce_core, "DEFAULT_MAX_STEPS", DEFAULT_MAX_STEPS)
             res = v_reduce(G, D, base)
             assert spent[0] > 0
-            assert v_reduce(G, D, base, max_steps=res.steps).steps == res.steps
+            monkeypatch.setattr(reduce_core, "DEFAULT_MAX_STEPS", res.steps)
+            assert v_reduce(G, D, base).steps == res.steps
+            monkeypatch.setattr(reduce_core, "DEFAULT_MAX_STEPS", res.steps - 1)
             with pytest.raises(ReductionCapError):
-                v_reduce(G, D, base, max_steps=res.steps - 1)
+                v_reduce(G, D, base)
         assert res.reduced.coeff(base) < 0
 
-    def test_debt_at_genus_8(self):
+    def test_debt_at_genus_8(self, monkeypatch):
         # the cap catches a debt pass whose chip count grows with the genus
+        monkeypatch.setattr(reduce_core, "DEFAULT_MAX_STEPS", 2_000)
         chain = default_generic_chain(8)
         G = chain.graph
         base = chain.v(1)
@@ -336,7 +341,7 @@ class TestReduction:
             D = random_divisor(G, rng, rng.randint(0, 14))
             if all(c >= 0 for p, c in D.items() if p != base):
                 continue
-            res = v_reduce(G, D, base, max_steps=2_000)
+            res = v_reduce(G, D, base)
             assert D + res.witness.divisor() == res.reduced
             assert is_reduced(G, res.reduced, base)
             done += 1

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from tropdiv import Divisor, default_generic_chain
+from tropdiv import Divisor, default_generic_chain, reduce
 from tropdiv.chainbn import Tableau, build_Dj, build_Ek, enumerate_tableaux
 from tropdiv.errors import ReductionCapError
 from tropdiv.reduce import default_base, v_reduce
@@ -92,16 +92,18 @@ def test_reductions_match_golden():
         assert dumps(_reduction(G, D, base)) == dumps(e["out"]), (e["g"], e["D"], e["base"])
 
 
-def test_golden_steps_are_the_exact_budget():
+def test_golden_steps_are_the_exact_budget(monkeypatch):
     # each recorded step count is exactly the budget the reduction needs
     for e in _load()["reductions"]:
         G = default_generic_chain(e["g"]).graph
         D = divisor_from_json(G, e["D"])
         base = point_from_json(G, e["base"])
         steps = e["out"]["steps"]
-        assert v_reduce(G, D, base, track_witness=False, max_steps=steps).steps == steps
+        monkeypatch.setattr(reduce, "DEFAULT_MAX_STEPS", steps)
+        assert v_reduce(G, D, base, track_witness=False).steps == steps
+        monkeypatch.setattr(reduce, "DEFAULT_MAX_STEPS", steps - 1)
         with pytest.raises(ReductionCapError):
-            v_reduce(G, D, base, track_witness=False, max_steps=steps - 1)
+            v_reduce(G, D, base, track_witness=False)
 
 
 def test_tableau_pairs_match_golden():
