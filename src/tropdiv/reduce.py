@@ -25,13 +25,15 @@ carries fire from end to end when it holds no chips, and otherwise its
 chips are read off its burnt ends (see ``_Runs``).  The graph stores
 (``_stored``) one lattice per L, its edges scaled once, the runs of each
 base on it, the eliminated Laplacian, the bridge classes and the
-canonical divisor.  Every call checks the points it is given, on
-integers; the graph's own vertices, which ``rank`` reads off the stored
-classes, are not checked again.  ``rank`` runs its whole depth-first
-search on these chips, fires in its pre-pass only until the base holds
-as many chips as its bound less one and on its last level only until
-the base holds a chip, and ends, in its pre-pass or its search, at its
-first failure of degree max(deg(D) - g + 1, 1), below which none can fail.
+canonical divisor.  Every call checks the points it is given once, on
+integers: ``rank`` reduces D on the lattice it has checked (``_reduce``),
+with no second check, and the graph's own vertices, which it reads off
+the stored classes, are not checked at all.  ``rank`` runs its whole
+depth-first search on these chips, fires in its pre-pass only until the
+base holds as many chips as its bound less one and on its last level
+only until the base holds a chip, and ends, in its pre-pass or its
+search, at its first failure of degree max(deg(D) - g + 1, 1), below
+which none can fail.
 
 Only chips move; the witness f with D + div(f) = D' is then solved from
 the reduced chips less D's terms by one weighted-Laplacian system (Baker
@@ -378,6 +380,20 @@ def _clear_debt(lat: _Lattice, chips: _Chips, base, budget: list[int]) -> None:
     chips.add(base, owed - loan)
 
 
+def _reduce(lat: _Lattice, chips: _Chips, base) -> int:
+    """Reduce ``chips`` at the key ``base``, in place, as ``v_reduce``
+    describes (debt first, one step budget, ``TheoremViolation`` for more
+    than g chips off the base), and return the firing steps taken."""
+    budget = [cap := DEFAULT_MAX_STEPS]
+    _clear_debt(lat, chips, base, budget)
+    _fire(lat, chips, base, budget)
+    g = lat.graph.betti()
+    if (off := chips.degree() - chips.get(base)) > g:
+        raise TheoremViolation(f"{off} chips off the base after reducing at "
+                               f"{lat.point(base)}, more than g = {g}")
+    return cap - budget[0]
+
+
 # ---------------------------------------------------------------------------
 # burning and reduction
 
@@ -577,12 +593,7 @@ def v_reduce(graph: MetricGraph, D: Divisor, base: Point,
     """
     lat = _Lattice(graph, [base, *D.support()])
     chips, q = lat.chips(D), lat.key(base)
-    budget = [cap := DEFAULT_MAX_STEPS]
-    _clear_debt(lat, chips, q, budget)
-    _fire(lat, chips, q, budget)
-    if (off := chips.degree() - chips.get(q)) > graph.betti():
-        raise TheoremViolation(f"{off} chips off the base after reducing at {base}, "
-                               f"more than g = {graph.betti()}")
+    steps = _reduce(lat, chips, q)
     red = lat.divisor(chips)
     witness = None
     if track_witness:
@@ -590,7 +601,7 @@ def v_reduce(graph: MetricGraph, D: Divisor, base: Point,
         for p, c in D.items():
             chips.add(lat.key(p), -c)
         witness = _potential(lat, chips, q)
-    return ReductionResult(red, witness, cap - budget[0])
+    return ReductionResult(red, witness, steps)
 
 
 def is_reduced(graph: MetricGraph, D: Divisor, base: Point) -> bool:
@@ -673,11 +684,13 @@ def rank(graph: MetricGraph, D: Divisor,
     effective E of degree r supported on the point set.  The search walks
     nondecreasing index multisets depth-first, re-reducing incrementally,
     and prunes with the fact that once D - E fails, so does every
-    extension of E.  It runs on the integer core over one lattice, built
-    before anything is reduced, and the DFS moves ``_Chips`` with no
-    ``Divisor`` and no point check in between.  A node of the search is
-    an effective representative cur of D minus the multiset chosen so
-    far, and a child takes one more point k off it.  Each point is taken
+    extension of E.  It runs on the integer core over one lattice, built,
+    with each of its points checked once, before anything is reduced:
+    D is reduced at the base on it (``_reduce``), and from there the DFS
+    moves ``_Chips`` with no ``Divisor`` and no point check in between.
+    A node of the search is an effective representative cur of D minus
+    the multiset chosen so far, and a child takes one more point k off
+    it.  Each point is taken
     as its bridge class's vertex (``_classes``), each class once: swapping
     p' ~ p for p in E keeps the class of D - E.  With no point set given,
     the keys are read off the stored classes, one per class of vertices,
@@ -720,15 +733,16 @@ def rank(graph: MetricGraph, D: Divisor,
     edges along which fire reached p before it burnt.  Each edge gives
     at most one such incoming direction, so the sum over the |V| - 1
     points other than q is at most |E| - |V| + 1 = g.  Then D - E reduced
-    at q holds at least deg(D) - deg(E) - g chips at q.  ``v_reduce``
-    checks the lemma on every reduction.  ``_floor=False`` keeps the
-    floor at 1 and searches every level above it, for
-    ``rank_subdivision_oracle``.
+    at q holds at least deg(D) - deg(E) - g chips at q.  ``_reduce``
+    checks the lemma on each reduction it makes: ``v_reduce``'s, and
+    ``rank``'s own of D at the base.  ``_floor=False`` keeps the floor at
+    1 and searches every level above it, for ``rank_subdivision_oracle``.
 
     The graph stores its lattices, their runs and the bridge classes
-    (``_stored``), so repeated calls on one graph, such as the two of
-    ``riemann_roch_check``, burn on the lattice and runs of the first;
-    ``riemann_roch_check`` takes the canonical divisor from there too.
+    (``_stored``), so repeated calls on one graph, such as the reduction
+    and the two ranks of ``riemann_roch_check``, burn on the lattices and
+    runs of the first; ``riemann_roch_check`` takes the canonical divisor
+    from there too.
 
     An empty point set raises ``PreconditionError``, a point the graph
     lacks ``GraphError``.
@@ -746,10 +760,9 @@ def rank(graph: MetricGraph, D: Divisor,
                           else erep[k[0]] for k in map(lat.key, checked))
     if D.degree < 0:
         return -1
-    # one public reduction per call; it lands on the lattice, which holds
-    # D's support and the base
-    red0 = lat.chips(v_reduce(graph, D, base, track_witness=False).reduced)
-    q = lat.key(base)
+    # D is reduced on the lattice, which holds its support and the base
+    red0, q = lat.chips(D), lat.key(base)
+    _reduce(lat, red0, q)
     if red0.get(q) < 0:
         return -1
     # the rank of a divisor reduced at p is at most its coefficient at p,
@@ -862,8 +875,18 @@ def find_unoccupied_edge(graph: MetricGraph, D: Divisor,
 
 
 def riemann_roch_check(graph: MetricGraph, D: Divisor) -> tuple[bool, int, int]:
-    """Verify rank(D) - rank(K - D) == deg(D) - g + 1; returns both ranks."""
+    """Verify rank(D) - rank(K - D) == deg(D) - g + 1; returns both ranks.
+
+    A D of degree at least 0 is reduced once, at ``default_base(graph)``,
+    and both ranks are taken from its reduced representative red, as rank
+    is a class invariant: red has no debt away from the base to clear, and
+    K - red has debt, besides K's -1 at each leaf, at no more than g
+    points away from the base, as red holds at most g chips off it, where
+    K - D has debt at every chip of D.  A D of negative degree is not
+    reduced: its rank is -1, and K - D is ranked as it stands."""
     K = graph._store.get("canonical") or _stored(graph, "canonical", canonical_divisor(graph))
+    if D.degree >= 0:
+        D = v_reduce(graph, D, default_base(graph), track_witness=False).reduced
     r1 = rank(graph, D)
     r2 = rank(graph, K - D)
     g = graph.betti()

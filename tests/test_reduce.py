@@ -694,7 +694,7 @@ class TestRank:
 
     def test_negative_degree_reduces_nothing(self, chain3, monkeypatch):
         calls = []
-        for name in ("v_reduce", "_fire"):
+        for name in ("_reduce", "_fire"):
             def counted(*args, _real=getattr(reduce_core, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _real(*args, **kwargs)
@@ -712,7 +712,29 @@ class TestRank:
         assert calls == []
         # the counters see the reductions of a divisor of degree 0
         assert rank(G, D + Divisor({chain3.v(2): 1})) == -1
-        assert {"v_reduce", "_fire"} <= set(calls)
+        assert {"_reduce", "_fire"} <= set(calls)
+
+    def test_each_point_is_checked_once(self, chain3, monkeypatch):
+        # the base, D's support and the given points are checked once, on
+        # rank's lattice, where D is reduced with no second check; D has
+        # interior chips and debt, and a degree of at least 0, so that it
+        # is reduced
+        G = chain3.graph
+        D = Divisor({chain3.v(2): 3, G.point(1, Fraction(1, 3)): 2, chain3.w(3): -1,
+                     G.point(4, Fraction(1, 2)): -1})
+        points = subdivision_points(G, 2)
+        expected = rank(G, D)
+        checked = []
+
+        def counted(self, p, _real=MetricGraph.check_point):
+            checked.append(p)
+            return _real(self, p)
+
+        monkeypatch.setattr(MetricGraph, "check_point", counted)
+        for pts in (None, points):
+            checked.clear()
+            assert rank(G, D, pts) == expected
+            assert Counter(checked) == Counter([default_base(G), *D.support(), *(pts or [])])
 
     def test_matches_brute_force_with_debt(self, chain2, chain3):
         # 20 divisors with debt on each graph, degrees -1..4
@@ -846,11 +868,41 @@ class TestRiemannRoch:
             ok, r1, r2 = riemann_roch_check(G, D)
             assert ok, (D, r1, r2)
 
+    def test_one_plain_reduction_and_the_ranks_of_d_and_k_minus_d(self, chain3, monkeypatch):
+        # a D of degree at least 0 is reduced once, with no witness, and
+        # one of negative degree not at all; both ranks are those that
+        # rank gives D and K - D directly.  30 seeded divisors of degree
+        # -2..2g+1 on each graph: a tree with leaves, one loop, a loop on a
+        # stalk, two loops at one vertex, and chains with and without
+        # pendant bridges
+        tree = MetricGraph(["a", "b", "c", "d"], [
+            ("a", "b", Fraction(1)), ("b", "c", Fraction(3, 2)), ("b", "d", Fraction(2))])
+        graphs = [tree, circle_graph(), lollipop_graph(), bouquet_graph(), chain3.graph,
+                  default_generic_chain(4, extended=True).graph]
+        calls = []
+
+        def counted(graph, D, base, track_witness=True, _real=reduce_core.v_reduce):
+            calls.append(track_witness)
+            return _real(graph, D, base, track_witness)
+
+        rng = SplitMix64(5353)
+        for G in graphs:
+            g, K = G.betti(), canonical_divisor(G)
+            for i in range(30):
+                D = random_divisor(G, rng, -2 + i % (2 * g + 4))
+                calls.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(reduce_core, "v_reduce", counted)
+                    ok, r1, r2 = riemann_roch_check(G, D)
+                assert calls == ([False] if D.degree >= 0 else []), (G.edges, dict(D.items()))
+                assert ok and (r1, r2) == (rank(G, D), rank(G, K - D)), \
+                    (G.edges, dict(D.items()))
+
 
 class TestRiemannFloor:
     """rank(D) >= deg(D) - g, so ``rank`` ends its search at the first
-    failure of degree deg(D) - g + 1, and ``v_reduce`` checks the lemma
-    that bound rests on: a reduced divisor holds at most g chips off its
+    failure of degree deg(D) - g + 1, and every reduction, ``v_reduce``'s
+    and ``rank``'s own, checks the lemma that bound rests on: a reduced divisor holds at most g chips off its
     base."""
 
     def test_nonspecial_ranks_match_rank_dfs_and_take_the_floor(self, monkeypatch):
@@ -902,7 +954,7 @@ class TestRiemannFloor:
             fires[0] += 1
             return _real(*args, **kwargs)
 
-        def counted_from_here(*args, _real=reduce_core.v_reduce, **kwargs):
+        def counted_from_here(*args, _real=reduce_core._reduce, **kwargs):
             # the count starts after rank's one reduction at the base
             result = _real(*args, **kwargs)
             fires[0] = 0
@@ -933,7 +985,7 @@ class TestRiemannFloor:
                                 .reduced.coeff(p) + 1)
                 with monkeypatch.context() as m:
                     m.setattr(reduce_core, "_fire", counted)
-                    m.setattr(reduce_core, "v_reduce", counted_from_here)
+                    m.setattr(reduce_core, "_reduce", counted_from_here)
                     assert rank(G, D) == r, (g, dict(D.items()))
                 if r < 0:
                     # no effective class: nothing fires after red0
@@ -991,8 +1043,14 @@ class TestRiemannFloor:
         G, base = chain3.graph, chain3.v(1)
         D = Divisor({chain3.w(3): 3, base: 2})
         assert v_reduce(G, D, base).reduced == D
-        with pytest.raises(TheoremViolation, match="more than g = 3"):
+        with pytest.raises(TheoremViolation, match="more than g = 3") as raised:
             v_reduce(G, D + Divisor({chain3.w(2): 1}), base)
+        # rank reduces at the same base, the default, and checks the lemma
+        # there too
+        assert default_base(G) == base
+        with pytest.raises(TheoremViolation) as from_rank:
+            rank(G, D + Divisor({chain3.w(2): 1}))
+        assert str(from_rank.value) == str(raised.value)
 
 
 def fresh_copy(G: MetricGraph) -> MetricGraph:
