@@ -433,9 +433,10 @@ def obstruction_holds(D: Divisor, funcs: Sequence[PLFunction], region: Region) -
     D + div(min(funcs)).  Returns the conclusion's truth value and raises
     if the implication itself fails.
     """
-    if not all(in_R(f, D) for f in funcs):
+    fired = [D + f.divisor() for f in funcs]
+    if not all(E.is_effective for E in fired):
         raise PreconditionError("all functions must lie in R(D)")
-    premise = all(contains_point_in(D + f.divisor(), region) for f in funcs)
+    premise = all(contains_point_in(E, region) for E in fired)
     theta = min_combination(funcs, [0] * len(funcs))
     conclusion = contains_point_in(D + theta.divisor(), region)
     if premise and not conclusion:

@@ -420,6 +420,24 @@ class TestMinChipsAndObstruction:
         # the minimum must as well and the conclusion is True
         assert obstruction_holds(D, funcs, ball)
 
+    def test_obstruction_builds_each_divisor_once(self, monkeypatch):
+        # D + div(f) serves both the R(D) test and the premise: one
+        # divisor() per function and one for their minimum
+        G = circle_graph(4)
+        a = G.vertex_point("a")
+        funcs = [PLFunction.constant(G, 0), distance_function(G, a, cap=Fraction(1)),
+                 distance_function(G, a, cap=Fraction(1, 2))]
+        from tropdiv import Interval, Region
+        ball = Region(G, [Interval(0, Fraction(0), Fraction(1))])
+        calls = []
+        divisor = PLFunction.divisor
+        def counted(self):
+            calls.append(self)
+            return divisor(self)
+        monkeypatch.setattr(PLFunction, "divisor", counted)
+        assert obstruction_holds(Divisor({a: 2}), funcs, ball)
+        assert len(calls) == len(funcs) + 1
+
     def test_obstruction_needs_functions_in_R_of_D(self):
         G = circle_graph(4)
         a = G.vertex_point("a")
