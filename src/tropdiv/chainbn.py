@@ -13,8 +13,9 @@ red_{w_g}(D - j*v_1) + j*v_1 and its witness phi_j come from
 distance from w_i, count) in units of 1/L, L the lcm of the denominators
 of the chain's lengths, and gets the cells of D_j and the values of
 phi_j at v_1..v_g from one scan from loop 1 to loop g (``_twist``), one
-``_reduce_loop`` step per loop.  The scan leaves at most one chip in
-each cell and none on a bridge, the shape of a w_g-reduced divisor, and
+``reduce._reduce_loop`` step per loop, the step of ``rank``'s scan to
+v_1 too.  The scan leaves at most one chip in each cell and none on a
+bridge, the shape of a w_g-reduced divisor, and
 reduced divisors are unique (Baker-Norine; Cools, Draisma, Payne and
 Robeva, "A tropical proof of the Brill-Noether Theorem", Section 3).
 The slopes of phi_j it reads are integers exactly when D_j - D is
@@ -45,7 +46,7 @@ from .independence import IndependenceCertificate, strict_offsets
 # nothing here calls it: perfbench/test_perfbench.py reads chainbn.find_dependence
 from .independence import find_dependence  # noqa: F401
 from .plfunc import PLFunction
-from .reduce import is_equivalent, v_reduce
+from .reduce import _reduce_loop, is_equivalent, v_reduce
 
 
 # ---------------------------------------------------------------------------
@@ -259,26 +260,6 @@ def build_Dj(T: Tableau, chain: ChainOfLoops, j: int) -> tuple[Divisor, PLFuncti
     return res.reduced + shift, res.witness
 
 
-def _reduce_loop(carry: int, on_loop, ell: int, m: int, i: int) -> tuple[int | None, int]:
-    """One loop of the w_g-reduction: the ``carry`` chips at w_{i-1}
-    slide along the bridge to v_i, and with the chips ``on_loop`` of loop
-    i, d in all, they are equivalent to (d-1)*w_i plus one chip at ccw
-    distance s = sum c*t mod (ell + m) from w_i, or to d*w_i when s = 0,
-    since the Abel-Jacobi map of a cycle is a group isomorphism.  Returns
-    the distance of the chip left in cell gamma_i (None if it is empty)
-    and the chips carried on to w_i.  A loop whose class is not effective
-    (d < 0, or d = 0 and s != 0) raises ``PreconditionError``; effective
-    input never has one."""
-    d, s = carry, carry * ell
-    for t, c in on_loop:
-        d += c
-        s += c * t
-    s %= ell + m
-    if d < 0 or (d == 0 and s):
-        raise PreconditionError(f"debt on loop {i}")
-    return (s, d - 1) if s else (None, d)
-
-
 def _twist(loops, ell, m, beta, j: int, r: int) -> tuple[list, int, list[int]]:
     """What the experiment needs of ``build_Dj``, on the chips ``loops`` of
     the divisor D of a tableau with r + 1 columns, on integers in units of
@@ -289,10 +270,12 @@ def _twist(loops, ell, m, beta, j: int, r: int) -> tuple[list, int, list[int]]:
     phi_j(v_1..v_g) of its witness, D_j = D + div(phi_j), phi_j(w_g) = 0.
 
     One scan from loop 1 to loop g reduces F = D - j*v_1 by
-    ``_reduce_loop``, and reads phi_j(v_i) off E_i = (cell chip) - F_i,
-    the part of D_j - D on loop i.  Left of bridge i, D_j - D has degree
-    minus the carry c, so c is the slope of phi_j along the bridge toward
-    v_{i+1}.  On loop i, with c arriving at v_i, let num be c*m plus the
+    ``_reduce_loop``, near end w_i, and a loop that carries a negative
+    number of chips on, whose class is not effective, raises
+    ``PreconditionError``; effective input never has one.  It reads
+    phi_j(v_i) off E_i = (cell chip) - F_i, the part of D_j - D on loop
+    i.  Left of bridge i, D_j - D has degree minus the carry c, so c is
+    the slope of phi_j along the bridge toward v_{i+1}.  On loop i, with c arriving at v_i, let num be c*m plus the
     sum of c'*t over the chips c' of E_i at ccw distance t, top that sum
     over the chips inside the top edge (t < ell), and past_v the chips at
     t >= ell.  The slope leaving v_i along the top edge is
@@ -309,6 +292,8 @@ def _twist(loops, ell, m, beta, j: int, r: int) -> tuple[list, int, list[int]]:
         values.append(y)
         ell_i, m_i = ell[i], m[i]
         cell, out = _reduce_loop(carry, on_loop, ell_i, m_i, i + 1)
+        if out < 0:
+            raise PreconditionError(f"debt on loop {i + 1}")
         cells.append(cell)
         # sums over E_i, the cell chip less F_i: each chip (t, c) of F_i
         # counts -c, so the cell chip goes in as (cell, -1)

@@ -211,6 +211,9 @@ class MetricGraph:
         # burn runs, the eliminated Laplacian and the bridge classes, in
         # one store that ``reduce._stored`` fills and bounds
         self._store: dict = {}
+        # set by ``ChainOfLoops`` on a core chain's graph, where ``reduce.rank``
+        # reduces at v_1 by one scan of the loops (``reduce._reduce_chain``)
+        self._core_chain = False
 
     def _connected(self, skip=()) -> bool:
         if not self.vertices:
@@ -586,7 +589,10 @@ class ChainOfLoops:
     and w_g.  The layout is one rule: top_i, bottom_i and bridge_i are
     edges 3i-3, 3i-2 and 3i-1, the pendant bridges 0 and g edges 3g-1
     and 3g; the vertices run v_1, w_1, ..., v_g, w_g, after w_0 and
-    before v_{g+1} on an extended chain.
+    before v_{g+1} on an extended chain.  The graph of a core chain, and
+    of no other, has ``_core_chain`` set, so that ``reduce.rank`` reduces
+    on it at v_1 by a scan of its loops; ``MetricGraph(...)`` given the
+    same edges builds an unmarked graph.
     ``integer_lengths`` is (L, ell, m, beta), the lengths in units of 1/L,
     L the lcm of their denominators: the lattice of ``chainbn``'s chips,
     read off the graph's integer form.  ``generic`` is read off it too,
@@ -625,6 +631,7 @@ class ChainOfLoops:
         # all the graph needs checked
         self.graph = G = MetricGraph._of(
             tuple(vertices), [(u, v, _length(x, u, v)) for (u, v, x) in edges])
+        G._core_chain = not extended
         core = 3 * g - 1
         lengths = [length for (_u, _v, length) in G.edges]
         ell, m, self.beta = (tuple(lengths[i:core:3]) for i in range(3))

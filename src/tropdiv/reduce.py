@@ -28,7 +28,13 @@ base on it, the eliminated Laplacian, the bridge classes and the
 canonical divisor.  Every call checks the points it is given once, on
 integers: ``rank`` reduces D on the lattice it has checked (``_reduce``),
 with no second check, and the graph's own vertices, which it reads off
-the stored classes, are not checked at all.  ``rank`` runs its whole
+the stored classes, are not checked at all.  On a core chain of loops,
+whose graph ``ChainOfLoops`` marks (``MetricGraph._core_chain``), ``rank``
+reduces D at its base v_1 with no burn at all, by one scan of the loops
+from loop g down to loop 1 (``_reduce_chain``), each loop's chips summed
+under its Abel-Jacobi map (``_reduce_loop``, the step of
+``chainbn._twist`` too).  ``v_reduce``, ``is_reduced``, and the firings
+of the rank search burn on every graph.  ``rank`` runs its whole
 depth-first search on these chips, fires in its pre-pass only until the
 base holds as many chips as its bound less one and on its last level
 only until the base holds a chip, and ends, in its pre-pass or its
@@ -394,6 +400,69 @@ def _reduce(lat: _Lattice, chips: _Chips, base) -> int:
     return cap - budget[0]
 
 
+def _reduce_loop(carry: int, on_loop, ell: int, m: int, i: int) -> tuple[int | None, int]:
+    """Loop i of a reduction scan along a chain of loops, of lengths ell
+    and m and chips ``on_loop``, on integers.  A chip (t, c) is c chips at
+    distance t from the loop's near end, the end the scan reduces to,
+    along the top edge first, so that the far end is at t = ell.  The
+    ``carry`` chips at the far end and the loop's chips, d in all, are
+    equivalent to (d-1) chips at the near end plus one at t = s,
+    s = sum c*t mod (ell + m), or to d at the near end when s = 0, since
+    the Abel-Jacobi map of a cycle is a group isomorphism (Cools,
+    Draisma, Payne and Robeva, "A tropical proof of the Brill-Noether
+    Theorem", Section 3).  Returns s (None if 0), the chip left in the
+    loop's cell, and the chips carried on from the near end: negative
+    when d is, or when d = 0 and s is not, as where the loop's class is
+    not effective.  The step does not read i, the loop's number, which
+    its callers pass so that a wrapper of the step can tell its loops
+    apart."""
+    d, s = carry, carry * ell
+    for t, c in on_loop:
+        d += c
+        s += c * t
+    s %= ell + m
+    return (s, d - 1) if s else (None, d)
+
+
+def _reduce_chain(lat: _Lattice, chips: _Chips) -> None:
+    """Reduce ``chips`` at v_1, key 0, in place, on a lattice of a core
+    chain (``MetricGraph._core_chain``), by one scan from loop g down to
+    loop 1 that neither burns nor fires: ``_reduce_loop`` on each loop i,
+    near end v_i.  The chips on bridge i and the carry from v_{i+1} slide
+    to w_i, at t = ell_i; a chip at top offset o is at t = o, and one at
+    bottom offset o at t = ell_i + m_i - o.  A nonzero s leaves one chip
+    at top offset s, at w_i or at bottom offset ell_i + m_i - s, and the
+    last carry is the pile at v_1, in debt when the class of the chips
+    has no effective member.  Every other chip has moved, so what is left
+    holds at most one chip in each cell, loop i less v_i, and none on a
+    bridge: it burns from v_1, and is the divisor reduced there, which is
+    unique.  It holds at most g chips off v_1, which needs no check."""
+    at_vertex, on_edge, edges = chips.at_vertex, chips.on_edge, lat.edges
+    g = len(at_vertex) // 2
+    chips.at_vertex, chips.on_edge = [0] * len(at_vertex), [()] * len(on_edge)
+    carry = 0
+    for i in range(g, 0, -1):
+        # loop i is edges 3i - 3 (top) and 3i - 2 (bottom), from v_i, vertex
+        # 2i - 2, to w_i, vertex 2i - 1; bridge i, edge 3i - 1, leaves w_i
+        top = 3 * i - 3
+        ell, m = edges[top][2], edges[top + 1][2]
+        carry += at_vertex[2 * i - 1]
+        if i < g:
+            carry += sum(c for _o, c in on_edge[top + 2])
+        on_loop = [(0, at_vertex[2 * i - 2]), *on_edge[top],
+                   *((ell + m - o, c) for o, c in on_edge[top + 1])]
+        s, carry = _reduce_loop(carry, on_loop, ell, m, i)
+        if s is None:
+            continue
+        if s < ell:
+            chips.on_edge[top] = ((s, 1),)
+        elif s == ell:
+            chips.at_vertex[2 * i - 1] = 1
+        else:
+            chips.on_edge[top + 1] = ((ell + m - s, 1),)
+    chips.at_vertex[0] = carry
+
+
 # ---------------------------------------------------------------------------
 # burning and reduction
 
@@ -686,7 +755,8 @@ def rank(graph: MetricGraph, D: Divisor,
     and prunes with the fact that once D - E fails, so does every
     extension of E.  It runs on the integer core over one lattice, built,
     with each of its points checked once, before anything is reduced:
-    D is reduced at the base on it (``_reduce``), and from there the DFS
+    D is reduced at the base on it (``_reduce``, or on a core chain, whose
+    base is v_1, the scan ``_reduce_chain``), and from there the DFS
     moves ``_Chips`` with no ``Divisor`` and no point check in between.
     A node of the search is an effective representative cur of D minus
     the multiset chosen so far, and a child takes one more point k off
@@ -735,7 +805,9 @@ def rank(graph: MetricGraph, D: Divisor,
     points other than q is at most |E| - |V| + 1 = g.  Then D - E reduced
     at q holds at least deg(D) - deg(E) - g chips at q.  ``_reduce``
     checks the lemma on each reduction it makes: ``v_reduce``'s, and
-    ``rank``'s own of D at the base.  ``_floor=False`` keeps the floor at
+    ``rank``'s own of D at the base off a core chain.  On a core chain
+    the scan leaves at most one chip in each cell, so at most g off the
+    base, and checks nothing.  ``_floor=False`` keeps the floor at
     1 and searches every level above it, for ``rank_subdivision_oracle``.
 
     The graph stores its lattices, their runs and the bridge classes
@@ -760,9 +832,13 @@ def rank(graph: MetricGraph, D: Divisor,
                           else erep[k[0]] for k in map(lat.key, checked))
     if D.degree < 0:
         return -1
-    # D is reduced on the lattice, which holds its support and the base
+    # D is reduced on the lattice, which holds its support and the base,
+    # v_1 on a core chain
     red0, q = lat.chips(D), lat.key(base)
-    _reduce(lat, red0, q)
+    if graph._core_chain:
+        _reduce_chain(lat, red0)
+    else:
+        _reduce(lat, red0, q)
     if red0.get(q) < 0:
         return -1
     # the rank of a divisor reduced at p is at most its coefficient at p,

@@ -13,7 +13,7 @@ from tropdiv import reduce as reduce_core
 from tropdiv.chainbn import enumerate_tableaux, gp_rho_zero_experiment
 from tropdiv.errors import (GraphError, PreconditionError, ReductionCapError,
                             TheoremViolation)
-from tropdiv.graph import Interval, Region
+from tropdiv.graph import ChainOfLoops, Interval, Region
 from tropdiv.plfunc import PLFunction, distance_function, min_combination
 from tropdiv.reduce import (DEFAULT_MAX_STEPS, _Lattice, _fire, _potential, _Runs,
                             default_base, default_rank_points,
@@ -23,6 +23,7 @@ from tropdiv.reduce import (DEFAULT_MAX_STEPS, _Lattice, _fire, _potential, _Run
                             v_reduce)
 from tropdiv.sampling import (SplitMix64, random_divisor, random_effective_divisor,
                               random_point)
+from tropdiv.serialize import chain_to_json, graph_from_json, graph_to_json
 
 from . import reference_core
 from .conftest import (circle_graph, coprime_graph, k4_graph, petersen_graph,
@@ -693,26 +694,34 @@ class TestRank:
                     (points, base, dict(D.items()))
 
     def test_negative_degree_reduces_nothing(self, chain3, monkeypatch):
+        # on the chain rebuilt by MetricGraph, where rank burns, and on the
+        # chain's own graph, where it scans its loops
         calls = []
-        for name in ("_reduce", "_fire"):
+        for name in ("_reduce", "_fire", "_reduce_chain"):
             def counted(*args, _real=getattr(reduce_core, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _real(*args, **kwargs)
             monkeypatch.setattr(reduce_core, name, counted)
-        G = chain3.graph
-        D = Divisor({chain3.v(1): 3, chain3.w(2): -2, G.point(0, Fraction(1, 2)): -2})
-        assert rank(G, D) == rank(G, D, subdivision_points(G, 3)) == -1
-        assert calls == []
-        # the points are still checked, and an empty set still rejected
-        foreign = default_generic_chain(4).graph.point(9, Fraction(1, 2))
-        with pytest.raises(GraphError):
-            rank(G, D, points=[chain3.v(1), foreign])
-        with pytest.raises(PreconditionError):
-            rank(G, D, points=[])
-        assert calls == []
-        # the counters see the reductions of a divisor of degree 0
-        assert rank(G, D + Divisor({chain3.v(2): 1})) == -1
+        D = Divisor({chain3.v(1): 3, chain3.w(2): -2, chain3.graph.point(0, Fraction(1, 2)): -2})
+        for G in (fresh_copy(chain3.graph), chain3.graph):
+            assert rank(G, D) == rank(G, D, subdivision_points(G, 3)) == -1
+            assert calls == []
+            # the points are still checked, and an empty set still rejected
+            foreign = default_generic_chain(4).graph.point(9, Fraction(1, 2))
+            with pytest.raises(GraphError):
+                rank(G, D, points=[chain3.v(1), foreign])
+            with pytest.raises(PreconditionError):
+                rank(G, D, points=[])
+            assert calls == []
+        # the counters see the reductions of a divisor of degree 0: the
+        # burn's on the rebuilt graph, and on the chain's own graph the one
+        # scan, with nothing fired, as the class has no effective member
+        assert rank(fresh_copy(chain3.graph), D + Divisor({chain3.v(2): 1})) == -1
         assert {"_reduce", "_fire"} <= set(calls)
+        assert "_reduce_chain" not in calls
+        calls.clear()
+        assert rank(chain3.graph, D + Divisor({chain3.v(2): 1})) == -1
+        assert calls == ["_reduce_chain"]
 
     def test_each_point_is_checked_once(self, chain3, monkeypatch):
         # the base, D's support and the given points are checked once, on
@@ -901,8 +910,9 @@ class TestRiemannRoch:
 
 class TestRiemannFloor:
     """rank(D) >= deg(D) - g, so ``rank`` ends its search at the first
-    failure of degree deg(D) - g + 1, and every reduction, ``v_reduce``'s
-    and ``rank``'s own, checks the lemma that bound rests on: a reduced divisor holds at most g chips off its
+    failure of degree deg(D) - g + 1, and every reduction by the burn,
+    ``v_reduce``'s and ``rank``'s own off a core chain, checks the lemma
+    that bound rests on: a reduced divisor holds at most g chips off its
     base."""
 
     def test_nonspecial_ranks_match_rank_dfs_and_take_the_floor(self, monkeypatch):
@@ -960,10 +970,19 @@ class TestRiemannFloor:
             fires[0] = 0
             return result
 
+        def scanned(*args, _real=reduce_core._reduce_chain):
+            # on the chain's own graph rank reduces at the base by a scan,
+            # with nothing fired before it
+            scans.append(fires[0])
+            return _real(*args)
+
         rng = SplitMix64(3737)
         stopped = 0
+        scans = []
         for g, n in ((3, 36), (4, 24), (5, 12)):
-            G = default_generic_chain(g).graph
+            # rank burns on the rebuilt graph G and scans on the chain's own
+            chain_graph = default_generic_chain(g).graph
+            G = fresh_copy(chain_graph)
             K, base = canonical_divisor(G), default_base(G)
             points = []
             for p in default_rank_points(G):
@@ -983,17 +1002,22 @@ class TestRiemannFloor:
                     fired += p != base
                     bound = min(bound, v_reduce(G, D, p, track_witness=False)
                                 .reduced.coeff(p) + 1)
-                with monkeypatch.context() as m:
-                    m.setattr(reduce_core, "_fire", counted)
-                    m.setattr(reduce_core, "_reduce", counted_from_here)
-                    assert rank(G, D) == r, (g, dict(D.items()))
-                if r < 0:
-                    # no effective class: nothing fires after red0
-                    assert fires[0] == 0, (g, dict(D.items()))
-                elif bound <= floor:
-                    assert fires[0] == fired, (g, dict(D.items()))
-                    stopped += fired < len(points) - 1
-                assert rank(G, D, _floor=False) == r, (g, dict(D.items()))
+                for graph in (G, chain_graph):
+                    fires[0] = 0
+                    scans.clear()
+                    with monkeypatch.context() as m:
+                        m.setattr(reduce_core, "_fire", counted)
+                        m.setattr(reduce_core, "_reduce", counted_from_here)
+                        m.setattr(reduce_core, "_reduce_chain", scanned)
+                        assert rank(graph, D) == r, (g, dict(D.items()))
+                    assert scans == ([0] if graph is chain_graph else []), (g, dict(D.items()))
+                    if r < 0:
+                        # no effective class: nothing fires after red0
+                        assert fires[0] == 0, (g, dict(D.items()))
+                    elif bound <= floor:
+                        assert fires[0] == fired, (g, dict(D.items()))
+                    assert rank(graph, D, _floor=False) == r, (g, dict(D.items()))
+                stopped += r >= 0 and bound <= floor and fired < len(points) - 1
         # the pre-pass stopped before its last point on 62 of the 144 today
         assert stopped >= 55, stopped
 
@@ -1036,26 +1060,124 @@ class TestRiemannFloor:
         assert searched >= 5, searched
 
     def test_more_than_g_chips_off_the_base_raises(self, chain3, monkeypatch):
+        G, base = chain3.graph, chain3.v(1)
+        D = Divisor({chain3.w(3): 3, base: 2})
+        reduced = v_reduce(G, D + Divisor({chain3.w(2): 1}), base).reduced
+        scanned = []
+
+        def scan(lat, chips, _real=reduce_core._reduce_chain):
+            _real(lat, chips)
+            scanned.append(lat.divisor(chips))
+
+        monkeypatch.setattr(reduce_core, "_reduce_chain", scan)
         # with firing turned off, an unreduced effective divisor passes
         # through v_reduce as it stands: g chips off the base are allowed,
         # g + 1 are not
         monkeypatch.setattr(reduce_core, "_fire", lambda *args, **kwargs: None)
-        G, base = chain3.graph, chain3.v(1)
-        D = Divisor({chain3.w(3): 3, base: 2})
         assert v_reduce(G, D, base).reduced == D
         with pytest.raises(TheoremViolation, match="more than g = 3") as raised:
             v_reduce(G, D + Divisor({chain3.w(2): 1}), base)
         # rank reduces at the same base, the default, and checks the lemma
-        # there too
+        # there too where it burns: on the chain rebuilt by MetricGraph
         assert default_base(G) == base
         with pytest.raises(TheoremViolation) as from_rank:
-            rank(G, D + Divisor({chain3.w(2): 1}))
+            rank(fresh_copy(G), D + Divisor({chain3.w(2): 1}))
         assert str(from_rank.value) == str(raised.value)
+        assert scanned == []
+        # on the chain's own graph rank scans its loops instead, which
+        # fires nothing and leaves the reduced divisor, at most one chip in
+        # each cell, so no lemma is left to check
+        rank(G, D + Divisor({chain3.w(2): 1}))
+        assert scanned == [reduced]
+        assert reduced.degree - reduced.coeff(base) <= 3
 
 
 def fresh_copy(G: MetricGraph) -> MetricGraph:
-    """The same graph built anew, so that nothing is stored on it."""
+    """The same graph built anew, so that nothing is stored on it; a
+    chain's copy is not marked as one, so rank burns on it."""
     return MetricGraph(G.vertices, G.edges)
+
+
+def random_chain(g: int, rng: SplitMix64) -> ChainOfLoops:
+    """A core chain of genus g whose lengths are a/b, a in 1..9 and b in
+    1..4, generic or not."""
+    def lengths(n):
+        return [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)]
+    return ChainOfLoops(g, lengths(g), lengths(g), lengths(g - 1))
+
+
+class TestChainScan:
+    """``_reduce_chain``, rank's reduction at v_1 on a core chain, against
+    the burn on the chain rebuilt by ``MetricGraph``."""
+
+    def test_matches_the_burn(self):
+        # 1,050 divisors on the default and a random chain of each genus
+        # 2..8, with debt, and with chips at a vertex, on a bridge and at
+        # an offset of denominator 16; on two of three, the lattice also
+        # holds the rank oracle's n-fold subdivision points, and is finer
+        # than the chain's own
+        rng = SplitMix64(5555)
+        finer = 0
+        for g in range(2, 9):
+            for chain in (default_generic_chain(g), random_chain(g, rng)):
+                G, base = chain.graph, chain.v(1)
+                burnt = fresh_copy(G)
+                for i in range(75):
+                    bridge = chain.bridge_edge(rng.randint(1, g - 1))
+                    D = random_divisor(G, rng, rng.randint(-2, 2 * g + 1)) + Divisor([
+                        (chain.w(rng.randint(1, g)), rng.randint(-1, 2)),
+                        (G.point(bridge, G.edge_length(bridge) * Fraction(rng.randint(1, 15), 16)),
+                         rng.randint(-1, 2)),
+                        (point_of_denominator(G, rng, 16), rng.randint(-1, 2))])
+                    points = [] if i % 3 == 0 else subdivision_points(G, rng.randint(2, 5))
+                    lat = _Lattice(G, [base, *D.support(), *points])
+                    finer += lat.scale > G.scale
+                    chips = lat.chips(D)
+                    reduce_core._reduce_chain(lat, chips)
+                    assert lat.divisor(chips) == v_reduce(
+                        burnt, D, base, track_witness=False).reduced, (g, dict(D.items()))
+        assert finer >= 600, finer
+
+    def test_rank_and_riemann_roch_match_the_burn(self):
+        # 300 divisors with debt on chains of genus 2..4, K - D for every
+        # other one, and the 2-fold subdivision oracle at genus 2
+        rng = SplitMix64(5757)
+        for g, n in ((2, 150), (3, 100), (4, 50)):
+            for chain in (default_generic_chain(g), random_chain(g, rng)):
+                G = chain.graph
+                burnt, K = fresh_copy(G), canonical_divisor(G)
+                for i in range(n // 2):
+                    D = random_divisor(G, rng, rng.randint(-2, 2 * g))
+                    if i % 2:
+                        D = K - D
+                    assert rank(G, D) == rank(burnt, D), (g, dict(D.items()))
+                    assert riemann_roch_check(G, D) == riemann_roch_check(burnt, D), \
+                        (g, dict(D.items()))
+                    if g == 2:
+                        assert (rank_subdivision_oracle(G, D, n=2)
+                                == rank_subdivision_oracle(burnt, D, n=2)), dict(D.items())
+
+    def test_only_a_core_chains_graph_is_marked(self, chain3, monkeypatch):
+        # a core chain's graph, built or read from a "type": "chain" file,
+        # is marked; its copy by MetricGraph, its plain JSON form and an
+        # extended chain are not, and rank burns on them
+        assert chain3.graph._core_chain
+        assert graph_from_json(chain_to_json(chain3))._core_chain
+        extended = default_generic_chain(3, extended=True)
+        unmarked = (fresh_copy(chain3.graph), graph_from_json(graph_to_json(chain3.graph)),
+                    extended.graph, graph_from_json(chain_to_json(extended)), lollipop_graph())
+        assert not any(G._core_chain for G in unmarked)
+        calls = []
+        for name in ("_reduce", "_reduce_chain"):
+            def counted(*args, _real=getattr(reduce_core, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(reduce_core, name, counted)
+        for G in unmarked:
+            rank(G, Divisor({G.vertex_point(G.vertices[-1]): 2}))
+        assert calls == ["_reduce"] * len(unmarked)
+        rank(chain3.graph, Divisor({chain3.w(3): 2}))
+        assert calls[-1] == "_reduce_chain"
 
 
 class TestLeafFiring:
