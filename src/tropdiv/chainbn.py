@@ -13,13 +13,13 @@ red_{w_g}(D - j*v_1) + j*v_1 and its witness phi_j come from
 distance from w_i, count) in units of 1/L, L the lcm of the denominators
 of the chain's lengths, and gets the cells of D_j and the values of
 phi_j at v_1..v_g from one scan from loop 1 to loop g (``_twist``), one
-``reduce._reduce_loop`` step per loop, the step of ``rank``'s scan to
-v_1 too.  The scan leaves at most one chip in each cell and none on a
-bridge, the shape of a w_g-reduced divisor, and
-reduced divisors are unique (Baker-Norine; Cools, Draisma, Payne and
-Robeva, "A tropical proof of the Brill-Noether Theorem", Section 3).
-The slopes of phi_j it reads are integers exactly when D_j - D is
-principal on each loop, so a remainder raises ``TheoremViolation``.
+``reduce._reduce_loop`` step per loop, the step of ``rank``'s scan to v_1
+too, on a loop's carry, chips and lengths alone.  The scan leaves at most
+one chip in each cell and none on a bridge, the shape of a w_g-reduced
+divisor, and reduced divisors are unique (Baker-Norine; Cools, Draisma,
+Payne and Robeva, "A tropical proof of the Brill-Noether Theorem",
+Section 3).  The slopes of phi_j it reads are integers exactly when
+D_j - D is principal on each loop, so a remainder raises ``TheoremViolation``.
 
 The central experiment proves that the family {phi_j + psi_k} admits no
 tropical dependence, as the paper does, from shapes: each D_j + E_k
@@ -291,7 +291,7 @@ def _twist(loops, ell, m, beta, j: int, r: int) -> tuple[list, int, list[int]]:
     for i, on_loop in enumerate(F):
         values.append(y)
         ell_i, m_i = ell[i], m[i]
-        cell, out = _reduce_loop(carry, on_loop, ell_i, m_i, i + 1)
+        cell, out = _reduce_loop(carry, on_loop, ell_i, m_i)
         if out < 0:
             raise PreconditionError(f"debt on loop {i + 1}")
         cells.append(cell)

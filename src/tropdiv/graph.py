@@ -57,8 +57,9 @@ def _seq(x, what: str) -> Sequence:
 
 # ``MetricGraph._point_at`` clears the graph's store of points by
 # (edge, n, d) when it holds this many, so that it stays bounded over a
-# long run; a seed-1 20 s run of the benchmark's ``rank`` workload peaks
-# at 404 on its genus-3 graph, and of ``reduce`` at 351
+# long run.  On seed 1, ``rank``'s genus-3 graph holds 299 after a 20 s
+# benchmark run (290 ops) and ``reduce``'s 351 (203 ops); ops run on for
+# 20 s in process level off at 1,080 on each (85 at genus 2) by 15k-62k ops
 _POINT_CACHE_SIZE = 4096
 
 _ZERO = Fraction(0)  # every vertex point's offset

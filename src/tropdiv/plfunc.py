@@ -73,9 +73,15 @@ def _normalize_edge(S: int, pts: list[tuple[int, int]], length: int) -> Edge:
             O.append(o)
             V.append(v)
             m = k
+    return _lowest(S, O, V)
+
+
+def _lowest(S: int, O: list[int], V: list[int]) -> Edge:
+    """The edge with offsets ``O`` and values ``V`` in units of 1/S at
+    its lowest scale: S, O and V divided by their gcd."""
     g = gcd(S, *O, *V)
     if g > 1:
-        return S // g, tuple(o // g for o in O), tuple(v // g for v in V)
+        return S // g, tuple([o // g for o in O]), tuple([v // g for v in V])
     return S, tuple(O), tuple(V)
 
 

@@ -32,14 +32,14 @@ the stored classes, are not checked at all.  On a core chain of loops,
 whose graph ``ChainOfLoops`` marks (``MetricGraph._core_chain``), ``rank``
 reduces D at its base v_1 with no burn at all, by one scan of the loops
 from loop g down to loop 1 (``_reduce_chain``), each loop's chips summed
-under its Abel-Jacobi map (``_reduce_loop``, the step of
-``chainbn._twist`` too).  ``v_reduce``, ``is_reduced``, and the firings
-of the rank search burn on every graph.  ``rank`` runs its whole
-depth-first search on these chips, fires in its pre-pass only until the
-base holds as many chips as its bound less one and on its last level
-only until the base holds a chip, and ends, in its pre-pass or its
-search, at its first failure of degree max(deg(D) - g + 1, 1), below
-which none can fail.
+under its Abel-Jacobi map (``_reduce_loop``, on the carry, the chips and
+two lengths, the step of ``chainbn._twist`` too).  ``v_reduce``,
+``is_reduced``, and the firings of the rank search burn on every graph.
+``rank`` runs its whole depth-first search on these chips, fires in its
+pre-pass only until the base holds as many chips as its bound less one
+and on its last level only until the base holds a chip, and ends, in its
+pre-pass or its search, at its first failure of degree
+max(deg(D) - g + 1, 1), below which none can fail.
 
 Only chips move; the witness f with D + div(f) = D' is then solved from
 the reduced chips less D's terms by one weighted-Laplacian system (Baker
@@ -57,7 +57,7 @@ from math import gcd, inf, lcm
 from .errors import GraphError, PreconditionError, ReductionCapError, TheoremViolation
 from .graph import (Divisor, Interval, MetricGraph, Point, Region, _shown,
                     canonical_divisor)
-from .plfunc import PLFunction
+from .plfunc import PLFunction, _lowest
 
 DEFAULT_MAX_STEPS = 10 ** 6
 
@@ -400,22 +400,19 @@ def _reduce(lat: _Lattice, chips: _Chips, base) -> int:
     return cap - budget[0]
 
 
-def _reduce_loop(carry: int, on_loop, ell: int, m: int, i: int) -> tuple[int | None, int]:
-    """Loop i of a reduction scan along a chain of loops, of lengths ell
+def _reduce_loop(carry: int, on_loop, ell: int, m: int) -> tuple[int | None, int]:
+    """One loop of a reduction scan along a chain of loops, of lengths ell
     and m and chips ``on_loop``, on integers.  A chip (t, c) is c chips at
-    distance t from the loop's near end, the end the scan reduces to,
-    along the top edge first, so that the far end is at t = ell.  The
-    ``carry`` chips at the far end and the loop's chips, d in all, are
-    equivalent to (d-1) chips at the near end plus one at t = s,
-    s = sum c*t mod (ell + m), or to d at the near end when s = 0, since
-    the Abel-Jacobi map of a cycle is a group isomorphism (Cools,
-    Draisma, Payne and Robeva, "A tropical proof of the Brill-Noether
-    Theorem", Section 3).  Returns s (None if 0), the chip left in the
-    loop's cell, and the chips carried on from the near end: negative
-    when d is, or when d = 0 and s is not, as where the loop's class is
-    not effective.  The step does not read i, the loop's number, which
-    its callers pass so that a wrapper of the step can tell its loops
-    apart."""
+    distance t from the loop's near end, the end the scan reduces to, along
+    the top edge first, so that the far end is at t = ell.  The ``carry``
+    chips at the far end and the loop's chips, d in all, are equivalent to
+    (d-1) chips at the near end plus one at t = s, s = sum c*t mod
+    (ell + m), or to d at the near end when s = 0, since the Abel-Jacobi
+    map of a cycle is a group isomorphism (Cools, Draisma, Payne and
+    Robeva, "A tropical proof of the Brill-Noether Theorem", Section 3).
+    Returns s (None if 0), the chip left in the loop's cell, and the chips
+    carried on from the near end: negative when d is, or when d = 0 and s
+    is not, as where the loop's class is not effective."""
     d, s = carry, carry * ell
     for t, c in on_loop:
         d += c
@@ -451,7 +448,7 @@ def _reduce_chain(lat: _Lattice, chips: _Chips) -> None:
             carry += sum(c for _o, c in on_edge[top + 2])
         on_loop = [(0, at_vertex[2 * i - 2]), *on_edge[top],
                    *((ell + m - o, c) for o, c in on_edge[top + 1])]
-        s, carry = _reduce_loop(carry, on_loop, ell, m, i)
+        s, carry = _reduce_loop(carry, on_loop, ell, m)
         if s is None:
             continue
         if s < ell:
@@ -587,7 +584,7 @@ def _potential(lat: _Lattice, chips: _Chips, q) -> PLFunction:
     as is (``PLFunction._of``): its breakpoints are its ends and its chips,
     where the slope drops by a nonzero count, so none is collinear; its
     values are shifted to f(q) = 0 and all is divided by the gcd of L, the
-    offsets and the values, as ``_normalize_edge`` does.  Each edge must
+    offsets and the values (``plfunc._lowest``).  Each edge must
     reach its far end at the value solved there, or ``TheoremViolation``.
     """
     degree = chips.degree()
@@ -607,22 +604,21 @@ def _potential(lat: _Lattice, chips: _Chips, q) -> PLFunction:
     val = [0] * len(rhs)
     for k, diag, later in upper:
         val[k] = _exact(rhs[k] - sum(a * val[j] for j, a in later), diag)
+    # each edge's slope leaving its first end; each chip c passed lowers it by c
+    slopes = [_exact(val[j] - val[i] + sum(c * (length - x) for x, c in on_edge), length)
+              for (i, j, length), on_edge in zip(lat.edges, chips.on_edge)]
     # f(q) = 0; an interior base's value is read off its edge: its first
     # end's value, the slope leaving that end and the chips passed
     if type(q) is int:
         shift = val[q]
     else:
         e, k = q
-        i, j, length = lat.edges[e]
-        on_edge = chips.on_edge[e]
-        slope = _exact(val[j] - val[i] + sum(c * (length - x) for x, c in on_edge), length)
-        shift = val[i] + slope * k - sum(c * (k - x) for x, c in on_edge if x < k)
+        shift = (val[lat.edges[e][0]] + slopes[e] * k
+                 - sum(c * (k - x) for x, c in chips.on_edge[e] if x < k))
     val = [y - shift for y in val]
     # each edge's breakpoints, offsets and values in units of 1/L
     L, scaled = lat.scale, []
-    for (i, j, length), on_edge in zip(lat.edges, chips.on_edge):
-        # the slope leaving the first end; each chip c passed lowers it by c
-        slope = _exact(val[j] - val[i] + sum(c * (length - x) for x, c in on_edge), length)
+    for (i, j, length), on_edge, slope in zip(lat.edges, chips.on_edge, slopes):
         o, y = 0, val[i]
         O, V = [0], [y]
         for x, c in on_edge:
@@ -636,9 +632,7 @@ def _potential(lat: _Lattice, chips: _Chips, q) -> PLFunction:
                                    f"discontinuous at vertex {graph.vertices[j]}")
         O.append(length)
         V.append(y)
-        g = gcd(L, *O, *V)
-        scaled.append((L // g, tuple([o // g for o in O]), tuple([y // g for y in V])) if g > 1
-                      else (L, tuple(O), tuple(V)))
+        scaled.append(_lowest(L, O, V))
     return PLFunction._of(graph, tuple(scaled))
 
 
@@ -876,11 +870,8 @@ def rank(graph: MetricGraph, D: Divisor,
             # on the last level only whether the child is effective counts
             leaf = depth + 2 >= best_fail
             # with a chip present the child is effective as it stands
-            if cur.get(k) > 0:
-                if leaf:
-                    continue
-                nxt = cur.copy()
-            else:
+            src = cur
+            if cur.get(k) <= 0:
                 if depth == 0:
                     red = first[i]
                 else:
@@ -892,9 +883,10 @@ def rank(graph: MetricGraph, D: Divisor,
                 if red.get(k) <= 0:
                     best_fail = depth + 1
                     return
-                if leaf:
-                    continue
-                nxt = red.copy()
+                src = red
+            if leaf:
+                continue
+            nxt = src.copy()
             nxt.add(k, -1)
             dfs(nxt, i, depth + 1)
             # a failure of the floor's degree ends the search

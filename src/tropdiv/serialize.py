@@ -17,8 +17,8 @@ ending every line of a container but its last, ": " after each key,
 ``[]`` and ``{}`` for empty containers, and strings escaped to ASCII by
 the standard library's C encoder.  (``json``'s own indented encoder runs
 in pure Python, and it cost more than the reductions it printed.)  The
-writer tests a node's exact type first, and writes a dict's str and int
-values with their key.  Rationals are written from their integers, a
+writer tells strings and containers by their exact type, and writes a
+dict's str and int values with their key.  Rationals are written from their integers, a
 ``Fraction``'s with no gcd taken.  It writes no float, as the readers
 read none: a float raises ``TypeError``.  ``dump`` writes the same text
 to a file as it goes.
@@ -183,8 +183,9 @@ def dumps(obj: Any) -> str:
     plus "\\n", for dicts with ``str`` keys, lists, tuples, strings,
     ints, bools and ``None``; a generator is written as the list of what
     it yields, and ``Fraction`` values anywhere in ``obj`` as the string
-    :func:`rat_to_json` gives.  Any other key or value, a float
-    included, raises ``TypeError``: output is exact, as input is.
+    :func:`rat_to_json` gives.  Any other key or value, a float or a
+    subclass of str, dict or list included, raises ``TypeError``: output
+    is exact, as input is.
     """
     out: list[str] = []
     _write(obj, "\n", out.append)
@@ -200,12 +201,12 @@ def dump(obj: Any, fh) -> None:
 
 def _write(o: Any, nl: str, emit) -> None:
     """Pass the JSON text of ``o`` to ``emit`` in pieces; ``nl`` is a
-    newline and the indent of ``o``'s own level.  Exact types are tested
-    first, and a dict's str and int values go out with their key."""
+    newline and the indent of ``o``'s own level.  Strings and containers
+    go by exact type; a dict's str and int values go out with their key."""
     t = type(o)
-    if t is str or (t is not dict and t is not list and isinstance(o, str)):
+    if t is str:
         emit(_quote(o))
-    elif t is dict or (t is not list and isinstance(o, dict)):
+    elif t is dict:
         if not o:
             emit("{}")
             return
@@ -221,7 +222,7 @@ def _write(o: Any, nl: str, emit) -> None:
                 _write(v, inner, emit)
             sep = "," + inner
         emit(nl + "}")
-    elif t is list or isinstance(o, (list, tuple, GeneratorType)):
+    elif t is list or t is tuple or t is GeneratorType:
         inner = nl + "  "
         sep = "[" + inner
         for x in o:

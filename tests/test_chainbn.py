@@ -363,12 +363,24 @@ class TestTwistOracle:
         _L, ell, m, beta = chain4.integer_lengths
         chips = chainbn._tableau_chips(T, ell, m)
         reduce_loop = chainbn._reduce_loop
+        calls = []
+
+        def counted(carry, on_loop, ell_i, m_i):
+            calls.append(len(calls) + 1)
+            return reduce_loop(carry, on_loop, ell_i, m_i)
+
+        # _twist scans loops 1..g in order, one step each, so the calls
+        # number the loops
+        monkeypatch.setattr(chainbn, "_reduce_loop", counted)
+        chainbn._twist(chips, ell, m, beta, 0, 1)
+        assert calls == list(range(1, chain4.g + 1))
+        calls.clear()
         moved = []
 
-        def doctored(carry, on_loop, ell_i, m_i, i):
-            cell, carry = reduce_loop(carry, on_loop, ell_i, m_i, i)
+        def doctored(carry, on_loop, ell_i, m_i):
+            cell, carry = counted(carry, on_loop, ell_i, m_i)
             if cell is not None and not moved:
-                moved.append(i)
+                moved.append(calls[-1])
                 cell += 1
             return cell, carry
 

@@ -341,7 +341,10 @@ class TestDumps:
 
     @pytest.mark.parametrize("obj", [{1: "a"}, {"a": {(1, 2): 0}},
                                      {"a": {1, 2}}, [b"x"], 1 + 2j,
-                                     0.5, math.nan, math.inf])
+                                     0.5, math.nan, math.inf,
+                                     # the writer dispatches on exact types
+                                     *(type("Sub", (t,), {})(v) for t, v in
+                                       ((str, "a"), (dict, {"a": 1}), (list, [1])))])
     def test_unsupported_keys_and_values_raise(self, obj):
         with pytest.raises(TypeError):
             dumps(obj)
