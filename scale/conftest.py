@@ -3,7 +3,9 @@
     python -m pytest scale
 
 They run the ``tropdiv`` console script found on PATH, and import the
-``tropdiv`` package; a missing script fails them."""
+``tropdiv`` package; a missing script fails them, never skips them.
+Each command runs in its own temporary directory, so a ``PYTHONPATH``
+given must be absolute."""
 import os
 import shutil
 import subprocess

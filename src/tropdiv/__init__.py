@@ -5,6 +5,8 @@ rank, tropical Riemann-Roch verification, and tropical independence of
 piecewise-linear functions, specialized to chains of loops for the
 rho = 0 Brill-Noether experiments.  All arithmetic is exact rational.
 """
+from types import ModuleType as _ModuleType
+
 from .errors import (GenericityError, GraphError, PreconditionError,
                      ReductionCapError, SearchCapError, TheoremViolation,
                      TropdivError)
@@ -30,5 +32,7 @@ from .chainbn import (GPReport, ShapeProfile, Tableau, adjoint_divisor,
 from .sampling import (SplitMix64, random_divisor, random_effective_divisor,
                        random_point, random_R_member)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public classes and functions; the submodules stay attributes only
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

@@ -1,37 +1,14 @@
 """Brill-Noether machinery on the chain of loops at rho = 0.
 
-Rectangular standard tableaux classify the relevant divisor classes; each
-tableau yields a lattice path, a divisor D on the chain, its adjoint E,
-and the twisted representatives D_j / E_k with piecewise-linear witnesses.
-``Tableau(...)`` checks every tableau it is given; ``Tableau._of`` is the
-one unchecked producer of tableaux, for the standard fillings that
-``enumerate_tableaux`` and ``Tableau.transpose`` build.
-
-``build_Dj`` / ``build_Ek`` follow the definition: D_j =
-red_{w_g}(D - j*v_1) + j*v_1 and its witness phi_j come from
-``v_reduce``.  The experiment keeps D's chips per loop i as (ccw
-distance from w_i, count) in units of 1/L, L the lcm of the denominators
-of the chain's lengths, and gets the cells of D_j and the values of
-phi_j at v_1..v_g from one scan from loop 1 to loop g (``_twist``), one
-``reduce._reduce_loop`` step per loop, the step of ``rank``'s scan to v_1
-too, on a loop's carry, chips and lengths alone.  The scan leaves at most
-one chip in each cell and none on a bridge, the shape of a w_g-reduced
-divisor, and reduced divisors are unique (Baker-Norine; Cools, Draisma,
-Payne and Robeva, "A tropical proof of the Brill-Noether Theorem",
-Section 3).  The slopes of phi_j it reads are integers exactly when
-D_j - D is principal on each loop, so a remainder raises ``TheoremViolation``.
-
-The central experiment proves that the family {phi_j + psi_k} admits no
-tropical dependence, as the paper does, from shapes: each D_j + E_k
-misses exactly one cell gamma_i, these cells are distinct, and matching
-the vertex v_i to the function whose cell holds entry i gives an
-independence certificate, checked exactly on the closed-form values;
-should one fail, the experiment raises ``TheoremViolation``.  The cells
-are checked one function at a time: D_j must miss exactly the cells of
-the entries in column j of the tableau, and E_k those in row k.  That is
-the same check, since the pairs missing gamma_i form the product
-{j : D_j misses it} x {k : E_k misses it}, a single pair exactly when
-both factors are singletons.
+- ``Tableau``, ``enumerate_tableaux``, ``hook_length_count`` and
+  ``tableau_to_dyck``: rectangular standard tableaux and their paths.
+- ``tableau_to_divisor`` and ``adjoint_divisor``: the divisors D and E a
+  tableau classifies; ``build_Dj`` and ``build_Ek``: their twisted
+  representatives D_j and E_k, with witnesses, by ``v_reduce``.
+- ``shape_profile``, ``is_wg_reduced_shape``, ``canonical_shape_check``
+  and ``chips_on_each_loop_check``: shapes of divisors on the chain.
+- ``gp_rho_zero_experiment``: the rho = 0 independence proof, on integer
+  chips (``_tableau_chips``) twisted by one loop scan (``_twist``).
 """
 from __future__ import annotations
 
@@ -209,9 +186,11 @@ def _require_chain(T: Tableau, chain: ChainOfLoops):
 
 
 def _tableau_chips(T: Tableau, ell: tuple, m: tuple) -> list[list[tuple[int, int]]]:
-    """The chips of ``tableau_to_divisor`` on the integer lengths ell and
-    m: the r at v_1 at distance ell_1, and each at p_{i-1}(j)*m_i taken
-    mod ell_i + m_i."""
+    """The chips of ``tableau_to_divisor`` per loop i, as (ccw distance
+    from w_i, count) on the integer lengths ell and m, in units of 1/L,
+    L the lcm of the denominators of the chain's lengths
+    (``ChainOfLoops.integer_lengths``): the r at v_1 at distance ell_1,
+    and each at p_{i-1}(j)*m_i taken mod ell_i + m_i."""
     r = T.cols - 1
     path = tableau_to_dyck(T)
     loops: list[list[tuple[int, int]]] = [[] for _ in ell]
@@ -272,7 +251,10 @@ def _twist(loops, ell, m, beta, j: int, r: int) -> tuple[list, int, list[int]]:
     One scan from loop 1 to loop g reduces F = D - j*v_1 by
     ``_reduce_loop``, near end w_i, and a loop that carries a negative
     number of chips on, whose class is not effective, raises
-    ``PreconditionError``; effective input never has one.  It reads
+    ``PreconditionError``; effective input never has one.  The scan leaves
+    at most one chip in each cell and none on a bridge, the shape of a
+    w_g-reduced divisor, so it gives D_j, as reduced divisors are unique
+    (Baker-Norine; Cools, Draisma, Payne and Robeva, Section 3).  It reads
     phi_j(v_i) off E_i = (cell chip) - F_i, the part of D_j - D on loop
     i.  Left of bridge i, D_j - D has degree minus the carry c, so c is
     the slope of phi_j along the bridge toward v_{i+1}.  On loop i, with c arriving at v_i, let num be c*m plus the
@@ -351,6 +333,9 @@ def _chips_per_piece(D: Divisor, chain: ChainOfLoops) -> list[int]:
 
 
 def shape_profile(D: Divisor, chain: ChainOfLoops) -> ShapeProfile:
+    """Which cells gamma_1..gamma_g and bridges br_1..br_{g-1} (the pieces
+    of ``ChainOfLoops.piece``) the effective divisor D holds chips on, and
+    its coefficient at w_g; ``PreconditionError`` unless D is effective."""
     if not D.is_effective:
         raise PreconditionError("shape profile is defined for effective divisors")
     chips = _chips_per_piece(D, chain)
@@ -416,7 +401,11 @@ def chips_on_each_loop_check(chain: ChainOfLoops, D: Divisor,
 
 @dataclass
 class GPReport:
-    # always "independent": a family the certificate fails raises
+    """What ``gp_rho_zero_experiment`` returns: the ``verdict``, always
+    "independent", as a family the certificate fails raises; the
+    ``empty_cell_table``, (j, k) -> the entry i whose cell gamma_i
+    D_j + E_k misses; and the ``independence_certificate``."""
+
     verdict: str
     empty_cell_table: dict[tuple[int, int], int]
     independence_certificate: IndependenceCertificate
@@ -430,14 +419,18 @@ def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
     The empty-cell table is checked first, one function at a time: D_j
     must miss exactly the cells of the entries in column j of T and E_k
     those in row k, so that D_j + E_k misses exactly the cell gamma_i of
-    the entry i in row k and column j.  The table then gives the
+    the entry i in row k and column j: the pairs missing gamma_i are
+    {j : D_j misses it} x {k : E_k misses it}, a single pair exactly when
+    both factors are singletons.  The table then gives the
     certificate: the points v_1..v_g, with v_i matched to the function
     phi_j + psi_k whose cell holds i.  Its matrix
     M[i][j * rows + k] = phi_j(v_i) + psi_k(v_i), read off the witnesses,
     must have that matching as the unique minimiser of its min-plus
     permanent, and ``strict_offsets`` gives its offsets.  Either failure
     raises ``TheoremViolation``; the second names a permutation tau that
-    costs no more than the matching.
+    costs no more than the matching.  On a generic chain either would
+    mean a bug, and no tableau tried has raised one.  No dependence
+    search runs.
     """
     _require_chain(T, chain)
     r = T.cols - 1

@@ -79,8 +79,9 @@ class Point:
     as the vertex itself (``vertex`` set, ``edge`` = -1), so equality is
     well-defined across all edges incident to that vertex; a vertex point
     in any other form raises ``GraphError``, as does an offset that is not
-    an int or a ``Fraction``.  The hash is precomputed from integer parts
-    (``_point_hash``); points live in hot dictionaries.
+    an int or a ``Fraction``.  Points compare and hash by value, points of
+    two graphs too; the hash is precomputed from integer parts
+    (``_point_hash``), as points live in hot dictionaries.
     """
 
     vertex: str | None
@@ -267,9 +268,11 @@ class MetricGraph:
 
     def _point_at(self, edge: int, n: int, d: int) -> Point:
         """The point at offset n/d on edge ``edge``, for ints n and d > 0:
-        the one constructor of points, which builds no ``Fraction`` when
-        the graph's store holds the point and checks bounds on integers
-        when it does not; ``GraphError`` past either end."""
+        the one constructor of points, behind ``point`` and every integer
+        producer of the package, which builds no ``Fraction`` when the
+        graph's store holds the point under (edge, n, d) in lowest terms
+        and checks bounds on integers when it does not; ``GraphError``
+        past either end."""
         k = gcd(n, d)
         n, d = n // k, d // k
         key = (edge, n, d)
@@ -593,7 +596,9 @@ class ChainOfLoops:
     before v_{g+1} on an extended chain.  The graph of a core chain, and
     of no other, has ``_core_chain`` set, so that ``reduce.rank`` reduces
     on it at v_1 by a scan of its loops; ``MetricGraph(...)`` given the
-    same edges builds an unmarked graph.
+    same edges, or a ``"type": "graph"`` JSON file listing them, builds an
+    unmarked graph.  ``ell``, ``m``, ``beta`` and ``pendant`` (empty on a
+    core chain) are read back from the graph, and
     ``integer_lengths`` is (L, ell, m, beta), the lengths in units of 1/L,
     L the lcm of their denominators: the lattice of ``chainbn``'s chips,
     read off the graph's integer form.  ``generic`` is read off it too,

@@ -4,26 +4,10 @@ A family f_1..f_n is tropically dependent if there are constants b_j, some
 of them possibly +infinity (the function left out), such that
 min_j(f_j + b_j) is attained at least twice at every point of the graph.
 
-- ``verify_dependence`` checks given offsets cell-by-cell on the exact
-  lower envelope.
-- ``verify_independence`` proves independence from points p_i, a
-  permutation sigma and offsets b, by n^2 comparisons; ``strict_offsets``
-  finds b by Bellman-Ford (or a rival to sigma), and ``chainbn`` reads
-  the points and sigma off the empty-cell table of a tableau.
-- ``find_dependence`` searches for offsets through the critical values of
-  pairwise differences.  The search is not complete: it misses
-  dependences in which coincident pairs of functions meet only at
-  isolated points (a four-function example on one edge is in the tests),
-  so a search that finds nothing proves nothing.
-
-All of it runs on the integers of ``PLFunction.scaled``.  ``_pair_tables``
-walks each edge of the family once, at the lcm of the functions' scales
-there, and gives every function's values at the union of their
-breakpoints as integers over one common denominator.  Scaling keeps
-equality and order, so the dependence search tries the candidates of the
-search on exact rationals in the same order.  ``strict_offsets`` puts
-its matrix over one common denominator, and the envelope checks run on
-``plfunc.lower_envelope``, which is integer as well.
+- ``verify_dependence`` and ``unique_min_locus`` check given offsets, and
+  ``find_dependence`` searches for them, incompletely.
+- ``verify_independence`` checks an ``IndependenceCertificate``, and
+  ``strict_offsets`` finds its offsets for a given matching.
 """
 from __future__ import annotations
 
@@ -116,7 +100,8 @@ def _pair_tables(funcs: Sequence[PLFunction]):
     ``crit[(j, k)]`` (the values it takes on a positive-length segment)
     are its equal consecutive entries on one edge and ``box[(j, k)]`` runs
     from its least to its greatest entry.  ``probes[j]`` holds f_j at each
-    vertex's first edge coordinate, as ``PLFunction.__call__`` reads it."""
+    vertex's first edge coordinate, as ``PLFunction.__call__`` reads it.
+    No difference of two functions is built as a ``PLFunction``."""
     graph = funcs[0].graph
     grids = []
     for ei in range(len(graph.edges)):
@@ -222,7 +207,8 @@ def find_dependence(funcs: Sequence[PLFunction],
     difference is constant: b_k - b_j is a critical value of f_j - f_k.  The search links these coincidences
     into spanning trees only, so a dependence in which some functions
     meet the others only at isolated points (they hand off from one
-    coincidence to another there) can be missed: ``None`` means that no
+    coincidence to another there) can be missed, as the dependence of
+    four functions on one edge in the tests is: ``None`` means that no
     candidate passed, not that the family is independent.
     ``verify_independence`` proves independence.
 
@@ -368,8 +354,9 @@ def verify_independence(funcs: Sequence[PLFunction],
     """Whether the certificate proves the family tropically independent,
     that is, M[i][sigma[i]] + b[sigma[i]] < M[i][c] + b[c] for every i and
     c != sigma[i], with M[i][j] = funcs[j](p_i) and the points p_i, sigma
-    and b of ``cert``.  A certificate of another size, or whose
-    permutation holds anything but ints, is rejected.
+    and b of ``cert``: n^2 comparisons, with no graph algorithm.  A
+    certificate of another size, or whose permutation holds anything but
+    ints, is rejected.
 
     Soundness.  For any permutation tau != sigma, summing the inequalities
     with c = tau[i] over the rows where tau[i] != sigma[i] cancels the

@@ -1,36 +1,13 @@
 """Continuous piecewise-linear functions with integer slopes on a metric graph.
 
-A function is stored edge by edge as a sorted list of (offset, value)
-breakpoints covering the whole edge; consecutive breakpoints are joined
-linearly, and every segment slope must be an integer.  The order of a
-function at a point is the sum of its incoming slopes, so local maxima
-have positive order.
-
-Each edge is held once, in integers: a scale s > 0 and the tuples of its
-offsets and values multiplied by s, where s is the lcm of their
-denominators, so that equal functions are stored equally however they
-were built (``PLFunction.scaled``).  Every kernel runs on those
-integers: validation, ``+``, ``-``, ``scale``, ``add_const``, evaluation,
-orders and ``divisor()``.  Two edges combine at the lcm of their scales;
-integer slopes make every value interpolated at an integer offset an
-integer, so nothing is rounded.  ``data`` is a read-only ``Fraction``
-view, built afresh on each access.
-
-Tropical combinations min_j(f_j + b_j) are computed edge by edge by
-``lower_envelope``, which also says which functions attain the minimum
-where; ``min_combination``, ``distance_function``, ``agreement_region``
-and the dependence checks of ``tropdiv.independence`` are loops over it.
-It too works in integers, and only a crossing of two functions between
-breakpoints brings in a rational.  Functions combined with each other
-must live on the same graph object.
-
-Every function is validated when it is built, results of arithmetic
-included, with one exception: the witness solve of ``tropdiv.reduce``
-writes its edges in canonical form and hands them to ``_of`` unchecked,
-having made every division exact, so every slope an integer, and
-checked that each edge reaches its far end at the value solved there.
-Exact rationals are ints, ``Fraction``s or ``graph._rat`` strings; a
-float is rejected, as its binary value is not the number meant.
+- ``PLFunction``: a function, its values, slopes, ``divisor()`` and
+  arithmetic, held in integers (``PLFunction.scaled``).
+- ``lower_envelope``: the one routine behind every tropical combination
+  min_j(f_j + b_j), edge by edge, with the functions attaining it;
+  ``min_combination``, ``distance_function``, ``agreement_region`` and
+  the dependence checks of ``tropdiv.independence`` loop over it.
+- ``in_R``, ``minchips_holds`` and ``obstruction_holds``: membership in
+  R(D) and the chip-location lemmas.
 """
 from __future__ import annotations
 
@@ -87,7 +64,9 @@ def _lowest(S: int, O: list[int], V: list[int]) -> Edge:
 
 def _sample(edge: Edge, S: int, grid: Sequence[int]) -> list[int]:
     """The edge's values, in units of 1/S, at the sorted offsets ``grid``
-    (units of 1/S, S a multiple of the edge's scale): one walk."""
+    (units of 1/S, S a multiple of the edge's scale): one walk.  Integer
+    slopes make every value at an integer offset an integer, so nothing
+    is rounded."""
     s, O, V = edge
     f = S // s
     out = []
@@ -115,7 +94,17 @@ class PLFunction:
     """A continuous piecewise-linear function with integer slopes.
 
     ``data`` maps each edge index to its breakpoints, (offset, value)
-    pairs of exact rationals in any order; repeats must agree.
+    pairs of exact rationals in any order; repeats must agree.  They must
+    cover the edge, consecutive ones are joined linearly, and the edges
+    must meet at the vertices.  Every function is checked for all of that
+    when it is built, results of arithmetic included; only ``_of`` takes
+    its edges as they are.
+
+    ``scaled`` holds each edge once, in integers: a scale s > 0, the lcm
+    of the denominators of its breakpoints, and the tuples of their
+    offsets and values times s, so equal functions are stored equally
+    however they were built.  Validation, evaluation, slopes,
+    ``divisor()`` and the arithmetic all run on those integers.
     """
 
     def __init__(self, graph: MetricGraph, data: dict[int, Iterable]):
@@ -228,7 +217,8 @@ class PLFunction:
 
     def divisor(self) -> Divisor:
         """div(f): at each breakpoint the change of slope across it, at
-        each vertex the sum of the slopes arriving along its edges."""
+        each vertex the sum of the slopes arriving along its edges, so
+        local maxima have positive order."""
         graph = self.graph
         at = graph.vertex_points
         terms = []
@@ -283,6 +273,7 @@ class PLFunction:
 
 
 def _same_graph(funcs: Sequence[PLFunction]) -> MetricGraph:
+    """The one graph object all of ``funcs`` live on, or ``PreconditionError``."""
     graph = funcs[0].graph
     if any(f.graph is not graph for f in funcs):
         raise PreconditionError("functions live on different graphs")

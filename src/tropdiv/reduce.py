@@ -1,51 +1,20 @@
 """Reduced divisors, burning, linear equivalence, and rank.
 
-Reduction to a base point runs the metric burning algorithm: fire spreads
-from the base, a point survives only if its chip count is at least the
-number of burning directions reaching it, and the surviving closed set is
-fired toward the base until everything burns.  Debt away from the base is
-first paid from the divisor's own chips by the same firing loop (see
-``_clear_debt``), in one pass: the debts are set aside, the base lends
-at most g chips so that the chips left have degree at least g, and each
-debt c*p, in key order, is paid by firing at p until p holds c chips,
-which tropical Riemann-Roch guarantees; so the firings depend on the
-divisor and the base alone.  Each firing stops as soon as its base
-holds the chips it needs, as no firing step takes one off its base.
+- ``v_reduce`` reduces a divisor at a base, with its witness, and owns
+  the contract of a reduction; ``dhar_unburnt`` and ``is_reduced`` run
+  its burn (``_Runs.burn``).
+- ``is_equivalent`` decides linear equivalence by the witness solve
+  (``_potential``), and ``effective_class`` whether a class is effective.
+- ``rank`` is the Baker-Norine rank over ``default_rank_points``;
+  ``rank_subdivision_oracle`` cross-checks it, and ``riemann_roch_check``
+  checks the Riemann-Roch identity.
+- ``find_unoccupied_edge`` finds an open edge a canonical divisor misses.
 
-Burning and firing run on integers.  Every offset is a multiple of 1/L,
-where L is the lcm of the graph's ``scale`` (that of its edge lengths),
-of the divisor's offsets and of the base's offset; firing moves chips by
-distances between such offsets, so they stay on that lattice.  All chips
-live in one store, ``_Chips``: a list per vertex and, per edge, a sorted
-tuple of (offset in units of 1/L, count) pairs, which burning, firing,
-the rank search and the witness solve all read; a call converts to and
-from ``Divisor`` once.  The burn runs over the vertices and an interior
-base only: an edge, or the part of it on one side of an interior base,
-carries fire from end to end when it holds no chips, and otherwise its
-chips are read off its burnt ends (see ``_Runs``).  The graph stores
-(``_stored``) one lattice per L, its edges scaled once, the runs of each
-base on it, the eliminated Laplacian, the bridge classes and the
-canonical divisor.  Every call checks the points it is given once, on
-integers: ``rank`` reduces D on the lattice it has checked (``_reduce``),
-with no second check, and the graph's own vertices, which it reads off
-the stored classes, are not checked at all.  On a core chain of loops,
-whose graph ``ChainOfLoops`` marks (``MetricGraph._core_chain``), ``rank``
-reduces D at its base v_1 with no burn at all, by one scan of the loops
-from loop g down to loop 1 (``_reduce_chain``), each loop's chips summed
-under its Abel-Jacobi map (``_reduce_loop``, on the carry, the chips and
-two lengths, the step of ``chainbn._twist`` too).  ``v_reduce``,
-``is_reduced``, and the firings of the rank search burn on every graph.
-``rank`` runs its whole depth-first search on these chips, fires in its
-pre-pass only until the base holds as many chips as its bound less one
-and on its last level only until the base holds a chip, and ends, in its
-pre-pass or its search, at its first failure of degree
-max(deg(D) - g + 1, 1), below which none can fail.
-
-Only chips move; the witness f with D + div(f) = D' is then solved from
-the reduced chips less D's terms by one weighted-Laplacian system (Baker
-and Shokrieh, "Chip-firing games, potential theory on graphs, and
-spanning trees"), whose matrix is eliminated once, fraction-free, and
-stored, so that each solve only replays the row operations on its right side.
+Below them is the integer core: ``_Lattice`` holds the graph in units of
+1/L, ``_Chips`` the chips, ``_Runs`` a base's burn.  ``_fire``,
+``_clear_debt`` and ``_reduce`` reduce by the burn.  ``_reduce_chain``
+and ``_reduce_loop`` reduce a core chain with no burn, and ``_stored``
+keeps what the core derives from a graph.
 """
 from __future__ import annotations
 
@@ -61,20 +30,25 @@ from .plfunc import PLFunction, _lowest
 
 DEFAULT_MAX_STEPS = 10 ** 6
 
-# the graph's store, emptied when it would pass this many entries: a
-# lattice under its scale L, a base's burn runs under (L, base), and the
-# Laplacian, the bridge classes and the canonical divisor under
-# "laplacian", "classes" and "canonical"; seed-1 benchmark runs of
-# ``rank`` and ``reduce`` level off at 404 on their genus-3 graph, 398 of
-# them runs, after 30,000 ops and more
+# ``_stored`` empties the graph's store when it would pass this many
+# entries, so that it stays bounded over a long run.  On seed 1, ``rank``'s
+# genus-3 graph peaks at 136 entries in a 20 s benchmark run (290 ops,
+# 48 on its genus-2 graph) and ``reduce``'s at 221 (203 ops); ops run on
+# for 300 s in process level off at 405 on ``rank``'s (by 17.5k ops, 52
+# at genus 2) and 404 on ``reduce``'s (by 10.2k), and stay there through
+# 1.48M and 405k ops
 _STORE_SIZE = 512
 
 
 def _stored(graph: MetricGraph, key, value):
     """``value``, put in the graph's store under ``key``, emptied first where
     it is full; callers look up ``store.get(key) or`` (no value is falsy)
-    and come here on a miss.  No entry refers to another, so a store
-    emptied in a call only costs a rebuild."""
+    and come here on a miss.  The keys: a lattice's scale L, (L, base) for
+    a base's burn runs, and "laplacian", "classes" and "canonical".  So
+    repeated calls on one graph, such as the reduction and the two ranks
+    of ``riemann_roch_check``, reuse the lattices and runs of the first.
+    No entry refers to another, so a store emptied in a call only costs a
+    rebuild."""
     store = graph._store
     if len(store) >= _STORE_SIZE:
         store.clear()
@@ -92,7 +66,9 @@ class _Lattice:
 
     A point is named by a key: its vertex index, or (edge, offset) with
     the offset an integer strictly inside the edge.  Firing by a corridor
-    length never leaves this lattice, so the core needs no rescaling.
+    length never leaves this lattice, so the core needs no rescaling, and
+    burning and firing touch no ``Fraction`` and no ``Point`` between a
+    call's one conversion to chips (``chips``) and one back (``divisor``).
     Each call checks every point it is given, on integers, and returns
     the graph's stored lattice of that scale (``_stored``), built where
     the store lacks it.  Points come back from ``_point_at``, and
@@ -145,8 +121,10 @@ class _Lattice:
 class _Chips:
     """An integer divisor: chips per vertex index and, per edge, the
     sorted tuple of (offset, nonzero count) pairs inside it.  The tuples
-    are replaced, never changed, so copies share them.  ``items`` lists
-    the chips in key order: vertices by index, then edge and offset."""
+    are replaced, never changed, so a copy is two list copies.  It is the
+    one store that burning, firing, the rank search and the witness solve
+    all read.  ``items`` lists the chips in key order: vertices by index,
+    then edge and offset."""
 
     __slots__ = ("at_vertex", "on_edge")
 
@@ -402,17 +380,19 @@ def _reduce(lat: _Lattice, chips: _Chips, base) -> int:
 
 def _reduce_loop(carry: int, on_loop, ell: int, m: int) -> tuple[int | None, int]:
     """One loop of a reduction scan along a chain of loops, of lengths ell
-    and m and chips ``on_loop``, on integers.  A chip (t, c) is c chips at
-    distance t from the loop's near end, the end the scan reduces to, along
-    the top edge first, so that the far end is at t = ell.  The ``carry``
-    chips at the far end and the loop's chips, d in all, are equivalent to
-    (d-1) chips at the near end plus one at t = s, s = sum c*t mod
-    (ell + m), or to d at the near end when s = 0, since the Abel-Jacobi
-    map of a cycle is a group isomorphism (Cools, Draisma, Payne and
-    Robeva, "A tropical proof of the Brill-Noether Theorem", Section 3).
-    Returns s (None if 0), the chip left in the loop's cell, and the chips
-    carried on from the near end: negative when d is, or when d = 0 and s
-    is not, as where the loop's class is not effective."""
+    and m and chips ``on_loop``, on integers: the step of ``_reduce_chain``
+    and of ``chainbn._twist``, which reads nothing else.  A chip (t, c) is
+    c chips at distance t from the loop's near end, the end the scan
+    reduces to, along the top edge first, so that the far end is at
+    t = ell.  The ``carry`` chips at the far end and the loop's chips, d
+    in all, are equivalent to (d-1) chips at the near end plus one at
+    t = s, s = sum c*t mod (ell + m), or to d at the near end when s = 0,
+    since the Abel-Jacobi map of a cycle is a group isomorphism (Cools,
+    Draisma, Payne and Robeva, "A tropical proof of the Brill-Noether
+    Theorem", Section 3).  Returns s (None if 0), the chip left in the
+    loop's cell, and the chips carried on from the near end: negative when
+    d is, or when d = 0 and s is not, as where the loop's class is not
+    effective."""
     d, s = carry, carry * ell
     for t, c in on_loop:
         d += c
@@ -501,6 +481,10 @@ def dhar_unburnt(graph: MetricGraph, D: Divisor, base: Point) -> Region:
 
 @dataclass
 class ReductionResult:
+    """What ``v_reduce`` returns: the ``reduced`` divisor, its ``witness``
+    (None when not tracked), and ``steps``, the firing steps taken, which
+    ``tropdiv reduce`` writes as ``"events"``."""
+
     reduced: Divisor
     witness: PLFunction | None
     steps: int
@@ -566,9 +550,11 @@ def _potential(lat: _Lattice, chips: _Chips, q) -> PLFunction:
 
     f is affine between the chips of E on each edge, so its vertex values
     determine it.  They solve the weighted Laplacian (weight 1/l per edge
-    of length l) with the first vertex pinned to 0, where a chip c at
-    offset x sends c*(l-x)/l to the edge's first end and c*x/l to its
-    second; the first vertex's equation, dropped, holds iff deg E = 0.
+    of length l; Baker and Shokrieh, "Chip-firing games, potential theory
+    on graphs, and spanning trees") with the first vertex pinned to 0,
+    where a chip c at offset x sends c*(l-x)/l to the edge's first end and
+    c*x/l to its second; the first vertex's equation, dropped, holds iff
+    deg E = 0.
     The system is solved on the integers of the lattice: with lengths
     and offsets in units of 1/L and P the lcm of the lengths, every
     equation is multiplied by P, so the weights P/l and the right-hand
@@ -642,7 +628,8 @@ def v_reduce(graph: MetricGraph, D: Divisor, base: Point,
     together with (optionally) a witness f with D + div(f) the reduced
     divisor and f(base) = 0.
 
-    The firing loop moves chips only; the witness is solved afterwards
+    It reduces by the burn on every graph, a core chain's included.  The
+    firing loop moves chips only; the witness is solved afterwards
     from the reduced chips less D's terms, as it depends on nothing else.
     ``steps`` counts every firing step: those that pay the debt away from
     the base, one firing per debt point, and those that then reduce at
@@ -751,7 +738,8 @@ def rank(graph: MetricGraph, D: Divisor,
     with each of its points checked once, before anything is reduced:
     D is reduced at the base on it (``_reduce``, or on a core chain, whose
     base is v_1, the scan ``_reduce_chain``), and from there the DFS
-    moves ``_Chips`` with no ``Divisor`` and no point check in between.
+    moves ``_Chips`` with no ``Divisor`` and no point check in between,
+    and fires them by the burn (``_fire``) on every graph.
     A node of the search is an effective representative cur of D minus
     the multiset chosen so far, and a child takes one more point k off
     it.  Each point is taken
@@ -803,12 +791,6 @@ def rank(graph: MetricGraph, D: Divisor,
     the scan leaves at most one chip in each cell, so at most g off the
     base, and checks nothing.  ``_floor=False`` keeps the floor at
     1 and searches every level above it, for ``rank_subdivision_oracle``.
-
-    The graph stores its lattices, their runs and the bridge classes
-    (``_stored``), so repeated calls on one graph, such as the reduction
-    and the two ranks of ``riemann_roch_check``, burn on the lattices and
-    runs of the first; ``riemann_roch_check`` takes the canonical divisor
-    from there too.
 
     An empty point set raises ``PreconditionError``, a point the graph
     lacks ``GraphError``.

@@ -70,6 +70,8 @@ def random_point(graph: MetricGraph, rng: SplitMix64, denominator: int = 16) -> 
 
 def random_effective_divisor(graph: MetricGraph, rng: SplitMix64,
                              degree: int) -> Divisor:
+    """``degree`` chips, one at each of as many points drawn by
+    ``random_point``; ``ValueError`` for a negative degree."""
     if degree < 0:
         raise ValueError("effective divisors have nonnegative degree")
     return Divisor([(random_point(graph, rng), 1) for _ in range(degree)])

@@ -1,27 +1,13 @@
 """JSON serialization with exact round-tripping.
 
-Rationals travel as strings "p" or "p/q" in lowest terms; points as
+Each ``*_to_json`` writer has a ``*_from_json`` reader.  Rationals travel
+as strings "p" or "p/q" in lowest terms (``rat_to_json``); points as
 {"edge": id, "offset": "p/q"} (or {"vertex": name} on input); divisors as
-sorted lists of {point, coeff}; independence certificates as
-{points, permutation, offsets}.  Output is deterministic: keys
-sorted, rationals canonical.  The readers pass each JSON value as it is
-to the constructor that checks it, so ``graph._rat`` reads every
-rational, and a float where an integer belongs raises ``GraphError``; so
-do a missing key, named in the message, and an edge key of a PL function
-that is not an edge index in canonical decimal.
-
-``dumps`` writes, with its own small recursive writer, the text of
-``json.dumps(obj, sort_keys=True, indent=2)`` and a trailing newline,
-byte for byte: one item per line, indented two spaces per level, ","
-ending every line of a container but its last, ": " after each key,
-``[]`` and ``{}`` for empty containers, and strings escaped to ASCII by
-the standard library's C encoder.  (``json``'s own indented encoder runs
-in pure Python, and it cost more than the reductions it printed.)  The
-writer tells strings and containers by their exact type, and writes a
-dict's str and int values with their key.  Rationals are written from their integers, a
-``Fraction``'s with no gcd taken.  It writes no float, as the readers
-read none: a float raises ``TypeError``.  ``dump`` writes the same text
-to a file as it goes.
+sorted lists of {point, coeff}; independence certificates as {points,
+permutation, offsets}.  The readers pass each JSON value as it is to the
+constructor that checks it, so ``graph._rat`` reads every rational, and
+a float where an integer belongs raises ``GraphError``.  ``dumps`` and
+``dump`` write the canonical text.
 """
 from __future__ import annotations
 
@@ -202,7 +188,12 @@ def dump(obj: Any, fh) -> None:
 def _write(o: Any, nl: str, emit) -> None:
     """Pass the JSON text of ``o`` to ``emit`` in pieces; ``nl`` is a
     newline and the indent of ``o``'s own level.  Strings and containers
-    go by exact type; a dict's str and int values go out with their key."""
+    go by exact type; a dict's str and int values go out with their key.
+    One item per line, indented two spaces per level, "," ending every
+    line of a container but its last, ": " after each key, ``[]`` and
+    ``{}`` for empty containers, and strings escaped to ASCII by the
+    standard library's C encoder: ``json``'s own indented encoder runs in
+    pure Python, and it cost more than the reductions it printed."""
     t = type(o)
     if t is str:
         emit(_quote(o))

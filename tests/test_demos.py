@@ -1,5 +1,5 @@
 """The narrative scripts in demos/ and the README's python blocks run to
-completion."""
+completion, and the README names no private identifier."""
 import os
 import re
 import subprocess
@@ -10,8 +10,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
-                           re.MULTILINE | re.DOTALL)
+README = (ROOT / "README.md").read_text()
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", README, re.MULTILINE | re.DOTALL)
 
 
 def run_python(args: list[str]) -> subprocess.CompletedProcess:
@@ -42,3 +42,13 @@ def test_readme_blocks_present():
 def test_readme_block_exits_0(block):
     proc = run_python(["-c", block])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_names_no_private_identifier():
+    # a backticked span names one when a dotted part of a name in it
+    # starts with a single underscore: `graph._rat`, `_ratio(n, s)`
+    private = [span for span in re.findall(r"`([^`\n]+)`", README)
+               if any(part.startswith("_") and not part.startswith("__")
+                      for name in re.findall(r"(?<![\w.])[A-Za-z_][\w.]*", span)
+                      for part in name.split("."))]
+    assert not private
