@@ -455,8 +455,8 @@ def gp_rho_zero_experiment(T: Tableau, chain: ChainOfLoops) -> GPReport:
 
     # v_i is matched to phi_j + psi_k for the entry i in row k, column j
     table = {T.position(i)[::-1]: i for i in range(1, chain.g + 1)}
-    # v_1..v_g, every other vertex from v_1 (past w_0 on an extended chain)
-    points = chain.graph.vertex_points[chain.extended:2 * chain.g:2]
+    # v_1..v_g, read off the chain's record of its loops
+    points = tuple(chain.vertex_points[v] for v, *_ in chain._loops)
     perm = tuple(j * rows + k for (j, k) in table)
     # the matrix in units of 1/L: a positive scale keeps every comparison,
     # and the offsets come out in the same units

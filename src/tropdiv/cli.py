@@ -1,12 +1,8 @@
 """Command-line front end.
 
-Subcommands: chain-new, reduce, rr-check, gp0, shape.  Exit codes:
-0 success, 1 a checked mathematical property was falsified (for gp0, a
-family whose empty-cell certificate fails; no report is written), 2 usage
-or parse error, 3 the reduction exceeded its step cap, 4 an internal
-error (an unexpected exception, reported in one line on stderr).  Bad
-JSON text, and any value the readers reject as a ``TropdivError``, exit
-2; a builtin exception raised while reading input is a bug, and exits 4.
+Subcommands: chain-new, reduce, rr-check, gp0, shape.  ``main`` maps
+errors to the ``EXIT_*`` codes; README's "Command line" section states
+what they mean.
 """
 from __future__ import annotations
 

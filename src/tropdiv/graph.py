@@ -147,10 +147,13 @@ class MetricGraph:
     of their denominators, and ``int_lengths``, in units of 1/``scale``.
     Exact distances, distance functions and ``reduce``'s lattices scale it.
 
-    ``MetricGraph(vertices, edges)`` checks all of its input;
-    ``MetricGraph._of`` checks none of it, for a graph whose names and
-    edges the library built itself (``ChainOfLoops``).
+    ``MetricGraph(vertices, edges)`` checks all of its input; a
+    ``ChainOfLoops`` makes its own names and edges, and checks only their
+    lengths.
     """
+
+    # a core chain's loops (``ChainOfLoops``), which ``reduce.rank`` scans
+    _core_chain: tuple = ()
 
     def __init__(self, vertices: Sequence[str], edges: Sequence[tuple[str, str, Fraction]]):
         names = tuple(_seq(vertices, "vertices"))
@@ -175,16 +178,6 @@ class MetricGraph:
             raise GraphError("graph is not connected")
         if not parsed:  # a point is named by an edge; a self-loop will do
             raise GraphError("a graph needs an edge")
-
-    @staticmethod
-    def _of(vertices: tuple[str, ...], edges: list[tuple[str, str, Fraction]]) -> "MetricGraph":
-        """The graph of ``vertices`` and ``edges``, taken as is: distinct
-        names, edges between them of positive ``Fraction`` lengths (as
-        ``_length`` returns them), connected.  ``ChainOfLoops`` builds
-        its graph so."""
-        G = object.__new__(MetricGraph)
-        G._build(vertices, {v: i for i, v in enumerate(vertices)}, edges)
-        return G
 
     def _build(self, vertices, index, edges) -> None:
         """The graph's fields, from checked ``vertices``, their ``index``
@@ -213,9 +206,6 @@ class MetricGraph:
         # burn runs, the eliminated Laplacian and the bridge classes, in
         # one store that ``reduce._stored`` fills and bounds
         self._store: dict = {}
-        # set by ``ChainOfLoops`` on a core chain's graph, where ``reduce.rank``
-        # reduces at v_1 by one scan of the loops (``reduce._reduce_chain``)
-        self._core_chain = False
 
     def _connected(self, skip=()) -> bool:
         if not self.vertices:
@@ -583,7 +573,7 @@ class BNParams:
         return self.g - (self.r + 1) * (self.g - self.d + self.r)
 
 
-class ChainOfLoops:
+class ChainOfLoops(MetricGraph):
     """The chain of g loops joined by bridges, with named points v_i, w_i.
 
     Loop i is a pair of parallel edges between v_i and w_i with lengths
@@ -593,16 +583,21 @@ class ChainOfLoops:
     and w_g.  The layout is one rule: top_i, bottom_i and bridge_i are
     edges 3i-3, 3i-2 and 3i-1, the pendant bridges 0 and g edges 3g-1
     and 3g; the vertices run v_1, w_1, ..., v_g, w_g, after w_0 and
-    before v_{g+1} on an extended chain.  The graph of a core chain, and
-    of no other, has ``_core_chain`` set, so that ``reduce.rank`` reduces
-    on it at v_1 by a scan of its loops; ``MetricGraph(...)`` given the
-    same edges, or a ``"type": "graph"`` JSON file listing them, builds an
-    unmarked graph.  ``ell``, ``m``, ``beta`` and ``pendant`` (empty on a
-    core chain) are read back from the graph, and
-    ``integer_lengths`` is (L, ell, m, beta), the lengths in units of 1/L,
-    L the lcm of their denominators: the lattice of ``chainbn``'s chips,
-    read off the graph's integer form.  ``generic`` is read off it too,
-    on integers: no ratio ell_i/m_i is a/b with a + b <= 2g-2.
+    before v_{g+1} on an extended chain.  ``_loops`` records it once, as
+    the indices (v_i, w_i, top_i, bottom_i, bridge_i) of each loop i,
+    bridge_i the edge leaving w_i: on loop g, pendant bridge g or None.
+
+    The chain is a ``MetricGraph`` that ``_build`` makes from its own
+    names and edges, checking only its lengths; ``graph`` is the chain
+    itself.  A core chain's ``_core_chain`` is its ``_loops``, which
+    ``reduce.rank`` scans to reduce at v_1; ``MetricGraph(...)`` of the
+    same edges, or a ``"type": "graph"`` JSON file, has none.  ``ell``, ``m``,
+    ``beta`` and ``pendant`` (empty on a core chain) are read back from
+    the graph, and ``integer_lengths`` is (L, ell, m, beta), the lengths
+    in units of 1/L, L the lcm of their denominators: the lattice of
+    ``chainbn``'s chips, read off the graph's integer form.  ``generic``
+    is read off it too, on integers: no ratio ell_i/m_i is a/b with
+    a + b <= 2g-2.
     """
 
     def __init__(self, g: int, ell: Sequence, m: Sequence, beta: Sequence,
@@ -635,18 +630,21 @@ class ChainOfLoops:
             edges += [("w0", "v1", pendant[0]), (f"w{g}", f"v{g + 1}", pendant[1])]
         # the chain is connected and its names distinct, so its lengths are
         # all the graph needs checked
-        self.graph = G = MetricGraph._of(
-            tuple(vertices), [(u, v, _length(x, u, v)) for (u, v, x) in edges])
-        G._core_chain = not extended
+        self._build(tuple(vertices), {v: i for i, v in enumerate(vertices)},
+                    [(u, v, _length(x, u, v)) for (u, v, x) in edges])
+        self._loops = tuple((2 * i + extended, 2 * i + 1 + extended, 3 * i, 3 * i + 1,
+                             3 * i + 2 if i < g - 1 else 3 * g if extended else None)
+                            for i in range(g))
+        self._core_chain = () if extended else self._loops
         core = 3 * g - 1
-        lengths = [length for (_u, _v, length) in G.edges]
+        lengths = [length for (_u, _v, length) in self.edges]
         ell, m, self.beta = (tuple(lengths[i:core:3]) for i in range(3))
         self.ell, self.m, self.pendant = ell, m, tuple(lengths[core:])
         # with k the gcd of scale and the core's integer lengths, scale // k
         # is the lcm of the core's denominators, whatever the pendants'
-        k = gcd(G.scale, *G.int_lengths[:core])
-        self.integer_lengths = (G.scale // k, *(tuple(x // k for x in G.int_lengths[i:core:3])
-                                                for i in range(3)))
+        k = gcd(self.scale, *self.int_lengths[:core])
+        self.integer_lengths = (self.scale // k, *(
+            tuple(x // k for x in self.int_lengths[i:core:3]) for i in range(3)))
         # whether no ell_i/m_i is a ratio a/b of positive integers with
         # a + b <= 2g-2, decided once on the integer lengths x and y: in
         # lowest terms p/q = (x/k)/(y/k), k = gcd(x, y), every such a/b is
@@ -654,13 +652,18 @@ class ChainOfLoops:
         self.generic = all((x + y) // gcd(x, y) > 2 * g - 2
                            for x, y in zip(*self.integer_lengths[1:3]))
 
+    @property
+    def graph(self) -> "ChainOfLoops":
+        """The chain itself, read as its graph."""
+        return self
+
     # -- named points and edges ------------------------------------------
 
     def v(self, i: int) -> Point:
-        return self.graph.vertex_point(f"v{i}")
+        return self.vertex_point(f"v{i}")
 
     def w(self, i: int) -> Point:
-        return self.graph.vertex_point(f"w{i}")
+        return self.vertex_point(f"w{i}")
 
     def _number(self, i, what: str, lo: int, hi: int) -> int:
         """``i`` if it numbers one of this chain's ``what``s, lo..hi;
@@ -670,16 +673,16 @@ class ChainOfLoops:
         raise GraphError(f"no {what} {_shown(i)} on this chain; its {what}s are {lo}..{hi}")
 
     def top_edge(self, i: int) -> int:
-        return 3 * self._number(i, "loop", 1, self.g) - 3
+        return self._loops[self._number(i, "loop", 1, self.g) - 1][2]
 
     def bottom_edge(self, i: int) -> int:
-        return 3 * self._number(i, "loop", 1, self.g) - 2
+        return self._loops[self._number(i, "loop", 1, self.g) - 1][3]
 
     def bridge_edge(self, i: int) -> int:
         """Bridge i runs w_i -> v_{i+1}; 0 and g exist only on extended chains."""
         g = self.g
         i = self._number(i, "bridge", *((0, g) if self.extended else (1, g - 1)))
-        return 3 * g - 1 if i == 0 else 3 * i - 1 + (i == g)
+        return 3 * g - 1 if i == 0 else self._loops[i - 1][4]
 
     def piece(self, p: Point) -> int | None:
         """Index of the part of gamma_1, br_1, ..., gamma_g, {w_g} holding
@@ -687,12 +690,12 @@ class ChainOfLoops:
         w_i), 2i-1 for the bridge br_i = [w_i, v_{i+1}), 2g-1 for w_g, and
         None on the pendant bridges of an extended chain; ``GraphError``
         unless p is a point of the chain (``check_point``)."""
-        self.graph.check_point(p)
+        self.check_point(p)
         if p.vertex is None:
             # edges 3i-3, 3i-2 and 3i-1 lie on pieces 2i-2, 2i-2 and 2i-1
             return 2 * p.edge // 3 if p.edge < 3 * self.g - 1 else None
         # a vertex's index is its piece's, past w_0 on an extended chain
-        k = self.graph.vertex_index[p.vertex] - self.extended
+        k = self.vertex_index[p.vertex] - self.extended
         return k if 0 <= k < 2 * self.g else None
 
     # -- geometry helpers ------------------------------------------------
@@ -714,8 +717,8 @@ class ChainOfLoops:
         if t <= ell:
             # top edge is oriented v_i -> w_i, so ccw-distance t from w_i
             # sits at offset ell_i - t
-            return self.graph.point(top, ell - t)
-        return self.graph.point(top + 1, t - ell)
+            return self.point(top, ell - t)
+        return self.point(top + 1, t - ell)
 
 
 def default_generic_chain(g: int, extended: bool = False) -> ChainOfLoops:

@@ -403,41 +403,38 @@ def _reduce_loop(carry: int, on_loop, ell: int, m: int) -> tuple[int | None, int
 
 def _reduce_chain(lat: _Lattice, chips: _Chips) -> None:
     """Reduce ``chips`` at v_1, key 0, in place, on a lattice of a core
-    chain (``MetricGraph._core_chain``), by one scan from loop g down to
-    loop 1 that neither burns nor fires: ``_reduce_loop`` on each loop i,
-    near end v_i.  The chips on bridge i and the carry from v_{i+1} slide
-    to w_i, at t = ell_i; a chip at top offset o is at t = o, and one at
-    bottom offset o at t = ell_i + m_i - o.  A nonzero s leaves one chip
-    at top offset s, at w_i or at bottom offset ell_i + m_i - s, and the
-    last carry is the pile at v_1, in debt when the class of the chips
-    has no effective member.  Every other chip has moved, so what is left
-    holds at most one chip in each cell, loop i less v_i, and none on a
-    bridge: it burns from v_1, and is the divisor reduced there, which is
-    unique.  It holds at most g chips off v_1, which needs no check."""
+    chain, by one scan that neither burns nor fires: it walks the graph's
+    ``_core_chain`` (``ChainOfLoops._loops``) from loop g down to loop 1,
+    running ``_reduce_loop`` on each loop i, near end v_i.  The chips on
+    bridge i and the carry from v_{i+1} slide to w_i, at t = ell_i; a
+    chip at top offset o is at t = o, and one at bottom offset o at
+    t = ell_i + m_i - o.  A nonzero s leaves one chip at top offset s, at
+    w_i or at bottom offset ell_i + m_i - s, and the last carry is the
+    pile at v_1, in debt when the class of the chips has no effective
+    member.  Every other chip has moved, so what is left holds at most
+    one chip in each cell, loop i less v_i, and none on a bridge: it
+    burns from v_1, and is the divisor reduced there, which is unique.
+    It holds at most g chips off v_1, which needs no check."""
     at_vertex, on_edge, edges = chips.at_vertex, chips.on_edge, lat.edges
-    g = len(at_vertex) // 2
     chips.at_vertex, chips.on_edge = [0] * len(at_vertex), [()] * len(on_edge)
     carry = 0
-    for i in range(g, 0, -1):
-        # loop i is edges 3i - 3 (top) and 3i - 2 (bottom), from v_i, vertex
-        # 2i - 2, to w_i, vertex 2i - 1; bridge i, edge 3i - 1, leaves w_i
-        top = 3 * i - 3
-        ell, m = edges[top][2], edges[top + 1][2]
-        carry += at_vertex[2 * i - 1]
-        if i < g:
-            carry += sum(c for _o, c in on_edge[top + 2])
-        on_loop = [(0, at_vertex[2 * i - 2]), *on_edge[top],
-                   *((ell + m - o, c) for o, c in on_edge[top + 1])]
+    for v, w, top, bottom, bridge in reversed(lat.graph._core_chain):
+        ell, m = edges[top][2], edges[bottom][2]
+        carry += at_vertex[w]
+        if bridge is not None:
+            carry += sum(c for _o, c in on_edge[bridge])
+        on_loop = [(0, at_vertex[v]), *on_edge[top],
+                   *((ell + m - o, c) for o, c in on_edge[bottom])]
         s, carry = _reduce_loop(carry, on_loop, ell, m)
         if s is None:
             continue
         if s < ell:
             chips.on_edge[top] = ((s, 1),)
         elif s == ell:
-            chips.at_vertex[2 * i - 1] = 1
+            chips.at_vertex[w] = 1
         else:
-            chips.on_edge[top + 1] = ((ell + m - s, 1),)
-    chips.at_vertex[0] = carry
+            chips.on_edge[bottom] = ((ell + m - s, 1),)
+    chips.at_vertex[v] = carry  # the scan ends on loop 1, at v_1
 
 
 # ---------------------------------------------------------------------------

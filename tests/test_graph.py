@@ -582,8 +582,9 @@ class TestTrustedConstructors:
     @pytest.mark.parametrize("extended", [False, True])
     @pytest.mark.parametrize("g", [2, 3, 5])
     def test_chain_graph_matches_the_checked_constructor(self, g, extended):
-        # ChainOfLoops builds its graph with the unchecked MetricGraph._of;
-        # the checked constructor must accept the same input and agree
+        # ChainOfLoops builds itself with MetricGraph._build, checking only
+        # its lengths; the checked constructor must accept the same input
+        # and agree
         ell = [Fraction(2 * g + i, 3) for i in range(g)]
         m = [str(i + 1) for i in range(g)]
         beta = [Fraction(1, i + 2) for i in range(g - 1)]
@@ -700,6 +701,16 @@ class TestChainOfLoops:
         # a vertex's piece is its index on the core chain: v_i 2i-2, w_i 2i-1
         assert [ch.piece(p) for p in G.vertex_points] == (
             [None, *range(2 * g), None] if extended else list(range(2 * g)))
+        # the record: per loop, the indices of v_i, w_i, its top and bottom
+        # edges and the edge leaving w_i, read off the names above
+        index = {v: k for k, v in enumerate(vertices)}
+        leaving = {u: k for k, (u, v, _l) in enumerate(edges) if u[0] == "w"}
+        assert ch._loops == tuple(
+            (index[f"v{i}"], index[f"w{i}"],
+             edges.index((f"v{i}", f"w{i}", 10 + i)), edges.index((f"v{i}", f"w{i}", 20 + i)),
+             leaving.get(f"w{i}")) for i in range(1, g + 1))
+        assert G is ch and isinstance(ch, MetricGraph)
+        assert ch._core_chain == (() if extended else ch._loops)
 
     @pytest.mark.parametrize("extended", [False, True])
     def test_bad_loop_or_bridge_index_named(self, extended):

@@ -1166,7 +1166,7 @@ class TestChainScan:
         extended = default_generic_chain(3, extended=True)
         unmarked = (fresh_copy(chain3.graph), graph_from_json(graph_to_json(chain3.graph)),
                     extended.graph, graph_from_json(chain_to_json(extended)), lollipop_graph())
-        assert not any(G._core_chain for G in unmarked)
+        assert all(G._core_chain == () for G in unmarked)
         calls = []
         for name in ("_reduce", "_reduce_chain"):
             def counted(*args, _real=getattr(reduce_core, name), _name=name):
